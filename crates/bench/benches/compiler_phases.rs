@@ -1,8 +1,16 @@
-//! Criterion benchmarks for the end-to-end compiler on the campus topology
-//! (the per-table harness binaries cover the large topologies).
+//! Criterion benchmarks for the end-to-end compiler: the campus running
+//! example, and the igen-50 five-application pipeline that every traffic
+//! and edit workload of the benchmark of record compiles cold (the per-table
+//! harness binaries cover the large topologies).
+//!
+//! The campus case alone hides where cold-compile time goes — twelve
+//! switches, six ports and a 30-node diagram exercise neither placement's
+//! distance queries, nor the packet-state walk, nor deep composition — so
+//! the igen-50 case also prints its per-phase split.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snap_bench::dns_tunnel_with_routing;
+use snap_apps as apps;
+use snap_bench::{dns_tunnel_with_routing, ms, scaled_igen};
 use snap_core::{Compiler, SolverChoice};
 use snap_topology::{generators, TrafficMatrix};
 
@@ -24,6 +32,28 @@ fn bench_compiler(c: &mut Criterion) {
     group.bench_function("campus_te_reroute", |b| {
         b.iter(|| heuristic.reroute(&compiled, &shifted))
     });
+
+    // The benchmark of record's `fwd-stateful` / `edit-churn` scenario.
+    let (topo, tm) = scaled_igen(50, 10_000.0, 7);
+    let threshold = 1_000_000;
+    let pipeline = apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(threshold))
+        .seq(apps::stateful_firewall())
+        .seq(apps::heavy_hitter_detection(threshold))
+        .seq(apps::assign_egress(topo.num_external_ports()));
+    let igen50 = Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    group.bench_function("igen50_five_apps_cold_start_heuristic", |b| {
+        b.iter(|| igen50.compile(&pipeline).unwrap())
+    });
+    let t = igen50.compile(&pipeline).unwrap().timings;
+    println!(
+        "igen50_five_apps phases: deps {} ms, translate {} ms, mapping {} ms, optimize {} ms, rulegen {} ms",
+        ms(t.dependency_analysis),
+        ms(t.xfdd_generation),
+        ms(t.packet_state_mapping),
+        ms(t.optimization),
+        ms(t.rule_generation),
+    );
 
     group.finish();
 }

@@ -22,8 +22,8 @@ use crate::mapping::PacketStateMap;
 use serde::{Deserialize, Serialize};
 use snap_lang::StateVar;
 use snap_milp::{solve_lp, solve_milp, LinExpr, Model, Sense, SolveResult, VarId};
-use snap_topology::{NodeId, PortId, Topology, TrafficMatrix};
-use snap_xfdd::StateDependencies;
+use snap_topology::{HopMatrix, NodeId, PortId, Topology, TrafficMatrix};
+use snap_xfdd::{StateDependencies, VarOrder};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which engine to use for placement and routing.
@@ -226,8 +226,8 @@ fn heuristic_place_and_route(
     fixed: Option<BTreeMap<StateVar, NodeId>>,
 ) -> PlacementResult {
     let topo = input.topology;
+    let hops = HopMatrix::new(topo);
     let variables = all_variables(input);
-    let order = input.deps.var_order();
 
     let placement = match fixed {
         Some(p) => p,
@@ -236,7 +236,7 @@ fn heuristic_place_and_route(
             let groups = colocation_groups(&variables, input.deps);
             let mut placement = BTreeMap::new();
             for group in groups {
-                let node = best_node_for_group(input, &group);
+                let node = best_node_for_group(input, &hops, &group);
                 for var in group {
                     placement.insert(var, node);
                 }
@@ -246,6 +246,7 @@ fn heuristic_place_and_route(
     };
 
     // Route every demand through its needed variables in dependency order.
+    let order = input.deps.var_order();
     let mut paths = BTreeMap::new();
     for (u, v, demand) in input.traffic.iter() {
         if demand <= 0.0 {
@@ -254,17 +255,8 @@ fn heuristic_place_and_route(
         let (Some(src), Some(dst)) = (topo.port_switch(u), topo.port_switch(v)) else {
             continue;
         };
-        let mut needed: Vec<StateVar> = input.mapping.vars_for(u, v).into_iter().collect();
-        needed.sort_by_key(|s| order.rank(s));
-        let mut waypoints: Vec<NodeId> = Vec::new();
-        for var in &needed {
-            if let Some(&n) = placement.get(var) {
-                if waypoints.last() != Some(&n) {
-                    waypoints.push(n);
-                }
-            }
-        }
-        if let Some(path) = topo.path_through(src, &waypoints, dst) {
+        let waypoints = waypoints_in_order(input.mapping.vars_for(u, v), &order, &placement);
+        if let Some(path) = hops.path_through(src, &waypoints, dst) {
             paths.insert((u, v), path);
         }
     }
@@ -277,6 +269,23 @@ fn heuristic_place_and_route(
         max_utilization: max,
         method: "heuristic".to_string(),
     }
+}
+
+/// The switches holding a flow's variables, in the order the flow must visit
+/// them (the state-variable dependency order).
+fn waypoints_in_order(
+    needed: &BTreeSet<StateVar>,
+    order: &VarOrder,
+    placement: &BTreeMap<StateVar, NodeId>,
+) -> Vec<NodeId> {
+    let mut needed: Vec<&StateVar> = needed.iter().collect();
+    needed.sort_by_key(|s| order.rank(s));
+    let mut waypoints: Vec<NodeId> = needed
+        .into_iter()
+        .filter_map(|s| placement.get(s).copied())
+        .collect();
+    waypoints.dedup();
+    waypoints
 }
 
 /// Union-find-free co-location grouping: connected components of the `tied`
@@ -314,7 +323,7 @@ fn colocation_groups(
 
 /// The switch minimizing the demand-weighted detour for all flows that need
 /// any variable of the group.
-fn best_node_for_group(input: &OptimizeInput<'_>, group: &[StateVar]) -> NodeId {
+fn best_node_for_group(input: &OptimizeInput<'_>, hops: &HopMatrix, group: &[StateVar]) -> NodeId {
     let topo = input.topology;
     // Flows needing the group, with their demand.
     let mut flows: Vec<(NodeId, NodeId, f64)> = Vec::new();
@@ -329,26 +338,24 @@ fn best_node_for_group(input: &OptimizeInput<'_>, group: &[StateVar]) -> NodeId 
             }
         }
     }
-    let candidates: Vec<NodeId> = topo.nodes().collect();
     if flows.is_empty() {
         // Nothing constrains the group; put it on the most central switch.
-        return candidates
-            .iter()
-            .copied()
+        return topo
+            .nodes()
             .min_by_key(|&n| {
                 topo.nodes()
-                    .map(|m| topo.distance(n, m).unwrap_or(usize::MAX / 2))
+                    .map(|m| hops.distance(n, m).unwrap_or(usize::MAX / 2))
                     .sum::<usize>()
             })
             .unwrap_or(NodeId(0));
     }
-    let mut best = candidates[0];
+    let mut best = NodeId(0);
     let mut best_cost = f64::INFINITY;
-    for &n in &candidates {
+    for n in topo.nodes() {
         let mut cost = 0.0;
         for &(src, dst, demand) in &flows {
-            let d1 = topo.distance(src, n).unwrap_or(usize::MAX / 4) as f64;
-            let d2 = topo.distance(n, dst).unwrap_or(usize::MAX / 4) as f64;
+            let d1 = hops.distance(src, n).unwrap_or(usize::MAX / 4) as f64;
+            let d2 = hops.distance(n, dst).unwrap_or(usize::MAX / 4) as f64;
             cost += demand * (d1 + d2);
         }
         if cost < best_cost {
@@ -561,7 +568,7 @@ fn build_model(
     // Per-flow state traversal, "passed" flow conservation and ordering.
     for (di, &(u, v, _, src, dst)) in demands.iter().enumerate() {
         let needed = input.mapping.vars_for(u, v);
-        for s in &needed {
+        for s in needed {
             // The flow must pass the switch where s is placed.
             for n in topo.nodes() {
                 if n == src || n == dst {
@@ -714,6 +721,7 @@ fn finish_exact(
     placement: BTreeMap<StateVar, NodeId>,
 ) -> PlacementResult {
     let topo = input.topology;
+    let hops = HopMatrix::new(topo);
     let links: Vec<(NodeId, NodeId)> = topo.links().iter().map(|l| (l.from, l.to)).collect();
     let order = input.deps.var_order();
     let mut paths = BTreeMap::new();
@@ -754,13 +762,8 @@ fn finish_exact(
         }
         if !ok {
             // Fallback: deterministic waypoint path honouring the placement.
-            let mut needed: Vec<StateVar> = input.mapping.vars_for(u, v).into_iter().collect();
-            needed.sort_by_key(|s| order.rank(s));
-            let waypoints: Vec<NodeId> = needed
-                .iter()
-                .filter_map(|s| placement.get(s).copied())
-                .collect();
-            if let Some(p) = topo.path_through(src, &waypoints, dst) {
+            let waypoints = waypoints_in_order(input.mapping.vars_for(u, v), &order, &placement);
+            if let Some(p) = hops.path_through(src, &waypoints, dst) {
                 path = p;
             }
         }

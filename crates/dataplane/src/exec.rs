@@ -28,7 +28,7 @@ use crate::shards::StateShards;
 use parking_lot::MutexGuard;
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
 use snap_telemetry::HopRecord;
-use snap_topology::{NodeId as SwitchId, PortId, Topology};
+use snap_topology::{HopMatrix, NodeId as SwitchId, PortId, Topology};
 use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, TableProgram, Test};
 use std::collections::BTreeSet;
 
@@ -482,60 +482,36 @@ pub fn process_at_switch<'p>(
 pub struct NextHops {
     /// `table[from][to]`: the first hop of a shortest path.
     table: Vec<Vec<Option<SwitchId>>>,
-    /// `dist[from][to]`: hop distance along that path (`usize::MAX` when
-    /// unreachable). Lets the driver fast-forward a packet whose remaining
-    /// journey is pure forwarding in one jump instead of one wave per hop.
-    dist: Vec<Vec<usize>>,
+    /// Hop distance along that path. Lets the driver fast-forward a packet
+    /// whose remaining journey is pure forwarding in one jump instead of one
+    /// wave per hop.
+    dist: HopMatrix,
 }
 
 impl NextHops {
     /// Precompute the table for a topology.
     pub fn compute(topology: &Topology) -> NextHops {
-        let n = topology.num_nodes();
-        // Reverse adjacency: dist_to[t][u] is the hop distance from u to t,
-        // computed by a BFS from t over reversed links.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for u in topology.nodes() {
-            for &(v, _) in topology.neighbors(u) {
-                rev[v.0].push(u.0);
-            }
-        }
-        let mut next = vec![vec![None; n]; n];
-        let mut dists = vec![vec![usize::MAX; n]; n];
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for t in 0..n {
-            dist.fill(usize::MAX);
-            dist[t] = 0;
-            queue.clear();
-            queue.push_back(t);
-            while let Some(u) = queue.pop_front() {
-                let d = dist[u];
-                for &w in &rev[u] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = d + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for u in topology.nodes() {
-                dists[u.0][t] = dist[u.0];
-                if u.0 == t || dist[u.0] == usize::MAX {
-                    continue;
-                }
-                // First neighbor strictly closer to t: deterministic and on
-                // a shortest path, so hop counts match a per-hop BFS.
-                next[u.0][t] = topology
-                    .neighbors(u)
-                    .iter()
-                    .map(|&(v, _)| v)
-                    .find(|v| dist[v.0] == dist[u.0] - 1);
-            }
-        }
-        NextHops {
-            table: next,
-            dist: dists,
-        }
+        let dist = HopMatrix::new(topology);
+        let table = topology
+            .nodes()
+            .map(|u| {
+                topology
+                    .nodes()
+                    .map(|t| {
+                        let d = dist.distance(u, t).filter(|&d| d > 0)?;
+                        // First neighbor strictly closer to t: deterministic
+                        // and on a shortest path, so hop counts match a
+                        // per-hop BFS.
+                        topology
+                            .neighbors(u)
+                            .iter()
+                            .map(|&(v, _)| v)
+                            .find(|&v| dist.distance(v, t) == Some(d - 1))
+                    })
+                    .collect()
+            })
+            .collect();
+        NextHops { table, dist }
     }
 
     /// The first hop from `from` towards `to`, if `to` is reachable.
@@ -547,10 +523,7 @@ impl NextHops {
     /// Hop distance of the shortest path, if `to` is reachable from `from`.
     #[inline]
     pub fn distance(&self, from: SwitchId, to: SwitchId) -> Option<usize> {
-        match self.dist[from.0][to.0] {
-            usize::MAX => None,
-            d => Some(d),
-        }
+        self.dist.distance(from, to)
     }
 
     /// Advance an in-flight packet one hop towards a target switch.

@@ -33,6 +33,8 @@ pub struct Topology {
     names: Vec<String>,
     links: Vec<Link>,
     adj: Vec<Vec<(NodeId, usize)>>,
+    /// Number of links arriving at each switch (the in-half of `degree`).
+    in_degree: Vec<usize>,
     external_ports: BTreeMap<PortId, NodeId>,
     /// Dense mirror of `external_ports` for small port numbers: the data
     /// plane resolves a port's switch once or twice per packet, so that
@@ -58,6 +60,7 @@ impl Topology {
         let id = NodeId(self.names.len());
         self.names.push(name.into());
         self.adj.push(Vec::new());
+        self.in_degree.push(0);
         id
     }
 
@@ -66,6 +69,7 @@ impl Topology {
         let idx = self.links.len();
         self.links.push(Link { from, to, capacity });
         self.adj[from.0].push((to, idx));
+        self.in_degree[to.0] += 1;
     }
 
     /// Add links in both directions with the same capacity.
@@ -141,9 +145,7 @@ impl Topology {
 
     /// Total degree (in + out) of a switch.
     pub fn degree(&self, node: NodeId) -> usize {
-        let out = self.adj[node.0].len();
-        let inc = self.links.iter().filter(|l| l.to == node).count();
-        out + inc
+        self.adj[node.0].len() + self.in_degree[node.0]
     }
 
     /// Capacity of the directed link between two switches, if one exists.

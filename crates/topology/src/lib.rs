@@ -5,6 +5,8 @@
 //!
 //! * [`Topology`] — switches, directed capacitated links, OBS external ports,
 //!   shortest-path queries.
+//! * [`HopMatrix`] — all-pairs hop distances and shortest-path trees, built
+//!   once for the many distance/path queries of placement and forwarding.
 //! * [`generators`] — the Figure 2 campus topology, random enterprise/ISP-like
 //!   topologies with the switch/edge counts of Table 5, and IGen-like
 //!   topologies for the scaling experiment of Figure 10.
@@ -24,8 +26,10 @@
 
 pub mod generators;
 pub mod graph;
+pub mod hops;
 pub mod traffic;
 
 pub use generators::{campus, igen_topology, random_topology, RandomTopologySpec};
 pub use graph::{Link, NodeId, PortId, Topology};
+pub use hops::HopMatrix;
 pub use traffic::TrafficMatrix;

@@ -11,17 +11,19 @@
 //! 2. **sweep** — live nodes are rewritten into a fresh arena in index order.
 //!    Children always have smaller indices than their parents (see the `push`
 //!    invariant), so child ids are already remapped when a branch is visited;
-//! 3. **rebuild** — the leaf/branch interners are reconstructed from the new
-//!    arena, memo-table entries whose operands, results or contexts died are
-//!    cleared, surviving entries are remapped, and the interned contexts are
-//!    compacted the same way (a context is live when a surviving union memo
-//!    entry references it, and then so are its interning ancestors).
+//! 3. **rebuild** — memo-table entries whose operands, results or contexts
+//!    died are cleared and surviving entries remapped; the interned contexts
+//!    are compacted the same way (a context is live when a surviving union
+//!    memo entry references it, and then so are its ancestors), then the
+//!    interned tests (live when a surviving node, context or restriction
+//!    memo entry holds them), and the leaf/branch interners are
+//!    reconstructed from the new arena.
 //!
 //! The returned [`RemapTable`] translates old ids to new ones so callers (a
 //! compiler session's fingerprint cache, for example) can rewrite the ids
 //! they hold; ids of collected nodes translate to `None`.
 
-use crate::pool::{CtxId, Node, NodeId, Pool};
+use crate::pool::{CtxId, Node, NodeId, Pool, TestId};
 
 /// Old-id → new-id translation produced by [`Pool::compact`].
 #[derive(Clone, Debug, Default)]
@@ -80,9 +82,12 @@ impl Pool {
         // Children have smaller indices than parents, so one forward pass
         // can remap child links as it goes.
         let old_nodes = std::mem::take(&mut self.nodes);
+        let old_node_tests = std::mem::take(&mut self.node_tests);
         let mut node_map: Vec<Option<NodeId>> = vec![None; old_nodes.len()];
-        let mut new_nodes = Vec::with_capacity(live.iter().filter(|l| **l).count());
-        for (i, node) in old_nodes.into_iter().enumerate() {
+        let live_nodes = live.iter().filter(|l| **l).count();
+        self.nodes.reserve_exact(live_nodes);
+        self.node_tests.reserve_exact(live_nodes);
+        for (i, (node, test)) in old_nodes.into_iter().zip(old_node_tests).enumerate() {
             if !live[i] {
                 continue;
             }
@@ -95,71 +100,38 @@ impl Pool {
                 },
             };
             node_map[i] = Some(NodeId(
-                u32::try_from(new_nodes.len()).expect("compacted pool overflow"),
+                u32::try_from(self.nodes.len()).expect("compacted pool overflow"),
             ));
-            new_nodes.push(rewritten);
+            self.nodes.push(rewritten);
+            self.node_tests.push(test);
         }
-        let live_nodes = new_nodes.len();
-        self.nodes = new_nodes;
-
-        // --- rebuild interners -----------------------------------------
-        self.leaf_intern.clear();
-        self.branch_intern.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            match node {
-                Node::Leaf(l) => {
-                    self.leaf_intern.entry(l.clone()).or_insert(id);
-                }
-                Node::Branch { test, tru, fls } => {
-                    self.branch_intern
-                        .entry((test.clone(), *tru, *fls))
-                        .or_insert(id);
-                }
-            }
-        }
-
         let nmap = |id: NodeId| node_map[id.index()];
 
         // --- contexts --------------------------------------------------
         // A context is live when a surviving union memo entry references it;
-        // its interning ancestors must then survive too so `ctx_with`
-        // continues to deduplicate. Parents are created before children, so
-        // one descending pass propagates liveness transitively.
-        let mut ctx_map: Vec<Option<CtxId>> = vec![None; self.ctxs.len()];
-        if !self.ctxs.is_empty() {
-            let mut ctx_live = vec![false; self.ctxs.len()];
-            ctx_live[CtxId::EMPTY.index()] = true;
-            for ((a, b, ctx), r) in &self.union_memo {
-                if nmap(*a).is_some() && nmap(*b).is_some() && nmap(*r).is_some() {
-                    ctx_live[ctx.index()] = true;
-                }
+        // its ancestors must then survive too. Parents are created before
+        // children, so one descending pass propagates liveness transitively.
+        // (`CtxId(i + 1)` is `ctxs[i]`; the empty context is always live.)
+        let mut ctx_live = vec![false; self.ctxs.len() + 1];
+        ctx_live[CtxId::EMPTY.index()] = true;
+        for ((a, b, ctx), r) in &self.union_memo {
+            if nmap(*a).is_some() && nmap(*b).is_some() && nmap(*r).is_some() {
+                ctx_live[ctx.index()] = true;
             }
-            let mut parent_of: Vec<Option<CtxId>> = vec![None; self.ctxs.len()];
-            for ((parent, _, _), child) in &self.ctx_intern {
-                parent_of[child.index()] = Some(*parent);
+        }
+        for i in (1..ctx_live.len()).rev() {
+            if ctx_live[i] {
+                ctx_live[self.ctxs[i - 1].parent.index()] = true;
             }
-            for i in (0..ctx_live.len()).rev() {
-                if ctx_live[i] {
-                    if let Some(p) = parent_of[i] {
-                        ctx_live[p.index()] = true;
-                    }
-                }
-            }
-
-            let old_ctxs = std::mem::take(&mut self.ctxs);
-            for (i, ctx) in old_ctxs.into_iter().enumerate() {
-                if !ctx_live[i] {
-                    continue;
-                }
-                ctx_map[i] = Some(CtxId::new(self.ctxs.len()));
-                self.ctxs.push(ctx);
-            }
-            let old_ctx_intern = std::mem::take(&mut self.ctx_intern);
-            for ((parent, test, outcome), child) in old_ctx_intern {
-                if let (Some(p), Some(c)) = (ctx_map[parent.index()], ctx_map[child.index()]) {
-                    self.ctx_intern.insert((p, test, outcome), c);
-                }
+        }
+        let mut ctx_map: Vec<Option<CtxId>> = vec![None; ctx_live.len()];
+        ctx_map[CtxId::EMPTY.index()] = Some(CtxId::EMPTY);
+        let old_ctxs = std::mem::take(&mut self.ctxs);
+        for (i, mut fact) in old_ctxs.into_iter().enumerate() {
+            if ctx_live[i + 1] {
+                fact.parent = ctx_map[fact.parent.index()].expect("live parent of live context");
+                self.ctxs.push(fact);
+                ctx_map[i + 1] = Some(CtxId::new(self.ctxs.len()));
             }
         }
         let cmap = |id: CtxId| ctx_map.get(id.index()).copied().flatten();
@@ -194,11 +166,73 @@ impl Pool {
                 self.negate_memo.insert(a, r);
             }
         }
+        let restrict_survives = |a: NodeId, r: NodeId| nmap(a).zip(nmap(r));
+
+        // --- tests -----------------------------------------------------
+        // Nodes, contexts and the restriction memo still name tests by their
+        // old ids; a test is live when a surviving one of them does.
+        // Renumber densely, keeping the order.
+        let mut test_live = vec![false; self.tests.len()];
+        for (node, test) in self.nodes.iter().zip(&self.node_tests) {
+            if matches!(node, Node::Branch { .. }) {
+                test_live[test.index()] = true;
+            }
+        }
+        for fact in &self.ctxs {
+            test_live[fact.test.index()] = true;
+        }
+        for ((a, test, _), r) in &self.restrict_memo {
+            if restrict_survives(*a, *r).is_some() {
+                test_live[test.index()] = true;
+            }
+        }
+        let mut test_map: Vec<Option<TestId>> = vec![None; self.tests.len()];
+        let old_tests = std::mem::take(&mut self.tests);
+        self.test_intern.clear();
+        for (i, test) in old_tests.into_iter().enumerate() {
+            if test_live[i] {
+                let id = TestId::new(self.tests.len());
+                test_map[i] = Some(id);
+                self.test_intern.insert(test.clone(), id);
+                self.tests.push(test);
+            }
+        }
+        let tmap = |id: TestId| test_map[id.index()].expect("live test");
+        for (node, test) in self.nodes.iter().zip(&mut self.node_tests) {
+            if matches!(node, Node::Branch { .. }) {
+                *test = tmap(*test);
+            }
+        }
+        for fact in &mut self.ctxs {
+            fact.test = tmap(fact.test);
+        }
         let old_restrict = std::mem::take(&mut self.restrict_memo);
         for ((a, test, positive), r) in old_restrict {
-            if let (Some(a), Some(r)) = (nmap(a), nmap(r)) {
-                self.restrict_memo.insert((a, test, positive), r);
+            if let Some((a, r)) = restrict_survives(a, r) {
+                self.restrict_memo.insert((a, tmap(test), positive), r);
             }
+        }
+
+        // --- rebuild interners -----------------------------------------
+        self.leaf_intern.clear();
+        self.branch_intern.clear();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
+            match node {
+                Node::Leaf(l) => {
+                    self.leaf_intern.entry(l.clone()).or_insert(id);
+                }
+                Node::Branch { tru, fls, .. } => {
+                    self.branch_intern
+                        .entry((self.node_tests[i], *tru, *fls))
+                        .or_insert(id);
+                }
+            }
+        }
+        self.ctx_intern.clear();
+        for (i, fact) in self.ctxs.iter().enumerate() {
+            self.ctx_intern
+                .insert((fact.parent, fact.test, fact.outcome), CtxId::new(i + 1));
         }
 
         RemapTable {

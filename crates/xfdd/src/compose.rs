@@ -8,7 +8,9 @@
 //! interned context for the union recursion, whose refinement step depends on
 //! the facts accumulated along the composition path). Repeating a composition
 //! — the common case when policies are built incrementally or recompiled — is
-//! then a hash lookup instead of a diagram traversal.
+//! then a hash lookup instead of a diagram traversal. Tests are interned as
+//! well, so the recursion carries, compares and hashes them as ids; a `Test`
+//! value is only built where an action sequence re-expresses one.
 //!
 //! The delicate part is composing an *action sequence* with a *branch*: the
 //! actions happen "before" the test, so the test must be re-expressed over
@@ -16,26 +18,25 @@
 //! field-field tests and the context machinery come in.
 
 use crate::action::{Action, ActionSeq, Leaf};
-use crate::context::Context;
 use crate::error::CompileError;
-use crate::pool::{CtxId, Node, NodeId, Pool};
+use crate::pool::{CtxId, Node, NodeId, Pool, TestId};
 use crate::test::Test;
 use snap_lang::{Expr, Field, StateVar, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// A node, decomposed into owned parts for recursion while the pool is
+/// A node, decomposed into copyable parts for recursion while the pool is
 /// mutably borrowed.
 enum Shape {
     Leaf,
-    Branch(Test, NodeId, NodeId),
+    Branch(TestId, NodeId, NodeId),
 }
 
 impl Pool {
     fn shape(&self, n: NodeId) -> Shape {
         match self.node(n) {
             Node::Leaf(_) => Shape::Leaf,
-            Node::Branch { test, tru, fls } => Shape::Branch(test.clone(), *tru, *fls),
+            Node::Branch { tru, fls, .. } => Shape::Branch(self.node_test(n), *tru, *fls),
         }
     }
 
@@ -56,8 +57,7 @@ impl Pool {
 
     /// `d1 ⊕ d2` — parallel composition of diagrams.
     pub fn union(&mut self, d1: NodeId, d2: NodeId) -> NodeId {
-        let ctx = self.empty_ctx();
-        self.union_ctx(d1, d2, ctx)
+        self.union_ctx(d1, d2, CtxId::EMPTY)
     }
 
     fn union_ctx(&mut self, d1: NodeId, d2: NodeId, ctx: CtxId) -> NodeId {
@@ -89,41 +89,41 @@ impl Pool {
                 self.leaf(merged)
             }
             (Shape::Branch(test, tru, fls), Shape::Leaf) => {
-                let ct = self.ctx_with(ctx, test.clone(), true);
-                let cf = self.ctx_with(ctx, test.clone(), false);
+                let ct = self.ctx_with(ctx, test, true);
+                let cf = self.ctx_with(ctx, test, false);
                 let a = self.union_ctx(tru, d2, ct);
                 let b = self.union_ctx(fls, d2, cf);
-                self.branch(test, a, b)
+                self.branch_id(test, a, b)
             }
             (Shape::Leaf, Shape::Branch(test, tru, fls)) => {
-                let ct = self.ctx_with(ctx, test.clone(), true);
-                let cf = self.ctx_with(ctx, test.clone(), false);
+                let ct = self.ctx_with(ctx, test, true);
+                let cf = self.ctx_with(ctx, test, false);
                 let a = self.union_ctx(d1, tru, ct);
                 let b = self.union_ctx(d1, fls, cf);
-                self.branch(test, a, b)
+                self.branch_id(test, a, b)
             }
             (Shape::Branch(t1, d11, d12), Shape::Branch(t2, d21, d22)) => {
-                match t1.cmp_in(&t2, self.order()) {
+                match self.cmp_tests(t1, t2) {
                     Ordering::Equal => {
-                        let ct = self.ctx_with(ctx, t1.clone(), true);
-                        let cf = self.ctx_with(ctx, t1.clone(), false);
+                        let ct = self.ctx_with(ctx, t1, true);
+                        let cf = self.ctx_with(ctx, t1, false);
                         let a = self.union_ctx(d11, d21, ct);
                         let b = self.union_ctx(d12, d22, cf);
-                        self.branch(t1, a, b)
+                        self.branch_id(t1, a, b)
                     }
                     Ordering::Less => {
-                        let ct = self.ctx_with(ctx, t1.clone(), true);
-                        let cf = self.ctx_with(ctx, t1.clone(), false);
+                        let ct = self.ctx_with(ctx, t1, true);
+                        let cf = self.ctx_with(ctx, t1, false);
                         let a = self.union_ctx(d11, d2, ct);
                         let b = self.union_ctx(d12, d2, cf);
-                        self.branch(t1, a, b)
+                        self.branch_id(t1, a, b)
                     }
                     Ordering::Greater => {
-                        let ct = self.ctx_with(ctx, t2.clone(), true);
-                        let cf = self.ctx_with(ctx, t2.clone(), false);
+                        let ct = self.ctx_with(ctx, t2, true);
+                        let cf = self.ctx_with(ctx, t2, false);
                         let a = self.union_ctx(d1, d21, ct);
                         let b = self.union_ctx(d1, d22, cf);
-                        self.branch(t2, a, b)
+                        self.branch_id(t2, a, b)
                     }
                 }
             }
@@ -138,7 +138,7 @@ impl Pool {
         let mut cur = d;
         loop {
             match self.node(cur) {
-                Node::Branch { test, tru, fls } => match self.ctx_implies(ctx, test) {
+                Node::Branch { tru, fls, .. } => match self.ctx_implies(ctx, self.node_test(cur)) {
                     Some(true) => cur = *tru,
                     Some(false) => cur = *fls,
                     None => return cur,
@@ -166,7 +166,7 @@ impl Pool {
             Shape::Branch(test, tru, fls) => {
                 let a = self.negate(tru);
                 let b = self.negate(fls);
-                self.branch(test, a, b)
+                self.branch_id(test, a, b)
             }
         };
         self.negate_memo.insert(d, result);
@@ -176,44 +176,48 @@ impl Pool {
     /// `d|t` (when `positive`) or `d|¬t` (otherwise): keep `d`'s behaviour
     /// only where the test has the given outcome; drop elsewhere.
     pub fn restrict(&mut self, d: NodeId, test: &Test, positive: bool) -> NodeId {
-        let key = (d, test.clone(), positive);
+        let test = self.intern_test(test);
+        self.restrict_id(d, test, positive)
+    }
+
+    fn restrict_id(&mut self, d: NodeId, test: TestId, positive: bool) -> NodeId {
+        let key = (d, test, positive);
         if let Some(&r) = self.restrict_memo.get(&key) {
             return r;
         }
+        // `test ? d : drop` (or its mirror image): `d` only where the test
+        // has the wanted outcome.
+        let guard = |pool: &mut Pool, d: NodeId| {
+            let drop = pool.drop();
+            if positive {
+                pool.branch_id(test, d, drop)
+            } else {
+                pool.branch_id(test, drop, d)
+            }
+        };
         let result = match self.shape(d) {
             Shape::Leaf => {
                 if self.is_drop_leaf(d) {
                     self.drop()
-                } else if positive {
-                    let drop = self.drop();
-                    self.branch(test.clone(), d, drop)
                 } else {
-                    let drop = self.drop();
-                    self.branch(test.clone(), drop, d)
+                    guard(self, d)
                 }
             }
-            Shape::Branch(t1, tru, fls) => match t1.cmp_in(test, self.order()) {
+            Shape::Branch(t1, tru, fls) => match self.cmp_tests(t1, test) {
                 Ordering::Equal => {
                     let drop = self.drop();
                     if positive {
-                        self.branch(t1, tru, drop)
+                        self.branch_id(t1, tru, drop)
                     } else {
-                        self.branch(t1, drop, fls)
+                        self.branch_id(t1, drop, fls)
                     }
                 }
-                Ordering::Greater => {
-                    // `test` comes first in the order: hoist it above `d`.
-                    let drop = self.drop();
-                    if positive {
-                        self.branch(test.clone(), d, drop)
-                    } else {
-                        self.branch(test.clone(), drop, d)
-                    }
-                }
+                // `test` comes first in the order: hoist it above `d`.
+                Ordering::Greater => guard(self, d),
                 Ordering::Less => {
-                    let a = self.restrict(tru, test, positive);
-                    let b = self.restrict(fls, test, positive);
-                    self.branch(t1, a, b)
+                    let a = self.restrict_id(tru, test, positive);
+                    let b = self.restrict_id(fls, test, positive);
+                    self.branch_id(t1, a, b)
                 }
             },
         };
@@ -224,8 +228,13 @@ impl Pool {
     /// Build a semantically correct, well-formed `test ? dt : df` even when
     /// `dt` or `df` contain tests that precede `test` in the global order.
     pub fn make_branch(&mut self, test: Test, dt: NodeId, df: NodeId) -> NodeId {
-        let a = self.restrict(dt, &test, true);
-        let b = self.restrict(df, &test, false);
+        let test = self.intern_test(&test);
+        self.make_branch_id(test, dt, df)
+    }
+
+    fn make_branch_id(&mut self, test: TestId, dt: NodeId, df: NodeId) -> NodeId {
+        let a = self.restrict_id(dt, test, true);
+        let b = self.restrict_id(df, test, false);
         self.union(a, b)
     }
 
@@ -251,9 +260,8 @@ impl Pool {
                 }
                 let seqs: Vec<ActionSeq> = self.leaf_of(d1).0.iter().cloned().collect();
                 let mut acc = self.drop();
-                let ctx = self.empty_ctx();
                 for a in &seqs {
-                    let part = self.seq_action(a, d2, ctx)?;
+                    let part = self.seq_action(a, d2, CtxId::EMPTY)?;
                     acc = self.union(acc, part);
                 }
                 Ok(acc)
@@ -261,7 +269,7 @@ impl Pool {
             Shape::Branch(test, tru, fls) => {
                 let a = self.seq(tru, d2)?;
                 let b = self.seq(fls, d2)?;
-                Ok(self.make_branch(test, a, b))
+                Ok(self.make_branch_id(test, a, b))
             }
         }
     }
@@ -296,7 +304,7 @@ impl Pool {
         };
 
         let fmap = field_map(actions);
-        match &test {
+        match self.test(test) {
             Test::FieldValue(f, v) => {
                 if let Some(assigned) = fmap.get(f) {
                     // The sequence overwrote the field: the test is decided.
@@ -306,33 +314,30 @@ impl Pool {
                         self.seq_action(actions, fls, ctx)
                     };
                 }
-                self.decide_or_branch(test.clone(), actions, tru, fls, ctx)
+                self.decide_or_branch(test, actions, tru, fls, ctx)
             }
             Test::FieldField(f, g) => {
-                let rf = resolve_field(f, &fmap, self.ctx(ctx));
-                let rg = resolve_field(g, &fmap, self.ctx(ctx));
-                match (rf, rg) {
+                let rf = resolve_field(f, &fmap, self, ctx);
+                let rg = resolve_field(g, &fmap, self, ctx);
+                let resolved = match (rf, rg) {
                     (Resolved::Val(a), Resolved::Val(b)) => {
-                        if a == b {
+                        return if a == b {
                             self.seq_action(actions, tru, ctx)
                         } else {
                             self.seq_action(actions, fls, ctx)
-                        }
+                        };
                     }
-                    (Resolved::Val(a), Resolved::Fld(g2)) => {
-                        self.decide_or_branch(Test::FieldValue(g2, a), actions, tru, fls, ctx)
-                    }
-                    (Resolved::Fld(f2), Resolved::Val(b)) => {
-                        self.decide_or_branch(Test::FieldValue(f2, b), actions, tru, fls, ctx)
-                    }
+                    (Resolved::Val(a), Resolved::Fld(g2)) => Test::FieldValue(g2, a),
+                    (Resolved::Fld(f2), Resolved::Val(b)) => Test::FieldValue(f2, b),
                     (Resolved::Fld(f2), Resolved::Fld(g2)) => {
                         if f2 == g2 {
-                            self.seq_action(actions, tru, ctx)
-                        } else {
-                            self.decide_or_branch(Test::FieldField(f2, g2), actions, tru, fls, ctx)
+                            return self.seq_action(actions, tru, ctx);
                         }
+                        Test::FieldField(f2, g2)
                     }
-                }
+                };
+                let resolved = self.intern_test(&resolved);
+                self.decide_or_branch(resolved, actions, tru, fls, ctx)
             }
             Test::State { var, index, value } => {
                 let (var, index, value) = (var.clone(), index.clone(), value.clone());
@@ -345,21 +350,21 @@ impl Pool {
     /// the decided branch or build a well-formed branch over it.
     fn decide_or_branch(
         &mut self,
-        test: Test,
+        test: TestId,
         actions: &ActionSeq,
         tru: NodeId,
         fls: NodeId,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
-        match self.ctx_implies(ctx, &test) {
+        match self.ctx_implies(ctx, test) {
             Some(true) => self.seq_action(actions, tru, ctx),
             Some(false) => self.seq_action(actions, fls, ctx),
             None => {
-                let ct = self.ctx_with(ctx, test.clone(), true);
-                let cf = self.ctx_with(ctx, test.clone(), false);
+                let ct = self.ctx_with(ctx, test, true);
+                let cf = self.ctx_with(ctx, test, false);
                 let dt = self.seq_action(actions, tru, ct)?;
                 let df = self.seq_action(actions, fls, cf)?;
-                Ok(self.make_branch(test, dt, df))
+                Ok(self.make_branch_id(test, dt, df))
             }
         }
     }
@@ -391,18 +396,18 @@ impl Pool {
         // the sequence modified become the constants it assigned.
         let t_idx: Vec<Expr> = index
             .iter()
-            .map(|e| resolve_expr(e, fmap, self.ctx(ctx)))
+            .map(|e| resolve_expr(e, fmap, self, ctx))
             .collect();
-        let t_val: Expr = resolve_expr(value, fmap, self.ctx(ctx));
+        let t_val: Expr = resolve_expr(value, fmap, self, ctx);
 
         // Writes to `var` inside the sequence, each re-expressed over the
         // original header using only the field modifications that *precede*
         // it.
-        let writes = collect_writes(actions, var, self.ctx(ctx));
+        let writes = collect_writes(actions, var, self, ctx);
 
         let mut offset: i64 = 0;
         for w in writes.iter().rev() {
-            match exprs_equal(&t_idx, &w.index, self.ctx(ctx)) {
+            match exprs_equal(&t_idx, &w.index, self, ctx) {
                 EqResult::Neq => continue,
                 EqResult::Unknown(test) => {
                     // Emit the disambiguating test (it is expressed over the
@@ -417,7 +422,8 @@ impl Pool {
                             match exprs_equal(
                                 std::slice::from_ref(&t_val),
                                 std::slice::from_ref(wval),
-                                self.ctx(ctx),
+                                self,
+                                ctx,
                             ) {
                                 EqResult::Eq => return self.seq_action(actions, tru, ctx),
                                 EqResult::Neq => return self.seq_action(actions, fls, ctx),
@@ -458,11 +464,11 @@ impl Pool {
                 None => return Err(CompileError::UnsupportedStateArithmetic { var: var.clone() }),
             }
         };
-        let resolved = Test::State {
+        let resolved = self.intern_test(&Test::State {
             var: var.clone(),
             index: t_idx,
             value: final_value,
-        };
+        });
         self.decide_or_branch(resolved, actions, tru, fls, ctx)
     }
 
@@ -477,11 +483,12 @@ impl Pool {
         whole: NodeId,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
-        let ct = self.ctx_with(ctx, test.clone(), true);
-        let cf = self.ctx_with(ctx, test.clone(), false);
+        let test = self.intern_test(&test);
+        let ct = self.ctx_with(ctx, test, true);
+        let cf = self.ctx_with(ctx, test, false);
         let dt = self.seq_action(actions, whole, ct)?;
         let df = self.seq_action(actions, whole, cf)?;
-        Ok(self.make_branch(test, dt, df))
+        Ok(self.make_branch_id(test, dt, df))
     }
 }
 
@@ -501,26 +508,30 @@ enum Resolved {
     Fld(Field),
 }
 
-fn resolve_field(f: &Field, fmap: &BTreeMap<Field, Value>, ctx: &Context) -> Resolved {
+fn resolve_field(f: &Field, fmap: &BTreeMap<Field, Value>, pool: &Pool, ctx: CtxId) -> Resolved {
     if let Some(v) = fmap.get(f) {
         return Resolved::Val(v.clone());
     }
-    if let Some(v) = ctx.definite_value(f) {
-        return Resolved::Val(v);
+    if let Some(v) = pool.ctx_definite_value(ctx, f) {
+        return Resolved::Val(v.clone());
     }
     Resolved::Fld(f.clone())
 }
 
 /// Re-express an expression over the original packet header, substituting
 /// fields the sequence assigned (or the context pins down) with constants.
-fn resolve_expr(e: &Expr, fmap: &BTreeMap<Field, Value>, ctx: &Context) -> Expr {
+fn resolve_expr(e: &Expr, fmap: &BTreeMap<Field, Value>, pool: &Pool, ctx: CtxId) -> Expr {
     match e {
         Expr::Value(v) => Expr::Value(v.clone()),
-        Expr::Field(f) => match resolve_field(f, fmap, ctx) {
+        Expr::Field(f) => match resolve_field(f, fmap, pool, ctx) {
             Resolved::Val(v) => Expr::Value(v),
             Resolved::Fld(f) => Expr::Field(f),
         },
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| resolve_expr(e, fmap, ctx)).collect()),
+        Expr::Tuple(es) => Expr::Tuple(
+            es.iter()
+                .map(|e| resolve_expr(e, fmap, pool, ctx))
+                .collect(),
+        ),
     }
 }
 
@@ -550,7 +561,7 @@ struct StateWrite {
 /// Collect the writes to `var` in sequence order, each with its index/value
 /// expressions re-expressed over the original header using only the field
 /// modifications that precede the write (Appendix E's `filter`).
-fn collect_writes(actions: &ActionSeq, var: &StateVar, ctx: &Context) -> Vec<StateWrite> {
+fn collect_writes(actions: &ActionSeq, var: &StateVar, pool: &Pool, ctx: CtxId) -> Vec<StateWrite> {
     let mut running: BTreeMap<Field, Value> = BTreeMap::new();
     let mut out = Vec::new();
     for a in &actions.actions {
@@ -565,21 +576,21 @@ fn collect_writes(actions: &ActionSeq, var: &StateVar, ctx: &Context) -> Vec<Sta
             } if w == var => out.push(StateWrite {
                 index: index
                     .iter()
-                    .map(|e| resolve_expr(e, &running, ctx))
+                    .map(|e| resolve_expr(e, &running, pool, ctx))
                     .collect(),
-                kind: WriteKind::Set(resolve_expr(value, &running, ctx)),
+                kind: WriteKind::Set(resolve_expr(value, &running, pool, ctx)),
             }),
             Action::StateIncr { var: w, index } if w == var => out.push(StateWrite {
                 index: index
                     .iter()
-                    .map(|e| resolve_expr(e, &running, ctx))
+                    .map(|e| resolve_expr(e, &running, pool, ctx))
                     .collect(),
                 kind: WriteKind::Bump(1),
             }),
             Action::StateDecr { var: w, index } if w == var => out.push(StateWrite {
                 index: index
                     .iter()
-                    .map(|e| resolve_expr(e, &running, ctx))
+                    .map(|e| resolve_expr(e, &running, pool, ctx))
                     .collect(),
                 kind: WriteKind::Bump(-1),
             }),
@@ -607,7 +618,7 @@ fn flatten_exprs(es: &[Expr], out: &mut Vec<Expr>) {
 
 /// Are two (re-expressed) expression vectors equal for every packet, unequal
 /// for every packet, or dependent on a header test we can emit?
-fn exprs_equal(a: &[Expr], b: &[Expr], ctx: &Context) -> EqResult {
+fn exprs_equal(a: &[Expr], b: &[Expr], pool: &Pool, ctx: CtxId) -> EqResult {
     let mut fa = Vec::new();
     let mut fb = Vec::new();
     flatten_exprs(a, &mut fa);
@@ -627,7 +638,7 @@ fn exprs_equal(a: &[Expr], b: &[Expr], ctx: &Context) -> EqResult {
                     continue;
                 }
                 let t = Test::FieldField(f.clone(), g.clone());
-                match ctx.implies(&t) {
+                match pool.ctx_implies_test(ctx, &t) {
                     Some(true) => continue,
                     Some(false) => return EqResult::Neq,
                     None => return EqResult::Unknown(t),
@@ -635,7 +646,7 @@ fn exprs_equal(a: &[Expr], b: &[Expr], ctx: &Context) -> EqResult {
             }
             (Expr::Field(f), Expr::Value(v)) | (Expr::Value(v), Expr::Field(f)) => {
                 let t = Test::FieldValue(f.clone(), v.clone());
-                match ctx.implies(&t) {
+                match pool.ctx_implies_test(ctx, &t) {
                     Some(true) => continue,
                     Some(false) => return EqResult::Neq,
                     None => return EqResult::Unknown(t),
@@ -1075,12 +1086,14 @@ mod tests {
 
     #[test]
     fn exprs_equal_basics() {
-        let ctx = Context::new();
+        let p = pool();
+        let ctx = CtxId::EMPTY;
         assert!(matches!(
             exprs_equal(
                 &[Expr::Value(Value::Int(1))],
                 &[Expr::Value(Value::Int(1))],
-                &ctx
+                &p,
+                ctx
             ),
             EqResult::Eq
         ));
@@ -1088,21 +1101,22 @@ mod tests {
             exprs_equal(
                 &[Expr::Value(Value::Int(1))],
                 &[Expr::Value(Value::Int(2))],
-                &ctx
+                &p,
+                ctx
             ),
             EqResult::Neq
         ));
         assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[field(Field::SrcIp)], &ctx),
+            exprs_equal(&[field(Field::SrcIp)], &[field(Field::SrcIp)], &p, ctx),
             EqResult::Eq
         ));
         assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[field(Field::DstIp)], &ctx),
+            exprs_equal(&[field(Field::SrcIp)], &[field(Field::DstIp)], &p, ctx),
             EqResult::Unknown(Test::FieldField(_, _))
         ));
         // Different lengths can never be equal.
         assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[], &ctx),
+            exprs_equal(&[field(Field::SrcIp)], &[], &p, ctx),
             EqResult::Neq
         ));
         // Tuples are flattened before comparison.
@@ -1113,7 +1127,8 @@ mod tests {
                     Expr::Value(Value::Int(1))
                 ])],
                 &[field(Field::SrcIp), Expr::Value(Value::Int(1))],
-                &ctx
+                &p,
+                ctx
             ),
             EqResult::Eq
         ));

@@ -120,7 +120,8 @@ impl Xfdd {
         self.pool.evaluate(self.root, pkt, store)
     }
 
-    /// Enumerate all root-to-leaf paths as `(tests-with-outcomes, leaf)`.
+    /// Enumerate all root-to-leaf paths as `(tests-with-outcomes, leaf)` —
+    /// a test oracle, not a compiler phase (see [`Pool::paths`]).
     pub fn paths(&self) -> Vec<(Vec<(Test, bool)>, &Leaf)> {
         self.pool.paths(self.root)
     }

@@ -54,9 +54,8 @@ impl Pool {
             let m = match node {
                 Node::Leaf(l) => self.leaf(l.clone()),
                 Node::Branch { test, tru, fls } => {
-                    let t = remap[tru];
-                    let f = remap[fls];
-                    self.branch(test.clone(), t, f)
+                    let test = self.intern_test(test);
+                    self.branch_id(test, remap[tru], remap[fls])
                 }
             };
             remap.insert(id, m);

@@ -72,6 +72,7 @@ pub mod deps;
 pub mod diagram;
 pub mod error;
 pub mod flat;
+mod fx;
 pub mod import;
 pub mod pool;
 pub mod tables;
@@ -81,7 +82,6 @@ pub mod wire;
 
 pub use action::{Action, ActionSeq, Leaf};
 pub use compact::RemapTable;
-pub use context::Context;
 pub use deps::StateDependencies;
 pub use diagram::{eval_test, Xfdd};
 pub use error::CompileError;

@@ -14,12 +14,23 @@
 //!   identifiers, so the data plane executes diagrams directly by [`NodeId`]
 //!   with no separate flattening pass.
 //!
+//! Tests are interned too: every distinct [`Test`] gets a `TestId`, kept
+//! per node in a side array, so the composition operators compare, hash and
+//! carry tests as integers — the branch interner, the restriction memo and
+//! the contexts are all keyed on ids, and a deep `Test` is hashed once when
+//! it first enters the pool and cloned once per node that holds it.
+//!
 //! The pool is also where composition contexts (the decided-test sets of
-//! Appendix E) are interned, so the union memo can be keyed on
-//! `(lhs, rhs, ctx)` without hashing whole fact lists.
+//! Appendix E) are interned (see [`crate::context`]), so the union memo can
+//! be keyed on `(lhs, rhs, ctx)` without hashing whole fact lists.
+//!
+//! [`Pool::paths`] (root-to-leaf path enumeration) is *not* part of the
+//! compiler: it expands sharing, and survives only as the oracle that tests
+//! of the packet-state mapping and of composition compare against.
 
 use crate::action::Leaf;
-use crate::context::Context;
+use crate::context::CtxFact;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::test::{Test, VarOrder};
 use snap_lang::eval::{eval_expr, eval_index};
 use snap_lang::{EvalError, Packet, StateVar, Store};
@@ -44,7 +55,26 @@ impl fmt::Debug for NodeId {
     }
 }
 
-/// Identifier of an interned composition context (see [`Context`]).
+/// Identifier of an interned [`Test`] inside a [`Pool`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct TestId(u32);
+
+impl TestId {
+    /// The side-array entry of a leaf, which holds no test.
+    const LEAF: TestId = TestId(u32::MAX);
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    pub(crate) fn new(index: usize) -> TestId {
+        let id = u32::try_from(index).expect("xFDD pool test overflow");
+        assert!(id != TestId::LEAF.0, "xFDD pool test overflow");
+        TestId(id)
+    }
+}
+
+/// Identifier of an interned composition context (see [`crate::context`]).
 /// `CtxId::EMPTY` is the empty context.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CtxId(u32);
@@ -53,7 +83,8 @@ impl CtxId {
     /// The empty context.
     pub const EMPTY: CtxId = CtxId(0);
 
-    /// The index into the pool's context table.
+    /// The context's number: `0` for the empty context, then in order of
+    /// interning.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -99,16 +130,21 @@ impl fmt::Debug for Node {
 pub struct Pool {
     pub(crate) order: VarOrder,
     pub(crate) nodes: Vec<Node>,
+    // Per node, the id of its test (`TestId::LEAF` for leaves).
+    pub(crate) node_tests: Vec<TestId>,
+    pub(crate) tests: Vec<Test>,
+    pub(crate) test_intern: HashMap<Test, TestId>,
     pub(crate) leaf_intern: HashMap<Leaf, NodeId>,
-    pub(crate) branch_intern: HashMap<(Test, NodeId, NodeId), NodeId>,
-    // Interned composition contexts: ctxs[i] holds the full fact list.
-    pub(crate) ctxs: Vec<Context>,
-    pub(crate) ctx_intern: HashMap<(CtxId, Test, bool), CtxId>,
+    pub(crate) branch_intern: FxHashMap<(TestId, NodeId, NodeId), NodeId>,
+    // Interned composition contexts: `CtxId(i + 1)` is `ctxs[i]`, its parent
+    // context plus one fact (the empty context has no entry).
+    pub(crate) ctxs: Vec<CtxFact>,
+    pub(crate) ctx_intern: FxHashMap<(CtxId, TestId, bool), CtxId>,
     // Memo tables for the composition operators.
-    pub(crate) union_memo: HashMap<(NodeId, NodeId, CtxId), NodeId>,
-    pub(crate) seq_memo: HashMap<(NodeId, NodeId), Result<NodeId, crate::CompileError>>,
-    pub(crate) negate_memo: HashMap<NodeId, NodeId>,
-    pub(crate) restrict_memo: HashMap<(NodeId, Test, bool), NodeId>,
+    pub(crate) union_memo: FxHashMap<(NodeId, NodeId, CtxId), NodeId>,
+    pub(crate) seq_memo: FxHashMap<(NodeId, NodeId), Result<NodeId, crate::CompileError>>,
+    pub(crate) negate_memo: FxHashMap<NodeId, NodeId>,
+    pub(crate) restrict_memo: FxHashMap<(NodeId, TestId, bool), NodeId>,
 }
 
 impl Pool {
@@ -162,7 +198,7 @@ impl Pool {
         if let Some(&id) = self.leaf_intern.get(&leaf) {
             return id;
         }
-        let id = self.push(Node::Leaf(leaf.clone()));
+        let id = self.push(Node::Leaf(leaf.clone()), TestId::LEAF);
         self.leaf_intern.insert(leaf, id);
         id
     }
@@ -171,17 +207,24 @@ impl Pool {
     /// same node (id equality, thanks to hash-consing) — the classic BDD
     /// reduction rule.
     pub fn branch(&mut self, test: Test, tru: NodeId, fls: NodeId) -> NodeId {
+        let test = self.intern_test(&test);
+        self.branch_id(test, tru, fls)
+    }
+
+    /// [`Pool::branch`] on an already interned test.
+    pub(crate) fn branch_id(&mut self, test: TestId, tru: NodeId, fls: NodeId) -> NodeId {
         if tru == fls {
             return tru;
         }
-        if let Some(&id) = self.branch_intern.get(&(test.clone(), tru, fls)) {
+        if let Some(&id) = self.branch_intern.get(&(test, tru, fls)) {
             return id;
         }
-        let id = self.push(Node::Branch {
-            test: test.clone(),
+        let node = Node::Branch {
+            test: self.tests[test.index()].clone(),
             tru,
             fls,
-        });
+        };
+        let id = self.push(node, test);
         self.branch_intern.insert((test, tru, fls), id);
         id
     }
@@ -190,52 +233,51 @@ impl Pool {
     // node's children always have *strictly smaller* indices. Compaction
     // ([`Pool::compact`]) and the wire decoder rely on this to process nodes
     // in index order with children already handled.
-    fn push(&mut self, node: Node) -> NodeId {
+    fn push(&mut self, node: Node, test: TestId) -> NodeId {
         let id = u32::try_from(self.nodes.len()).expect("xFDD pool node count overflow");
         self.nodes.push(node);
+        self.node_tests.push(test);
         NodeId(id)
     }
 
     // -----------------------------------------------------------------------
-    // Interned composition contexts
+    // Interned tests
     // -----------------------------------------------------------------------
 
-    /// The facts of an interned context.
-    pub fn ctx(&self, id: CtxId) -> &Context {
-        &self.ctxs[id.0 as usize]
-    }
-
-    /// Extend a context with the outcome of a test (interned: extending the
-    /// same context with the same fact yields the same id).
-    pub fn ctx_with(&mut self, ctx: CtxId, test: Test, outcome: bool) -> CtxId {
-        if self.ctxs.is_empty() {
-            self.ctxs.push(Context::new());
-        }
-        if let Some(&id) = self.ctx_intern.get(&(ctx, test.clone(), outcome)) {
+    /// The id of a test, interning it on first sight.
+    pub(crate) fn intern_test(&mut self, test: &Test) -> TestId {
+        if let Some(&id) = self.test_intern.get(test) {
             return id;
         }
-        let extended = self.ctx(ctx).with(test.clone(), outcome);
-        let id = CtxId(u32::try_from(self.ctxs.len()).expect("xFDD pool context overflow"));
-        self.ctxs.push(extended);
-        self.ctx_intern.insert((ctx, test, outcome), id);
+        let id = TestId::new(self.tests.len());
+        self.tests.push(test.clone());
+        self.test_intern.insert(test.clone(), id);
         id
     }
 
-    /// Does the context decide this test?
-    pub(crate) fn ctx_implies(&self, ctx: CtxId, test: &Test) -> Option<bool> {
-        if self.ctxs.is_empty() {
-            return Context::new().implies(test);
-        }
-        self.ctx(ctx).implies(test)
+    /// The id of a test, if the pool has seen it.
+    pub(crate) fn test_id(&self, test: &Test) -> Option<TestId> {
+        self.test_intern.get(test).copied()
     }
 
-    /// Lazily materialize the empty context (pools start with no contexts
-    /// until a composition first needs one).
-    pub(crate) fn empty_ctx(&mut self) -> CtxId {
-        if self.ctxs.is_empty() {
-            self.ctxs.push(Context::new());
+    /// An interned test.
+    pub(crate) fn test(&self, id: TestId) -> &Test {
+        &self.tests[id.index()]
+    }
+
+    /// The id of a branch node's test.
+    pub(crate) fn node_test(&self, n: NodeId) -> TestId {
+        let id = self.node_tests[n.index()];
+        debug_assert!(id != TestId::LEAF, "node_test called on a leaf");
+        id
+    }
+
+    /// Compare two interned tests under the pool's variable order.
+    pub(crate) fn cmp_tests(&self, a: TestId, b: TestId) -> std::cmp::Ordering {
+        if a == b {
+            return std::cmp::Ordering::Equal;
         }
-        CtxId::EMPTY
+        self.test(a).cmp_in(self.test(b), &self.order)
     }
 
     // -----------------------------------------------------------------------
@@ -285,7 +327,7 @@ impl Pool {
     where
         F: FnMut(NodeId, &Node, Option<(&T, &T)>) -> T,
     {
-        let mut memo: HashMap<NodeId, T> = HashMap::new();
+        let mut memo: FxHashMap<NodeId, T> = FxHashMap::default();
         let mut stack = vec![root];
         while let Some(&n) = stack.last() {
             if memo.contains_key(&n) {
@@ -472,8 +514,9 @@ impl Pool {
     }
 
     /// Enumerate all root-to-leaf paths as `(tests-with-outcomes, leaf)`.
-    /// Used by packet-state mapping (§4.3). Note this expands sharing: the
-    /// number of paths can be exponential in the number of *nodes*.
+    /// A test oracle only (see the module docs): it expands sharing, so the
+    /// number of paths can be exponential in the number of *nodes*, and it
+    /// clones the whole test prefix at every leaf.
     pub fn paths(&self, root: NodeId) -> Vec<(Vec<(Test, bool)>, &Leaf)> {
         let mut out = Vec::new();
         let mut prefix = Vec::new();
@@ -538,7 +581,7 @@ impl Pool {
 /// hashing), hash set for large ones (no O(arena) allocation per query).
 enum SeenSet {
     Dense(Vec<bool>),
-    Sparse(HashSet<NodeId>),
+    Sparse(FxHashSet<NodeId>),
 }
 
 impl SeenSet {
@@ -548,7 +591,7 @@ impl SeenSet {
         if len <= Self::DENSE_LIMIT {
             SeenSet::Dense(vec![false; len])
         } else {
-            SeenSet::Sparse(HashSet::new())
+            SeenSet::Sparse(FxHashSet::default())
         }
     }
 
@@ -643,16 +686,43 @@ mod tests {
     #[test]
     fn contexts_are_interned() {
         let mut p = pool();
-        let t = Test::FieldValue(Field::SrcPort, Value::Int(53));
-        let base = p.empty_ctx();
-        let a = p.ctx_with(base, t.clone(), true);
-        let b = p.ctx_with(base, t.clone(), true);
-        assert_eq!(a, b);
-        let c = p.ctx_with(base, t.clone(), false);
+        let t = p.intern_test(&Test::FieldValue(Field::SrcPort, Value::Int(53)));
+        let u = p.intern_test(&Test::FieldValue(Field::DstPort, Value::Int(80)));
+        let a = p.ctx_with(CtxId::EMPTY, t, true);
+        assert_eq!(p.ctx_with(CtxId::EMPTY, t, true), a);
+        let c = p.ctx_with(CtxId::EMPTY, t, false);
         assert_ne!(a, c);
-        assert_eq!(p.ctx_implies(a, &t), Some(true));
-        assert_eq!(p.ctx_implies(c, &t), Some(false));
-        assert_eq!(p.ctx_implies(base, &t), None);
+        assert_eq!(p.ctx_implies(a, t), Some(true));
+        assert_eq!(p.ctx_implies(c, t), Some(false));
+        assert_eq!(p.ctx_implies(CtxId::EMPTY, t), None);
+        // Extending stores one fact, whatever the parent's depth.
+        let before = p.ctxs.len();
+        let deep = p.ctx_with(a, u, true);
+        assert_eq!(p.ctxs.len(), before + 1);
+        assert_eq!(p.ctx_implies(deep, t), Some(true));
+        assert_eq!(p.ctx_implies(deep, u), Some(true));
+        assert_eq!(p.ctx_implies(a, u), None);
+    }
+
+    #[test]
+    fn tests_are_interned_once_and_shared_by_nodes() {
+        let mut p = pool();
+        let t = Test::FieldValue(Field::SrcPort, Value::Int(53));
+        assert_eq!(p.test_id(&t), None);
+        let (id, drop) = (p.id(), p.drop());
+        let x = p.branch(t.clone(), id, drop);
+        let y = p.branch(t.clone(), drop, id);
+        let tid = p.test_id(&t).expect("interned by branch");
+        assert_eq!(p.intern_test(&t), tid);
+        assert_eq!(p.node_test(x), tid);
+        assert_eq!(p.node_test(y), tid);
+        assert_eq!(p.test(tid), &t);
+        // The id-keyed constructor lands on the same nodes.
+        assert_eq!(p.branch_id(tid, id, drop), x);
+        let other = p.intern_test(&Test::FieldValue(Field::SrcPort, Value::Int(80)));
+        assert_ne!(other, tid);
+        assert_eq!(p.cmp_tests(tid, other), std::cmp::Ordering::Less);
+        assert_eq!(p.cmp_tests(tid, tid), std::cmp::Ordering::Equal);
     }
 
     #[test]
