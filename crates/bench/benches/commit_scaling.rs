@@ -19,11 +19,20 @@
 //! backends, the large-vs-small fleet ratio (the ≤ 5× acceptance bar),
 //! and the measured prepare(N+1)/commit(N) pipeline overlap.
 //!
+//! Next to the flip sweep runs a **novel edit** leg: the benchmark of
+//! record's `edit-churn` scenario (igen-50, the five-application pipeline,
+//! one detection-threshold edit per commit, zero RTT), printing the fleet's
+//! prepare/commit wall-clock and what one agent's prepare splits into —
+//! delta apply, flatten, table compile — replayed on a mirror of the same
+//! deltas, against what flattening cost when every prepare lowered the
+//! whole program again. Printed only; `BENCH_commit.json` is unchanged.
+//!
 //! Set `SNAP_BENCH_SMOKE=1` (as CI does) for a reduced sweep (12/48
 //! agents) that keeps every path exercised.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snap_apps as apps;
+use snap_bench::{five_app_pipeline, scaled_igen};
 use snap_core::SolverChoice;
 use snap_distrib::{
     deploy_in_process_custom, deploy_tcp, DeployOptions, DistribOptions, InProcessDeployment,
@@ -32,9 +41,10 @@ use snap_lang::Policy;
 use snap_session::CompilerSession;
 use snap_topology::generators::igen_topology;
 use snap_topology::TrafficMatrix;
+use snap_xfdd::{encode_delta, FlatProgram, Mirror, Pool, TableProgram};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn smoke() -> bool {
     std::env::var_os("SNAP_BENCH_SMOKE").is_some()
@@ -161,6 +171,83 @@ fn measure_overlap(deployment: &mut InProcessDeployment, rounds: usize) -> u64 {
     overlap.as_micros() as u64
 }
 
+fn median_us(samples: &mut [Duration]) -> u128 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_micros()
+}
+
+/// The novel-edit leg (see the module docs): every commit ships a program
+/// no agent has seen, so every agent applies a delta, flattens and compiles
+/// tables — the work a flip answers from its flatten cache.
+fn novel_edit_summary() {
+    let (switches, edits) = if smoke() { (12, 3) } else { (50, 24) };
+    let (topo, tm) = scaled_igen(switches, 10_000.0, 7);
+    let ports = topo.num_external_ports();
+    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process_custom(session, 64, DeployOptions::default());
+    let threshold = |edit: usize| 1_000_000 + edit as i64;
+    deployment
+        .controller
+        .update_policy(&five_app_pipeline(ports, threshold(0)))
+        .unwrap();
+
+    // One agent's prepare, replayed: the same compilations imported into a
+    // private distribution pool, its suffix deltas applied to one mirror.
+    let first = deployment.controller.session().current_shared().unwrap();
+    let mut dist = Pool::new(first.xfdd.pool().order().clone());
+    let fresh_len = dist.len();
+    let root = dist.import(first.xfdd.pool(), first.xfdd.root());
+    let (mut mirror, _) = Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).unwrap();
+
+    let (mut prepare, mut commit) = (Vec::new(), Vec::new());
+    let (mut apply, mut flatten, mut tables, mut relower) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut nodes, mut new_nodes, mut delta_bytes) = (0, 0, 0);
+    for edit in 1..=edits {
+        let policy = five_app_pipeline(ports, threshold(edit));
+        let report = deployment.controller.update_policy(&policy).unwrap();
+        prepare.push(report.prepare_time);
+        commit.push(report.commit_time);
+        new_nodes += report.new_nodes;
+        delta_bytes += report.delta_bytes;
+
+        let compiled = deployment.controller.session().current_shared().unwrap();
+        let base = dist.len();
+        let root = dist.import(compiled.xfdd.pool(), compiled.xfdd.root());
+        let delta = encode_delta(&dist, base, root);
+        let t = Instant::now();
+        let applied = mirror.apply_delta(&delta).unwrap();
+        apply.push(t.elapsed());
+        let t = Instant::now();
+        let flat = mirror.flatten(applied);
+        flatten.push(t.elapsed());
+        let t = Instant::now();
+        black_box(TableProgram::compile(&flat));
+        tables.push(t.elapsed());
+        let t = Instant::now();
+        black_box(FlatProgram::from_pool(mirror.pool(), applied));
+        relower.push(t.elapsed());
+        nodes = flat.num_nodes();
+    }
+    deployment.shutdown();
+    println!(
+        "  novel edit {switches:>5} agents, {nodes}-node program, {edits} threshold edits \
+         ({} new nodes, {} delta bytes per edit): prepare {} µs + commit {} µs (medians)",
+        new_nodes / edits,
+        delta_bytes / edits,
+        median_us(&mut prepare),
+        median_us(&mut commit),
+    );
+    println!(
+        "    one agent's prepare: apply {} µs + flatten {} µs + table compile {} µs \
+         (flatten with every node lowered again: {} µs)",
+        median_us(&mut apply),
+        median_us(&mut flatten),
+        median_us(&mut tables),
+        median_us(&mut relower),
+    );
+}
+
 /// One fully measured configuration, rendered into the JSON artifact.
 struct SweepRow {
     backend: &'static str,
@@ -216,6 +303,8 @@ fn commit_scaling_summary(_c: &mut Criterion) {
             stats,
         });
     }
+
+    novel_edit_summary();
 
     // Pipeline overlap at the mid fleet size.
     let overlap_fleet = sizes[sizes.len() / 2];

@@ -9,8 +9,7 @@
 //! the igen-50 case also prints its per-phase split.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snap_apps as apps;
-use snap_bench::{dns_tunnel_with_routing, ms, scaled_igen};
+use snap_bench::{dns_tunnel_with_routing, five_app_pipeline, ms, scaled_igen};
 use snap_core::{Compiler, SolverChoice};
 use snap_topology::{generators, TrafficMatrix};
 
@@ -35,12 +34,7 @@ fn bench_compiler(c: &mut Criterion) {
 
     // The benchmark of record's `fwd-stateful` / `edit-churn` scenario.
     let (topo, tm) = scaled_igen(50, 10_000.0, 7);
-    let threshold = 1_000_000;
-    let pipeline = apps::port_monitoring()
-        .seq(apps::dns_tunnel_detect(threshold))
-        .seq(apps::stateful_firewall())
-        .seq(apps::heavy_hitter_detection(threshold))
-        .seq(apps::assign_egress(topo.num_external_ports()));
+    let pipeline = five_app_pipeline(topo.num_external_ports(), 1_000_000);
     let igen50 = Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic);
     group.bench_function("igen50_five_apps_cold_start_heuristic", |b| {
         b.iter(|| igen50.compile(&pipeline).unwrap())

@@ -37,6 +37,17 @@ pub fn dns_tunnel_with_routing(ports: usize) -> Policy {
         .seq(apps::assign_egress(ports.min(200)))
 }
 
+/// The five-application stateful pipeline of the benchmark of record's
+/// `fwd-stateful` / `edit-churn` scenarios; `dns_threshold` is the knob an
+/// operator's single-threshold edit turns.
+pub fn five_app_pipeline(ports: usize, dns_threshold: i64) -> Policy {
+    apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(dns_threshold))
+        .seq(apps::stateful_firewall())
+        .seq(apps::heavy_hitter_detection(1_000_000))
+        .seq(apps::assign_egress(ports))
+}
+
 /// Build a Table 5 preset topology with one OBS port per edge switch
 /// (aggregated demands) and a gravity traffic matrix.
 pub fn scaled_preset(spec: &RandomTopologySpec, volume: f64) -> (Topology, TrafficMatrix) {

@@ -24,9 +24,10 @@ pub struct RuleGenOutput {
     pub configs: Vec<SwitchConfig>,
     /// The forwarding path chosen for each OBS port pair.
     pub forwarding: BTreeMap<(PortId, PortId), Vec<NodeId>>,
-    /// The lowered instruction program per switch that owns state or hosts
-    /// external ports (other switches only forward).
-    pub programs: BTreeMap<NodeId, NetAsmProgram>,
+    /// The lowered instruction program — one, the same on every switch
+    /// (the totals below count it once per switch that owns state or hosts
+    /// external ports; other switches only forward).
+    pub program: NetAsmProgram,
     /// Total number of data-plane instructions across all switches.
     pub total_instructions: usize,
     /// Total number of stateful instructions across all switches.
@@ -41,9 +42,9 @@ pub fn generate_rules(
 ) -> RuleGenOutput {
     // The lowered instruction program is identical on every switch; flatten
     // the diagram once (the same dense representation the dataplane
-    // executes), lower once and clone.
+    // executes) and lower once.
     let flat = xfdd.flatten();
-    let lowered = NetAsmProgram::lower_flat(&flat);
+    let program = NetAsmProgram::lower_flat(&flat);
 
     // Which variables live on which switch.
     let mut vars_per_switch: BTreeMap<NodeId, BTreeSet<StateVar>> = BTreeMap::new();
@@ -55,27 +56,20 @@ pub fn generate_rules(
     }
     let configs = SwitchConfig::for_topology(topology, xfdd, &vars_per_switch);
 
-    let mut programs = BTreeMap::new();
-    let mut total_instructions = 0;
-    let mut total_state_ops = 0;
-    for config in &configs {
-        // Switches that neither hold state nor host ports only forward; they
-        // still receive the program (they may become relevant after a TE
-        // re-route) but are not counted towards the rule statistics.
-        let relevant = !config.local_vars.is_empty() || !config.ports.is_empty();
-        if relevant {
-            total_instructions += lowered.len();
-            total_state_ops += lowered.num_state_ops();
-            programs.insert(config.node, lowered.clone());
-        }
-    }
+    // Switches that neither hold state nor host ports only forward; they
+    // still receive the program (they may become relevant after a TE
+    // re-route) but are not counted towards the rule statistics.
+    let relevant = configs
+        .iter()
+        .filter(|c| !c.local_vars.is_empty() || !c.ports.is_empty())
+        .count();
 
     RuleGenOutput {
         configs,
         forwarding: placement.paths.clone(),
-        programs,
-        total_instructions,
-        total_state_ops,
+        total_instructions: relevant * program.len(),
+        total_state_ops: relevant * program.num_state_ops(),
+        program,
     }
 }
 
@@ -135,9 +129,9 @@ mod tests {
         assert!(out.total_instructions > 0);
         assert!(out.total_state_ops > 0);
         assert_eq!(out.forwarding, placement.paths);
-        // Edge switches (with ports) have lowered programs.
-        let edge = topo.port_switch(PortId(1)).unwrap();
-        assert!(out.programs.contains_key(&edge));
+        // Every switch with ports or state counts the one lowered program.
+        assert!(!out.program.is_empty());
+        assert_eq!(out.total_instructions % out.program.len(), 0);
         let _ = d;
     }
 }

@@ -3,21 +3,30 @@
 //!
 //! A [`SwitchAgent`] owns
 //!
-//! * a **mirror pool** — a node-for-node copy of the controller's
-//!   append-only distribution pool, advanced by `snap_xfdd::wire` suffix
-//!   deltas. Every agent's mirror holds the same node table, so the dense
-//!   flat ids every agent derives from it agree — which is what lets the
-//!   §4.5 packet tag minted on one switch resume on another;
+//! * a **mirror** ([`snap_xfdd::Mirror`]) — a node-for-node copy of the
+//!   controller's append-only distribution pool, advanced by
+//!   `snap_xfdd::wire` suffix deltas, plus the lowered payload of every
+//!   node, made once when the node arrives. Every agent's mirror holds the
+//!   same node table, so the dense flat ids every agent derives from it
+//!   agree — which is what lets the §4.5 packet tag minted on one switch
+//!   resume on another. Payloads are valid for exactly one numbering, so
+//!   pool and payloads are one value: a resync replaces both, a failed delta
+//!   drops both, and the root-keyed flatten cache is cleared with them.
+//!   Nothing is shared *between* agents — each lowers its own mirror;
 //! * a small ring of **epoch views** — per-epoch immutable bundles of
 //!   flattened program, owned variables, external ports and global
-//!   placement. Traffic is stamped with its ingress epoch and every hop
-//!   resolves the view for *that* epoch, so a packet never mixes two
-//!   configurations even while the distributed commit is mid-flip;
+//!   placement. The programs of all views and of the flatten cache share
+//!   the mirror's payloads, so keeping one costs a few words per node and
+//!   staging one costs what its *new* nodes cost. Traffic is stamped with
+//!   its ingress epoch and every hop resolves the view for *that* epoch, so
+//!   a packet never mixes two configurations even while the distributed
+//!   commit is mid-flip;
 //! * its **sharded state plane** ([`snap_dataplane::StateShards`]) and
 //!   bounded per-port **egress queues** ([`snap_dataplane::EgressQueues`]).
 //!
 //! The two-phase protocol does all expensive work in *prepare* (delta
-//! decode, re-intern, flatten — off the packet path's critical flip) and
+//! decode, re-intern, lowering of the new nodes, flatten, table compile —
+//! off the packet path's critical flip) and
 //! makes *commit* a pointer swap plus the release of migrated tables. A
 //! packet can carry an epoch the local agent has prepared but not yet
 //! committed — that is exactly the commit wave passing through the network
@@ -31,9 +40,7 @@ use parking_lot::Mutex;
 use snap_dataplane::{EgressQueues, StateShards, DEFAULT_STATE_SHARDS};
 use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
-use snap_xfdd::{
-    apply_delta, decode_delta_fresh, FlatProgram, NodeId as PoolNodeId, Pool, TableProgram,
-};
+use snap_xfdd::{FlatProgram, Mirror, NodeId as PoolNodeId, TableProgram};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,11 +155,12 @@ pub struct AgentStats {
 pub struct SwitchAgent {
     switch: SwitchId,
     name: String,
-    /// The cached distribution pool; `None` before the first resync or
-    /// after a failed delta left it untrusted. Separate from `core` so the
-    /// expensive prepare work (delta decode, re-intern, flatten) never
-    /// blocks the packet path, which only locks `core` to resolve views.
-    mirror: Mutex<Option<Pool>>,
+    /// The cached distribution pool and its lowered payloads; `None` before
+    /// the first resync or after a failed delta left it untrusted. Separate
+    /// from `core` so the expensive prepare work (delta decode, re-intern,
+    /// flatten) never blocks the packet path, which only locks `core` to
+    /// resolve views.
+    mirror: Mutex<Option<Mirror>>,
     /// Flatten results by root, for revisited programs (locked after
     /// `mirror` when both are held).
     flat_cache: Mutex<FlatCache>,
@@ -231,7 +239,7 @@ impl SwitchAgent {
 
     /// The number of nodes in the agent's mirror pool (0 before a sync).
     pub fn mirror_len(&self) -> usize {
-        self.mirror.lock().as_ref().map_or(0, Pool::len)
+        self.mirror.lock().as_ref().map_or(0, Mirror::len)
     }
 
     /// The running configuration, if any epoch has committed.
@@ -338,12 +346,12 @@ impl SwitchAgent {
         let before = if prep.resync {
             0
         } else {
-            guard.as_ref().map_or(0, Pool::len)
+            guard.as_ref().map_or(0, Mirror::len)
         };
         let root = if prep.resync {
-            match decode_delta_fresh(&prep.delta) {
-                Ok((pool, root)) => {
-                    *guard = Some(pool);
+            match Mirror::decode_fresh(&prep.delta) {
+                Ok((mirror, root)) => {
+                    *guard = Some(mirror);
                     // A resync renumbers the mirror: cached flatten results
                     // keyed by old-numbering roots are meaningless now.
                     self.flat_cache.lock().clear();
@@ -356,11 +364,12 @@ impl SwitchAgent {
             let Some(mirror) = guard.as_mut() else {
                 return fail(&self.stats, "no mirror: agent was never synced".into());
             };
-            match apply_delta(&prep.delta, mirror) {
+            match mirror.apply_delta(&prep.delta) {
                 Ok(root) => root,
                 Err(e) => {
                     // A failed apply may have left partial suffix nodes
-                    // behind; drop the mirror so the controller resyncs.
+                    // behind; drop the mirror (pool and payloads together)
+                    // so the controller resyncs.
                     *guard = None;
                     self.flat_cache.lock().clear();
                     return fail(&self.stats, format!("delta rejected: {e}"));
@@ -382,7 +391,7 @@ impl SwitchAgent {
                     hit
                 }
                 None => {
-                    let flat = Arc::new(FlatProgram::from_pool(mirror, root));
+                    let flat = Arc::new(mirror.flatten(root));
                     let tables = Arc::new(TableProgram::compile(&flat));
                     cache.insert(root, Arc::clone(&flat), Arc::clone(&tables));
                     (flat, tables)

@@ -68,7 +68,7 @@ use snap_topology::{NodeId as SwitchId, TrafficMatrix};
 use snap_xfdd::{encode_delta, encode_diagram, CompileError, NodeId, Pool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by the distribution plane.
@@ -230,7 +230,7 @@ struct PrepCollect {
     expect: BTreeSet<SwitchId>,
     consumed: BTreeSet<SwitchId>,
     /// (agent, micros from fan-out start to ack arrival), arrival order.
-    acks: Vec<(String, u64)>,
+    acks: Vec<(SwitchId, u64)>,
     started: Instant,
     /// When the last prepare ack arrived (phase end, excluding any
     /// concurrent commit-ack drain time).
@@ -248,7 +248,7 @@ struct InFlight {
     expect: BTreeSet<SwitchId>,
     consumed: BTreeSet<SwitchId>,
     /// (agent, micros from commit fan-out to ack arrival), arrival order.
-    acks: Vec<(String, u64)>,
+    acks: Vec<(SwitchId, u64)>,
     yields: Vec<(StateVar, StateTable)>,
     placement: BTreeMap<StateVar, SwitchId>,
     meta_by_switch: BTreeMap<SwitchId, SwitchMeta>,
@@ -260,6 +260,26 @@ struct InFlight {
     /// completion.
     report: CommitReport,
 }
+
+/// What the controller remembers about a compilation it has imported into
+/// the distribution pool, so shipping the same compilation again (a
+/// working-set flip, a rollback) neither re-imports nor re-encodes it.
+struct Shipped {
+    /// Identity of the compilation. Weak: the memo must not keep versions
+    /// alive that the session evicted, and while the weak handle exists the
+    /// allocation's address cannot be reused, so pointer equality with a
+    /// live `Arc` is identity.
+    compiled: Weak<Compiled>,
+    /// Its root in the distribution pool's *current* numbering.
+    root: NodeId,
+    /// Size of its full-program payload (the delta's baseline statistic).
+    full_bytes: usize,
+}
+
+/// How many shipped compilations the controller remembers — comfortably
+/// more than a session keeps versions, so every flip a session can answer
+/// from its version cache is also a flip here.
+const SHIPPED_MEMO_CAP: usize = 16;
 
 /// The distribution controller (see the module docs).
 pub struct Controller {
@@ -276,10 +296,11 @@ pub struct Controller {
     /// shipped or not), so the next update re-ships metadata and placement
     /// to everyone.
     dirty: bool,
-    /// Cached full-program payload size of the last distributed
-    /// compilation, so the baseline statistic does not re-encode the whole
-    /// diagram on every working-set flip.
-    full_cache: Option<(Arc<Compiled>, usize)>,
+    /// Recently shipped compilations, oldest first (bounded by
+    /// [`SHIPPED_MEMO_CAP`]). Roots are only meaningful in the current
+    /// distribution pool, so the memo is cleared whenever that pool is
+    /// replaced (variable-order reset, compaction).
+    shipped: Vec<Shipped>,
     options: DistribOptions,
     history: Vec<CommitReport>,
     /// Where commit events (prepare/commit/abort/compaction, with payload
@@ -307,7 +328,7 @@ impl Controller {
             epoch: 0,
             agents: BTreeMap::new(),
             dirty: false,
-            full_cache: None,
+            shipped: Vec::new(),
             options: DistribOptions::default(),
             history: Vec::new(),
             telemetry: None,
@@ -432,7 +453,7 @@ impl Controller {
     /// epoch was aborted everywhere and the previous configuration keeps
     /// running).
     pub fn update_policy(&mut self, policy: &Policy) -> Result<CommitReport, DistribError> {
-        self.session.update_policy(policy)?;
+        self.session.compile_shared(policy)?;
         let update = self
             .session
             .take_update()
@@ -448,7 +469,7 @@ impl Controller {
         &mut self,
         policy: &Policy,
     ) -> Result<Vec<CommitReport>, DistribError> {
-        self.session.update_policy(policy)?;
+        self.session.compile_shared(policy)?;
         let update = self
             .session
             .take_update()
@@ -462,7 +483,7 @@ impl Controller {
         &mut self,
         traffic: TrafficMatrix,
     ) -> Result<Option<CommitReport>, DistribError> {
-        if self.session.update_traffic(traffic).is_none() {
+        if self.session.update_traffic_shared(traffic).is_none() {
             return Ok(None);
         }
         let update = self
@@ -518,17 +539,40 @@ impl Controller {
             self.flush()?;
             self.dist = Pool::new(xfdd.pool().order().clone());
             self.fresh_len = self.dist.len();
+            self.shipped.clear();
             for link in self.agents.values_mut() {
                 link.needs_resync = true;
             }
         }
 
         // Import dedupes against everything ever shipped: the suffix past
-        // `base` is exactly the structurally new part of this update.
+        // `base` is exactly the structurally new part of this update. A
+        // compilation shipped before is already in the pool, root known.
         let base = self.dist.len();
-        let root = self.dist.import(xfdd.pool(), xfdd.root());
+        let remembered = self
+            .shipped
+            .iter()
+            .find(|s| std::ptr::eq(s.compiled.as_ptr(), Arc::as_ptr(&update.compiled)))
+            .map(|s| (s.root, s.full_bytes));
+        let (root, full_bytes) = match remembered {
+            Some(hit) => hit,
+            None => {
+                let root = self.dist.import(xfdd.pool(), xfdd.root());
+                self.update_pool_gauge();
+                let full_bytes = encode_diagram(xfdd.pool(), xfdd.root()).len();
+                self.shipped.retain(|s| s.compiled.strong_count() > 0);
+                if self.shipped.len() >= SHIPPED_MEMO_CAP {
+                    self.shipped.remove(0);
+                }
+                self.shipped.push(Shipped {
+                    compiled: Arc::downgrade(&update.compiled),
+                    root,
+                    full_bytes,
+                });
+                (root, full_bytes)
+            }
+        };
         let new_nodes = self.dist.len() - base;
-        self.update_pool_gauge();
         // The epoch number is burned up front, success or failure: once any
         // Prepare (let alone Commit) may have reached an agent, replies and
         // staged views for this number can exist out there, and reusing it
@@ -544,17 +588,6 @@ impl Controller {
         // suffix delta, diverged/fresh agents get the full table.
         let delta = encode_delta(&self.dist, base, root);
         let mut resync_payload: Option<Vec<u8>> = None;
-        // The full-payload baseline for the report, cached per compiled
-        // program so a working-set flip does not pay a full encode just to
-        // fill in a statistic.
-        let full_bytes = match &self.full_cache {
-            Some((compiled, len)) if Arc::ptr_eq(compiled, &update.compiled) => *len,
-            _ => {
-                let len = encode_diagram(xfdd.pool(), xfdd.root()).len();
-                self.full_cache = Some((Arc::clone(&update.compiled), len));
-                len
-            }
-        };
 
         // One source of truth for per-switch metadata: the map the session
         // already derived for its change tracking.
@@ -720,7 +753,7 @@ impl Controller {
             delta_bytes: delta.len(),
             resync_bytes: resync_payload.as_ref().map_or(0, Vec::len),
             micros: prepare_time.as_micros() as u64,
-            per_agent: AgentTimings::from_acks(prep.acks),
+            per_agent: AgentTimings::from_acks(self.named(prep.acks)),
         });
         if let Some(t) = &self.telemetry {
             t.registry()
@@ -860,7 +893,7 @@ impl Controller {
                         if let Some(link) = self.agents.get_mut(&switch) {
                             link.synced_len = self.dist.len();
                             link.needs_resync = false;
-                            p.acks.push((link.name.clone(), us));
+                            p.acks.push((switch, us));
                         }
                         if let Some(t) = &self.telemetry {
                             t.registry().histogram("commit.prepare_ack_us").record(us);
@@ -898,7 +931,7 @@ impl Controller {
                         c.consumed.insert(switch);
                         c.last_ack = Instant::now();
                         let us = c.started.elapsed().as_micros() as u64;
-                        c.acks.push((self.agent_name(switch), us));
+                        c.acks.push((switch, us));
                         c.yields.extend(yields);
                         if let Some(t) = &self.telemetry {
                             t.registry().histogram("commit.commit_ack_us").record(us);
@@ -1002,7 +1035,7 @@ impl Controller {
             epoch,
             migrated_tables: inflight.report.migrated_tables,
             micros: commit_time.as_micros() as u64,
-            per_agent: AgentTimings::from_acks(inflight.acks),
+            per_agent: AgentTimings::from_acks(self.named(inflight.acks)),
         });
         if let Some(t) = &self.telemetry {
             t.registry()
@@ -1105,6 +1138,14 @@ impl Controller {
         failure
     }
 
+    /// Arrival-order acks with the agents' display names, for a commit
+    /// event: names are resolved once per phase, here, not once per ack.
+    fn named(&self, acks: Vec<(SwitchId, u64)>) -> Vec<(String, u64)> {
+        acks.into_iter()
+            .map(|(switch, us)| (self.agent_name(switch), us))
+            .collect()
+    }
+
     fn agent_name(&self, switch: SwitchId) -> String {
         self.agents
             .get(&switch)
@@ -1125,6 +1166,7 @@ impl Controller {
         fresh.import(compiled.xfdd.pool(), compiled.xfdd.root());
         self.dist = fresh;
         self.fresh_len = Pool::new(self.dist.order().clone()).len();
+        self.shipped.clear();
         for link in self.agents.values_mut() {
             link.needs_resync = true;
         }

@@ -1,0 +1,347 @@
+//! Differential tests of the shared-payload mirror, old code as oracle.
+//!
+//! A switch agent flattens programs out of a [`Mirror`] whose payloads were
+//! lowered when their nodes arrived; the oracle is what an agent did before —
+//! [`FlatProgram::from_pool`] on a pool decoded from scratch, lowering every
+//! node anew. The two must agree on every `FlatId` (packet tags are flat
+//! ids), on every payload, on the state classification and on the table
+//! compilation, after any sequence of deltas an agent can see: novel
+//! suffixes, zero-node rollbacks, and a failed delta followed by a resync
+//! under a different numbering.
+//!
+//! The state classification has its own oracle: the two-pass
+//! `classify_state` this change replaced, kept below as a test-only copy.
+
+use proptest::prelude::*;
+use snap_apps as apps;
+use snap_lang::builder::*;
+use snap_lang::{Expr, Field, Policy, StateVar, Value};
+use snap_xfdd::{
+    decode_delta_fresh, encode_delta, to_xfdd, Action, FlatNode, FlatProgram, Mirror, NodeId, Pool,
+    StateClass, StateDependencies, TableProgram, VarOrder,
+};
+use std::collections::BTreeMap;
+
+/// The edit family: detection threshold and egress fan-out vary, the state
+/// variables (hence the composition order) stay fixed.
+fn edited(threshold: i64, ports: usize) -> Policy {
+    apps::dns_tunnel_detect(threshold).seq(apps::assign_egress(ports))
+}
+
+fn order() -> VarOrder {
+    StateDependencies::analyze(&edited(1, 4)).var_order()
+}
+
+/// The mirror-built program must equal the program an agent used to build:
+/// a fresh full-table decode of the controller's pool, flattened from
+/// scratch.
+fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
+    let fresh_len = Pool::new(dist.order().clone()).len();
+    let (scratch, scratch_root) = decode_delta_fresh(&encode_delta(dist, fresh_len, root)).unwrap();
+    assert_eq!(scratch_root, root);
+    assert_eq!(mirror.len(), dist.len());
+    let oracle = FlatProgram::from_pool(&scratch, root);
+    let built = mirror.flatten(root);
+
+    assert_eq!(built.root(), oracle.root());
+    assert_eq!(built.num_branches(), oracle.num_branches());
+    assert_eq!(built.num_leaves(), oracle.num_leaves());
+    for i in 0..oracle.num_branches() {
+        let id = oracle.branch_id(i);
+        let (
+            FlatNode::Branch {
+                test,
+                var,
+                tru,
+                fls,
+            },
+            FlatNode::Branch {
+                test: t,
+                var: v,
+                tru: a,
+                fls: b,
+            },
+        ) = (built.node(id), oracle.node(id))
+        else {
+            panic!("branch ids resolve to branches");
+        };
+        assert_eq!((test, var, tru, fls), (t, v, a, b), "branch {id:?}");
+        assert_eq!(built.branch_var(id), oracle.branch_var(id));
+    }
+    for i in 0..oracle.num_leaves() {
+        let id = oracle.leaf_id(i);
+        assert_eq!(built.leaf(id), oracle.leaf(id), "leaf {id:?}");
+    }
+    assert_eq!(built.state_classes(), oracle.state_classes());
+    assert_eq!(built.state_classes(), &two_pass_classify(&built));
+    assert_eq!(
+        TableProgram::compile(&built).stats(),
+        TableProgram::compile(&oracle).stats()
+    );
+}
+
+/// One step an agent's mirror can go through.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A policy edit: a suffix delta (possibly empty, if the policy was
+    /// shipped before).
+    Edit { threshold: i64, ports: usize },
+    /// A zero-node delta back to the `k`-th root shipped under the current
+    /// numbering.
+    Rollback(usize),
+    /// A delta cut short on the wire, then what the controller does about
+    /// it: compact its pool to the live program (a *different* numbering)
+    /// and resync.
+    CorruptThenResync { threshold: i64, cut: usize },
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        // Twice: edits are what grows the pool the other steps play on.
+        (1i64..=9, 3usize..=6).prop_map(|(threshold, ports)| Step::Edit { threshold, ports }),
+        (1i64..=9, 3usize..=6).prop_map(|(threshold, ports)| Step::Edit { threshold, ports }),
+        (0usize..8).prop_map(Step::Rollback),
+        (1i64..=9, 0usize..10_000)
+            .prop_map(|(threshold, cut)| Step::CorruptThenResync { threshold, cut }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn mirror_flatten_matches_from_pool_over_delta_sequences(
+        steps in proptest::collection::vec(step(), 1..7),
+    ) {
+        let fresh_len = Pool::new(order()).len();
+        let mut dist = Pool::new(order());
+        let first = to_xfdd(&edited(1, 4), &mut dist).unwrap();
+        let (mut mirror, root) =
+            Mirror::decode_fresh(&encode_delta(&dist, fresh_len, first)).unwrap();
+        prop_assert_eq!(root, first);
+        assert_same_program(&mirror, &dist, first);
+        // Roots shipped under the current numbering, oldest first.
+        let mut roots = vec![first];
+
+        for step in steps {
+            match step {
+                Step::Edit { threshold, ports } => {
+                    let base = dist.len();
+                    let root = to_xfdd(&edited(threshold, ports), &mut dist).unwrap();
+                    let applied = mirror.apply_delta(&encode_delta(&dist, base, root)).unwrap();
+                    prop_assert_eq!(applied, root);
+                    roots.push(root);
+                }
+                Step::Rollback(k) => {
+                    let root = roots[k % roots.len()];
+                    let delta = encode_delta(&dist, dist.len(), root);
+                    let before = mirror.len();
+                    prop_assert_eq!(mirror.apply_delta(&delta).unwrap(), root);
+                    prop_assert_eq!(mirror.len(), before, "a rollback ships no nodes");
+                    roots.push(root);
+                }
+                Step::CorruptThenResync { threshold, cut } => {
+                    let base = dist.len();
+                    let root = to_xfdd(&edited(threshold, 5), &mut dist).unwrap();
+                    let delta = encode_delta(&dist, base, root);
+                    // Any strict prefix of a delta is an error; it may have
+                    // appended nodes first, which is why the mirror goes.
+                    prop_assert!(mirror.apply_delta(&delta[..cut % delta.len()]).is_err());
+                    let mut compacted = Pool::new(order());
+                    let root = compacted.import(&dist, root);
+                    dist = compacted;
+                    let resync = encode_delta(&dist, fresh_len, root);
+                    let (fresh, applied) = Mirror::decode_fresh(&resync).unwrap();
+                    prop_assert_eq!(applied, root);
+                    mirror = fresh;
+                    roots = vec![root];
+                }
+            }
+            let root = *roots.last().unwrap();
+            assert_same_program(&mirror, &dist, root);
+            // Earlier programs of this numbering still flatten the same
+            // (an agent's flatten cache and epoch views rely on it).
+            assert_same_program(&mirror, &dist, roots[0]);
+        }
+    }
+}
+
+/// `FlatProgram::classify_state` as it was before the write summaries: one
+/// pass over every action for the write kinds, a second for conflicting set
+/// literals, then the demotion of tested variables. Test oracle only.
+fn two_pass_classify(flat: &FlatProgram) -> BTreeMap<StateVar, StateClass> {
+    let leaves = || (0..flat.num_leaves()).map(|i| flat.leaf(flat.leaf_id(i)));
+    let actions = || leaves().flat_map(|l| l.seqs.iter().flat_map(|s| s.actions.iter()));
+    let mut classes: BTreeMap<StateVar, StateClass> = BTreeMap::new();
+    for action in actions() {
+        let (var, kind) = match action {
+            Action::Modify(_, _) => continue,
+            Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
+                (var, StateClass::Counter)
+            }
+            Action::StateSet {
+                var,
+                value: Expr::Value(_),
+                ..
+            } => (var, StateClass::IdempotentSet),
+            Action::StateSet { var, .. } => (var, StateClass::Exact),
+        };
+        classes
+            .entry(var.clone())
+            .and_modify(|c| {
+                if *c != kind {
+                    *c = StateClass::Exact;
+                }
+            })
+            .or_insert(kind);
+    }
+    let mut set_literal: BTreeMap<&StateVar, &Value> = BTreeMap::new();
+    for action in actions() {
+        if let Action::StateSet {
+            var,
+            value: Expr::Value(v),
+            ..
+        } = action
+        {
+            if classes.get(var) == Some(&StateClass::IdempotentSet) {
+                match set_literal.get(var) {
+                    None => {
+                        set_literal.insert(var, v);
+                    }
+                    Some(seen) if *seen != v => {
+                        classes.insert(var.clone(), StateClass::Exact);
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+    for i in 0..flat.num_branches() {
+        if let Some(var) = flat.branch_var(flat.branch_id(i)) {
+            classes.insert(var.clone(), StateClass::Exact);
+        }
+    }
+    classes
+}
+
+fn classes_of(
+    policy: &Policy,
+) -> (
+    BTreeMap<StateVar, StateClass>,
+    BTreeMap<StateVar, StateClass>,
+) {
+    let flat = snap_xfdd::compile(policy)
+        .expect("the policy compiles")
+        .flatten();
+    (flat.state_classes().clone(), two_pass_classify(&flat))
+}
+
+#[test]
+fn classify_state_matches_the_two_pass_oracle_on_the_catalogue() {
+    let catalogue = apps::catalogue();
+    assert!(catalogue.len() >= 20);
+    let mut seen = std::collections::BTreeSet::new();
+    for (name, policy) in &catalogue {
+        let (new, old) = classes_of(policy);
+        assert_eq!(new, old, "{name}");
+        seen.extend(new.into_values().map(|c| format!("{c:?}")));
+    }
+    // The benchmark's pipeline: several applications' variables in one
+    // program, counters next to tested flags.
+    let pipeline = apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(10))
+        .seq(apps::stateful_firewall())
+        .seq(apps::heavy_hitter_detection(10))
+        .seq(apps::assign_egress(6));
+    let (new, old) = classes_of(&pipeline);
+    assert_eq!(new, old);
+    assert!(new.len() >= 4);
+    // The catalogue exercises both the replicable and the exact outcome.
+    assert!(
+        seen.contains("Counter") && seen.contains("Exact"),
+        "{seen:?}"
+    );
+}
+
+#[test]
+fn classify_state_matches_the_two_pass_oracle_on_mixed_and_conflicting_writes() {
+    let port53 = || test(Field::SrcPort, Value::Int(53));
+    let idx = || vec![field(Field::InPort)];
+    let cases: Vec<(&str, Policy, StateClass)> = vec![
+        (
+            "incr and decr commute",
+            ite(port53(), state_incr("v", idx()), state_decr("v", idx())),
+            StateClass::Counter,
+        ),
+        (
+            "one literal everywhere",
+            ite(
+                port53(),
+                state_set("v", idx(), int(1)),
+                state_set("v", vec![field(Field::DstPort)], int(1)),
+            ),
+            StateClass::IdempotentSet,
+        ),
+        (
+            "conflicting literals",
+            ite(
+                port53(),
+                state_set("v", idx(), int(1)),
+                state_set("v", idx(), int(2)),
+            ),
+            StateClass::Exact,
+        ),
+        (
+            "conflicting literals inside one leaf's sequences",
+            state_set("v", idx(), int(1)).seq(state_set("v", idx(), int(2))),
+            StateClass::Exact,
+        ),
+        (
+            "mixed kinds",
+            ite(
+                port53(),
+                state_incr("v", idx()),
+                state_set("v", idx(), int(0)),
+            ),
+            StateClass::Exact,
+        ),
+        (
+            "computed value",
+            state_set("v", idx(), field(Field::SrcPort)),
+            StateClass::Exact,
+        ),
+        (
+            "literal and computed",
+            ite(
+                port53(),
+                state_set("v", idx(), int(1)),
+                state_set("v", idx(), field(Field::SrcPort)),
+            ),
+            StateClass::Exact,
+        ),
+        (
+            "a tested counter",
+            ite(
+                state_test("v", idx(), int(3)),
+                drop(),
+                state_incr("v", idx()),
+            ),
+            StateClass::Exact,
+        ),
+    ];
+    for (name, policy, expected) in cases {
+        let (new, old) = classes_of(&policy);
+        assert_eq!(new, old, "{name}");
+        assert_eq!(new.get(&StateVar::new("v")), Some(&expected), "{name}");
+    }
+    // Independent variables keep independent classes.
+    let both = state_incr("hits", idx()).seq(ite(
+        state_test("seen", idx(), int(1)),
+        id(),
+        state_set("seen", idx(), int(1)),
+    ));
+    let (new, old) = classes_of(&both);
+    assert_eq!(new, old);
+    assert_eq!(new[&StateVar::new("hits")], StateClass::Counter);
+    assert_eq!(new[&StateVar::new("seen")], StateClass::Exact);
+}

@@ -312,6 +312,102 @@ fn rollback_ships_a_zero_node_delta() {
 }
 
 #[test]
+fn flips_reuse_remembered_roots_until_the_pool_is_replaced() {
+    let mut deployment = deploy_in_process(campus_session(), 64);
+    let network = Arc::clone(&deployment.network);
+    let n = deployment.controller.agent_count();
+    let a = snap_apps::dns_tunnel_detect(3).seq(snap_apps::assign_egress(6));
+    // Same state variables (no order reset between the two), a different
+    // size on the wire.
+    let b = snap_apps::dns_tunnel_detect(5).seq(ite(
+        test(Field::SrcPort, Value::Int(7)),
+        drop(),
+        snap_apps::assign_egress(6),
+    ));
+    let cache_hits = || -> u64 {
+        let snapshot = network.metrics_snapshot();
+        let rows = &snapshot.families["agent.flat_cache_hits"];
+        assert_eq!(rows.len(), n, "one row per agent");
+        rows.iter().map(|(_, hits)| hits).sum()
+    };
+
+    let first_a = deployment.controller.update_policy(&a).unwrap();
+    let first_b = deployment.controller.update_policy(&b).unwrap();
+    assert!(first_b.new_nodes > 0);
+    assert_ne!(first_a.full_bytes, first_b.full_bytes);
+    let pool_len = deployment.controller.dist_pool_len();
+    assert_eq!(cache_hits(), 0);
+
+    // A→B→A→B between two committed versions: nothing is imported, nothing
+    // is re-encoded for the statistic, and every agent stages the program
+    // out of its flatten cache.
+    for (round, (policy, first)) in [
+        (&a, &first_a),
+        (&b, &first_b),
+        (&a, &first_a),
+        (&b, &first_b),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let flip = deployment.controller.update_policy(policy).unwrap();
+        assert_eq!(flip.new_nodes, 0, "flip {round}");
+        assert_eq!(flip.resyncs, 0, "flip {round}");
+        assert_eq!(flip.full_bytes, first.full_bytes, "flip {round}");
+        assert_eq!(deployment.controller.dist_pool_len(), pool_len);
+        assert_eq!(cache_hits(), ((round + 1) * n) as u64, "flip {round}");
+    }
+
+    // Compaction renumbers the pool: the remembered roots are gone with it,
+    // so the next flip resyncs everyone — and still commits the right
+    // program (A counts DNS responses per client; B's count stays apart).
+    assert!(deployment.controller.compact_distribution() > 0);
+    let after = deployment.controller.update_policy(&a).unwrap();
+    assert_eq!(after.resyncs, n);
+    assert_eq!(after.full_bytes, first_a.full_bytes);
+    let expected = snap_xfdd::compile(&a).unwrap().flatten();
+    for agent in network.agents() {
+        let view = agent.current_view().unwrap();
+        assert_eq!(view.epoch, after.epoch);
+        assert_eq!(view.flat.num_nodes(), expected.num_nodes());
+        assert_eq!(view.flat.state_classes(), expected.state_classes());
+        assert_eq!(agent.mirror_len(), deployment.controller.dist_pool_len());
+    }
+    // Under the new numbering flips are remembered again.
+    let back = deployment.controller.update_policy(&b).unwrap();
+    assert_eq!((back.resyncs, back.full_bytes), (0, first_b.full_bytes));
+    let again = deployment.controller.update_policy(&a).unwrap();
+    assert_eq!((again.new_nodes, again.resyncs), (0, 0));
+
+    // A variable-order reset replaces the pool as well: the way back to A
+    // is an import into the reset pool, not a remembered (stale) root.
+    let other =
+        state_incr("other", vec![field(Field::InPort)]).seq(modify(Field::OutPort, Value::Int(6)));
+    assert_eq!(
+        deployment.controller.update_policy(&other).unwrap().resyncs,
+        n
+    );
+    let restored = deployment.controller.update_policy(&a).unwrap();
+    assert_eq!(restored.resyncs, n);
+    assert_eq!(restored.full_bytes, first_a.full_bytes);
+    for agent in network.agents() {
+        let view = agent.current_view().unwrap();
+        assert_eq!(view.flat.num_nodes(), expected.num_nodes());
+        assert_eq!(view.flat.state_classes(), expected.state_classes());
+    }
+    let dns = Packet::new()
+        .with(Field::InPort, 1)
+        .with(Field::SrcIp, Value::ip(8, 8, 8, 8))
+        .with(Field::DstIp, Value::ip(10, 0, 6, 77))
+        .with(Field::SrcPort, 53)
+        .with(Field::DnsRdata, Value::ip(1, 2, 3, 4));
+    let out = network.inject(PortId(1), &dns).unwrap();
+    assert_eq!(out.epoch, restored.epoch);
+    assert_eq!(out.delivered.len(), 1);
+    deployment.shutdown();
+}
+
+#[test]
 fn tables_migrate_between_agents_through_yield_and_install() {
     // Drive two agents synchronously through the message handlers: A owns
     // `x` at epoch 1, loses it to B at epoch 2; the table must move intact.

@@ -351,7 +351,30 @@ impl CompilerSession {
     /// Compile a policy, reusing everything the session has accumulated.
     /// The first call behaves like a cold [`snap_core::Compiler::compile`];
     /// subsequent calls are incremental.
+    ///
+    /// Returns a private copy of the result; [`Self::compile_shared`] hands
+    /// out the session's own handle instead.
     pub fn compile(&mut self, policy: &Policy) -> Result<Compiled, CompileError> {
+        let (shared, cached) = self.compile_inner(policy)?;
+        let mut compiled = (*shared).clone();
+        if cached {
+            // Zeroed timings record that no phase ran for *this* compile.
+            compiled.timings = PhaseTimings::default();
+        }
+        Ok(compiled)
+    }
+
+    /// [`Self::compile`] without the copy: the handle the session itself
+    /// keeps (as [`Self::current_shared`] and in its version cache), which
+    /// is what [`Self::take_update`] ships. A version-cache hit returns the
+    /// cached compilation as it is, timings of its original compile included.
+    pub fn compile_shared(&mut self, policy: &Policy) -> Result<Arc<Compiled>, CompileError> {
+        self.compile_inner(policy).map(|(shared, _)| shared)
+    }
+
+    /// The one compile path; the flag says whether the version cache
+    /// answered.
+    fn compile_inner(&mut self, policy: &Policy) -> Result<(Arc<Compiled>, bool), CompileError> {
         self.stats.compiles.inc();
         self.cache.bump_generation();
 
@@ -362,11 +385,7 @@ impl CompilerSession {
             self.stats.version_hits.inc();
             self.epoch += 1;
             self.current = Some(Arc::clone(&cached));
-            // One deep clone at the API boundary; zeroed timings record that
-            // no phase ran for *this* compile.
-            let mut compiled = (*cached).clone();
-            compiled.timings = PhaseTimings::default();
-            return Ok(compiled);
+            return Ok((cached, true));
         }
 
         // P1 — state dependency analysis (always: it is cheap and decides
@@ -468,7 +487,7 @@ impl CompilerSession {
         self.current = Some(Arc::clone(&compiled));
         self.version_insert(policy, Arc::clone(&compiled));
         self.maybe_gc();
-        Ok((*compiled).clone())
+        Ok((compiled, false))
     }
 
     fn maybe_gc(&mut self) {
@@ -519,6 +538,13 @@ impl CompilerSession {
     /// "TE" scenario). Returns `None` when nothing has been compiled yet
     /// (the new matrix is still recorded for the next compile).
     pub fn update_traffic(&mut self, traffic: TrafficMatrix) -> Option<Compiled> {
+        self.update_traffic_shared(traffic)
+            .map(|shared| (*shared).clone())
+    }
+
+    /// [`Self::update_traffic`] without the copy (see
+    /// [`Self::compile_shared`]).
+    pub fn update_traffic_shared(&mut self, traffic: TrafficMatrix) -> Option<Arc<Compiled>> {
         self.traffic = traffic;
         // Cached versions embed placement/routing for the old matrix.
         self.versions.clear();
@@ -550,7 +576,7 @@ impl CompilerSession {
         });
         self.epoch += 1;
         self.current = Some(Arc::clone(&updated));
-        Some((*updated).clone())
+        Some(updated)
     }
 
     // -----------------------------------------------------------------------

@@ -19,10 +19,27 @@
 //! header, so a flattened program is all a switch needs to resume
 //! processing mid-diagram.
 //!
-//! Each branch additionally caches the state variable its test reads (if
-//! any): the distributed simulator checks ownership of that variable on
-//! every hop, and the cache turns that from a match over the test structure
-//! into an array load.
+//! The arrays hold one *shared* payload per node — the lowered leaf (action
+//! table plus a per-variable summary of its writes) or the branch's test —
+//! rather than private copies. A one-off flatten ([`FlatProgram::from_pool`],
+//! [`crate::Xfdd::flatten`]) lowers the nodes as it goes and nothing else
+//! ever holds its payloads. A switch agent's [`Mirror`] lowers each node
+//! once, when a delta delivers it, and every program flattened from that
+//! mirror — staged, cached by root, kept per epoch for in-flight packets —
+//! points at the same payloads: flattening is a reachability walk plus
+//! handle pushes, dropping a program is reference-count decrements, and an
+//! agent's memory is one lowering of its mirror plus a few words per node
+//! per kept program.
+//!
+//! ## The mirror invariant
+//!
+//! A [`Mirror`]'s payload `i` is the lowering of its pool's node `i`, for
+//! every node: payloads are valid for exactly one numbering. A resync (which
+//! installs the controller pool's numbering afresh) therefore replaces pool
+//! and payloads together, and a mirror whose delta failed to apply is
+//! discarded whole — the two are one value so that no path can keep one
+//! without the other. Programs already flattened stay valid regardless:
+//! they own handles, not indices into the mirror.
 //!
 //! ## The two-stage lowering, and which stage to use when
 //!
@@ -45,9 +62,11 @@
 use crate::action::{Action, ActionSeq, Leaf};
 use crate::pool::{eval_test, Node, NodeId, Pool};
 use crate::test::Test;
+use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Compile-time classification of a state variable's transitions, derived
 /// from the flattened diagram's read set (branch tests) and write set (leaf
@@ -138,29 +157,81 @@ impl fmt::Debug for FlatId {
     }
 }
 
+/// How a leaf — or, folded over its leaves, a whole program — writes one
+/// state variable. Two writes commute exactly when they are the same kind
+/// (and, for sets, store the same literal), so folding is "equal or
+/// [`Write::Exact`]".
+#[derive(Clone, Debug, PartialEq)]
+enum Write {
+    /// `StateIncr` / `StateDecr`.
+    Counter,
+    /// `StateSet` of this literal.
+    Set(Value),
+    /// A computed `StateSet`, or writes that do not commute with each other.
+    Exact,
+}
+
+impl Write {
+    fn of(action: &Action) -> Option<(&StateVar, Write)> {
+        match action {
+            Action::Modify(_, _) => None,
+            Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
+                Some((var, Write::Counter))
+            }
+            Action::StateSet {
+                var,
+                value: Expr::Value(v),
+                ..
+            } => Some((var, Write::Set(v.clone()))),
+            Action::StateSet { var, .. } => Some((var, Write::Exact)),
+        }
+    }
+
+    fn merge(&mut self, other: &Write) {
+        if self != other {
+            *self = Write::Exact;
+        }
+    }
+
+    fn class(&self) -> StateClass {
+        match self {
+            Write::Counter => StateClass::Counter,
+            Write::Set(_) => StateClass::IdempotentSet,
+            Write::Exact => StateClass::Exact,
+        }
+    }
+}
+
 /// A leaf of a flat program: the action sequences of the interned
 /// [`Leaf`], laid out in a dense `Vec` (in the leaf's canonical set order)
 /// so a resumed packet can index its sequence in O(1) instead of walking a
-/// `BTreeSet`, plus facts precomputed at flatten time that the per-packet
-/// path would otherwise rediscover on every application.
+/// `BTreeSet`, plus facts precomputed at lowering time that the per-packet
+/// path and the program's state classification would otherwise rediscover.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlatLeaf {
     /// The parallel action sequences, in the canonical (set) order of the
     /// source leaf.
     pub seqs: Vec<ActionSeq>,
-    /// Does any sequence write a state variable? Precomputed so the
-    /// (common) stateless leaf skips per-sequence store cloning and the
-    /// store merge entirely.
-    writes_state: bool,
+    /// Every state variable some sequence writes, with its writes folded.
+    /// Empty for the (common) stateless leaf, which then skips per-sequence
+    /// store cloning and the store merge entirely.
+    writes: Vec<(StateVar, Write)>,
 }
 
 impl FlatLeaf {
     fn from_leaf(leaf: &Leaf) -> FlatLeaf {
         let seqs: Vec<ActionSeq> = leaf.0.iter().cloned().collect();
-        let writes_state = seqs
+        let mut writes: Vec<(StateVar, Write)> = Vec::new();
+        for (var, write) in seqs
             .iter()
-            .any(|s| s.actions.iter().any(|a| a.written_var().is_some()));
-        FlatLeaf { seqs, writes_state }
+            .flat_map(|s| s.actions.iter().filter_map(Write::of))
+        {
+            match writes.iter_mut().find(|(v, _)| v == var) {
+                Some((_, seen)) => seen.merge(&write),
+                None => writes.push((var.clone(), write)),
+            }
+        }
+        FlatLeaf { seqs, writes }
     }
 
     /// Does this leaf drop every packet with no side effect?
@@ -170,7 +241,7 @@ impl FlatLeaf {
 
     /// Does any sequence of this leaf write a state variable?
     pub fn writes_state(&self) -> bool {
-        self.writes_state
+        !self.writes.is_empty()
     }
 
     /// Apply the leaf with one-big-switch semantics: every sequence runs on
@@ -181,7 +252,7 @@ impl FlatLeaf {
         pkt: &Packet,
         store: &Store,
     ) -> Result<(BTreeSet<Packet>, Store), EvalError> {
-        if !self.writes_state {
+        if !self.writes_state() {
             // Stateless leaf: only `Modify` actions, which cannot fail and
             // cannot touch the store — no per-sequence store clones, no
             // merge.
@@ -221,7 +292,7 @@ pub enum FlatNode<'a> {
     Branch {
         /// The test at this node.
         test: &'a Test,
-        /// The state variable the test reads, if any (cached off the test).
+        /// The state variable the test reads, if any.
         var: Option<&'a StateVar>,
         /// Successor when the test passes.
         tru: FlatId,
@@ -232,129 +303,125 @@ pub enum FlatNode<'a> {
     Leaf(&'a FlatLeaf),
 }
 
+/// The lowered form of one pool node: the payload a [`FlatProgram`] holds
+/// for it, behind a shared handle so a program is assembled, cached and
+/// dropped by reference count, plus a branch's successors — everything
+/// flattening needs, so it never goes back to the pool's (much wider) node.
+#[derive(Clone)]
+enum Lowered {
+    Leaf(Arc<FlatLeaf>),
+    Branch(Arc<Test>, [NodeId; 2]),
+}
+
+impl Lowered {
+    fn of(node: &Node) -> Lowered {
+        match node {
+            Node::Leaf(leaf) => Lowered::Leaf(Arc::new(FlatLeaf::from_leaf(leaf))),
+            Node::Branch { test, tru, fls } => {
+                Lowered::Branch(Arc::new(test.clone()), [*tru, *fls])
+            }
+        }
+    }
+}
+
 /// The reachable subgraph of one diagram root, compiled into dense parallel
 /// arrays for per-packet evaluation (see the module docs).
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
     /// Branch tests, one per branch node.
-    tests: Vec<Test>,
-    /// The state variable read by each test (parallel to `tests`), cached so
-    /// the ownership check of the distributed simulator is an array load.
-    test_vars: Vec<Option<StateVar>>,
+    tests: Vec<Arc<Test>>,
     /// Branch successors `[tru, fls]`, parallel to `tests`.
     edges: Vec<[FlatId; 2]>,
     /// Leaf action tables.
-    leaves: Vec<FlatLeaf>,
+    leaves: Vec<Arc<FlatLeaf>>,
     /// Entry node.
     root: FlatId,
     /// Per-variable transition classification (see [`StateClass`]),
-    /// computed once at flatten time from the read set (`test_vars`) and
-    /// the write kinds in the leaves.
+    /// computed once at flatten time from the state tests and the leaves'
+    /// write summaries.
     classes: BTreeMap<StateVar, StateClass>,
 }
 
 impl FlatProgram {
-    /// Flatten the subgraph reachable from `root`.
+    /// Flatten the subgraph reachable from `root`, lowering every node on
+    /// the way (a [`Mirror`] flattens from payloads it lowered when the
+    /// nodes arrived).
+    pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
+        FlatProgram::assemble(root, |id| Lowered::of(pool.node(id)))
+    }
+
+    /// The one flatten routine, over whatever supplies the lowered nodes.
     ///
     /// The arena interns children before parents (ids strictly decrease from
-    /// parent to child), so walking the reachable set in ascending arena
-    /// order assigns dense, child-first flat ids with every child already
-    /// numbered when its parent is visited.
-    pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
-        let mut ids = pool.reachable(root);
-        ids.sort_unstable();
-        let mut flat_of = vec![FlatId(u32::MAX); ids.last().map_or(0, |n| n.index() + 1)];
+    /// parent to child), so one descending sweep from the root finds the
+    /// reachable set, and numbering it in ascending arena order assigns
+    /// dense, child-first flat ids with every child already numbered when
+    /// its parent is visited.
+    fn assemble(root: NodeId, lowered: impl Fn(NodeId) -> Lowered) -> FlatProgram {
+        let span = root.index() + 1;
+        let mut reached = vec![false; span];
+        reached[root.index()] = true;
+        let mut nodes = Vec::new();
+        for i in (0..span).rev() {
+            if !reached[i] {
+                continue;
+            }
+            let node = lowered(NodeId(u32::try_from(i).expect("pool ids fit u32")));
+            if let Lowered::Branch(_, children) = &node {
+                for child in children {
+                    assert!(child.index() < i, "children are interned first");
+                    reached[child.index()] = true;
+                }
+            }
+            nodes.push((i, node));
+        }
+        let mut flat_of = vec![FlatId(u32::MAX); span];
         let mut out = FlatProgram {
             tests: Vec::new(),
-            test_vars: Vec::new(),
             edges: Vec::new(),
             leaves: Vec::new(),
             root: FlatId(0),
             classes: BTreeMap::new(),
         };
-        for id in ids {
-            let flat = match pool.node(id) {
-                Node::Leaf(leaf) => {
-                    out.leaves.push(FlatLeaf::from_leaf(leaf));
+        for (i, node) in nodes.into_iter().rev() {
+            flat_of[i] = match node {
+                Lowered::Leaf(leaf) => {
+                    out.leaves.push(leaf);
                     FlatId::leaf(out.leaves.len() - 1)
                 }
-                Node::Branch { test, tru, fls } => {
-                    out.tests.push(test.clone());
-                    out.test_vars.push(test.state_var().cloned());
+                Lowered::Branch(test, [tru, fls]) => {
+                    out.tests.push(test);
                     out.edges.push([flat_of[tru.index()], flat_of[fls.index()]]);
                     FlatId::branch(out.tests.len() - 1)
                 }
             };
-            flat_of[id.index()] = flat;
         }
         out.root = flat_of[root.index()];
         out.classes = out.classify_state();
         out
     }
 
-    /// Classify every written variable by write kind, then demote anything
-    /// a branch test reads to [`StateClass::Exact`]: replication is only
-    /// sound when the packet path never observes intermediate values, and a
-    /// state test is exactly such an observation.
+    /// Classify every written variable by folding the leaves' write
+    /// summaries, then demote anything a branch test reads to
+    /// [`StateClass::Exact`]: replication is only sound when the packet path
+    /// never observes intermediate values, and a state test is exactly such
+    /// an observation.
     fn classify_state(&self) -> BTreeMap<StateVar, StateClass> {
-        let mut classes: BTreeMap<StateVar, StateClass> = BTreeMap::new();
-        for leaf in &self.leaves {
-            for seq in &leaf.seqs {
-                for action in &seq.actions {
-                    let (var, kind) = match action {
-                        Action::Modify(_, _) => continue,
-                        Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
-                            (var, StateClass::Counter)
-                        }
-                        Action::StateSet {
-                            var,
-                            value: Expr::Value(_),
-                            ..
-                        } => (var, StateClass::IdempotentSet),
-                        Action::StateSet { var, .. } => (var, StateClass::Exact),
-                    };
-                    classes
-                        .entry(var.clone())
-                        .and_modify(|c| {
-                            if *c != kind {
-                                // Mixed write kinds (incr + set, or sets of
-                                // differing shape) do not commute.
-                                *c = StateClass::Exact;
-                            }
-                        })
-                        .or_insert(kind);
-                }
-            }
+        let mut folded: BTreeMap<&StateVar, Write> = BTreeMap::new();
+        for (var, write) in self.leaves.iter().flat_map(|leaf| &leaf.writes) {
+            folded
+                .entry(var)
+                .and_modify(|seen| seen.merge(write))
+                .or_insert_with(|| write.clone());
         }
-        // Sets are only idempotent if every set stores the *same* literal;
-        // two seqs writing different literals would be order-dependent.
-        let mut set_literal: BTreeMap<&StateVar, &Value> = BTreeMap::new();
-        for leaf in &self.leaves {
-            for seq in &leaf.seqs {
-                for action in &seq.actions {
-                    if let Action::StateSet {
-                        var,
-                        value: Expr::Value(v),
-                        ..
-                    } = action
-                    {
-                        if classes.get(var) == Some(&StateClass::IdempotentSet) {
-                            match set_literal.get(var) {
-                                None => {
-                                    set_literal.insert(var, v);
-                                }
-                                Some(seen) if *seen != v => {
-                                    classes.insert(var.clone(), StateClass::Exact);
-                                }
-                                Some(_) => {}
-                            }
-                        }
-                    }
-                }
+        let mut classes: BTreeMap<StateVar, StateClass> = folded
+            .into_iter()
+            .map(|(var, write)| (var.clone(), write.class()))
+            .collect();
+        for var in self.tests.iter().filter_map(|t| t.state_var()) {
+            if classes.get(var) != Some(&StateClass::Exact) {
+                classes.insert(var.clone(), StateClass::Exact);
             }
-        }
-        for var in self.test_vars.iter().flatten() {
-            classes.insert(var.clone(), StateClass::Exact);
         }
         classes
     }
@@ -411,9 +478,10 @@ impl FlatProgram {
         } else {
             let i = id.branch_index();
             let [tru, fls] = self.edges[i];
+            let test: &Test = &self.tests[i];
             FlatNode::Branch {
-                test: &self.tests[i],
-                var: self.test_vars[i].as_ref(),
+                test,
+                var: test.state_var(),
                 tru,
                 fls,
             }
@@ -429,7 +497,7 @@ impl FlatProgram {
     /// The state variable read by a branch's test, if any.
     #[inline]
     pub fn branch_var(&self, id: FlatId) -> Option<&StateVar> {
-        self.test_vars[id.branch_index()].as_ref()
+        self.tests[id.branch_index()].state_var()
     }
 
     /// Walk tests from `from` to a leaf for one packet: the hot path of the
@@ -464,13 +532,78 @@ impl FlatProgram {
     /// All state variables referenced anywhere in the program (tests and
     /// leaf actions).
     pub fn state_vars(&self) -> BTreeSet<StateVar> {
-        let mut out: BTreeSet<StateVar> = self.test_vars.iter().flatten().cloned().collect();
-        for leaf in &self.leaves {
-            for seq in &leaf.seqs {
-                out.extend(seq.written_vars());
-            }
+        let tested = self.tests.iter().filter_map(|t| t.state_var());
+        let written = self.leaves.iter().flat_map(|leaf| &leaf.writes);
+        tested.chain(written.map(|(var, _)| var)).cloned().collect()
+    }
+}
+
+/// A switch's copy of the controller's append-only distribution pool,
+/// together with the lowered payload of every node in it.
+///
+/// **Invariant:** `lowered[i]` is the payload of `pool` node `i`, for every
+/// node — so the payloads are valid for exactly one numbering, the pool's.
+/// Pool and payloads are one value for that reason: a resync replaces both,
+/// and a mirror whose delta failed is dropped whole, never patched up.
+///
+/// Nodes are lowered once, when a delta delivers them. Flattening a root is
+/// then a reachability walk that pushes shared handles, every program the
+/// switch keeps (staged, cached, per-epoch) shares one payload per node, and
+/// dropping a program is reference-count decrements.
+pub struct Mirror {
+    pool: Pool,
+    lowered: Vec<Lowered>,
+}
+
+impl Mirror {
+    /// Bootstrap (or resync) a mirror from a full-table delta, reproducing
+    /// the encoder pool's exact numbering. Returns the mirror and the root.
+    pub fn decode_fresh(bytes: &[u8]) -> Result<(Mirror, NodeId), WireError> {
+        let (pool, root) = decode_delta_fresh(bytes)?;
+        let mut mirror = Mirror {
+            pool,
+            lowered: Vec::new(),
+        };
+        mirror.lower_suffix();
+        Ok((mirror, root))
+    }
+
+    /// Apply a suffix delta and return the new root. On error the mirror is
+    /// out of sync with the encoder ([`apply_delta`]) and must be dropped.
+    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<NodeId, WireError> {
+        let applied = apply_delta(bytes, &mut self.pool);
+        // Also on error: a failed apply may have appended nodes, and the
+        // invariant is about every node of the pool.
+        self.lower_suffix();
+        applied
+    }
+
+    fn lower_suffix(&mut self) {
+        for i in self.lowered.len()..self.pool.len() {
+            let id = NodeId(u32::try_from(i).expect("pool ids fit u32"));
+            self.lowered.push(Lowered::of(self.pool.node(id)));
         }
-        out
+    }
+
+    /// The mirrored pool.
+    pub fn pool(&self) -> &Pool {
+        &self.pool
+    }
+
+    /// Number of mirrored nodes.
+    pub fn len(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Is the mirror empty? (Never true, like [`Pool::is_empty`].)
+    pub fn is_empty(&self) -> bool {
+        self.pool.is_empty()
+    }
+
+    /// Flatten the program rooted at `root` — [`FlatProgram::from_pool`] on
+    /// the mirrored pool, with the payloads shared instead of lowered anew.
+    pub fn flatten(&self, root: NodeId) -> FlatProgram {
+        FlatProgram::assemble(root, |id| self.lowered[id.index()].clone())
     }
 }
 
