@@ -26,6 +26,16 @@
 //! stages of OPP and the state-access bottleneck observed by State-Compute
 //! Replication. Per-packet injection is simply a batch of one.
 //!
+//! Views are **pinned per batch**: the resolver is consulted at most once
+//! per (switch, epoch) for the whole batch — the ingress stamp of a switch
+//! and every view a hop or a delivery needs are remembered in a table
+//! indexed densely by switch (thread-local, reset by touched entries only,
+//! so a batch of one pays for one switch, not for the network) and served
+//! from there for the rest of the batch. In the distributed plane that is
+//! one agent lock per switch per batch instead of two per packet. Pinning
+//! cannot mix epochs: a pinned view is the immutable view the resolver
+//! would return again, merely kept alive until the batch ends.
+//!
 //! Each group additionally runs in two phases. A lock-free **wave-prefix**
 //! phase first advances the *stateless prefix* of every flight through the
 //! view's table program ([`snap_xfdd::TableProgram`]): flights parked at
@@ -53,9 +63,11 @@
 
 use crate::exec::{
     misplaced_state_error, missing_placement_error, process_at_switch, read_outport,
-    strip_snap_header, InFlight, NextHops, Progress, SimError, StepOutcome, StoreLease,
+    strip_snap_header, InFlight, NextHops, Progress, ReplicaBuffer, SimError, StepOutcome,
+    StoreLease,
 };
 use crate::metrics::PlaneTelemetry;
+use crate::pins::PinArena;
 use crate::shards::StateShards;
 use snap_lang::{Packet, StateVar, Value};
 use snap_telemetry::{HopRecord, LocalHistogram, PacketTrace};
@@ -96,19 +108,34 @@ pub trait ViewResolver {
     /// The plane's error type; every shared [`SimError`] must embed into it.
     type Error: From<SimError>;
 
-    /// Stamp a packet at its ingress switch: the epoch it will execute under
-    /// at every hop and the program root to start from. `Ok(None)` means
-    /// nothing is installed — the packet vanishes with empty egress.
-    fn ingress(&self, switch: SwitchId) -> Result<Option<(u64, FlatId)>, Self::Error>;
+    /// Stamp packets entering at `switch` — see [`Ingress`]. `Ok(None)`
+    /// means nothing is installed: the packet vanishes with empty egress.
+    /// The driver asks once per (switch, batch) and stamps every packet of
+    /// the batch entering there alike.
+    fn ingress(&self, switch: SwitchId) -> Result<Option<Ingress<Self::View<'_>>>, Self::Error>;
 
     /// Resolve the view of `switch` for a stamped `epoch`. `Ok(None)` means
-    /// the switch has no configuration and only forwards.
+    /// the switch has no configuration and only forwards. The driver asks
+    /// at most once per (switch, epoch, batch) and pins the answer.
     fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Option<Self::View<'_>>, Self::Error>;
 
     /// The switch's key-range state shards. Epoch-independent in every
     /// plane — state survives reconfiguration — which is what lets the
     /// driver lease them once per (switch, batch-group).
     fn store(&self, switch: SwitchId) -> Option<&StateShards>;
+}
+
+/// An ingress stamp: the epoch a packet will execute under at every hop, the
+/// program root it starts from, and the ingress switch's own view under
+/// that epoch (`None`: the switch has no configuration and only forwards) —
+/// handed over with the stamp so the first hop costs no second resolution.
+pub struct Ingress<V> {
+    /// The epoch stamped on the packet.
+    pub epoch: u64,
+    /// The root of the program the epoch executes.
+    pub root: FlatId,
+    /// What [`ViewResolver::resolve`] would answer for this switch and epoch.
+    pub view: Option<V>,
 }
 
 /// Where delivered packets land. `origin` is the index of the packet within
@@ -158,41 +185,22 @@ impl Default for Tagged {
 /// tallies admissions, deliveries and drops with ordinary arithmetic while
 /// a batch runs and flushes into the sharded registry once at the end, so
 /// the per-packet cost of telemetry is a couple of integer adds instead of
-/// sharded atomic RMWs. Per-switch ingress counts are a linear-scan list —
-/// a batch touches a handful of distinct ingress switches.
+/// sharded atomic RMWs. The per-switch counts sit in the batch's dense
+/// switch table ([`SwitchSlot`]).
 #[derive(Default)]
 struct BatchTally {
     packets: u64,
-    ingress: Vec<(usize, u64)>,
     deliveries: u64,
     delivery_hops: LocalHistogram,
     policy_drops: u64,
-    switch_hops: Vec<(usize, u64)>,
-    state_writes: Vec<(usize, u64)>,
     wave_prefix_packets: u64,
     wave_prefix_survivors: u64,
 }
 
-/// Add `n` under `switch` in a linear-scan per-switch tally list.
-fn bump(list: &mut Vec<(usize, u64)>, switch: usize, n: u64) {
-    match list.iter_mut().find(|(s, _)| *s == switch) {
-        Some((_, total)) => *total += n,
-        None => list.push((switch, n)),
-    }
-}
-
 impl BatchTally {
-    fn admit(&mut self, switch: usize) {
-        self.packets += 1;
-        bump(&mut self.ingress, switch, 1);
-    }
-
     fn flush(&self, m: &PlaneTelemetry) {
         if self.packets > 0 {
             m.packets.add(self.packets);
-        }
-        for &(switch, n) in &self.ingress {
-            m.switch_packets.add(switch, n);
         }
         if self.deliveries > 0 {
             m.deliveries.add(self.deliveries);
@@ -200,12 +208,6 @@ impl BatchTally {
         m.delivery_hops.merge(&self.delivery_hops);
         if self.policy_drops > 0 {
             m.policy_drops.add(self.policy_drops);
-        }
-        for &(switch, n) in &self.switch_hops {
-            m.switch_hops.add(switch, n);
-        }
-        for &(switch, n) in &self.state_writes {
-            m.switch_state_writes.add(switch, n);
         }
         if self.wave_prefix_packets > 0 {
             m.wave_prefix_packets.add(self.wave_prefix_packets);
@@ -235,8 +237,9 @@ fn progress_tag(progress: &Progress) -> String {
 }
 
 /// Recycled buffers for the wave loop: the in-flight and forwarded lists,
-/// the per-switch buckets, the wave-prefix cohort work-list and a pool of
-/// emptied member lists. Kept in a thread-local and shared by every batch a
+/// the per-switch buckets, the wave-prefix cohort work-list, a pool of
+/// emptied member lists, the batch's dense switch table and the key arena
+/// of the store leases. Kept in a thread-local and shared by every batch a
 /// worker thread drives, so the wave machinery stops allocating once the
 /// buffers have warmed up — not once per batch.
 #[derive(Default)]
@@ -245,14 +248,128 @@ struct WaveScratch {
     buckets: Vec<Vec<Tagged>>,
     next: Vec<Tagged>,
     cohort: CohortScratch,
+    switches: SwitchTable,
+    lease_keys: Vec<Value>,
 }
 
 /// The wave-prefix pass's slice of [`WaveScratch`], split out so the batch
 /// loop can borrow it independently of the flight buffers.
 #[derive(Default)]
 struct CohortScratch {
+    /// `(pinned view slot, node, members)`.
     cohorts: Vec<(usize, FlatId, Vec<usize>)>,
     spare: Vec<Vec<usize>>,
+}
+
+/// What one batch knows about one switch: the ingress stamp it took there,
+/// the arena slot of every epoch's view it pinned there, and the switch's
+/// share of the batch tally.
+#[derive(Default)]
+struct SwitchSlot {
+    touched: bool,
+    stamp: Option<(u64, FlatId)>,
+    /// `(epoch, slot in the batch's pin arena)` — one entry outside a
+    /// commit wave, so a scan.
+    views: Vec<(u64, usize)>,
+    ingress: u64,
+    hops: u64,
+    state_writes: u64,
+}
+
+/// The batch's switch table: [`SwitchSlot`]s indexed densely by switch, plus
+/// the list of the ones this batch touched — resetting and flushing walk
+/// that list, never the whole network.
+#[derive(Default)]
+struct SwitchTable {
+    slots: Vec<SwitchSlot>,
+    touched: Vec<usize>,
+}
+
+impl SwitchTable {
+    /// Forget the previous batch and make room for `switches` switches.
+    fn reset(&mut self, switches: usize) {
+        for switch in self.touched.drain(..) {
+            let slot = &mut self.slots[switch];
+            slot.views.clear(); // keeps its capacity
+            *slot = SwitchSlot {
+                views: std::mem::take(&mut slot.views),
+                ..SwitchSlot::default()
+            };
+        }
+        if self.slots.len() < switches {
+            self.slots.resize_with(switches, SwitchSlot::default);
+        }
+    }
+
+    fn slot(&mut self, switch: SwitchId) -> &mut SwitchSlot {
+        let slot = &mut self.slots[switch.0];
+        if !slot.touched {
+            slot.touched = true;
+            self.touched.push(switch.0);
+        }
+        slot
+    }
+
+    fn flush_tally(&self, m: &PlaneTelemetry) {
+        for &switch in &self.touched {
+            let slot = &self.slots[switch];
+            if slot.ingress > 0 {
+                m.switch_packets.add(switch, slot.ingress);
+            }
+            if slot.hops > 0 {
+                m.switch_hops.add(switch, slot.hops);
+            }
+            if slot.state_writes > 0 {
+                m.switch_state_writes.add(switch, slot.state_writes);
+            }
+        }
+    }
+}
+
+/// The views one batch has pinned: the switch table says which (switch,
+/// epoch) pairs are pinned and where, the arena holds the views themselves
+/// and lends them for the rest of the batch (`'b`).
+struct Pins<'s, 'b, 'r, R: ViewResolver> {
+    resolver: &'r R,
+    table: &'s mut SwitchTable,
+    arena: &'b PinArena<Option<R::View<'r>>>,
+}
+
+impl<'b, 'r, R: ViewResolver> Pins<'_, 'b, 'r, R> {
+    /// The stamp for packets entering at `switch`, taken from the resolver
+    /// on the batch's first packet there (together with the switch's own
+    /// view under that epoch) and repeated for the rest.
+    fn ingress(&mut self, switch: SwitchId) -> Result<Option<(u64, FlatId)>, R::Error> {
+        if let Some(stamp) = self.table.slot(switch).stamp {
+            return Ok(Some(stamp));
+        }
+        let Some(ingress) = self.resolver.ingress(switch)? else {
+            return Ok(None);
+        };
+        let stamp = (ingress.epoch, ingress.root);
+        let at = self.arena.push(ingress.view);
+        let slot = self.table.slot(switch);
+        slot.stamp = Some(stamp);
+        slot.views.push((ingress.epoch, at));
+        Ok(Some(stamp))
+    }
+
+    /// The arena slot of `switch`'s view under `epoch`, resolved on first
+    /// use. A failed resolution is not pinned: the next asker tries again.
+    fn pin(&mut self, switch: SwitchId, epoch: u64) -> Result<usize, R::Error> {
+        let slot = self.table.slot(switch);
+        if let Some(&(_, at)) = slot.views.iter().find(|(e, _)| *e == epoch) {
+            return Ok(at);
+        }
+        let at = self.arena.push(self.resolver.resolve(switch, epoch)?);
+        self.table.slot(switch).views.push((epoch, at));
+        Ok(at)
+    }
+
+    /// The pinned view in `slot` (`None`: an unconfigured switch).
+    fn view(&self, slot: usize) -> Option<&'b R::View<'r>> {
+        self.arena.get(slot).as_ref()
+    }
 }
 
 thread_local! {
@@ -296,10 +413,11 @@ impl<'a> Driver<'a> {
     ///
     /// Execution is grouped by switch: all in-flight packets currently at
     /// the same switch are drained together under one [`StoreLease`] (one
-    /// store-lock acquisition per group) with each distinct epoch's view
-    /// resolved once for the group. A packet that fails loses its remaining
-    /// in-flight copies, and never affects the rest of the batch; state
-    /// side effects that already happened stay, as they always did. The
+    /// store-lock acquisition per group), against views pinned for the
+    /// whole batch — the resolver is asked at most once per (switch, epoch).
+    /// A packet that fails loses its remaining in-flight copies, and never
+    /// affects the rest of the batch; state side effects that already
+    /// happened stay, as they always did. The
     /// sink may already have seen some of a failed packet's deliveries:
     /// set-collecting adapters discard them along with the error, while
     /// queue-delivering sinks cannot retract what was already enqueued (the
@@ -331,16 +449,18 @@ impl<'a> Driver<'a> {
         };
         let mut next_sample = samples.iter().copied().peekable();
         let mut results: BatchResults<R::Error> = batch.iter().map(|_| Ok(None)).collect();
-        let mut views: Vec<(u64, Option<R::View<'_>>)> = Vec::new();
+        // Pinned views live here, for this batch only; the table that
+        // indexes them is recycled through the scratch below.
+        let arena = PinArena::new();
         // Wave scheduling: each wave distributes the in-flight packets into
         // per-switch buckets (a stable one-move-per-flight bucket sort —
         // arrival order within a switch is preserved, and nothing as large
         // as a `Tagged` is ever swapped around by a comparison sort) and
         // processes each non-empty bucket as one group — one store lease
-        // and one view resolution per (switch, epoch) per wave. Flights
-        // forwarded during a wave join the next one. All the flight buffers
-        // live in the thread-local scratch and persist across batches, so a
-        // warmed-up worker runs the whole wave loop without allocating.
+        // per (switch, wave). Flights forwarded during a wave join the next
+        // one. All the flight buffers live in the thread-local scratch and
+        // persist across batches, so a warmed-up worker runs the whole wave
+        // loop without allocating.
         WAVE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let WaveScratch {
@@ -348,6 +468,8 @@ impl<'a> Driver<'a> {
                 buckets,
                 next,
                 cohort,
+                switches: table,
+                lease_keys,
             } = scratch;
             pending.clear();
             next.clear();
@@ -355,12 +477,19 @@ impl<'a> Driver<'a> {
             if buckets.len() < switches {
                 buckets.resize_with(switches, Vec::new);
             }
+            table.reset(switches);
+            let mut pins = Pins {
+                resolver,
+                table,
+                arena: &arena,
+            };
+            let mut replica = ReplicaBuffer::with_keys(std::mem::take(lease_keys));
             for (origin, (port, packet)) in batch.iter().enumerate() {
                 let Some(ingress) = self.topology.port_switch(*port) else {
                     results[origin] = Err(SimError::UnknownPort(*port).into());
                     continue;
                 };
-                match resolver.ingress(ingress) {
+                match pins.ingress(ingress) {
                     Err(e) => results[origin] = Err(e),
                     Ok(None) => {} // nothing installed: empty egress
                     Ok(Some((epoch, root))) => {
@@ -368,7 +497,8 @@ impl<'a> Driver<'a> {
                         let trace = match self.metrics {
                             Some(m) => {
                                 let admitted = tally.packets;
-                                tally.admit(ingress.0);
+                                tally.packets += 1;
+                                pins.table.slot(ingress).ingress += 1;
                                 if next_sample.next_if_eq(&admitted).is_some() {
                                     Some(Box::new(m.telemetry().tracer().start(port.0, epoch)))
                                 } else {
@@ -401,19 +531,23 @@ impl<'a> Driver<'a> {
                     }
                     let mut group = std::mem::take(bucket);
                     self.run_group(
-                        resolver,
+                        &mut pins,
                         sink,
                         SwitchId(switch),
                         &mut group,
-                        &mut views,
                         next,
                         &mut results,
                         cohort,
                         &mut tally,
+                        &mut replica,
                     );
                     *bucket = group; // keep the bucket's capacity warm
                 }
                 std::mem::swap(pending, next);
+            }
+            *lease_keys = replica.into_keys();
+            if let Some(m) = self.metrics {
+                pins.table.flush_tally(m);
             }
         });
         if let (Some(m), Some(t0)) = (self.metrics, start) {
@@ -429,28 +563,26 @@ impl<'a> Driver<'a> {
 
     /// Drain one switch's group: every flight currently at `switch`, plus
     /// any copies forked while draining, executes under a single
-    /// [`StoreLease`] with each distinct epoch's view resolved once.
-    /// Forwarded flights land in `next` (the following wave); failures land
-    /// in `results`.
+    /// [`StoreLease`] against the batch's pinned views. Forwarded flights
+    /// land in `next` (the following wave); failures land in `results`.
     #[allow(clippy::too_many_arguments)]
-    fn run_group<'r, R: ViewResolver, S: EgressSink>(
+    fn run_group<'b, 'r, R: ViewResolver, S: EgressSink>(
         &self,
-        resolver: &'r R,
+        pins: &mut Pins<'_, 'b, 'r, R>,
         sink: &mut S,
         switch: SwitchId,
         group: &mut Vec<Tagged>,
-        views: &mut Vec<(u64, Option<R::View<'r>>)>,
         next: &mut Vec<Tagged>,
         results: &mut BatchResults<R::Error>,
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
+        replica: &mut ReplicaBuffer<'b>,
     ) {
-        let mut lease = StoreLease::new(resolver.store(switch));
-        views.clear();
+        let mut lease = StoreLease::new(pins.resolver.store(switch), replica);
         // Phase one, lock-free: advance every flight's stateless prefix
         // through the table program, a dispatch stage at a time across the
         // whole group. Only survivors still need the store below.
-        self.wave_prefix(resolver, switch, group, views, results, scratch, tally);
+        self.wave_prefix(pins, switch, group, results, scratch, tally);
         // Phase two, locked: drain the group in place under one store lease.
         // Flights are taken out of their slot (an inert placeholder stays
         // behind) so forked copies can be appended while the walk is live.
@@ -467,20 +599,14 @@ impl<'a> Driver<'a> {
                 continue;
             }
             visits += 1;
-            let view_idx = match views.iter().position(|(e, _)| *e == tagged.epoch) {
-                Some(idx) => idx,
-                None => match resolver.resolve(switch, tagged.epoch) {
-                    Ok(view) => {
-                        views.push((tagged.epoch, view));
-                        views.len() - 1
-                    }
-                    Err(e) => {
-                        results[tagged.origin] = Err(e);
-                        continue;
-                    }
-                },
+            let view = match pins.pin(switch, tagged.epoch) {
+                Ok(slot) => pins.view(slot),
+                Err(e) => {
+                    results[tagged.origin] = Err(e);
+                    continue;
+                }
             };
-            let Some(view) = views[view_idx].1.as_ref() else {
+            let Some(view) = view else {
                 // A switch without a configuration only forwards,
                 // towards the packet's egress port if it has one.
                 match self.forward_unconfigured(&mut tagged.flight) {
@@ -529,8 +655,7 @@ impl<'a> Driver<'a> {
                         // Pure forwarding from here to the delivery switch:
                         // resolve the delivery in place instead of paying
                         // another wave for a hop that can only emit.
-                        if let Err(e) =
-                            self.deliver_remote(resolver, sink, &mut tagged, outport, tally)
+                        if let Err(e) = self.deliver_remote(pins, sink, &mut tagged, outport, tally)
                         {
                             results[tagged.origin] = Err(e);
                         }
@@ -588,12 +713,9 @@ impl<'a> Driver<'a> {
         // are attached: the flush is what makes the writes visible.
         lease.flush();
         if self.metrics.is_some() {
-            if visits > 0 {
-                bump(&mut tally.switch_hops, switch.0, visits);
-            }
-            if lease.state_writes() > 0 {
-                bump(&mut tally.state_writes, switch.0, lease.state_writes());
-            }
+            let slot = pins.table.slot(switch);
+            slot.hops += visits;
+            slot.state_writes += lease.state_writes();
         }
     }
 
@@ -635,21 +757,19 @@ impl<'a> Driver<'a> {
     /// prefix ends in a drop or a stateless emit never contend for the
     /// lock at all. Survivor counts land on this instance's
     /// `driver.wave_prefix.*` counters ([`PlaneTelemetry`]).
-    #[allow(clippy::too_many_arguments)]
-    fn wave_prefix<'r, R: ViewResolver>(
+    fn wave_prefix<R: ViewResolver>(
         &self,
-        resolver: &'r R,
+        pins: &mut Pins<'_, '_, '_, R>,
         switch: SwitchId,
         group: &mut [Tagged],
-        views: &mut Vec<(u64, Option<R::View<'r>>)>,
         results: &mut BatchResults<R::Error>,
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
     ) {
-        // Seed cohorts, keyed by (view, node): every member is about to
-        // execute the same dispatch step. Member lists are recycled through
-        // the scratch pool, so a warmed-up driver forms cohorts without
-        // allocating.
+        // Seed cohorts, keyed by (pinned view, node): every member is about
+        // to execute the same dispatch step. Member lists are recycled
+        // through the scratch pool, so a warmed-up driver forms cohorts
+        // without allocating.
         let cohorts = &mut scratch.cohorts;
         debug_assert!(cohorts.is_empty());
         let mut packets = 0u64;
@@ -663,21 +783,14 @@ impl<'a> Driver<'a> {
             if node.is_leaf() {
                 continue;
             }
-            let epoch = tagged.epoch;
-            let view_idx = match views.iter().position(|(e, _)| *e == epoch) {
-                Some(idx) => idx,
-                None => match resolver.resolve(switch, epoch) {
-                    Ok(view) => {
-                        views.push((epoch, view));
-                        views.len() - 1
-                    }
-                    Err(e) => {
-                        results[tagged.origin] = Err(e);
-                        continue;
-                    }
-                },
+            let view_idx = match pins.pin(switch, tagged.epoch) {
+                Ok(slot) => slot,
+                Err(e) => {
+                    results[tagged.origin] = Err(e);
+                    continue;
+                }
             };
-            if views[view_idx].1.is_none() {
+            if pins.view(view_idx).is_none() {
                 continue; // unconfigured switch: the locked phase forwards it
             }
             packets += 1;
@@ -695,9 +808,8 @@ impl<'a> Driver<'a> {
         }
         let mut survivors = 0u64;
         while let Some((view_idx, node, mut members)) = cohorts.pop() {
-            let view = views[view_idx]
-                .1
-                .as_ref()
+            let view = pins
+                .view(view_idx)
                 .expect("cohorts only form over configured views");
             let flat = view.flat();
             let tables = view.tables();
@@ -748,7 +860,7 @@ impl<'a> Driver<'a> {
     /// port), collapsed into its emitting wave.
     fn deliver_remote<R: ViewResolver, S: EgressSink>(
         &self,
-        resolver: &R,
+        pins: &mut Pins<'_, '_, '_, R>,
         sink: &mut S,
         tagged: &mut Tagged,
         port: PortId,
@@ -766,12 +878,9 @@ impl<'a> Driver<'a> {
         if tagged.flight.hops > self.hop_budget {
             return Err(SimError::HopBudgetExceeded.into());
         }
-        let serves = match resolver.resolve(target, tagged.epoch)? {
-            Some(view) => view.serves_port(port),
-            // An unconfigured switch only forwards; it cannot deliver.
-            None => false,
-        };
-        if !serves {
+        let slot = pins.pin(target, tagged.epoch)?;
+        // An unconfigured switch only forwards; it cannot deliver.
+        if !pins.view(slot).is_some_and(|view| view.serves_port(port)) {
             return Err(bad_port().into());
         }
         let mut clean = std::mem::take(&mut tagged.flight.pkt);

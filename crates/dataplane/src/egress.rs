@@ -32,10 +32,9 @@ pub struct EgressEvent {
 
 struct PortQueue {
     buf: Mutex<VecDeque<EgressEvent>>,
-    /// Next per-port sequence number. Guarded by `buf`'s lock (kept separate
-    /// so drains don't reset it); atomic only to stay `Sync` without a
-    /// second lock order.
-    next_seq: AtomicU64,
+    /// Events enqueued since construction — which is also the next event's
+    /// sequence number. Written only under `buf`'s lock; kept outside it so
+    /// drains don't reset it, and atomic so readers need no lock.
     enqueued: AtomicU64,
     dropped: AtomicU64,
 }
@@ -44,7 +43,6 @@ impl PortQueue {
     fn new() -> PortQueue {
         PortQueue {
             buf: Mutex::new(VecDeque::new()),
-            next_seq: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -53,7 +51,9 @@ impl PortQueue {
 
 /// A set of bounded per-port FIFO egress queues.
 pub struct EgressQueues {
-    queues: BTreeMap<PortId, PortQueue>,
+    /// Sorted by port: a lookup is a binary search over one contiguous run
+    /// (a switch serves a handful of ports), not a tree walk.
+    queues: Vec<(PortId, PortQueue)>,
     capacity: usize,
 }
 
@@ -64,10 +64,18 @@ impl EgressQueues {
     /// Queues for the given ports, each bounded at `capacity` events
     /// (minimum 1).
     pub fn new(ports: impl IntoIterator<Item = PortId>, capacity: usize) -> EgressQueues {
+        let mut ports: Vec<PortId> = ports.into_iter().collect();
+        ports.sort_unstable();
+        ports.dedup();
         EgressQueues {
             queues: ports.into_iter().map(|p| (p, PortQueue::new())).collect(),
             capacity: capacity.max(1),
         }
+    }
+
+    fn queue(&self, port: PortId) -> Option<&PortQueue> {
+        let at = self.queues.binary_search_by_key(&port, |(p, _)| *p).ok()?;
+        Some(&self.queues[at].1)
     }
 
     /// The configured per-port depth bound.
@@ -77,7 +85,7 @@ impl EgressQueues {
 
     /// The ports this queue set serves.
     pub fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
-        self.queues.keys().copied()
+        self.queues.iter().map(|(p, _)| *p)
     }
 
     /// Enqueue a delivery on a port. Returns `true` if the event was queued,
@@ -85,7 +93,7 @@ impl EgressQueues {
     /// port's backpressure counter incremented) or the port is not served
     /// here.
     pub fn push(&self, port: PortId, packet: Packet, epoch: u64) -> bool {
-        let Some(q) = self.queues.get(&port) else {
+        let Some(q) = self.queue(port) else {
             return false;
         };
         let mut buf = q.buf.lock();
@@ -93,15 +101,15 @@ impl EgressQueues {
             q.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let seq = q.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = q.enqueued.load(Ordering::Relaxed);
         buf.push_back(EgressEvent { packet, epoch, seq });
-        q.enqueued.fetch_add(1, Ordering::Relaxed);
+        q.enqueued.store(seq + 1, Ordering::Relaxed);
         true
     }
 
     /// Drain everything currently queued on a port, in FIFO order.
     pub fn drain(&self, port: PortId) -> Vec<EgressEvent> {
-        match self.queues.get(&port) {
+        match self.queue(port) {
             Some(q) => q.buf.lock().drain(..).collect(),
             None => Vec::new(),
         }
@@ -109,41 +117,39 @@ impl EgressQueues {
 
     /// Drain every port, in port order.
     pub fn drain_all(&self) -> BTreeMap<PortId, Vec<EgressEvent>> {
-        self.queues.keys().map(|&p| (p, self.drain(p))).collect()
+        self.ports().map(|p| (p, self.drain(p))).collect()
     }
 
     /// Current depth of a port's queue.
     pub fn depth(&self, port: PortId) -> usize {
-        self.queues.get(&port).map_or(0, |q| q.buf.lock().len())
+        self.queue(port).map_or(0, |q| q.buf.lock().len())
     }
 
     /// Events tail-dropped on a port because its queue was full.
     pub fn dropped(&self, port: PortId) -> u64 {
-        self.queues
-            .get(&port)
+        self.queue(port)
             .map_or(0, |q| q.dropped.load(Ordering::Relaxed))
     }
 
     /// Events successfully enqueued on a port since construction.
     pub fn enqueued(&self, port: PortId) -> u64 {
-        self.queues
-            .get(&port)
+        self.queue(port)
             .map_or(0, |q| q.enqueued.load(Ordering::Relaxed))
     }
 
     /// Total backpressure drops across all ports.
     pub fn total_dropped(&self) -> u64 {
         self.queues
-            .values()
-            .map(|q| q.dropped.load(Ordering::Relaxed))
+            .iter()
+            .map(|(_, q)| q.dropped.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Total events enqueued across all ports since construction.
     pub fn total_enqueued(&self) -> u64 {
         self.queues
-            .values()
-            .map(|q| q.enqueued.load(Ordering::Relaxed))
+            .iter()
+            .map(|(_, q)| q.enqueued.load(Ordering::Relaxed))
             .sum()
     }
 }

@@ -40,12 +40,51 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// One buffered commuting update, awaiting the merge flush.
-enum ReplicaOp {
+/// What a buffered commuting update does to its key.
+enum ReplicaOp<'p> {
     /// Net increment of a [`StateClass::Counter`] key.
     Add(i64),
-    /// Idempotent literal set of a [`StateClass::IdempotentSet`] key.
-    Set(Value),
+    /// Idempotent literal set of a [`StateClass::IdempotentSet`] key — the
+    /// literal is borrowed from the program.
+    Set(&'p Value),
+}
+
+/// One buffered commuting update, awaiting the merge flush. The variable is
+/// borrowed from the program that wrote it and the key is a range of the
+/// buffer's key arena, so buffering one allocates nothing.
+struct Delta<'p> {
+    var: &'p StateVar,
+    key: std::ops::Range<usize>,
+    op: ReplicaOp<'p>,
+    shard: usize,
+}
+
+/// The storage behind a [`StoreLease`]'s buffered commuting updates, owned
+/// by whoever drives the leases (one per batch in the driver) so that
+/// consecutive leases reuse it: the delta list keeps its capacity from group
+/// to group, and the key arena — plain values, no borrows — can be carried
+/// from batch to batch ([`ReplicaBuffer::with_keys`] /
+/// [`ReplicaBuffer::into_keys`]). Always empty between two leases: a lease
+/// drains it in [`StoreLease::flush`].
+pub struct ReplicaBuffer<'p> {
+    deltas: Vec<Delta<'p>>,
+    keys: Vec<Value>,
+}
+
+impl<'p> ReplicaBuffer<'p> {
+    /// A buffer over a recycled (empty) key arena.
+    pub fn with_keys(keys: Vec<Value>) -> ReplicaBuffer<'p> {
+        debug_assert!(keys.is_empty());
+        ReplicaBuffer {
+            deltas: Vec::new(),
+            keys,
+        }
+    }
+
+    /// Hand the (empty) key arena back for the next buffer to reuse.
+    pub fn into_keys(self) -> Vec<Value> {
+        self.keys
+    }
 }
 
 /// A lazily locking lease on one switch's [`StateShards`].
@@ -70,49 +109,47 @@ enum ReplicaOp {
 /// cross-worker ordering contract.
 ///
 /// Writes to variables the program classified as commuting
-/// ([`StateClass::is_replicable`]) never lock: they accumulate in a private
-/// delta buffer and are merged into the authoritative shards by
-/// [`StoreLease::flush`] under one short lock per touched shard — exact,
-/// because classification guarantees nothing on the packet path observes
-/// the intermediate values and the buffered updates are order-independent.
-pub struct StoreLease<'a> {
+/// ([`StateClass::is_replicable`]) never lock and never allocate: they
+/// accumulate in the lent [`ReplicaBuffer`] — the variable name and a set's
+/// literal stay borrowed from the program (`'p`), the evaluated key is
+/// appended to the buffer's arena — and are merged into the authoritative
+/// shards by [`StoreLease::flush`] under one short lock per touched shard:
+/// exact, because classification guarantees nothing on the packet path
+/// observes the intermediate values and the buffered updates are
+/// order-independent.
+pub struct StoreLease<'a, 'p> {
     shards: Option<&'a StateShards>,
     /// The single currently held shard guard, if any: `(shard index,
     /// guard)`. Never more than one — see the no-hold-and-wait invariant
     /// above.
     guard: Option<(usize, MutexGuard<'a, Store>)>,
-    /// Buffered commuting updates: `(var, index, op, shard)`. Linear-scan
-    /// coalesced — batch groups are small (≤ the driver's group size), so
-    /// a scan beats a hash map here.
-    deltas: Vec<(StateVar, Vec<Value>, ReplicaOp, usize)>,
+    /// Buffered commuting updates. Linear-scan coalesced — batch groups are
+    /// small (≤ the driver's group size), so a scan beats a hash map here.
+    buffer: &'a mut ReplicaBuffer<'p>,
     writes: u64,
 }
 
-impl<'a> StoreLease<'a> {
+impl<'a, 'p> StoreLease<'a, 'p> {
     /// A lease over a switch's shards (`None` for a switch with no state —
-    /// every state access will then report the missing store).
-    pub fn new(shards: Option<&'a StateShards>) -> StoreLease<'a> {
+    /// every state access will then report the missing store), buffering
+    /// commuting updates in `buffer`.
+    pub fn new(
+        shards: Option<&'a StateShards>,
+        buffer: &'a mut ReplicaBuffer<'p>,
+    ) -> StoreLease<'a, 'p> {
+        debug_assert!(buffer.deltas.is_empty() && buffer.keys.is_empty());
         StoreLease {
             shards,
             guard: None,
-            deltas: Vec::new(),
+            buffer,
             writes: 0,
         }
     }
 
-    /// The store of shard `i`: reuses the held guard when it is already
-    /// `i`'s, otherwise drops it first and locks `i` (counted). Holding at
-    /// most one guard at a time is what rules out cross-worker deadlock.
+    /// The store of shard `i`, locked under the lease's single-guard rule.
     fn shard_store(&mut self, i: usize) -> &mut Store {
         let shards = self.shards.expect("state access requires shards");
-        match self.guard {
-            Some((held, _)) if held == i => {}
-            _ => {
-                self.guard = None;
-                self.guard = Some((i, shards.lock_shard_counted(i)));
-            }
-        }
-        &mut self.guard.as_mut().expect("guard just ensured").1
+        locked_shard(shards, &mut self.guard, i)
     }
 
     /// Evaluate a state test against the authoritative shard of the tested
@@ -139,7 +176,7 @@ impl<'a> StoreLease<'a> {
     pub fn apply_action(
         &mut self,
         class: StateClass,
-        action: &Action,
+        action: &'p Action,
         pkt: &Packet,
     ) -> Option<Result<(), EvalError>> {
         let shards = self.shards?;
@@ -170,7 +207,7 @@ impl<'a> StoreLease<'a> {
                 ) => {
                     snap_lang::eval_index_into(index, pkt, idx)?;
                     let shard = shards.shard_of(var, idx);
-                    self.buffer(var, idx, ReplicaOp::Set(v.clone()), shard);
+                    self.buffer(var, idx, ReplicaOp::Set(v), shard);
                     Ok(())
                 }
                 _ => {
@@ -195,10 +232,11 @@ impl<'a> StoreLease<'a> {
     }
 
     /// Coalesce a commuting update into the delta buffer.
-    fn buffer(&mut self, var: &StateVar, idx: &[Value], op: ReplicaOp, shard: usize) {
-        for (v, i, existing, _) in self.deltas.iter_mut() {
-            if v == var && i == idx {
-                match (existing, op) {
+    fn buffer(&mut self, var: &'p StateVar, idx: &[Value], op: ReplicaOp<'p>, shard: usize) {
+        let ReplicaBuffer { deltas, keys } = &mut *self.buffer;
+        for delta in deltas.iter_mut() {
+            if delta.var == var && keys[delta.key.clone()] == *idx {
+                match (&mut delta.op, op) {
                     (ReplicaOp::Add(n), ReplicaOp::Add(d)) => *n += d,
                     (slot @ ReplicaOp::Set(_), set @ ReplicaOp::Set(_)) => *slot = set,
                     // Classification never mixes kinds for one variable.
@@ -207,50 +245,57 @@ impl<'a> StoreLease<'a> {
                 return;
             }
         }
-        self.deltas.push((var.clone(), idx.to_vec(), op, shard));
+        let start = keys.len();
+        keys.extend_from_slice(idx);
+        deltas.push(Delta {
+            var,
+            key: start..keys.len(),
+            op,
+            shard,
+        });
     }
 
     /// Merge the buffered commuting updates into the authoritative shards
     /// (one short counted lock per touched shard) and release every guard.
     /// The driver calls this at the end of each batch-group, bounding how
     /// stale a concurrent `aggregate_store` can observe replicated totals:
-    /// exact once the workers have joined.
+    /// exact once the workers have joined. A group that buffered nothing
+    /// only releases its guard.
     pub fn flush(&mut self) {
-        let mut deltas = std::mem::take(&mut self.deltas);
-        // Group by shard so the single held guard swaps once per touched
-        // shard; the ops commute, so reordering them is exact.
-        deltas.sort_by_key(|(_, _, _, shard)| *shard);
-        for (var, idx, op, shard) in &deltas {
-            let store = self.shard_store(*shard);
-            match op {
-                ReplicaOp::Add(n) => {
-                    store
-                        .update(var, idx, |cur| {
-                            // Classification guarantees every program write
-                            // to this variable is an increment, so non-int
-                            // values can only come from hand-installed
-                            // tables; coerce them to 0 rather than fail a
-                            // flush that can no longer be attributed to a
-                            // packet.
-                            Ok::<_, std::convert::Infallible>(Value::Int(
-                                cur.as_int().unwrap_or(0) + n,
-                            ))
-                        })
-                        .unwrap();
+        let ReplicaBuffer { deltas, keys } = &mut *self.buffer;
+        if let (Some(shards), false) = (self.shards, deltas.is_empty()) {
+            // Group by shard so the single held guard swaps once per touched
+            // shard; the ops commute, so reordering them is exact (and an
+            // unstable sort needs no scratch buffer).
+            deltas.sort_unstable_by_key(|delta| delta.shard);
+            let mut flushing = None;
+            for delta in deltas.drain(..) {
+                if flushing != Some(delta.shard) {
+                    flushing = Some(delta.shard);
+                    shards.note_flush(delta.shard);
                 }
-                ReplicaOp::Set(v) => {
-                    store.set_at(var, idx, v.clone());
-                }
-            }
-        }
-        if let Some(shards) = self.shards {
-            let mut flushed = vec![false; shards.num_shards()];
-            for (_, _, _, shard) in &deltas {
-                if !flushed[*shard] {
-                    flushed[*shard] = true;
-                    shards.note_flush(*shard);
+                let store = locked_shard(shards, &mut self.guard, delta.shard);
+                let idx = &keys[delta.key];
+                match delta.op {
+                    ReplicaOp::Add(n) => {
+                        store
+                            .update(delta.var, idx, |cur| {
+                                // Classification guarantees every program
+                                // write to this variable is an increment, so
+                                // non-int values can only come from
+                                // hand-installed tables; coerce them to 0
+                                // rather than fail a flush that can no
+                                // longer be attributed to a packet.
+                                Ok::<_, std::convert::Infallible>(Value::Int(
+                                    cur.as_int().unwrap_or(0) + n,
+                                ))
+                            })
+                            .unwrap();
+                    }
+                    ReplicaOp::Set(v) => store.set_at(delta.var, idx, v.clone()),
                 }
             }
+            keys.clear();
         }
         self.guard = None;
     }
@@ -260,6 +305,25 @@ impl<'a> StoreLease<'a> {
     pub fn state_writes(&self) -> u64 {
         self.writes
     }
+}
+
+/// The store of shard `i` under a lease's single-guard rule: reuses the held
+/// guard when it is already `i`'s, otherwise drops it first and locks `i`
+/// (counted). Holding at most one guard at a time is what rules out
+/// cross-worker deadlock.
+fn locked_shard<'g, 'a>(
+    shards: &'a StateShards,
+    guard: &'g mut Option<(usize, MutexGuard<'a, Store>)>,
+    i: usize,
+) -> &'g mut Store {
+    match guard {
+        Some((held, _)) if *held == i => {}
+        _ => {
+            *guard = None;
+            *guard = Some((i, shards.lock_shard_counted(i)));
+        }
+    }
+    &mut guard.as_mut().expect("guard just ensured").1
 }
 
 /// Errors surfaced by packet execution.
@@ -366,7 +430,7 @@ pub fn process_at_switch<'p>(
     local_vars: &BTreeSet<StateVar>,
     flat: &'p FlatProgram,
     tables: &TableProgram,
-    store: &mut StoreLease<'_>,
+    store: &mut StoreLease<'_, 'p>,
     flight: &mut InFlight,
     mut trace: Option<&mut HopRecord>,
 ) -> Result<StepOutcome<'p>, SimError> {
@@ -565,18 +629,18 @@ impl NextHops {
 /// The error for a state variable the running placement does not map to any
 /// switch.
 pub fn missing_placement_error(var: &StateVar) -> SimError {
-    SimError::Eval(EvalError::MissingField(Field::Custom(format!(
-        "no placement for state variable {var}"
-    ))))
+    SimError::Eval(EvalError::MissingField(Field::Custom(
+        format!("no placement for state variable {var}").into(),
+    )))
 }
 
 /// The error for a variable whose placement names the *current* switch
 /// while that switch's configuration does not own it — inconsistent
 /// metadata that would otherwise spin a packet in place forever.
 pub fn misplaced_state_error(var: &StateVar) -> SimError {
-    SimError::Eval(EvalError::MissingField(Field::Custom(format!(
-        "state variable {var} placed on a switch that does not own it"
-    ))))
+    SimError::Eval(EvalError::MissingField(Field::Custom(
+        format!("state variable {var} placed on a switch that does not own it").into(),
+    )))
 }
 
 /// The OBS egress port the program assigned to a packet.

@@ -50,12 +50,13 @@ pub mod exec;
 pub mod metrics;
 pub mod netasm;
 pub mod network;
+mod pins;
 pub mod shards;
 pub mod traffic;
 
-pub use driver::{BatchResults, Driver, EgressSink, HopView, ViewResolver};
+pub use driver::{BatchResults, Driver, EgressSink, HopView, Ingress, ViewResolver};
 pub use egress::{EgressEvent, EgressQueues, DEFAULT_QUEUE_CAPACITY};
-pub use exec::{InFlight, NextHops, Progress, SimError, StepOutcome, StoreLease};
+pub use exec::{InFlight, NextHops, Progress, ReplicaBuffer, SimError, StepOutcome, StoreLease};
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
 pub use netasm::{Instruction, NetAsmProgram};
 pub use network::{BatchOutput, ConfigSnapshot, Network, QueuedBatchOutput, SwitchConfig};

@@ -39,7 +39,7 @@ use snap_xfdd::{FlatProgram, TableProgram, Xfdd};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::driver::{Driver, EgressSink, HopView, ViewResolver};
+use crate::driver::{Driver, EgressSink, HopView, Ingress, ViewResolver};
 use crate::egress::EgressQueues;
 use crate::exec::NextHops;
 pub use crate::exec::SimError;
@@ -661,9 +661,16 @@ impl ViewResolver for SnapshotResolver<'_> {
         Self: 'v;
     type Error = SimError;
 
-    fn ingress(&self, _switch: SwitchId) -> Result<Option<(u64, snap_xfdd::FlatId)>, SimError> {
+    fn ingress(&self, switch: SwitchId) -> Result<Option<Ingress<SnapshotView<'_>>>, SimError> {
         // No programs installed: packets vanish with empty egress.
-        Ok(self.snap.flat.as_ref().map(|f| (self.snap.epoch, f.root())))
+        let Some(flat) = &self.snap.flat else {
+            return Ok(None);
+        };
+        Ok(Some(Ingress {
+            epoch: self.snap.epoch,
+            root: flat.root(),
+            view: self.resolve(switch, self.snap.epoch)?,
+        }))
     }
 
     fn resolve(&self, switch: SwitchId, _epoch: u64) -> Result<Option<SnapshotView<'_>>, SimError> {

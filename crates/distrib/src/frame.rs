@@ -333,9 +333,10 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
-    fn str(&mut self) -> Result<String, FrameError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| FrameError::BadUtf8)
+    /// A length-prefixed string, borrowed from the frame: each caller
+    /// copies it once, straight into the form it stores.
+    fn str(&mut self) -> Result<&'a str, FrameError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| FrameError::BadUtf8)
     }
 
     fn bool(&mut self) -> Result<bool, FrameError> {
@@ -362,8 +363,8 @@ impl<'a> Dec<'a> {
                 }
                 Ok(Value::Prefix(Prefix::new(addr, len)))
             }
-            4 => Ok(Value::Str(self.str()?)),
-            5 => Ok(Value::Symbol(self.str()?)),
+            4 => Ok(Value::Str(self.str()?.into())),
+            5 => Ok(Value::Symbol(self.str()?.into())),
             6 => {
                 let n = self.seq_len(1)?;
                 let mut vs = Vec::with_capacity(n);
@@ -396,7 +397,7 @@ impl<'a> Dec<'a> {
         let vars = self.seq_len(4)?;
         let mut local_vars = BTreeSet::new();
         for _ in 0..vars {
-            local_vars.insert(StateVar(self.str()?));
+            local_vars.insert(StateVar(self.str()?.into()));
         }
         let ports = self.seq_len(8)?;
         let mut port_set = BTreeSet::new();
@@ -413,7 +414,7 @@ impl<'a> Dec<'a> {
         let n = self.seq_len(12)?;
         let mut map = BTreeMap::new();
         for _ in 0..n {
-            let var = StateVar(self.str()?);
+            let var = StateVar(self.str()?.into());
             let owner = SwitchId(self.u64()? as usize);
             map.insert(var, owner);
         }
@@ -459,7 +460,7 @@ pub fn decode_to_agent(buf: &[u8]) -> Result<ToAgent, FrameError> {
         2 => ToAgent::Abort { epoch: d.u64()? },
         3 => ToAgent::InstallTable {
             epoch: d.u64()?,
-            var: StateVar(d.str()?),
+            var: StateVar(d.str()?.into()),
             table: d.table()?,
         },
         4 => ToAgent::Shutdown,
@@ -481,7 +482,7 @@ pub fn decode_from_agent(buf: &[u8]) -> Result<FromAgent, FrameError> {
         1 => FromAgent::PrepareFailed {
             switch: SwitchId(d.u64()? as usize),
             epoch: d.u64()?,
-            reason: d.str()?,
+            reason: d.str()?.into(),
         },
         2 => {
             let switch = SwitchId(d.u64()? as usize);
@@ -489,7 +490,7 @@ pub fn decode_from_agent(buf: &[u8]) -> Result<FromAgent, FrameError> {
             let n = d.seq_len(2)?;
             let mut yields = Vec::with_capacity(n);
             for _ in 0..n {
-                let var = StateVar(d.str()?);
+                let var = StateVar(d.str()?.into());
                 let table = d.table()?;
                 yields.push((var, table));
             }
@@ -502,7 +503,7 @@ pub fn decode_from_agent(buf: &[u8]) -> Result<FromAgent, FrameError> {
         3 => FromAgent::Installed {
             switch: SwitchId(d.u64()? as usize),
             epoch: d.u64()?,
-            var: StateVar(d.str()?),
+            var: StateVar(d.str()?.into()),
         },
         t => return Err(FrameError::BadTag(t)),
     };
@@ -628,6 +629,40 @@ mod tests {
             let back = decode_from_agent(&bytes).expect("round trip");
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
+    }
+
+    /// Frames are what separately built controller and agent processes
+    /// exchange; how a value keeps its text in memory must not show in
+    /// them. The expected bytes are spelled out from the format, not taken
+    /// from the encoder under test.
+    #[test]
+    fn text_values_encode_to_the_documented_bytes() {
+        let mut table = StateTable::with_default(Value::sym("NEW"));
+        table.set(vec![Value::str("a.example")], Value::sym("SYN"));
+        let msg = ToAgent::InstallTable {
+            epoch: 3,
+            var: StateVar("orphan".into()),
+            table,
+        };
+        let mut want = vec![3u8]; // InstallTable
+        want.extend_from_slice(&3u64.to_le_bytes());
+        let text = |want: &mut Vec<u8>, s: &str| {
+            want.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            want.extend_from_slice(s.as_bytes());
+        };
+        text(&mut want, "orphan");
+        want.push(5); // default: Symbol
+        text(&mut want, "NEW");
+        want.extend_from_slice(&1u32.to_le_bytes()); // one entry
+        want.extend_from_slice(&1u32.to_le_bytes()); // of arity one
+        want.push(4); // Str
+        text(&mut want, "a.example");
+        want.push(5); // Symbol
+        text(&mut want, "SYN");
+        let bytes = encode_to_agent(&msg);
+        assert_eq!(bytes, want);
+        let back = decode_to_agent(&bytes).expect("round trip");
+        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
     }
 
     #[test]

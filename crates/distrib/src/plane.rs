@@ -19,7 +19,7 @@
 //! like it drives a `Network`.
 
 use crate::agent::{EpochView, SwitchAgent};
-use snap_dataplane::driver::{Driver, EgressSink, HopView, ViewResolver};
+use snap_dataplane::driver::{Driver, EgressSink, HopView, Ingress, ViewResolver};
 use snap_dataplane::egress::EgressEvent;
 use snap_dataplane::exec::{NextHops, SimError};
 use snap_dataplane::metrics::{export_egress, export_shards, PlaneTelemetry};
@@ -27,7 +27,7 @@ use snap_dataplane::{StateShards, TargetBatch, TrafficTarget};
 use snap_lang::{Packet, StateVar, Store};
 use snap_telemetry::{MetricsSnapshot, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{FlatId, FlatProgram, TableProgram};
+use snap_xfdd::{FlatProgram, TableProgram};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -92,7 +92,10 @@ pub struct InjectOutcome {
 pub struct DistNetwork {
     topology: Topology,
     next_hops: NextHops,
-    agents: BTreeMap<SwitchId, Arc<SwitchAgent>>,
+    /// Indexed densely by switch (`None`: the switch has no agent), so the
+    /// packet path reaches an agent, its store and its egress queues with
+    /// one array load per hop and per delivery.
+    agents: Vec<Option<Arc<SwitchAgent>>>,
     hop_budget: usize,
     /// This plane's telemetry handles; shared with the controller by
     /// [`crate::deploy_in_process`] so one snapshot covers packet counters
@@ -106,7 +109,12 @@ pub struct DistNetwork {
 /// staged one mid-commit (sound because the controller only orders commits
 /// after every agent prepared; see the `agent` module docs).
 struct AgentResolver<'a> {
-    agents: &'a BTreeMap<SwitchId, Arc<SwitchAgent>>,
+    agents: &'a [Option<Arc<SwitchAgent>>],
+}
+
+/// The agent of `switch` in a dense per-switch table.
+fn agent_of(agents: &[Option<Arc<SwitchAgent>>], switch: SwitchId) -> Option<&Arc<SwitchAgent>> {
+    agents.get(switch.0)?.as_ref()
 }
 
 /// One agent's epoch view, as the shared driver consumes it.
@@ -143,43 +151,41 @@ impl ViewResolver for AgentResolver<'_> {
         Self: 'v;
     type Error = InjectError;
 
-    fn ingress(&self, switch: SwitchId) -> Result<Option<(u64, FlatId)>, InjectError> {
-        let agent = self
-            .agents
-            .get(&switch)
-            .ok_or(InjectError::NoAgent(switch))?;
-        let view = agent
+    fn ingress(&self, switch: SwitchId) -> Result<Option<Ingress<AgentView>>, InjectError> {
+        let view = agent_of(self.agents, switch)
+            .ok_or(InjectError::NoAgent(switch))?
             .current_view()
             .ok_or(InjectError::NotConfigured(switch))?;
-        Ok(Some((view.epoch, view.flat.root())))
+        Ok(Some(Ingress {
+            epoch: view.epoch,
+            root: view.flat.root(),
+            view: Some(AgentView { view }),
+        }))
     }
 
     fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Option<AgentView>, InjectError> {
-        let agent = self
-            .agents
-            .get(&switch)
-            .ok_or(InjectError::NoAgent(switch))?;
-        let view = agent
+        let view = agent_of(self.agents, switch)
+            .ok_or(InjectError::NoAgent(switch))?
             .view_for(epoch)
             .ok_or(InjectError::EpochUnavailable { switch, epoch })?;
         Ok(Some(AgentView { view }))
     }
 
     fn store(&self, switch: SwitchId) -> Option<&StateShards> {
-        self.agents.get(&switch).map(|a| a.store())
+        agent_of(self.agents, switch).map(|a| a.store())
     }
 }
 
 /// [`EgressSink`] that delivers into the owning agent's bounded per-port
 /// FIFO queues, counting backpressure tail-drops per packet.
 struct AgentQueueSink<'a> {
-    agents: &'a BTreeMap<SwitchId, Arc<SwitchAgent>>,
+    agents: &'a [Option<Arc<SwitchAgent>>],
     outcomes: Vec<InjectOutcome>,
 }
 
 impl EgressSink for AgentQueueSink<'_> {
     fn deliver(&mut self, origin: usize, at: SwitchId, port: PortId, pkt: Packet, epoch: u64) {
-        if let Some(agent) = self.agents.get(&at) {
+        if let Some(agent) = agent_of(self.agents, at) {
             if !agent.egress().push(port, pkt.clone(), epoch) {
                 self.outcomes[origin].backpressure_drops += 1;
             }
@@ -193,10 +199,17 @@ impl DistNetwork {
     pub fn new(topology: Topology, agents: BTreeMap<SwitchId, Arc<SwitchAgent>>) -> DistNetwork {
         let next_hops = NextHops::compute(&topology);
         let telemetry = Some(PlaneTelemetry::new(Telemetry::new(), &topology));
+        let mut dense = vec![None; topology.num_nodes()];
+        for (switch, agent) in agents {
+            if dense.len() <= switch.0 {
+                dense.resize(switch.0 + 1, None);
+            }
+            dense[switch.0] = Some(agent);
+        }
         DistNetwork {
             topology,
             next_hops,
-            agents,
+            agents: dense,
             hop_budget: snap_dataplane::network::DEFAULT_HOP_BUDGET,
             telemetry,
         }
@@ -242,7 +255,7 @@ impl DistNetwork {
         registry.gauge("network.epoch_skew").set((max - min) as i64);
         let mut snap = t.telemetry().snapshot();
         let mut stat_families: BTreeMap<&str, Vec<(String, u64)>> = BTreeMap::new();
-        for agent in self.agents.values() {
+        for agent in self.agents() {
             export_egress(
                 &mut snap,
                 &format!("egress.{}", agent.name()),
@@ -305,12 +318,12 @@ impl DistNetwork {
 
     /// The agent for a switch.
     pub fn agent(&self, switch: SwitchId) -> Option<&Arc<SwitchAgent>> {
-        self.agents.get(&switch)
+        agent_of(&self.agents, switch)
     }
 
     /// All agents, in switch order.
     pub fn agents(&self) -> impl Iterator<Item = &Arc<SwitchAgent>> {
-        self.agents.values()
+        self.agents.iter().flatten()
     }
 
     /// Inject a packet at an OBS external port: stamp it with the ingress
@@ -324,20 +337,23 @@ impl DistNetwork {
     }
 
     /// Inject a batch of packets through the shared batched driver: each
-    /// packet is stamped at its own ingress agent (epochs may differ within
-    /// a batch while a commit wave passes), in-flight packets are grouped
-    /// per switch and drained under one store-lock acquisition per group,
-    /// and results come back in batch order.
+    /// packet is stamped at its own ingress agent — asked once per batch, so
+    /// packets entering at one switch share an epoch, while epochs may
+    /// differ between ingress switches as a commit wave passes — in-flight
+    /// packets are grouped per switch and drained under one store-lock
+    /// acquisition per group, and results come back in batch order. Every
+    /// view the batch resolves is pinned until it ends: an agent's `core`
+    /// lock is taken once per (switch, epoch, batch), not per packet.
     ///
-    /// Batching widens the window between a packet's epoch stamp and its
-    /// last hop's view lookup: a packet whose batch drains across more than
-    /// [`crate::agent::EPOCH_HISTORY`] commits can find its epoch pruned
-    /// from the ring and fail with [`InjectError::EpochUnavailable`], where
-    /// a solo injection (stamp-to-resolve window of one flight) would have
-    /// completed. Batch size therefore trades throughput against
-    /// commit-rate tolerance; callers racing a fast controller should use
-    /// smaller batches or retry pruned packets (re-injection re-stamps
-    /// against the fresh epoch).
+    /// Batching widens the window between a packet's epoch stamp and the
+    /// first lookup of that epoch's view at a later hop: a packet whose
+    /// batch drains across more than [`crate::agent::EPOCH_HISTORY`] commits
+    /// can find its epoch pruned from the ring and fail with
+    /// [`InjectError::EpochUnavailable`], where a solo injection
+    /// (stamp-to-resolve window of one flight) would have completed. Batch
+    /// size therefore trades throughput against commit-rate tolerance;
+    /// callers racing a fast controller should use smaller batches or retry
+    /// pruned packets (re-injection re-stamps against the fresh epoch).
     pub fn inject_batch<P: std::borrow::Borrow<Packet>>(
         &self,
         batch: &[(PortId, P)],
@@ -378,8 +394,7 @@ impl DistNetwork {
     pub fn drain_port(&self, port: PortId) -> Vec<EgressEvent> {
         match self.topology.port_switch(port) {
             Some(switch) => self
-                .agents
-                .get(&switch)
+                .agent(switch)
                 .map(|a| a.egress().drain(port))
                 .unwrap_or_default(),
             None => Vec::new(),
@@ -388,10 +403,7 @@ impl DistNetwork {
 
     /// Total backpressure drops across every agent's queues.
     pub fn total_backpressure(&self) -> u64 {
-        self.agents
-            .values()
-            .map(|a| a.egress().total_dropped())
-            .sum()
+        self.agents().map(|a| a.egress().total_dropped()).sum()
     }
 
     /// Merge every agent's state tables into one OBS-level store, filtered
@@ -399,7 +411,7 @@ impl DistNetwork {
     /// exactly one switch, so this is a disjoint union).
     pub fn aggregate_store(&self) -> Store {
         let mut out = Store::new();
-        for agent in self.agents.values() {
+        for agent in self.agents() {
             let Some(view) = agent.current_view() else {
                 continue;
             };
@@ -415,8 +427,7 @@ impl DistNetwork {
     /// The set of current epochs across agents (a singleton whenever no
     /// commit is mid-flight).
     pub fn current_epochs(&self) -> std::collections::BTreeSet<u64> {
-        self.agents
-            .values()
+        self.agents()
             .filter_map(|a| a.current_view().map(|v| v.epoch))
             .collect()
     }

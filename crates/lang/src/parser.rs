@@ -527,10 +527,10 @@ impl Parser {
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
             Some(Tok::Ip(ip)) => Ok(Value::Ip(ip)),
             Some(Tok::Prefix(p)) => Ok(Value::Prefix(p)),
-            Some(Tok::Str(s)) => Ok(Value::Str(s)),
+            Some(Tok::Str(s)) => Ok(Value::str(s)),
             Some(Tok::True) => Ok(Value::Bool(true)),
             Some(Tok::False) => Ok(Value::Bool(false)),
-            Some(Tok::Ident(s)) => Ok(Value::Symbol(s)),
+            Some(Tok::Ident(s)) => Ok(Value::sym(s)),
             other => {
                 self.pos = self.pos.saturating_sub(1);
                 Err(self.error(format!("expected a value, found {other:?}")))

@@ -17,7 +17,7 @@ pub fn value_to_string(v: &Value) -> String {
         Value::Ip(ip) => ip.to_string(),
         Value::Prefix(p) => p.to_string(),
         Value::Str(s) => format!("{s:?}"),
-        Value::Symbol(s) => s.clone(),
+        Value::Symbol(s) => s.to_string(),
         Value::Tuple(vs) => {
             let inner: Vec<String> = vs.iter().map(value_to_string).collect();
             format!("({})", inner.join(", "))

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A 32-bit IPv4 address.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -123,6 +124,11 @@ impl fmt::Display for Prefix {
 }
 
 /// A SNAP value.
+///
+/// The text-carrying variants hold immutable shared text (`Arc<str>`), so
+/// cloning or dropping a value — and hence a packet — never reaches the
+/// allocator: a clone is a reference-count bump. Ordering, equality, hashing
+/// and display compare the text itself, exactly as an owned string would.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// A signed integer (counters, ports, thresholds, TTLs, ...).
@@ -134,9 +140,9 @@ pub enum Value {
     /// An IPv4 prefix; only meaningful inside tests such as `dstip = 10.0.6.0/24`.
     Prefix(Prefix),
     /// A string (DNS names, HTTP user agents, payload content, ...).
-    Str(String),
+    Str(Arc<str>),
     /// A symbolic constant such as `ESTABLISHED`, `SYN` or `threshold`.
-    Symbol(String),
+    Symbol(Arc<str>),
     /// A vector of values (the paper's `⇀v`).
     Tuple(Vec<Value>),
 }
@@ -144,12 +150,12 @@ pub enum Value {
 impl Value {
     /// Convenience constructor for string values.
     pub fn str(s: impl Into<String>) -> Self {
-        Value::Str(s.into())
+        Value::Str(s.into().into())
     }
 
     /// Convenience constructor for symbolic constants.
     pub fn sym(s: impl Into<String>) -> Self {
-        Value::Symbol(s.into())
+        Value::Symbol(s.into().into())
     }
 
     /// Convenience constructor for IP addresses from octets.
@@ -252,7 +258,7 @@ impl From<Prefix> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
@@ -284,8 +290,8 @@ pub enum Field {
     SessionId,
     MpegFrameType,
     Content,
-    /// Any other field, by name.
-    Custom(String),
+    /// Any other field, by name (shared text, like [`Value::Str`]).
+    Custom(Arc<str>),
 }
 
 impl Field {
@@ -334,7 +340,7 @@ impl Field {
             "sid" => Field::SessionId,
             "mpeg.frame-type" => Field::MpegFrameType,
             "content" => Field::Content,
-            other => Field::Custom(other.to_string()),
+            other => Field::Custom(other.into()),
         }
     }
 
@@ -454,7 +460,7 @@ mod tests {
             assert_eq!(Field::from_name(f.name()), f);
         }
         let c = Field::from_name("my.weird.field");
-        assert_eq!(c, Field::Custom("my.weird.field".to_string()));
+        assert_eq!(c, Field::Custom("my.weird.field".into()));
         assert_eq!(c.name(), "my.weird.field");
         assert!(Field::is_known_name("dns.rdata"));
         assert!(!Field::is_known_name("frobnicator"));

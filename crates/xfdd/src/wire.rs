@@ -583,10 +583,12 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
+    /// A length-prefixed string, borrowed from the input: each caller
+    /// copies it once, straight into the form it stores (shared text for
+    /// values and custom fields, nothing at all for a built-in field name).
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::BadUtf8)
     }
 
     fn is_empty(&self) -> bool {
@@ -611,8 +613,8 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
             }
             Ok(Value::Prefix(snap_lang::Prefix::new(addr, len)))
         }
-        4 => Ok(Value::Str(r.str()?)),
-        5 => Ok(Value::Symbol(r.str()?)),
+        4 => Ok(Value::Str(r.str()?.into())),
+        5 => Ok(Value::Symbol(r.str()?.into())),
         6 => {
             let n = r.u32()? as usize;
             let mut vs = Vec::with_capacity(n.min(1024));
@@ -626,7 +628,7 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
 }
 
 fn get_field(r: &mut Reader<'_>) -> Result<Field, WireError> {
-    Ok(Field::from_name(&r.str()?))
+    Ok(Field::from_name(r.str()?))
 }
 
 fn get_expr(r: &mut Reader<'_>) -> Result<Expr, WireError> {
@@ -769,6 +771,32 @@ mod tests {
             decoded_pool.evaluate(decoded_root, &pkt, &store).unwrap(),
             pool.evaluate(root, &pkt, &store).unwrap()
         );
+    }
+
+    /// The wire format is what two builds of an agent and a controller
+    /// share; how a value keeps its text in memory is not. Pinned from the
+    /// encoder as it was when text was still `String`-backed: a program over
+    /// a custom field, a string and symbols must encode to the same bytes.
+    #[test]
+    fn text_carrying_programs_encode_to_the_recorded_bytes() {
+        let policy = ite(
+            test(snap_lang::Field::from_name("vlan.tag"), Value::str("blue"))
+                .and(test(snap_lang::Field::TcpFlags, Value::sym("SYN"))),
+            stateful_policy(),
+            modify(snap_lang::Field::from_name("vlan.tag"), Value::sym("RED")),
+        );
+        let deps = crate::deps::StateDependencies::analyze(&policy);
+        let mut pool = Pool::new(deps.var_order());
+        let root = to_xfdd(&policy, &mut pool).unwrap();
+        let bytes = encode_diagram(&pool, root);
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (485, 6_892_126_127_997_553_502));
+        // And the decoder hands the text back intact: re-encoding what it
+        // read reproduces the bytes.
+        let (decoded_pool, decoded_root) = decode_diagram(&bytes).unwrap();
+        assert_eq!(encode_diagram(&decoded_pool, decoded_root), bytes);
     }
 
     #[test]

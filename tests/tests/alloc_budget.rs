@@ -1,0 +1,226 @@
+//! The packet path's allocation budget, enforced by counting.
+//!
+//! A stateful stage runs at line rate only if per-packet work touches
+//! nothing shared, and the allocator is shared. This suite swaps in a
+//! counting global allocator (hence its own test binary) and holds the
+//! warmed-up path to a budget:
+//!
+//! * cloning a packet — symbol, string and custom field included — takes a
+//!   pooled buffer and shares the text: no allocation;
+//! * `inject_batch(64)` on a multi-switch fleet allocates one block per
+//!   delivered packet (the `InjectOutcome::delivered` list the API hands
+//!   the caller) plus a constant per batch (the result lists; on a larger
+//!   network, also a block per 32 views the batch pins beyond the first);
+//! * under the five-app stateful pipeline, commuting and exact writes to
+//!   existing keys add nothing per packet — only the batch's delta list.
+//!
+//! Counts are per thread, so the tests of this binary can run in parallel
+//! and the fleet's (idle) agent threads never show up.
+
+use snap_apps as apps;
+use snap_core::SolverChoice;
+use snap_distrib::{deploy_in_process, DistNetwork, InProcessDeployment};
+use snap_lang::prelude::*;
+use snap_session::CompilerSession;
+use snap_topology::generators::igen_topology;
+use snap_topology::{PortId, TrafficMatrix};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAllocator;
+
+thread_local! {
+    /// Blocks this thread has requested (fresh or resized). `const`
+    /// initialised and without a destructor, so touching it from inside the
+    /// allocator can neither allocate nor run during thread teardown.
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_block() {
+    let _ = BLOCKS.try_with(|blocks| blocks.set(blocks.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local counter
+// bump that itself never allocates (see `BLOCKS`).
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_block();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods of this impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_block();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_block();
+        // SAFETY: `ptr` came from `System` through the methods of this impl.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Run `f` and report how many blocks this thread requested meanwhile.
+fn blocks_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BLOCKS.with(Cell::get);
+    let out = f();
+    (out, BLOCKS.with(Cell::get) - before)
+}
+
+const SWITCHES: usize = 24;
+const BATCH: usize = 64;
+/// Blocks a batch may request beyond one per delivery. Measured: 2 under
+/// the stateless policy (the driver's result list and the plane's outcome
+/// list, which becomes the list it returns), 6 under the stateful pipeline
+/// (four doublings of the batch's replica-delta list on top); the views a
+/// batch can pin on [`SWITCHES`] switches fit the pin arena's inline block.
+const PER_BATCH: u64 = 8;
+
+/// A fleet of [`SWITCHES`] agents running `policy`, trace sampling off (a
+/// sampled packet records strings per hop by design), and a batch of
+/// [`BATCH`] packets spread over every ingress port and egress subnet.
+fn fleet(policy: impl Fn(usize) -> Policy) -> (InProcessDeployment, Vec<(PortId, Packet)>) {
+    let topology = igen_topology(SWITCHES, 7);
+    let ports: Vec<PortId> = topology.external_ports().map(|(port, _)| port).collect();
+    assert!(ports.len() > 8);
+    let traffic = TrafficMatrix::gravity(&topology, 1_000.0, 7);
+    let session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process(session, 4096);
+    deployment
+        .controller
+        .update_policy(&policy(ports.len()))
+        .expect("the policy commits");
+    let tracer = deployment
+        .network
+        .telemetry()
+        .expect("deployments record telemetry")
+        .telemetry()
+        .tracer();
+    tracer.set_every(0);
+    let batch = (0..BATCH)
+        .map(|i| {
+            let src = ports[i % ports.len()];
+            let dst = ports[(i * 7 + 3) % ports.len()];
+            let packet = Packet::new()
+                .with(Field::InPort, src.0 as i64)
+                .with(Field::SrcIp, Value::ip(10, 0, src.0 as u8, 1 + i as u8))
+                .with(Field::DstIp, Value::ip(10, 0, dst.0 as u8, 9))
+                .with(
+                    Field::SrcPort,
+                    if i % 7 == 0 { 53 } else { 2000 + i as i64 },
+                )
+                .with(Field::DstPort, 443)
+                .with(Field::Proto, 6)
+                .with(
+                    Field::TcpFlags,
+                    Value::sym(if i % 3 == 0 { "SYN" } else { "ACK" }),
+                )
+                .with(Field::DnsRdata, Value::ip(93, 184, 0, i as u8));
+            (src, packet)
+        })
+        .collect();
+    (deployment, batch)
+}
+
+/// Inject `batch` once, checking every packet succeeded, and return how
+/// many deliveries it made and how many blocks the call requested. The
+/// outcomes and the drained egress are dropped *outside* the measured call,
+/// back into this thread's buffer pool.
+fn inject_counted(
+    network: &DistNetwork,
+    batch: &[(PortId, Packet)],
+    ports: &[PortId],
+) -> (u64, u64) {
+    let (results, blocks) = blocks_requested(|| network.inject_batch(batch));
+    let delivered = results
+        .iter()
+        .map(|r| r.as_ref().expect("every packet executes").delivered.len() as u64)
+        .sum();
+    std::mem::drop(results);
+    for &port in ports {
+        std::mem::drop(network.drain_port(port));
+    }
+    (delivered, blocks)
+}
+
+/// Warm the path (buffer pool, wave scratch, queues, state keys), then hold
+/// each of a few batches to the budget.
+fn assert_batches_within_budget(deployment: &InProcessDeployment, batch: &[(PortId, Packet)]) {
+    let network = &deployment.network;
+    let ports: Vec<PortId> = network
+        .topology()
+        .external_ports()
+        .map(|(p, _)| p)
+        .collect();
+    for _ in 0..8 {
+        inject_counted(network, batch, &ports);
+    }
+    for round in 0..4 {
+        let (delivered, blocks) = inject_counted(network, batch, &ports);
+        assert!(
+            delivered >= BATCH as u64 / 2,
+            "most of the batch is delivered"
+        );
+        assert!(
+            blocks <= delivered + PER_BATCH,
+            "round {round}: {blocks} blocks requested for {delivered} deliveries \
+             (budget: one per delivery + {PER_BATCH} per batch)"
+        );
+    }
+}
+
+#[test]
+fn cloning_a_packet_allocates_nothing_once_the_pool_is_warm() {
+    let packet = Packet::five_tuple(Value::ip(10, 0, 1, 1), Value::ip(10, 0, 2, 2), 1234, 80, 6)
+        .with(Field::TcpFlags, Value::sym("SYN"))
+        .with(Field::HttpUserAgent, "curl/8.5")
+        .with(Field::from_name("vlan.tag"), 7);
+    assert!(matches!(packet.iter().last(), Some((Field::Custom(_), _))));
+    // One clone-and-drop leaves a recycled buffer in this thread's pool.
+    std::mem::drop(packet.clone());
+    let (copy, blocks) = blocks_requested(|| packet.clone());
+    assert_eq!(copy, packet);
+    assert_eq!(
+        blocks, 0,
+        "a warm clone takes a pooled buffer and shares the text"
+    );
+    let ((), blocks) = blocks_requested(|| std::mem::drop(copy));
+    assert_eq!(blocks, 0);
+}
+
+#[test]
+fn a_stateless_batch_allocates_one_block_per_delivery_plus_a_constant() {
+    let (deployment, batch) = fleet(|ports| {
+        filter(test_prefix(Field::SrcIp, 10, 0, 1, 192, 30).not()).seq(apps::assign_egress(ports))
+    });
+    assert_batches_within_budget(&deployment, &batch);
+    deployment.shutdown();
+}
+
+#[test]
+fn writes_to_existing_state_keys_add_no_allocation() {
+    let (deployment, batch) = fleet(|ports| {
+        apps::port_monitoring()
+            .seq(apps::dns_tunnel_detect(1_000_000))
+            .seq(apps::stateful_firewall())
+            .seq(apps::heavy_hitter_detection(1_000_000))
+            .seq(apps::assign_egress(ports))
+    });
+    assert_batches_within_budget(&deployment, &batch);
+    // The pipeline did write: every packet counted itself at its ingress.
+    let store = deployment.network.aggregate_store();
+    let (port, _) = &batch[0];
+    assert!(store.get(&"count".into(), &[Value::Int(port.0 as i64)]) != Value::Int(0));
+    deployment.shutdown();
+}

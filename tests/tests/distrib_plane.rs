@@ -189,6 +189,98 @@ fn traffic_over_agents_while_the_controller_ships_delta_commits() {
     deployment.shutdown();
 }
 
+/// The driver pins, per batch, the epoch each ingress switch stamps and
+/// every view the batch resolves. Under a concurrent committer that must
+/// show as: packets of one batch entering at one switch carry one epoch;
+/// epochs never run backwards per ingress port; no batch loses a view
+/// (`EpochUnavailable`); and pins never outlive their batch — an injection
+/// issued after `update_policy` returned is stamped with the new epoch.
+///
+/// The committer lets two batches complete between two commits — the
+/// second started after the previous commit returned, so every epoch is
+/// seen by a whole batch, and no batch can span more commits than the
+/// agents' epoch history holds: by construction, not by timing.
+#[test]
+fn batches_pin_one_epoch_per_ingress_switch_under_a_concurrent_committer() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const COMMITS: u64 = 24;
+    const PER_PORT: usize = 4;
+
+    let mut deployment = deploy_in_process(campus_session(), 1 << 16);
+    deployment
+        .controller
+        .update_policy(&versioned_policy(1))
+        .unwrap();
+    let network = Arc::clone(&deployment.network);
+    let batch: Vec<(PortId, Packet)> = (0..6 * PER_PORT)
+        .map(|i| {
+            let pkt = Packet::new()
+                .with(Field::InPort, 1)
+                .with(Field::SrcPort, i as i64)
+                .with(Field::DstPort, 0);
+            (PortId(1 + i % 6), pkt)
+        })
+        .collect();
+    let batches_done = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let injector = scope.spawn(|| {
+            let mut last_epoch: BTreeMap<PortId, u64> = BTreeMap::new();
+            let mut epochs_seen = std::collections::BTreeSet::new();
+            while !stop.load(Ordering::SeqCst) {
+                let mut by_switch = BTreeMap::new();
+                for ((port, _), result) in batch.iter().zip(network.inject_batch(&batch)) {
+                    let out = result.expect("a pinned batch never loses a view");
+                    let switch = network.topology().port_switch(*port).unwrap();
+                    let pinned = *by_switch.entry(switch).or_insert(out.epoch);
+                    assert_eq!(out.epoch, pinned, "one batch, one ingress, two epochs");
+                    let prev = last_epoch.entry(*port).or_insert(0);
+                    assert!(out.epoch >= *prev, "ingress epoch ran backwards");
+                    *prev = out.epoch;
+                    assert_eq!(out.delivered.len(), 1);
+                    assert_eq!(
+                        out.delivered[0].1.get(&Field::Content),
+                        Some(&Value::Int(out.epoch as i64)),
+                        "packet executed a different version than its epoch"
+                    );
+                    epochs_seen.insert(out.epoch);
+                }
+                network.drain_port(PortId(6));
+                batches_done.fetch_add(1, Ordering::SeqCst);
+            }
+            epochs_seen
+        });
+
+        let probe = Packet::new()
+            .with(Field::InPort, 1)
+            .with(Field::SrcPort, -1)
+            .with(Field::DstPort, 0);
+        for v in 2..=COMMITS + 1 {
+            let seen = batches_done.load(Ordering::SeqCst);
+            while batches_done.load(Ordering::SeqCst) < seen + 2 {
+                std::thread::yield_now();
+            }
+            let report = deployment
+                .controller
+                .update_policy(&versioned_policy(v as i64))
+                .unwrap();
+            assert_eq!(report.epoch, v);
+            for port in 1..=6 {
+                let solo = network.inject(PortId(port), &probe).unwrap();
+                assert_eq!(solo.epoch, v, "a fresh injection saw a stale pin");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let epochs_seen = injector.join().unwrap();
+        assert!(
+            (1..=COMMITS).all(|epoch| epochs_seen.contains(&epoch)),
+            "some epoch was never served to a batch: {epochs_seen:?}"
+        );
+    });
+    deployment.shutdown();
+}
+
 #[test]
 fn working_set_edit_delta_is_under_a_quarter_of_the_full_payload() {
     let mut deployment = deploy_in_process(campus_session(), 64);
