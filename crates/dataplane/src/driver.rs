@@ -13,7 +13,11 @@
 //!   (every hop sees the same epoch); the distributed plane answers from
 //!   each agent's epoch-history ring (`view_for(epoch)`), serving staged
 //!   views mid-commit. The resolver also hands out the per-switch store
-//!   shard — state is epoch-independent in both planes.
+//!   shard — state is epoch-independent in both planes. A view
+//!   ([`HopView`]) arrives with its names already resolved — every variable
+//!   slot of its program bound to a local table or an owning switch, its
+//!   ports in a sorted slice — so the loop below indexes and never looks a
+//!   variable up by name.
 //! * [`EgressSink`] — where a delivered packet lands: a flat per-packet
 //!   result set, or bounded per-port FIFO queues with backpressure
 //!   accounting ([`crate::EgressQueues`]).
@@ -63,21 +67,31 @@
 
 use crate::exec::{
     misplaced_state_error, missing_placement_error, process_at_switch, read_outport,
-    strip_snap_header, InFlight, NextHops, Progress, ReplicaBuffer, SimError, StepOutcome,
-    StoreLease,
+    strip_snap_header, InFlight, NextHops, Progress, ReplicaBuffer, SimError, SlotBinding,
+    StepOutcome, StoreLease,
 };
 use crate::metrics::PlaneTelemetry;
 use crate::pins::PinArena;
 use crate::shards::StateShards;
-use snap_lang::{Packet, StateVar, Value};
+use snap_lang::{Packet, Value};
 use snap_telemetry::{HopRecord, LocalHistogram, PacketTrace};
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
 use snap_xfdd::{FlatId, FlatProgram, TableProgram};
-use std::collections::BTreeSet;
 
 /// One switch's executable view under one epoch, as the driver consumes it:
-/// the program to walk, the state the switch owns, the external ports it
-/// serves and the global variable placement for forwarding towards state.
+/// the program to walk, where each of the program's state variables lives
+/// (here, under which table — or on which other switch) and the external
+/// ports the switch serves.
+///
+/// A view is **resolved once, then only indexed**: whoever builds it (an
+/// agent's *prepare*, the in-process plane's snapshot indexing) looks every
+/// name up there — each variable slot of the program against the switch's
+/// owned variables, its table registry and the placement
+/// ([`crate::exec::bind_slots`]), the switch's port set into a sorted slice
+/// — so that a hop costs array loads, never a `BTreeMap`/`BTreeSet` walk or
+/// a string compare. The resolution is part of the immutable view and
+/// travels with it: a packet stamped with an older epoch meets that epoch's
+/// binding at every hop, whatever has been prepared since.
 pub trait HopView {
     /// The flattened program this view executes.
     fn flat(&self) -> &FlatProgram;
@@ -86,12 +100,13 @@ pub trait HopView {
     /// is: at snapshot indexing in the in-process plane, in each agent's
     /// *prepare* in the distributed one — never shipped on the wire.
     fn tables(&self) -> &TableProgram;
-    /// State variables the switch owns under this view.
-    fn local_vars(&self) -> &BTreeSet<StateVar>;
+    /// Where each state variable of [`HopView::flat`] lives under this
+    /// view, indexed by the program's variable slots
+    /// (`bindings()[slot.index()]`; one entry per
+    /// [`FlatProgram::var_names`] entry).
+    fn bindings(&self) -> &[SlotBinding];
     /// Does this view serve `port` as a local external port?
     fn serves_port(&self, port: PortId) -> bool;
-    /// The switch a state variable lives on under this view's placement.
-    fn owner(&self, var: &StateVar) -> Option<SwitchId>;
 }
 
 /// How a plane resolves executable views: the seam between the shared
@@ -627,7 +642,7 @@ impl<'a> Driver<'a> {
                 ));
             }
             let step = match process_at_switch(
-                view.local_vars(),
+                view.bindings(),
                 view.flat(),
                 view.tables(),
                 &mut lease,
@@ -671,19 +686,25 @@ impl<'a> Driver<'a> {
                         }
                     }
                 }
-                StepOutcome::NeedState(var) => {
+                StepOutcome::NeedState(slot) => {
+                    // Off the fast path from here: the variable is named
+                    // for a sampled trace and for errors only.
+                    let var = view.flat().var_name(slot);
                     note_outcome(&mut tagged, || format!("need-state:{var}"));
-                    let Some(owner) = view.owner(var) else {
-                        results[tagged.origin] = Err(missing_placement_error(var).into());
-                        continue;
+                    let owner = match view.bindings()[slot.index()] {
+                        SlotBinding::Remote(owner) if owner != switch => owner,
+                        // The view's placement names this switch while its
+                        // ownership does not; forwarding "towards" the owner
+                        // would spin in place forever.
+                        SlotBinding::Remote(_) | SlotBinding::Local(_) => {
+                            results[tagged.origin] = Err(misplaced_state_error(var).into());
+                            continue;
+                        }
+                        SlotBinding::Unplaced => {
+                            results[tagged.origin] = Err(missing_placement_error(var).into());
+                            continue;
+                        }
                     };
-                    if owner == switch {
-                        // The view's placement and local_vars disagree;
-                        // forwarding "towards" the owner would spin in
-                        // place forever.
-                        results[tagged.origin] = Err(misplaced_state_error(var).into());
-                        continue;
-                    }
                     // The packet can only be forwarded until it reaches the
                     // owner, so jump there in one step (full hop count
                     // charged) instead of re-entering the wave loop per hop.

@@ -17,6 +17,19 @@
 //! shortest-path next-hop table ([`NextHops`]) and the small packet-header
 //! helpers.
 //!
+//! ## State by slot
+//!
+//! Nothing here compares a state variable's name. The program names its
+//! variables by dense slot (`snap_xfdd::VarSlot`, carried by every state
+//! test and state action), and the view a packet executes under has bound
+//! every slot once, when it was prepared ([`bind_slots`]): to this switch's
+//! [`TableId`] if the switch owns the variable, else to the owning switch
+//! ([`SlotBinding`]). A state access is therefore an array index (slot →
+//! binding), the evaluation of the index expressions, one word-at-a-time
+//! routing hash of `(table id, key)` and one probe of that table in the
+//! key's shard. Names are read back from the program only to fill a sampled
+//! packet's hop record and to word an error.
+//!
 //! The process-wide `store_lock_acquisitions` / `wave_prefix_stats`
 //! statics that used to live here are gone: they were shared by every
 //! `Network` in a process, so concurrently running tests contaminated
@@ -24,17 +37,53 @@
 //! counters on [`StateShards`] (exported as `store.shard.*` families) and
 //! the per-instance wave-prefix counters on [`crate::PlaneTelemetry`].
 
-use crate::shards::StateShards;
+use crate::shards::{key_hash, Shard, StateShards, TableId};
 use parking_lot::MutexGuard;
-use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
+use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Value};
 use snap_telemetry::HopRecord;
 use snap_topology::{HopMatrix, NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, TableProgram, Test};
-use std::collections::BTreeSet;
+use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, TableProgram, Test, VarSlot};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// What a view resolved one variable slot of its program to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotBinding {
+    /// The switch owns the variable: its table in the switch's
+    /// [`StateShards`].
+    Local(TableId),
+    /// The view's placement puts the variable on this switch. (Naming the
+    /// view's *own* switch here means placement and ownership disagree; the
+    /// driver fails the packet rather than forward it in place.)
+    Remote(SwitchId),
+    /// The view's placement does not mention the variable.
+    Unplaced,
+}
+
+/// Bind every slot of `flat` for one switch under one view: variables in
+/// `local_vars` to their table in `store` (registering the name there if it
+/// is new to the switch), the rest to their owner under `placement`. Done
+/// once per prepared view / indexed snapshot — O(variables) — so that the
+/// packet path only indexes the result by slot.
+pub fn bind_slots(
+    flat: &FlatProgram,
+    local_vars: &BTreeSet<StateVar>,
+    placement: &BTreeMap<StateVar, SwitchId>,
+    store: &StateShards,
+) -> Box<[SlotBinding]> {
+    let bind = |var: &StateVar| {
+        if local_vars.contains(var) {
+            SlotBinding::Local(store.table_id(var))
+        } else {
+            let owner = placement.get(var);
+            owner.map_or(SlotBinding::Unplaced, |&s| SlotBinding::Remote(s))
+        }
+    };
+    flat.var_names().iter().map(bind).collect()
+}
 
 // One reusable index buffer per thread: state accesses evaluate their index
-// vector into it instead of allocating a fresh `Vec` per packet, and the
-// store only clones the index on an entry's first write.
+// vector into it instead of allocating a fresh `Vec` per packet, and a table
+// only clones the index on an entry's first write.
 thread_local! {
     static INDEX_SCRATCH: std::cell::RefCell<Vec<Value>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -49,14 +98,16 @@ enum ReplicaOp<'p> {
     Set(&'p Value),
 }
 
-/// One buffered commuting update, awaiting the merge flush. The variable is
-/// borrowed from the program that wrote it and the key is a range of the
-/// buffer's key arena, so buffering one allocates nothing.
+/// One buffered commuting update, awaiting the merge flush. The key is a
+/// range of the buffer's key arena, so buffering one allocates nothing.
 struct Delta<'p> {
-    var: &'p StateVar,
+    table: TableId,
     key: std::ops::Range<usize>,
+    /// [`key_hash`] of `(table, key)`: picks the shard at flush time, and
+    /// lets coalescing reject every other buffered key with one integer
+    /// compare.
+    hash: u64,
     op: ReplicaOp<'p>,
-    shard: usize,
 }
 
 /// The storage behind a [`StoreLease`]'s buffered commuting updates, owned
@@ -102,27 +153,28 @@ impl<'p> ReplicaBuffer<'p> {
 /// no lease can hold-and-wait and two workers' leases can never deadlock,
 /// whatever order their packets visit the key ranges in. The invariant
 /// still guarantees what the exactness tests rely on: a state test and
-/// the leaf action it guards address the same variable and key, hence the
-/// same shard, hence one uninterrupted guard hold — test-then-act on a
-/// key is atomic. Only accesses to *different* keys interleave across
-/// workers at op granularity, which is within the plane's existing
-/// cross-worker ordering contract.
+/// the leaf action it guards address the same variable and key — on this
+/// switch, the same [`TableId`] and key, which [`key_hash`] routes to the
+/// same shard — hence one uninterrupted guard hold: test-then-act on a key
+/// is atomic. Only accesses to *different* keys interleave across workers
+/// at op granularity, which is within the plane's existing cross-worker
+/// ordering contract.
 ///
 /// Writes to variables the program classified as commuting
 /// ([`StateClass::is_replicable`]) never lock and never allocate: they
-/// accumulate in the lent [`ReplicaBuffer`] — the variable name and a set's
-/// literal stay borrowed from the program (`'p`), the evaluated key is
-/// appended to the buffer's arena — and are merged into the authoritative
-/// shards by [`StoreLease::flush`] under one short lock per touched shard:
-/// exact, because classification guarantees nothing on the packet path
-/// observes the intermediate values and the buffered updates are
-/// order-independent.
+/// accumulate in the lent [`ReplicaBuffer`] — a set's literal stays borrowed
+/// from the program (`'p`), the evaluated key is appended to the buffer's
+/// arena, updates to one `(table, key)` coalesce — and are merged into the
+/// authoritative shards by [`StoreLease::flush`] under one short lock per
+/// touched shard: exact, because classification guarantees nothing on the
+/// packet path observes the intermediate values and the buffered updates
+/// are order-independent.
 pub struct StoreLease<'a, 'p> {
     shards: Option<&'a StateShards>,
     /// The single currently held shard guard, if any: `(shard index,
     /// guard)`. Never more than one — see the no-hold-and-wait invariant
     /// above.
-    guard: Option<(usize, MutexGuard<'a, Store>)>,
+    guard: Option<(usize, MutexGuard<'a, Shard>)>,
     /// Buffered commuting updates. Linear-scan coalesced — batch groups are
     /// small (≤ the driver's group size), so a scan beats a hash map here.
     buffer: &'a mut ReplicaBuffer<'p>,
@@ -146,82 +198,78 @@ impl<'a, 'p> StoreLease<'a, 'p> {
         }
     }
 
-    /// The store of shard `i`, locked under the lease's single-guard rule.
-    fn shard_store(&mut self, i: usize) -> &mut Store {
-        let shards = self.shards.expect("state access requires shards");
-        locked_shard(shards, &mut self.guard, i)
-    }
-
     /// Evaluate a state test against the authoritative shard of the tested
-    /// key. `None` when the switch has no shards.
-    pub fn state_test(&mut self, test: &Test, pkt: &Packet) -> Option<Result<bool, EvalError>> {
+    /// key of `table` (the switch's table for the test's variable). The
+    /// stored value is compared by reference, against a literal borrowed
+    /// from the program when the expected value is one. `None` when the
+    /// switch has no shards.
+    pub fn state_test(
+        &mut self,
+        table: TableId,
+        test: &Test,
+        pkt: &Packet,
+    ) -> Option<Result<bool, EvalError>> {
         let shards = self.shards?;
-        let Test::State { var, index, value } = test else {
+        let Test::State { index, value, .. } = test else {
             unreachable!("state_test called on a field test")
         };
         Some(INDEX_SCRATCH.with(|cell| {
             let idx = &mut *cell.borrow_mut();
             snap_lang::eval_index_into(index, pkt, idx)?;
-            let expected = snap_lang::eval_expr(value, pkt)?;
-            let shard = shards.shard_of(var, idx);
-            let current = self.shard_store(shard).get(var, idx);
-            Ok(current == expected)
+            let computed;
+            let expected = match value {
+                Expr::Value(literal) => literal,
+                computes => {
+                    computed = snap_lang::eval_expr(computes, pkt)?;
+                    &computed
+                }
+            };
+            let shard = locked_shard(shards, &mut self.guard, shards.shard_of(table, idx));
+            Ok(shard.get(table, idx) == expected)
         }))
     }
 
-    /// Apply a state action under the variable's compile-time
-    /// classification: commuting writes buffer a delta without locking,
-    /// exact writes lock the key's shard. `None` when the switch has no
-    /// shards.
+    /// Apply a state action to `table` (the switch's table for the action's
+    /// variable) under the variable's compile-time classification:
+    /// commuting writes buffer a delta without locking, exact writes lock
+    /// the key's shard. `None` when the switch has no shards.
     pub fn apply_action(
         &mut self,
         class: StateClass,
+        table: TableId,
         action: &'p Action,
         pkt: &Packet,
     ) -> Option<Result<(), EvalError>> {
         let shards = self.shards?;
         let result = INDEX_SCRATCH.with(|cell| {
             let idx = &mut *cell.borrow_mut();
+            let (index, sign) = match action {
+                Action::StateSet { index, .. } => (index, 0),
+                Action::StateIncr { index, .. } => (index, 1),
+                Action::StateDecr { index, .. } => (index, -1),
+                Action::Modify(_, _) => unreachable!("not a state action"),
+            };
+            snap_lang::eval_index_into(index, pkt, idx)?;
+            let hash = key_hash(table, idx);
             match (class, action) {
-                (
-                    StateClass::Counter,
-                    Action::StateIncr { var, index } | Action::StateDecr { var, index },
-                ) => {
-                    let delta = if matches!(action, Action::StateIncr { .. }) {
-                        1
-                    } else {
-                        -1
-                    };
-                    snap_lang::eval_index_into(index, pkt, idx)?;
-                    let shard = shards.shard_of(var, idx);
-                    self.buffer(var, idx, ReplicaOp::Add(delta), shard);
+                (StateClass::Counter, Action::StateIncr { .. } | Action::StateDecr { .. }) => {
+                    self.buffer(table, idx, hash, ReplicaOp::Add(sign));
                     Ok(())
                 }
                 (
                     StateClass::IdempotentSet,
                     Action::StateSet {
-                        var,
-                        index,
-                        value: Expr::Value(v),
+                        value: Expr::Value(literal),
+                        ..
                     },
                 ) => {
-                    snap_lang::eval_index_into(index, pkt, idx)?;
-                    let shard = shards.shard_of(var, idx);
-                    self.buffer(var, idx, ReplicaOp::Set(v), shard);
+                    self.buffer(table, idx, hash, ReplicaOp::Set(literal));
                     Ok(())
                 }
                 _ => {
                     // Exact read-modify-write on the authoritative shard.
-                    let var = action.written_var().expect("state action writes a var");
-                    let index = match action {
-                        Action::StateSet { index, .. }
-                        | Action::StateIncr { index, .. }
-                        | Action::StateDecr { index, .. } => index,
-                        Action::Modify(_, _) => unreachable!("not a state action"),
-                    };
-                    snap_lang::eval_index_into(index, pkt, idx)?;
-                    let shard = shards.shard_of(var, idx);
-                    apply_state_action_at(action, pkt, idx, self.shard_store(shard))
+                    let shard = locked_shard(shards, &mut self.guard, shards.shard_of_hash(hash));
+                    apply_exact(action, sign, pkt, table, idx, shard)
                 }
             }
         });
@@ -232,10 +280,10 @@ impl<'a, 'p> StoreLease<'a, 'p> {
     }
 
     /// Coalesce a commuting update into the delta buffer.
-    fn buffer(&mut self, var: &'p StateVar, idx: &[Value], op: ReplicaOp<'p>, shard: usize) {
+    fn buffer(&mut self, table: TableId, idx: &[Value], hash: u64, op: ReplicaOp<'p>) {
         let ReplicaBuffer { deltas, keys } = &mut *self.buffer;
         for delta in deltas.iter_mut() {
-            if delta.var == var && keys[delta.key.clone()] == *idx {
+            if delta.hash == hash && delta.table == table && keys[delta.key.clone()] == *idx {
                 match (&mut delta.op, op) {
                     (ReplicaOp::Add(n), ReplicaOp::Add(d)) => *n += d,
                     (slot @ ReplicaOp::Set(_), set @ ReplicaOp::Set(_)) => *slot = set,
@@ -248,10 +296,10 @@ impl<'a, 'p> StoreLease<'a, 'p> {
         let start = keys.len();
         keys.extend_from_slice(idx);
         deltas.push(Delta {
-            var,
+            table,
             key: start..keys.len(),
+            hash,
             op,
-            shard,
         });
     }
 
@@ -267,19 +315,20 @@ impl<'a, 'p> StoreLease<'a, 'p> {
             // Group by shard so the single held guard swaps once per touched
             // shard; the ops commute, so reordering them is exact (and an
             // unstable sort needs no scratch buffer).
-            deltas.sort_unstable_by_key(|delta| delta.shard);
+            deltas.sort_unstable_by_key(|delta| shards.shard_of_hash(delta.hash));
             let mut flushing = None;
             for delta in deltas.drain(..) {
-                if flushing != Some(delta.shard) {
-                    flushing = Some(delta.shard);
-                    shards.note_flush(delta.shard);
+                let at = shards.shard_of_hash(delta.hash);
+                if flushing != Some(at) {
+                    flushing = Some(at);
+                    shards.note_flush(at);
                 }
-                let store = locked_shard(shards, &mut self.guard, delta.shard);
+                let shard = locked_shard(shards, &mut self.guard, at);
                 let idx = &keys[delta.key];
                 match delta.op {
                     ReplicaOp::Add(n) => {
-                        store
-                            .update(delta.var, idx, |cur| {
+                        shard
+                            .update(delta.table, idx, |cur| {
                                 // Classification guarantees every program
                                 // write to this variable is an increment, so
                                 // non-int values can only come from
@@ -292,7 +341,7 @@ impl<'a, 'p> StoreLease<'a, 'p> {
                             })
                             .unwrap();
                     }
-                    ReplicaOp::Set(v) => store.set_at(delta.var, idx, v.clone()),
+                    ReplicaOp::Set(v) => shard.set_at(delta.table, idx, v.clone()),
                 }
             }
             keys.clear();
@@ -307,15 +356,15 @@ impl<'a, 'p> StoreLease<'a, 'p> {
     }
 }
 
-/// The store of shard `i` under a lease's single-guard rule: reuses the held
-/// guard when it is already `i`'s, otherwise drops it first and locks `i`
-/// (counted). Holding at most one guard at a time is what rules out
-/// cross-worker deadlock.
+/// Shard `i` under a lease's single-guard rule: reuses the held guard when
+/// it is already `i`'s, otherwise drops it first and locks `i` (counted).
+/// Holding at most one guard at a time is what rules out cross-worker
+/// deadlock.
 fn locked_shard<'g, 'a>(
     shards: &'a StateShards,
-    guard: &'g mut Option<(usize, MutexGuard<'a, Store>)>,
+    guard: &'g mut Option<(usize, MutexGuard<'a, Shard>)>,
     i: usize,
-) -> &'g mut Store {
+) -> &'g mut Shard {
     match guard {
         Some((held, _)) if *held == i => {}
         _ => {
@@ -395,27 +444,28 @@ impl InFlight {
 }
 
 /// What one switch-local processing step decided.
-pub enum StepOutcome<'p> {
+pub enum StepOutcome {
     /// Processing finished; deliver the flight's packet (left in
     /// `flight.pkt` — the driver takes it without a clone) to the given
     /// egress port.
     Emit(PortId),
     /// The packet was dropped (by a drop leaf or a dropping sequence).
     Dropped,
-    /// The program needs a state variable this switch does not own; forward
-    /// towards its owner and resume there. Borrowed from the program — the
-    /// hot path never clones the variable name.
-    NeedState(&'p StateVar),
+    /// The program needs a state variable — this slot of it — that the
+    /// switch does not own; forward towards its owner under the view's
+    /// binding and resume there.
+    NeedState(VarSlot),
     /// A parallel leaf forked the packet into one copy per sequence.
     Fork(Vec<InFlight>),
 }
 
 /// Run a packet at one switch until it emits, drops, forks, or needs state
-/// the switch does not own. `local_vars` is the set of state variables this
-/// switch holds; `store` is a lease on its state shard (which may wrap no
-/// shard only when `local_vars` is empty). Passing the same lease for every
-/// packet of a batch visiting this switch amortizes the shard lock to one
-/// acquisition per group.
+/// the switch does not own. `bindings` is the view's resolution of every
+/// variable slot of `flat` ([`bind_slots`] — it decides which state is
+/// local and under which table); `store` is a lease on the switch's state
+/// shards (which may wrap no shards only when nothing is bound local).
+/// Passing the same lease for every packet of a batch visiting this switch
+/// amortizes the shard lock to one acquisition per group.
 ///
 /// `tables` must be the table compilation of `flat`: stateless spans are
 /// resolved through the dispatch stages (one field load + one lookup per
@@ -424,16 +474,16 @@ pub enum StepOutcome<'p> {
 ///
 /// `trace` is the hop record of a sampled packet, if this flight is being
 /// traced: the state variables tested and written at this switch are
-/// appended to it. `None` (every unsampled packet) costs a branch per
-/// state access.
+/// appended to it, by name. `None` (every unsampled packet) costs a branch
+/// per state access.
 pub fn process_at_switch<'p>(
-    local_vars: &BTreeSet<StateVar>,
+    bindings: &[SlotBinding],
     flat: &'p FlatProgram,
     tables: &TableProgram,
     store: &mut StoreLease<'_, 'p>,
     flight: &mut InFlight,
     mut trace: Option<&mut HopRecord>,
-) -> Result<StepOutcome<'p>, SimError> {
+) -> Result<StepOutcome, SimError> {
     loop {
         match flight.progress {
             Progress::Done => {
@@ -449,25 +499,25 @@ pub fn process_at_switch<'p>(
                 if !reached.is_leaf() {
                     let FlatNode::Branch {
                         test,
-                        var,
+                        slot,
                         tru,
                         fls,
                     } = flat.node(reached)
                     else {
                         unreachable!("advance_stateless stops at branches or leaves")
                     };
-                    let var = var.expect("the stateless prefix stops only at state tests");
-                    if !local_vars.contains(var) {
+                    let slot = slot.expect("the stateless prefix stops only at state tests");
+                    let SlotBinding::Local(table) = bindings[slot.index()] else {
                         // The tag must record how far the walk got: the
                         // packet resumes at the state test, not at `idx`.
                         flight.progress = Progress::AtNode(reached);
-                        return Ok(StepOutcome::NeedState(var));
-                    }
+                        return Ok(StepOutcome::NeedState(slot));
+                    };
                     if let Some(h) = trace.as_deref_mut() {
-                        h.state_tests.push(var.to_string());
+                        h.state_tests.push(flat.var_name(slot).to_string());
                     }
                     let passed = store
-                        .state_test(test, &flight.pkt)
+                        .state_test(table, test, &flight.pkt)
                         .expect("switch owning state has a store shard")?;
                     flight.progress = Progress::AtNode(if passed { tru } else { fls });
                     continue;
@@ -501,32 +551,31 @@ pub fn process_at_switch<'p>(
                 }
             }
             Progress::InLeaf { node, seq, offset } => {
-                let sequence = &flat.leaf(node).seqs[seq];
+                let leaf = flat.leaf(node);
+                let sequence = &leaf.seqs[seq];
                 let mut off = offset;
                 while off < sequence.actions.len() {
                     let action = &sequence.actions[off];
-                    match action {
-                        Action::Modify(f, v) => {
-                            flight.pkt.set(f.clone(), v.clone());
+                    if let Action::Modify(f, v) = action {
+                        flight.pkt.set(f.clone(), v.clone());
+                    } else {
+                        let slot = leaf
+                            .written_slot(seq, off)
+                            .expect("a state action was lowered with its slot");
+                        let SlotBinding::Local(table) = bindings[slot.index()] else {
+                            flight.progress = Progress::InLeaf {
+                                node,
+                                seq,
+                                offset: off,
+                            };
+                            return Ok(StepOutcome::NeedState(slot));
+                        };
+                        if let Some(h) = trace.as_deref_mut() {
+                            h.state_writes.push(flat.var_name(slot).to_string());
                         }
-                        Action::StateSet { var, .. }
-                        | Action::StateIncr { var, .. }
-                        | Action::StateDecr { var, .. } => {
-                            if !local_vars.contains(var) {
-                                flight.progress = Progress::InLeaf {
-                                    node,
-                                    seq,
-                                    offset: off,
-                                };
-                                return Ok(StepOutcome::NeedState(var));
-                            }
-                            if let Some(h) = trace.as_deref_mut() {
-                                h.state_writes.push(var.to_string());
-                            }
-                            store
-                                .apply_action(flat.state_class(var), action, &flight.pkt)
-                                .expect("switch with state has a store")?;
-                        }
+                        store
+                            .apply_action(flat.class_of(slot), table, action, &flight.pkt)
+                            .expect("switch with state has a store")?;
                     }
                     off += 1;
                 }
@@ -652,58 +701,28 @@ pub fn read_outport(pkt: &Packet) -> Result<PortId, SimError> {
     }
 }
 
-/// Apply one state action against a switch's store. `Modify` actions are
-/// packet-local and ignored here.
-pub fn apply_state_action(
+/// Apply one state action exactly — a set, or an increment by `sign` — to
+/// its variable's `table` in the shard `idx` (the action's evaluated index
+/// vector) routes to.
+fn apply_exact(
     action: &Action,
+    sign: i64,
     pkt: &Packet,
-    store: &mut Store,
-) -> Result<(), EvalError> {
-    INDEX_SCRATCH.with(|cell| {
-        let idx = &mut *cell.borrow_mut();
-        match action {
-            Action::Modify(_, _) => return Ok(()),
-            Action::StateSet { index, .. }
-            | Action::StateIncr { index, .. }
-            | Action::StateDecr { index, .. } => {
-                snap_lang::eval_index_into(index, pkt, idx)?;
-            }
-        }
-        apply_state_action_at(action, pkt, idx, store)
-    })
-}
-
-/// Apply one state action whose index vector is already evaluated into
-/// `idx` — the sharded lease evaluates the index first (it needs the key to
-/// route to a shard) and then applies here without re-evaluating.
-fn apply_state_action_at(
-    action: &Action,
-    pkt: &Packet,
+    table: TableId,
     idx: &[Value],
-    store: &mut Store,
+    shard: &mut Shard,
 ) -> Result<(), EvalError> {
-    match action {
-        Action::Modify(_, _) => Ok(()),
-        Action::StateSet { var, value, .. } => {
-            let val = snap_lang::eval_expr(value, pkt)?;
-            store.set_at(var, idx, val);
-            Ok(())
-        }
-        Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
-            let delta = if matches!(action, Action::StateIncr { .. }) {
-                1
-            } else {
-                -1
-            };
-            store.update(var, idx, |cur| {
-                let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
-                    var: var.clone(),
-                    value: cur.clone(),
-                })?;
-                Ok(Value::Int(n + delta))
-            })
-        }
+    if let Action::StateSet { value, .. } = action {
+        shard.set_at(table, idx, snap_lang::eval_expr(value, pkt)?);
+        return Ok(());
     }
+    shard.update(table, idx, |cur| {
+        let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
+            var: action.written_var().expect("a state action").clone(),
+            value: cur.clone(),
+        })?;
+        Ok(Value::Int(n + sign))
+    })
 }
 
 /// Remove simulator-internal `snap.*` header fields before a packet leaves

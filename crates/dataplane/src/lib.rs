@@ -56,9 +56,12 @@ pub mod traffic;
 
 pub use driver::{BatchResults, Driver, EgressSink, HopView, Ingress, ViewResolver};
 pub use egress::{EgressEvent, EgressQueues, DEFAULT_QUEUE_CAPACITY};
-pub use exec::{InFlight, NextHops, Progress, ReplicaBuffer, SimError, StepOutcome, StoreLease};
+pub use exec::{
+    bind_slots, InFlight, NextHops, Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome,
+    StoreLease,
+};
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
 pub use netasm::{Instruction, NetAsmProgram};
 pub use network::{BatchOutput, ConfigSnapshot, Network, QueuedBatchOutput, SwitchConfig};
-pub use shards::{StateShards, DEFAULT_STATE_SHARDS};
+pub use shards::{Shard, StateShards, TableId, DEFAULT_STATE_SHARDS};
 pub use traffic::{QueuedNetwork, TargetBatch, TrafficEngine, TrafficReport, TrafficTarget};

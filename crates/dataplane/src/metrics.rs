@@ -125,6 +125,10 @@ pub fn export_egress(snap: &mut MetricsSnapshot, prefix: &str, queues: &EgressQu
 /// process-wide `driver.store_lock_acquisitions` counter: the readings are
 /// taken off the shards at snapshot time, so the packet path pays one
 /// relaxed add per counted lock and nothing per snapshot-less run.
+///
+/// Alongside them goes `store.table.entries`, row label `<owner>/<var>`:
+/// the written entries of every table the switch holds, summed over its
+/// shards at snapshot time (the packet path keeps no size counter).
 pub fn export_shards(snap: &mut MetricsSnapshot, owner: &str, shards: &crate::StateShards) {
     let mut acquisitions = Vec::new();
     let mut contended = Vec::new();
@@ -136,10 +140,13 @@ pub fn export_shards(snap: &mut MetricsSnapshot, owner: &str, shards: &crate::St
         contended.push((label.clone(), c));
         flushes.push((label, f));
     }
+    let entries = shards.table_entries().into_iter();
+    let entries = entries.map(|(var, n)| (format!("{owner}/{var}"), n));
     for (name, rows) in [
         ("store.shard.acquisitions", acquisitions),
         ("store.shard.contended", contended),
         ("store.shard.merge_flushes", flushes),
+        ("store.table.entries", entries.collect()),
     ] {
         snap.families
             .entry(name.to_string())

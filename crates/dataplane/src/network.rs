@@ -41,8 +41,8 @@ use std::sync::Arc;
 
 use crate::driver::{Driver, EgressSink, HopView, Ingress, ViewResolver};
 use crate::egress::EgressQueues;
-use crate::exec::NextHops;
 pub use crate::exec::SimError;
+use crate::exec::{bind_slots, NextHops, SlotBinding};
 use crate::metrics::{export_shards, PlaneTelemetry};
 use crate::shards::{StateShards, DEFAULT_STATE_SHARDS};
 use snap_telemetry::{MetricsSnapshot, Telemetry};
@@ -115,9 +115,65 @@ pub struct ConfigSnapshot {
     /// variable's table lives on exactly one switch (its owner's), split
     /// across that switch's shards by index hash.
     stores: BTreeMap<SwitchId, Arc<StateShards>>,
+    /// What the packet path reads of each configured switch, resolved when
+    /// the snapshot is built (see [`ResolvedSwitch`]).
+    resolved: BTreeMap<SwitchId, ResolvedSwitch>,
     /// Configuration epoch: 0 at construction, bumped by every
     /// [`Network::swap_configs`].
     epoch: u64,
+}
+
+/// One switch's configuration with every name looked up, once per snapshot:
+/// each variable slot of the shared program bound to the switch's own table
+/// or to its owner under the snapshot's placement, and the port set as a
+/// sorted slice. Immutable with the snapshot, so a packet meets one binding
+/// from ingress to egress.
+struct ResolvedSwitch {
+    bindings: Box<[SlotBinding]>,
+    ports: Box<[PortId]>,
+}
+
+impl ConfigSnapshot {
+    /// Build a snapshot, resolving every switch of `indexed` against its
+    /// store (`stores` must hold one for each configured switch).
+    fn new(
+        indexed: IndexedConfigs,
+        stores: BTreeMap<SwitchId, Arc<StateShards>>,
+        epoch: u64,
+    ) -> ConfigSnapshot {
+        let mut snapshot = ConfigSnapshot {
+            configs: indexed.map,
+            flat: indexed.flat,
+            tables: indexed.tables,
+            placement: indexed.placement,
+            stores,
+            resolved: BTreeMap::new(),
+            epoch,
+        };
+        snapshot.resolve();
+        snapshot
+    }
+
+    /// (Re)resolve every configured switch against the snapshot's stores —
+    /// table ids are the stores' own, so replacing a store invalidates them.
+    fn resolve(&mut self) {
+        let Some(flat) = self.flat.as_deref() else {
+            return;
+        };
+        let resolve = |(node, config): (&SwitchId, &SwitchConfig)| {
+            let resolved = ResolvedSwitch {
+                bindings: bind_slots(
+                    flat,
+                    &config.local_vars,
+                    &self.placement,
+                    &self.stores[node],
+                ),
+                ports: config.ports.iter().copied().collect(),
+            };
+            (*node, resolved)
+        };
+        self.resolved = self.configs.iter().map(resolve).collect();
+    }
 }
 
 impl ConfigSnapshot {
@@ -258,14 +314,7 @@ impl Network {
         Network {
             topology,
             next_hop,
-            snapshot: Mutex::new(Arc::new(ConfigSnapshot {
-                configs: indexed.map,
-                flat: indexed.flat,
-                tables: indexed.tables,
-                placement: indexed.placement,
-                stores,
-                epoch: 0,
-            })),
+            snapshot: Mutex::new(Arc::new(ConfigSnapshot::new(indexed, stores, 0))),
             swap_lock: Mutex::new(()),
             hop_budget: DEFAULT_HOP_BUDGET,
             telemetry,
@@ -284,6 +333,7 @@ impl Network {
         for store in snap.stores.values_mut() {
             *store = Arc::new(StateShards::new(self.state_shards));
         }
+        snap.resolve();
         self
     }
 
@@ -433,15 +483,7 @@ impl Network {
                 .or_insert_with(|| Arc::new(StateShards::new(self.state_shards)));
         }
         let epoch = cur.epoch + 1;
-        let next = Arc::new(ConfigSnapshot {
-            configs: indexed.map,
-            flat: indexed.flat,
-            tables: indexed.tables,
-            placement: indexed.placement,
-            stores,
-            epoch,
-        });
-        *self.snapshot.lock() = next;
+        *self.snapshot.lock() = Arc::new(ConfigSnapshot::new(indexed, stores, epoch));
         epoch
     }
 
@@ -626,10 +668,9 @@ struct SnapshotResolver<'a> {
 
 /// One switch's view under a snapshot.
 struct SnapshotView<'a> {
-    config: &'a SwitchConfig,
     flat: &'a FlatProgram,
     tables: &'a TableProgram,
-    placement: &'a BTreeMap<StateVar, SwitchId>,
+    switch: &'a ResolvedSwitch,
 }
 
 impl HopView for SnapshotView<'_> {
@@ -641,16 +682,12 @@ impl HopView for SnapshotView<'_> {
         self.tables
     }
 
-    fn local_vars(&self) -> &BTreeSet<StateVar> {
-        &self.config.local_vars
+    fn bindings(&self) -> &[SlotBinding] {
+        &self.switch.bindings
     }
 
     fn serves_port(&self, port: PortId) -> bool {
-        self.config.ports.contains(&port)
-    }
-
-    fn owner(&self, var: &StateVar) -> Option<SwitchId> {
-        self.placement.get(var).copied()
+        self.switch.ports.binary_search(&port).is_ok()
     }
 }
 
@@ -674,7 +711,7 @@ impl ViewResolver for SnapshotResolver<'_> {
     }
 
     fn resolve(&self, switch: SwitchId, _epoch: u64) -> Result<Option<SnapshotView<'_>>, SimError> {
-        let Some(config) = self.snap.configs.get(&switch) else {
+        let Some(resolved) = self.snap.resolved.get(&switch) else {
             return Ok(None); // a switch without a config only forwards
         };
         let flat = self
@@ -688,10 +725,9 @@ impl ViewResolver for SnapshotResolver<'_> {
             .as_deref()
             .expect("the table program is compiled wherever the flat one is");
         Ok(Some(SnapshotView {
-            config,
             flat,
             tables,
-            placement: &self.snap.placement,
+            switch: resolved,
         }))
     }
 

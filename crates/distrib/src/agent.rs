@@ -15,7 +15,17 @@
 //!   Nothing is shared *between* agents — each lowers its own mirror;
 //! * a small ring of **epoch views** — per-epoch immutable bundles of
 //!   flattened program, owned variables, external ports and global
-//!   placement. The programs of all views and of the flatten cache share
+//!   placement, plus what *prepare* resolved from them for the packet path:
+//!   each variable slot of the program bound to this switch's table id or
+//!   to the owning switch (`snap_dataplane::bind_slots`), and the ports as a
+//!   sorted slice. Slots are this agent's mirror's numbering and table ids
+//!   this agent's store's — neither ever leaves the process; prepare and
+//!   commit messages, yields and installs speak names. The binding is part
+//!   of the immutable view, so a packet stamped with an older epoch meets
+//!   that epoch's binding at every hop, and it stays valid for as long as
+//!   the ring keeps the view (table ids are append-only; a yielded
+//!   variable's id is kept). The programs of all views and of the flatten
+//!   cache share
 //!   the mirror's payloads, so keeping one costs a few words per node and
 //!   staging one costs what its *new* nodes cost. Traffic is stamped with
 //!   its ingress epoch and every hop resolves the view for *that* epoch, so
@@ -25,8 +35,8 @@
 //!   bounded per-port **egress queues** ([`snap_dataplane::EgressQueues`]).
 //!
 //! The two-phase protocol does all expensive work in *prepare* (delta
-//! decode, re-intern, lowering of the new nodes, flatten, table compile —
-//! off the packet path's critical flip) and
+//! decode, re-intern, lowering of the new nodes, flatten, table compile,
+//! slot binding — off the packet path's critical flip) and
 //! makes *commit* a pointer swap plus the release of migrated tables. A
 //! packet can carry an epoch the local agent has prepared but not yet
 //! committed — that is exactly the commit wave passing through the network
@@ -37,7 +47,7 @@
 
 use crate::transport::{AgentEndpoint, FromAgent, PrepareMsg, SwitchMeta, ToAgent};
 use parking_lot::Mutex;
-use snap_dataplane::{EgressQueues, StateShards, DEFAULT_STATE_SHARDS};
+use snap_dataplane::{bind_slots, EgressQueues, SlotBinding, StateShards, DEFAULT_STATE_SHARDS};
 use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
 use snap_xfdd::{FlatProgram, Mirror, NodeId as PoolNodeId, TableProgram};
@@ -90,6 +100,14 @@ impl FlatCache {
 }
 
 /// One epoch's immutable configuration, as a switch executes it.
+///
+/// Built once, in *prepare*, with every name already looked up: `bindings`
+/// and `ports` are what the packet path reads, `local_vars` / `placement`
+/// are the former by name, kept for the control plane (commit carries them
+/// forward, yields and aggregation filter by them).
+/// The binding uses this switch's own table ids and this agent's own slot
+/// numbering — it is never shipped, and it stays valid for as long as the
+/// view is kept: table ids are never retired or reused.
 pub struct EpochView {
     /// The configuration epoch this view belongs to.
     pub epoch: u64,
@@ -102,10 +120,15 @@ pub struct EpochView {
     pub tables: Arc<TableProgram>,
     /// State variables this switch owns under this epoch.
     pub local_vars: BTreeSet<StateVar>,
-    /// External ports attached to this switch.
-    pub ports: BTreeSet<PortId>,
+    /// External ports attached to this switch, ascending — the packet path
+    /// binary-searches them.
+    pub ports: Box<[PortId]>,
     /// Global variable→owner placement, for forwarding towards state.
     pub placement: Arc<BTreeMap<StateVar, SwitchId>>,
+    /// Where each variable slot of `flat` lives under this epoch: this
+    /// switch's table for the variables in `local_vars`, else the owner
+    /// under `placement`.
+    pub bindings: Box<[SlotBinding]>,
 }
 
 /// A staged (prepared, uncommitted) update.
@@ -408,10 +431,11 @@ impl SwitchAgent {
         };
         let view = Arc::new(EpochView {
             epoch: prep.epoch,
+            bindings: bind_slots(&flat, &meta.local_vars, &placement, &self.store),
+            ports: meta.ports.into_iter().collect(),
             flat,
             tables,
-            local_vars: meta.local_vars.clone(),
-            ports: meta.ports.clone(),
+            local_vars: meta.local_vars,
             placement,
         });
         core.pending = Some(Pending { view });
@@ -441,7 +465,7 @@ impl SwitchAgent {
         let view = pending.view;
         core.meta = SwitchMeta {
             local_vars: view.local_vars.clone(),
-            ports: view.ports.clone(),
+            ports: view.ports.iter().copied().collect(),
         };
         core.placement = Arc::clone(&view.placement);
         core.views.insert(epoch, Arc::clone(&view));

@@ -23,12 +23,12 @@ use snap_dataplane::driver::{Driver, EgressSink, HopView, Ingress, ViewResolver}
 use snap_dataplane::egress::EgressEvent;
 use snap_dataplane::exec::{NextHops, SimError};
 use snap_dataplane::metrics::{export_egress, export_shards, PlaneTelemetry};
-use snap_dataplane::{StateShards, TargetBatch, TrafficTarget};
-use snap_lang::{Packet, StateVar, Store};
+use snap_dataplane::{SlotBinding, StateShards, TargetBatch, TrafficTarget};
+use snap_lang::{Packet, Store};
 use snap_telemetry::{MetricsSnapshot, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
 use snap_xfdd::{FlatProgram, TableProgram};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,16 +131,12 @@ impl HopView for AgentView {
         &self.view.tables
     }
 
-    fn local_vars(&self) -> &BTreeSet<StateVar> {
-        &self.view.local_vars
+    fn bindings(&self) -> &[SlotBinding] {
+        &self.view.bindings
     }
 
     fn serves_port(&self, port: PortId) -> bool {
-        self.view.ports.contains(&port)
-    }
-
-    fn owner(&self, var: &StateVar) -> Option<SwitchId> {
-        self.view.placement.get(var).copied()
+        self.view.ports.binary_search(&port).is_ok()
     }
 }
 

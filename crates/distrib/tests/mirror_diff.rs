@@ -7,10 +7,14 @@
 //! ids), on every payload, on the state classification and on the table
 //! compilation, after any sequence of deltas an agent can see: novel
 //! suffixes, zero-node rollbacks, and a failed delta followed by a resync
-//! under a different numbering.
+//! under a different numbering. The one thing they may disagree on is the
+//! variable *slot* numbering inside the payloads — a mirror numbers every
+//! variable it has ever lowered, a one-off flatten only its program's — so
+//! slots are compared through each program's own slot → name table.
 //!
-//! The state classification has its own oracle: the two-pass
-//! `classify_state` this change replaced, kept below as a test-only copy.
+//! The state classification has its own oracle: the two-pass by-name
+//! `classify_state` that the slot-indexed fold replaced, kept below as a
+//! test-only copy.
 
 use proptest::prelude::*;
 use snap_apps as apps;
@@ -51,13 +55,13 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
         let (
             FlatNode::Branch {
                 test,
-                var,
+                slot,
                 tru,
                 fls,
             },
             FlatNode::Branch {
                 test: t,
-                var: v,
+                slot: s,
                 tru: a,
                 fls: b,
             },
@@ -65,15 +69,27 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
         else {
             panic!("branch ids resolve to branches");
         };
-        assert_eq!((test, var, tru, fls), (t, v, a, b), "branch {id:?}");
+        assert_eq!((test, tru, fls), (t, a, b), "branch {id:?}");
+        // Each numbering resolves the test's slot to the variable it reads.
+        assert_eq!(slot.map(|s| built.var_name(s)), test.state_var());
+        assert_eq!(s.map(|s| oracle.var_name(s)), test.state_var());
         assert_eq!(built.branch_var(id), oracle.branch_var(id));
     }
     for i in 0..oracle.num_leaves() {
         let id = oracle.leaf_id(i);
-        assert_eq!(built.leaf(id), oracle.leaf(id), "leaf {id:?}");
+        let (leaf, expected) = (built.leaf(id), oracle.leaf(id));
+        assert_eq!(leaf.seqs, expected.seqs, "leaf {id:?}");
+        assert_eq!(leaf.writes_state(), expected.writes_state());
+        for (s, seq) in leaf.seqs.iter().enumerate() {
+            for (a, action) in seq.actions.iter().enumerate() {
+                let var = action.written_var();
+                assert_eq!(leaf.written_slot(s, a).map(|x| built.var_name(x)), var);
+                assert_eq!(expected.written_slot(s, a).map(|x| oracle.var_name(x)), var);
+            }
+        }
     }
     assert_eq!(built.state_classes(), oracle.state_classes());
-    assert_eq!(built.state_classes(), &two_pass_classify(&built));
+    assert_eq!(built.state_classes(), two_pass_classify(&built));
     assert_eq!(
         TableProgram::compile(&built).stats(),
         TableProgram::compile(&oracle).stats()
@@ -233,7 +249,7 @@ fn classes_of(
     let flat = snap_xfdd::compile(policy)
         .expect("the policy compiles")
         .flatten();
-    (flat.state_classes().clone(), two_pass_classify(&flat))
+    (flat.state_classes(), two_pass_classify(&flat))
 }
 
 #[test]
@@ -261,6 +277,51 @@ fn classify_state_matches_the_two_pass_oracle_on_the_catalogue() {
         seen.contains("Counter") && seen.contains("Exact"),
         "{seen:?}"
     );
+}
+
+/// One mirror, several programs: the mirror numbers the variables of all of
+/// them, so a program that mentions only some sees slots it neither tests
+/// nor writes. Its slot-indexed classification must skip those and agree
+/// with the by-name oracle (and with a one-off flatten) on the rest.
+#[test]
+fn classify_state_over_a_shared_numbering_matches_the_by_name_oracle() {
+    let egress = || apps::assign_egress(6);
+    let pipeline = apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(10))
+        .seq(apps::stateful_firewall())
+        .seq(apps::heavy_hitter_detection(10))
+        .seq(egress());
+    let order = StateDependencies::analyze(&pipeline).var_order();
+    let fresh_len = Pool::new(order.clone()).len();
+    let mut dist = Pool::new(order);
+    let roots: Vec<NodeId> = [
+        pipeline,
+        apps::port_monitoring().seq(egress()),
+        apps::stateful_firewall().seq(egress()),
+        apps::dns_tunnel_detect(10).seq(apps::heavy_hitter_detection(10)),
+        egress(),
+    ]
+    .iter()
+    .map(|policy| to_xfdd(policy, &mut dist).unwrap())
+    .collect();
+    let last = *roots.last().unwrap();
+    let (mirror, _) = Mirror::decode_fresh(&encode_delta(&dist, fresh_len, last)).unwrap();
+    let all_vars = mirror.flatten(roots[0]).var_names().len();
+    assert!(all_vars >= 4);
+    let mut partial = 0;
+    for &root in &roots {
+        let built = mirror.flatten(root);
+        // One numbering for every program of the mirror.
+        assert_eq!(built.var_names().len(), all_vars);
+        let classes = built.state_classes();
+        assert_eq!(classes, two_pass_classify(&built));
+        assert_eq!(classes, FlatProgram::from_pool(&dist, root).state_classes());
+        for (var, class) in &classes {
+            assert_eq!(built.state_class(var), *class);
+        }
+        partial += usize::from(classes.len() < all_vars);
+    }
+    assert!(partial >= 4, "the sub-programs leave slots unclassified");
 }
 
 #[test]

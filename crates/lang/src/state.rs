@@ -149,13 +149,13 @@ impl Store {
 
     /// Write `var[index] ← value`.
     pub fn set(&mut self, var: &StateVar, index: Vec<Value>, value: Value) {
-        self.table_mut(var).set(index, value);
+        self.with_table(var, |table| table.set(index, value));
     }
 
     /// Write `var[index] ← value` with a borrowed index — see
     /// [`StateTable::set_at`].
     pub fn set_at(&mut self, var: &StateVar, index: &[Value], value: Value) {
-        self.table_mut(var).set_at(index, value);
+        self.with_table(var, |table| table.set_at(index, value));
     }
 
     /// Read-modify-write `var[index]` in one table walk — see
@@ -166,16 +166,26 @@ impl Store {
         index: &[Value],
         update: impl FnOnce(&Value) -> Result<Value, E>,
     ) -> Result<(), E> {
-        self.table_mut(var).update(index, update)
+        self.with_table(var, |table| table.update(index, update))
     }
 
-    /// The table backing `var`, created empty on first touch. Clones the
-    /// variable name only on that first touch, not per write.
-    fn table_mut(&mut self, var: &StateVar) -> &mut StateTable {
-        if !self.tables.contains_key(var) {
-            self.tables.insert(var.clone(), StateTable::default());
+    /// Run `write` on the table backing `var`, created empty on first touch
+    /// — in one walk of the variable map for an existing table (the lookup)
+    /// and two on first touch (the failed lookup, then the insert, which is
+    /// also the only time the name is cloned). A closure rather than a
+    /// returned `&mut`: handing out the looked-up table *or* a freshly
+    /// inserted one from a single borrow is what the borrow checker cannot
+    /// express without a second lookup.
+    fn with_table<R>(&mut self, var: &StateVar, write: impl FnOnce(&mut StateTable) -> R) -> R {
+        match self.tables.get_mut(var) {
+            Some(table) => write(table),
+            None => {
+                let mut table = StateTable::default();
+                let out = write(&mut table);
+                self.tables.insert(var.clone(), table);
+                out
+            }
         }
-        self.tables.get_mut(var).expect("just ensured")
     }
 
     /// The table backing `var`, if any entry was ever written or declared.

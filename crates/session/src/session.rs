@@ -655,7 +655,7 @@ impl CompilerSession {
     pub fn state_classes(&self) -> BTreeMap<StateVar, StateClass> {
         self.current
             .as_ref()
-            .map(|c| c.xfdd.flatten().state_classes().clone())
+            .map(|c| c.xfdd.flatten().state_classes())
             .unwrap_or_default()
     }
 

@@ -20,26 +20,52 @@
 //! processing mid-diagram.
 //!
 //! The arrays hold one *shared* payload per node — the lowered leaf (action
-//! table plus a per-variable summary of its writes) or the branch's test —
-//! rather than private copies. A one-off flatten ([`FlatProgram::from_pool`],
-//! [`crate::Xfdd::flatten`]) lowers the nodes as it goes and nothing else
-//! ever holds its payloads. A switch agent's [`Mirror`] lowers each node
-//! once, when a delta delivers it, and every program flattened from that
-//! mirror — staged, cached by root, kept per epoch for in-flight packets —
-//! points at the same payloads: flattening is a reachability walk plus
-//! handle pushes, dropping a program is reference-count decrements, and an
-//! agent's memory is one lowering of its mirror plus a few words per node
-//! per kept program.
+//! table, the variable slot of each state action and a per-variable summary
+//! of its writes) or the branch's test (with the slot of the variable a
+//! state test reads) — rather than private copies. A one-off flatten
+//! ([`FlatProgram::from_pool`], [`crate::Xfdd::flatten`]) lowers the nodes
+//! as it goes and nothing else ever holds its payloads. A switch agent's
+//! [`Mirror`] lowers each node once, when a delta delivers it, and every
+//! program flattened from that mirror — staged, cached by root, kept per
+//! epoch for in-flight packets — points at the same payloads: flattening is
+//! a reachability walk plus handle pushes, dropping a program is
+//! reference-count decrements, and an agent's memory is one lowering of its
+//! mirror plus a few words per node per kept program.
 //!
 //! ## The mirror invariant
 //!
 //! A [`Mirror`]'s payload `i` is the lowering of its pool's node `i`, for
 //! every node: payloads are valid for exactly one numbering. A resync (which
 //! installs the controller pool's numbering afresh) therefore replaces pool
-//! and payloads together, and a mirror whose delta failed to apply is
-//! discarded whole — the two are one value so that no path can keep one
-//! without the other. Programs already flattened stay valid regardless:
-//! they own handles, not indices into the mirror.
+//! and payloads together — and with them the mirror's variable-slot
+//! numbering, which the payloads index — and a mirror whose delta failed to
+//! apply is discarded whole: they are one value so that no path can keep
+//! one without the others. Programs already flattened stay valid
+//! regardless: they own handles and their own copy of the slot → name
+//! table, not indices into the mirror.
+//!
+//! ## Variable slots
+//!
+//! The stateful packet path never looks a state variable up by name. Every
+//! state test and every state action of a lowered node carries a
+//! [`VarSlot`]: a dense index into the name table of the lowering that made
+//! the payload, stored *in* the payload. Whoever lowers assigns: a
+//! [`Mirror`] numbers the variables of every node it has ever lowered (in
+//! arrival order, append-only, so a payload lowered last week and one
+//! lowered now agree), the one-off [`FlatProgram::from_pool`] numbers the
+//! variables of the one program it lowers. A [`FlatProgram`] carries the
+//! slot → name table its payloads index ([`FlatProgram::var_names`]) and
+//! its [`StateClass`]es as an array over the same slots, so a plane
+//! resolves names exactly once per installed program — each slot to "this
+//! switch's table" or "owned by switch S" — and the per-packet path only
+//! indexes. Names come back out ([`FlatProgram::var_name`]) for error
+//! messages and sampled traces.
+//!
+//! A slot means nothing outside the lowering that assigned it: two agents
+//! may number the same program differently (their mirrors saw different
+//! histories), and a resync renumbers. Slots therefore never appear in a
+//! packet tag, on the wire, or in anything one agent hands another — the
+//! shared vocabulary between parties stays the variable's name.
 //!
 //! ## The two-stage lowering, and which stage to use when
 //!
@@ -157,6 +183,43 @@ impl fmt::Debug for FlatId {
     }
 }
 
+/// Dense index of a state variable within one lowering (see "Variable
+/// slots" in the module docs): the handle by which the packet path reaches a
+/// variable's class, owner and table without comparing a name. Only
+/// meaningful together with the [`FlatProgram`] that carries it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VarSlot(u32);
+
+impl VarSlot {
+    /// The slot as an index into slot-indexed arrays
+    /// ([`FlatProgram::var_names`] and whatever a plane binds per slot).
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The slot numbering of one lowering: append-only, so a slot handed out
+/// once names the same variable for as long as the numbering lives.
+#[derive(Default)]
+struct Slots {
+    by_name: BTreeMap<StateVar, VarSlot>,
+    /// `names[slot]`.
+    names: Vec<StateVar>,
+}
+
+impl Slots {
+    fn slot(&mut self, var: &StateVar) -> VarSlot {
+        if let Some(&slot) = self.by_name.get(var) {
+            return slot;
+        }
+        let slot = VarSlot(u32::try_from(self.names.len()).expect("variable slots fit u32"));
+        self.by_name.insert(var.clone(), slot);
+        self.names.push(var.clone());
+        slot
+    }
+}
+
 /// How a leaf — or, folded over its leaves, a whole program — writes one
 /// state variable. Two writes commute exactly when they are the same kind
 /// (and, for sets, store the same literal), so folding is "equal or
@@ -206,32 +269,57 @@ impl Write {
 /// [`Leaf`], laid out in a dense `Vec` (in the leaf's canonical set order)
 /// so a resumed packet can index its sequence in O(1) instead of walking a
 /// `BTreeSet`, plus facts precomputed at lowering time that the per-packet
-/// path and the program's state classification would otherwise rediscover.
-#[derive(Clone, Debug, PartialEq)]
+/// path and the program's state classification would otherwise rediscover:
+/// the [`VarSlot`] of every state action and a per-variable summary of the
+/// leaf's writes.
+#[derive(Clone, Debug)]
 pub struct FlatLeaf {
     /// The parallel action sequences, in the canonical (set) order of the
     /// source leaf.
     pub seqs: Vec<ActionSeq>,
+    /// The slot of the variable each action writes (`None` for a `Modify`),
+    /// the sequences' actions concatenated in order. Empty for a stateless
+    /// leaf.
+    slots: Vec<Option<VarSlot>>,
     /// Every state variable some sequence writes, with its writes folded.
     /// Empty for the (common) stateless leaf, which then skips per-sequence
     /// store cloning and the store merge entirely.
-    writes: Vec<(StateVar, Write)>,
+    writes: Vec<(VarSlot, Write)>,
 }
 
 impl FlatLeaf {
-    fn from_leaf(leaf: &Leaf) -> FlatLeaf {
+    fn from_leaf(leaf: &Leaf, vars: &mut Slots) -> FlatLeaf {
         let seqs: Vec<ActionSeq> = leaf.0.iter().cloned().collect();
-        let mut writes: Vec<(StateVar, Write)> = Vec::new();
-        for (var, write) in seqs
-            .iter()
-            .flat_map(|s| s.actions.iter().filter_map(Write::of))
-        {
-            match writes.iter_mut().find(|(v, _)| v == var) {
+        let mut writes: Vec<(VarSlot, Write)> = Vec::new();
+        let mut slot_of = |action: &Action| {
+            let (var, write) = Write::of(action)?;
+            let slot = vars.slot(var);
+            match writes.iter_mut().find(|(s, _)| *s == slot) {
                 Some((_, seen)) => seen.merge(&write),
-                None => writes.push((var.clone(), write)),
+                None => writes.push((slot, write)),
             }
+            Some(slot)
+        };
+        let stateful = |seq: &ActionSeq| seq.actions.iter().any(|a| a.written_var().is_some());
+        let slots = if seqs.iter().any(stateful) {
+            let actions = seqs.iter().flat_map(|seq| &seq.actions);
+            actions.map(&mut slot_of).collect()
+        } else {
+            Vec::new()
+        };
+        FlatLeaf {
+            seqs,
+            slots,
+            writes,
         }
-        FlatLeaf { seqs, writes }
+    }
+
+    /// The slot of the variable written by action `offset` of sequence
+    /// `seq` (`None` for a `Modify`).
+    #[inline]
+    pub fn written_slot(&self, seq: usize, offset: usize) -> Option<VarSlot> {
+        let earlier = self.seqs[..seq].iter().map(|s| s.actions.len());
+        *self.slots.get(earlier.sum::<usize>() + offset)?
     }
 
     /// Does this leaf drop every packet with no side effect?
@@ -292,8 +380,8 @@ pub enum FlatNode<'a> {
     Branch {
         /// The test at this node.
         test: &'a Test,
-        /// The state variable the test reads, if any.
-        var: Option<&'a StateVar>,
+        /// The slot of the state variable the test reads, if any.
+        slot: Option<VarSlot>,
         /// Successor when the test passes.
         tru: FlatId,
         /// Successor when the test fails.
@@ -303,6 +391,14 @@ pub enum FlatNode<'a> {
     Leaf(&'a FlatLeaf),
 }
 
+/// A branch's payload: its test and, for a state test, the slot of the
+/// variable it reads.
+#[derive(Debug)]
+struct FlatTest {
+    test: Test,
+    slot: Option<VarSlot>,
+}
+
 /// The lowered form of one pool node: the payload a [`FlatProgram`] holds
 /// for it, behind a shared handle so a program is assembled, cached and
 /// dropped by reference count, plus a branch's successors — everything
@@ -310,15 +406,20 @@ pub enum FlatNode<'a> {
 #[derive(Clone)]
 enum Lowered {
     Leaf(Arc<FlatLeaf>),
-    Branch(Arc<Test>, [NodeId; 2]),
+    Branch(Arc<FlatTest>, [NodeId; 2]),
 }
 
 impl Lowered {
-    fn of(node: &Node) -> Lowered {
+    /// Lower `node`, numbering the state variables it mentions in `vars`.
+    fn of(node: &Node, vars: &mut Slots) -> Lowered {
         match node {
-            Node::Leaf(leaf) => Lowered::Leaf(Arc::new(FlatLeaf::from_leaf(leaf))),
+            Node::Leaf(leaf) => Lowered::Leaf(Arc::new(FlatLeaf::from_leaf(leaf, vars))),
             Node::Branch { test, tru, fls } => {
-                Lowered::Branch(Arc::new(test.clone()), [*tru, *fls])
+                let payload = FlatTest {
+                    test: test.clone(),
+                    slot: test.state_var().map(|var| vars.slot(var)),
+                };
+                Lowered::Branch(Arc::new(payload), [*tru, *fls])
             }
         }
     }
@@ -329,35 +430,42 @@ impl Lowered {
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
     /// Branch tests, one per branch node.
-    tests: Vec<Arc<Test>>,
+    tests: Vec<Arc<FlatTest>>,
     /// Branch successors `[tru, fls]`, parallel to `tests`.
     edges: Vec<[FlatId; 2]>,
     /// Leaf action tables.
     leaves: Vec<Arc<FlatLeaf>>,
     /// Entry node.
     root: FlatId,
-    /// Per-variable transition classification (see [`StateClass`]),
-    /// computed once at flatten time from the state tests and the leaves'
-    /// write summaries.
-    classes: BTreeMap<StateVar, StateClass>,
+    /// The slot → name table of the lowering the payloads came from. It may
+    /// name variables this program never mentions (a mirror numbers every
+    /// program it has seen); it names every variable the program does.
+    vars: Arc<[StateVar]>,
+    /// Per-slot transition classification (see [`StateClass`]), computed
+    /// once at flatten time from the state tests and the leaves' write
+    /// summaries; `None` for a slot this program neither tests nor writes.
+    classes: Vec<Option<StateClass>>,
 }
 
 impl FlatProgram {
     /// Flatten the subgraph reachable from `root`, lowering every node on
-    /// the way (a [`Mirror`] flattens from payloads it lowered when the
-    /// nodes arrived).
+    /// the way and numbering the program's own variables (a [`Mirror`]
+    /// flattens from payloads it lowered when the nodes arrived).
     pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
-        FlatProgram::assemble(root, |id| Lowered::of(pool.node(id)))
+        let mut vars = Slots::default();
+        let arrays = FlatProgram::assemble(root, |id| Lowered::of(pool.node(id), &mut vars));
+        arrays.classified(vars.names.into())
     }
 
-    /// The one flatten routine, over whatever supplies the lowered nodes.
+    /// The one flatten routine, over whatever supplies the lowered nodes;
+    /// [`FlatProgram::classified`] completes its result.
     ///
     /// The arena interns children before parents (ids strictly decrease from
     /// parent to child), so one descending sweep from the root finds the
     /// reachable set, and numbering it in ascending arena order assigns
     /// dense, child-first flat ids with every child already numbered when
     /// its parent is visited.
-    fn assemble(root: NodeId, lowered: impl Fn(NodeId) -> Lowered) -> FlatProgram {
+    fn assemble(root: NodeId, mut lowered: impl FnMut(NodeId) -> Lowered) -> FlatProgram {
         let span = root.index() + 1;
         let mut reached = vec![false; span];
         reached[root.index()] = true;
@@ -381,7 +489,8 @@ impl FlatProgram {
             edges: Vec::new(),
             leaves: Vec::new(),
             root: FlatId(0),
-            classes: BTreeMap::new(),
+            vars: Arc::default(),
+            classes: Vec::new(),
         };
         for (i, node) in nodes.into_iter().rev() {
             flat_of[i] = match node {
@@ -397,45 +506,69 @@ impl FlatProgram {
             };
         }
         out.root = flat_of[root.index()];
-        out.classes = out.classify_state();
         out
     }
 
-    /// Classify every written variable by folding the leaves' write
-    /// summaries, then demote anything a branch test reads to
-    /// [`StateClass::Exact`]: replication is only sound when the packet path
-    /// never observes intermediate values, and a state test is exactly such
-    /// an observation.
-    fn classify_state(&self) -> BTreeMap<StateVar, StateClass> {
-        let mut folded: BTreeMap<&StateVar, Write> = BTreeMap::new();
-        for (var, write) in self.leaves.iter().flat_map(|leaf| &leaf.writes) {
-            folded
-                .entry(var)
-                .and_modify(|seen| seen.merge(write))
-                .or_insert_with(|| write.clone());
-        }
-        let mut classes: BTreeMap<StateVar, StateClass> = folded
-            .into_iter()
-            .map(|(var, write)| (var.clone(), write.class()))
-            .collect();
-        for var in self.tests.iter().filter_map(|t| t.state_var()) {
-            if classes.get(var) != Some(&StateClass::Exact) {
-                classes.insert(var.clone(), StateClass::Exact);
+    /// Attach the slot → name table the payloads index and classify every
+    /// slot: fold the leaves' write summaries, then demote anything a branch
+    /// test reads to [`StateClass::Exact`] — replication is only sound when
+    /// the packet path never observes intermediate values, and a state test
+    /// is exactly such an observation.
+    fn classified(mut self, vars: Arc<[StateVar]>) -> FlatProgram {
+        let mut folded: Vec<Option<Write>> = vec![None; vars.len()];
+        for (slot, write) in self.leaves.iter().flat_map(|leaf| &leaf.writes) {
+            match &mut folded[slot.index()] {
+                Some(seen) => seen.merge(write),
+                unseen => *unseen = Some(write.clone()),
             }
         }
-        classes
+        let mut classes: Vec<Option<StateClass>> = folded
+            .iter()
+            .map(|write| write.as_ref().map(Write::class))
+            .collect();
+        for slot in self.tests.iter().filter_map(|t| t.slot) {
+            classes[slot.index()] = Some(StateClass::Exact);
+        }
+        self.vars = vars;
+        self.classes = classes;
+        self
     }
 
-    /// The classification of `var`'s transitions in this program.
-    /// Unknown variables are [`StateClass::Exact`] — the conservative
-    /// answer for tables installed out-of-band (e.g. hand-seeded in tests).
+    /// The slot → name table: `var_names()[slot.index()]` is the variable
+    /// every payload of this program means by `slot`. Planes walk it once
+    /// per installed program to bind each slot to an owner or a table.
+    pub fn var_names(&self) -> &[StateVar] {
+        &self.vars
+    }
+
+    /// The name behind a slot of this program (for error messages and
+    /// sampled traces — the packet path itself never needs it).
+    pub fn var_name(&self, slot: VarSlot) -> &StateVar {
+        &self.vars[slot.index()]
+    }
+
+    /// The classification of a slot's transitions in this program.
+    #[inline]
+    pub fn class_of(&self, slot: VarSlot) -> StateClass {
+        self.classes[slot.index()].unwrap_or(StateClass::Exact)
+    }
+
+    /// The classification of `var`'s transitions in this program — the
+    /// by-name view of [`FlatProgram::class_of`]. Unknown variables are
+    /// [`StateClass::Exact`], the conservative answer for tables installed
+    /// out-of-band (e.g. hand-seeded in tests).
     pub fn state_class(&self, var: &StateVar) -> StateClass {
-        self.classes.get(var).copied().unwrap_or(StateClass::Exact)
+        let slot = self.vars.iter().position(|name| name == var);
+        slot.and_then(|i| self.classes[i])
+            .unwrap_or(StateClass::Exact)
     }
 
-    /// All classified variables and their classes.
-    pub fn state_classes(&self) -> &BTreeMap<StateVar, StateClass> {
-        &self.classes
+    /// All classified variables and their classes, by name.
+    pub fn state_classes(&self) -> BTreeMap<StateVar, StateClass> {
+        let classified = self.vars.iter().zip(&self.classes);
+        classified
+            .filter_map(|(var, class)| Some((var.clone(), (*class)?)))
+            .collect()
     }
 
     /// The entry node.
@@ -478,10 +611,10 @@ impl FlatProgram {
         } else {
             let i = id.branch_index();
             let [tru, fls] = self.edges[i];
-            let test: &Test = &self.tests[i];
+            let FlatTest { test, slot } = &*self.tests[i];
             FlatNode::Branch {
                 test,
-                var: test.state_var(),
+                slot: *slot,
                 tru,
                 fls,
             }
@@ -497,18 +630,18 @@ impl FlatProgram {
     /// The state variable read by a branch's test, if any.
     #[inline]
     pub fn branch_var(&self, id: FlatId) -> Option<&StateVar> {
-        self.tests[id.branch_index()].state_var()
+        self.tests[id.branch_index()].test.state_var()
     }
 
-    /// Walk tests from `from` to a leaf for one packet: the hot path of the
-    /// dataplane. Pure index arithmetic over the dense arrays.
+    /// Walk tests from `from` to a leaf for one packet against a by-name
+    /// [`Store`]: the one-test-per-step reference semantics.
     #[inline]
     pub fn walk(&self, from: FlatId, pkt: &Packet, store: &Store) -> Result<FlatId, EvalError> {
         let mut cur = from;
         while !cur.is_leaf() {
             let i = cur.branch_index();
             let [tru, fls] = self.edges[i];
-            cur = if eval_test(&self.tests[i], pkt, store)? {
+            cur = if eval_test(&self.tests[i].test, pkt, store)? {
                 tru
             } else {
                 fls
@@ -532,9 +665,12 @@ impl FlatProgram {
     /// All state variables referenced anywhere in the program (tests and
     /// leaf actions).
     pub fn state_vars(&self) -> BTreeSet<StateVar> {
-        let tested = self.tests.iter().filter_map(|t| t.state_var());
+        let tested = self.tests.iter().filter_map(|t| t.slot);
         let written = self.leaves.iter().flat_map(|leaf| &leaf.writes);
-        tested.chain(written.map(|(var, _)| var)).cloned().collect()
+        tested
+            .chain(written.map(|(slot, _)| *slot))
+            .map(|slot| self.var_name(slot).clone())
+            .collect()
     }
 }
 
@@ -542,9 +678,11 @@ impl FlatProgram {
 /// together with the lowered payload of every node in it.
 ///
 /// **Invariant:** `lowered[i]` is the payload of `pool` node `i`, for every
-/// node — so the payloads are valid for exactly one numbering, the pool's.
-/// Pool and payloads are one value for that reason: a resync replaces both,
-/// and a mirror whose delta failed is dropped whole, never patched up.
+/// node — so the payloads are valid for exactly one numbering, the pool's —
+/// and every [`VarSlot`] in a payload indexes `vars` (and `var_names`). Pool, payloads and
+/// slot numbering are one value for that reason: a resync replaces all
+/// three, and a mirror whose delta failed is dropped whole, never patched
+/// up.
 ///
 /// Nodes are lowered once, when a delta delivers them. Flattening a root is
 /// then a reachability walk that pushes shared handles, every program the
@@ -553,6 +691,11 @@ impl FlatProgram {
 pub struct Mirror {
     pool: Pool,
     lowered: Vec<Lowered>,
+    vars: Slots,
+    /// `vars.names`, as every program flattened since the last new name
+    /// shares it (a delta that brings a new variable re-shares: rare, and
+    /// O(variables)).
+    var_names: Arc<[StateVar]>,
 }
 
 impl Mirror {
@@ -563,6 +706,8 @@ impl Mirror {
         let mut mirror = Mirror {
             pool,
             lowered: Vec::new(),
+            vars: Slots::default(),
+            var_names: Arc::default(),
         };
         mirror.lower_suffix();
         Ok((mirror, root))
@@ -581,7 +726,11 @@ impl Mirror {
     fn lower_suffix(&mut self) {
         for i in self.lowered.len()..self.pool.len() {
             let id = NodeId(u32::try_from(i).expect("pool ids fit u32"));
-            self.lowered.push(Lowered::of(self.pool.node(id)));
+            self.lowered
+                .push(Lowered::of(self.pool.node(id), &mut self.vars));
+        }
+        if self.var_names.len() != self.vars.names.len() {
+            self.var_names = self.vars.names.as_slice().into();
         }
     }
 
@@ -601,9 +750,11 @@ impl Mirror {
     }
 
     /// Flatten the program rooted at `root` — [`FlatProgram::from_pool`] on
-    /// the mirrored pool, with the payloads shared instead of lowered anew.
+    /// the mirrored pool, with the payloads (and the mirror's slot
+    /// numbering) shared instead of lowered anew.
     pub fn flatten(&self, root: NodeId) -> FlatProgram {
-        FlatProgram::assemble(root, |id| self.lowered[id.index()].clone())
+        let arrays = FlatProgram::assemble(root, |id| self.lowered[id.index()].clone());
+        arrays.classified(Arc::clone(&self.var_names))
     }
 }
 

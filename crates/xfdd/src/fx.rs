@@ -6,6 +6,12 @@
 //! times the multiply-rotate mix below (the scheme rustc uses for its own
 //! interned ids). Tables keyed on *content* (`Leaf`s, `Test`s, which derive
 //! from the operator's policy) keep the default hasher.
+//!
+//! The hasher itself is public for one more caller with the same profile:
+//! the dataplane routes a state key to one of a switch's few shards with
+//! it — a deterministic, unseeded function on purpose (every worker, every
+//! run must route a key alike), choosing a lock, never a bucket; the tables
+//! behind the locks are keyed by packet-derived values and stay seeded.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,8 +23,10 @@ pub(crate) type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// The multiply-rotate word hasher (see the module docs): deterministic,
+/// unseeded, a word per step. Not for tables keyed by outside input.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

@@ -85,7 +85,8 @@ pub use compact::RemapTable;
 pub use deps::StateDependencies;
 pub use diagram::{eval_test, Xfdd};
 pub use error::CompileError;
-pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, StateClass};
+pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, StateClass, VarSlot};
+pub use fx::FxHasher;
 pub use pool::{CtxId, Node, NodeId, Pool};
 pub use tables::{Lookup, TableProgram, TableStats};
 pub use test::{Test, VarOrder};

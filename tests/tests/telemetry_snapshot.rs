@@ -1,8 +1,9 @@
 //! The acceptance scenario for the telemetry plane: one
 //! `MetricsSnapshot::to_json()` from a campus `DistNetwork` run contains
 //! per-switch packet / hop / state-write counters, egress queue stats,
-//! wave-prefix survivor ratios, at least one sampled end-to-end packet
-//! trace, and the commit event log for every epoch.
+//! per-variable state-table sizes, wave-prefix survivor ratios, at least
+//! one sampled end-to-end packet trace, and the commit event log for every
+//! epoch.
 
 use snap_core::SolverChoice;
 use snap_dataplane::TrafficEngine;
@@ -77,6 +78,15 @@ fn campus_distributed_snapshot_is_complete() {
         .map(|(_, v)| v)
         .sum();
     assert_eq!(depth, 300, "nothing drained: depth equals enqueued");
+    // Per-variable table sizes, read off the owner's shards: every packet
+    // counted under the one key `count[1]`, on exactly one switch.
+    let tables = &snap.families["store.table.entries"];
+    let counts: Vec<_> = tables
+        .iter()
+        .filter(|(label, _)| label.ends_with("/count"))
+        .collect();
+    assert_eq!(counts.len(), 1, "one owner holds `count`: {tables:?}");
+    assert_eq!(counts[0].1, 1, "one key was ever written");
     // Wave-prefix survivor ratio is well-formed.
     let wp = snap.counters["driver.wave_prefix.packets"];
     let ws = snap.counters["driver.wave_prefix.survivors"];
@@ -120,6 +130,7 @@ fn campus_distributed_snapshot_is_complete() {
         "\"switch.hops\"",
         "\"switch.state_writes\"",
         "\"egress.D4.enqueued\"",
+        "\"store.table.entries\"",
         "\"driver.wave_prefix.survivors\"",
         "\"traces\"",
         "\"kind\": \"prepare\"",
