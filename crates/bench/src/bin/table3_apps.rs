@@ -27,7 +27,7 @@ fn main() {
                     name,
                     compiled.xfdd.size(),
                     compiled.deps.variables.len(),
-                    compiled.rules.total_instructions,
+                    compiled.rules.total_instructions(),
                     secs(start.elapsed()),
                 );
             }

@@ -39,7 +39,7 @@ pub mod optimize;
 pub mod pipeline;
 pub mod rulegen;
 
-pub use mapping::PacketStateMap;
+pub use mapping::{PacketStateMap, VarSet};
 pub use optimize::{
     place_and_route, place_and_route_timed, reroute, reroute_timed, OptimizeInput, OptimizeTimings,
     PlacementResult, SolverChoice,

@@ -16,25 +16,79 @@
 //! a bottom-up "touches state" flag rules out while the stack is empty —
 //! typically the great majority of the diagram (on the Table 5 ISP rows,
 //! under 2 % of the paths touch state).
+//!
+//! The result keeps what the walk computes and nothing else: one sorted
+//! variable table and a dense `ingress × egress` matrix of variable bitsets.
+//! That is the one representation — comparing two mappings is a slice
+//! compare, cloning or dropping one touches four allocations — and names
+//! come back out through borrowed views ([`PacketStateMap::vars_for`],
+//! [`PacketStateMap::iter`], [`PacketStateMap::all_vars`],
+//! [`PacketStateMap::flows_needing`]). A map of name sets per port pair
+//! exists only in this module's tests, as the output of the path-enumeration
+//! oracle the views are checked against.
 
 use serde::{Deserialize, Serialize};
 use snap_lang::{Field, StateVar, Value};
 use snap_topology::PortId;
 use snap_xfdd::{Action, ActionSeq, Leaf, Node, NodeId, Pool, Test, Xfdd};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::Arc;
 
 /// The packet-state mapping: state variables needed per (ingress, egress)
 /// OBS port pair.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PacketStateMap {
-    per_pair: BTreeMap<(PortId, PortId), BTreeSet<StateVar>>,
+    /// The diagram's state variables, ascending: bit `i` of a cell stands
+    /// for `vars[i]`.
+    vars: Arc<[StateVar]>,
+    /// The rows: the OBS ports, ascending, each once.
+    ingress: Arc<[PortId]>,
+    /// The columns: the OBS ports and any other port a leaf assigns (such a
+    /// flow is recorded even though nothing can route it), ascending.
+    egress: Arc<[PortId]>,
+    /// `ingress × egress` cells, row-major, [`words_for`]`(vars.len())`
+    /// words each.
+    cells: Vec<u64>,
+}
+
+/// The state variables of one flow: a borrowed, by-name view of one cell of
+/// a [`PacketStateMap`], in ascending name order.
+#[derive(Clone, Copy)]
+pub struct VarSet<'a> {
+    vars: &'a [StateVar],
+    bits: &'a [u64],
+}
+
+impl<'a> VarSet<'a> {
+    /// The variables, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &'a StateVar> + 'a {
+        let vars = self.vars;
+        ones(self.bits).map(move |i| &vars[i])
+    }
+
+    /// Is `var` in the set?
+    pub fn contains(&self, var: &StateVar) -> bool {
+        let at = self.vars.binary_search(var);
+        at.is_ok_and(|i| self.bits[i / 64] & (1 << (i % 64)) != 0)
+    }
+
+    /// Does the flow need no state at all?
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+}
+
+impl fmt::Debug for VarSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
 }
 
 impl PacketStateMap {
     /// Compute the mapping for a program xFDD over the given OBS ports.
     pub fn analyze(xfdd: &Xfdd, ports: &[PortId]) -> PacketStateMap {
         let pool = xfdd.pool();
-        let vars: Vec<StateVar> = xfdd.state_vars().into_iter().collect();
         let mut touches_state = vec![false; pool.len()];
         pool.fold_reachable(xfdd.root(), |id, node, kids| {
             let touches = match (node, kids) {
@@ -46,195 +100,292 @@ impl PacketStateMap {
             touches
         });
 
-        // Egress candidates: the OBS ports, then any other port a leaf
-        // assigns (such a flow is recorded even though nothing can route it).
-        let mut egress = ports.to_vec();
-        pool.visit_reachable([xfdd.root()], |_, node| {
-            if let Node::Leaf(leaf) = node {
-                for p in leaf.0.iter().filter_map(assigned_outport) {
-                    if !egress.contains(&p) {
-                        egress.push(p);
-                    }
+        // The diagram's variables, and the egress candidates: the OBS ports
+        // and any other port a leaf assigns (such a flow is recorded even
+        // though nothing can route it).
+        let mut vars: BTreeSet<&StateVar> = BTreeSet::new();
+        let ingress: BTreeSet<PortId> = ports.iter().copied().collect();
+        let mut egress = ingress.clone();
+        pool.visit_reachable([xfdd.root()], |id, _| {
+            match pool.node(id) {
+                Node::Leaf(leaf) => {
+                    vars.extend(written_vars(leaf));
+                    egress.extend(leaf.0.iter().filter_map(assigned_outport));
                 }
+                Node::Branch { test, .. } => vars.extend(test.state_var()),
             }
             true
         });
+        let vars: Arc<[StateVar]> = vars.into_iter().cloned().collect();
+        let ingress: Arc<[PortId]> = ingress.into_iter().collect();
+        let egress: Arc<[PortId]> = egress.into_iter().collect();
 
-        let mut obs_ports = BitSet::empty(egress.len());
-        (0..ports.len()).for_each(|i| obs_ports.insert(i));
+        let column = |port: &PortId| egress.binary_search(port).expect("an egress candidate");
         let mut walk = Walk {
             pool,
-            ports,
+            ingress: &ingress,
             egress: &egress,
-            obs_ports: &obs_ports,
             vars: &vars,
+            obs_columns: ingress.iter().map(column).collect(),
             touches_state: &touches_state,
+            sets: Vec::new(),
             tested_vars: Vec::new(),
-            needed: vec![BitSet::empty(vars.len()); ports.len() * egress.len()],
+            leaf_vars: Vec::new(),
+            cells: vec![0; ingress.len() * egress.len() * words_for(vars.len())],
         };
-        walk.visit(xfdd.root(), &obs_ports, &BitSet::empty(egress.len()));
-
-        let mut map = PacketStateMap::default();
-        for (ui, &u) in ports.iter().enumerate() {
-            for (vi, &v) in egress.iter().enumerate() {
-                let needed = &walk.needed[ui * egress.len() + vi];
-                if !needed.is_empty() {
-                    map.per_pair
-                        .entry((u, v))
-                        .or_default()
-                        .extend(needed.iter().map(|i| vars[i].clone()));
-                }
-            }
+        let inports = walk.push_set(ingress.len(), 0..ingress.len());
+        let tested_out = walk.push_set(egress.len(), 0..0);
+        walk.visit(xfdd.root(), inports, tested_out);
+        let cells = walk.cells;
+        PacketStateMap {
+            vars,
+            ingress,
+            egress,
+            cells,
         }
-        map
+    }
+
+    fn cell(&self, row: usize, column: usize) -> VarSet<'_> {
+        let words = words_for(self.vars.len());
+        let at = (row * self.egress.len() + column) * words;
+        VarSet {
+            vars: &self.vars,
+            bits: &self.cells[at..at + words],
+        }
     }
 
     /// The state variables needed by the flow from `u` to `v`.
-    pub fn vars_for(&self, u: PortId, v: PortId) -> &BTreeSet<StateVar> {
-        static NONE: BTreeSet<StateVar> = BTreeSet::new();
-        self.per_pair.get(&(u, v)).unwrap_or(&NONE)
+    pub fn vars_for(&self, u: PortId, v: PortId) -> VarSet<'_> {
+        match (
+            self.ingress.binary_search(&u),
+            self.egress.binary_search(&v),
+        ) {
+            (Ok(row), Ok(column)) => self.cell(row, column),
+            _ => VarSet {
+                vars: &[],
+                bits: &[],
+            },
+        }
     }
 
-    /// Iterate over `(u, v, vars)` entries with a non-empty variable set.
-    pub fn iter(&self) -> impl Iterator<Item = (PortId, PortId, &BTreeSet<StateVar>)> {
-        self.per_pair.iter().map(|(&(u, v), s)| (u, v, s))
+    /// Iterate over `(u, v, vars)` entries with a non-empty variable set,
+    /// ascending in `(u, v)`.
+    pub fn iter(&self) -> impl Iterator<Item = (PortId, PortId, VarSet<'_>)> {
+        let pairs = (0..self.ingress.len())
+            .flat_map(move |row| (0..self.egress.len()).map(move |column| (row, column)));
+        pairs
+            .map(|(row, column)| {
+                (
+                    self.ingress[row],
+                    self.egress[column],
+                    self.cell(row, column),
+                )
+            })
+            .filter(|(_, _, vars)| !vars.is_empty())
     }
 
     /// Number of flows that need at least one state variable.
     pub fn num_stateful_flows(&self) -> usize {
-        self.per_pair.len()
+        self.iter().count()
     }
 
     /// All state variables mentioned anywhere in the mapping.
     pub fn all_vars(&self) -> BTreeSet<StateVar> {
-        self.per_pair.values().flatten().cloned().collect()
+        let mut any = vec![0u64; words_for(self.vars.len())];
+        for cell in self.cells.chunks(any.len().max(1)) {
+            any.iter_mut().zip(cell).for_each(|(a, &w)| *a |= w);
+        }
+        ones(&any).map(|i| self.vars[i].clone()).collect()
     }
 
     /// The flows (port pairs) that need a given variable.
     pub fn flows_needing(&self, var: &StateVar) -> Vec<(PortId, PortId)> {
-        self.per_pair
-            .iter()
-            .filter(|(_, vars)| vars.contains(var))
-            .map(|(&pair, _)| pair)
-            .collect()
+        let flows = self.iter().filter(|(_, _, vars)| vars.contains(var));
+        flows.map(|(u, v, _)| (u, v)).collect()
     }
+}
+
+/// Words of a bitset over `n` indices.
+fn words_for(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// The indices set in a bitset, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(wi, &word)| {
+        (0..64)
+            .filter(move |bit| word & (1 << bit) != 0)
+            .map(move |bit| wi * 64 + bit)
+    })
+}
+
+/// A port set on the walk's stack: `sets[at..at + len]`.
+#[derive(Clone, Copy)]
+struct SetRef {
+    at: usize,
+    len: usize,
 }
 
 /// The state of the depth-first walk behind [`PacketStateMap::analyze`].
 struct Walk<'a> {
     pool: &'a Pool,
-    /// The OBS ports; port sets are bitsets over indices into `egress`, of
-    /// which these are the first `ports.len()`.
-    ports: &'a [PortId],
+    ingress: &'a [PortId],
     egress: &'a [PortId],
-    /// The set of all OBS ports.
-    obs_ports: &'a BitSet,
-    /// The diagram's state variables, sorted; bit `i` of a `needed` set and
-    /// an entry `i` of `tested_vars` stand for `vars[i]`.
+    /// The diagram's state variables, sorted.
     vars: &'a [StateVar],
+    /// The column (index into `egress`) of every OBS port, in row order.
+    obs_columns: Vec<usize>,
     /// Per node: does any path from here test or write state?
     touches_state: &'a [bool],
-    /// Variables of the state tests on the path walked so far.
+    /// The port sets of the path walked so far, as one stack of words: a
+    /// set narrowed at a test is pushed for the sub-walk and popped after,
+    /// so the walk allocates nothing per node.
+    sets: Vec<u64>,
+    /// Variables (as indices into `vars`) of the state tests on the path
+    /// walked so far.
     tested_vars: Vec<usize>,
-    /// Per `(ingress index, egress index)`: the variables collected so far.
-    needed: Vec<BitSet>,
+    /// The variables of the path ending at the leaf being collected (a
+    /// buffer kept across leaves).
+    leaf_vars: Vec<usize>,
+    /// The matrix under construction (see [`PacketStateMap::cells`]).
+    cells: Vec<u64>,
 }
 
 impl Walk<'_> {
-    /// Walk the sub-diagram at `n`, reached by a path that `inports` (as
-    /// indices into `ports`) are consistent with and that tested `outport`
-    /// positively for `tested_out`.
-    fn visit(&mut self, n: NodeId, inports: &BitSet, tested_out: &BitSet) {
-        if inports.is_empty() || (self.tested_vars.is_empty() && !self.touches_state[n.index()]) {
-            return;
-        }
-        match self.pool.node(n) {
-            Node::Leaf(leaf) => self.collect(leaf, inports, tested_out),
-            Node::Branch { test, tru, fls } => match test {
-                Test::FieldValue(Field::InPort, v) => {
-                    let matching = self.ports_matching(v);
-                    self.visit(*tru, &inports.and(&matching), tested_out);
-                    self.visit(*fls, &inports.and_not(&matching), tested_out);
-                }
-                Test::FieldValue(Field::OutPort, v) => {
-                    let matching = self.ports_matching(v);
-                    self.visit(*tru, inports, &tested_out.or(&matching));
-                    self.visit(*fls, inports, tested_out);
-                }
-                Test::State { var, .. } => {
-                    let var = self.vars.binary_search(var).expect("diagram variable");
-                    self.tested_vars.push(var);
-                    self.visit(*tru, inports, tested_out);
-                    self.visit(*fls, inports, tested_out);
-                    self.tested_vars.pop();
-                }
-                _ => {
-                    self.visit(*tru, inports, tested_out);
-                    self.visit(*fls, inports, tested_out);
-                }
-            },
-        }
-    }
-
-    /// The OBS ports (as indices) whose number a test value matches.
-    fn ports_matching(&self, v: &Value) -> BitSet {
-        let mut set = BitSet::empty(self.egress.len());
-        for (i, p) in self.ports.iter().enumerate() {
-            if v.matches(&Value::Int(p.0 as i64)) {
-                set.insert(i);
-            }
+    /// Push the set of `members` (indices below `capacity`) onto the stack.
+    fn push_set(&mut self, capacity: usize, members: impl Iterator<Item = usize>) -> SetRef {
+        let set = SetRef {
+            at: self.sets.len(),
+            len: words_for(capacity),
+        };
+        self.sets.resize(set.at + set.len, 0);
+        for i in members {
+            self.sets[set.at + i / 64] |= 1 << (i % 64);
         }
         set
     }
 
-    /// A path ends at `leaf`: charge its variables to every flow it carries.
-    fn collect(&mut self, leaf: &Leaf, inports: &BitSet, tested_out: &BitSet) {
-        let mut vars = BitSet::empty(self.vars.len());
-        for &var in &self.tested_vars {
-            vars.insert(var);
+    /// Push a copy of `set` with index `bit` put in (`present`) or taken out.
+    fn push_with(&mut self, set: SetRef, bit: usize, present: bool) -> SetRef {
+        let at = self.sets.len();
+        self.sets.extend_from_within(set.at..set.at + set.len);
+        let word = &mut self.sets[at + bit / 64];
+        if present {
+            *word |= 1 << (bit % 64);
+        } else {
+            *word &= !(1 << (bit % 64));
         }
-        for var in written_vars(leaf) {
-            vars.insert(self.vars.binary_search(var).expect("diagram variable"));
-        }
-        if vars.is_empty() {
+        SetRef { at, len: set.len }
+    }
+
+    fn set(&self, set: SetRef) -> &[u64] {
+        &self.sets[set.at..set.at + set.len]
+    }
+
+    /// Walk the sub-diagram at `n`, reached by a path that `inports` (as
+    /// indices into `ingress`) are consistent with and that tested `outport`
+    /// positively for `tested_out` (as indices into `egress`).
+    fn visit(&mut self, n: NodeId, inports: SetRef, tested_out: SetRef) {
+        if self.set(inports).iter().all(|&w| w == 0)
+            || (self.tested_vars.is_empty() && !self.touches_state[n.index()])
+        {
             return;
         }
-        let outports = self.leaf_outports(leaf, tested_out);
-        for u in inports.iter() {
-            for v in outports.iter() {
-                if self.egress[u] != self.egress[v] {
-                    self.needed[u * self.egress.len() + v].union_with(&vars);
+        let (test, tru, fls) = match self.pool.node(n) {
+            Node::Leaf(leaf) => return self.collect(leaf, inports, tested_out),
+            Node::Branch { test, tru, fls } => (&***test, *tru, *fls),
+        };
+        match test {
+            // `Value::matches` on a port number is equality, so an `inport`
+            // or `outport` test singles out at most one OBS port.
+            Test::FieldValue(Field::InPort, v) => match port_index(self.ingress, v) {
+                Some(port) if self.set(inports)[port / 64] & (1 << (port % 64)) != 0 => {
+                    let only = self.push_set(self.ingress.len(), [port].into_iter());
+                    self.visit(tru, only, tested_out);
+                    self.sets.truncate(only.at);
+                    let rest = self.push_with(inports, port, false);
+                    self.visit(fls, rest, tested_out);
+                    self.sets.truncate(rest.at);
                 }
+                _ => self.visit(fls, inports, tested_out),
+            },
+            Test::FieldValue(Field::OutPort, v) => {
+                match port_index(self.ingress, v) {
+                    Some(port) => {
+                        let with = self.push_with(tested_out, self.obs_columns[port], true);
+                        self.visit(tru, inports, with);
+                        self.sets.truncate(with.at);
+                    }
+                    None => self.visit(tru, inports, tested_out),
+                }
+                self.visit(fls, inports, tested_out);
+            }
+            Test::State { var, .. } => {
+                let var = self.vars.binary_search(var).expect("diagram variable");
+                self.tested_vars.push(var);
+                self.visit(tru, inports, tested_out);
+                self.visit(fls, inports, tested_out);
+                self.tested_vars.pop();
+            }
+            _ => {
+                self.visit(tru, inports, tested_out);
+                self.visit(fls, inports, tested_out);
             }
         }
     }
 
-    /// Which egress ports can this leaf assign, given the path?
-    ///
-    /// Priority: explicit `outport ←` assignments in the leaf's action
-    /// sequences; otherwise positive `outport = v` tests along the path;
-    /// otherwise the flow could exit anywhere (conservatively, all ports).
-    fn leaf_outports(&self, leaf: &Leaf, tested_out: &BitSet) -> BitSet {
-        let mut assigned = BitSet::empty(self.egress.len());
-        for p in leaf.0.iter().filter_map(assigned_outport) {
-            for (i, port) in self.egress.iter().enumerate() {
-                if *port == p {
-                    assigned.insert(i);
-                }
-            }
+    /// A path ends at `leaf`: charge the variables tested along it and
+    /// written by the leaf to every flow it carries.
+    fn collect(&mut self, leaf: &Leaf, inports: SetRef, tested_out: SetRef) {
+        let written = written_vars(leaf).map(|var| self.vars.binary_search(var));
+        let written = written.map(|bit| bit.expect("diagram variable"));
+        let mut vars = std::mem::take(&mut self.leaf_vars);
+        vars.clear();
+        vars.extend(self.tested_vars.iter().copied().chain(written));
+        if !vars.is_empty() {
+            self.charge(&vars, leaf, inports, tested_out);
         }
-        if !assigned.is_empty() {
-            assigned
-        } else if !tested_out.is_empty() {
-            tested_out.clone()
+        self.leaf_vars = vars;
+    }
+
+    /// Add `vars` to the cell of every flow from `inports` to the egress
+    /// ports of a path ending at `leaf`. Those are, by priority: explicit
+    /// `outport ←` assignments in the leaf's action sequences; otherwise
+    /// positive `outport = v` tests along the path; otherwise, if the leaf
+    /// passes anything, the flow could exit anywhere (conservatively, all
+    /// OBS ports); a path that drops every packet contributes no `(u, v)`
+    /// demand.
+    fn charge(&mut self, vars: &[usize], leaf: &Leaf, inports: SetRef, tested_out: SetRef) {
+        let words = words_for(self.vars.len());
+        let inports = &self.sets[inports.at..inports.at + inports.len];
+        let (ingress, egress, cells) = (self.ingress, self.egress, &mut self.cells);
+        let mut charge = |v: usize| {
+            for u in ones(inports).filter(|&u| ingress[u] != egress[v]) {
+                let cell = &mut cells[(u * egress.len() + v) * words..][..words];
+                vars.iter()
+                    .for_each(|var| cell[var / 64] |= 1 << (var % 64));
+            }
+        };
+        let mut assigned = leaf.0.iter().filter_map(assigned_outport).peekable();
+        let tested_out = &self.sets[tested_out.at..tested_out.at + tested_out.len];
+        if assigned.peek().is_some() {
+            let columns = assigned.map(|port| egress.binary_search(&port));
+            columns.for_each(|v| charge(v.expect("an egress candidate")));
+        } else if tested_out.iter().any(|&w| w != 0) {
+            ones(tested_out).for_each(charge);
         } else if leaf.0.iter().any(|seq| !seq.drops) {
-            // Unknown egress: conservatively, the flow may leave anywhere.
-            self.obs_ports.clone()
-        } else {
-            // The path drops every packet; it contributes no (u, v) demand.
-            BitSet::empty(self.egress.len())
+            self.obs_columns.iter().for_each(|&v| charge(v));
         }
     }
+}
+
+/// The index in `ports` of the port a test value names, if it names one.
+fn port_index(ports: &[PortId], v: &Value) -> Option<usize> {
+    let Value::Int(number) = v else {
+        return None;
+    };
+    let port = PortId(usize::try_from(*number).ok()?);
+    ports.binary_search(&port).ok()
 }
 
 /// The egress port a passing action sequence leaves the packet with, if it
@@ -253,64 +404,8 @@ fn assigned_outport(seq: &ActionSeq) -> Option<PortId> {
 fn written_vars(leaf: &Leaf) -> impl Iterator<Item = &StateVar> {
     leaf.0
         .iter()
-        .flat_map(|seq| &seq.actions)
+        .flat_map(|seq| seq.actions.iter())
         .filter_map(Action::written_var)
-}
-
-/// A fixed-capacity set of small indices (ports or state variables).
-#[derive(Clone, Debug)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn empty(capacity: usize) -> BitSet {
-        BitSet {
-            words: vec![0; capacity.div_ceil(64)],
-        }
-    }
-
-    fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn zip_with(&self, other: &BitSet, f: impl Fn(u64, u64) -> u64) -> BitSet {
-        BitSet {
-            words: (self.words.iter().zip(&other.words))
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
-    fn and(&self, other: &BitSet) -> BitSet {
-        self.zip_with(other, |a, b| a & b)
-    }
-
-    fn and_not(&self, other: &BitSet) -> BitSet {
-        self.zip_with(other, |a, b| a & !b)
-    }
-
-    fn or(&self, other: &BitSet) -> BitSet {
-        self.zip_with(other, |a, b| a | b)
-    }
-
-    fn union_with(&mut self, other: &BitSet) {
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            (0..64)
-                .filter(move |bit| word & (1 << bit) != 0)
-                .map(move |bit| wi * 64 + bit)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -318,9 +413,47 @@ mod tests {
     use super::*;
     use snap_lang::builder::*;
     use snap_lang::Policy;
+    use std::collections::BTreeMap;
 
     fn ports(n: usize) -> Vec<PortId> {
         (1..=n).map(PortId).collect()
+    }
+
+    /// The mapping as a map of name sets — what the oracle produces, and
+    /// what the dense matrix must read back as through its by-name views.
+    type NameMap = BTreeMap<(PortId, PortId), BTreeSet<StateVar>>;
+
+    /// Check every by-name view of `map` against the oracle's name sets.
+    fn assert_views_match(map: &PacketStateMap, oracle: &NameMap, context: &str) {
+        let by_iter: NameMap = map
+            .iter()
+            .map(|(u, v, vars)| ((u, v), vars.iter().cloned().collect()))
+            .collect();
+        assert_eq!(&by_iter, oracle, "iter() of {context}");
+        assert_eq!(map.num_stateful_flows(), oracle.len(), "{context}");
+        let all: BTreeSet<StateVar> = oracle.values().flatten().cloned().collect();
+        assert_eq!(map.all_vars(), all, "all_vars() of {context}");
+        for var in &all {
+            let flows: Vec<(PortId, PortId)> = oracle
+                .iter()
+                .filter(|(_, vars)| vars.contains(var))
+                .map(|(&pair, _)| pair)
+                .collect();
+            assert_eq!(map.flows_needing(var), flows, "{var} of {context}");
+        }
+        for (&(u, v), vars) in oracle {
+            let view = map.vars_for(u, v);
+            assert_eq!(view.iter().count(), vars.len(), "{u:?}->{v:?} of {context}");
+            assert!(vars.iter().all(|var| view.contains(var)), "{context}");
+            // The mirrored pair reads back too, whether or not it is mapped.
+            let mirrored: BTreeSet<StateVar> = map.vars_for(v, u).iter().cloned().collect();
+            assert_eq!(
+                mirrored,
+                oracle.get(&(v, u)).cloned().unwrap_or_default(),
+                "{context}"
+            );
+        }
+        assert!(map.vars_for(PortId(usize::MAX), PortId(1)).is_empty());
     }
 
     /// Analyze through the walk and through the path-enumeration oracle,
@@ -328,14 +461,15 @@ mod tests {
     fn analyze(p: &Policy, nports: usize) -> PacketStateMap {
         let d = snap_xfdd::compile(p).unwrap();
         let map = PacketStateMap::analyze(&d, &ports(nports));
-        assert_eq!(map, analyze_by_path_enumeration(&d, &ports(nports)));
+        let oracle = analyze_by_path_enumeration(&d, &ports(nports));
+        assert_views_match(&map, &oracle, "the policy under test");
         map
     }
 
     /// The reference implementation `analyze` replaced, kept as its oracle:
     /// materialise every root-to-leaf path and scan it once per port.
-    fn analyze_by_path_enumeration(xfdd: &Xfdd, ports: &[PortId]) -> PacketStateMap {
-        let mut map = PacketStateMap::default();
+    fn analyze_by_path_enumeration(xfdd: &Xfdd, ports: &[PortId]) -> NameMap {
+        let mut map = NameMap::new();
         for (path, leaf) in xfdd.paths() {
             let mut vars: BTreeSet<StateVar> = BTreeSet::new();
             for (test, _) in &path {
@@ -354,10 +488,7 @@ mod tests {
                     if u == v {
                         continue;
                     }
-                    map.per_pair
-                        .entry((u, v))
-                        .or_default()
-                        .extend(vars.iter().cloned());
+                    map.entry((u, v)).or_default().extend(vars.iter().cloned());
                 }
             }
         }
@@ -436,13 +567,36 @@ mod tests {
                 ] {
                     let d = snap_xfdd::compile(&program)
                         .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
-                    assert_eq!(
-                        PacketStateMap::analyze(&d, &ports(nports)),
-                        analyze_by_path_enumeration(&d, &ports(nports)),
-                        "{name} over {nports} ports"
+                    assert_views_match(
+                        &PacketStateMap::analyze(&d, &ports(nports)),
+                        &analyze_by_path_enumeration(&d, &ports(nports)),
+                        &format!("{name} over {nports} ports"),
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn walk_matches_path_enumeration_on_igen50_ports() {
+        // The benchmark's fleet: the catalogue routed over igen-50's OBS
+        // ports, and the five-app stateful pipeline the edit workloads
+        // deploy there.
+        let topology = snap_topology::generators::igen_topology(50, 7);
+        let obs: Vec<PortId> = topology.external_ports().map(|(p, _)| p).collect();
+        let egress = snap_apps::assign_egress(obs.len());
+        let pipeline = snap_apps::port_monitoring()
+            .seq(snap_apps::dns_tunnel_detect(1_000_000))
+            .seq(snap_apps::stateful_firewall())
+            .seq(snap_apps::heavy_hitter_detection(1_000_000));
+        let mut programs = snap_apps::catalogue();
+        programs.push(("five-app pipeline", pipeline));
+        for (name, policy) in programs {
+            let d = snap_xfdd::compile(&policy.seq(egress.clone()))
+                .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
+            let map = PacketStateMap::analyze(&d, &obs);
+            let oracle = analyze_by_path_enumeration(&d, &obs);
+            assert_views_match(&map, &oracle, &format!("{name} over igen-50"));
         }
     }
 
@@ -460,7 +614,8 @@ mod tests {
             wider.push(PortId(2));
             for obs in [ports(nports), wider] {
                 let map = PacketStateMap::analyze(&d, &obs);
-                assert_eq!(map, analyze_by_path_enumeration(&d, &obs), "{nports} ports");
+                let oracle = analyze_by_path_enumeration(&d, &obs);
+                assert_views_match(&map, &oracle, &format!("{nports} ports"));
                 assert!(map.num_stateful_flows() > 0);
             }
         }

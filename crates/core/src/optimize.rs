@@ -18,7 +18,7 @@
 //! per OBS flow that visits the needed variables in dependency order, and
 //! link-utilization statistics.
 
-use crate::mapping::PacketStateMap;
+use crate::mapping::{PacketStateMap, VarSet};
 use serde::{Deserialize, Serialize};
 use snap_lang::StateVar;
 use snap_milp::{solve_lp, solve_milp, LinExpr, Model, Sense, SolveResult, VarId};
@@ -274,7 +274,7 @@ fn heuristic_place_and_route(
 /// The switches holding a flow's variables, in the order the flow must visit
 /// them (the state-variable dependency order).
 fn waypoints_in_order(
-    needed: &BTreeSet<StateVar>,
+    needed: VarSet<'_>,
     order: &VarOrder,
     placement: &BTreeMap<StateVar, NodeId>,
 ) -> Vec<NodeId> {
@@ -475,7 +475,7 @@ fn build_model(
 
     // PS variables for (s, demand) pairs where the flow needs s.
     for (di, &(u, v, _, _, _)) in demands.iter().enumerate() {
-        for s in input.mapping.vars_for(u, v) {
+        for s in input.mapping.vars_for(u, v).iter() {
             for li in 0..links.len() {
                 let ps = model.add_var(format!("PS_{s}_{di}_{li}"), 0.0, f64::INFINITY);
                 vars.passed.insert((s.clone(), di, li), ps);
@@ -568,7 +568,7 @@ fn build_model(
     // Per-flow state traversal, "passed" flow conservation and ordering.
     for (di, &(u, v, _, src, dst)) in demands.iter().enumerate() {
         let needed = input.mapping.vars_for(u, v);
-        for s in needed {
+        for s in needed.iter() {
             // The flow must pass the switch where s is placed.
             for n in topo.nodes() {
                 if n == src || n == dst {

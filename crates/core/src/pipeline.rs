@@ -12,6 +12,7 @@ use snap_dataplane::Network;
 use snap_lang::Policy;
 use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{to_xfdd, CompileError, Pool, StateDependencies, Xfdd};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options controlling compilation.
@@ -74,8 +75,10 @@ pub struct Compiled {
     pub xfdd: Xfdd,
     /// Packet-state mapping.
     pub mapping: PacketStateMap,
-    /// Placement and routing decision.
-    pub placement: PlacementResult,
+    /// Placement and routing decision, shared: the rules reference it, and
+    /// a session that reuses a placement across recompiles hands out the
+    /// same one.
+    pub placement: Arc<PlacementResult>,
     /// Per-switch rules and statistics.
     pub rules: RuleGenOutput,
     /// Per-phase timings for this compilation.
@@ -143,6 +146,7 @@ impl Compiler {
             deps: &deps,
         };
         let (placement, opt_timings) = place_and_route_timed(&input, self.options.solver);
+        let placement = Arc::new(placement);
 
         // P6 — rule generation.
         let t = Instant::now();
@@ -183,6 +187,7 @@ impl Compiler {
         };
         let (placement, opt_timings) =
             reroute_timed(&input, &compiled.placement.placement, self.options.solver);
+        let placement = Arc::new(placement);
         let t = Instant::now();
         let rules = generate_rules(&self.topology, &compiled.xfdd, &placement);
         let rule_generation = t.elapsed();
@@ -372,7 +377,7 @@ mod tests {
         let compiled = compiler.compile(&assign_egress()).unwrap();
         assert!(compiled.placement.placement.is_empty());
         assert_eq!(compiled.mapping.num_stateful_flows(), 0);
-        assert!(compiled.rules.total_instructions > 0);
+        assert!(compiled.rules.total_instructions() > 0);
     }
 
     #[test]

@@ -278,7 +278,7 @@ impl NetAsmProgram {
 /// ends with `Emit` (or `Drop`) before the next begins, and field changes are
 /// re-applied per sequence.
 fn lower_seq(seq: &ActionSeq, out: &mut Vec<Instruction>) {
-    for a in &seq.actions {
+    for a in seq.actions.iter() {
         match a {
             snap_xfdd::Action::Modify(f, v) => {
                 out.push(Instruction::SetField(f.clone(), v.clone()))

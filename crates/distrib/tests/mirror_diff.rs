@@ -406,3 +406,87 @@ fn classify_state_matches_the_two_pass_oracle_on_mixed_and_conflicting_writes() 
     assert_eq!(new[&StateVar::new("hits")], StateClass::Counter);
     assert_eq!(new[&StateVar::new("seen")], StateClass::Exact);
 }
+
+/// Two flat programs are the same program, slot numbering included: ids,
+/// tests, leaves, slots and classes.
+fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
+    assert_eq!(a.root(), b.root());
+    assert_eq!(a.num_branches(), b.num_branches());
+    assert_eq!(a.num_leaves(), b.num_leaves());
+    for i in 0..a.num_branches() {
+        let id = a.branch_id(i);
+        let (
+            FlatNode::Branch {
+                test,
+                slot,
+                tru,
+                fls,
+            },
+            FlatNode::Branch {
+                test: t,
+                slot: s,
+                tru: x,
+                fls: y,
+            },
+        ) = (a.node(id), b.node(id))
+        else {
+            panic!("branch ids resolve to branches");
+        };
+        assert_eq!((test, slot, tru, fls), (t, s, x, y), "branch {id:?}");
+    }
+    for i in 0..a.num_leaves() {
+        let id = a.leaf_id(i);
+        let (leaf, other) = (a.leaf(id), b.leaf(id));
+        assert_eq!(leaf.seqs, other.seqs, "leaf {id:?}");
+        for (s, seq) in leaf.seqs.iter().enumerate() {
+            for offset in 0..seq.actions.len() {
+                assert_eq!(leaf.written_slot(s, offset), other.written_slot(s, offset));
+            }
+        }
+    }
+    assert_eq!(a.var_names(), b.var_names());
+    assert_eq!(a.state_classes(), b.state_classes());
+}
+
+/// An agent's mirror is append-only between compactions, so the root of the
+/// running program sits ever deeper in it. Flattening must cost — and
+/// produce — the program, not the arena: the same flat program whether the
+/// root is the mirror's last node or has ten thousand unrelated nodes after
+/// it (`alloc_budget.rs` holds the same flatten to the same bytes).
+#[test]
+fn flatten_is_unchanged_by_unrelated_nodes_appended_to_the_mirror() {
+    let policy = apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(10))
+        .seq(apps::stateful_firewall())
+        .seq(apps::assign_egress(6));
+    let order = StateDependencies::analyze(&policy).var_order();
+    let fresh_len = Pool::new(order.clone()).len();
+    let mut dist = Pool::new(order);
+    let root = to_xfdd(&policy, &mut dist).unwrap();
+    let (mut mirror, _) = Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).unwrap();
+    let before = mirror.flatten(root);
+
+    let base = dist.len();
+    let (id, drop) = (dist.id(), dist.drop());
+    for port in 0..10_000 {
+        dist.branch(
+            snap_xfdd::Test::FieldValue(Field::SrcPort, Value::Int(100_000 + port)),
+            id,
+            drop,
+        );
+    }
+    assert_eq!(dist.len(), base + 10_000);
+    assert_eq!(
+        mirror
+            .apply_delta(&encode_delta(&dist, base, root))
+            .unwrap(),
+        root
+    );
+    assert_eq!(mirror.len(), dist.len());
+
+    assert_identical(&before, &mirror.flatten(root));
+    assert_same_program(&mirror, &dist, root);
+    // A root in the middle of the appended run flattens to its three nodes.
+    let middle = NodeId((base + 5_000) as u32);
+    assert_eq!(mirror.flatten(middle).num_nodes(), 3);
+}

@@ -8,15 +8,21 @@ use crate::value::{Field, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A global, persistent state variable (array), e.g. `orphan` or `susp-client`.
+///
+/// The name is immutable shared text, like [`Value::Str`]: a variable is
+/// copied into every test, action, placement and per-switch variable set
+/// that mentions it, and each of those copies is a reference-count bump.
+/// Ordering, equality, hashing and display are those of the name.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct StateVar(pub String);
+pub struct StateVar(pub Arc<str>);
 
 impl StateVar {
     /// Create a state variable by name.
     pub fn new(name: impl Into<String>) -> Self {
-        StateVar(name.into())
+        StateVar(name.into().into())
     }
 
     /// The variable's name.

@@ -1,13 +1,14 @@
-//! `Value::Str`, `Value::Symbol` and `Field::Custom` hold shared text
-//! (`Arc<str>`) so that copying a packet never copies a string. Nothing a
-//! caller can observe may depend on that: ordering, equality, hashing and
+//! `Value::Str`, `Value::Symbol`, `Field::Custom` and `StateVar` hold shared
+//! text (`Arc<str>`) so that copying a packet, a test, an action or a
+//! placement never copies a string. Nothing a caller can observe may depend
+//! on that: ordering, equality, hashing and
 //! display must be those of the owned `String`s the variants used to hold.
 //! The reference here is a mirror enum over `String` — same variants, same
 //! order, same derives — checked against `Value` on generated values whose
 //! texts are short enough to collide often.
 
 use proptest::prelude::*;
-use snap_lang::{Field, Ipv4, Prefix, Value};
+use snap_lang::{Field, Ipv4, Prefix, StateVar, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -132,5 +133,26 @@ proptest! {
         prop_assert_eq!(fa.to_string(), a);
         // Every custom field sorts after every built-in one, as before.
         prop_assert!(Field::Content < fa);
+    }
+
+    #[test]
+    fn state_vars_compare_hash_and_print_like_owned_strings(a in arb_text(), b in arb_text()) {
+        // The mirror: the `String`-backed tuple struct `StateVar` used to be.
+        #[derive(PartialEq, Eq, PartialOrd, Ord, Hash)]
+        struct Owned(String);
+        let (oa, ob) = (Owned(a.clone()), Owned(b.clone()));
+        let (va, vb) = (StateVar::new(a.as_str()), StateVar::new(b.clone()));
+        prop_assert_eq!(va.name(), a.as_str());
+        prop_assert_eq!(va.cmp(&vb), oa.cmp(&ob));
+        prop_assert_eq!(va == vb, oa == ob);
+        prop_assert_eq!(tape(&va), tape(&oa), "hash stream of {}", a);
+        prop_assert_eq!(va.to_string(), a.clone());
+        prop_assert_eq!(format!("{va:?}"), a.clone());
+        prop_assert_eq!(&StateVar::from(a.as_str()), &va);
+        // A clone shares the text and is indistinguishable from its source.
+        let copy = va.clone();
+        prop_assert!(std::sync::Arc::ptr_eq(&copy.0, &va.0));
+        prop_assert_eq!(&copy, &va);
+        prop_assert_eq!(tape(&copy), tape(&va));
     }
 }

@@ -3,11 +3,11 @@
 use crate::cache::TranslationCache;
 use snap_core::{
     generate_rules, place_and_route_timed, reroute_timed, Compiled, OptimizeInput, OptimizeTimings,
-    PacketStateMap, PhaseTimings, SolverChoice,
+    PacketStateMap, PhaseTimings, PlacementResult, SolverChoice,
 };
 use snap_dataplane::Network;
 use snap_lang::{Policy, Pred, StateVar};
-use snap_telemetry::{Counter, Gauge, Telemetry};
+use snap_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology, TrafficMatrix};
 use snap_xfdd::{
     pred_to_xfdd, to_xfdd, Action, CompileError, Leaf, NodeId, Pool, StateClass, StateDependencies,
@@ -75,8 +75,9 @@ pub struct SessionStats {
     /// Compilations that reused the previous placement because mapping and
     /// dependencies were unchanged.
     pub placement_reuses: u64,
-    /// Compilations answered whole from the version cache (previously seen
-    /// policy, unchanged traffic).
+    /// Compilations answered from the version cache (previously seen
+    /// policy): whole under unchanged traffic, with placement and rules
+    /// brought up to the current matrix after a traffic update.
     pub version_hits: u64,
     /// Automatic + explicit pool compactions.
     pub gc_runs: u64,
@@ -109,7 +110,27 @@ struct SessionCounters {
     /// every compile and compaction so bounded-memory monitors read a live
     /// number instead of re-deriving it.
     pool_nodes: Gauge,
+    /// `session.phase_us{<phase>}` — where each compile that ran phases
+    /// (not a version-cache hit) spent its time, one histogram per entry of
+    /// [`PHASES`].
+    phase_us: [Histogram; PHASES.len()],
 }
+
+/// The phases of a session compile, as the labels of the
+/// `session.phase_us{..}` histogram family: P1; P2 split into re-translation
+/// through the fingerprint cache, the race check and the frozen extract; P3;
+/// P4 + P5 (zero-length when the placement is reused); P6; and entering the
+/// version cache, which frees what it evicts.
+const PHASES: [&str; 8] = [
+    "deps",
+    "translate",
+    "race_check",
+    "extract",
+    "mapping",
+    "placement",
+    "rulegen",
+    "evict",
+];
 
 impl SessionCounters {
     fn new(telemetry: Telemetry) -> SessionCounters {
@@ -127,6 +148,7 @@ impl SessionCounters {
             order_resets: r.counter("session.order_resets"),
             updates_taken: r.counter("session.updates_taken"),
             pool_nodes: r.gauge("pool.live_nodes"),
+            phase_us: PHASES.map(|phase| r.histogram(&format!("session.phase_us{{{phase}}}"))),
             telemetry,
         }
     }
@@ -185,9 +207,13 @@ pub struct CompilerSession {
     cache: TranslationCache,
     /// Fully compiled policy versions, newest-used last (a tiny LRU). The
     /// entries are self-contained (their diagrams live in extracted pools),
-    /// so pool GC and order resets never invalidate them; traffic changes
-    /// do, because placement and routing were optimized for the old matrix.
+    /// so pool GC and order resets never invalidate them. A traffic change
+    /// outdates only what depends on the matrix — placement, routing and
+    /// rules — so entries are stamped with the traffic generation they were
+    /// placed under and brought up to date when next hit.
     versions: Vec<VersionEntry>,
+    /// Bumped by every traffic-matrix update.
+    traffic_generation: u64,
     current: Option<Arc<Compiled>>,
     /// What the last [`Self::take_update`] shipped, for change tracking.
     shipped: Option<ShippedState>,
@@ -198,6 +224,8 @@ pub struct CompilerSession {
 struct VersionEntry {
     fingerprint: u64,
     compiled: Arc<Compiled>,
+    /// The session's traffic generation when `compiled` was placed.
+    traffic_generation: u64,
 }
 
 /// Per-switch distribution metadata: the pieces of a switch's configuration
@@ -268,6 +296,7 @@ impl CompilerSession {
             pool: Pool::new(VarOrder::empty()),
             cache: TranslationCache::default(),
             versions: Vec::new(),
+            traffic_generation: 0,
             current: None,
             shipped: None,
             epoch: 0,
@@ -367,7 +396,8 @@ impl CompilerSession {
     /// [`Self::compile`] without the copy: the handle the session itself
     /// keeps (as [`Self::current_shared`] and in its version cache), which
     /// is what [`Self::take_update`] ships. A version-cache hit returns the
-    /// cached compilation as it is, timings of its original compile included.
+    /// cached compilation as it is, timings of the compile (or, after a
+    /// traffic update, the re-placement) that produced it included.
     pub fn compile_shared(&mut self, policy: &Policy) -> Result<Arc<Compiled>, CompileError> {
         self.compile_inner(policy).map(|(shared, _)| shared)
     }
@@ -379,8 +409,8 @@ impl CompilerSession {
         self.cache.bump_generation();
 
         // Version cache: a policy the session has already fully compiled
-        // (rollback, attack/calm toggle, A/B flip) under the current traffic
-        // matrix needs no phase to run at all.
+        // (rollback, attack/calm toggle, A/B flip) needs no analysis phase
+        // to run at all.
         if let Some(cached) = self.version_lookup(policy) {
             self.stats.version_hits.inc();
             self.epoch += 1;
@@ -390,9 +420,13 @@ impl CompilerSession {
 
         // P1 — state dependency analysis (always: it is cheap and decides
         // whether the warm pool is still sound).
-        let t = Instant::now();
+        let mut last = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            now - std::mem::replace(&mut last, now)
+        };
         let deps = StateDependencies::analyze(policy);
-        let dependency_analysis = t.elapsed();
+        let dependency_analysis = lap();
         let order = deps.var_order();
         if order != *self.pool.order() {
             // Every interned diagram was composed under the old test order;
@@ -411,7 +445,7 @@ impl CompilerSession {
         // interned nodes and cache entries by the time they fail, so the GC
         // threshold is enforced on the error paths too — a stream of racy
         // policies must not grow the pool without bound.
-        let t = Instant::now();
+        lap();
         let root = match self.translate(policy) {
             Ok(root) => root,
             Err(e) => {
@@ -419,34 +453,29 @@ impl CompilerSession {
                 return Err(e);
             }
         };
+        let translate = lap();
         if let Some(var) = self.pool.find_race(root) {
             self.maybe_gc();
             return Err(CompileError::StateRace { var });
         }
-        // Publish a minimal frozen copy — O(diagram), not O(arena) — so the
-        // session's accumulated garbage never leaks into configs.
+        let race_check = lap();
+        // Publish a minimal frozen copy — O(diagram) handle copies, not
+        // O(arena) — so the session's accumulated garbage never leaks into
+        // configs.
         let (frozen, frozen_root) = self.pool.extract(root);
         let xfdd = Xfdd::new(frozen, frozen_root);
-        let xfdd_generation = t.elapsed();
+        let extract = lap();
 
         // P3 — packet-state mapping (depends on the diagram, so it reruns;
         // for a single-subtree edit it usually comes out *equal*, which is
         // what unlocks placement reuse below).
-        let t = Instant::now();
         let ports: Vec<PortId> = self.topology.external_ports().map(|(p, _)| p).collect();
         let mapping = PacketStateMap::analyze(&xfdd, &ports);
-        let packet_state_mapping = t.elapsed();
+        let packet_state_mapping = lap();
 
         // P4 + P5 — placement and routing, skipped entirely when its inputs
         // (mapping, dependency relations, traffic) are unchanged.
-        let reusable = self.current.as_ref().and_then(|prev| {
-            (prev.mapping == mapping
-                && prev.deps.dep == deps.dep
-                && prev.deps.tied == deps.tied
-                && prev.deps.variables == deps.variables)
-                .then(|| prev.placement.clone())
-        });
-        let (placement, opt_timings) = match reusable {
+        let (placement, opt_timings) = match self.running_placement_for(&mapping, &deps) {
             Some(placement) => {
                 self.stats.placement_reuses.inc();
                 (placement, OptimizeTimings::default())
@@ -458,14 +487,15 @@ impl CompilerSession {
                     mapping: &mapping,
                     deps: &deps,
                 };
-                place_and_route_timed(&input, self.options.solver)
+                let (placement, timings) = place_and_route_timed(&input, self.options.solver);
+                (Arc::new(placement), timings)
             }
         };
+        let placement_time = lap();
 
         // P6 — rule generation.
-        let t = Instant::now();
         let rules = generate_rules(&self.topology, &xfdd, &placement);
-        let rule_generation = t.elapsed();
+        let rule_generation = lap();
 
         let compiled = Arc::new(Compiled {
             policy: policy.clone(),
@@ -476,7 +506,7 @@ impl CompilerSession {
             rules,
             timings: PhaseTimings {
                 dependency_analysis,
-                xfdd_generation,
+                xfdd_generation: translate + race_check + extract,
                 packet_state_mapping,
                 milp_creation: opt_timings.model_creation,
                 optimization: opt_timings.solving,
@@ -485,7 +515,22 @@ impl CompilerSession {
         });
         self.epoch += 1;
         self.current = Some(Arc::clone(&compiled));
-        self.version_insert(policy, Arc::clone(&compiled));
+        lap();
+        self.version_insert(Arc::clone(&compiled));
+        let evict = lap();
+        let phases = [
+            dependency_analysis,
+            translate,
+            race_check,
+            extract,
+            packet_state_mapping,
+            placement_time,
+            rule_generation,
+            evict,
+        ];
+        for (histogram, phase) in self.stats.phase_us.iter().zip(phases) {
+            histogram.record(phase.as_micros() as u64);
+        }
         self.maybe_gc();
         Ok((compiled, false))
     }
@@ -497,6 +542,23 @@ impl CompilerSession {
         self.stats.pool_nodes.set(self.pool.len() as i64);
     }
 
+    /// The running compilation's placement, if it is a valid answer for a
+    /// program with this mapping and these dependencies: placement and
+    /// routing depend on nothing else but the traffic matrix, and the
+    /// running compilation is always placed under the current one.
+    fn running_placement_for(
+        &self,
+        mapping: &PacketStateMap,
+        deps: &StateDependencies,
+    ) -> Option<Arc<PlacementResult>> {
+        let running = self.current.as_ref()?;
+        (running.mapping == *mapping
+            && running.deps.dep == deps.dep
+            && running.deps.tied == deps.tied
+            && running.deps.variables == deps.variables)
+            .then(|| Arc::clone(&running.placement))
+    }
+
     fn version_lookup(&mut self, policy: &Policy) -> Option<Arc<Compiled>> {
         let fp = crate::cache::fingerprint(policy);
         let at = self
@@ -504,22 +566,68 @@ impl CompilerSession {
             .iter()
             .position(|v| v.fingerprint == fp && &v.compiled.policy == policy)?;
         // Move to the back: most recently used.
-        let entry = self.versions.remove(at);
+        let mut entry = self.versions.remove(at);
+        if entry.traffic_generation != self.traffic_generation {
+            let stale = &entry.compiled;
+            let running = self.running_placement_for(&stale.mapping, &stale.deps);
+            entry.compiled = self.retargeted(stale, running);
+            entry.traffic_generation = self.traffic_generation;
+        }
         let compiled = Arc::clone(&entry.compiled);
         self.versions.push(entry);
         Some(compiled)
     }
 
-    fn version_insert(&mut self, policy: &Policy, compiled: Arc<Compiled>) {
+    /// `prev` brought to the current traffic matrix: policy, dependencies,
+    /// diagram and mapping do not depend on it and are kept; the placement
+    /// is the given one, else `prev`'s state placement with routing
+    /// re-optimized (the paper's "TE" scenario); rules follow.
+    fn retargeted(
+        &self,
+        prev: &Compiled,
+        placement: Option<Arc<PlacementResult>>,
+    ) -> Arc<Compiled> {
+        let mut timings = PhaseTimings::default();
+        let placement = placement.unwrap_or_else(|| {
+            let input = OptimizeInput {
+                topology: &self.topology,
+                traffic: &self.traffic,
+                mapping: &prev.mapping,
+                deps: &prev.deps,
+            };
+            let fixed = &prev.placement.placement;
+            let (placement, optimize) = reroute_timed(&input, fixed, self.options.solver);
+            timings.optimization = optimize.solving;
+            Arc::new(placement)
+        });
+        let t = Instant::now();
+        let rules = generate_rules(&self.topology, &prev.xfdd, &placement);
+        timings.rule_generation = t.elapsed();
+        Arc::new(Compiled {
+            policy: prev.policy.clone(),
+            deps: prev.deps.clone(),
+            xfdd: prev.xfdd.clone(),
+            mapping: prev.mapping.clone(),
+            placement,
+            rules,
+            timings,
+        })
+    }
+
+    /// Remember `compiled` as the most recently used version, dropping an
+    /// older compilation of the same policy and whatever exceeds the
+    /// cache's capacity.
+    fn version_insert(&mut self, compiled: Arc<Compiled>) {
         if self.options.version_cache == 0 {
             return;
         }
-        let fingerprint = crate::cache::fingerprint(policy);
+        let fingerprint = crate::cache::fingerprint(&compiled.policy);
         self.versions
             .retain(|v| !(v.fingerprint == fingerprint && v.compiled.policy == compiled.policy));
         self.versions.push(VersionEntry {
             fingerprint,
             compiled,
+            traffic_generation: self.traffic_generation,
         });
         while self.versions.len() > self.options.version_cache {
             self.versions.remove(0);
@@ -546,36 +654,15 @@ impl CompilerSession {
     /// [`Self::compile_shared`]).
     pub fn update_traffic_shared(&mut self, traffic: TrafficMatrix) -> Option<Arc<Compiled>> {
         self.traffic = traffic;
-        // Cached versions embed placement/routing for the old matrix.
-        self.versions.clear();
+        // Cached versions embed placement/routing for the old matrix; each
+        // is brought up to date when it is next hit.
+        self.traffic_generation += 1;
         let prev = Arc::clone(self.current.as_ref()?);
         self.stats.reroutes.inc();
-        let input = OptimizeInput {
-            topology: &self.topology,
-            traffic: &self.traffic,
-            mapping: &prev.mapping,
-            deps: &prev.deps,
-        };
-        let (placement, opt_timings) =
-            reroute_timed(&input, &prev.placement.placement, self.options.solver);
-        let t = Instant::now();
-        let rules = generate_rules(&self.topology, &prev.xfdd, &placement);
-        let rule_generation = t.elapsed();
-        let updated = Arc::new(Compiled {
-            policy: prev.policy.clone(),
-            deps: prev.deps.clone(),
-            xfdd: prev.xfdd.clone(),
-            mapping: prev.mapping.clone(),
-            placement,
-            rules,
-            timings: PhaseTimings {
-                optimization: opt_timings.solving,
-                rule_generation,
-                ..PhaseTimings::default()
-            },
-        });
+        let updated = self.retargeted(&prev, None);
         self.epoch += 1;
         self.current = Some(Arc::clone(&updated));
+        self.version_insert(Arc::clone(&updated));
         Some(updated)
     }
 
@@ -1120,15 +1207,68 @@ mod tests {
         assert_eq!(session.epoch(), 3);
         let cold = campus_compiler().compile(&running_example(3)).unwrap();
         assert_equivalent(&flip, &cold);
+    }
 
-        // A traffic change invalidates cached versions: placement/routing
-        // were optimized for the old matrix.
+    #[test]
+    fn version_cache_survives_a_traffic_update() {
+        let mut session = campus_session();
+        session.compile(&running_example(3)).unwrap(); // calm
+        session.update_policy(&running_example(8)).unwrap(); // attack
         let topo = session.topology().clone();
-        session
-            .update_traffic(TrafficMatrix::gravity(&topo, 900.0, 7))
-            .unwrap();
+        let shifted = TrafficMatrix::gravity(&topo, 900.0, 7);
+        let rerouted = session.update_traffic(shifted.clone()).unwrap();
+
+        // Only placement, routing and rules depend on the matrix: the flip
+        // back to calm is still a version hit — no phase runs, the pool does
+        // not grow — and comes out placed under the *new* matrix, exactly as
+        // a session that never saw the old one compiles it.
+        let (len, misses) = (session.pool_len(), session.stats().subtree_misses);
+        let flip = session.update_policy(&running_example(3)).unwrap();
+        let stats = session.stats();
+        assert_eq!(stats.version_hits, 1);
+        assert_eq!((session.pool_len(), stats.subtree_misses), (len, misses));
+        // Same mapping as the running program: its placement, shared.
+        assert!(Arc::ptr_eq(&flip.placement, &rerouted.placement));
+
+        let mut fresh = CompilerSession::new(topo, shifted).with_solver(SolverChoice::Heuristic);
+        let scratch = fresh.compile(&running_example(3)).unwrap();
+        assert_eq!(flip.xfdd.root(), scratch.xfdd.root());
+        assert_eq!(flip.xfdd.pool().len(), scratch.xfdd.pool().len());
+        assert_eq!(flip.mapping, scratch.mapping);
+        assert_eq!(flip.placement, scratch.placement);
+        assert_eq!(flip.rules.forwarding(), &scratch.placement.paths);
+
+        // Flipping again is an ordinary hit on the re-stamped entry: the
+        // very same compilation.
         session.update_policy(&running_example(8)).unwrap();
-        assert_eq!(session.stats().version_hits, 1, "stale version served");
+        let again = session.compile_shared(&running_example(3)).unwrap();
+        assert_eq!(session.stats().version_hits, 3);
+        assert!(Arc::ptr_eq(
+            &again.placement,
+            &session.current().unwrap().placement
+        ));
+        assert_eq!(again.placement, flip.placement);
+
+        // A cached version whose mapping differs from the running program's
+        // keeps its state placement and is re-routed, like the running
+        // program was.
+        let other = apps::port_monitoring().seq(apps::assign_egress(6));
+        let mut session = campus_session();
+        let first = session.compile(&other).unwrap();
+        session.update_policy(&running_example(3)).unwrap();
+        session
+            .update_traffic(TrafficMatrix::gravity(session.topology(), 900.0, 7))
+            .unwrap();
+        let flip = session.update_policy(&other).unwrap();
+        assert_eq!(session.stats().version_hits, 1);
+        assert_eq!(flip.placement.placement, first.placement.placement);
+        let compiler = Compiler::new(
+            session.topology().clone(),
+            TrafficMatrix::gravity(session.topology(), 900.0, 7),
+        )
+        .with_solver(SolverChoice::Heuristic);
+        let (rerouted, _) = compiler.reroute(&first, &compiler.traffic);
+        assert_eq!(flip.placement, rerouted.placement);
     }
 
     #[test]

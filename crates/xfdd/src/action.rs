@@ -12,6 +12,7 @@ use snap_lang::eval::{eval_expr, eval_index};
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single action (Figure 6's `a`, minus `id`/`drop` which are encoded by
 /// the sequence / leaf structure).
@@ -89,10 +90,14 @@ impl fmt::Debug for Action {
 ///
 /// When `drops` is set, the sequence performs its state/packet updates but
 /// emits no output packet.
+///
+/// The actions are immutable shared storage: a sequence is copied into
+/// every leaf it is composed into and into the flat lowering of each, and
+/// every copy is a reference-count bump.
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ActionSeq {
     /// The actions, in execution order.
-    pub actions: Vec<Action>,
+    pub actions: Arc<[Action]>,
     /// Whether the packet is dropped after the actions run.
     pub drops: bool,
 }
@@ -100,24 +105,18 @@ pub struct ActionSeq {
 impl ActionSeq {
     /// The identity sequence.
     pub fn identity() -> Self {
-        ActionSeq {
-            actions: Vec::new(),
-            drops: false,
-        }
+        ActionSeq::from_actions([])
     }
 
     /// A non-dropping sequence holding a single action.
     pub fn single(a: Action) -> Self {
-        ActionSeq {
-            actions: vec![a],
-            drops: false,
-        }
+        ActionSeq::from_actions([a])
     }
 
     /// A non-dropping sequence from a list of actions.
-    pub fn from_actions(actions: Vec<Action>) -> Self {
+    pub fn from_actions(actions: impl IntoIterator<Item = Action>) -> Self {
         ActionSeq {
-            actions,
+            actions: actions.into_iter().collect(),
             drops: false,
         }
     }
@@ -144,10 +143,9 @@ impl ActionSeq {
         if self.drops {
             return self.clone();
         }
-        let mut v = self.actions.clone();
-        v.extend(other.actions.iter().cloned());
+        let both = self.actions.iter().chain(other.actions.iter());
         ActionSeq {
-            actions: v,
+            actions: both.cloned().collect(),
             drops: other.drops,
         }
     }
@@ -176,7 +174,7 @@ impl ActionSeq {
     pub fn apply(&self, pkt: &Packet, store: &Store) -> Result<(Option<Packet>, Store), EvalError> {
         let mut pkt = pkt.clone();
         let mut store = store.clone();
-        for action in &self.actions {
+        for action in self.actions.iter() {
             match action {
                 Action::Modify(f, v) => pkt.set(f.clone(), v.clone()),
                 Action::StateSet { var, index, value } => {

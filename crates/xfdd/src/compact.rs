@@ -299,8 +299,10 @@ mod tests {
         // ids, no growth.
         for id in p.reachable(root2) {
             match p.node(id).clone() {
-                Node::Leaf(l) => assert_eq!(p.leaf(l), id),
-                Node::Branch { test, tru, fls } => assert_eq!(p.branch(test, tru, fls), id),
+                Node::Leaf(l) => assert_eq!(p.leaf(Leaf::clone(&l)), id),
+                Node::Branch { test, tru, fls } => {
+                    assert_eq!(p.branch(Test::clone(&test), tru, fls), id)
+                }
             }
         }
         assert_eq!(p.len(), len, "re-interning grew the compacted pool");

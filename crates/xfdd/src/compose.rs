@@ -176,7 +176,7 @@ impl Pool {
     /// `d|t` (when `positive`) or `d|¬t` (otherwise): keep `d`'s behaviour
     /// only where the test has the given outcome; drop elsewhere.
     pub fn restrict(&mut self, d: NodeId, test: &Test, positive: bool) -> NodeId {
-        let test = self.intern_test(test);
+        let test = self.intern_test(test.clone());
         self.restrict_id(d, test, positive)
     }
 
@@ -228,7 +228,7 @@ impl Pool {
     /// Build a semantically correct, well-formed `test ? dt : df` even when
     /// `dt` or `df` contain tests that precede `test` in the global order.
     pub fn make_branch(&mut self, test: Test, dt: NodeId, df: NodeId) -> NodeId {
-        let test = self.intern_test(&test);
+        let test = self.intern_test(test);
         self.make_branch_id(test, dt, df)
     }
 
@@ -304,7 +304,10 @@ impl Pool {
         };
 
         let fmap = field_map(actions);
-        match self.test(test) {
+        // A handle of the test's payload, so its parts can be borrowed while
+        // the pool is composed into.
+        let payload = self.tests[test.index()].clone();
+        match &**payload {
             Test::FieldValue(f, v) => {
                 if let Some(assigned) = fmap.get(f) {
                     // The sequence overwrote the field: the test is decided.
@@ -336,12 +339,11 @@ impl Pool {
                         Test::FieldField(f2, g2)
                     }
                 };
-                let resolved = self.intern_test(&resolved);
+                let resolved = self.intern_test(resolved);
                 self.decide_or_branch(resolved, actions, tru, fls, ctx)
             }
             Test::State { var, index, value } => {
-                let (var, index, value) = (var.clone(), index.clone(), value.clone());
-                self.seq_action_state(actions, d, tru, fls, &var, &index, &value, &fmap, ctx)
+                self.seq_action_state(actions, d, tru, fls, var, index, value, &fmap, ctx)
             }
         }
     }
@@ -464,7 +466,7 @@ impl Pool {
                 None => return Err(CompileError::UnsupportedStateArithmetic { var: var.clone() }),
             }
         };
-        let resolved = self.intern_test(&Test::State {
+        let resolved = self.intern_test(Test::State {
             var: var.clone(),
             index: t_idx,
             value: final_value,
@@ -483,7 +485,7 @@ impl Pool {
         whole: NodeId,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
-        let test = self.intern_test(&test);
+        let test = self.intern_test(test);
         let ct = self.ctx_with(ctx, test, true);
         let cf = self.ctx_with(ctx, test, false);
         let dt = self.seq_action(actions, whole, ct)?;
@@ -538,7 +540,7 @@ fn resolve_expr(e: &Expr, fmap: &BTreeMap<Field, Value>, pool: &Pool, ctx: CtxId
 /// The net field assignments performed by a sequence (last write wins).
 fn field_map(actions: &ActionSeq) -> BTreeMap<Field, Value> {
     let mut fmap = BTreeMap::new();
-    for a in &actions.actions {
+    for a in actions.actions.iter() {
         if let Action::Modify(f, v) = a {
             fmap.insert(f.clone(), v.clone());
         }
@@ -564,7 +566,7 @@ struct StateWrite {
 fn collect_writes(actions: &ActionSeq, var: &StateVar, pool: &Pool, ctx: CtxId) -> Vec<StateWrite> {
     let mut running: BTreeMap<Field, Value> = BTreeMap::new();
     let mut out = Vec::new();
-    for a in &actions.actions {
+    for a in actions.actions.iter() {
         match a {
             Action::Modify(f, v) => {
                 running.insert(f.clone(), v.clone());

@@ -82,7 +82,7 @@ impl Pool {
 
     /// [`Pool::ctx_implies`] for a test that need not be interned.
     pub(crate) fn ctx_implies_test(&self, ctx: CtxId, test: &Test) -> Option<bool> {
-        self.implies(ctx, test, self.test_id(test))
+        self.implies(ctx, test, self.test_id(test.clone()))
     }
 
     /// `id` is `test`'s id if it is interned; every fact's test is, so a
@@ -90,7 +90,7 @@ impl Pool {
     fn implies(&self, ctx: CtxId, test: &Test, id: Option<TestId>) -> Option<bool> {
         // A field-field fact also decides its mirror image.
         let mirror = match test {
-            Test::FieldField(f, g) => self.test_id(&Test::FieldField(g.clone(), f.clone())),
+            Test::FieldField(f, g) => self.test_id(Test::FieldField(g.clone(), f.clone())),
             _ => None,
         };
         // One walk, newest fact first; each `Option` is overwritten as older
@@ -330,7 +330,7 @@ mod tests {
         }
 
         fn with(mut self, test: Test, outcome: bool) -> Both {
-            let id = self.pool.intern_test(&test);
+            let id = self.pool.intern_test(test.clone());
             self.ctx = self.pool.ctx_with(self.ctx, id, outcome);
             self.oracle = self.oracle.with(test, outcome);
             self
@@ -342,7 +342,7 @@ mod tests {
             // Asked by id, the answer is the same (interning the query adds
             // no fact).
             let mut pool = self.pool.clone();
-            let id = pool.intern_test(test);
+            let id = pool.intern_test(test.clone());
             assert_eq!(pool.ctx_implies(self.ctx, id), expected);
             expected
         }

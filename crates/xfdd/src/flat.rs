@@ -4,8 +4,8 @@
 //!
 //! The interned arena ([`crate::Pool`]) is the right representation for
 //! *building* diagrams — hash-consing, memo tables, GC — but per-packet
-//! evaluation through it chases `Vec<Node>` entries holding clones of whole
-//! tests and leaves, and a long-lived session arena interleaves the live
+//! evaluation through it chases `Vec<Node>` entries to payloads behind a
+//! further handle each, and a long-lived session arena interleaves the live
 //! diagram with garbage from superseded compilations, so the reachable
 //! subgraph is scattered across the allocation.
 //!
@@ -22,7 +22,9 @@
 //! The arrays hold one *shared* payload per node — the lowered leaf (action
 //! table, the variable slot of each state action and a per-variable summary
 //! of its writes) or the branch's test (with the slot of the variable a
-//! state test reads) — rather than private copies. A one-off flatten
+//! state test reads) — rather than private copies, and a lowered leaf's
+//! action table shares each sequence's action storage with the pool's
+//! [`Leaf`]. A one-off flatten
 //! ([`FlatProgram::from_pool`], [`crate::Xfdd::flatten`]) lowers the nodes
 //! as it goes and nothing else ever holds its payloads. A switch agent's
 //! [`Mirror`] lowers each node once, when a delta delivers it, and every
@@ -90,6 +92,7 @@ use crate::pool::{eval_test, Node, NodeId, Pool};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -138,6 +141,10 @@ impl StateClass {
 pub struct FlatId(u32);
 
 const LEAF_BIT: u32 = 1 << 31;
+
+/// The mark of a node [`FlatProgram::assemble`] has not reached, in its
+/// arena-indexed scratch of flat ids.
+const UNSEEN: FlatId = FlatId(u32::MAX);
 
 impl FlatId {
     /// Is this the id of a leaf?
@@ -302,7 +309,7 @@ impl FlatLeaf {
         };
         let stateful = |seq: &ActionSeq| seq.actions.iter().any(|a| a.written_var().is_some());
         let slots = if seqs.iter().any(stateful) {
-            let actions = seqs.iter().flat_map(|seq| &seq.actions);
+            let actions = seqs.iter().flat_map(|seq| seq.actions.iter());
             actions.map(&mut slot_of).collect()
         } else {
             Vec::new()
@@ -350,7 +357,7 @@ impl FlatLeaf {
                     continue;
                 }
                 let mut p = pkt.clone();
-                for a in &seq.actions {
+                for a in seq.actions.iter() {
                     if let crate::action::Action::Modify(f, v) = a {
                         p.set(f.clone(), v.clone());
                     }
@@ -391,8 +398,9 @@ pub enum FlatNode<'a> {
     Leaf(&'a FlatLeaf),
 }
 
-/// A branch's payload: its test and, for a state test, the slot of the
-/// variable it reads.
+/// A branch's payload: its test — inline, a copy made once at lowering, so
+/// the per-packet path reaches it through one handle, not two — and, for a
+/// state test, the slot of the variable it reads.
 #[derive(Debug)]
 struct FlatTest {
     test: Test,
@@ -416,7 +424,7 @@ impl Lowered {
             Node::Leaf(leaf) => Lowered::Leaf(Arc::new(FlatLeaf::from_leaf(leaf, vars))),
             Node::Branch { test, tru, fls } => {
                 let payload = FlatTest {
-                    test: test.clone(),
+                    test: Test::clone(test),
                     slot: test.state_var().map(|var| vars.slot(var)),
                 };
                 Lowered::Branch(Arc::new(payload), [*tru, *fls])
@@ -453,37 +461,45 @@ impl FlatProgram {
     /// flattens from payloads it lowered when the nodes arrived).
     pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
         let mut vars = Slots::default();
-        let arrays = FlatProgram::assemble(root, |id| Lowered::of(pool.node(id), &mut vars));
+        let lower = |id| Lowered::of(pool.node(id), &mut vars);
+        let arrays = FlatProgram::assemble(root, lower, &mut vec![UNSEEN; root.index() + 1]);
         arrays.classified(vars.names.into())
     }
 
     /// The one flatten routine, over whatever supplies the lowered nodes;
     /// [`FlatProgram::classified`] completes its result.
     ///
-    /// The arena interns children before parents (ids strictly decrease from
-    /// parent to child), so one descending sweep from the root finds the
-    /// reachable set, and numbering it in ascending arena order assigns
-    /// dense, child-first flat ids with every child already numbered when
-    /// its parent is visited.
-    fn assemble(root: NodeId, mut lowered: impl FnMut(NodeId) -> Lowered) -> FlatProgram {
-        let span = root.index() + 1;
-        let mut reached = vec![false; span];
-        reached[root.index()] = true;
+    /// A worklist from the root finds the reachable set, marking nodes in
+    /// `flat_of` — one entry per arena node up to the root at least, all
+    /// [`UNSEEN`] on entry and again on return — so the cost is the
+    /// program's, wherever in a long append-only arena its root sits. The
+    /// arena interns children before parents (ids strictly decrease from
+    /// parent to child), so numbering the set in ascending arena order
+    /// assigns dense, child-first flat ids with every child already numbered
+    /// when its parent is visited.
+    fn assemble(
+        root: NodeId,
+        mut lowered: impl FnMut(NodeId) -> Lowered,
+        flat_of: &mut [FlatId],
+    ) -> FlatProgram {
         let mut nodes = Vec::new();
-        for i in (0..span).rev() {
-            if !reached[i] {
+        let mut work = vec![root];
+        while let Some(id) = work.pop() {
+            // Reached: any id will do until the numbering below overwrites it.
+            if std::mem::replace(&mut flat_of[id.index()], FlatId(0)) != UNSEEN {
                 continue;
             }
-            let node = lowered(NodeId(u32::try_from(i).expect("pool ids fit u32")));
+            let node = lowered(id);
             if let Lowered::Branch(_, children) = &node {
                 for child in children {
-                    assert!(child.index() < i, "children are interned first");
-                    reached[child.index()] = true;
+                    assert!(child < &id, "children are interned first");
+                    work.push(*child);
                 }
             }
-            nodes.push((i, node));
+            nodes.push((id, node));
         }
-        let mut flat_of = vec![FlatId(u32::MAX); span];
+        nodes.sort_unstable_by_key(|(id, _)| *id);
+        let ids: Vec<NodeId> = nodes.iter().map(|(id, _)| *id).collect();
         let mut out = FlatProgram {
             tests: Vec::new(),
             edges: Vec::new(),
@@ -492,8 +508,8 @@ impl FlatProgram {
             vars: Arc::default(),
             classes: Vec::new(),
         };
-        for (i, node) in nodes.into_iter().rev() {
-            flat_of[i] = match node {
+        for (id, node) in nodes {
+            flat_of[id.index()] = match node {
                 Lowered::Leaf(leaf) => {
                     out.leaves.push(leaf);
                     FlatId::leaf(out.leaves.len() - 1)
@@ -506,6 +522,7 @@ impl FlatProgram {
             };
         }
         out.root = flat_of[root.index()];
+        ids.iter().for_each(|id| flat_of[id.index()] = UNSEEN);
         out
     }
 
@@ -696,6 +713,10 @@ pub struct Mirror {
     /// shares it (a delta that brings a new variable re-shares: rare, and
     /// O(variables)).
     var_names: Arc<[StateVar]>,
+    /// Scratch of [`FlatProgram::assemble`], one entry per node, all
+    /// [`UNSEEN`] between flattens: it grows with the mirror, so a flatten
+    /// touches (and pays for) the program's entries only.
+    flat_of: RefCell<Vec<FlatId>>,
 }
 
 impl Mirror {
@@ -708,6 +729,7 @@ impl Mirror {
             lowered: Vec::new(),
             vars: Slots::default(),
             var_names: Arc::default(),
+            flat_of: RefCell::default(),
         };
         mirror.lower_suffix();
         Ok((mirror, root))
@@ -732,6 +754,7 @@ impl Mirror {
         if self.var_names.len() != self.vars.names.len() {
             self.var_names = self.vars.names.as_slice().into();
         }
+        self.flat_of.get_mut().resize(self.lowered.len(), UNSEEN);
     }
 
     /// The mirrored pool.
@@ -753,7 +776,8 @@ impl Mirror {
     /// the mirrored pool, with the payloads (and the mirror's slot
     /// numbering) shared instead of lowered anew.
     pub fn flatten(&self, root: NodeId) -> FlatProgram {
-        let arrays = FlatProgram::assemble(root, |id| self.lowered[id.index()].clone());
+        let lowered = |id: NodeId| self.lowered[id.index()].clone();
+        let arrays = FlatProgram::assemble(root, lowered, &mut self.flat_of.borrow_mut());
         arrays.classified(Arc::clone(&self.var_names))
     }
 }

@@ -4,8 +4,10 @@
 //! the pool itself hands out, so the default SipHash buys no protection —
 //! nothing an outside party chooses reaches these keys — and costs several
 //! times the multiply-rotate mix below (the scheme rustc uses for its own
-//! interned ids). Tables keyed on *content* (`Leaf`s, `Test`s, which derive
-//! from the operator's policy) keep the default hasher.
+//! interned ids). *Content* (`Leaf`s, `Test`s, which derive from the
+//! operator's policy) is hashed once per payload with the keyed default
+//! hasher ([`crate::shared`]); the content interners are then keyed on that
+//! stored hash, which is again nothing an outside party chooses.
 //!
 //! The hasher itself is public for one more caller with the same profile:
 //! the dataplane routes a state key to one of a switch's few shards with

@@ -3,15 +3,28 @@
 //!
 //! Parallel per-policy compilation translates the operands of a parallel
 //! composition into *private* per-thread pools — no locking, private memo
-//! tables — and then merges them into the session pool. The merge is a
-//! bottom-up walk of the source diagram that re-interns every node through
-//! the destination's `leaf`/`branch` constructors, threading a `NodeId`
-//! remap table; structurally equal nodes therefore collapse onto the
-//! destination's existing ids, and importing the same diagram twice is a
-//! no-op returning the same root.
+//! tables — and then merges them into the session pool; a session publishes
+//! a finished diagram by extracting it into a minimal pool of its own; the
+//! controller imports that into its distribution pool. Each is a bottom-up
+//! walk of the source diagram that re-interns every node in the
+//! destination, threading a `NodeId` remap table; structurally equal nodes
+//! therefore collapse onto the destination's existing ids, and importing
+//! the same diagram twice is a no-op returning the same root.
+//!
+//! Payloads are shared handles ([`crate::Shared`]); what a pool owns is
+//! numbering and memo tables. Import therefore never copies or re-hashes a
+//! leaf or a test: per node it probes the destination's interner with the
+//! hash the payload already carries (pointer equality settles the compare
+//! when the destination has met this very payload before) and, for a new
+//! node, stores a copy of the handle. This is the only import routine; the
+//! deep-copying one it replaced — rebuild every payload from its content —
+//! exists only as `import_deep`, the oracle of `tests/gc.rs`.
 
+use crate::fx::FxHashMap;
 use crate::pool::{Node, NodeId, Pool};
-use std::collections::HashMap;
+
+/// The source-id → destination-id table of an import.
+pub type ImportMap = FxHashMap<NodeId, NodeId>;
 
 impl Pool {
     /// Re-intern the diagram rooted at `root` in `src` into this pool,
@@ -22,54 +35,55 @@ impl Pool {
     /// diagram, while structurally intact, would violate this pool's
     /// ordering invariant when composed further.
     pub fn import(&mut self, src: &Pool, root: NodeId) -> NodeId {
-        let mut remap = HashMap::new();
-        self.import_with(src, root, &mut remap)
+        self.import_with(src, root, &mut ImportMap::default())
     }
 
     /// [`Pool::import`] with a caller-supplied remap table, so several roots
     /// of the same source pool can be imported while sharing the already
     /// re-interned nodes. The table maps source ids to destination ids and
     /// is extended in place.
-    pub fn import_with(
-        &mut self,
-        src: &Pool,
-        root: NodeId,
-        remap: &mut HashMap<NodeId, NodeId>,
-    ) -> NodeId {
+    pub fn import_with(&mut self, src: &Pool, root: NodeId, remap: &mut ImportMap) -> NodeId {
         debug_assert_eq!(
             self.order(),
             src.order(),
             "importing between pools with different variable orders"
         );
-        if let Some(&mapped) = remap.get(&root) {
-            return mapped;
-        }
-        // Bottom-up: children are re-interned before their parents, exactly
-        // the order `branch` needs. The fold's per-call result is the
-        // destination id.
-        let mapped = src.fold_reachable(root, |id, node, _| {
-            if let Some(&m) = remap.get(&id) {
-                return m;
+        // Depth-first, true side first, a node after both its children:
+        // exactly the order `branch` needs, and the order that fixes the
+        // numbering of a pool built by import alone.
+        let mut stack = vec![root];
+        while let Some(&n) = stack.last() {
+            if remap.contains_key(&n) {
+                stack.pop();
+                continue;
             }
-            let m = match node {
-                Node::Leaf(l) => self.leaf(l.clone()),
-                Node::Branch { test, tru, fls } => {
-                    let test = self.intern_test(test);
-                    self.branch_id(test, remap[tru], remap[fls])
-                }
+            let mapped = match src.node(n) {
+                Node::Leaf(leaf) => self.leaf_shared(leaf),
+                Node::Branch { test, tru, fls } => match (remap.get(tru), remap.get(fls)) {
+                    (Some(&t), Some(&f)) => self.branch_shared(test, t, f),
+                    (t, f) => {
+                        if f.is_none() {
+                            stack.push(*fls);
+                        }
+                        if t.is_none() {
+                            stack.push(*tru);
+                        }
+                        continue;
+                    }
+                },
             };
-            remap.insert(id, m);
-            m
-        });
-        mapped
+            remap.insert(n, mapped);
+            stack.pop();
+        }
+        remap[&root]
     }
 
     /// Extract the diagram rooted at `root` into a fresh, minimal pool of its
     /// own (same variable order, only the reachable nodes, empty memo
     /// tables). This is how a long-lived session *publishes* a diagram: the
-    /// frozen copy costs O(diagram) rather than O(arena), stays small no
-    /// matter how much garbage the session pool has accumulated, and is
-    /// detached from future mutation and GC.
+    /// frozen copy costs O(diagram) handle copies rather than O(arena),
+    /// stays small no matter how much garbage the session pool has
+    /// accumulated, and is detached from future mutation and GC.
     pub fn extract(&self, root: NodeId) -> (Pool, NodeId) {
         let mut out = Pool::new(self.order().clone());
         let r = out.import(self, root);
@@ -156,7 +170,7 @@ mod tests {
         );
 
         let mut dst = Pool::new(VarOrder::empty());
-        let mut remap = HashMap::new();
+        let mut remap = ImportMap::default();
         let m1 = dst.import_with(&src, r1, &mut remap);
         let before = dst.len();
         let m2 = dst.import_with(&src, r2, &mut remap);

@@ -15,7 +15,10 @@
 //! equal subdiagrams are interned to a single [`NodeId`], the composition
 //! operators are memoized, and the stable ids double as the §4.5 packet-tag
 //! node identifiers executed directly by the data plane. A finished diagram
-//! is frozen into a cheaply clonable [`Xfdd`] handle.
+//! is frozen into a cheaply clonable [`Xfdd`] handle. Node payloads — leaves
+//! and tests — are immutable [`Shared`] handles carrying their content hash,
+//! so moving a diagram between pools (publishing, distributing, compacting)
+//! copies handles, never content.
 //!
 //! The crate provides:
 //!
@@ -75,6 +78,7 @@ pub mod flat;
 mod fx;
 pub mod import;
 pub mod pool;
+pub mod shared;
 pub mod tables;
 pub mod test;
 pub mod translate;
@@ -88,6 +92,7 @@ pub use error::CompileError;
 pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, StateClass, VarSlot};
 pub use fx::FxHasher;
 pub use pool::{CtxId, Node, NodeId, Pool};
+pub use shared::{Hashed, Shared};
 pub use tables::{Lookup, TableProgram, TableStats};
 pub use test::{Test, VarOrder};
 pub use translate::{compile, pred_to_xfdd, to_xfdd};

@@ -17,8 +17,13 @@
 //! Tests are interned too: every distinct [`Test`] gets a `TestId`, kept
 //! per node in a side array, so the composition operators compare, hash and
 //! carry tests as integers — the branch interner, the restriction memo and
-//! the contexts are all keyed on ids, and a deep `Test` is hashed once when
-//! it first enters the pool and cloned once per node that holds it.
+//! the contexts are all keyed on ids.
+//!
+//! Payloads are shared handles ([`Shared`]): a [`Leaf`] or [`Test`] is
+//! built and hashed once, and the node table, the interner key and every
+//! other pool the payload is imported into hold the same allocation. What a pool *owns* is numbering and memo tables — cloning,
+//! extracting, importing, compacting or dropping one copies or releases
+//! handles, never content.
 //!
 //! The pool is also where composition contexts (the decided-test sets of
 //! Appendix E) are interned (see [`crate::context`]), so the union memo can
@@ -31,10 +36,11 @@
 use crate::action::Leaf;
 use crate::context::CtxFact;
 use crate::fx::{FxHashMap, FxHashSet};
+use crate::shared::{Hashed, Shared};
 use crate::test::{Test, VarOrder};
 use snap_lang::eval::{eval_expr, eval_index};
 use snap_lang::{EvalError, Packet, StateVar, Store};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node inside a [`Pool`]. Stable for the lifetime of the
@@ -99,11 +105,11 @@ impl CtxId {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Node {
     /// A leaf.
-    Leaf(Leaf),
+    Leaf(Shared<Leaf>),
     /// A branch: `test ? tru : fls`.
     Branch {
         /// The test at this node.
-        test: Test,
+        test: Shared<Test>,
         /// Child taken when the test passes.
         tru: NodeId,
         /// Child taken when the test fails.
@@ -132,9 +138,10 @@ pub struct Pool {
     pub(crate) nodes: Vec<Node>,
     // Per node, the id of its test (`TestId::LEAF` for leaves).
     pub(crate) node_tests: Vec<TestId>,
-    pub(crate) tests: Vec<Test>,
-    pub(crate) test_intern: HashMap<Test, TestId>,
-    pub(crate) leaf_intern: HashMap<Leaf, NodeId>,
+    pub(crate) tests: Vec<Shared<Test>>,
+    // The content interners, keyed on the hash the payload carries.
+    pub(crate) test_intern: FxHashMap<Shared<Test>, TestId>,
+    pub(crate) leaf_intern: FxHashMap<Shared<Leaf>, NodeId>,
     pub(crate) branch_intern: FxHashMap<(TestId, NodeId, NodeId), NodeId>,
     // Interned composition contexts: `CtxId(i + 1)` is `ctxs[i]`, its parent
     // context plus one fact (the empty context has no entry).
@@ -195,9 +202,23 @@ impl Pool {
 
     /// Intern a leaf, returning the id of the canonical copy.
     pub fn leaf(&mut self, leaf: Leaf) -> NodeId {
-        if let Some(&id) = self.leaf_intern.get(&leaf) {
-            return id;
+        let leaf = Hashed::new(leaf);
+        match self.leaf_intern.get(&leaf) {
+            Some(&id) => id,
+            None => self.push_leaf(leaf.into()),
         }
+    }
+
+    /// [`Pool::leaf`] on a payload that already exists (in this pool or
+    /// another): a probe on its stored hash, and a handle copy when new.
+    pub fn leaf_shared(&mut self, leaf: &Shared<Leaf>) -> NodeId {
+        match self.leaf_intern.get(leaf) {
+            Some(&id) => id,
+            None => self.push_leaf(leaf.clone()),
+        }
+    }
+
+    fn push_leaf(&mut self, leaf: Shared<Leaf>) -> NodeId {
         let id = self.push(Node::Leaf(leaf.clone()), TestId::LEAF);
         self.leaf_intern.insert(leaf, id);
         id
@@ -207,7 +228,17 @@ impl Pool {
     /// same node (id equality, thanks to hash-consing) — the classic BDD
     /// reduction rule.
     pub fn branch(&mut self, test: Test, tru: NodeId, fls: NodeId) -> NodeId {
-        let test = self.intern_test(&test);
+        let test = self.intern_test(test);
+        self.branch_id(test, tru, fls)
+    }
+
+    /// [`Pool::branch`] on a test payload that already exists (see
+    /// [`Pool::leaf_shared`]).
+    pub fn branch_shared(&mut self, test: &Shared<Test>, tru: NodeId, fls: NodeId) -> NodeId {
+        let test = match self.test_intern.get(test) {
+            Some(&id) => id,
+            None => self.push_test(test.clone()),
+        };
         self.branch_id(test, tru, fls)
     }
 
@@ -245,19 +276,24 @@ impl Pool {
     // -----------------------------------------------------------------------
 
     /// The id of a test, interning it on first sight.
-    pub(crate) fn intern_test(&mut self, test: &Test) -> TestId {
-        if let Some(&id) = self.test_intern.get(test) {
-            return id;
+    pub(crate) fn intern_test(&mut self, test: Test) -> TestId {
+        let test = Hashed::new(test);
+        match self.test_intern.get(&test) {
+            Some(&id) => id,
+            None => self.push_test(test.into()),
         }
+    }
+
+    fn push_test(&mut self, test: Shared<Test>) -> TestId {
         let id = TestId::new(self.tests.len());
         self.tests.push(test.clone());
-        self.test_intern.insert(test.clone(), id);
+        self.test_intern.insert(test, id);
         id
     }
 
     /// The id of a test, if the pool has seen it.
-    pub(crate) fn test_id(&self, test: &Test) -> Option<TestId> {
-        self.test_intern.get(test).copied()
+    pub(crate) fn test_id(&self, test: Test) -> Option<TestId> {
+        self.test_intern.get(&Hashed::new(test)).copied()
     }
 
     /// An interned test.
@@ -437,31 +473,31 @@ impl Pool {
         // A node's validity depends only on the nearest preceding test, so
         // (node, prev) pairs can be memoized; the DAG is then checked without
         // enumerating its (possibly exponential) path set.
-        let mut ok: HashSet<(NodeId, Option<Test>)> = HashSet::new();
+        let mut ok: FxHashSet<(NodeId, Option<TestId>)> = FxHashSet::default();
         self.well_formed_from(root, None, &mut ok)
     }
 
     fn well_formed_from(
         &self,
         n: NodeId,
-        prev: Option<&Test>,
-        ok: &mut HashSet<(NodeId, Option<Test>)>,
+        prev: Option<TestId>,
+        ok: &mut FxHashSet<(NodeId, Option<TestId>)>,
     ) -> bool {
-        let key = (n, prev.cloned());
+        let key = (n, prev);
         if ok.contains(&key) {
             return true;
         }
         let valid = match self.node(n) {
             Node::Leaf(_) => true,
-            Node::Branch { test, tru, fls } => {
+            Node::Branch { tru, fls, .. } => {
+                let test = self.node_test(n);
                 if let Some(p) = prev {
-                    if p.cmp_in(test, &self.order) != std::cmp::Ordering::Less {
+                    if self.cmp_tests(p, test) != std::cmp::Ordering::Less {
                         return false;
                     }
                 }
-                let (test, tru, fls) = (test.clone(), *tru, *fls);
-                self.well_formed_from(tru, Some(&test), ok)
-                    && self.well_formed_from(fls, Some(&test), ok)
+                self.well_formed_from(*tru, Some(test), ok)
+                    && self.well_formed_from(*fls, Some(test), ok)
             }
         };
         if valid {
@@ -533,10 +569,10 @@ impl Pool {
         match self.node(n) {
             Node::Leaf(leaf) => out.push((prefix.clone(), leaf)),
             Node::Branch { test, tru, fls } => {
-                prefix.push((test.clone(), true));
+                prefix.push((Test::clone(test), true));
                 self.collect_paths(*tru, prefix, out);
                 prefix.pop();
-                prefix.push((test.clone(), false));
+                prefix.push((Test::clone(test), false));
                 self.collect_paths(*fls, prefix, out);
                 prefix.pop();
             }
@@ -686,8 +722,8 @@ mod tests {
     #[test]
     fn contexts_are_interned() {
         let mut p = pool();
-        let t = p.intern_test(&Test::FieldValue(Field::SrcPort, Value::Int(53)));
-        let u = p.intern_test(&Test::FieldValue(Field::DstPort, Value::Int(80)));
+        let t = p.intern_test(Test::FieldValue(Field::SrcPort, Value::Int(53)));
+        let u = p.intern_test(Test::FieldValue(Field::DstPort, Value::Int(80)));
         let a = p.ctx_with(CtxId::EMPTY, t, true);
         assert_eq!(p.ctx_with(CtxId::EMPTY, t, true), a);
         let c = p.ctx_with(CtxId::EMPTY, t, false);
@@ -708,18 +744,18 @@ mod tests {
     fn tests_are_interned_once_and_shared_by_nodes() {
         let mut p = pool();
         let t = Test::FieldValue(Field::SrcPort, Value::Int(53));
-        assert_eq!(p.test_id(&t), None);
+        assert_eq!(p.test_id(t.clone()), None);
         let (id, drop) = (p.id(), p.drop());
         let x = p.branch(t.clone(), id, drop);
         let y = p.branch(t.clone(), drop, id);
-        let tid = p.test_id(&t).expect("interned by branch");
-        assert_eq!(p.intern_test(&t), tid);
+        let tid = p.test_id(t.clone()).expect("interned by branch");
+        assert_eq!(p.intern_test(t.clone()), tid);
         assert_eq!(p.node_test(x), tid);
         assert_eq!(p.node_test(y), tid);
         assert_eq!(p.test(tid), &t);
         // The id-keyed constructor lands on the same nodes.
         assert_eq!(p.branch_id(tid, id, drop), x);
-        let other = p.intern_test(&Test::FieldValue(Field::SrcPort, Value::Int(80)));
+        let other = p.intern_test(Test::FieldValue(Field::SrcPort, Value::Int(80)));
         assert_ne!(other, tid);
         assert_eq!(p.cmp_tests(tid, other), std::cmp::Ordering::Less);
         assert_eq!(p.cmp_tests(tid, tid), std::cmp::Ordering::Equal);

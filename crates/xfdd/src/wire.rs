@@ -536,7 +536,7 @@ fn put_leaf(w: &mut Vec<u8>, leaf: &Leaf) {
     for seq in &leaf.0 {
         w.push(u8::from(seq.drops));
         put_u32(w, seq.actions.len() as u32);
-        for a in &seq.actions {
+        for a in seq.actions.iter() {
             put_action(w, a);
         }
     }

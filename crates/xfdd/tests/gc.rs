@@ -1,11 +1,19 @@
-//! Property-based tests for pool compaction and the wire format: for random
-//! programs, `Pool::compact` must preserve the semantics of every surviving
-//! diagram, never grow the arena, and leave the interners consistent; the
-//! wire format must round-trip diagrams bit-exactly in structure.
+//! Property-based tests for pool compaction, pool-to-pool import and the
+//! wire format: for random programs, `Pool::compact` must preserve the
+//! semantics of every surviving diagram, never grow the arena, and leave the
+//! interners consistent; the wire format must round-trip diagrams
+//! bit-exactly in structure; and payload sharing must be invisible —
+//! `extract`, `import` and `compact`, which move shared handles, must number
+//! and encode exactly like the deep-copying import they replaced
+//! ([`import_deep`], kept here as their oracle).
 
 use proptest::prelude::*;
 use snap_lang::{Expr, Field, Packet, Policy, Pred, StateVar, Store, Value};
-use snap_xfdd::{to_xfdd, Node, Pool, StateDependencies};
+use snap_xfdd::{
+    encode_delta, encode_diagram, to_xfdd, Hashed, Leaf, Node, NodeId, Pool, StateDependencies,
+    Test,
+};
+use std::collections::HashMap;
 
 const FIELDS: [Field; 5] = [
     Field::SrcIp,
@@ -118,8 +126,125 @@ fn two_policy_pool(keep: &Policy, dead: &Policy) -> Option<(Pool, snap_xfdd::Nod
     Some((pool, root))
 }
 
+/// The import `Pool::import` replaced, as its oracle: the same walk (depth
+/// first, true side first, a node after both its children), but every
+/// payload is rebuilt from its content — a deep copy, hashed afresh —
+/// instead of carried over by handle.
+fn import_deep(
+    dst: &mut Pool,
+    src: &Pool,
+    n: NodeId,
+    remap: &mut HashMap<NodeId, NodeId>,
+) -> NodeId {
+    if let Some(&mapped) = remap.get(&n) {
+        return mapped;
+    }
+    let mapped = match src.node(n) {
+        Node::Leaf(leaf) => dst.leaf(Leaf::clone(leaf)),
+        Node::Branch { test, tru, fls } => {
+            let tru = import_deep(dst, src, *tru, remap);
+            let fls = import_deep(dst, src, *fls, remap);
+            dst.branch(Test::clone(test), tru, fls)
+        }
+    };
+    remap.insert(n, mapped);
+    mapped
+}
+
+/// Two pools hold the same diagrams under the same numbering: node for
+/// node, and byte for byte on the wire (full table and reachable diagram).
+fn assert_same_pool(
+    a: (&Pool, NodeId),
+    b: (&Pool, NodeId),
+    step: &str,
+) -> Result<(), TestCaseError> {
+    let ((a, ra), (b, rb)) = (a, b);
+    prop_assert_eq!(ra, rb, "root after {}", step);
+    prop_assert_eq!(a.len(), b.len(), "pool length after {}", step);
+    for i in 0..a.len() as u32 {
+        prop_assert_eq!(
+            a.node(NodeId(i)),
+            b.node(NodeId(i)),
+            "node {} after {}",
+            i,
+            step
+        );
+    }
+    let fresh = Pool::new(a.order().clone()).len();
+    prop_assert_eq!(
+        encode_delta(a, fresh, ra),
+        encode_delta(b, fresh, rb),
+        "table after {}",
+        step
+    );
+    prop_assert_eq!(
+        encode_diagram(a, ra),
+        encode_diagram(b, rb),
+        "diagram after {}",
+        step
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sharing_payloads_is_invisible_to_extract_import_and_compact(
+        keep in arb_policy(),
+        dead in arb_policy(),
+    ) {
+        // Pool A: a session-like arena, the diagram to publish among garbage.
+        let (a, root) = match two_policy_pool(&keep, &dead) {
+            Some(x) => x,
+            None => return Ok(()),
+        };
+        // extract: A → a minimal pool, by handle and by deep copy.
+        let (frozen, frozen_root) = a.extract(root);
+        let mut frozen_deep = Pool::new(a.order().clone());
+        let frozen_deep_root = import_deep(&mut frozen_deep, &a, root, &mut HashMap::new());
+        assert_same_pool((&frozen, frozen_root), (&frozen_deep, frozen_deep_root), "extract")?;
+
+        // import: into a pool B that already holds something else (the
+        // dead diagram), so existing nodes must be found, not duplicated.
+        let populated = || {
+            let mut b = Pool::new(a.order().clone());
+            to_xfdd(&dead, &mut b).expect("translated into A before");
+            b
+        };
+        let (mut b, mut b_deep) = (populated(), populated());
+        let b_root = b.import(&frozen, frozen_root);
+        let b_deep_root = import_deep(&mut b_deep, &frozen_deep, frozen_deep_root, &mut HashMap::new());
+        assert_same_pool((&b, b_root), (&b_deep, b_deep_root), "import")?;
+
+        // compact: down to the imported diagram.
+        let b_root = b.compact(&[b_root]).node(b_root).expect("root survives");
+        let b_deep_root = b_deep.compact(&[b_deep_root]).node(b_deep_root).expect("root survives");
+        assert_same_pool((&b, b_root), (&b_deep, b_deep_root), "compact")?;
+
+        // The hash a payload carries is the hash of its content.
+        for i in 0..b.len() as u32 {
+            match b.node(NodeId(i)) {
+                Node::Leaf(leaf) => prop_assert_eq!(
+                    leaf.content_hash(),
+                    Hashed::new(Leaf::clone(leaf)).content_hash()
+                ),
+                Node::Branch { test, .. } => prop_assert_eq!(
+                    test.content_hash(),
+                    Hashed::new(Test::clone(test)).content_hash()
+                ),
+            }
+        }
+
+        // Equal payloads built independently — B's came by handle from A,
+        // B-deep's were rebuilt from content — are one node in a third pool.
+        let mut c = Pool::new(a.order().clone());
+        let by_handle = c.import(&b, b_root);
+        let len = c.len();
+        let by_content = c.import(&b_deep, b_deep_root);
+        prop_assert_eq!(by_handle, by_content);
+        prop_assert_eq!(c.len(), len, "equal payloads interned twice");
+    }
 
     #[test]
     fn compact_preserves_evaluation_and_never_grows(
@@ -168,9 +293,9 @@ proptest! {
         // identical structure, no growth.
         for id in pool.reachable(root2) {
             match pool.node(id).clone() {
-                Node::Leaf(l) => prop_assert_eq!(pool.leaf(l), id),
+                Node::Leaf(l) => prop_assert_eq!(pool.leaf(Leaf::clone(&l)), id),
                 Node::Branch { test, tru, fls } => {
-                    prop_assert_eq!(pool.branch(test, tru, fls), id)
+                    prop_assert_eq!(pool.branch(Test::clone(&test), tru, fls), id)
                 }
             }
         }

@@ -43,7 +43,7 @@ fn main() {
     println!(
         "xFDD: {} nodes, {} data-plane instructions, compile time {:?}",
         compiled.xfdd.size(),
-        compiled.rules.total_instructions,
+        compiled.rules.total_instructions(),
         compiled.timings.total()
     );
 }

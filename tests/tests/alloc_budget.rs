@@ -14,6 +14,12 @@
 //! * under the five-app stateful pipeline, commuting and exact writes to
 //!   existing keys add nothing per packet — only the batch's delta list.
 //!
+//! The update path has a budget too: a novel single-threshold edit through
+//! a warm session requests a bounded number of blocks (a payload deep-copied
+//! at some pool boundary shows up here as thousands), and flattening a
+//! program out of an agent's mirror requests bytes for the program, not for
+//! the mirror.
+//!
 //! Counts are per thread, so the tests of this binary can run in parallel
 //! and the fleet's (idle) agent threads never show up.
 
@@ -24,6 +30,7 @@ use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_topology::generators::igen_topology;
 use snap_topology::{PortId, TrafficMatrix};
+use snap_xfdd::{encode_delta, to_xfdd, Mirror, Pool, StateDependencies, Test};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -34,10 +41,13 @@ thread_local! {
     /// initialised and without a destructor, so touching it from inside the
     /// allocator can neither allocate nor run during thread teardown.
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has requested, likewise.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_block() {
+fn count_block(bytes: usize) {
     let _ = BLOCKS.try_with(|blocks| blocks.set(blocks.get() + 1));
+    let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -45,7 +55,7 @@ fn count_block() {
 // bump that itself never allocates (see `BLOCKS`).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count_block(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -56,13 +66,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count_block(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_block();
+        count_block(new_size);
         // SAFETY: `ptr` came from `System` through the methods of this impl.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,6 +86,13 @@ fn blocks_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BLOCKS.with(Cell::get);
     let out = f();
     (out, BLOCKS.with(Cell::get) - before)
+}
+
+/// Run `f` and report how many bytes this thread requested meanwhile.
+fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 const SWITCHES: usize = 24;
@@ -223,4 +240,94 @@ fn writes_to_existing_state_keys_add_no_allocation() {
     let (port, _) = &batch[0];
     assert!(store.get(&"count".into(), &[Value::Int(port.0 as i64)]) != Value::Int(0));
     deployment.shutdown();
+}
+
+fn pipeline(threshold: i64, ports: usize) -> Policy {
+    apps::port_monitoring()
+        .seq(apps::dns_tunnel_detect(threshold))
+        .seq(apps::stateful_firewall())
+        .seq(apps::heavy_hitter_detection(1_000_000))
+        .seq(apps::assign_egress(ports))
+}
+
+/// Blocks requested by each of a run of novel single-threshold edits —
+/// `compile_shared` + `take_update`, the controller's half of an update —
+/// on a session warmed over the five-app pipeline.
+fn novel_edit_blocks() -> Vec<u64> {
+    let topology = igen_topology(SWITCHES, 7);
+    let ports = topology.num_external_ports();
+    let traffic = TrafficMatrix::gravity(&topology, 1_000.0, 7);
+    let mut session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    // Warm: the working set a benchmark fleet starts from, shipped.
+    for threshold in 0..6 {
+        session
+            .compile_shared(&pipeline(1_000_000 + threshold, ports))
+            .expect("the pipeline compiles");
+        session.take_update().expect("a compile yields an update");
+    }
+    let edit = |threshold: i64| {
+        let policy = pipeline(2_000_000 + threshold, ports);
+        let (update, blocks) = blocks_requested(|| {
+            session.compile_shared(&policy).expect("the edit compiles");
+            session.take_update().expect("a compile yields an update")
+        });
+        assert!(update.changes.program_changed && !update.changes.placement_changed);
+        blocks
+    };
+    (0..12).map(edit).collect()
+}
+
+/// Budget of one novel edit, in blocks: the twelve edits of the run below
+/// request 1 230 to 1 239 each (the sequence repeats exactly, debug and
+/// release alike), recorded with ~10 % slack. At PR 15 — payloads
+/// deep-copied into the frozen pool and hashed twice, the packet-state
+/// mapping a map of name sets, flatten + NetASM lowering on every compile —
+/// the same run read 15 341 to 15 350.
+const NOVEL_EDIT_BLOCKS: u64 = 1_360;
+
+#[test]
+fn a_novel_edit_requests_a_bounded_number_of_blocks() {
+    let blocks = novel_edit_blocks();
+    for (edit, &count) in blocks.iter().enumerate() {
+        assert!(
+            count <= NOVEL_EDIT_BLOCKS,
+            "edit {edit}: {count} blocks requested (budget {NOVEL_EDIT_BLOCKS}): {blocks:?}"
+        );
+    }
+    // Nothing about the count depends on the run: hash seeds, addresses and
+    // timing change between two sessions, the blocks requested do not.
+    assert_eq!(blocks, novel_edit_blocks());
+}
+
+#[test]
+fn flattening_a_root_costs_the_program_not_the_mirror() {
+    let policy = pipeline(10, 6);
+    let order = StateDependencies::analyze(&policy).var_order();
+    let fresh_len = Pool::new(order.clone()).len();
+    let mut dist = Pool::new(order);
+    let root = to_xfdd(&policy, &mut dist).expect("the pipeline translates");
+    let (mut mirror, _) =
+        Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).expect("a full table decodes");
+    let (program, before) = bytes_requested(|| mirror.flatten(root));
+
+    // Ten thousand nodes of other programs arrive after it.
+    let base = dist.len();
+    let (id, drop) = (dist.id(), dist.drop());
+    for port in 0..10_000 {
+        dist.branch(
+            Test::FieldValue(Field::SrcPort, Value::Int(100_000 + port)),
+            id,
+            drop,
+        );
+    }
+    mirror
+        .apply_delta(&encode_delta(&dist, base, root))
+        .expect("the suffix applies");
+    assert_eq!(mirror.len(), base + 10_000);
+    let (again, after) = bytes_requested(|| mirror.flatten(root));
+    assert_eq!(again.num_nodes(), program.num_nodes());
+    assert_eq!(
+        after, before,
+        "flatten requested bytes for the mirror's growth"
+    );
 }

@@ -123,6 +123,26 @@ fn campus_distributed_snapshot_is_complete() {
         }
     }
 
+    // Where each compile that ran phases went: one histogram per phase,
+    // one sample per compile (both updates were novel policies).
+    for phase in [
+        "deps",
+        "translate",
+        "race_check",
+        "extract",
+        "mapping",
+        "placement",
+        "rulegen",
+        "evict",
+    ] {
+        let name = format!("session.phase_us{{{phase}}}");
+        let histogram = snap
+            .histograms
+            .get(&name)
+            .unwrap_or_else(|| panic!("no {name} histogram"));
+        assert_eq!(histogram.count, snap.counters["session.compiles"], "{name}");
+    }
+
     // All of it reachable from the single JSON export.
     let json = snap.to_json();
     for needle in [
@@ -137,6 +157,7 @@ fn campus_distributed_snapshot_is_complete() {
         "\"kind\": \"commit\"",
         "\"session.compiles\"",
         "\"commit.prepare_us\"",
+        "\"session.phase_us{mapping}\"",
     ] {
         assert!(json.contains(needle), "snapshot JSON lacks {needle}");
     }
