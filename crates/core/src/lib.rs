@@ -10,8 +10,8 @@
 //! 4. joint state placement and routing ([`optimize`]) — the Table 2 MILP
 //!    solved with the built-in simplex/branch-and-bound, or a heuristic
 //!    placer for large instances,
-//! 5. rule generation ([`rulegen`]) producing per-switch configurations for
-//!    the `snap-dataplane` simulator.
+//! 5. rule generation ([`rulegen`]) producing the per-switch metadata
+//!    ([`SwitchMeta`]) a distribution plane ships alongside the program.
 //!
 //! The [`Compiler`] type ties the phases together and reports per-phase
 //! timings (the paper's P1–P6), which the benchmark harness uses to
@@ -45,7 +45,7 @@ pub use optimize::{
     PlacementResult, SolverChoice,
 };
 pub use pipeline::{CompileOptions, Compiled, Compiler, PhaseTimings};
-pub use rulegen::{generate_rules, RuleGenOutput};
+pub use rulegen::{generate_rules, RuleGenOutput, SwitchMeta};
 
 // Re-export the analysis passes that live with the xFDD crate so that users
 // of the compiler see one coherent API.

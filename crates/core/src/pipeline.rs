@@ -8,7 +8,6 @@ use crate::optimize::{
 };
 use crate::rulegen::{generate_rules, RuleGenOutput};
 use serde::{Deserialize, Serialize};
-use snap_dataplane::Network;
 use snap_lang::Policy;
 use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{to_xfdd, CompileError, Pool, StateDependencies, Xfdd};
@@ -79,7 +78,7 @@ pub struct Compiled {
     /// a session that reuses a placement across recompiles hands out the
     /// same one.
     pub placement: Arc<PlacementResult>,
-    /// Per-switch rules and statistics.
+    /// Per-switch metadata and the forwarding paths.
     pub rules: RuleGenOutput,
     /// Per-phase timings for this compilation.
     pub timings: PhaseTimings,
@@ -150,7 +149,7 @@ impl Compiler {
 
         // P6 — rule generation.
         let t = Instant::now();
-        let rules = generate_rules(&self.topology, &xfdd, &placement);
+        let rules = generate_rules(&self.topology, &placement);
         let rule_generation = t.elapsed();
 
         Ok(Compiled {
@@ -189,7 +188,7 @@ impl Compiler {
             reroute_timed(&input, &compiled.placement.placement, self.options.solver);
         let placement = Arc::new(placement);
         let t = Instant::now();
-        let rules = generate_rules(&self.topology, &compiled.xfdd, &placement);
+        let rules = generate_rules(&self.topology, &placement);
         let rule_generation = t.elapsed();
         let timings = PhaseTimings {
             optimization: opt_timings.solving,
@@ -207,20 +206,14 @@ impl Compiler {
         };
         (updated, timings)
     }
-
-    /// Instantiate the distributed data plane for a compiled program.
-    pub fn build_network(&self, compiled: &Compiled) -> Network {
-        Network::new(self.topology.clone(), compiled.rules.configs.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snap_lang::builder::*;
-    use snap_lang::{eval, Field, Packet, StateVar, Store, Value};
+    use snap_lang::{Field, StateVar, Value};
     use snap_topology::generators::campus;
-    use std::collections::BTreeSet;
 
     fn assign_egress() -> Policy {
         let mut p = drop();
@@ -315,51 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_network_matches_obs_semantics_on_a_trace() {
-        let compiler = campus_compiler();
-        let program = dns_tunnel_detect(2).seq(assign_egress());
-        let compiled = compiler.compile(&program).unwrap();
-        let network = compiler.build_network(&compiled);
-
-        let client = Value::ip(10, 0, 6, 77);
-        let attacker_dns = Packet::new()
-            .with(Field::SrcIp, Value::ip(8, 8, 8, 8))
-            .with(Field::DstIp, client.clone())
-            .with(Field::SrcPort, 53)
-            .with(Field::DnsRdata, Value::ip(1, 2, 3, 4));
-        let trace = vec![
-            (PortId(1), attacker_dns.clone()),
-            (
-                PortId(1),
-                attacker_dns.updated(Field::DnsRdata, Value::ip(1, 2, 3, 5)),
-            ),
-        ];
-
-        // Reference OBS execution.
-        let mut store = Store::new();
-        let mut obs_outputs = Vec::new();
-        for (_, pkt) in &trace {
-            let r = eval(&program, &store, pkt).unwrap();
-            store = r.store;
-            obs_outputs.push(r.packets);
-        }
-
-        let dist = network.inject_trace(&trace).unwrap();
-        for (d, o) in dist.iter().zip(obs_outputs.iter()) {
-            let pkts: BTreeSet<Packet> = d.iter().map(|(_, p)| p.clone()).collect();
-            assert_eq!(&pkts, o);
-        }
-        assert_eq!(network.aggregate_store(), store);
-        // After two unanswered DNS responses the client is blacklisted.
-        assert_eq!(
-            network
-                .aggregate_store()
-                .get(&StateVar::new("blacklist"), &[client]),
-            Value::Bool(true)
-        );
-    }
-
-    #[test]
     fn reroute_is_faster_than_full_compilation_and_keeps_placement() {
         let compiler = campus_compiler();
         let program = dns_tunnel_detect(3).seq(assign_egress());
@@ -377,7 +325,7 @@ mod tests {
         let compiled = compiler.compile(&assign_egress()).unwrap();
         assert!(compiled.placement.placement.is_empty());
         assert_eq!(compiled.mapping.num_stateful_flows(), 0);
-        assert!(compiled.rules.total_instructions() > 0);
+        assert!(compiled.rules.relevant_switches() > 0);
     }
 
     #[test]

@@ -1,39 +1,41 @@
-//! Rule generation (§4.5): per-switch configurations and data-plane programs.
+//! Rule generation (§4.5): what each switch needs besides the program.
 //!
-//! Rule generation combines the xFDD with the placement/routing decision:
-//! every switch receives (i) a handle on the interned program — the arena's
-//! stable node ids are the SNAP-header tags, so resuming processing needs no
-//! separate node-addressable flattening, and distributing the "full diagram"
-//! to every switch is an `Arc` clone — (ii) the set of state variables it
-//! owns, and (iii) the forwarding paths chosen for each OBS port pair.
+//! Rule generation combines the xFDD with the placement/routing decision.
+//! The program itself is one interned diagram every switch carries whole —
+//! the arena's stable node ids are the SNAP-header tags, so resuming
+//! processing needs no separate node-addressable flattening — which leaves,
+//! per switch, (i) the set of state variables it owns and the external ports
+//! it hosts ([`SwitchMeta`]) and (ii) the forwarding paths chosen for each
+//! OBS port pair.
 //!
 //! The output references what it is generated from instead of copying it:
 //! the forwarding paths *are* the placement's ([`RuleGenOutput::forwarding`]
-//! reads the shared [`PlacementResult`]), and the NetASM-like lowering that
-//! the rule-count statistics are taken from is computed when first asked
-//! for ([`RuleGenOutput::program`]) — no compile, recompile or reroute pays
-//! for a flatten and a lowering nothing on the update path reads.
+//! reads the shared [`PlacementResult`]).
 
 use crate::optimize::PlacementResult;
 use serde::{Deserialize, Serialize};
-use snap_dataplane::{NetAsmProgram, SwitchConfig};
 use snap_lang::StateVar;
 use snap_topology::{NodeId, PortId, Topology};
-use snap_xfdd::Xfdd;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+/// The per-switch metadata that travels alongside the (shared) program:
+/// what the switch owns and which external ports it hosts.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SwitchMeta {
+    /// State variables placed on this switch.
+    pub local_vars: BTreeSet<StateVar>,
+    /// OBS external ports attached to this switch.
+    pub ports: BTreeSet<PortId>,
+}
 
 /// The output of rule generation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RuleGenOutput {
-    /// Per-switch configuration for the data-plane simulator.
-    pub configs: Vec<SwitchConfig>,
+    /// Every switch of the topology with its metadata.
+    pub switches: BTreeMap<NodeId, SwitchMeta>,
     /// The placement and routing decision the rules implement.
     placement: Arc<PlacementResult>,
-    /// The program every switch carries.
-    xfdd: Xfdd,
-    /// The lowered instruction program, once someone asked for it.
-    program: OnceLock<NetAsmProgram>,
 }
 
 impl RuleGenOutput {
@@ -42,53 +44,32 @@ impl RuleGenOutput {
         &self.placement.paths
     }
 
-    /// The lowered instruction program — one, the same on every switch
-    /// (the totals below count it once per switch that owns state or hosts
-    /// external ports; other switches only forward). Flattened and lowered
-    /// on first request.
-    pub fn program(&self) -> &NetAsmProgram {
-        self.program
-            .get_or_init(|| NetAsmProgram::lower_flat(&self.xfdd.flatten()))
-    }
-
-    /// Switches that neither hold state nor host ports only forward; they
-    /// still receive the program (they may become relevant after a TE
-    /// re-route) but are not counted towards the rule statistics.
-    fn relevant_switches(&self) -> usize {
-        let relevant = |c: &&SwitchConfig| !c.local_vars.is_empty() || !c.ports.is_empty();
-        self.configs.iter().filter(relevant).count()
-    }
-
-    /// Total number of data-plane instructions across all switches.
-    pub fn total_instructions(&self) -> usize {
-        self.relevant_switches() * self.program().len()
-    }
-
-    /// Total number of stateful instructions across all switches.
-    pub fn total_state_ops(&self) -> usize {
-        self.relevant_switches() * self.program().num_state_ops()
+    /// How many switches hold state or host ports. The rest only forward:
+    /// they still carry the program (they may become relevant after a TE
+    /// re-route) but are not counted towards rule statistics.
+    pub fn relevant_switches(&self) -> usize {
+        let relevant = |m: &&SwitchMeta| !m.local_vars.is_empty() || !m.ports.is_empty();
+        self.switches.values().filter(relevant).count()
     }
 }
 
-/// Generate per-switch configurations.
-pub fn generate_rules(
-    topology: &Topology,
-    xfdd: &Xfdd,
-    placement: &Arc<PlacementResult>,
-) -> RuleGenOutput {
-    // Which variables live on which switch.
-    let mut vars_per_switch: BTreeMap<NodeId, BTreeSet<StateVar>> = BTreeMap::new();
+/// Generate the per-switch metadata: every switch of `topology` with the
+/// external ports attached to it and the variables `placement` puts there.
+pub fn generate_rules(topology: &Topology, placement: &Arc<PlacementResult>) -> RuleGenOutput {
+    let mut switches: BTreeMap<NodeId, SwitchMeta> = topology
+        .nodes()
+        .map(|n| (n, SwitchMeta::default()))
+        .collect();
+    for (port, node) in topology.external_ports() {
+        switches.entry(node).or_default().ports.insert(port);
+    }
     for (var, node) in &placement.placement {
-        vars_per_switch
-            .entry(*node)
-            .or_default()
-            .insert(var.clone());
+        let owner = switches.entry(*node).or_default();
+        owner.local_vars.insert(var.clone());
     }
     RuleGenOutput {
-        configs: SwitchConfig::for_topology(topology, xfdd, &vars_per_switch),
+        switches,
         placement: Arc::clone(placement),
-        xfdd: xfdd.clone(),
-        program: OnceLock::new(),
     }
 }
 
@@ -102,7 +83,7 @@ mod tests {
     use snap_topology::{generators::campus, TrafficMatrix};
     use snap_xfdd::StateDependencies;
 
-    fn compile_small() -> (snap_topology::Topology, Xfdd, Arc<PlacementResult>) {
+    fn compile_small() -> (snap_topology::Topology, Arc<PlacementResult>) {
         let policy: Policy = state_incr("count", vec![field(Field::InPort)]).seq(ite(
             test_prefix(Field::DstIp, 10, 0, 6, 0, 24),
             modify(Field::OutPort, Value::Int(6)),
@@ -121,37 +102,38 @@ mod tests {
             deps: &deps,
         };
         let placement = Arc::new(place_and_route(&input, SolverChoice::Heuristic));
-        (topo, d, placement)
+        (topo, placement)
     }
 
     #[test]
     fn every_switch_gets_a_config_and_state_owners_get_their_vars() {
-        let (topo, d, placement) = compile_small();
-        let out = generate_rules(&topo, &d, &placement);
-        assert_eq!(out.configs.len(), topo.num_nodes());
-        let owner = placement.placement[&StateVar::new("count")];
-        let owner_config = out.configs.iter().find(|c| c.node == owner).unwrap();
-        assert!(owner_config.local_vars.contains(&StateVar::new("count")));
+        let (topo, placement) = compile_small();
+        let out = generate_rules(&topo, &placement);
+        assert_eq!(out.switches.len(), topo.num_nodes());
+        let count = StateVar::new("count");
+        let owner = placement.placement[&count];
+        assert!(out.switches[&owner].local_vars.contains(&count));
         // Exactly one switch owns the variable.
-        let owners = out
-            .configs
-            .iter()
-            .filter(|c| c.local_vars.contains(&StateVar::new("count")))
-            .count();
-        assert_eq!(owners, 1);
+        let owns = |m: &&SwitchMeta| m.local_vars.contains(&count);
+        assert_eq!(out.switches.values().filter(owns).count(), 1);
+        // Every external port is hosted exactly where the topology says.
+        for (port, node) in topo.external_ports() {
+            assert!(out.switches[&node].ports.contains(&port));
+        }
+        let hosted: usize = out.switches.values().map(|m| m.ports.len()).sum();
+        assert_eq!(hosted, topo.external_ports().count());
     }
 
     #[test]
     fn rule_statistics_are_positive_and_paths_are_shared() {
-        let (topo, d, placement) = compile_small();
-        let out = generate_rules(&topo, &d, &placement);
-        assert!(out.total_instructions() > 0);
-        assert!(out.total_state_ops() > 0);
+        let (topo, placement) = compile_small();
+        let out = generate_rules(&topo, &placement);
+        // Port hosts plus the state owner; pure transit switches are not.
+        let mut relevant: BTreeSet<NodeId> = topo.external_ports().map(|(_, n)| n).collect();
+        relevant.extend(placement.placement.values());
+        assert_eq!(out.relevant_switches(), relevant.len());
+        assert!(relevant.len() < topo.num_nodes());
         // The paths are the placement's own, not a copy.
         assert!(std::ptr::eq(out.forwarding(), &placement.paths));
-        // Every switch with ports or state counts the one lowered program.
-        assert!(!out.program().is_empty());
-        assert_eq!(out.total_instructions() % out.program().len(), 0);
-        let _ = d;
     }
 }

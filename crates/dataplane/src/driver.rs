@@ -1,26 +1,22 @@
-//! The one packet driver shared by every plane of the simulator.
+//! The packet driver: the one dispatch loop of the workspace.
 //!
 //! SNAP's premise is a single program abstraction executed uniformly across
-//! the network, and the repo used to mirror that with two divergent copies
-//! of the per-packet dispatch loop — one in `Network`, one in the
-//! distributed `DistNetwork`. This module is the single remaining loop: the
-//! Emit/Dropped/NeedState/Fork dispatch, both spin-in-place guards, the hop
-//! budget and the forwarding logic live here and nowhere else. What differs
-//! between planes is expressed through two small traits:
+//! the network. The Emit/Dropped/NeedState/Fork dispatch, both
+//! spin-in-place guards, the hop budget and the forwarding logic live here
+//! and nowhere else. Where configuration comes from and where packets leave
+//! is the crate boundary to the plane that owns the switches (`snap-distrib`'s
+//! agent fleet), expressed through two small traits:
 //!
-//! * [`ViewResolver`] — how a hop resolves its executable view. The
-//!   in-process `Network` answers from one RCU [`crate::ConfigSnapshot`]
-//!   (every hop sees the same epoch); the distributed plane answers from
-//!   each agent's epoch-history ring (`view_for(epoch)`), serving staged
+//! * [`ViewResolver`] — how a hop resolves its executable view: the plane
+//!   answers from each switch agent's epoch-history ring, serving staged
 //!   views mid-commit. The resolver also hands out the per-switch store
-//!   shard — state is epoch-independent in both planes. A view
-//!   ([`HopView`]) arrives with its names already resolved — every variable
-//!   slot of its program bound to a local table or an owning switch, its
-//!   ports in a sorted slice — so the loop below indexes and never looks a
-//!   variable up by name.
-//! * [`EgressSink`] — where a delivered packet lands: a flat per-packet
-//!   result set, or bounded per-port FIFO queues with backpressure
-//!   accounting ([`crate::EgressQueues`]).
+//!   shards — state is epoch-independent. A view ([`HopView`]) arrives with
+//!   its names already resolved — every variable slot of its program bound
+//!   to a local table or an owning switch, its ports in a sorted slice — so
+//!   the loop below indexes and never looks a variable up by name.
+//! * [`EgressSink`] — where a delivered packet lands: the owning switch's
+//!   bounded per-port FIFO queues with backpressure accounting
+//!   ([`crate::EgressQueues`]).
 //!
 //! On top of the unified loop the driver executes **batched**: in-flight
 //! packets are grouped by their current switch and each group is drained
@@ -35,10 +31,10 @@
 //! and every view a hop or a delivery needs are remembered in a table
 //! indexed densely by switch (thread-local, reset by touched entries only,
 //! so a batch of one pays for one switch, not for the network) and served
-//! from there for the rest of the batch. In the distributed plane that is
-//! one agent lock per switch per batch instead of two per packet. Pinning
-//! cannot mix epochs: a pinned view is the immutable view the resolver
-//! would return again, merely kept alive until the batch ends.
+//! from there for the rest of the batch: one agent lock per switch per
+//! batch instead of two per packet. Pinning cannot mix epochs: a pinned
+//! view is the immutable view the resolver would return again, merely kept
+//! alive until the batch ends.
 //!
 //! Each group additionally runs in two phases. A lock-free **wave-prefix**
 //! phase first advances the *stateless prefix* of every flight through the
@@ -66,9 +62,8 @@
 //! end to end, and per-packet semantics are unchanged.
 
 use crate::exec::{
-    misplaced_state_error, missing_placement_error, process_at_switch, read_outport,
-    strip_snap_header, InFlight, NextHops, Progress, ReplicaBuffer, SimError, SlotBinding,
-    StepOutcome, StoreLease,
+    misplaced_state_error, missing_placement_error, process_at_switch, strip_snap_header, InFlight,
+    NextHops, Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
 };
 use crate::metrics::PlaneTelemetry;
 use crate::pins::PinArena;
@@ -84,11 +79,10 @@ use snap_xfdd::{FlatId, FlatProgram, TableProgram};
 /// ports the switch serves.
 ///
 /// A view is **resolved once, then only indexed**: whoever builds it (an
-/// agent's *prepare*, the in-process plane's snapshot indexing) looks every
-/// name up there — each variable slot of the program against the switch's
-/// owned variables, its table registry and the placement
-/// ([`crate::exec::bind_slots`]), the switch's port set into a sorted slice
-/// — so that a hop costs array loads, never a `BTreeMap`/`BTreeSet` walk or
+/// agent's *prepare*) looks every name up there — each variable slot of the
+/// program against the switch's owned variables, its table registry and the
+/// placement ([`crate::exec::bind_slots`]), the switch's port set into a
+/// sorted slice — so that a hop costs array loads, never a `BTreeMap`/`BTreeSet` walk or
 /// a string compare. The resolution is part of the immutable view and
 /// travels with it: a packet stamped with an older epoch meets that epoch's
 /// binding at every hop, whatever has been prepared since.
@@ -97,8 +91,7 @@ pub trait HopView {
     fn flat(&self) -> &FlatProgram;
     /// The table compilation of [`HopView::flat`] (same program, dispatch
     /// stages over the same flat ids). Rebuilt wherever the flat program
-    /// is: at snapshot indexing in the in-process plane, in each agent's
-    /// *prepare* in the distributed one — never shipped on the wire.
+    /// is — in each agent's *prepare* — never shipped on the wire.
     fn tables(&self) -> &TableProgram;
     /// Where each state variable of [`HopView::flat`] lives under this
     /// view, indexed by the program's variable slots
@@ -109,12 +102,13 @@ pub trait HopView {
     fn serves_port(&self, port: PortId) -> bool;
 }
 
-/// How a plane resolves executable views: the seam between the shared
-/// driver and a configuration source.
+/// How a plane resolves executable views: the seam between the driver and
+/// a configuration source. Every switch a packet can reach either has a
+/// view for the packet's epoch or the packet fails with the plane's error —
+/// there is no "unconfigured, forward anyway" case.
 ///
-/// Implementations: the RCU snapshot of [`crate::Network`] (one immutable
-/// epoch for the whole run) and the per-agent epoch-history lookup of the
-/// distributed plane (each hop resolves the packet's stamped epoch).
+/// Implemented by the agent fleet of `snap-distrib` (each hop resolves the
+/// packet's stamped epoch from its agent's epoch-history ring).
 pub trait ViewResolver {
     /// The view a hop executes, borrowed from the resolver.
     type View<'v>: HopView
@@ -123,34 +117,32 @@ pub trait ViewResolver {
     /// The plane's error type; every shared [`SimError`] must embed into it.
     type Error: From<SimError>;
 
-    /// Stamp packets entering at `switch` — see [`Ingress`]. `Ok(None)`
-    /// means nothing is installed: the packet vanishes with empty egress.
-    /// The driver asks once per (switch, batch) and stamps every packet of
-    /// the batch entering there alike.
-    fn ingress(&self, switch: SwitchId) -> Result<Option<Ingress<Self::View<'_>>>, Self::Error>;
+    /// Stamp packets entering at `switch` — see [`Ingress`]. The driver asks
+    /// once per (switch, batch) and stamps every packet of the batch
+    /// entering there alike.
+    fn ingress(&self, switch: SwitchId) -> Result<Ingress<Self::View<'_>>, Self::Error>;
 
-    /// Resolve the view of `switch` for a stamped `epoch`. `Ok(None)` means
-    /// the switch has no configuration and only forwards. The driver asks
+    /// Resolve the view of `switch` for a stamped `epoch`. The driver asks
     /// at most once per (switch, epoch, batch) and pins the answer.
-    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Option<Self::View<'_>>, Self::Error>;
+    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Self::View<'_>, Self::Error>;
 
-    /// The switch's key-range state shards. Epoch-independent in every
-    /// plane — state survives reconfiguration — which is what lets the
-    /// driver lease them once per (switch, batch-group).
+    /// The switch's key-range state shards. Epoch-independent — state
+    /// survives reconfiguration — which is what lets the driver lease them
+    /// once per (switch, batch-group).
     fn store(&self, switch: SwitchId) -> Option<&StateShards>;
 }
 
 /// An ingress stamp: the epoch a packet will execute under at every hop, the
 /// program root it starts from, and the ingress switch's own view under
-/// that epoch (`None`: the switch has no configuration and only forwards) —
-/// handed over with the stamp so the first hop costs no second resolution.
+/// that epoch — handed over with the stamp so the first hop costs no second
+/// resolution.
 pub struct Ingress<V> {
     /// The epoch stamped on the packet.
     pub epoch: u64,
     /// The root of the program the epoch executes.
     pub root: FlatId,
     /// What [`ViewResolver::resolve`] would answer for this switch and epoch.
-    pub view: Option<V>,
+    pub view: V,
 }
 
 /// Where delivered packets land. `origin` is the index of the packet within
@@ -162,9 +154,14 @@ pub trait EgressSink {
 }
 
 /// Per-packet driver results for one batch: the epoch each packet executed
-/// under (`None` when nothing was installed), or the packet's error. Egress
-/// is delivered through the [`EgressSink`], keyed by the same index.
-pub type BatchResults<E> = Vec<Result<Option<u64>, E>>;
+/// under, or the packet's error. Egress is delivered through the
+/// [`EgressSink`], keyed by the same index.
+pub type BatchResults<E> = Vec<Result<u64, E>>;
+
+/// Default hop budget: the maximum number of hops a packet may take before
+/// the driver reports [`SimError::HopBudgetExceeded`] instead of spinning on
+/// a loopy configuration.
+pub const DEFAULT_HOP_BUDGET: usize = 256;
 
 /// An in-flight packet plus the driver's batch bookkeeping: which batch
 /// packet it belongs to, the epoch it was stamped with at ingress and —
@@ -347,26 +344,24 @@ impl SwitchTable {
 struct Pins<'s, 'b, 'r, R: ViewResolver> {
     resolver: &'r R,
     table: &'s mut SwitchTable,
-    arena: &'b PinArena<Option<R::View<'r>>>,
+    arena: &'b PinArena<R::View<'r>>,
 }
 
 impl<'b, 'r, R: ViewResolver> Pins<'_, 'b, 'r, R> {
     /// The stamp for packets entering at `switch`, taken from the resolver
     /// on the batch's first packet there (together with the switch's own
     /// view under that epoch) and repeated for the rest.
-    fn ingress(&mut self, switch: SwitchId) -> Result<Option<(u64, FlatId)>, R::Error> {
+    fn ingress(&mut self, switch: SwitchId) -> Result<(u64, FlatId), R::Error> {
         if let Some(stamp) = self.table.slot(switch).stamp {
-            return Ok(Some(stamp));
+            return Ok(stamp);
         }
-        let Some(ingress) = self.resolver.ingress(switch)? else {
-            return Ok(None);
-        };
+        let ingress = self.resolver.ingress(switch)?;
         let stamp = (ingress.epoch, ingress.root);
         let at = self.arena.push(ingress.view);
         let slot = self.table.slot(switch);
         slot.stamp = Some(stamp);
         slot.views.push((ingress.epoch, at));
-        Ok(Some(stamp))
+        Ok(stamp)
     }
 
     /// The arena slot of `switch`'s view under `epoch`, resolved on first
@@ -381,9 +376,9 @@ impl<'b, 'r, R: ViewResolver> Pins<'_, 'b, 'r, R> {
         Ok(at)
     }
 
-    /// The pinned view in `slot` (`None`: an unconfigured switch).
-    fn view(&self, slot: usize) -> Option<&'b R::View<'r>> {
-        self.arena.get(slot).as_ref()
+    /// The pinned view in `slot`.
+    fn view(&self, slot: usize) -> &'b R::View<'r> {
+        self.arena.get(slot)
     }
 }
 
@@ -394,7 +389,7 @@ thread_local! {
 
 /// The generic packet driver: topology, precomputed next hops and the hop
 /// budget — everything the dispatch loop needs that is not view resolution
-/// or egress delivery. Both planes build one per injection call; it borrows
+/// or egress delivery. A plane builds one per injection call; it borrows
 /// and costs nothing to construct.
 pub struct Driver<'a> {
     topology: &'a Topology,
@@ -432,12 +427,10 @@ impl<'a> Driver<'a> {
     /// whole batch — the resolver is asked at most once per (switch, epoch).
     /// A packet that fails loses its remaining in-flight copies, and never
     /// affects the rest of the batch; state side effects that already
-    /// happened stay, as they always did. The
-    /// sink may already have seen some of a failed packet's deliveries:
-    /// set-collecting adapters discard them along with the error, while
-    /// queue-delivering sinks cannot retract what was already enqueued (the
-    /// distributed plane's historical semantics — an egress queue is a
-    /// wire, not a buffer the driver owns).
+    /// happened stay. The sink may already have seen some of a failed
+    /// packet's deliveries, and a queue-delivering sink cannot retract what
+    /// was already enqueued — an egress queue is a wire, not a buffer the
+    /// driver owns.
     ///
     /// Batch entries may be owned packets or references — a batch of one
     /// borrowed packet clones it exactly once, into its in-flight copy.
@@ -463,7 +456,7 @@ impl<'a> Driver<'a> {
             None => Vec::new(),
         };
         let mut next_sample = samples.iter().copied().peekable();
-        let mut results: BatchResults<R::Error> = batch.iter().map(|_| Ok(None)).collect();
+        let mut results: BatchResults<R::Error> = Vec::with_capacity(batch.len());
         // Pinned views live here, for this batch only; the table that
         // indexes them is recycled through the scratch below.
         let arena = PinArena::new();
@@ -501,40 +494,36 @@ impl<'a> Driver<'a> {
             let mut replica = ReplicaBuffer::with_keys(std::mem::take(lease_keys));
             for (origin, (port, packet)) in batch.iter().enumerate() {
                 let Some(ingress) = self.topology.port_switch(*port) else {
-                    results[origin] = Err(SimError::UnknownPort(*port).into());
+                    results.push(Err(SimError::UnknownPort(*port).into()));
                     continue;
                 };
-                match pins.ingress(ingress) {
-                    Err(e) => results[origin] = Err(e),
-                    Ok(None) => {} // nothing installed: empty egress
-                    Ok(Some((epoch, root))) => {
-                        results[origin] = Ok(Some(epoch));
-                        let trace = match self.metrics {
-                            Some(m) => {
-                                let admitted = tally.packets;
-                                tally.packets += 1;
-                                pins.table.slot(ingress).ingress += 1;
-                                if next_sample.next_if_eq(&admitted).is_some() {
-                                    Some(Box::new(m.telemetry().tracer().start(port.0, epoch)))
-                                } else {
-                                    None
-                                }
-                            }
-                            None => None,
-                        };
-                        pending.push(Tagged {
-                            flight: InFlight::ingress(
-                                packet.borrow().clone(),
-                                *port,
-                                ingress,
-                                root,
-                            ),
-                            origin,
-                            epoch,
-                            trace,
-                        });
+                let (epoch, root) = match pins.ingress(ingress) {
+                    Ok(stamp) => stamp,
+                    Err(e) => {
+                        results.push(Err(e));
+                        continue;
                     }
-                }
+                };
+                results.push(Ok(epoch));
+                let trace = match self.metrics {
+                    Some(m) => {
+                        let admitted = tally.packets;
+                        tally.packets += 1;
+                        pins.table.slot(ingress).ingress += 1;
+                        if next_sample.next_if_eq(&admitted).is_some() {
+                            Some(Box::new(m.telemetry().tracer().start(port.0, epoch)))
+                        } else {
+                            None
+                        }
+                    }
+                    None => None,
+                };
+                pending.push(Tagged {
+                    flight: InFlight::ingress(packet.borrow().clone(), *port, ingress, root),
+                    origin,
+                    epoch,
+                    trace,
+                });
             }
             while !pending.is_empty() {
                 for tagged in pending.drain(..) {
@@ -620,15 +609,6 @@ impl<'a> Driver<'a> {
                     results[tagged.origin] = Err(e);
                     continue;
                 }
-            };
-            let Some(view) = view else {
-                // A switch without a configuration only forwards,
-                // towards the packet's egress port if it has one.
-                match self.forward_unconfigured(&mut tagged.flight) {
-                    Ok(()) => next.push(tagged),
-                    Err(e) => results[tagged.origin] = Err(e.into()),
-                }
-                continue;
             };
             // A sampled packet opens a hop record for this visit; the step
             // below fills in the state variables it touches, and the
@@ -811,9 +791,6 @@ impl<'a> Driver<'a> {
                     continue;
                 }
             };
-            if pins.view(view_idx).is_none() {
-                continue; // unconfigured switch: the locked phase forwards it
-            }
             packets += 1;
             match cohorts
                 .iter_mut()
@@ -829,9 +806,7 @@ impl<'a> Driver<'a> {
         }
         let mut survivors = 0u64;
         while let Some((view_idx, node, mut members)) = cohorts.pop() {
-            let view = pins
-                .view(view_idx)
-                .expect("cohorts only form over configured views");
+            let view = pins.view(view_idx);
             let flat = view.flat();
             let tables = view.tables();
             for gi in members.drain(..) {
@@ -877,8 +852,8 @@ impl<'a> Driver<'a> {
     /// jump the pure-forwarding remainder of its path in one step, then
     /// deliver against the target switch's view — the same checks the
     /// packet would have met had it re-entered the wave loop there (hop
-    /// budget after the jump, a configured view that actually serves the
-    /// port), collapsed into its emitting wave.
+    /// budget after the jump, a view that actually serves the port),
+    /// collapsed into its emitting wave.
     fn deliver_remote<R: ViewResolver, S: EgressSink>(
         &self,
         pins: &mut Pins<'_, '_, '_, R>,
@@ -900,8 +875,7 @@ impl<'a> Driver<'a> {
             return Err(SimError::HopBudgetExceeded.into());
         }
         let slot = pins.pin(target, tagged.epoch)?;
-        // An unconfigured switch only forwards; it cannot deliver.
-        if !pins.view(slot).is_some_and(|view| view.serves_port(port)) {
+        if !pins.view(slot).serves_port(port) {
             return Err(bad_port().into());
         }
         let mut clean = std::mem::take(&mut tagged.flight.pkt);
@@ -909,30 +883,5 @@ impl<'a> Driver<'a> {
         sink.deliver(tagged.origin, target, port, clean, tagged.epoch);
         self.record_delivery(tagged, target, port, tally);
         Ok(())
-    }
-
-    /// Forwarding for a switch with no configuration: towards the packet's
-    /// already-assigned egress port, or an error if it has none.
-    fn forward_unconfigured(&self, flight: &mut InFlight) -> Result<(), SimError> {
-        let outport = read_outport(&flight.pkt)?;
-        self.forward_towards_port(flight, outport)
-    }
-
-    /// Fast-forward to the switch hosting `port`, with the shared
-    /// spin-in-place guard: if the port is attached to the *current* switch
-    /// yet its view does not serve it (misconfiguration), forwarding
-    /// "towards" it would spin forever, so the packet fails instead. A
-    /// packet travelling to egress is pure forwarding at every switch in
-    /// between, so the whole remaining path is charged in one jump and the
-    /// packet rejoins the wave loop only at its delivery switch.
-    fn forward_towards_port(&self, flight: &mut InFlight, port: PortId) -> Result<(), SimError> {
-        let target = self
-            .topology
-            .port_switch(port)
-            .ok_or(SimError::BadOutPort(Value::Int(port.0 as i64)))?;
-        if target == flight.at {
-            return Err(SimError::BadOutPort(Value::Int(port.0 as i64)));
-        }
-        self.next_hops.jump_towards(flight, target)
     }
 }

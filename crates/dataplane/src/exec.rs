@@ -1,7 +1,7 @@
-//! The per-switch execution core under the one generic driver
+//! The per-switch execution core under the packet driver
 //! ([`crate::driver`]).
 //!
-//! Every plane executes packets the same way: resolve the stateless spans
+//! Every switch executes packets the same way: resolve the stateless spans
 //! of the dense [`FlatProgram`] through its table compilation
 //! ([`TableProgram`] — one field load and one indexed lookup per collapsed
 //! test run), pause at state the local switch does not own, fork at
@@ -30,12 +30,10 @@
 //! key's shard. Names are read back from the program only to fill a sampled
 //! packet's hop record and to word an error.
 //!
-//! The process-wide `store_lock_acquisitions` / `wave_prefix_stats`
-//! statics that used to live here are gone: they were shared by every
-//! `Network` in a process, so concurrently running tests contaminated
-//! each other's readings. Their successors are the per-shard contention
-//! counters on [`StateShards`] (exported as `store.shard.*` families) and
-//! the per-instance wave-prefix counters on [`crate::PlaneTelemetry`].
+//! Nothing here is process-wide: lock contention is counted per shard on
+//! [`StateShards`] (exported as `store.shard.*` families) and wave-prefix
+//! survivors per instance on [`crate::PlaneTelemetry`], so two planes in
+//! one process never read each other's numbers.
 
 use crate::shards::{key_hash, Shard, StateShards, TableId};
 use parking_lot::MutexGuard;
@@ -62,7 +60,7 @@ pub enum SlotBinding {
 /// Bind every slot of `flat` for one switch under one view: variables in
 /// `local_vars` to their table in `store` (registering the name there if it
 /// is new to the switch), the rest to their owner under `placement`. Done
-/// once per prepared view / indexed snapshot — O(variables) — so that the
+/// once per prepared view — O(variables) — so that the
 /// packet path only indexes the result by slot.
 pub fn bind_slots(
     flat: &FlatProgram,

@@ -1,42 +1,34 @@
 //! # snap-dataplane
 //!
-//! A concurrent, stateful software data plane for SNAP: a NetASM-like
-//! instruction set lowered from flattened xFDDs, and a network simulator
-//! that executes *distributed* SNAP programs hop by hop over a physical
-//! topology while configurations are swapped underneath it.
+//! The execution core of the SNAP data plane: driver, exec, shards, egress,
+//! traffic engine. It runs packets through per-switch views of one
+//! distributed program; it does not own switches, configurations or
+//! updates — `snap-distrib`'s agent fleet does, and plugs in through
+//! [`ViewResolver`] / [`EgressSink`] / [`TrafficTarget`].
 //!
-//! The paper's prototype emits NetASM and runs it on the NetASM software
-//! switch; that artifact is not available, so this crate implements an
-//! equivalent substrate:
-//!
-//! * [`NetAsmProgram`] — branch / table / store instructions lowered from
-//!   the dense [`snap_xfdd::FlatProgram`] (one block per *distinct* node —
-//!   sharing in the arena is sharing in the instruction stream), plus an
-//!   interpreter (§5);
-//! * [`Network`] / [`SwitchConfig`] — per-switch programs and state tables,
-//!   packet injection at OBS ports and hop-by-hop forwarding, used to verify
-//!   that distributed execution matches the one-big-switch semantics.
-//!   [`Network::inject`] takes `&self`: the running configuration is an
-//!   immutable, atomically-swappable [`ConfigSnapshot`] (RCU-style —
-//!   readers never block on a recompile) over sharded per-switch state;
-//! * [`driver`] — the one generic packet driver behind every plane: a
-//!   single Emit/Dropped/NeedState/Fork dispatch loop, parameterized over a
+//! * [`driver`] — the one packet driver: a single
+//!   Emit/Dropped/NeedState/Fork dispatch loop, parameterized over a
 //!   [`ViewResolver`] (how a hop resolves its executable view) and an
 //!   [`EgressSink`] (where deliveries land), executing batches grouped per
-//!   switch so state locking is amortized per (switch, batch-group):
-//!   commuting updates buffer lock-free in per-worker replicas and merge
-//!   into the [`StateShards`] at group end, exact variables take one
-//!   key-range shard lock. Both [`Network`] and the distributed plane of
-//!   `snap-distrib` are thin adapters over it;
+//!   switch so state locking is amortized per (switch, batch-group);
+//! * [`exec`] — the single-switch step underneath it, the in-flight packet
+//!   and its §4.5 tag, slot bindings and the store lease;
+//! * [`shards`] — per-switch state: commuting updates buffer lock-free in
+//!   per-worker replicas and merge into the [`StateShards`] at group end,
+//!   exact variables take one key-range shard lock;
+//! * [`egress`] — bounded per-port FIFO queues with backpressure counters
+//!   ([`EgressQueues`]);
 //! * [`TrafficEngine`] — drives a packet workload through any
-//!   [`TrafficTarget`] (the in-process network, the queue-delivering
-//!   [`QueuedNetwork`], the distributed plane) from N worker threads with
-//!   per-worker egress collection;
+//!   [`TrafficTarget`] from N worker threads with per-worker egress
+//!   collection;
 //! * [`PlaneTelemetry`] — the pre-registered `snap-telemetry` handle
 //!   bundle the driver records through: per-instance packet / hop /
 //!   state-write counters, wave-prefix survivor ratios, latency
-//!   histograms and 1-in-N sampled packet traces, aggregated only on
-//!   read ([`Network::metrics_snapshot`]).
+//!   histograms and 1-in-N sampled packet traces, aggregated only on read;
+//! * [`NetAsmProgram`] — a NetASM-like instruction listing lowered from
+//!   the dense [`snap_xfdd::FlatProgram`] plus an interpreter (§5). Nothing
+//!   here executes it: it reproduces the paper's Table 3 instruction counts
+//!   and is differentially tested against the xFDD it was lowered from.
 //!
 //! Programs are executed via their dense flat node ids, which double as the
 //! §4.5 packet-tag node identifiers; the flattening is pure index
@@ -49,7 +41,6 @@ pub mod egress;
 pub mod exec;
 pub mod metrics;
 pub mod netasm;
-pub mod network;
 mod pins;
 pub mod shards;
 pub mod traffic;
@@ -62,6 +53,5 @@ pub use exec::{
 };
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
 pub use netasm::{Instruction, NetAsmProgram};
-pub use network::{BatchOutput, ConfigSnapshot, Network, QueuedBatchOutput, SwitchConfig};
 pub use shards::{Shard, StateShards, TableId, DEFAULT_STATE_SHARDS};
-pub use traffic::{QueuedNetwork, TargetBatch, TrafficEngine, TrafficReport, TrafficTarget};
+pub use traffic::{TargetBatch, TrafficEngine, TrafficReport, TrafficTarget};

@@ -5,10 +5,10 @@
 //! construction, into a [`PlaneTelemetry`] bundle of cloned handles. The
 //! driver then records through plain field accesses — each one a relaxed
 //! RMW on the calling worker's shard (see the `snap-telemetry` crate docs
-//! for the aggregation contract). Both planes ([`crate::Network`] and the
-//! distributed `DistNetwork`) carry an `Option<Arc<PlaneTelemetry>>`:
-//! `None` compiles telemetry down to a branch per batch, which is what the
-//! bench's overhead guard compares against.
+//! for the aggregation contract). The plane carries an
+//! `Option<Arc<PlaneTelemetry>>`: `None` compiles telemetry down to a branch
+//! per batch, which is what the benchmark's `telemetry.overhead_share`
+//! compares against.
 
 use crate::egress::EgressQueues;
 use snap_telemetry::{Counter, CounterFamily, Histogram, MetricsSnapshot, Telemetry};

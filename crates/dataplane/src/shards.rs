@@ -41,8 +41,8 @@
 //! A variable's table is the *disjoint union* of its per-shard partials:
 //! every key routes to exactly one shard ([`StateShards::shard_of`] is a
 //! deterministic hash), so unioning the partials reconstructs the table
-//! bit-identically — `aggregate_store`, config-swap migration, and distrib
-//! table yield all go through [`StateShards::collect_table`] /
+//! bit-identically — `aggregate_store` and the agents' table yield at
+//! commit both go through [`StateShards::collect_table`] /
 //! [`StateShards::remove_var`] and see exactly what a single authoritative
 //! table would hold. Installing a table ([`StateShards::insert_table`])
 //! writes the table *skeleton* (no entries, the table's default) into

@@ -1,30 +1,27 @@
-//! Multi-worker traffic generation: drive a packet workload through any
+//! Multi-worker traffic generation: drive a packet workload through a
 //! packet-driving plane from N threads.
 //!
 //! The [`TrafficEngine`] is generic over a [`TrafficTarget`] — anything
 //! that can run a batch of packets and report, per packet, the epoch it
-//! executed under and its egress. The in-process [`Network`] is one target
-//! (RCU snapshots, sharded state); a [`Network`] delivering through bounded
-//! per-port queues is another ([`QueuedNetwork`]); the distributed
-//! `snap-distrib` plane implements the same trait over its per-switch
-//! agents, so one worker harness drives every plane.
+//! executed under and its egress. The agent fleet of `snap-distrib`
+//! implements it; the trait is what keeps this crate from depending on the
+//! plane it drives.
 //!
 //! Scaling traffic is embarrassingly parallel up to the per-switch store
 //! shards: the engine shards a workload across worker threads, each worker
 //! pumps its shard batch by batch (one configuration acquisition — and one
 //! store-lock acquisition per visited switch — per batch, thanks to the
-//! shared batched driver) and collects its egress locally; per-worker
+//! batched driver) and collects its egress locally; per-worker
 //! results are only merged after the workers join — no shared output
 //! structure, no coordination on the hot path.
 //!
 //! The engine runs happily *while* a controller reconfigures the target:
 //! each packet reports the epoch it ran under, the report keeps both the
 //! observed epoch set and the per-worker epoch sequences, and tests use
-//! those to assert that concurrent recompiles really interleaved with the
+//! those to assert that concurrent updates really interleaved with the
 //! traffic (and that epochs never ran backwards within a worker).
 
-use crate::egress::EgressQueues;
-use crate::network::{Network, QueuedBatchOutput, SimError};
+use crate::exec::SimError;
 use snap_lang::Packet;
 use snap_topology::PortId;
 use std::collections::BTreeSet;
@@ -36,8 +33,7 @@ pub type TargetBatch<E> = Vec<Result<(u64, Vec<(PortId, Packet)>), E>>;
 
 /// Anything the [`TrafficEngine`] can drive a workload through: a plane
 /// that executes batches of packets and reports per-packet epochs and
-/// egress. Implemented by [`Network`], [`QueuedNetwork`] and the
-/// distributed plane of `snap-distrib`.
+/// egress.
 pub trait TrafficTarget: Sync {
     /// The plane's per-packet error type.
     type Error: Send;
@@ -47,74 +43,11 @@ pub trait TrafficTarget: Sync {
     fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<Self::Error>;
 }
 
-impl TrafficTarget for Network {
-    type Error = SimError;
-
-    fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<SimError> {
-        // The list-collecting path: per-packet egress arrives as the same
-        // sorted, deduplicated events `inject_batch` would report, without
-        // a tree set built per packet in between.
-        let (epoch, outputs) = self.inject_batch_lists(batch);
-        outputs
-            .into_iter()
-            .map(|result| result.map(|list| (epoch, list)))
-            .collect()
-    }
-}
-
 impl<T: TrafficTarget + Send> TrafficTarget for std::sync::Arc<T> {
     type Error = T::Error;
 
     fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<Self::Error> {
         (**self).drive_batch(batch)
-    }
-}
-
-/// A [`Network`] whose egress is *delivered* through bounded per-port FIFO
-/// queues ([`EgressQueues`]) instead of only collected: backpressure
-/// tail-drops are counted on the queues, and consumers drain ports
-/// explicitly — the same delivery model the distributed plane uses, now
-/// available to the in-process simulator under the shared driver.
-pub struct QueuedNetwork<'a> {
-    network: &'a Network,
-    queues: &'a EgressQueues,
-}
-
-impl<'a> QueuedNetwork<'a> {
-    /// Drive `network` with deliveries landing in `queues`.
-    pub fn new(network: &'a Network, queues: &'a EgressQueues) -> QueuedNetwork<'a> {
-        QueuedNetwork { network, queues }
-    }
-
-    /// The underlying queues.
-    pub fn queues(&self) -> &EgressQueues {
-        self.queues
-    }
-
-    /// Inject one batch, delivering through the queues.
-    pub fn inject_batch(&self, batch: &[(PortId, Packet)]) -> QueuedBatchOutput {
-        self.network.inject_batch_queued(batch, self.queues)
-    }
-
-    /// The network's [`Network::metrics_snapshot`] enriched with this
-    /// target's egress queue stats (`egress.enqueued` / `.dropped` /
-    /// `.depth`, one row per port).
-    pub fn metrics_snapshot(&self) -> snap_telemetry::MetricsSnapshot {
-        let mut snap = self.network.metrics_snapshot();
-        crate::metrics::export_egress(&mut snap, "egress", self.queues);
-        snap
-    }
-}
-
-impl TrafficTarget for QueuedNetwork<'_> {
-    type Error = SimError;
-
-    fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<SimError> {
-        let out = self.inject_batch(batch);
-        out.outputs
-            .into_iter()
-            .map(|result| result.map(|list| (out.epoch, list)))
-            .collect()
     }
 }
 
@@ -128,7 +61,7 @@ pub struct TrafficEngine {
 
 /// What a [`TrafficEngine::run`] did: per-worker egress, counters and the
 /// configuration epochs the packets observed. Generic over the target's
-/// error type (defaulting to the in-process plane's [`SimError`]).
+/// error type (defaulting to the execution core's [`SimError`]).
 #[derive(Clone, Debug)]
 pub struct TrafficReport<E = SimError> {
     /// Egress events collected by each worker, in that worker's processing
@@ -183,7 +116,7 @@ impl TrafficEngine {
 
     /// Packets per [`TrafficTarget::drive_batch`] call (minimum 1). Larger
     /// batches amortize configuration and store-lock acquisitions; smaller
-    /// ones observe config swaps at a finer grain.
+    /// ones observe configuration updates at a finer grain.
     pub fn with_batch_size(mut self, batch_size: usize) -> TrafficEngine {
         self.batch_size = batch_size.max(1);
         self
@@ -271,26 +204,29 @@ impl<E> Default for WorkerResult<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::SwitchConfig;
-    use snap_lang::builder::*;
     use snap_lang::{Field, Value};
-    use snap_topology::generators::campus;
-    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn counting_network() -> Network {
-        let policy = state_incr("count", vec![field(Field::SrcPort)]).seq(ite(
-            test_prefix(Field::DstIp, 10, 0, 6, 0, 24),
-            modify(Field::OutPort, Value::Int(6)),
-            modify(Field::OutPort, Value::Int(1)),
-        ));
-        let topo = campus();
-        let program = snap_xfdd::compile(&policy).unwrap();
-        let owners = std::collections::BTreeMap::from([(
-            topo.node_by_name("C6").unwrap(),
-            BTreeSet::from(["count".into()]),
-        )]);
-        let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-        Network::new(topo, configs)
+    /// The smallest target there is: every packet leaves at port 6 under
+    /// epoch 0 and is counted; port 99 does not exist.
+    #[derive(Default)]
+    struct Echo {
+        processed: AtomicUsize,
+    }
+
+    impl TrafficTarget for Echo {
+        type Error = SimError;
+
+        fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<SimError> {
+            let run = |(port, pkt): &(PortId, Packet)| {
+                if *port == PortId(99) {
+                    return Err(SimError::UnknownPort(*port));
+                }
+                self.processed.fetch_add(1, Ordering::Relaxed);
+                Ok((0, vec![(PortId(6), pkt.clone())]))
+            };
+            batch.iter().map(run).collect()
+        }
     }
 
     fn workload(n: usize) -> Vec<(PortId, Packet)> {
@@ -310,13 +246,13 @@ mod tests {
     fn multi_worker_run_matches_single_worker() {
         let load = workload(120);
 
-        let single = TrafficEngine::new(1).run(&counting_network(), &load);
+        let single = TrafficEngine::new(1).run(&Echo::default(), &load);
         assert!(single.is_clean());
         assert_eq!(single.processed, load.len());
 
         let multi = TrafficEngine::new(4)
             .with_batch_size(8)
-            .run(&counting_network(), &load);
+            .run(&Echo::default(), &load);
         assert!(multi.is_clean());
         assert_eq!(multi.processed, load.len());
         assert_eq!(multi.epochs, BTreeSet::from([0]));
@@ -340,7 +276,7 @@ mod tests {
     fn worker_and_batch_floors() {
         let engine = TrafficEngine::new(0).with_batch_size(0);
         assert_eq!(engine.workers(), 1);
-        let report = engine.run(&counting_network(), &workload(3));
+        let report = engine.run(&Echo::default(), &workload(3));
         assert!(report.is_clean());
         assert_eq!(report.processed, 3);
     }
@@ -349,12 +285,14 @@ mod tests {
     fn failing_packets_lose_only_their_own_egress() {
         // Packets at an unknown port error individually; the rest of their
         // batch still processes, counts and egresses.
-        let net = counting_network();
+        let target = Echo::default();
         let mut load = workload(40);
         for i in [3usize, 17, 34] {
             load[i].0 = PortId(99);
         }
-        let report = TrafficEngine::new(2).with_batch_size(10).run(&net, &load);
+        let report = TrafficEngine::new(2)
+            .with_batch_size(10)
+            .run(&target, &load);
         assert_eq!(report.errors.len(), 3);
         assert!(report
             .errors
@@ -362,67 +300,6 @@ mod tests {
             .all(|e| *e == SimError::UnknownPort(PortId(99))));
         assert_eq!(report.processed, 37);
         assert_eq!(report.total_egress(), 37);
-        // The successful packets' state landed.
-        let store = net.aggregate_store();
-        let total: i64 = (0..17)
-            .map(|p| {
-                store
-                    .get(&"count".into(), &[Value::Int(p)])
-                    .as_int()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, 37);
-    }
-
-    #[test]
-    fn state_totals_are_exact_across_workers() {
-        // Every packet increments count[srcport]; with the owner fixed, the
-        // sum over all indices must equal the number of packets, however
-        // the workload was sharded.
-        let net = counting_network();
-        let load = workload(90);
-        let report = TrafficEngine::new(3).with_batch_size(7).run(&net, &load);
-        assert!(report.is_clean());
-        let store = net.aggregate_store();
-        let total: i64 = (0..17)
-            .map(|p| {
-                store
-                    .get(&"count".into(), &[Value::Int(p)])
-                    .as_int()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, load.len() as i64);
-    }
-
-    #[test]
-    fn queued_network_delivers_through_port_queues() {
-        // The same engine, the same network — but egress lands in bounded
-        // per-port FIFO queues, exactly like the distributed plane.
-        let net = counting_network();
-        let queues = EgressQueues::new(net.topology().external_ports().map(|(p, _)| p), 4096);
-        let load = workload(80);
-        let report = TrafficEngine::new(2)
-            .with_batch_size(16)
-            .run(&QueuedNetwork::new(&net, &queues), &load);
-        assert!(report.is_clean());
-        assert_eq!(report.processed, 80);
-        assert_eq!(report.total_egress(), 80);
-        // Every delivery was enqueued (capacity is ample), stamped with the
-        // running epoch, and drains in FIFO order.
-        assert_eq!(queues.total_enqueued(), 80);
-        assert_eq!(queues.total_dropped(), 0);
-        let mut drained = 0;
-        for (_, events) in queues.drain_all() {
-            let mut last = None;
-            for e in &events {
-                assert_eq!(e.epoch, 0);
-                assert!(last.is_none_or(|s| e.seq > s), "per-port FIFO violated");
-                last = Some(e.seq);
-            }
-            drained += events.len();
-        }
-        assert_eq!(drained, 80);
+        assert_eq!(target.processed.load(Ordering::Relaxed), 37);
     }
 }

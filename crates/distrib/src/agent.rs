@@ -215,10 +215,7 @@ impl SwitchAgent {
                 current: None,
                 views: BTreeMap::new(),
                 pending: None,
-                meta: SwitchMeta {
-                    local_vars: BTreeSet::new(),
-                    ports: BTreeSet::new(),
-                },
+                meta: SwitchMeta::default(),
                 placement: Arc::new(BTreeMap::new()),
             }),
             store: StateShards::new(DEFAULT_STATE_SHARDS),

@@ -20,21 +20,24 @@
 //! packet can only be stamped with the new epoch after some agent committed
 //! it, which the controller only orders once all agents hold the staged
 //! view. Hence no packet ever mixes two epochs, even though the flip
-//! reaches agents one message at a time — the same invariant
-//! `Network::swap_configs` gets from its single atomic pointer swap, now
-//! preserved across a distributed commit. If any prepare fails, the whole
+//! reaches agents one message at a time. If any prepare fails, the whole
 //! epoch is aborted and no agent flips.
 //!
-//! State migration keeps the eager-migration caveats of `swap_configs`, in
-//! both directions: tables move at commit, so (a) a packet of the *old*
-//! epoch that reaches the old owner after its table was yielded writes into
-//! a fresh table and is orphaned, and (b) a packet of the *new* epoch that
-//! reaches the new owner before its `InstallTable` arrives starts a fresh
-//! entry — the install merges around such entries (newer writes win) rather
-//! than replacing them, but a read-modify-write in that window still misses
-//! the migrated base value. Placement-stable updates (the session reuses
-//! placement whenever mapping and dependencies are unchanged) have no such
-//! window.
+//! **Eager-migration caveat** (the one place it is written down). State
+//! tables move *at commit*, while packets of both epochs may still be in
+//! flight, so an update that moves a variable's owner has a window in both
+//! directions: (a) a packet of the *old* epoch that reaches the old owner
+//! after its table was yielded writes into a fresh table and is orphaned,
+//! and (b) a packet of the *new* epoch that reaches the new owner before
+//! its `InstallTable` arrives starts a fresh entry — the install merges
+//! around such entries (newer writes win) rather than replacing them, but a
+//! read-modify-write in that window still misses the migrated base value.
+//! A variable the new program no longer places has its yielded table
+//! dropped, so re-placing the name later deterministically starts fresh.
+//! Placement-stable updates (the session reuses placement whenever mapping
+//! and dependencies are unchanged) have no such window; controllers that
+//! need exactly-once state transfer under live traffic keep placement
+//! stable or quiesce injection around an owner move.
 //!
 //! **Concurrent fan-out.** Sends go out per-link, but every agent reply
 //! arrives on one shared channel (the reply mux, [`ReplyTx`]) and is
@@ -590,20 +593,8 @@ impl Controller {
         let mut resync_payload: Option<Vec<u8>> = None;
 
         // One source of truth for per-switch metadata: the map the session
-        // already derived for its change tracking.
-        let meta_by_switch: BTreeMap<SwitchId, SwitchMeta> = update
-            .switch_meta
-            .iter()
-            .map(|(&node, (local_vars, ports))| {
-                (
-                    node,
-                    SwitchMeta {
-                        local_vars: local_vars.clone(),
-                        ports: ports.clone(),
-                    },
-                )
-            })
-            .collect();
+        // compared for its change tracking.
+        let meta_by_switch = update.switch_meta;
         let placement: BTreeMap<StateVar, SwitchId> = update.compiled.placement.placement.clone();
         // The session's per-switch change tracking decides what to re-ship
         // in steady state; after any failed distribute its baseline is off
@@ -615,10 +606,7 @@ impl Controller {
         let t_prepare = Instant::now();
         let mut resyncs = 0usize;
         let mut meta_shipped = 0usize;
-        let empty_meta = SwitchMeta {
-            local_vars: BTreeSet::new(),
-            ports: BTreeSet::new(),
-        };
+        let empty_meta = SwitchMeta::default();
         let mut send_failure: Option<DistribError> = None;
         for link in self.agents.values_mut() {
             let resync = link.needs_resync || link.synced_len != base;
@@ -980,8 +968,7 @@ impl Controller {
             // Relay yielded tables to their new owners, fanned out like any
             // other phase: all sends first, then the acks in arrival order.
             // A variable the new program no longer places is dropped
-            // (deterministic fresh start on re-placement, matching
-            // `Network::swap_configs`).
+            // (deterministic fresh start on re-placement).
             let yields = std::mem::take(&mut inflight.yields);
             inflight.report.migrated_tables = yields.len();
             let mut expect: BTreeSet<(SwitchId, StateVar)> = BTreeSet::new();
@@ -1045,10 +1032,7 @@ impl Controller {
 
         // Bookkeeping: the epoch is committed everywhere.
         self.dirty = false;
-        let empty_meta = SwitchMeta {
-            local_vars: BTreeSet::new(),
-            ports: BTreeSet::new(),
-        };
+        let empty_meta = SwitchMeta::default();
         for link in self.agents.values_mut() {
             let meta = inflight
                 .meta_by_switch

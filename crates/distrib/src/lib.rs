@@ -1,9 +1,9 @@
 //! # snap-distrib
 //!
-//! The controller→switch **distribution plane**: what turns the in-process
-//! "publish a config by swapping a pointer" story into an actual protocol
-//! between a controller and per-switch agents, with the paper's consistency
-//! guarantees preserved across the wire.
+//! The controller→switch **distribution plane** and the packet plane over
+//! it: a protocol between a controller and per-switch agents that changes
+//! the network's program with the paper's consistency guarantees preserved
+//! across the wire, and the one place in the workspace where packets run.
 //!
 //! * [`Controller`] wraps a [`snap_session::CompilerSession`] and an
 //!   append-only distribution pool. Every recompile is imported into that
@@ -21,14 +21,13 @@
 //!   packet mixes two configurations: commit is only ordered after every
 //!   agent staged the epoch, and packets resolve their ingress-stamped
 //!   epoch at every hop (see `controller` module docs for the argument).
-//! * [`DistNetwork`] drives traffic through the agents via the *same*
-//!   generic batched packet driver as the in-process plane
-//!   ([`snap_dataplane::driver`]): this crate only supplies the view
-//!   resolver (per-agent epoch-history lookup) and the egress sink
-//!   (per-port bounded FIFO queues with backpressure counters,
-//!   [`snap_dataplane::EgressQueues`]). It also implements
+//! * [`DistNetwork`] drives traffic through the agents via the batched
+//!   packet driver of the execution core ([`snap_dataplane::driver`]): this
+//!   crate supplies its view resolver (per-agent epoch-history lookup) and
+//!   its egress sink (per-port bounded FIFO queues with backpressure
+//!   counters, [`snap_dataplane::EgressQueues`]). It also implements
 //!   [`snap_dataplane::TrafficTarget`], so the multi-worker
-//!   `TrafficEngine` drives distributed traffic too.
+//!   `TrafficEngine` drives it.
 //! * The transport is a trait seam ([`transport::ControllerEndpoint`] /
 //!   [`transport::AgentEndpoint`]) with every agent reply converging on the
 //!   controller's shared **reply mux**. Two backends ship: in-process mpsc

@@ -1,25 +1,26 @@
-//! The distributed data plane: traffic over a set of [`SwitchAgent`]s.
+//! The packet plane: traffic over a set of [`SwitchAgent`]s — the only
+//! place in the workspace a packet runs.
 //!
-//! Unlike [`snap_dataplane::Network`] — one process-wide snapshot swapped
-//! atomically — a [`DistNetwork`] has no global configuration at all: each
-//! agent holds its own epoch views, updated by the controller's two-phase
-//! commit. Consistency comes from epoch stamping: a packet is stamped with
-//! its ingress agent's current epoch and every subsequent hop resolves the
-//! view for *that* epoch, so the packet executes exactly one configuration
-//! end to end no matter how the commit wave interleaves with its flight.
+//! A [`DistNetwork`] has no global configuration at all: each agent holds
+//! its own epoch views, updated by the controller's two-phase commit.
+//! Consistency comes from epoch stamping: a packet is stamped with its
+//! ingress agent's current epoch and every subsequent hop resolves the view
+//! for *that* epoch, so the packet executes exactly one configuration end
+//! to end no matter how the commit wave interleaves with its flight.
 //!
-//! Execution goes through the *same* generic driver as the in-process
-//! plane ([`snap_dataplane::driver`]): this module only provides the
-//! [`ViewResolver`] (per-agent epoch-history lookup) and the
-//! [`EgressSink`] (per-agent bounded per-port FIFO queues,
-//! [`snap_dataplane::EgressQueues`]) — the dispatch loop, the hop budget
-//! and the batched per-switch store-lock amortization are shared. The
-//! distributed plane also implements [`snap_dataplane::TrafficTarget`], so
-//! the multi-worker [`snap_dataplane::TrafficEngine`] drives it exactly
-//! like it drives a `Network`.
+//! Execution goes through the packet driver of the execution core
+//! ([`snap_dataplane::driver`]): this module provides its [`ViewResolver`]
+//! (per-agent epoch-history lookup) and its [`EgressSink`] (per-agent
+//! bounded per-port FIFO queues, [`snap_dataplane::EgressQueues`]) — the
+//! dispatch loop, the hop budget and the batched per-switch store-lock
+//! amortization live there. The plane also implements
+//! [`snap_dataplane::TrafficTarget`], so the multi-worker
+//! [`snap_dataplane::TrafficEngine`] drives it.
 
 use crate::agent::{EpochView, SwitchAgent};
-use snap_dataplane::driver::{Driver, EgressSink, HopView, Ingress, ViewResolver};
+use snap_dataplane::driver::{
+    Driver, EgressSink, HopView, Ingress, ViewResolver, DEFAULT_HOP_BUDGET,
+};
 use snap_dataplane::egress::EgressEvent;
 use snap_dataplane::exec::{NextHops, SimError};
 use snap_dataplane::metrics::{export_egress, export_shards, PlaneTelemetry};
@@ -117,7 +118,7 @@ fn agent_of(agents: &[Option<Arc<SwitchAgent>>], switch: SwitchId) -> Option<&Ar
     agents.get(switch.0)?.as_ref()
 }
 
-/// One agent's epoch view, as the shared driver consumes it.
+/// One agent's epoch view, as the driver consumes it.
 struct AgentView {
     view: Arc<EpochView>,
 }
@@ -147,24 +148,24 @@ impl ViewResolver for AgentResolver<'_> {
         Self: 'v;
     type Error = InjectError;
 
-    fn ingress(&self, switch: SwitchId) -> Result<Option<Ingress<AgentView>>, InjectError> {
+    fn ingress(&self, switch: SwitchId) -> Result<Ingress<AgentView>, InjectError> {
         let view = agent_of(self.agents, switch)
             .ok_or(InjectError::NoAgent(switch))?
             .current_view()
             .ok_or(InjectError::NotConfigured(switch))?;
-        Ok(Some(Ingress {
+        Ok(Ingress {
             epoch: view.epoch,
             root: view.flat.root(),
-            view: Some(AgentView { view }),
-        }))
+            view: AgentView { view },
+        })
     }
 
-    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Option<AgentView>, InjectError> {
+    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<AgentView, InjectError> {
         let view = agent_of(self.agents, switch)
             .ok_or(InjectError::NoAgent(switch))?
             .view_for(epoch)
             .ok_or(InjectError::EpochUnavailable { switch, epoch })?;
-        Ok(Some(AgentView { view }))
+        Ok(AgentView { view })
     }
 
     fn store(&self, switch: SwitchId) -> Option<&StateShards> {
@@ -206,7 +207,7 @@ impl DistNetwork {
             topology,
             next_hops,
             agents: dense,
-            hop_budget: snap_dataplane::network::DEFAULT_HOP_BUDGET,
+            hop_budget: DEFAULT_HOP_BUDGET,
             telemetry,
         }
     }
@@ -290,8 +291,9 @@ impl DistNetwork {
         snap
     }
 
-    /// Set the hop budget at construction time — the same budget, enforced
-    /// by the same shared driver, as [`snap_dataplane::Network`]'s.
+    /// Set the hop budget at construction time (default
+    /// [`DEFAULT_HOP_BUDGET`]): the maximum number of hops a packet may take
+    /// before it fails with `SimError::HopBudgetExceeded`.
     pub fn with_hop_budget(mut self, budget: usize) -> DistNetwork {
         self.hop_budget = budget;
         self
@@ -332,7 +334,7 @@ impl DistNetwork {
             .expect("one outcome per injected packet")
     }
 
-    /// Inject a batch of packets through the shared batched driver: each
+    /// Inject a batch of packets through the batched driver: each
     /// packet is stamped at its own ingress agent — asked once per batch, so
     /// packets entering at one switch share an epoch, while epochs may
     /// differ between ingress switches as a commit wave passes — in-flight
@@ -374,13 +376,9 @@ impl DistNetwork {
         results
             .into_iter()
             .zip(sink.outcomes)
-            .map(|(result, mut outcome)| match result {
-                Ok(Some(epoch)) => {
-                    outcome.epoch = epoch;
-                    Ok(outcome)
-                }
-                Ok(None) => unreachable!("distributed ingress always stamps an epoch or errors"),
-                Err(e) => Err(e),
+            .map(|(result, mut outcome)| {
+                outcome.epoch = result?;
+                Ok(outcome)
             })
             .collect()
     }

@@ -28,22 +28,13 @@
 //! `Abort { epoch }` cancels a prepared-but-uncommitted update on every
 //! agent when any prepare fails.
 
+pub use snap_core::SwitchMeta;
 use snap_lang::{StateTable, StateVar};
-use snap_topology::{NodeId as SwitchId, PortId};
-use std::collections::{BTreeMap, BTreeSet};
+use snap_topology::NodeId as SwitchId;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc;
 use std::time::Duration;
-
-/// The per-switch metadata shipped alongside the (shared) program: what the
-/// switch owns and which external ports it hosts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SwitchMeta {
-    /// State variables placed on this switch.
-    pub local_vars: BTreeSet<StateVar>,
-    /// OBS external ports attached to this switch.
-    pub ports: BTreeSet<PortId>,
-}
 
 /// Phase one of an update: everything the agent needs to *stage* the new
 /// epoch without touching the running configuration.

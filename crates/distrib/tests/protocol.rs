@@ -607,16 +607,16 @@ fn distributed_hop_budget_is_configurable_and_enforced() {
         .unwrap();
     let pkt = Packet::new().with(Field::InPort, 1);
 
-    // The deployed plane uses the same default budget as the in-process
-    // `Network`, and the multi-hop itinerary fits in it.
+    // The deployed plane uses the driver's default budget, and the
+    // multi-hop itinerary fits in it.
     assert_eq!(
         deployment.network.hop_budget(),
-        snap_dataplane::network::DEFAULT_HOP_BUDGET
+        snap_dataplane::driver::DEFAULT_HOP_BUDGET
     );
     let out = deployment.network.inject(PortId(1), &pkt).unwrap();
     assert_eq!(out.delivered.len(), 1);
 
-    // A plane over the *same agents* with a zero-hop budget: the shared
+    // A plane over the *same agents* with a zero-hop budget: the
     // driver cuts the packet off with the budget error instead of spinning
     // through the loopy forwarding itinerary.
     let agents: BTreeMap<_, _> = deployment

@@ -1,4 +1,7 @@
-//! The formal semantics of SNAP (paper appendix A, Figure 13).
+//! The formal semantics of SNAP (paper appendix A, Figure 13) — **the
+//! specification**. Every executable form (interned diagram, flat program,
+//! table program, the packet plane over a switch fleet) is differentially
+//! tested against [`eval`]; none of them calls it.
 //!
 //! `eval` takes a policy, a starting state (`Store`) and a packet, and yields
 //! an updated store, a set of output packets and a log of the state variables

@@ -30,12 +30,10 @@
 //!   [`SessionOptions::gc_threshold`]) that keeps recently used cached
 //!   subtrees alive and rewrites their ids through the remap table.
 //!
-//! Results publish to a running [`snap_dataplane::Network`] as an atomic,
-//! epoch-versioned configuration swap ([`CompilerSession::apply`], or
-//! [`CompilerSession::publish`] against a shared `Arc<Network>` handle):
-//! switch state survives, state tables migrate when a variable's placement
-//! moves, and — because the swap is RCU-style — packet workers keep
-//! injecting while the new configuration is installed.
+//! A session compiles; it does not run packets. Results leave through
+//! [`CompilerSession::take_update`] — the compilation plus what changed per
+//! switch since the previous one — which `snap-distrib`'s controller turns
+//! into a wire delta and a two-phase epoch commit across the switch agents.
 //!
 //! ```
 //! use snap_session::CompilerSession;
@@ -65,9 +63,11 @@
 //! assert!(session.pool_len() >= cold_pool);
 //! assert_eq!(session.epoch(), 2);
 //!
-//! // Publish to a (possibly shared, concurrently injecting) data plane.
-//! let network = session.build_shared_network().unwrap();
-//! assert_eq!(session.publish(&network), Some(1));
+//! // What a distribution plane ships: everything the first time, then only
+//! // the switches whose metadata moved.
+//! let update = session.take_update().unwrap();
+//! assert!(update.changes.first);
+//! assert_eq!(update.session_epoch, 2);
 //! # let _ = updated;
 //! ```
 
@@ -79,5 +79,4 @@ pub mod session;
 pub use cache::{fingerprint, TranslationCache};
 pub use session::{
     CompilerSession, GcReport, SessionOptions, SessionStats, SessionUpdate, SwitchChanges,
-    SwitchMeta,
 };

@@ -3,9 +3,8 @@
 use crate::cache::TranslationCache;
 use snap_core::{
     generate_rules, place_and_route_timed, reroute_timed, Compiled, OptimizeInput, OptimizeTimings,
-    PacketStateMap, PhaseTimings, PlacementResult, SolverChoice,
+    PacketStateMap, PhaseTimings, PlacementResult, SolverChoice, SwitchMeta,
 };
-use snap_dataplane::Network;
 use snap_lang::{Policy, Pred, StateVar};
 use snap_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology, TrafficMatrix};
@@ -197,8 +196,8 @@ impl GcReport {
 /// (fingerprint cache), re-derives every untouched composition from the memo
 /// tables, and — when the packet-state mapping and state dependencies are
 /// unchanged — reuses the previous placement instead of re-optimizing.
-/// Results are published to a running [`Network`] as an epoch-versioned
-/// configuration swap.
+/// Results are handed to a distribution plane through
+/// [`CompilerSession::take_update`].
 pub struct CompilerSession {
     topology: Topology,
     traffic: TrafficMatrix,
@@ -228,18 +227,12 @@ struct VersionEntry {
     traffic_generation: u64,
 }
 
-/// Per-switch distribution metadata: the pieces of a switch's configuration
-/// that are *not* the (globally shared) program — what it owns (`.0`) and
-/// where its external ports are (`.1`).
-pub type SwitchMeta = (BTreeSet<StateVar>, BTreeSet<PortId>);
-
 /// What the session last handed to a distribution consumer via
-/// [`CompilerSession::take_update`].
+/// [`CompilerSession::take_update`]: the compilation carries the per-switch
+/// metadata and the placement the next update is compared against.
 struct ShippedState {
     session_epoch: u64,
     compiled: Arc<Compiled>,
-    meta: BTreeMap<SwitchId, SwitchMeta>,
-    placement: BTreeMap<StateVar, SwitchId>,
 }
 
 /// What changed since the previous [`CompilerSession::take_update`] — the
@@ -276,7 +269,7 @@ impl SwitchChanges {
 pub struct SessionUpdate {
     /// The session epoch this update corresponds to.
     pub session_epoch: u64,
-    /// The full compilation result (program, placement, per-switch configs).
+    /// The full compilation result (program, placement, per-switch metadata).
     pub compiled: Arc<Compiled>,
     /// Change tracking relative to the previously taken update.
     pub changes: SwitchChanges,
@@ -494,7 +487,7 @@ impl CompilerSession {
         let placement_time = lap();
 
         // P6 — rule generation.
-        let rules = generate_rules(&self.topology, &xfdd, &placement);
+        let rules = generate_rules(&self.topology, &placement);
         let rule_generation = lap();
 
         let compiled = Arc::new(Compiled {
@@ -601,7 +594,7 @@ impl CompilerSession {
             Arc::new(placement)
         });
         let t = Instant::now();
-        let rules = generate_rules(&self.topology, &prev.xfdd, &placement);
+        let rules = generate_rules(&self.topology, &placement);
         timings.rule_generation = t.elapsed();
         Arc::new(Compiled {
             policy: prev.policy.clone(),
@@ -692,13 +685,7 @@ impl CompilerSession {
                 return None;
             }
         }
-        let meta: BTreeMap<SwitchId, SwitchMeta> = compiled
-            .rules
-            .configs
-            .iter()
-            .map(|c| (c.node, (c.local_vars.clone(), c.ports.clone())))
-            .collect();
-        let placement: BTreeMap<StateVar, SwitchId> = compiled.placement.placement.clone();
+        let meta = &compiled.rules.switches;
         let changes = match &self.shipped {
             None => SwitchChanges {
                 first: true,
@@ -706,30 +693,33 @@ impl CompilerSession {
                 meta_changed: meta.keys().copied().collect(),
                 placement_changed: true,
             },
-            Some(prev) => SwitchChanges {
-                first: false,
-                program_changed: !Arc::ptr_eq(&prev.compiled, &compiled),
-                meta_changed: meta
-                    .iter()
-                    .filter(|(n, m)| prev.meta.get(n) != Some(m))
-                    .map(|(n, _)| *n)
-                    .chain(prev.meta.keys().filter(|n| !meta.contains_key(n)).copied())
-                    .collect(),
-                placement_changed: prev.placement != placement,
-            },
+            Some(shipped) => {
+                let prev = &shipped.compiled;
+                let prev_meta = &prev.rules.switches;
+                SwitchChanges {
+                    first: false,
+                    program_changed: !Arc::ptr_eq(prev, &compiled),
+                    meta_changed: meta
+                        .iter()
+                        .filter(|(n, m)| prev_meta.get(n) != Some(m))
+                        .map(|(n, _)| *n)
+                        .chain(prev_meta.keys().filter(|n| !meta.contains_key(n)).copied())
+                        .collect(),
+                    placement_changed: prev.placement.placement != compiled.placement.placement,
+                }
+            }
         };
+        let switch_meta = meta.clone();
         self.shipped = Some(ShippedState {
             session_epoch: self.epoch,
             compiled: Arc::clone(&compiled),
-            meta: meta.clone(),
-            placement,
         });
         self.stats.updates_taken.inc();
         Some(SessionUpdate {
             session_epoch: self.epoch,
             compiled,
             changes,
-            switch_meta: meta,
+            switch_meta,
         })
     }
 
@@ -744,40 +734,6 @@ impl CompilerSession {
             .as_ref()
             .map(|c| c.xfdd.flatten().state_classes())
             .unwrap_or_default()
-    }
-
-    /// Instantiate a fresh data plane for the current compilation.
-    pub fn build_network(&self) -> Option<Network> {
-        self.current
-            .as_ref()
-            .map(|c| Network::new(self.topology.clone(), c.rules.configs.clone()))
-    }
-
-    /// Instantiate a fresh data plane behind a shared handle, ready for
-    /// packet workers and [`Self::publish`] to use concurrently.
-    pub fn build_shared_network(&self) -> Option<Arc<Network>> {
-        self.build_network().map(Arc::new)
-    }
-
-    /// Push the current compilation into a running network as an atomic,
-    /// epoch-versioned configuration swap (state tables migrate with their
-    /// variables). Returns the network's new epoch.
-    ///
-    /// Takes `&Network`: the swap is RCU-style, so traffic keeps flowing
-    /// while the new configuration is installed — each in-flight packet
-    /// finishes against the snapshot it started with.
-    pub fn apply(&self, network: &Network) -> Option<u64> {
-        self.current
-            .as_ref()
-            .map(|c| network.swap_configs(c.rules.configs.clone()))
-    }
-
-    /// Publish the current compilation to a *shared* network handle — the
-    /// controller's recompile-and-swap step running concurrently with
-    /// packet workers that hold clones of the same `Arc`. The epoch read on
-    /// each packet guarantees a packet never mixes two configurations.
-    pub fn publish(&self, network: &Arc<Network>) -> Option<u64> {
-        self.apply(network)
     }
 
     // -----------------------------------------------------------------------
@@ -1161,40 +1117,6 @@ mod tests {
         let cold = campus_compiler().compile(&other).unwrap();
         assert_eq!(compiled.mapping, cold.mapping);
         assert_eq!(compiled.placement.placement, cold.placement.placement);
-    }
-
-    #[test]
-    fn apply_swaps_configs_into_a_running_network() {
-        let mut session = campus_session();
-        session.compile(&running_example(2)).unwrap();
-        let network = session.build_network().unwrap();
-        assert_eq!(network.current_epoch(), 0);
-
-        // Drive some state into the network.
-        let client = Value::ip(10, 0, 6, 77);
-        let dns = Packet::new()
-            .with(Field::SrcIp, Value::ip(8, 8, 8, 8))
-            .with(Field::DstIp, client.clone())
-            .with(Field::SrcPort, 53)
-            .with(Field::DnsRdata, Value::ip(1, 2, 3, 4));
-        network.inject(PortId(1), &dns).unwrap();
-        let counted = network
-            .aggregate_store()
-            .get(&"susp-client".into(), std::slice::from_ref(&client));
-        assert_eq!(counted, Value::Int(1));
-
-        // Recompile with a new threshold and swap it in: epoch bumps, state
-        // survives.
-        session.update_policy(&running_example(5)).unwrap();
-        assert_eq!(session.apply(&network), Some(1));
-        assert_eq!(network.current_epoch(), 1);
-        assert_eq!(
-            network
-                .aggregate_store()
-                .get(&"susp-client".into(), &[client]),
-            Value::Int(1)
-        );
-        network.inject(PortId(1), &dns).unwrap();
     }
 
     #[test]

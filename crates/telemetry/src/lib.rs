@@ -29,9 +29,9 @@
 //!   down by comparing aggregated counters against independently computed
 //!   totals.
 //!
-//! Everything here is *per instance*: two `Network`s in one process get
-//! two registries and never contaminate each other's readings (the
-//! process-wide statics this crate replaced did). Sharing is explicit —
+//! Everything here is *per instance*: two planes in one process get two
+//! registries and never contaminate each other's readings. Sharing is
+//! explicit —
 //! clone the [`Telemetry`] handle and hand it to whoever should write
 //! into the same registry (the distribution plane shares one handle
 //! between its controller, its agents' egress stats and its packet
@@ -42,9 +42,8 @@
 //! A disabled subsystem costs a `None` check. An enabled one costs, per
 //! packet, roughly: one family RMW at ingress, one thread-local countdown
 //! for trace sampling, and a handful of amortized per-group/per-batch
-//! adds — small enough that the dataplane bench budgets telemetry at <3%
-//! of sustained throughput and checks it (`BENCH_dataplane.json`,
-//! `telemetry.overhead_pct`).
+//! adds. The budget is <3% of sustained throughput; the benchmark of
+//! record measures it per workload as `telemetry.overhead_share`.
 
 #![warn(missing_docs)]
 

@@ -146,7 +146,7 @@ impl PacketTrace {
 /// The 1-in-N packet-trace sampler and its bounded trace ring.
 pub struct TraceSampler {
     /// Process-unique sampler id, so the per-thread countdowns of two
-    /// samplers (two `Network` instances in one test process, say) never
+    /// samplers (two planes in one test process, say) never
     /// contaminate each other.
     id: u64,
     /// Sample every Nth packet per worker thread; 0 disables sampling.

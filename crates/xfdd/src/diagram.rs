@@ -111,7 +111,8 @@ impl Xfdd {
     }
 
     /// Run the diagram on a packet and store: walk tests to a leaf, then
-    /// apply the leaf's action sequences.
+    /// apply the leaf's action sequences ([`Pool::evaluate`] from the
+    /// root). A test oracle over a by-name [`Store`]; no plane calls it.
     pub fn evaluate(
         &self,
         pkt: &Packet,

@@ -651,7 +651,8 @@ impl FlatProgram {
     }
 
     /// Walk tests from `from` to a leaf for one packet against a by-name
-    /// [`Store`]: the one-test-per-step reference semantics.
+    /// [`Store`]: the one-test-per-step reference semantics. A test oracle
+    /// for the table compilation; no plane calls it.
     #[inline]
     pub fn walk(&self, from: FlatId, pkt: &Packet, store: &Store) -> Result<FlatId, EvalError> {
         let mut cur = from;
@@ -670,6 +671,7 @@ impl FlatProgram {
     /// Run the program on a packet and store with one-big-switch semantics:
     /// walk tests to a leaf, then apply the leaf's action sequences.
     /// Semantically identical to [`Pool::evaluate`] on the source diagram.
+    /// A test oracle over a by-name [`Store`]; no plane calls it.
     pub fn evaluate(
         &self,
         pkt: &Packet,

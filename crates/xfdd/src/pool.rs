@@ -527,7 +527,9 @@ impl Pool {
     // -----------------------------------------------------------------------
 
     /// Run the diagram on a packet and store: walk tests to a leaf, then
-    /// apply the leaf's action sequences.
+    /// apply the leaf's action sequences. A test oracle over a by-name
+    /// [`Store`] (translation is checked against `snap_lang::eval` through
+    /// it); no plane calls it.
     pub fn evaluate(
         &self,
         root: NodeId,

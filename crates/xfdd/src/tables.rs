@@ -1,4 +1,9 @@
-//! Table-compiled programs: the second lowering stage below [`FlatProgram`].
+//! Table-compiled programs: the second lowering stage below [`FlatProgram`],
+//! and **the runtime** — the executable form the packet plane dispatches
+//! through ([`TableProgram::step_stateless`] /
+//! [`TableProgram::advance_stateless`] for stateless spans, the flat
+//! program's tests and leaves for state). `snap_lang::eval` is the
+//! specification it is differentially tested against.
 //!
 //! A [`FlatProgram`] already turns per-packet evaluation into index
 //! arithmetic, but it still resolves one *test per step*: a policy that
@@ -180,8 +185,7 @@ impl Stage {
     }
 }
 
-/// Shape statistics of a compiled [`TableProgram`], for benches and the
-/// perf trajectory (`BENCH_dataplane.json`).
+/// Shape statistics of a compiled [`TableProgram`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Number of dispatch stages (collapsed runs).
@@ -338,7 +342,9 @@ impl TableProgram {
 
     /// Walk from `from` to a leaf, dispatching stateless spans through the
     /// tables and evaluating state tests against `store` — the table
-    /// counterpart of [`FlatProgram::walk`], with identical results.
+    /// counterpart of [`FlatProgram::walk`], with identical results. A
+    /// test oracle over a by-name [`Store`]: no plane calls it (the packet
+    /// path reaches state by slot, through a switch's shards).
     pub fn walk(
         &self,
         flat: &FlatProgram,
@@ -365,7 +371,7 @@ impl TableProgram {
 
     /// Run the program on a packet and store with one-big-switch semantics
     /// — the table counterpart of [`FlatProgram::evaluate`], with identical
-    /// results.
+    /// results. A test oracle over a by-name [`Store`]: no plane calls it.
     pub fn evaluate(
         &self,
         flat: &FlatProgram,

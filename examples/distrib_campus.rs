@@ -225,9 +225,8 @@ fn main() {
         );
     }
 
-    // The distribution plane is a `TrafficTarget`: the same multi-worker
-    // `TrafficEngine` that drives the in-process `Network` pumps batched
-    // traffic through the agents via the shared packet driver (in-flight
+    // The plane is a `TrafficTarget`: the multi-worker `TrafficEngine` pumps
+    // batched traffic through the agents via the packet driver (in-flight
     // packets grouped per switch, one store-lock acquisition per group).
     let load: Vec<(PortId, Packet)> = (0..240)
         .map(|i| {

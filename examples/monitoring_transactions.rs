@@ -6,8 +6,10 @@
 //! Run with: `cargo run -p snap-examples --bin monitoring_transactions`
 
 use snap_apps as apps;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::SolverChoice;
+use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
+use snap_session::CompilerSession;
 use snap_topology::{generators, PortId, TrafficMatrix};
 
 fn main() {
@@ -18,8 +20,16 @@ fn main() {
 
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 5);
-    let compiler = Compiler::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
-    let compiled = compiler.compile(&program).expect("compiles");
+    let session = CompilerSession::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process(session, 1024);
+    let controller = &mut deployment.controller;
+    controller
+        .update_policy(&program)
+        .expect("compiles and commits");
+    let compiled = controller
+        .session()
+        .current_shared()
+        .expect("just compiled");
 
     println!("placement:");
     for (var, node) in &compiled.placement.placement {
@@ -34,7 +44,7 @@ fn main() {
     );
 
     // Send one packet towards the honeypot and one ordinary packet.
-    let network = compiler.build_network(&compiled);
+    let network = &deployment.network;
     let to_honeypot = Packet::new()
         .with(Field::SrcIp, Value::ip(10, 0, 1, 9))
         .with(Field::DstIp, Value::ip(10, 0, 3, 10))
@@ -57,4 +67,5 @@ fn main() {
         store.get(&StateVar::new("count"), &[Value::Int(1)]),
         store.get(&StateVar::new("count"), &[Value::Int(2)]),
     );
+    deployment.shutdown();
 }

@@ -4,6 +4,7 @@
 //! Run with: `cargo run -p snap-examples --bin quickstart`
 
 use snap_core::{Compiler, SolverChoice};
+use snap_dataplane::NetAsmProgram;
 use snap_lang::prelude::*;
 use snap_topology::{generators, TrafficMatrix};
 
@@ -40,10 +41,11 @@ fn main() {
     for (var, node) in &compiled.placement.placement {
         println!("state `{var}` placed on switch {}", topo.node_name(*node));
     }
+    let program = NetAsmProgram::lower_flat(&compiled.xfdd.flatten());
     println!(
         "xFDD: {} nodes, {} data-plane instructions, compile time {:?}",
         compiled.xfdd.size(),
-        compiled.rules.total_instructions(),
+        compiled.rules.relevant_switches() * program.len(),
         compiled.timings.total()
     );
 }

@@ -1,17 +1,19 @@
 //! The concurrent controller loop, end to end: packet workers hammer a
-//! shared `Network` from multiple threads while a `CompilerSession`
-//! recompiles and publishes new configurations mid-flight. Exercises the
-//! RCU snapshot path (readers never block on a recompile), state survival
-//! across swaps, and the per-batch epoch guarantee (a packet never mixes
+//! shared fleet from multiple threads while the controller recompiles and
+//! commits new configurations mid-flight. Exercises epoch-stamped views
+//! (injectors never block on a recompile or a commit), state survival
+//! across updates, and the per-packet epoch guarantee (a packet never mixes
 //! two configurations).
 
 use snap_core::SolverChoice;
-use snap_dataplane::{Network, SwitchConfig, TrafficEngine};
+use snap_dataplane::TrafficEngine;
+use snap_distrib::{deploy_in_process, InProcessDeployment, EPOCH_HISTORY};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
+use snap_tests::network::{Fleet, Pace};
 use snap_topology::generators::campus;
 use snap_topology::{PortId, TrafficMatrix};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Count every packet per inport, then send it to `egress`.
@@ -22,7 +24,7 @@ fn counting_policy(egress: i64) -> Policy {
 /// A family of *distinct* programs with identical packet-state mappings: the
 /// guard threshold is far beyond any count this test can reach, so every
 /// version behaves like `counting_policy(6)` — but each version is a real
-/// recompile-and-swap. Because the mapping and dependencies are unchanged,
+/// recompile-and-commit. Because the mapping and dependencies are unchanged,
 /// the session reuses the placement and the counter's owner never moves,
 /// which is what makes the concurrent totals exact.
 fn guarded_counting_policy(threshold: i64) -> Policy {
@@ -34,33 +36,42 @@ fn guarded_counting_policy(threshold: i64) -> Policy {
     .seq(modify(Field::OutPort, Value::Int(6)))
 }
 
-fn campus_session() -> CompilerSession {
+/// A campus fleet, one agent thread per switch, running `policy`.
+fn deploy(policy: &Policy) -> InProcessDeployment {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process(session, 4096);
+    deployment.controller.update_policy(policy).unwrap();
+    deployment
+}
+
+fn count_of(store: &Store) -> Value {
+    store.get(&"count".into(), &[Value::Int(1)])
 }
 
 #[test]
 fn traffic_flows_while_the_session_publishes_new_configs() {
-    let mut session = campus_session();
-    session
-        .compile(&guarded_counting_policy(1_000_000))
-        .unwrap();
-    let network: Arc<Network> = session.build_shared_network().unwrap();
+    let mut deployment = deploy(&guarded_counting_policy(1_000_000));
+    let network = Arc::clone(&deployment.network);
 
     const WORKERS: usize = 4;
     const BATCHES: usize = 25;
     const BATCH: usize = 8;
-    const SWAPS: usize = 10;
+    const UPDATES: usize = 10;
+    let pace = Pace::new(WORKERS, BATCHES);
 
-    let published = std::thread::scope(|scope| {
+    let committed = std::thread::scope(|scope| {
         // Packet workers: each drives batches through its own clone of the
-        // shared handle, recording the epochs its batches observed.
+        // shared handle, recording the epochs its packets observed.
+        let pace = &pace;
         let mut handles = Vec::new();
         for w in 0..WORKERS {
             let network = Arc::clone(&network);
             handles.push(scope.spawn(move || {
-                let mut last_epoch = 0u64;
+                // An agent's epoch never runs backwards, but two ingress
+                // agents can sit one commit apart mid-wave: track per port.
+                let mut last_epoch = [0u64; 7];
                 let mut delivered = 0usize;
                 for b in 0..BATCHES {
                     let batch: Vec<(PortId, Packet)> = (0..BATCH)
@@ -71,76 +82,72 @@ fn traffic_flows_while_the_session_publishes_new_configs() {
                             )
                         })
                         .collect();
-                    let out = network.inject_batch(&batch);
-                    // Snapshots are published in order: epochs never run
-                    // backwards within a worker.
-                    assert!(out.epoch >= last_epoch);
-                    last_epoch = out.epoch;
-                    for set in out.outputs {
-                        let set = set.unwrap();
-                        assert_eq!(set.len(), 1);
-                        let port = set.iter().next().unwrap().0;
-                        assert_eq!(port, PortId(6), "egress from a torn config");
+                    for ((port, _), out) in batch.iter().zip(network.inject_batch(&batch)) {
+                        let out = out.unwrap();
+                        assert!(out.epoch >= last_epoch[port.0]);
+                        last_epoch[port.0] = out.epoch;
+                        assert_eq!(out.delivered.len(), 1);
+                        assert_eq!(out.delivered[0].0, PortId(6), "egress from a torn config");
                         delivered += 1;
                     }
+                    pace.batch_done(w);
                 }
                 delivered
             }));
         }
 
-        // Controller: recompile and publish concurrently with the traffic.
+        // Controller: recompile and commit concurrently with the traffic.
         // Each version is a distinct program (new threshold) with the same
         // mapping, so placement is reused and the owner stays put.
-        let mut published = 0u64;
-        for s in 0..SWAPS {
-            session
-                .update_policy(&guarded_counting_policy(1_000_000 + 1 + s as i64))
-                .unwrap();
-            let epoch = session.publish(&network).unwrap();
-            assert_eq!(epoch, (s + 1) as u64);
-            published = epoch;
-            std::thread::yield_now();
+        let mut committed = 1u64;
+        let mut seen = [0; WORKERS];
+        for s in 0..UPDATES {
+            pace.wait(&mut seen);
+            let next = guarded_counting_policy(1_000_000 + 1 + s as i64);
+            let report = deployment.controller.update_policy(&next).unwrap();
+            assert_eq!(report.epoch, committed + 1);
+            committed = report.epoch;
         }
 
         let delivered: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(delivered, WORKERS * BATCHES * BATCH);
-        published
+        committed
     });
 
-    assert_eq!(network.current_epoch(), published);
+    assert_eq!(network.current_epochs(), BTreeSet::from([committed]));
     // The session really did reuse the placement on every recompile: the
     // owner never moved, so each injected packet incremented exactly once
-    // and the total is exact despite the concurrent swaps.
-    assert_eq!(session.stats().placement_reuses, SWAPS as u64);
+    // and the total is exact despite the concurrent commits.
+    let stats = deployment.controller.session().stats();
+    assert_eq!(stats.placement_reuses, UPDATES as u64);
     assert_eq!(
-        network
-            .aggregate_store()
-            .get(&"count".into(), &[Value::Int(1)]),
+        count_of(&network.aggregate_store()),
         Value::Int((WORKERS * BATCHES * BATCH) as i64)
     );
+    deployment.shutdown();
 }
 
 #[test]
 fn traffic_engine_reports_epochs_spanning_concurrent_swaps() {
-    let mut session = campus_session();
-    session
-        .compile(&guarded_counting_policy(1_000_000))
-        .unwrap();
-    let network = session.build_shared_network().unwrap();
+    let mut deployment = deploy(&guarded_counting_policy(1_000_000));
+    let network = Arc::clone(&deployment.network);
 
     let workload: Vec<(PortId, Packet)> = (0..400)
         .map(|i| (PortId(1 + i % 6), Packet::new().with(Field::InPort, 1)))
         .collect();
 
+    // The engine's workers are not paced against the controller, so every
+    // epoch a packet can be stamped with must stay inside the agents' view
+    // ring for the whole run.
+    const UPDATES: u64 = 6;
+    const _: () = assert!(UPDATES < EPOCH_HISTORY as u64);
     let report = std::thread::scope(|scope| {
         let engine = TrafficEngine::new(4).with_batch_size(16);
         let net = Arc::clone(&network);
         let traffic = scope.spawn(move || engine.run(&net, &workload));
-        for s in 0..6 {
-            session
-                .update_policy(&guarded_counting_policy(2_000_000 + s))
-                .unwrap();
-            session.publish(&network).unwrap();
+        for s in 0..UPDATES as i64 {
+            let next = guarded_counting_policy(2_000_000 + s);
+            deployment.controller.update_policy(&next).unwrap();
             std::thread::yield_now();
         }
         traffic.join().unwrap()
@@ -150,15 +157,14 @@ fn traffic_engine_reports_epochs_spanning_concurrent_swaps() {
     assert_eq!(report.processed, 400);
     assert_eq!(report.total_egress(), 400);
     assert_eq!(report.egress.len(), 4);
-    // Every observed epoch is one the controller actually published.
-    assert!(report.epochs.iter().all(|&e| e <= 6));
+    // Every observed epoch is one the controller actually committed.
+    assert!(report
+        .epochs
+        .iter()
+        .all(|&e| (1..=1 + UPDATES).contains(&e)));
     assert!(!report.epochs.is_empty());
-    assert_eq!(
-        network
-            .aggregate_store()
-            .get(&"count".into(), &[Value::Int(1)]),
-        Value::Int(400)
-    );
+    assert_eq!(count_of(&network.aggregate_store()), Value::Int(400));
+    deployment.shutdown();
 }
 
 #[test]
@@ -166,10 +172,8 @@ fn aggregate_store_runs_concurrently_with_traffic() {
     // The aggregate view snapshots tables one short lock at a time, so it
     // can be polled while workers are mid-flight; totals observed along the
     // way never exceed the final exact count.
-    let mut session = campus_session();
-    session.compile(&counting_policy(6)).unwrap();
-    let network = session.build_shared_network().unwrap();
-    std::mem::drop(session); // static config for this test: only traffic runs
+    let deployment = deploy(&counting_policy(6));
+    let network = Arc::clone(&deployment.network);
 
     const TOTAL: usize = 600;
     let workload: Vec<(PortId, Packet)> = (0..TOTAL)
@@ -185,11 +189,7 @@ fn aggregate_store_runs_concurrently_with_traffic() {
         });
         let mut last = 0i64;
         for _ in 0..50 {
-            let snapshot_total = network
-                .aggregate_store()
-                .get(&"count".into(), &[Value::Int(1)])
-                .as_int()
-                .unwrap();
+            let snapshot_total = count_of(&network.aggregate_store()).as_int().unwrap();
             assert!(snapshot_total >= last, "counter ran backwards");
             assert!(snapshot_total <= TOTAL as i64);
             last = snapshot_total;
@@ -199,55 +199,59 @@ fn aggregate_store_runs_concurrently_with_traffic() {
         assert!(report.is_clean());
     });
     assert_eq!(
-        network
-            .aggregate_store()
-            .get(&"count".into(), &[Value::Int(1)]),
+        count_of(&network.aggregate_store()),
         Value::Int(TOTAL as i64)
     );
+    deployment.shutdown();
 }
 
 #[test]
 fn swapping_between_manual_configs_preserves_distributed_semantics() {
-    // A distributed sanity check under swaps with *hand-placed* state: the
+    // A distributed sanity check under updates with *hand-placed* state: the
     // variable's owner is pinned, so the concurrent total is exact even
     // though the program (egress port) keeps changing.
-    let topo = campus();
-    let make_configs = |egress: i64| -> Vec<SwitchConfig> {
-        let program = snap_xfdd::compile(&counting_policy(egress)).unwrap();
-        let owners = BTreeMap::from([(
-            topo.node_by_name("C6").unwrap(),
-            BTreeSet::from(["count".into()]),
-        )]);
-        SwitchConfig::for_topology(&topo, &program, &owners)
-    };
-
-    let network = Arc::new(Network::new(topo.clone(), make_configs(6)));
-    const TOTAL: usize = 480;
+    let mut fleet = Fleet::campus(&counting_policy(6), "C6");
+    const WORKERS: usize = 4;
+    const BATCHES: usize = 15;
+    const BATCH: usize = 8;
+    const TOTAL: usize = WORKERS * BATCHES * BATCH;
+    const UPDATES: u64 = 12;
     let workload: Vec<(PortId, Packet)> = (0..TOTAL)
         .map(|i| (PortId(1 + i % 6), Packet::new().with(Field::InPort, 1)))
         .collect();
+    // More commits than the agents' view ring holds: the workers are paced
+    // so that no batch outlives it.
+    let pace = Pace::new(WORKERS, BATCHES);
 
     std::thread::scope(|scope| {
-        let net = Arc::clone(&network);
-        let traffic = scope.spawn(move || {
-            TrafficEngine::new(4)
-                .with_batch_size(12)
-                .run(&net, &workload)
-        });
-        for s in 0..12u64 {
-            let epoch = network.swap_configs(make_configs(if s % 2 == 0 { 1 } else { 6 }));
-            assert_eq!(epoch, s + 1);
-            std::thread::yield_now();
+        let pace = &pace;
+        let mut handles = Vec::new();
+        for (w, shard) in workload.chunks(BATCHES * BATCH).enumerate() {
+            let net = Arc::clone(&fleet.network);
+            handles.push(scope.spawn(move || {
+                let mut egress = 0usize;
+                for batch in shard.chunks(BATCH) {
+                    for out in net.inject_batch(batch) {
+                        egress += out.unwrap().delivered.len();
+                    }
+                    pace.batch_done(w);
+                }
+                egress
+            }));
         }
-        let report = traffic.join().unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.total_egress(), TOTAL);
+        let mut seen = [0; WORKERS];
+        for s in 0..UPDATES {
+            pace.wait(&mut seen);
+            fleet.place(&counting_policy(if s % 2 == 0 { 1 } else { 6 }), "C6");
+            assert_eq!(fleet.epoch, s + 2);
+        }
+        let egress: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(egress, TOTAL);
     });
-    assert_eq!(network.current_epoch(), 12);
+    let epochs = fleet.network.current_epochs();
+    assert_eq!(epochs, BTreeSet::from([1 + UPDATES]));
     assert_eq!(
-        network
-            .aggregate_store()
-            .get(&"count".into(), &[Value::Int(1)]),
+        count_of(&fleet.network.aggregate_store()),
         Value::Int(TOTAL as i64)
     );
 }

@@ -320,10 +320,9 @@ fn working_set_edit_delta_is_under_a_quarter_of_the_full_payload() {
 fn shared_traffic_engine_drives_distributed_traffic() {
     use snap_dataplane::TrafficEngine;
 
-    // The same N-worker harness that drives the in-process `Network` drives
-    // the distribution plane: `DistNetwork` implements `TrafficTarget`, so
-    // the engine pumps batched injections through the shared driver while
-    // the controller ships delta commits underneath.
+    // `DistNetwork` implements `TrafficTarget`, so the N-worker engine
+    // pumps batched injections through the packet driver while the
+    // controller ships delta commits underneath.
     const WORKERS: usize = 4;
     const PACKETS_PER_WORKER: usize = 100;
     // 1 + COMMITS epochs total stays within the agents' EPOCH_HISTORY ring,

@@ -1,11 +1,14 @@
 //! Cross-crate integration tests: the full pipeline — language front end,
-//! xFDD translation, placement/routing, rule generation and distributed
-//! execution — exercised together on the campus topology.
+//! xFDD translation, placement/routing, rule generation, distribution and
+//! hop-by-hop execution on a switch fleet — exercised together on the campus
+//! topology.
 
 use snap_apps as apps;
 use snap_core::{Compiler, SolverChoice};
 use snap_dataplane::NetAsmProgram;
+use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
+use snap_session::CompilerSession;
 use snap_topology::{generators, PortId, TrafficMatrix};
 use std::collections::BTreeSet;
 
@@ -87,10 +90,14 @@ fn parsed_program_compiles_and_runs_like_the_built_one() {
 
 #[test]
 fn distributed_execution_equals_obs_for_the_stateful_firewall() {
-    let compiler = campus_compiler();
+    let Compiler {
+        topology, traffic, ..
+    } = campus_compiler();
+    let session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process(session, 1024);
     let program = apps::stateful_firewall().seq(apps::assign_egress(6));
-    let compiled = compiler.compile(&program).unwrap();
-    let network = compiler.build_network(&compiled);
+    deployment.controller.update_policy(&program).unwrap();
+    let network = &deployment.network;
 
     let inside = Value::ip(10, 0, 6, 10);
     let outside = Value::ip(10, 0, 2, 20);
@@ -116,18 +123,15 @@ fn distributed_execution_equals_obs_for_the_stateful_firewall() {
     ];
 
     let mut store = Store::new();
-    let mut obs = Vec::new();
-    for (_, pkt) in &trace {
-        let r = snap_lang::eval(&program, &store, pkt).unwrap();
-        store = r.store;
-        obs.push(r.packets);
-    }
-    let dist = network.inject_trace(&trace).unwrap();
-    for (d, o) in dist.iter().zip(obs.iter()) {
-        let pkts: BTreeSet<Packet> = d.iter().map(|(_, p)| p.clone()).collect();
-        assert_eq!(&pkts, o);
+    for (port, pkt) in &trace {
+        let obs = snap_lang::eval(&program, &store, pkt).unwrap();
+        store = obs.store;
+        let dist = network.inject(*port, pkt).unwrap();
+        let pkts: BTreeSet<Packet> = dist.delivered.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(pkts, obs.packets);
     }
     assert_eq!(network.aggregate_store(), store);
+    deployment.shutdown();
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Hash-consing effectiveness and correctness across the full application
 //! catalogue: the arena representation must store strictly fewer nodes than
 //! the tree baseline on the campus workload, behave identically to the
-//! formal semantics, and share a single pool across every switch of the
-//! compiled network.
+//! formal semantics, and reach every switch of a deployed fleet as one and
+//! the same numbering.
 
 use snap_apps as apps;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::SolverChoice;
+use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
+use snap_session::CompilerSession;
 use snap_topology::{generators, TrafficMatrix};
 
 /// Deterministic mini-generator for sample packets exercising the catalogue
@@ -99,21 +101,32 @@ fn interned_diagrams_match_eval_across_the_catalogue() {
 
 #[test]
 fn every_switch_shares_one_interned_pool() {
-    // Rule generation hands the full diagram to every switch (§4.5); with
-    // hash-consing that must be the *same* arena, not per-switch copies.
+    // Every switch carries the full diagram (§4.5). On a fleet each agent
+    // mirrors the controller's distribution pool node for node, so the
+    // dense ids a packet is tagged with on one switch resume on any other:
+    // same mirror length, same flattened program, on every agent.
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 3);
-    let compiler = Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let mut deployment = deploy_in_process(session, 64);
     let program = apps::dns_tunnel_detect(5).seq(apps::assign_egress(6));
-    let compiled = compiler.compile(&program).unwrap();
-    let pool = compiled.xfdd.pool() as *const _;
-    assert!(!compiled.rules.configs.is_empty());
-    for config in &compiled.rules.configs {
-        assert!(
-            std::ptr::eq(config.program.pool() as *const _, pool),
-            "switch {:?} holds a different pool",
-            config.node
-        );
-        assert_eq!(config.program.root(), compiled.xfdd.root());
+    deployment.controller.update_policy(&program).unwrap();
+
+    let mirrored = deployment.controller.dist_pool_len();
+    let views: Vec<_> = deployment
+        .network
+        .agents()
+        .map(|agent| {
+            assert_eq!(agent.mirror_len(), mirrored, "{}", agent.name());
+            agent.current_view().expect("committed")
+        })
+        .collect();
+    assert!(views.len() > 1);
+    let reference = &views[0].flat;
+    for view in &views {
+        assert_eq!(view.flat.root(), reference.root());
+        assert_eq!(view.flat.num_nodes(), reference.num_nodes());
+        assert_eq!(view.flat.var_names(), reference.var_names());
     }
+    deployment.shutdown();
 }

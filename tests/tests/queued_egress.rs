@@ -1,39 +1,27 @@
-//! Property tests of [`EgressQueues`] under the unified driver, with the
-//! in-process `Network` (not just the distributed plane) delivering through
-//! them: conservation of deliveries into enqueue/tail-drop counters,
-//! bounded depth, per-port FIFO order across drains, and order preservation
-//! per (ingress, egress) pair — including under a multi-worker
-//! `TrafficEngine`.
+//! Property tests of the fleet's egress under the batched driver: every
+//! delivery lands in the owning switch's [`EgressQueues`] — conservation of
+//! deliveries into enqueue/tail-drop counters, bounded depth, per-port FIFO
+//! order across drains, and order preservation per (ingress, egress) pair —
+//! including under a multi-worker `TrafficEngine`.
 
 use proptest::prelude::*;
-use snap_dataplane::{EgressQueues, Network, QueuedNetwork, SwitchConfig, TrafficEngine};
-use snap_lang::builder::*;
+use snap_dataplane::{EgressQueues, TrafficEngine};
 use snap_lang::{Field, Packet, Value};
-use snap_topology::generators::campus;
+use snap_tests::network::Fleet;
+use snap_tests::traffic::counting_fleet;
 use snap_topology::PortId;
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
-/// The campus network of the traffic tests: count per srcport, route by
-/// destination prefix to port 6 or port 1, state pinned on C6.
-fn counting_network() -> Network {
-    let policy = state_incr("count", vec![field(Field::SrcPort)]).seq(ite(
-        test_prefix(Field::DstIp, 10, 0, 6, 0, 24),
-        modify(Field::OutPort, Value::Int(6)),
-        modify(Field::OutPort, Value::Int(1)),
-    ));
-    let topo = campus();
-    let program = snap_xfdd::compile(&policy).unwrap();
-    let owners = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["count".into()]),
-    )]);
-    let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-    Network::new(topo, configs)
+/// The queues of the switch hosting `port`.
+fn queues_of(fleet: &Fleet, port: PortId) -> &EgressQueues {
+    let switch = fleet.topology.port_switch(port).expect("a campus port");
+    fleet.agents[switch.0].egress()
 }
 
-fn queues_for(net: &Network, capacity: usize) -> EgressQueues {
-    EgressQueues::new(net.topology().external_ports().map(|(p, _)| p), capacity)
+/// Every port's drained events, across all switches.
+fn drain_all(fleet: &Fleet) -> Vec<Vec<snap_dataplane::EgressEvent>> {
+    let queues = fleet.agents.iter().map(|a| a.egress());
+    queues.flat_map(|q| q.drain_all().into_values()).collect()
 }
 
 /// `n` packets over round-robin ingress ports with a worker/sequence tag in
@@ -64,18 +52,16 @@ proptest! {
         n in 1usize..120,
         batch in 1usize..32,
     ) {
-        let net = counting_network();
-        let queues = queues_for(&net, capacity);
+        let fleet = counting_fleet(capacity);
         let load = workload(n);
         let mut delivered_per_port: BTreeMap<PortId, u64> = BTreeMap::new();
         let mut reported_drops = 0u64;
         for chunk in load.chunks(batch) {
-            let out = net.inject_batch_queued(chunk, &queues);
-            reported_drops += out.backpressure_drops;
-            for result in &out.outputs {
-                let list = result.as_ref().expect("workload packets never fail");
-                prop_assert_eq!(list.len(), 1, "exactly one egress per packet");
-                for (port, _) in list {
+            for result in fleet.network.inject_batch(chunk) {
+                let out = result.expect("workload packets never fail");
+                reported_drops += out.backpressure_drops as u64;
+                prop_assert_eq!(out.delivered.len(), 1, "exactly one egress per packet");
+                for (port, _) in &out.delivered {
                     *delivered_per_port.entry(*port).or_default() += 1;
                 }
             }
@@ -83,14 +69,18 @@ proptest! {
         // Per port: every delivery either sits in the queue (bounded by
         // capacity) or was tail-dropped and counted; nothing vanishes.
         let mut total_drops = 0u64;
+        let mut total_enqueued = 0u64;
         for (&port, &delivered) in &delivered_per_port {
+            let queues = queues_of(&fleet, port);
             prop_assert!(queues.depth(port) <= capacity);
             prop_assert_eq!(queues.enqueued(port) + queues.dropped(port), delivered);
             total_drops += queues.dropped(port);
+            total_enqueued += queues.enqueued(port);
         }
         prop_assert_eq!(reported_drops, total_drops);
+        prop_assert_eq!(fleet.network.total_backpressure(), total_drops);
         prop_assert_eq!(
-            queues.total_enqueued() + queues.total_dropped(),
+            total_enqueued + total_drops,
             delivered_per_port.values().sum::<u64>()
         );
     }
@@ -101,14 +91,14 @@ proptest! {
         batch in 1usize..32,
     ) {
         // Ample capacity: this property is about order, not drops.
-        let net = counting_network();
-        let queues = queues_for(&net, 4096);
+        let fleet = counting_fleet(4096);
         let load = workload(n);
         for chunk in load.chunks(batch) {
-            let out = net.inject_batch_queued(chunk, &queues);
-            prop_assert_eq!(out.backpressure_drops, 0);
+            for result in fleet.network.inject_batch(chunk) {
+                prop_assert_eq!(result.unwrap().backpressure_drops, 0);
+            }
         }
-        for (_, events) in queues.drain_all() {
+        for events in drain_all(&fleet) {
             let mut last_seq = None;
             let mut last_per_source: BTreeMap<i64, i64> = BTreeMap::new();
             for e in &events {
@@ -145,25 +135,28 @@ proptest! {
         batch in 1usize..24,
         capacity in 4usize..64,
     ) {
-        let net = counting_network();
-        let queues = queues_for(&net, capacity);
+        let fleet = counting_fleet(capacity);
         let load = workload(96);
         let report = TrafficEngine::new(workers)
             .with_batch_size(batch)
-            .run(&QueuedNetwork::new(&net, &queues), &load);
+            .run(&fleet.network, &load);
         prop_assert!(report.is_clean());
         prop_assert_eq!(report.processed, load.len());
         // Conservation across concurrent workers: every egress event the
         // report saw was either enqueued or tail-dropped, exactly once.
+        let queues = || fleet.agents.iter().map(|a| a.egress());
+        let enqueued: u64 = queues().map(|q| q.total_enqueued()).sum();
         prop_assert_eq!(
-            queues.total_enqueued() + queues.total_dropped(),
+            enqueued + fleet.network.total_backpressure(),
             report.total_egress() as u64
         );
-        for port in queues.ports().collect::<Vec<_>>() {
-            prop_assert!(queues.depth(port) <= capacity);
+        for q in queues() {
+            for port in q.ports().collect::<Vec<_>>() {
+                prop_assert!(q.depth(port) <= capacity);
+            }
         }
         // Per-port FIFO still holds under concurrency.
-        for (_, events) in queues.drain_all() {
+        for events in drain_all(&fleet) {
             let mut last_seq = None;
             for e in &events {
                 prop_assert!(last_seq.is_none_or(|s| e.seq > s));

@@ -1,9 +1,10 @@
 //! End-to-end controller loop: a long-lived `CompilerSession` driving a
-//! running `Network` through policy edits, traffic changes and pool GC,
-//! checked against the one-big-switch semantics after every swap — plus
+//! running fleet through policy edits, traffic changes and pool GC, checked
+//! against the one-big-switch semantics after every commit — plus
 //! controller→switch distribution of the program over the wire format.
 
 use snap_apps as apps;
+use snap_distrib::{deploy_in_process, DistNetwork};
 use snap_lang::prelude::*;
 use snap_session::{CompilerSession, SessionOptions};
 use snap_topology::generators::campus;
@@ -27,17 +28,21 @@ fn dns_packet(client: &Value, rdata: Value) -> Packet {
 fn controller_loop_with_policy_edits_traffic_changes_and_gc() {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let mut session = CompilerSession::new(topo, tm)
+    let session = CompilerSession::new(topo, tm)
         .with_solver(snap_core::SolverChoice::Heuristic)
         .with_options(SessionOptions {
             solver: snap_core::SolverChoice::Heuristic,
-            gc_threshold: 2_000,
+            // Low enough that the session compacts its pool mid-loop.
+            gc_threshold: 200,
+            cache_generations: 1,
             ..SessionOptions::default()
         });
 
-    // Boot: cold compile, bring the network up.
-    session.compile(&running_example(2)).unwrap();
-    let network = session.build_network().unwrap();
+    // Boot: cold compile, bring the fleet up.
+    let mut deployment = deploy_in_process(session, 1024);
+    let controller = &mut deployment.controller;
+    controller.update_policy(&running_example(2)).unwrap();
+    let network = &deployment.network;
 
     // Reference one-big-switch state, kept in lockstep with the network.
     let mut obs_store = Store::new();
@@ -45,53 +50,57 @@ fn controller_loop_with_policy_edits_traffic_changes_and_gc() {
 
     let client = Value::ip(10, 0, 6, 77);
     let mut seq = 0u8;
-    let mut drive =
-        |network: &snap_dataplane::Network, obs_store: &mut Store, policy: &Policy, n: usize| {
-            for _ in 0..n {
-                seq += 1;
-                let pkt = dns_packet(&client, Value::ip(9, 9, 9, seq));
-                let obs = eval(policy, obs_store, &pkt).unwrap();
-                *obs_store = obs.store;
-                let out = network.inject(PortId(1), &pkt).unwrap();
-                let pkts: BTreeSet<Packet> = out.into_iter().map(|(_, p)| p).collect();
-                assert_eq!(pkts, obs.packets, "network and OBS disagree");
-            }
-        };
+    let mut drive = |network: &DistNetwork, obs_store: &mut Store, policy: &Policy, n: usize| {
+        for _ in 0..n {
+            seq += 1;
+            let pkt = dns_packet(&client, Value::ip(9, 9, 9, seq));
+            let obs = eval(policy, obs_store, &pkt).unwrap();
+            *obs_store = obs.store;
+            let out = network.inject(PortId(1), &pkt).unwrap();
+            let pkts: BTreeSet<Packet> = out.delivered.into_iter().map(|(_, p)| p).collect();
+            assert_eq!(pkts, obs.packets, "network and OBS disagree");
+        }
+    };
 
-    drive(&network, &mut obs_store, &policy, 1);
+    drive(network, &mut obs_store, &policy, 1);
 
     // Controller loop: alternate policy edits (threshold bumps) and traffic
-    // updates, swapping configs into the running network each time. The
-    // per-switch state must survive every swap and keep matching OBS.
+    // updates, each committed to the running fleet. The per-switch state
+    // must survive every commit and keep matching OBS.
     for round in 0..6 {
-        if round % 2 == 0 {
+        let epoch_before = controller.epoch();
+        let report = if round % 2 == 0 {
             policy = running_example(3 + round);
-            session.update_policy(&policy).unwrap();
+            controller.update_policy(&policy).unwrap()
         } else {
-            let tm = TrafficMatrix::gravity(session.topology(), 700.0 + round as f64, round as u64);
-            session.update_traffic(tm).unwrap();
-        }
-        let epoch_before = network.current_epoch();
-        session.apply(&network).unwrap();
-        assert_eq!(network.current_epoch(), epoch_before + 1);
-        drive(&network, &mut obs_store, &policy, 2);
+            let topo = controller.session().topology();
+            let tm = TrafficMatrix::gravity(topo, 700.0 + round as f64, round as u64);
+            controller.update_traffic(tm).unwrap().expect("compiled")
+        };
+        assert_eq!(report.epoch, epoch_before + 1);
+        assert_eq!(network.current_epochs(), BTreeSet::from([report.epoch]));
+        drive(network, &mut obs_store, &policy, 2);
     }
     assert_eq!(network.aggregate_store(), obs_store);
 
-    // GC the session pool and keep going: still correct after compaction.
-    let report = session.compact_now();
-    assert!(report.nodes_after <= report.nodes_before);
+    // The session pool was compacted along the way; keep going: still
+    // correct after compaction.
+    assert!(
+        controller.session().stats().gc_runs > 0,
+        "auto-GC never ran"
+    );
     policy = running_example(50);
-    session.update_policy(&policy).unwrap();
-    session.apply(&network).unwrap();
-    drive(&network, &mut obs_store, &policy, 2);
+    controller.update_policy(&policy).unwrap();
+    drive(network, &mut obs_store, &policy, 2);
     assert_eq!(network.aggregate_store(), obs_store);
 
     // The session did real incremental work along the way.
-    let stats = session.stats();
+    let stats = controller.session().stats();
+    assert!(stats.nodes_reclaimed > 0);
     assert!(stats.subtree_hits > 0);
     assert!(stats.placement_reuses > 0);
     assert!(stats.reroutes > 0);
+    deployment.shutdown();
 }
 
 #[test]

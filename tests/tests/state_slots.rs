@@ -10,19 +10,18 @@
 //! name the variable.
 //!
 //! The fleet here is eight agents driven synchronously through their message
-//! handlers, this file playing the controller (prepare everywhere, commit
+//! handlers (`snap_tests::network::Fleet`: prepare everywhere, commit
 //! everywhere, relay the yields as `InstallTable`) — the real protocol, with
 //! the placement chosen by the test instead of the optimizer.
 
 use proptest::prelude::*;
 use snap_dataplane::exec::process_at_switch;
 use snap_dataplane::{InFlight, ReplicaBuffer, SimError, SlotBinding, StateShards, StoreLease};
-use snap_distrib::{
-    DistNetwork, FromAgent, InjectError, PrepareMsg, SwitchAgent, SwitchMeta, ToAgent,
-};
+use snap_distrib::{InjectError, PrepareMsg, ToAgent};
 use snap_lang::prelude::*;
+use snap_tests::network::Fleet;
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{encode_delta, to_xfdd, Pool, StateDependencies};
+use snap_xfdd::{encode_delta, to_xfdd};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -180,111 +179,36 @@ fn placement_of(owners: &[usize]) -> BTreeMap<StateVar, SwitchId> {
     placed.map(|(v, &s)| (var(v), SwitchId(s))).collect()
 }
 
-/// Eight agents, a traffic plane over them, and this file as controller.
-struct Fleet {
-    topology: Topology,
-    agents: Vec<Arc<SwitchAgent>>,
-    network: DistNetwork,
-    /// The distribution pool the agents mirror.
-    dist: Pool,
-    fresh_len: usize,
-    epoch: u64,
-    /// Tables relayed from a yielding agent to the new owner so far.
-    relayed: usize,
+/// Eight agents on the ring, ordered for every variable of `all`.
+fn fleet(all: &Policy) -> Fleet {
+    Fleet::new(ring(), all, 4096)
 }
 
-impl Fleet {
-    /// A fleet whose pool orders the variables of every policy in `all`.
-    fn new(all: &Policy) -> Fleet {
-        let topology = ring();
-        let agents: Vec<Arc<SwitchAgent>> = (0..SWITCHES)
-            .map(|i| {
-                let ports = [PortId(i + 1)];
-                Arc::new(SwitchAgent::new(SwitchId(i), format!("s{i}"), ports, 4096))
-            })
-            .collect();
-        let by_switch = agents.iter().map(|a| (a.switch(), Arc::clone(a))).collect();
-        let order = StateDependencies::analyze(all).var_order();
-        Fleet {
-            network: DistNetwork::new(topology.clone(), by_switch),
-            topology,
-            agents,
-            fresh_len: Pool::new(order.clone()).len(),
-            dist: Pool::new(order),
-            epoch: 0,
-            relayed: 0,
+/// Inject `arrivals` one by one, folding `snap_lang::eval` next to them.
+fn run(
+    fleet: &Fleet,
+    policy: &Policy,
+    arrivals: &[Arrival],
+    oracle: &mut Store,
+) -> Result<(), TestCaseError> {
+    for &arrival in arrivals {
+        let (port, pkt) = packet(arrival);
+        let expected = eval(policy, oracle, &pkt).expect("generated policies evaluate");
+        let out = fleet
+            .network
+            .inject(port, &pkt)
+            .expect("the packet executes");
+        prop_assert_eq!(out.epoch, fleet.epoch);
+        for (port, delivered) in &out.delivered {
+            let outport = delivered.get(&Field::OutPort);
+            prop_assert_eq!(outport, Some(&Value::Int(port.0 as i64)));
         }
+        let delivered: BTreeSet<Packet> = out.delivered.into_iter().map(|(_, p)| p).collect();
+        prop_assert_eq!(delivered, expected.packets, "arrival {:?}", arrival);
+        *oracle = expected.store;
     }
-
-    /// One two-phase update: `policy` under `placement`, as a full-table
-    /// resync or as the suffix delta past what the agents already mirror.
-    fn update(&mut self, policy: &Policy, placement: &BTreeMap<StateVar, SwitchId>, resync: bool) {
-        let mirrored = self.dist.len();
-        let root = to_xfdd(policy, &mut self.dist).expect("generated policies compile");
-        let base = if resync { self.fresh_len } else { mirrored };
-        let delta = encode_delta(&self.dist, base, root);
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for agent in &self.agents {
-            let here = agent.switch();
-            let owned = placement.iter().filter(|(_, &owner)| owner == here);
-            let ports = self.topology.external_ports();
-            let meta = SwitchMeta {
-                local_vars: owned.map(|(var, _)| var.clone()).collect(),
-                ports: ports.filter(|(_, s)| *s == here).map(|(p, _)| p).collect(),
-            };
-            let replies = agent.handle(ToAgent::Prepare(Box::new(PrepareMsg {
-                epoch,
-                resync,
-                delta: delta.clone(),
-                meta: Some(meta),
-                placement: Some(placement.clone()),
-            })));
-            assert!(
-                matches!(replies[0], FromAgent::Prepared { .. }),
-                "{replies:?}"
-            );
-        }
-        let mut yielded = Vec::new();
-        for agent in &self.agents {
-            match agent.handle(ToAgent::Commit { epoch }).pop() {
-                Some(FromAgent::Committed { yields, .. }) => yielded.extend(yields),
-                other => panic!("unexpected commit reply {other:?}"),
-            }
-        }
-        for (var, table) in yielded {
-            let owner = placement[&var];
-            self.agents[owner.0].handle(ToAgent::InstallTable { epoch, var, table });
-            self.relayed += 1;
-        }
-    }
-
-    /// Inject `arrivals` one by one, folding `snap_lang::eval` next to them.
-    fn run(
-        &self,
-        policy: &Policy,
-        arrivals: &[Arrival],
-        oracle: &mut Store,
-    ) -> Result<(), TestCaseError> {
-        for &arrival in arrivals {
-            let (port, pkt) = packet(arrival);
-            let expected = eval(policy, oracle, &pkt).expect("generated policies evaluate");
-            let out = self
-                .network
-                .inject(port, &pkt)
-                .expect("the packet executes");
-            prop_assert_eq!(out.epoch, self.epoch);
-            for (port, delivered) in &out.delivered {
-                let outport = delivered.get(&Field::OutPort);
-                prop_assert_eq!(outport, Some(&Value::Int(port.0 as i64)));
-            }
-            let delivered: BTreeSet<Packet> = out.delivered.into_iter().map(|(_, p)| p).collect();
-            prop_assert_eq!(delivered, expected.packets, "arrival {:?}", arrival);
-            *oracle = expected.store;
-        }
-        prop_assert_eq!(&self.network.aggregate_store(), &*oracle);
-        Ok(())
-    }
+    prop_assert_eq!(&fleet.network.aggregate_store(), &*oracle);
+    Ok(())
 }
 
 /// The seeded contents of the read-only variable: a non-zero default (so an
@@ -317,13 +241,13 @@ proptest! {
         after in arrivals(),
     ) {
         let (first, second) = (first.policy(), second.policy());
-        let mut fleet = Fleet::new(&first.clone().seq(second.clone()));
+        let mut fleet = fleet(&first.clone().seq(second.clone()));
         fleet.update(&first, &placement_of(&owners), true);
 
         let mut oracle = Store::new();
         oracle.insert_table(var(5), listed_table());
         fleet.agents[owners[5]].store().insert_table(var(5), listed_table());
-        fleet.run(&first, &before, &mut oracle)?;
+        run(&fleet, &first, &before, &mut oracle)?;
 
         // Half the variables land wherever `reshuffle` says, and `moved`
         // moves for certain.
@@ -338,7 +262,7 @@ proptest! {
         fleet.update(&second, &placement_of(&next), false);
         prop_assert_eq!(fleet.relayed, moving, "every moved table was yielded and relayed");
         prop_assert_eq!(fleet.network.aggregate_store().variables().count(), tables_before);
-        fleet.run(&second, &after, &mut oracle)?;
+        run(&fleet, &second, &after, &mut oracle)?;
     }
 }
 
@@ -422,7 +346,7 @@ fn counting_and_flagging() -> Policy {
 #[test]
 fn a_table_id_survives_yield_and_re_install() {
     let hits = var(0);
-    let mut fleet = Fleet::new(&counting(2));
+    let mut fleet = fleet(&counting(2));
     fleet.update(&counting(2), &placement_of(&[0]), true);
     let agent = Arc::clone(&fleet.agents[0]);
     let store = agent.store();
@@ -465,7 +389,7 @@ fn a_table_id_survives_yield_and_re_install() {
 fn an_older_epochs_view_still_resolves_its_slots() {
     let (hits, flag) = (var(0), var(2));
     let all = counting_and_flagging();
-    let mut fleet = Fleet::new(&all);
+    let mut fleet = fleet(&all);
     let on = |h: usize, f: usize| BTreeMap::from([(var(0), SwitchId(h)), (var(2), SwitchId(f))]);
     fleet.update(&counting(2), &on(0, 0), true);
     fleet.update(&all, &on(3, 0), false);
@@ -521,7 +445,7 @@ fn placement_error(err: InjectError) -> String {
 /// (c) Placement errors name the variable, not its slot.
 #[test]
 fn placement_errors_name_the_variable() {
-    let mut fleet = Fleet::new(&counting(2));
+    let mut fleet = fleet(&counting(2));
     // No placement for `hits` at all.
     fleet.update(&counting(2), &BTreeMap::new(), true);
     let err = fleet.network.inject(PortId(1), &packet((1, 0, 0)).1);
@@ -562,7 +486,7 @@ fn sampled_hop_records_name_the_variables() {
         id(),
     )
     .seq(modify(Field::OutPort, Value::Int(2)));
-    let mut fleet = Fleet::new(&policy);
+    let mut fleet = fleet(&policy);
     let placement = BTreeMap::from([(var(3), SwitchId(0)), (var(0), SwitchId(6))]);
     fleet.update(&policy, &placement, true);
     let telemetry = fleet.network.telemetry().expect("planes record telemetry");

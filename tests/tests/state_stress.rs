@@ -3,16 +3,15 @@
 //!
 //! Every packet in this workload writes state — a hot per-source counter
 //! plus a tested (exact, key-range-sharded) flag — and four workers
-//! hammer one shared network. The suite asserts the sharded state plane
+//! hammer one shared fleet. The suite asserts the sharded state plane
 //! keeps every total bit-exact under maximum write pressure, and that the
 //! shard telemetry accounts for the traffic. CI runs this against the
 //! release build (`--release`) so it stresses the optimized hot path.
 
-use snap_dataplane::{Network, SwitchConfig, TrafficEngine};
+use snap_dataplane::TrafficEngine;
 use snap_lang::prelude::*;
-use snap_topology::generators::campus;
+use snap_tests::network::Fleet;
 use snap_topology::PortId;
-use std::collections::{BTreeMap, BTreeSet};
 
 const TOTAL: usize = 12_000;
 const WORKERS: usize = 4;
@@ -30,19 +29,6 @@ fn stress_policy() -> Policy {
         .seq(modify(Field::OutPort, Value::Int(6)))
 }
 
-fn stress_network() -> Network {
-    let topo = campus();
-    let program = snap_xfdd::compile(&stress_policy()).unwrap();
-    // Both variables on C6 — the single hot switch that used to serialize
-    // every worker on one lock.
-    let owners = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["hits".into(), "seen".into()]),
-    )]);
-    let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-    Network::new(topo, configs)
-}
-
 fn workload() -> Vec<(PortId, Packet)> {
     (0..TOTAL)
         .map(|i| {
@@ -56,10 +42,13 @@ fn workload() -> Vec<(PortId, Packet)> {
 
 #[test]
 fn four_workers_state_heavy_totals_stay_exact() {
-    let net = stress_network();
+    // Both variables on C6 — the single hot switch that used to serialize
+    // every worker on one lock.
+    let fleet = Fleet::campus(&stress_policy(), "C6");
+    let net = fleet.network.as_ref();
     let report = TrafficEngine::new(WORKERS)
         .with_batch_size(64)
-        .run(&net, &workload());
+        .run(net, &workload());
     assert!(report.is_clean(), "errors: {:?}", report.errors);
     assert_eq!(report.processed, TOTAL);
 

@@ -1,4 +1,4 @@
-//! Metric exactness under concurrency, over both planes.
+//! Metric exactness under concurrency, on hand-placed and deployed fleets.
 //!
 //! The telemetry registry shards hot-path counters per worker and only
 //! aggregates on read; the contract is that once the workers have joined,
@@ -12,18 +12,18 @@
 //! The replicated-state suite at the bottom extends the same contract to
 //! the sharded state plane: per-worker replica buffers (commuting
 //! variables) and key-range shard locks (exact variables) must produce
-//! totals bit-identical to a single-threaded run, at 1/2/4/8 workers, on
-//! both planes, and across a config swap that migrates a replicated
-//! variable.
+//! totals bit-identical to a single-threaded run, at 1/2/4/8 workers, with
+//! the placement pinned by hand and chosen by the compiler, and across an
+//! update that migrates a replicated variable.
 
 use snap_core::SolverChoice;
-use snap_dataplane::{Network, PlaneTelemetry, SwitchConfig, TrafficEngine};
+use snap_dataplane::{PlaneTelemetry, TrafficEngine};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_telemetry::MetricsSnapshot;
+use snap_tests::network::Fleet;
 use snap_topology::generators::campus;
 use snap_topology::{PortId, TrafficMatrix};
-use std::collections::{BTreeMap, BTreeSet};
 
 const TOTAL: usize = 600;
 
@@ -32,15 +32,8 @@ fn counting_policy() -> Policy {
     state_incr("count", vec![field(Field::InPort)]).seq(modify(Field::OutPort, Value::Int(6)))
 }
 
-fn campus_network() -> Network {
-    let topo = campus();
-    let program = snap_xfdd::compile(&counting_policy()).unwrap();
-    let owners = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["count".into()]),
-    )]);
-    let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-    Network::new(topo, configs)
+fn campus_fleet() -> Fleet {
+    Fleet::campus(&counting_policy(), "C6")
 }
 
 fn workload() -> Vec<(PortId, Packet)> {
@@ -103,24 +96,24 @@ fn assert_exact(snap: &MetricsSnapshot, state_writes_per_packet: u64) {
 fn network_counters_are_exact_across_workers() {
     let load = workload();
 
-    let single = campus_network();
+    let single = campus_fleet();
     TrafficEngine::new(1)
         .with_batch_size(16)
-        .run(&single, &load);
-    let single_snap = single.metrics_snapshot();
+        .run(&single.network, &load);
+    let single_snap = single.network.metrics_snapshot();
     assert_exact(&single_snap, 1);
 
-    let multi = campus_network();
-    let report = TrafficEngine::new(4).with_batch_size(16).run(&multi, &load);
+    let multi = campus_fleet();
+    let engine = TrafficEngine::new(4).with_batch_size(16);
+    let report = engine.run(&multi.network, &load);
     assert!(report.is_clean());
-    let multi_snap = multi.metrics_snapshot();
+    let multi_snap = multi.network.metrics_snapshot();
     assert_exact(&multi_snap, 1);
 
     // The exact total the existing invariant tests compute independently.
+    let store = multi.network.aggregate_store();
     assert_eq!(
-        multi
-            .aggregate_store()
-            .get(&"count".into(), &[Value::Int(1)]),
+        store.get(&"count".into(), &[Value::Int(1)]),
         Value::Int(TOTAL as i64)
     );
 
@@ -161,20 +154,19 @@ fn network_counters_are_exact_across_workers() {
 #[test]
 fn two_instances_never_contaminate_each_other() {
     // The regression the per-instance registry fixed: before it, these
-    // counters were process-wide statics, and two networks driven in the
+    // counters were process-wide statics, and two planes driven in the
     // same process bled into each other's readings.
     let load = workload();
-    let a = campus_network();
-    let b = campus_network();
-    TrafficEngine::new(2).with_batch_size(16).run(&a, &load);
-    let half: Vec<_> = load[..TOTAL / 2].to_vec();
-    TrafficEngine::new(2).with_batch_size(16).run(&b, &half);
+    let (a, b) = (campus_fleet(), campus_fleet());
+    let engine = TrafficEngine::new(2).with_batch_size(16);
+    engine.run(&a.network, &load);
+    engine.run(&b.network, &load[..TOTAL / 2]);
     assert_eq!(
-        a.metrics_snapshot().counters["driver.packets"],
+        a.network.metrics_snapshot().counters["driver.packets"],
         TOTAL as u64
     );
     assert_eq!(
-        b.metrics_snapshot().counters["driver.packets"],
+        b.network.metrics_snapshot().counters["driver.packets"],
         (TOTAL / 2) as u64
     );
 }
@@ -193,7 +185,7 @@ fn dist_plane_counters_are_exact_across_workers() {
     let load = workload();
     let report = TrafficEngine::new(4)
         .with_batch_size(16)
-        .run(deployment.network.as_ref(), &load);
+        .run(&deployment.network, &load);
     assert!(report.is_clean(), "errors: {:?}", report.errors);
 
     let snap = deployment.network.metrics_snapshot();
@@ -213,10 +205,11 @@ fn dist_plane_counters_are_exact_across_workers() {
 
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let net = campus_network().without_telemetry();
+    let fleet = campus_fleet().with_plane(|n| n.without_telemetry());
+    let net = fleet.network.as_ref();
     TrafficEngine::new(2)
         .with_batch_size(16)
-        .run(&net, &workload());
+        .run(net, &workload());
     assert!(net.telemetry().is_none());
     let snap = net.metrics_snapshot();
     assert!(snap.counters.is_empty());
@@ -225,15 +218,16 @@ fn disabled_telemetry_records_nothing() {
 
 #[test]
 fn shared_telemetry_can_merge_two_planes() {
-    // Sharing is explicit: two networks handed the same Telemetry instance
+    // Sharing is explicit: two planes handed the same Telemetry instance
     // sum into one registry (the deployment helpers use exactly this to
     // merge controller and data plane).
     let telemetry = snap_telemetry::Telemetry::new();
-    let a = campus_network().with_telemetry(telemetry.clone());
-    let b = campus_network().with_telemetry(telemetry.clone());
+    let a = campus_fleet().with_plane(|n| n.with_telemetry(telemetry.clone()));
+    let b = campus_fleet().with_plane(|n| n.with_telemetry(telemetry.clone()));
     let load = workload();
-    TrafficEngine::new(2).with_batch_size(16).run(&a, &load);
-    TrafficEngine::new(2).with_batch_size(16).run(&b, &load);
+    let engine = TrafficEngine::new(2).with_batch_size(16);
+    engine.run(&a.network, &load);
+    engine.run(&b.network, &load);
     assert_eq!(
         telemetry.snapshot().counters["driver.packets"],
         2 * TOTAL as u64
@@ -248,12 +242,12 @@ fn shared_telemetry_can_merge_two_planes() {
 
 /// Per-inport counter totals after one run of `load` at `workers` workers.
 fn run_and_collect(workers: usize, load: &[(PortId, Packet)]) -> Vec<(i64, Value)> {
-    let net = campus_network();
+    let fleet = campus_fleet();
     let report = TrafficEngine::new(workers)
         .with_batch_size(16)
-        .run(&net, load);
+        .run(&fleet.network, load);
     assert!(report.is_clean(), "errors: {:?}", report.errors);
-    let store = net.aggregate_store();
+    let store = fleet.network.aggregate_store();
     (1..=6)
         .map(|p| (p, store.get(&"count".into(), &[Value::Int(p)])))
         .collect()
@@ -304,21 +298,14 @@ fn exact_keyed_flag_is_exact_across_worker_counts() {
         snap_xfdd::StateClass::Exact
     );
 
-    let topo = campus();
-    let program = snap_xfdd::compile(&policy).unwrap();
-    let owners = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["seen".into()]),
-    )]);
     let load = keyed_workload();
     for workers in [1usize, 2, 4, 8] {
-        let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-        let net = Network::new(topo.clone(), configs);
+        let fleet = Fleet::campus(&policy, "C6");
         let report = TrafficEngine::new(workers)
             .with_batch_size(16)
-            .run(&net, &load);
+            .run(&fleet.network, &load);
         assert!(report.is_clean(), "errors: {:?}", report.errors);
-        let store = net.aggregate_store();
+        let store = fleet.network.aggregate_store();
         for p in 1..=6 {
             assert_eq!(
                 store.get(&"seen".into(), &[Value::Int(p)]),
@@ -331,8 +318,9 @@ fn exact_keyed_flag_is_exact_across_worker_counts() {
 
 #[test]
 fn dist_plane_replicated_totals_match_reference_across_workers() {
-    // The same replica path on the distributed plane: one deployment per
-    // worker count, each compared against the arithmetic reference.
+    // The same replica path with the compiler choosing the placement and
+    // the controller committing it: one deployment per worker count, each
+    // compared against the arithmetic reference.
     let load = keyed_workload();
     for workers in [1usize, 2, 4, 8] {
         let topo = campus();
@@ -345,7 +333,7 @@ fn dist_plane_replicated_totals_match_reference_across_workers() {
             .unwrap();
         let report = TrafficEngine::new(workers)
             .with_batch_size(16)
-            .run(deployment.network.as_ref(), &load);
+            .run(&deployment.network, &load);
         assert!(report.is_clean(), "errors: {:?}", report.errors);
         let store = deployment.network.aggregate_store();
         for p in 1..=6 {
@@ -362,30 +350,18 @@ fn dist_plane_replicated_totals_match_reference_across_workers() {
 #[test]
 fn config_swap_migrates_replicated_variable_mid_run() {
     // Half the workload accrues on C6, the variable's owner moves to C1,
-    // the rest accrues there: the replica deltas flushed before the swap
+    // the rest accrues there: the replica deltas flushed before the update
     // must migrate with the table, exactly.
-    let topo = campus();
-    let program = snap_xfdd::compile(&counting_policy()).unwrap();
-    let on_c6 = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["count".into()]),
-    )]);
-    let on_c1 = BTreeMap::from([(
-        topo.node_by_name("C1").unwrap(),
-        BTreeSet::from(["count".into()]),
-    )]);
-    let net = Network::new(
-        topo.clone(),
-        SwitchConfig::for_topology(&topo, &program, &on_c6),
-    );
+    let mut fleet = campus_fleet();
     let load = keyed_workload();
     let engine = TrafficEngine::new(4).with_batch_size(16);
-    let report = engine.run(&net, &load[..TOTAL / 2]);
+    let report = engine.run(&fleet.network, &load[..TOTAL / 2]);
     assert!(report.is_clean(), "errors: {:?}", report.errors);
-    net.swap_configs(SwitchConfig::for_topology(&topo, &program, &on_c1));
-    let report = engine.run(&net, &load[TOTAL / 2..]);
+    fleet.place(&counting_policy(), "C1");
+    assert_eq!(fleet.relayed, 1);
+    let report = engine.run(&fleet.network, &load[TOTAL / 2..]);
     assert!(report.is_clean(), "errors: {:?}", report.errors);
-    let store = net.aggregate_store();
+    let store = fleet.network.aggregate_store();
     for p in 1..=6 {
         assert_eq!(
             store.get(&"count".into(), &[Value::Int(p)]),
@@ -399,20 +375,14 @@ fn config_swap_migrates_replicated_variable_mid_run() {
 fn plane_telemetry_wave_prefix_stats_matches_counters() {
     // Needs a program with a stateless prefix: an all-state root goes
     // straight to the locked phase and the wave-prefix pass sees nothing.
-    let topo = campus();
     let policy = ite(
         test(Field::SrcPort, Value::Int(53)),
         state_incr("count", vec![field(Field::InPort)]),
         id(),
     )
     .seq(modify(Field::OutPort, Value::Int(6)));
-    let program = snap_xfdd::compile(&policy).unwrap();
-    let owners = BTreeMap::from([(
-        topo.node_by_name("C6").unwrap(),
-        BTreeSet::from(["count".into()]),
-    )]);
-    let configs = SwitchConfig::for_topology(&topo, &program, &owners);
-    let net = Network::new(topo, configs);
+    let fleet = Fleet::campus(&policy, "C6");
+    let net = fleet.network.as_ref();
 
     let load: Vec<(PortId, Packet)> = (0..TOTAL)
         .map(|i| {
@@ -424,7 +394,7 @@ fn plane_telemetry_wave_prefix_stats_matches_counters() {
             )
         })
         .collect();
-    TrafficEngine::new(2).with_batch_size(16).run(&net, &load);
+    TrafficEngine::new(2).with_batch_size(16).run(net, &load);
     let t: &PlaneTelemetry = net.telemetry().unwrap();
     let (packets, survivors) = t.wave_prefix_stats();
     let snap = net.metrics_snapshot();
