@@ -68,7 +68,7 @@ use snap_lang::{Policy, StateTable, StateVar};
 use snap_session::{CompilerSession, SessionUpdate};
 use snap_telemetry::{AgentTimings, CommitEvent, Telemetry};
 use snap_topology::{NodeId as SwitchId, TrafficMatrix};
-use snap_xfdd::{encode_delta, encode_diagram, CompileError, NodeId, Pool};
+use snap_xfdd::{encode_delta, CompileError, NodeId, Pool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Weak};
@@ -170,8 +170,9 @@ pub struct CommitReport {
     /// `resyncs > 0`, those agents received `resync_bytes` instead — this
     /// field alone understates the shipped total on resync updates.
     pub delta_bytes: usize,
-    /// Bytes a full-program payload of the same compilation would cost
-    /// (`encode_diagram` of the frozen program) — the delta's baseline.
+    /// Bytes of the full-table payload of the frozen program (its delta
+    /// from a fresh pool) — what resyncing a fresh agent with just this
+    /// compilation would cost, and the delta's baseline.
     pub full_bytes: usize,
     /// Agents that needed a full-table resync instead of the suffix.
     pub resyncs: usize,
@@ -197,7 +198,7 @@ pub struct CommitReport {
 }
 
 impl CommitReport {
-    /// Delta payload size as a fraction of the full-program payload.
+    /// Delta payload size as a fraction of the full-table payload.
     pub fn delta_ratio(&self) -> f64 {
         self.delta_bytes as f64 / self.full_bytes.max(1) as f64
     }
@@ -275,7 +276,7 @@ struct Shipped {
     compiled: Weak<Compiled>,
     /// Its root in the distribution pool's *current* numbering.
     root: NodeId,
-    /// Size of its full-program payload (the delta's baseline statistic).
+    /// Size of its full-table payload (the delta's baseline statistic).
     full_bytes: usize,
 }
 
@@ -391,12 +392,6 @@ impl Controller {
         }
     }
 
-    /// Set the per-reply transport timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Controller {
-        self.options.timeout = timeout;
-        self
-    }
-
     /// Replace the controller's tunables (timeout, auto-compaction policy).
     pub fn with_options(mut self, options: DistribOptions) -> Controller {
         self.options = options;
@@ -456,7 +451,7 @@ impl Controller {
     /// epoch was aborted everywhere and the previous configuration keeps
     /// running).
     pub fn update_policy(&mut self, policy: &Policy) -> Result<CommitReport, DistribError> {
-        self.session.compile_shared(policy)?;
+        self.session.compile(policy)?;
         let update = self
             .session
             .take_update()
@@ -472,7 +467,7 @@ impl Controller {
         &mut self,
         policy: &Policy,
     ) -> Result<Vec<CommitReport>, DistribError> {
-        self.session.compile_shared(policy)?;
+        self.session.compile(policy)?;
         let update = self
             .session
             .take_update()
@@ -486,7 +481,7 @@ impl Controller {
         &mut self,
         traffic: TrafficMatrix,
     ) -> Result<Option<CommitReport>, DistribError> {
-        if self.session.update_traffic_shared(traffic).is_none() {
+        if self.session.update_traffic(traffic).is_none() {
             return Ok(None);
         }
         let update = self
@@ -562,7 +557,7 @@ impl Controller {
             None => {
                 let root = self.dist.import(xfdd.pool(), xfdd.root());
                 self.update_pool_gauge();
-                let full_bytes = encode_diagram(xfdd.pool(), xfdd.root()).len();
+                let full_bytes = encode_delta(xfdd.pool(), self.fresh_len, xfdd.root()).len();
                 self.shipped.retain(|s| s.compiled.strong_count() > 0);
                 if self.shipped.len() >= SHIPPED_MEMO_CAP {
                     self.shipped.remove(0);

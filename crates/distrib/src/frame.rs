@@ -2,523 +2,271 @@
 //!
 //! Every message travels as one frame: a little-endian `u32` length followed
 //! by that many payload bytes, capped at [`MAX_FRAME_BYTES`]. The payload is
-//! a hand-rolled tag-prefixed encoding of [`ToAgent`] / [`FromAgent`] in the
-//! same spirit as `snap_xfdd::wire` (the workspace's serde is an offline
-//! shim, so nothing here derives its serialization): fixed-width
-//! little-endian integers, length-prefixed strings and sequences, one tag
-//! byte per enum variant.
+//! a hand-rolled tag-prefixed encoding of [`ToAgent`] / [`FromAgent`],
+//! written and read through the same codec as `snap_xfdd::wire`'s program
+//! payloads ([`snap_lang::codec`]; the workspace's serde is an offline shim,
+//! so nothing here derives its serialization): fixed-width little-endian
+//! integers, length-prefixed strings and sequences, one tag byte per enum
+//! variant.
 //!
-//! The decoder is written for hostile input: every length is checked against
-//! the bytes actually remaining (so a corrupt length can never trigger a
-//! huge allocation), value nesting is depth-limited, and every error path
-//! returns [`FrameError`] — malformed frames *fail*, they never panic. The
+//! The decoder is written for hostile input — the codec checks every length
+//! against the bytes actually remaining (so a corrupt length can never
+//! trigger a huge allocation) and caps value nesting, and every error path
+//! returns [`FrameError`]: malformed frames *fail*, they never panic. The
 //! fuzz suite in `tests/frame_fuzz.rs` pounds truncations and bit flips the
 //! same way `wire_fuzz.rs` pounds the program payloads.
 
 use crate::transport::{FromAgent, PrepareMsg, SwitchMeta, ToAgent};
-use snap_lang::{Ipv4, Prefix, StateTable, StateVar, Value};
+use snap_lang::codec::{Reader, Writer};
+use snap_lang::{StateTable, StateVar};
 use snap_topology::{NodeId as SwitchId, PortId};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
+
+/// A malformed frame. A frame has no way to fail beyond its bytes', so this
+/// is the codec's error.
+pub use snap_lang::codec::CodecError as FrameError;
 
 /// Hard ceiling on one frame's payload, applied before any allocation. Full
 /// resync payloads for ISP-scale programs are a few MiB; 64 MiB leaves an
 /// order of magnitude of slack while keeping a corrupt length harmless.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Nesting ceiling for [`Value::Tuple`]: real indices are a handful of
-/// fields deep, and the bound keeps a crafted payload from recursing the
-/// decoder off the stack.
-const MAX_VALUE_DEPTH: u32 = 32;
-
-/// A malformed or oversized frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// The payload ended before the structure did.
-    Truncated,
-    /// An unknown enum tag.
-    BadTag(u8),
-    /// A length field that contradicts the bytes present, or exceeds
-    /// [`MAX_FRAME_BYTES`].
-    BadLength,
-    /// A string that is not UTF-8.
-    BadUtf8,
-    /// Value nesting beyond the decoder's depth ceiling.
-    TooDeep,
-    /// A field whose value is out of its domain (e.g. a prefix length > 32).
-    BadValue,
-    /// Bytes left over after the structure ended.
-    TrailingBytes,
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "frame truncated"),
-            FrameError::BadTag(t) => write!(f, "unknown frame tag {t}"),
-            FrameError::BadLength => write!(f, "frame length out of bounds"),
-            FrameError::BadUtf8 => write!(f, "frame string is not utf-8"),
-            FrameError::TooDeep => write!(f, "frame value nesting too deep"),
-            FrameError::BadValue => write!(f, "frame field out of domain"),
-            FrameError::TrailingBytes => write!(f, "frame has trailing bytes"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+fn put_var(w: &mut Writer, var: &StateVar) {
+    w.str(&var.0);
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
+fn put_switch(w: &mut Writer, switch: SwitchId) {
+    w.u64(switch.0 as u64);
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Int(i) => {
-                self.u8(0);
-                self.i64(*i);
-            }
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(u8::from(*b));
-            }
-            Value::Ip(ip) => {
-                self.u8(2);
-                self.u32(ip.0);
-            }
-            Value::Prefix(p) => {
-                self.u8(3);
-                self.u32(p.addr.0);
-                self.u8(p.len);
-            }
-            Value::Str(s) => {
-                self.u8(4);
-                self.str(s);
-            }
-            Value::Symbol(s) => {
-                self.u8(5);
-                self.str(s);
-            }
-            Value::Tuple(vs) => {
-                self.u8(6);
-                self.u32(vs.len() as u32);
-                for v in vs {
-                    self.value(v);
-                }
-            }
+fn put_table(w: &mut Writer, t: &StateTable) {
+    w.value(t.default_value());
+    w.seq_len(t.len());
+    for (index, value) in t.iter() {
+        w.seq_len(index.len());
+        for v in index {
+            w.value(v);
         }
+        w.value(value);
     }
+}
 
-    fn table(&mut self, t: &StateTable) {
-        self.value(t.default_value());
-        self.u32(t.len() as u32);
-        for (index, value) in t.iter() {
-            self.u32(index.len() as u32);
-            for v in index {
-                self.value(v);
-            }
-            self.value(value);
-        }
+fn put_meta(w: &mut Writer, m: &SwitchMeta) {
+    w.seq_len(m.local_vars.len());
+    for var in &m.local_vars {
+        put_var(w, var);
     }
-
-    fn meta(&mut self, m: &SwitchMeta) {
-        self.u32(m.local_vars.len() as u32);
-        for var in &m.local_vars {
-            self.str(&var.0);
-        }
-        self.u32(m.ports.len() as u32);
-        for port in &m.ports {
-            self.u64(port.0 as u64);
-        }
+    w.seq_len(m.ports.len());
+    for port in &m.ports {
+        w.u64(port.0 as u64);
     }
+}
 
-    fn placement(&mut self, p: &BTreeMap<StateVar, SwitchId>) {
-        self.u32(p.len() as u32);
-        for (var, owner) in p {
-            self.str(&var.0);
-            self.u64(owner.0 as u64);
-        }
+fn put_placement(w: &mut Writer, p: &BTreeMap<StateVar, SwitchId>) {
+    w.seq_len(p.len());
+    for (var, owner) in p {
+        put_var(w, var);
+        put_switch(w, *owner);
     }
 }
 
 /// Encode a controller→agent message payload (no length prefix).
 pub fn encode_to_agent(msg: &ToAgent) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut w = Writer::new();
     match msg {
         ToAgent::Prepare(p) => {
-            e.u8(0);
-            e.u64(p.epoch);
-            e.u8(u8::from(p.resync));
-            e.bytes(&p.delta);
-            match &p.meta {
-                None => e.u8(0),
-                Some(m) => {
-                    e.u8(1);
-                    e.meta(m);
-                }
+            w.u8(0);
+            w.u64(p.epoch);
+            w.bool(p.resync);
+            w.bytes(&p.delta);
+            w.bool(p.meta.is_some());
+            if let Some(m) = &p.meta {
+                put_meta(&mut w, m);
             }
-            match &p.placement {
-                None => e.u8(0),
-                Some(pl) => {
-                    e.u8(1);
-                    e.placement(pl);
-                }
+            w.bool(p.placement.is_some());
+            if let Some(pl) = &p.placement {
+                put_placement(&mut w, pl);
             }
         }
         ToAgent::Commit { epoch } => {
-            e.u8(1);
-            e.u64(*epoch);
+            w.u8(1);
+            w.u64(*epoch);
         }
         ToAgent::Abort { epoch } => {
-            e.u8(2);
-            e.u64(*epoch);
+            w.u8(2);
+            w.u64(*epoch);
         }
         ToAgent::InstallTable { epoch, var, table } => {
-            e.u8(3);
-            e.u64(*epoch);
-            e.str(&var.0);
-            e.table(table);
+            w.u8(3);
+            w.u64(*epoch);
+            put_var(&mut w, var);
+            put_table(&mut w, table);
         }
-        ToAgent::Shutdown => e.u8(4),
+        ToAgent::Shutdown => w.u8(4),
     }
-    e.buf
+    w.into_bytes()
 }
 
 /// Encode an agent→controller message payload (no length prefix).
 pub fn encode_from_agent(msg: &FromAgent) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut w = Writer::new();
     match msg {
         FromAgent::Prepared {
             switch,
             epoch,
             new_nodes,
         } => {
-            e.u8(0);
-            e.u64(switch.0 as u64);
-            e.u64(*epoch);
-            e.u64(*new_nodes);
+            w.u8(0);
+            put_switch(&mut w, *switch);
+            w.u64(*epoch);
+            w.u64(*new_nodes);
         }
         FromAgent::PrepareFailed {
             switch,
             epoch,
             reason,
         } => {
-            e.u8(1);
-            e.u64(switch.0 as u64);
-            e.u64(*epoch);
-            e.str(reason);
+            w.u8(1);
+            put_switch(&mut w, *switch);
+            w.u64(*epoch);
+            w.str(reason);
         }
         FromAgent::Committed {
             switch,
             epoch,
             yields,
         } => {
-            e.u8(2);
-            e.u64(switch.0 as u64);
-            e.u64(*epoch);
-            e.u32(yields.len() as u32);
+            w.u8(2);
+            put_switch(&mut w, *switch);
+            w.u64(*epoch);
+            w.seq_len(yields.len());
             for (var, table) in yields {
-                e.str(&var.0);
-                e.table(table);
+                put_var(&mut w, var);
+                put_table(&mut w, table);
             }
         }
         FromAgent::Installed { switch, epoch, var } => {
-            e.u8(3);
-            e.u64(switch.0 as u64);
-            e.u64(*epoch);
-            e.str(&var.0);
+            w.u8(3);
+            put_switch(&mut w, *switch);
+            w.u64(*epoch);
+            put_var(&mut w, var);
         }
     }
-    e.buf
+    w.into_bytes()
 }
+
+/// The first byte of the handshake frame.
+const HELLO: u8 = 0xa5;
 
 /// Encode the agent's one-shot handshake: which switch this connection is.
 pub fn encode_hello(switch: SwitchId) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(0xa5);
-    e.u64(switch.0 as u64);
-    e.buf
+    let mut w = Writer::new();
+    w.u8(HELLO);
+    put_switch(&mut w, switch);
+    w.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_var(r: &mut Reader<'_>) -> Result<StateVar, FrameError> {
+    Ok(StateVar(r.str()?.into()))
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
+fn get_switch(r: &mut Reader<'_>) -> Result<SwitchId, FrameError> {
+    Ok(SwitchId(r.u64()? as usize))
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+fn get_table(r: &mut Reader<'_>) -> Result<StateTable, FrameError> {
+    let mut table = StateTable::with_default(r.value()?);
+    for _ in 0..r.seq_len(2)? {
+        let index = r.seq(1, Reader::value)?;
+        table.set(index, r.value()?);
     }
+    Ok(table)
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
+fn get_meta(r: &mut Reader<'_>) -> Result<SwitchMeta, FrameError> {
+    let local_vars = r.seq(4, get_var)?.into_iter().collect();
+    let ports = r.seq(8, Reader::u64)?.into_iter();
+    let ports = ports.map(|port| PortId(port as usize)).collect();
+    Ok(SwitchMeta { local_vars, ports })
+}
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, FrameError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// A length field for elements at least `min_elem_bytes` wide each:
-    /// rejected outright when the remaining bytes cannot possibly hold that
-    /// many, so lengths never drive allocation beyond the frame itself.
-    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, FrameError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(FrameError::BadLength);
-        }
-        Ok(n)
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
-        let n = self.seq_len(1)?;
-        self.take(n)
-    }
-
-    /// A length-prefixed string, borrowed from the frame: each caller
-    /// copies it once, straight into the form it stores.
-    fn str(&mut self) -> Result<&'a str, FrameError> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| FrameError::BadUtf8)
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(FrameError::BadValue),
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<Value, FrameError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(FrameError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Value::Int(self.i64()?)),
-            1 => Ok(Value::Bool(self.bool()?)),
-            2 => Ok(Value::Ip(Ipv4(self.u32()?))),
-            3 => {
-                let addr = Ipv4(self.u32()?);
-                let len = self.u8()?;
-                if len > 32 {
-                    return Err(FrameError::BadValue);
-                }
-                Ok(Value::Prefix(Prefix::new(addr, len)))
-            }
-            4 => Ok(Value::Str(self.str()?.into())),
-            5 => Ok(Value::Symbol(self.str()?.into())),
-            6 => {
-                let n = self.seq_len(1)?;
-                let mut vs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vs.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Tuple(vs))
-            }
-            t => Err(FrameError::BadTag(t)),
-        }
-    }
-
-    fn table(&mut self) -> Result<StateTable, FrameError> {
-        let default = self.value(0)?;
-        let mut table = StateTable::with_default(default);
-        let entries = self.seq_len(2)?;
-        for _ in 0..entries {
-            let arity = self.seq_len(1)?;
-            let mut index = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                index.push(self.value(0)?);
-            }
-            let value = self.value(0)?;
-            table.set(index, value);
-        }
-        Ok(table)
-    }
-
-    fn meta(&mut self) -> Result<SwitchMeta, FrameError> {
-        let vars = self.seq_len(4)?;
-        let mut local_vars = BTreeSet::new();
-        for _ in 0..vars {
-            local_vars.insert(StateVar(self.str()?.into()));
-        }
-        let ports = self.seq_len(8)?;
-        let mut port_set = BTreeSet::new();
-        for _ in 0..ports {
-            port_set.insert(PortId(self.u64()? as usize));
-        }
-        Ok(SwitchMeta {
-            local_vars,
-            ports: port_set,
-        })
-    }
-
-    fn placement(&mut self) -> Result<BTreeMap<StateVar, SwitchId>, FrameError> {
-        let n = self.seq_len(12)?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let var = StateVar(self.str()?.into());
-            let owner = SwitchId(self.u64()? as usize);
-            map.insert(var, owner);
-        }
-        Ok(map)
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(FrameError::TrailingBytes)
-        }
-    }
+fn get_placement(r: &mut Reader<'_>) -> Result<BTreeMap<StateVar, SwitchId>, FrameError> {
+    let pairs = r.seq(12, |r| Ok::<_, FrameError>((get_var(r)?, get_switch(r)?)))?;
+    Ok(pairs.into_iter().collect())
 }
 
 /// Decode a controller→agent payload.
 pub fn decode_to_agent(buf: &[u8]) -> Result<ToAgent, FrameError> {
-    let mut d = Dec::new(buf);
-    let msg = match d.u8()? {
-        0 => {
-            let epoch = d.u64()?;
-            let resync = d.bool()?;
-            let delta = d.bytes()?.to_vec();
-            let meta = match d.u8()? {
-                0 => None,
-                1 => Some(d.meta()?),
-                _ => return Err(FrameError::BadValue),
-            };
-            let placement = match d.u8()? {
-                0 => None,
-                1 => Some(d.placement()?),
-                _ => return Err(FrameError::BadValue),
-            };
-            ToAgent::Prepare(Box::new(PrepareMsg {
-                epoch,
-                resync,
-                delta,
-                meta,
-                placement,
-            }))
-        }
-        1 => ToAgent::Commit { epoch: d.u64()? },
-        2 => ToAgent::Abort { epoch: d.u64()? },
+    let mut r = Reader::new(buf);
+    let msg = match r.u8()? {
+        0 => ToAgent::Prepare(Box::new(PrepareMsg {
+            epoch: r.u64()?,
+            resync: r.bool()?,
+            delta: r.bytes()?.to_vec(),
+            meta: r.bool()?.then(|| get_meta(&mut r)).transpose()?,
+            placement: r.bool()?.then(|| get_placement(&mut r)).transpose()?,
+        })),
+        1 => ToAgent::Commit { epoch: r.u64()? },
+        2 => ToAgent::Abort { epoch: r.u64()? },
         3 => ToAgent::InstallTable {
-            epoch: d.u64()?,
-            var: StateVar(d.str()?.into()),
-            table: d.table()?,
+            epoch: r.u64()?,
+            var: get_var(&mut r)?,
+            table: get_table(&mut r)?,
         },
         4 => ToAgent::Shutdown,
-        t => return Err(FrameError::BadTag(t)),
+        t => return Err(FrameError::BadTag("message", t)),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(msg)
 }
 
 /// Decode an agent→controller payload.
 pub fn decode_from_agent(buf: &[u8]) -> Result<FromAgent, FrameError> {
-    let mut d = Dec::new(buf);
-    let msg = match d.u8()? {
+    let mut r = Reader::new(buf);
+    let msg = match r.u8()? {
         0 => FromAgent::Prepared {
-            switch: SwitchId(d.u64()? as usize),
-            epoch: d.u64()?,
-            new_nodes: d.u64()?,
+            switch: get_switch(&mut r)?,
+            epoch: r.u64()?,
+            new_nodes: r.u64()?,
         },
         1 => FromAgent::PrepareFailed {
-            switch: SwitchId(d.u64()? as usize),
-            epoch: d.u64()?,
-            reason: d.str()?.into(),
+            switch: get_switch(&mut r)?,
+            epoch: r.u64()?,
+            reason: r.str()?.into(),
         },
-        2 => {
-            let switch = SwitchId(d.u64()? as usize);
-            let epoch = d.u64()?;
-            let n = d.seq_len(2)?;
-            let mut yields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let var = StateVar(d.str()?.into());
-                let table = d.table()?;
-                yields.push((var, table));
-            }
-            FromAgent::Committed {
-                switch,
-                epoch,
-                yields,
-            }
-        }
+        2 => FromAgent::Committed {
+            switch: get_switch(&mut r)?,
+            epoch: r.u64()?,
+            yields: r.seq(2, |r| Ok::<_, FrameError>((get_var(r)?, get_table(r)?)))?,
+        },
         3 => FromAgent::Installed {
-            switch: SwitchId(d.u64()? as usize),
-            epoch: d.u64()?,
-            var: StateVar(d.str()?.into()),
+            switch: get_switch(&mut r)?,
+            epoch: r.u64()?,
+            var: get_var(&mut r)?,
         },
-        t => return Err(FrameError::BadTag(t)),
+        t => return Err(FrameError::BadTag("message", t)),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(msg)
 }
 
 /// Decode the agent's handshake frame.
 pub fn decode_hello(buf: &[u8]) -> Result<SwitchId, FrameError> {
-    let mut d = Dec::new(buf);
-    if d.u8()? != 0xa5 {
+    let mut r = Reader::new(buf);
+    if r.u8()? != HELLO {
         return Err(FrameError::BadValue);
     }
-    let switch = SwitchId(d.u64()? as usize);
-    d.finish()?;
+    let switch = get_switch(&mut r)?;
+    r.finish()?;
     Ok(switch)
 }
 
@@ -553,6 +301,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_lang::{Ipv4, Prefix, Value};
 
     fn sample_table() -> StateTable {
         let mut t = StateTable::with_default(Value::Int(0));
@@ -687,18 +436,18 @@ mod tests {
 
     #[test]
     fn deep_tuples_are_rejected() {
-        let mut e = Enc::new();
-        e.u8(3); // InstallTable
-        e.u64(1);
-        e.str("v");
+        let mut w = Writer::new();
+        w.u8(3); // InstallTable
+        w.u64(1);
+        w.str("v");
         for _ in 0..200 {
-            e.u8(6); // Tuple
-            e.u32(1);
+            w.u8(6); // Tuple
+            w.u32(1);
         }
-        e.u8(0);
-        e.i64(0);
+        w.u8(0);
+        w.i64(0);
         assert!(matches!(
-            decode_to_agent(&e.buf),
+            decode_to_agent(&w.into_bytes()),
             Err(FrameError::TooDeep) | Err(FrameError::Truncated) | Err(FrameError::BadLength)
         ));
     }

@@ -126,24 +126,7 @@ pub struct DeployOptions {
 /// own thread, linked to a [`Controller`] over in-process channels.
 /// `queue_capacity` bounds each agent's per-port egress queues.
 pub fn deploy_in_process(session: CompilerSession, queue_capacity: usize) -> InProcessDeployment {
-    deploy_in_process_with(session, queue_capacity, DistribOptions::default())
-}
-
-/// [`deploy_in_process`] with explicit controller tunables (transport
-/// timeout, auto-compaction threshold).
-pub fn deploy_in_process_with(
-    session: CompilerSession,
-    queue_capacity: usize,
-    options: DistribOptions,
-) -> InProcessDeployment {
-    deploy_in_process_custom(
-        session,
-        queue_capacity,
-        DeployOptions {
-            distrib: options,
-            ack_delay: None,
-        },
-    )
+    deploy_in_process_custom(session, queue_capacity, DeployOptions::default())
 }
 
 /// [`deploy_in_process`] with full [`DeployOptions`].

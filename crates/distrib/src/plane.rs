@@ -299,11 +299,6 @@ impl DistNetwork {
         self
     }
 
-    /// Change the hop budget of a network that is not yet shared.
-    pub fn set_hop_budget(&mut self, budget: usize) {
-        self.hop_budget = budget;
-    }
-
     /// The current hop budget.
     pub fn hop_budget(&self) -> usize {
         self.hop_budget

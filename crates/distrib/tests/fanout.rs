@@ -6,7 +6,7 @@
 use snap_core::SolverChoice;
 use snap_distrib::{
     channel_link, deploy_in_process, deploy_in_process_custom, deploy_tcp, Controller,
-    DeployOptions, DistribError, FromAgent, ReplyTx, SwitchAgent,
+    DeployOptions, DistribError, DistribOptions, FromAgent, ReplyTx, SwitchAgent,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -62,7 +62,10 @@ fn build_with_interposer(
 ) -> InterposedRig {
     let session = campus_session();
     let topo = session.topology().clone();
-    let mut controller = Controller::new(session).with_timeout(timeout);
+    let mut controller = Controller::new(session).with_options(DistribOptions {
+        timeout,
+        ..Default::default()
+    });
     let (wrapped_tx, forwarder) = interpose(&controller, rewrite);
     let mut wrapped_tx = Some(wrapped_tx);
     let mut agents = Vec::new();

@@ -4,8 +4,8 @@
 
 use snap_core::SolverChoice;
 use snap_distrib::{
-    channel_link, deploy_in_process, Controller, DistribError, FromAgent, PrepareMsg, ReplyTx,
-    SwitchAgent, SwitchMeta, ToAgent,
+    channel_link, deploy_in_process, deploy_in_process_custom, frame, Controller, DeployOptions,
+    DistribError, DistribOptions, FromAgent, PrepareMsg, ReplyTx, SwitchAgent, SwitchMeta, ToAgent,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -121,10 +121,74 @@ fn failed_prepare_aborts_everywhere_and_recovers_by_resync() {
 }
 
 #[test]
+fn hostile_delta_fails_the_prepare_and_the_agent_is_resynced() {
+    let mut deployment = deploy_in_process(campus_session(), 64);
+    let network = Arc::clone(&deployment.network);
+    let controller = &mut deployment.controller;
+    controller.update_policy(&counting_policy(6)).unwrap();
+    let victim = network.agents().next().unwrap();
+
+    // A well-formed header for exactly this mirror (same variable order,
+    // same base), then one branch node whose test value is 200 000 nested
+    // one-element tuples: a megabyte, far under the frame cap. A decoder
+    // that recursed per level would overflow the stack and abort the whole
+    // process.
+    let mut w = snap_lang::codec::Writer::new();
+    w.raw(b"XFDD");
+    w.u16(2);
+    w.u8(1);
+    w.u32(1);
+    w.str("count");
+    w.u32(victim.mirror_len() as u32);
+    w.u32(1);
+    w.u8(1); // branch
+    w.u8(0); // field = value
+    w.str("srcport");
+    for _ in 0..200_000 {
+        w.u8(6);
+        w.u32(1);
+    }
+    w.value(&Value::Int(0));
+    let framed = frame::encode_to_agent(&ToAgent::Prepare(Box::new(PrepareMsg {
+        epoch: 2,
+        resync: false,
+        delta: w.into_bytes(),
+        meta: None,
+        placement: None,
+    })));
+
+    // The frame itself is well formed; the agent refuses what it carries
+    // and drops its mirror — pool and payloads together.
+    let replies = victim.handle(frame::decode_to_agent(&framed).unwrap());
+    match &replies[..] {
+        [FromAgent::PrepareFailed { reason, .. }] => {
+            assert!(reason.contains("nesting deeper than"), "{reason}")
+        }
+        other => panic!("expected one failed prepare, got {other:?}"),
+    }
+    assert_eq!(victim.mirror_len(), 0);
+
+    // The controller meets the missing mirror on its next update, which
+    // aborts everywhere, and resyncs exactly that agent on the one after.
+    let err = controller.update_policy(&counting_policy(1));
+    assert!(matches!(err, Err(DistribError::PrepareRejected { .. })));
+    let report = controller.update_policy(&counting_policy(1)).unwrap();
+    assert_eq!(report.resyncs, 1);
+    for agent in network.agents() {
+        assert_eq!(agent.current_view().unwrap().epoch, report.epoch);
+        assert_eq!(agent.mirror_len(), controller.dist_pool_len());
+    }
+    deployment.shutdown();
+}
+
+#[test]
 fn commit_phase_failure_burns_the_epoch_and_resyncs() {
     let session = campus_session();
     let topo = session.topology().clone();
-    let mut controller = Controller::new(session).with_timeout(Duration::from_millis(500));
+    let mut controller = Controller::new(session).with_options(DistribOptions {
+        timeout: Duration::from_millis(500),
+        ..Default::default()
+    });
     // The first agent's reply path eats its first `Committed` (turning it
     // into a timeout): the agent really flipped, the controller never heard.
     let mut remaining = 1u32;
@@ -518,14 +582,15 @@ fn tables_migrate_between_agents_through_yield_and_install() {
 
 #[test]
 fn auto_compaction_reclaims_the_pool_and_keeps_packet_tags_valid() {
-    use snap_distrib::{deploy_in_process_with, DistribOptions};
-
     // Auto-compact once the append-only pool exceeds 2x the live program.
-    let options = DistribOptions {
-        compact_threshold: Some(2),
-        ..DistribOptions::default()
+    let options = DeployOptions {
+        distrib: DistribOptions {
+            compact_threshold: Some(2),
+            ..DistribOptions::default()
+        },
+        ack_delay: None,
     };
-    let mut deployment = deploy_in_process_with(campus_session(), 256, options);
+    let mut deployment = deploy_in_process_custom(campus_session(), 256, options);
     let network = Arc::clone(&deployment.network);
 
     // A family of structurally distinct programs with an identical

@@ -17,7 +17,9 @@
 //!   compositions,
 //! * a parser for the paper's surface syntax ([`parser::parse_policy`]) and a
 //!   matching pretty printer ([`pretty::policy_to_string`]),
-//! * an ergonomic builder DSL ([`builder`]).
+//! * an ergonomic builder DSL ([`builder`]),
+//! * the bounds-checked byte codec ([`codec`]) that program payloads and
+//!   controller↔agent frames serialise [`Value`]s through.
 //!
 //! The compiler that maps these programs onto a physical topology lives in
 //! the `snap-core` crate; this crate is purely the language.
@@ -44,6 +46,7 @@
 
 pub mod ast;
 pub mod builder;
+pub mod codec;
 pub mod error;
 pub mod eval;
 pub mod packet;

@@ -8,6 +8,7 @@
 //! texts are short enough to collide often.
 
 use proptest::prelude::*;
+use snap_lang::codec::{Reader, Writer};
 use snap_lang::{Field, Ipv4, Prefix, StateVar, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -119,6 +120,20 @@ proptest! {
         let copy = va.clone();
         prop_assert_eq!(&copy, &va);
         prop_assert_eq!(tape(&copy), tape(&va));
+    }
+
+    // The byte codec hands back exactly the value it was given, consumes
+    // exactly the bytes it wrote, and rejects every strict prefix of them.
+    #[test]
+    fn values_round_trip_through_the_codec(model in arb_model(), cut in 0usize..10_000) {
+        let value = model.value();
+        let mut w = Writer::new();
+        w.value(&value);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(r.value(), Ok(value));
+        prop_assert_eq!(r.finish(), Ok(()));
+        prop_assert!(Reader::new(&bytes[..cut % bytes.len()]).value().is_err());
     }
 
     #[test]

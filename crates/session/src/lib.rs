@@ -12,11 +12,9 @@
 //! * **Fingerprinted subtree reuse** — every translated policy subtree is
 //!   cached under a structural fingerprint, so an edit to one branch of
 //!   `p + q` re-translates only that branch while the compositions above it
-//!   hit the pool's warm memo tables (~ns instead of ~hundreds of µs).
-//! * **Parallel per-policy translation** — with
-//!   [`SessionOptions::parallel`], the operands of parallel compositions
-//!   translate on worker threads into private pools (no locking; memo
-//!   tables are per-pool) and merge via structural pool-to-pool import.
+//!   hit the pool's warm memo tables (~ns instead of ~hundreds of µs). The
+//!   recursion itself is `snap_xfdd::translate_with`, the same one a cold
+//!   compile runs; the session only supplies the memo.
 //! * **Placement reuse** — when the packet-state mapping and the dependency
 //!   relations come out unchanged, the previous placement/routing solution
 //!   is provably still optimal for the same traffic, and P4/P5 are skipped.
@@ -57,7 +55,7 @@
 //! let cold_pool = session.pool_len();
 //!
 //! // A policy edit recompiles incrementally: same mapping, placement reused.
-//! let updated = session.update_policy(&count(20)).unwrap();
+//! let updated = session.compile(&count(20)).unwrap();
 //! assert!(session.stats().subtree_hits > 0);
 //! assert_eq!(session.stats().placement_reuses, 1);
 //! assert!(session.pool_len() >= cold_pool);

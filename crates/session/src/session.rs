@@ -5,11 +5,11 @@ use snap_core::{
     generate_rules, place_and_route_timed, reroute_timed, Compiled, OptimizeInput, OptimizeTimings,
     PacketStateMap, PhaseTimings, PlacementResult, SolverChoice, SwitchMeta,
 };
-use snap_lang::{Policy, Pred, StateVar};
+use snap_lang::{Policy, StateVar};
 use snap_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology, TrafficMatrix};
 use snap_xfdd::{
-    pred_to_xfdd, to_xfdd, Action, CompileError, Leaf, NodeId, Pool, StateClass, StateDependencies,
+    translate_with, CompileError, NodeId, Pool, StateClass, StateDependencies, SubtreeMemo,
     VarOrder, Xfdd,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,11 +21,6 @@ use std::time::Instant;
 pub struct SessionOptions {
     /// Which placement/routing engine to use.
     pub solver: SolverChoice,
-    /// Translate the operands of parallel compositions (`p + q + ...`) on
-    /// worker threads, each into a private pool, and merge the results via
-    /// pool-to-pool import. Off by default: it pays off for wide parallel
-    /// compositions of substantial policies, not for small programs.
-    pub parallel: bool,
     /// Pool size (in nodes) above which a compilation triggers an automatic
     /// [`CompilerSession::compact_now`]. Composition interns intermediates
     /// well beyond the final diagram size, so this should sit comfortably
@@ -47,7 +42,6 @@ impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
             solver: SolverChoice::Auto,
-            parallel: false,
             gc_threshold: 500_000,
             cache_generations: 2,
             version_cache: 8,
@@ -69,8 +63,6 @@ pub struct SessionStats {
     pub subtree_hits: u64,
     /// Policy subtrees that had to be translated.
     pub subtree_misses: u64,
-    /// Subtrees translated on worker threads and merged by import.
-    pub parallel_translations: u64,
     /// Compilations that reused the previous placement because mapping and
     /// dependencies were unchanged.
     pub placement_reuses: u64,
@@ -98,7 +90,6 @@ struct SessionCounters {
     reroutes: Counter,
     subtree_hits: Counter,
     subtree_misses: Counter,
-    parallel_translations: Counter,
     placement_reuses: Counter,
     version_hits: Counter,
     gc_runs: Counter,
@@ -139,7 +130,6 @@ impl SessionCounters {
             reroutes: r.counter("session.reroutes"),
             subtree_hits: r.counter("session.subtree_hits"),
             subtree_misses: r.counter("session.subtree_misses"),
-            parallel_translations: r.counter("session.parallel_translations"),
             placement_reuses: r.counter("session.placement_reuses"),
             version_hits: r.counter("session.version_hits"),
             gc_runs: r.counter("session.gc_runs"),
@@ -158,7 +148,6 @@ impl SessionCounters {
             reroutes: self.reroutes.get(),
             subtree_hits: self.subtree_hits.get(),
             subtree_misses: self.subtree_misses.get(),
-            parallel_translations: self.parallel_translations.get(),
             placement_reuses: self.placement_reuses.get(),
             version_hits: self.version_hits.get(),
             gc_runs: self.gc_runs.get(),
@@ -307,7 +296,6 @@ impl CompilerSession {
         fresh.reroutes.add(old.reroutes);
         fresh.subtree_hits.add(old.subtree_hits);
         fresh.subtree_misses.add(old.subtree_misses);
-        fresh.parallel_translations.add(old.parallel_translations);
         fresh.placement_reuses.add(old.placement_reuses);
         fresh.version_hits.add(old.version_hits);
         fresh.gc_runs.add(old.gc_runs);
@@ -372,32 +360,16 @@ impl CompilerSession {
 
     /// Compile a policy, reusing everything the session has accumulated.
     /// The first call behaves like a cold [`snap_core::Compiler::compile`];
-    /// subsequent calls are incremental.
+    /// subsequent calls — after a policy edit, a rollback, a flip — are
+    /// incremental.
     ///
-    /// Returns a private copy of the result; [`Self::compile_shared`] hands
-    /// out the session's own handle instead.
-    pub fn compile(&mut self, policy: &Policy) -> Result<Compiled, CompileError> {
-        let (shared, cached) = self.compile_inner(policy)?;
-        let mut compiled = (*shared).clone();
-        if cached {
-            // Zeroed timings record that no phase ran for *this* compile.
-            compiled.timings = PhaseTimings::default();
-        }
-        Ok(compiled)
-    }
-
-    /// [`Self::compile`] without the copy: the handle the session itself
-    /// keeps (as [`Self::current_shared`] and in its version cache), which
-    /// is what [`Self::take_update`] ships. A version-cache hit returns the
-    /// cached compilation as it is, timings of the compile (or, after a
-    /// traffic update, the re-placement) that produced it included.
-    pub fn compile_shared(&mut self, policy: &Policy) -> Result<Arc<Compiled>, CompileError> {
-        self.compile_inner(policy).map(|(shared, _)| shared)
-    }
-
-    /// The one compile path; the flag says whether the version cache
-    /// answered.
-    fn compile_inner(&mut self, policy: &Policy) -> Result<(Arc<Compiled>, bool), CompileError> {
+    /// Returns the handle the session itself keeps (as
+    /// [`Self::current_shared`] and in its version cache), which is what
+    /// [`Self::take_update`] ships. A version-cache hit returns the cached
+    /// compilation as it is, timings of the compile (or, after a traffic
+    /// update, the re-placement) that produced it included; where *this*
+    /// compile spent its time is the `session.phase_us{..}` histograms.
+    pub fn compile(&mut self, policy: &Policy) -> Result<Arc<Compiled>, CompileError> {
         self.stats.compiles.inc();
         self.cache.bump_generation();
 
@@ -408,7 +380,7 @@ impl CompilerSession {
             self.stats.version_hits.inc();
             self.epoch += 1;
             self.current = Some(Arc::clone(&cached));
-            return Ok((cached, true));
+            return Ok(cached);
         }
 
         // P1 — state dependency analysis (always: it is cheap and decides
@@ -433,13 +405,17 @@ impl CompilerSession {
             self.cache.clear();
         }
 
-        // P2 — translation through the fingerprint cache (and, if enabled,
-        // worker threads for parallel compositions). Rejected policies have
-        // interned nodes and cache entries by the time they fail, so the GC
-        // threshold is enforced on the error paths too — a stream of racy
-        // policies must not grow the pool without bound.
+        // P2 — translation through the fingerprint cache. Rejected policies
+        // have interned nodes and cache entries by the time they fail, so
+        // the GC threshold is enforced on the error paths too — a stream of
+        // racy policies must not grow the pool without bound.
         lap();
-        let root = match self.translate(policy) {
+        let mut memo = CountedCache {
+            cache: &mut self.cache,
+            hits: &self.stats.subtree_hits,
+            misses: &self.stats.subtree_misses,
+        };
+        let root = match translate_with(policy, &mut self.pool, &mut memo) {
             Ok(root) => root,
             Err(e) => {
                 self.maybe_gc();
@@ -525,7 +501,7 @@ impl CompilerSession {
             histogram.record(phase.as_micros() as u64);
         }
         self.maybe_gc();
-        Ok((compiled, false))
+        Ok(compiled)
     }
 
     fn maybe_gc(&mut self) {
@@ -627,25 +603,11 @@ impl CompilerSession {
         }
     }
 
-    /// Recompile after a policy edit. Identical to [`Self::compile`]; the
-    /// separate name marks controller call sites that react to change
-    /// events.
-    pub fn update_policy(&mut self, policy: &Policy) -> Result<Compiled, CompileError> {
-        self.compile(policy)
-    }
-
     /// React to a traffic-matrix change: keep program, mapping and
     /// placement, re-optimize routing only and regenerate rules (the paper's
     /// "TE" scenario). Returns `None` when nothing has been compiled yet
     /// (the new matrix is still recorded for the next compile).
-    pub fn update_traffic(&mut self, traffic: TrafficMatrix) -> Option<Compiled> {
-        self.update_traffic_shared(traffic)
-            .map(|shared| (*shared).clone())
-    }
-
-    /// [`Self::update_traffic`] without the copy (see
-    /// [`Self::compile_shared`]).
-    pub fn update_traffic_shared(&mut self, traffic: TrafficMatrix) -> Option<Arc<Compiled>> {
+    pub fn update_traffic(&mut self, traffic: TrafficMatrix) -> Option<Arc<Compiled>> {
         self.traffic = traffic;
         // Cached versions embed placement/routing for the old matrix; each
         // is brought up to date when it is next hit.
@@ -677,7 +639,7 @@ impl CompilerSession {
     /// Returns `None` when nothing has been compiled yet or when the session
     /// epoch has not advanced since the last taken update — the
     /// publish-as-delta path a controller polls after each
-    /// [`Self::update_policy`] / [`Self::update_traffic`].
+    /// [`Self::compile`] / [`Self::update_traffic`].
     pub fn take_update(&mut self) -> Option<SessionUpdate> {
         let compiled = self.current.clone()?;
         if let Some(shipped) = &self.shipped {
@@ -766,175 +728,35 @@ impl CompilerSession {
             entries_evicted,
         }
     }
-
-    // -----------------------------------------------------------------------
-    // Translation
-    // -----------------------------------------------------------------------
-
-    fn lookup_counted(&mut self, policy: &Policy) -> Option<NodeId> {
-        match self.cache.lookup(policy) {
-            Some(id) => {
-                self.stats.subtree_hits.inc();
-                Some(id)
-            }
-            None => {
-                self.stats.subtree_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Translate a policy into the session pool, caching every subtree by
-    /// structural fingerprint. Mirrors `snap_xfdd::to_xfdd`'s recursion, but
-    /// bottoms out early at cached subtrees and can fan parallel
-    /// compositions out to worker threads.
-    fn translate(&mut self, policy: &Policy) -> Result<NodeId, CompileError> {
-        if let Some(id) = self.lookup_counted(policy) {
-            return Ok(id);
-        }
-        self.translate_uncached(policy)
-    }
-
-    /// [`Self::translate`] after a cache miss has already been established
-    /// (and counted) for `policy` — the parallel fan-out's sequential
-    /// fallback calls this directly so the miss is not counted twice.
-    fn translate_uncached(&mut self, policy: &Policy) -> Result<NodeId, CompileError> {
-        let id = match policy {
-            Policy::Filter(x) => self.translate_pred(x)?,
-            Policy::Modify(f, v) => self
-                .pool
-                .leaf(Leaf::single(Action::Modify(f.clone(), v.clone()))),
-            Policy::StateSet { var, index, value } => {
-                self.pool.leaf(Leaf::single(Action::StateSet {
-                    var: var.clone(),
-                    index: index.clone(),
-                    value: value.clone(),
-                }))
-            }
-            Policy::StateIncr { var, index } => self.pool.leaf(Leaf::single(Action::StateIncr {
-                var: var.clone(),
-                index: index.clone(),
-            })),
-            Policy::StateDecr { var, index } => self.pool.leaf(Leaf::single(Action::StateDecr {
-                var: var.clone(),
-                index: index.clone(),
-            })),
-            Policy::Par(_, _) if self.options.parallel => self.translate_par_spine(policy)?,
-            Policy::Par(p, q) => {
-                let dp = self.translate(p)?;
-                let dq = self.translate(q)?;
-                self.pool.union(dp, dq)
-            }
-            Policy::Seq(p, q) => {
-                let dp = self.translate(p)?;
-                let dq = self.translate(q)?;
-                self.pool.seq(dp, dq)?
-            }
-            Policy::If(a, p, q) => {
-                let da = self.translate_pred(a)?;
-                let dp = self.translate(p)?;
-                let dq = self.translate(q)?;
-                let then_side = self.pool.seq(da, dp)?;
-                let not_a = self.pool.negate(da);
-                let else_side = self.pool.seq(not_a, dq)?;
-                self.pool.union(then_side, else_side)
-            }
-            Policy::Atomic(p) => self.translate(p)?,
-        };
-        self.cache.insert(policy, id);
-        Ok(id)
-    }
-
-    fn translate_pred(&mut self, pred: &Pred) -> Result<NodeId, CompileError> {
-        pred_to_xfdd(pred, &mut self.pool)
-    }
-
-    /// Fan the operands of a (possibly nested) parallel composition out to
-    /// worker threads. Each uncached operand is translated into a *private*
-    /// pool — per-thread memo tables, no locking — then structurally
-    /// re-interned into the session pool and united left to right, exactly
-    /// as the sequential recursion would.
-    fn translate_par_spine(&mut self, policy: &Policy) -> Result<NodeId, CompileError> {
-        let ops = par_spine(policy);
-        let mut results: Vec<Option<NodeId>> = ops.iter().map(|q| self.lookup_counted(q)).collect();
-        let uncached: Vec<usize> = (0..ops.len()).filter(|i| results[*i].is_none()).collect();
-
-        if uncached.len() >= 2 {
-            let order = self.pool.order().clone();
-            // Bound concurrency at the machine's parallelism: a very wide
-            // composition is translated in waves rather than spawning one OS
-            // thread per operand.
-            let max_workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            for wave in uncached.chunks(max_workers) {
-                let translated: Vec<(usize, WorkerResult)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&i| {
-                            let op = ops[i];
-                            let order = order.clone();
-                            let handle = scope.spawn(move || {
-                                let mut pool = Pool::new(order);
-                                let root = to_xfdd(op, &mut pool)?;
-                                Ok((pool, root))
-                            });
-                            (i, handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(i, h)| (i, h.join().expect("translation worker panicked")))
-                        .collect()
-                });
-                for (i, result) in translated {
-                    let (worker_pool, worker_root) = result?;
-                    let imported = self.pool.import(&worker_pool, worker_root);
-                    self.cache.insert(ops[i], imported);
-                    results[i] = Some(imported);
-                    self.stats.parallel_translations.inc();
-                }
-            }
-        } else {
-            for i in uncached {
-                // The miss was already counted by the spine lookup above.
-                let id = self.translate_uncached(ops[i])?;
-                results[i] = Some(id);
-            }
-        }
-
-        let mut ids = results.into_iter().map(|r| r.expect("operand translated"));
-        let mut acc = ids.next().expect("parallel composition has operands");
-        for id in ids {
-            acc = self.pool.union(acc, id);
-        }
-        Ok(acc)
-    }
 }
 
-/// What a translation worker returns: its private pool and the root it
-/// translated, ready for import into the session pool.
-type WorkerResult = Result<(Pool, NodeId), CompileError>;
+/// The session's subtree memo as the translator sees it: the fingerprint
+/// cache, with every lookup counted as a hit or a miss.
+struct CountedCache<'a> {
+    cache: &'a mut TranslationCache,
+    hits: &'a Counter,
+    misses: &'a Counter,
+}
 
-/// The operands of a (possibly nested) parallel composition, left to right.
-fn par_spine(policy: &Policy) -> Vec<&Policy> {
-    fn walk<'a>(p: &'a Policy, out: &mut Vec<&'a Policy>) {
-        match p {
-            Policy::Par(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            other => out.push(other),
+impl SubtreeMemo for CountedCache<'_> {
+    fn lookup(&mut self, policy: &Policy) -> Option<NodeId> {
+        let hit = self.cache.lookup(policy);
+        match hit {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        hit
     }
-    let mut out = Vec::new();
-    walk(policy, &mut out);
-    out
+
+    fn insert(&mut self, policy: &Policy, id: NodeId) {
+        self.cache.insert(policy, id);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snap_apps as apps;
     use snap_core::Compiler;
     use snap_lang::builder::*;
@@ -998,7 +820,7 @@ mod tests {
         let compiler = campus_compiler();
         session.compile(&running_example(3)).unwrap();
         // Edit one subtree (the detection threshold) and recompile.
-        let incremental = session.update_policy(&running_example(5)).unwrap();
+        let incremental = session.compile(&running_example(5)).unwrap();
         let cold = compiler.compile(&running_example(5)).unwrap();
         assert_equivalent(&incremental, &cold);
         assert!(
@@ -1008,38 +830,49 @@ mod tests {
         assert_eq!(session.stats().placement_reuses, 1);
     }
 
+    // The memoised translation publishes what a cold one would: along an
+    // edit sequence through one warm session (thresholds repeat, so some
+    // steps are version hits; shapes differ in their variables, so some
+    // reset the pool), every version's frozen diagram is node for node the
+    // pool a cold `to_xfdd` of that version extracts to.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn edit_sequences_publish_the_cold_diagram_node_for_node(
+            edits in proptest::collection::vec((0usize..3, 1i64..5), 2..=6),
+        ) {
+            let mut session = campus_session();
+            for (shape, threshold) in edits {
+                let policy = match shape {
+                    0 => running_example(threshold),
+                    1 => apps::dns_tunnel_detect(threshold)
+                        .par(apps::port_monitoring())
+                        .seq(apps::assign_egress(6)),
+                    _ => apps::heavy_hitter_detection(threshold).seq(apps::assign_egress(6)),
+                };
+                let warm = session.compile(&policy).unwrap();
+                let mut pool = Pool::new(StateDependencies::analyze(&policy).var_order());
+                let root = snap_xfdd::to_xfdd(&policy, &mut pool).unwrap();
+                let (cold, cold_root) = pool.extract(root);
+                let published = warm.xfdd.pool();
+                prop_assert_eq!(published.order(), cold.order());
+                prop_assert_eq!((published.len(), warm.xfdd.root()), (cold.len(), cold_root));
+                for i in 0..cold.len() as u32 {
+                    prop_assert!(published.node(NodeId(i)) == cold.node(NodeId(i)), "node {}", i);
+                }
+            }
+        }
+    }
+
     #[test]
     fn recompiling_the_same_policy_adds_no_nodes() {
         let mut session = campus_session();
         session.compile(&running_example(3)).unwrap();
         let len = session.pool_len();
-        session.update_policy(&running_example(3)).unwrap();
+        session.compile(&running_example(3)).unwrap();
         assert_eq!(session.pool_len(), len, "identical recompile grew the pool");
         assert_eq!(session.epoch(), 2);
-    }
-
-    #[test]
-    fn parallel_translation_matches_sequential() {
-        let policy = Policy::par_all(vec![
-            apps::stateful_firewall(),
-            apps::port_monitoring(),
-            apps::heavy_hitter_detection(100),
-        ])
-        .seq(apps::assign_egress(6));
-
-        let mut sequential = campus_session();
-        let seq_result = sequential.compile(&policy).unwrap();
-
-        let mut parallel = campus_session().with_options(SessionOptions {
-            parallel: true,
-            solver: SolverChoice::Heuristic,
-            ..SessionOptions::default()
-        });
-        let par_result = parallel.compile(&policy).unwrap();
-
-        assert!(parallel.stats().parallel_translations >= 2);
-        assert_equivalent(&par_result, &seq_result);
-        assert!(par_result.xfdd.is_well_formed());
     }
 
     #[test]
@@ -1048,7 +881,7 @@ mod tests {
         // Many distinct policy versions: each leaves a superseded diagram
         // (plus composition intermediates) behind in the pool.
         for threshold in 1..=12 {
-            session.update_policy(&running_example(threshold)).unwrap();
+            session.compile(&running_example(threshold)).unwrap();
         }
         let before = session.pool_len();
         let report = session.compact_now();
@@ -1065,13 +898,13 @@ mod tests {
         // The session stays fully functional after GC: warm recompile of the
         // surviving generation, fresh compile of a new version, both correct.
         let len = session.pool_len();
-        session.update_policy(&running_example(12)).unwrap();
+        session.compile(&running_example(12)).unwrap();
         assert_eq!(
             session.pool_len(),
             len,
             "post-GC warm recompile grew the pool"
         );
-        let after_gc = session.update_policy(&running_example(99)).unwrap();
+        let after_gc = session.compile(&running_example(99)).unwrap();
         let cold = campus_compiler().compile(&running_example(99)).unwrap();
         assert_equivalent(&after_gc, &cold);
     }
@@ -1085,7 +918,7 @@ mod tests {
             ..SessionOptions::default()
         });
         for threshold in 1..=8 {
-            session.update_policy(&running_example(threshold)).unwrap();
+            session.compile(&running_example(threshold)).unwrap();
         }
         assert!(session.stats().gc_runs > 0, "auto-GC never ran");
         assert!(session.stats().nodes_reclaimed > 0);
@@ -1112,7 +945,7 @@ mod tests {
         assert_eq!(session.stats().order_resets, 0);
         // A policy over different state variables derives a different order.
         let other = apps::stateful_firewall().seq(apps::assign_egress(6));
-        let compiled = session.update_policy(&other).unwrap();
+        let compiled = session.compile(&other).unwrap();
         assert_eq!(session.stats().order_resets, 1);
         let cold = campus_compiler().compile(&other).unwrap();
         assert_eq!(compiled.mapping, cold.mapping);
@@ -1123,8 +956,8 @@ mod tests {
     fn version_flip_is_served_from_the_version_cache() {
         let mut session = campus_session();
         session.compile(&running_example(3)).unwrap(); // calm
-        session.update_policy(&running_example(8)).unwrap(); // attack
-        let flip = session.update_policy(&running_example(3)).unwrap(); // calm again
+        session.compile(&running_example(8)).unwrap(); // attack
+        let flip = session.compile(&running_example(3)).unwrap(); // calm again
         assert_eq!(session.stats().version_hits, 1);
         assert_eq!(session.epoch(), 3);
         let cold = campus_compiler().compile(&running_example(3)).unwrap();
@@ -1135,7 +968,7 @@ mod tests {
     fn version_cache_survives_a_traffic_update() {
         let mut session = campus_session();
         session.compile(&running_example(3)).unwrap(); // calm
-        session.update_policy(&running_example(8)).unwrap(); // attack
+        session.compile(&running_example(8)).unwrap(); // attack
         let topo = session.topology().clone();
         let shifted = TrafficMatrix::gravity(&topo, 900.0, 7);
         let rerouted = session.update_traffic(shifted.clone()).unwrap();
@@ -1145,7 +978,7 @@ mod tests {
         // not grow — and comes out placed under the *new* matrix, exactly as
         // a session that never saw the old one compiles it.
         let (len, misses) = (session.pool_len(), session.stats().subtree_misses);
-        let flip = session.update_policy(&running_example(3)).unwrap();
+        let flip = session.compile(&running_example(3)).unwrap();
         let stats = session.stats();
         assert_eq!(stats.version_hits, 1);
         assert_eq!((session.pool_len(), stats.subtree_misses), (len, misses));
@@ -1162,8 +995,8 @@ mod tests {
 
         // Flipping again is an ordinary hit on the re-stamped entry: the
         // very same compilation.
-        session.update_policy(&running_example(8)).unwrap();
-        let again = session.compile_shared(&running_example(3)).unwrap();
+        session.compile(&running_example(8)).unwrap();
+        let again = session.compile(&running_example(3)).unwrap();
         assert_eq!(session.stats().version_hits, 3);
         assert!(Arc::ptr_eq(
             &again.placement,
@@ -1177,11 +1010,11 @@ mod tests {
         let other = apps::port_monitoring().seq(apps::assign_egress(6));
         let mut session = campus_session();
         let first = session.compile(&other).unwrap();
-        session.update_policy(&running_example(3)).unwrap();
+        session.compile(&running_example(3)).unwrap();
         session
             .update_traffic(TrafficMatrix::gravity(session.topology(), 900.0, 7))
             .unwrap();
-        let flip = session.update_policy(&other).unwrap();
+        let flip = session.compile(&other).unwrap();
         assert_eq!(session.stats().version_hits, 1);
         assert_eq!(flip.placement.placement, first.placement.placement);
         let compiler = Compiler::new(
@@ -1201,12 +1034,12 @@ mod tests {
             ..SessionOptions::default()
         });
         for t in 1..=4 {
-            session.update_policy(&running_example(t)).unwrap();
+            session.compile(&running_example(t)).unwrap();
         }
         // Capacity 2: version 1 was evicted, 3 and 4 are resident.
-        session.update_policy(&running_example(1)).unwrap();
+        session.compile(&running_example(1)).unwrap();
         assert_eq!(session.stats().version_hits, 0);
-        session.update_policy(&running_example(4)).unwrap();
+        session.compile(&running_example(4)).unwrap();
         assert_eq!(session.stats().version_hits, 1);
 
         let mut off = campus_session().with_options(SessionOptions {
@@ -1215,7 +1048,7 @@ mod tests {
             ..SessionOptions::default()
         });
         off.compile(&running_example(1)).unwrap();
-        off.update_policy(&running_example(1)).unwrap();
+        off.compile(&running_example(1)).unwrap();
         assert_eq!(off.stats().version_hits, 0);
     }
 
@@ -1241,7 +1074,7 @@ mod tests {
 
         // A working-set edit keeps mapping and placement: the program
         // changes, no switch's metadata does.
-        session.update_policy(&running_example(5)).unwrap();
+        session.compile(&running_example(5)).unwrap();
         let edit = session.take_update().unwrap();
         assert!(!edit.changes.first);
         assert!(edit.changes.program_changed);
@@ -1252,7 +1085,7 @@ mod tests {
         // A version-cache flip back to the first compilation returns the
         // same compiled object, and it still counts as a program change —
         // the *running* program is the edit, not the rollback target.
-        session.update_policy(&running_example(3)).unwrap();
+        session.compile(&running_example(3)).unwrap();
         let flip = session.take_update().unwrap();
         assert!(Arc::ptr_eq(&flip.compiled, &first.compiled));
         assert!(flip.changes.program_changed);
@@ -1260,7 +1093,7 @@ mod tests {
 
         // Recompiling the same policy again (same object re-shipped) is the
         // case where nothing at all changed.
-        session.update_policy(&running_example(3)).unwrap();
+        session.compile(&running_example(3)).unwrap();
         let same = session.take_update().unwrap();
         assert!(Arc::ptr_eq(&same.compiled, &flip.compiled));
         assert!(!same.changes.program_changed);
@@ -1276,16 +1109,5 @@ mod tests {
         assert!(matches!(err, CompileError::StateRace { .. }));
         // The session survives a failed compile.
         assert!(session.compile(&running_example(3)).is_ok());
-    }
-
-    #[test]
-    fn racy_policy_is_rejected_in_parallel_mode_too() {
-        let mut session = campus_session().with_options(SessionOptions {
-            parallel: true,
-            solver: SolverChoice::Heuristic,
-            ..SessionOptions::default()
-        });
-        let racy = state_set("s", vec![int(0)], int(1)).par(state_set("s", vec![int(0)], int(2)));
-        assert!(session.compile(&racy).is_err());
     }
 }

@@ -1,15 +1,12 @@
 //! Pool-to-pool import: structural re-interning of a diagram from one arena
 //! into another.
 //!
-//! Parallel per-policy compilation translates the operands of a parallel
-//! composition into *private* per-thread pools — no locking, private memo
-//! tables — and then merges them into the session pool; a session publishes
-//! a finished diagram by extracting it into a minimal pool of its own; the
-//! controller imports that into its distribution pool. Each is a bottom-up
-//! walk of the source diagram that re-interns every node in the
-//! destination, threading a `NodeId` remap table; structurally equal nodes
-//! therefore collapse onto the destination's existing ids, and importing
-//! the same diagram twice is a no-op returning the same root.
+//! A session publishes a finished diagram by extracting it into a minimal
+//! pool of its own; the controller imports that into its distribution pool.
+//! Each is a bottom-up walk of the source diagram that re-interns every
+//! node in the destination, threading a `NodeId` remap table; structurally
+//! equal nodes therefore collapse onto the destination's existing ids, and
+//! importing the same diagram twice is a no-op returning the same root.
 //!
 //! Payloads are shared handles ([`crate::Shared`]); what a pool owns is
 //! numbering and memo tables. Import therefore never copies or re-hashes a

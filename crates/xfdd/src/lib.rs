@@ -33,10 +33,11 @@
 //! * state dependency analysis ([`StateDependencies`]) and the derived
 //!   state-variable order ([`VarOrder`]),
 //! * the machinery for long-lived compilation sessions: pool-to-pool import
-//!   ([`Pool::import`]) for merging per-thread translation pools, a
+//!   ([`Pool::import`]) into the append-only distribution pool, a
 //!   mark-from-roots compactor ([`Pool::compact`]) bounding arena growth,
-//!   and a serde-free wire format for frozen diagrams ([`encode_diagram`] /
-//!   [`decode_diagram`]),
+//!   and the one wire payload for programs — a node-table suffix
+//!   ([`encode_delta`] / [`apply_delta`]), a full table being the delta from
+//!   a fresh pool,
 //! * a two-stage dataplane lowering: the flat struct-of-arrays program
 //!   ([`FlatProgram`] — the reachable subgraph renumbered densely
 //!   child-first, so per-packet evaluation is index arithmetic instead of
@@ -95,8 +96,5 @@ pub use pool::{CtxId, Node, NodeId, Pool};
 pub use shared::{Hashed, Shared};
 pub use tables::{Lookup, TableProgram, TableStats};
 pub use test::{Test, VarOrder};
-pub use translate::{compile, pred_to_xfdd, to_xfdd};
-pub use wire::{
-    apply_delta, decode_delta_fresh, decode_diagram, decode_into, encode_delta, encode_diagram,
-    WireError,
-};
+pub use translate::{compile, to_xfdd, translate_with, SubtreeMemo};
+pub use wire::{apply_delta, decode_delta_fresh, encode_delta, WireError};

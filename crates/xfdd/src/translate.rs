@@ -1,5 +1,7 @@
 //! Translation from SNAP policies to xFDDs (Figure 6's `to-xfdd`), building
-//! into a hash-consed [`Pool`].
+//! into a hash-consed [`Pool`]. The recursion lives here once: a cold
+//! compile runs it with no memo, a long-lived session with its subtree
+//! cache behind the same [`SubtreeMemo`] hook.
 
 use crate::action::{Action, Leaf};
 use crate::deps::StateDependencies;
@@ -9,19 +11,33 @@ use crate::pool::{NodeId, Pool};
 use crate::test::Test;
 use snap_lang::{Policy, Pred};
 
+/// What [`translate_with`] remembers between translations: consulted at
+/// every `Policy` node (never at a `Pred`) before translating it, and told
+/// the result of each one it did translate. The diagrams live in the pool
+/// the translation builds into, so a memo is only sound for that pool.
+pub trait SubtreeMemo {
+    /// The diagram `policy` translated to earlier, if remembered.
+    fn lookup(&mut self, policy: &Policy) -> Option<NodeId>;
+    /// `policy` was just translated to `id`.
+    fn insert(&mut self, policy: &Policy, id: NodeId);
+}
+
+/// Remembers nothing: every subtree is translated.
+impl SubtreeMemo for () {
+    fn lookup(&mut self, _: &Policy) -> Option<NodeId> {
+        None
+    }
+    fn insert(&mut self, _: &Policy, _: NodeId) {}
+}
+
 /// Translate a policy into the pool and reject programs whose diagram
 /// contains a leaf with parallel writes to the same state variable (a race).
 pub fn to_xfdd(policy: &Policy, pool: &mut Pool) -> Result<NodeId, CompileError> {
-    let d = build_policy(policy, pool)?;
+    let d = translate_with(policy, pool, &mut ())?;
     if let Some(var) = pool.find_race(d) {
         return Err(CompileError::StateRace { var });
     }
     Ok(d)
-}
-
-/// Translate a predicate to a (pass/drop) diagram in the pool.
-pub fn pred_to_xfdd(pred: &Pred, pool: &mut Pool) -> Result<NodeId, CompileError> {
-    build_pred(pred, pool)
 }
 
 /// Convenience entry point: analyze state dependencies, build a fresh pool
@@ -34,44 +50,55 @@ pub fn compile(policy: &Policy) -> Result<Xfdd, CompileError> {
     Ok(Xfdd::new(pool, root))
 }
 
-fn build_policy(policy: &Policy, pool: &mut Pool) -> Result<NodeId, CompileError> {
-    match policy {
-        Policy::Filter(x) => build_pred(x, pool),
-        Policy::Modify(f, v) => Ok(pool.leaf(Leaf::single(Action::Modify(f.clone(), v.clone())))),
-        Policy::StateSet { var, index, value } => Ok(pool.leaf(Leaf::single(Action::StateSet {
+/// Figure 6's recursion through `memo`, without the race check (callers
+/// that time their phases run [`Pool::find_race`] themselves).
+pub fn translate_with(
+    policy: &Policy,
+    pool: &mut Pool,
+    memo: &mut impl SubtreeMemo,
+) -> Result<NodeId, CompileError> {
+    if let Some(id) = memo.lookup(policy) {
+        return Ok(id);
+    }
+    let id = match policy {
+        Policy::Filter(x) => build_pred(x, pool)?,
+        Policy::Modify(f, v) => pool.leaf(Leaf::single(Action::Modify(f.clone(), v.clone()))),
+        Policy::StateSet { var, index, value } => pool.leaf(Leaf::single(Action::StateSet {
             var: var.clone(),
             index: index.clone(),
             value: value.clone(),
-        }))),
-        Policy::StateIncr { var, index } => Ok(pool.leaf(Leaf::single(Action::StateIncr {
+        })),
+        Policy::StateIncr { var, index } => pool.leaf(Leaf::single(Action::StateIncr {
             var: var.clone(),
             index: index.clone(),
-        }))),
-        Policy::StateDecr { var, index } => Ok(pool.leaf(Leaf::single(Action::StateDecr {
+        })),
+        Policy::StateDecr { var, index } => pool.leaf(Leaf::single(Action::StateDecr {
             var: var.clone(),
             index: index.clone(),
-        }))),
+        })),
         Policy::Par(p, q) => {
-            let dp = build_policy(p, pool)?;
-            let dq = build_policy(q, pool)?;
-            Ok(pool.union(dp, dq))
+            let dp = translate_with(p, pool, memo)?;
+            let dq = translate_with(q, pool, memo)?;
+            pool.union(dp, dq)
         }
         Policy::Seq(p, q) => {
-            let dp = build_policy(p, pool)?;
-            let dq = build_policy(q, pool)?;
-            pool.seq(dp, dq)
+            let dp = translate_with(p, pool, memo)?;
+            let dq = translate_with(q, pool, memo)?;
+            pool.seq(dp, dq)?
         }
         Policy::If(a, p, q) => {
             let da = build_pred(a, pool)?;
-            let dp = build_policy(p, pool)?;
-            let dq = build_policy(q, pool)?;
+            let dp = translate_with(p, pool, memo)?;
+            let dq = translate_with(q, pool, memo)?;
             let then_side = pool.seq(da, dp)?;
             let not_a = pool.negate(da);
             let else_side = pool.seq(not_a, dq)?;
-            Ok(pool.union(then_side, else_side))
+            pool.union(then_side, else_side)
         }
-        Policy::Atomic(p) => build_policy(p, pool),
-    }
+        Policy::Atomic(p) => translate_with(p, pool, memo)?,
+    };
+    memo.insert(policy, id);
+    Ok(id)
 }
 
 fn build_pred(pred: &Pred, pool: &mut Pool) -> Result<NodeId, CompileError> {

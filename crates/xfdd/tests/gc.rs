@@ -9,10 +9,7 @@
 
 use proptest::prelude::*;
 use snap_lang::{Expr, Field, Packet, Policy, Pred, StateVar, Store, Value};
-use snap_xfdd::{
-    encode_delta, encode_diagram, to_xfdd, Hashed, Leaf, Node, NodeId, Pool, StateDependencies,
-    Test,
-};
+use snap_xfdd::{encode_delta, to_xfdd, Hashed, Leaf, Node, NodeId, Pool, StateDependencies, Test};
 use std::collections::HashMap;
 
 const FIELDS: [Field; 5] = [
@@ -177,12 +174,13 @@ fn assert_same_pool(
         "table after {}",
         step
     );
-    prop_assert_eq!(
-        encode_diagram(a, ra),
-        encode_diagram(b, rb),
-        "diagram after {}",
-        step
-    );
+    // The canonical form: only what the root reaches, renumbered by
+    // extraction, as the full-table payload of that minimal pool.
+    let canonical = |pool: &Pool, root| {
+        let (minimal, root) = pool.extract(root);
+        encode_delta(&minimal, fresh, root)
+    };
+    prop_assert_eq!(canonical(a, ra), canonical(b, rb), "diagram after {}", step);
     Ok(())
 }
 
@@ -328,15 +326,16 @@ proptest! {
             Ok(r) => r,
             Err(_) => return Ok(()),
         };
-        let bytes = snap_xfdd::encode_diagram(&pool, root);
-        let (decoded, droot) = snap_xfdd::decode_diagram(&bytes).expect("roundtrip decode");
+        let fresh = Pool::new(pool.order().clone()).len();
+        let bytes = encode_delta(&pool, fresh, root);
+        let (decoded, droot) = snap_xfdd::decode_delta_fresh(&bytes).expect("roundtrip decode");
         prop_assert_eq!(decoded.order(), pool.order());
-        prop_assert_eq!(decoded.size(droot), pool.size(root));
+        prop_assert_eq!((decoded.len(), droot), (pool.len(), root));
         prop_assert_eq!(decoded.debug(droot), pool.debug(root));
-        // Decoding back into the original pool re-interns onto the root.
+        // Importing the decoded table back into the original pool
+        // re-interns onto the root.
         let len = pool.len();
-        let again = snap_xfdd::decode_into(&bytes, &mut pool).expect("decode into source pool");
-        prop_assert_eq!(again, root);
+        prop_assert_eq!(pool.import(&decoded, droot), root);
         prop_assert_eq!(pool.len(), len);
     }
 }

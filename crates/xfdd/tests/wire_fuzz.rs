@@ -1,15 +1,17 @@
 //! Robustness of the wire-format decoder against malformed input: for valid
 //! encodings of representative diagrams, every truncation must decode to an
-//! error (never a panic), and arbitrary bit flips must either decode to an
-//! error or to a *well-defined* diagram the pool accepts — the decoder is
-//! fed controller→switch bytes and must never take a switch down.
+//! error (never a panic), arbitrary bit flips must either decode to an
+//! error or to a *well-defined* diagram the pool accepts, and crafted
+//! nesting or lengths must fail before they cost stack or memory — the
+//! decoder is fed controller→switch bytes and must never take a switch down.
 
 use proptest::prelude::*;
 use snap_lang::builder::*;
+use snap_lang::codec::{CodecError, Writer};
 use snap_lang::{Field, Policy, Value};
 use snap_xfdd::{
-    apply_delta, decode_delta_fresh, decode_diagram, encode_delta, encode_diagram, to_xfdd, NodeId,
-    Pool, StateDependencies, VarOrder,
+    apply_delta, decode_delta_fresh, encode_delta, to_xfdd, Mirror, NodeId, Pool,
+    StateDependencies, VarOrder,
 };
 
 /// Representative policies covering every encoded shape: all three test
@@ -46,14 +48,16 @@ fn corpus() -> Vec<Policy> {
     ]
 }
 
+/// The corpus as full-table payloads (deltas from a fresh pool).
 fn encodings() -> Vec<Vec<u8>> {
     corpus()
         .iter()
         .map(|policy| {
             let deps = StateDependencies::analyze(policy);
+            let fresh_len = Pool::new(deps.var_order()).len();
             let mut pool = Pool::new(deps.var_order());
             let root = to_xfdd(policy, &mut pool).unwrap();
-            encode_diagram(&pool, root)
+            encode_delta(&pool, fresh_len, root)
         })
         .collect()
 }
@@ -206,7 +210,7 @@ proptest! {
         // Any strict prefix is a decode error — a prefix can never look
         // complete because the trailing root id is mandatory.
         let cut = cut % bytes.len();
-        prop_assert!(decode_diagram(&bytes[..cut]).is_err());
+        prop_assert!(decode_delta_fresh(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -221,7 +225,7 @@ proptest! {
         // A flipped bit may still be a structurally valid diagram (e.g. a
         // flipped payload byte inside an integer value); what it must never
         // do is panic or produce a diagram the pool itself rejects.
-        if let Ok((pool, root)) = decode_diagram(&bytes) {
+        if let Ok((pool, root)) = decode_delta_fresh(&bytes) {
             prop_assert!(root.index() < pool.len());
             // The decoded diagram is a real, traversable pool citizen.
             prop_assert!(pool.size(root) >= 1);
@@ -239,8 +243,132 @@ proptest! {
         let len = bytes.len();
         bytes[a % len] = byte;
         bytes[b % len] = byte.wrapping_mul(31).wrapping_add(7);
-        if let Ok((pool, root)) = decode_diagram(&bytes) {
+        if let Ok((pool, root)) = decode_delta_fresh(&bytes) {
             prop_assert!(root.index() < pool.len());
+        }
+    }
+}
+
+/// A one-node full-table payload over the empty variable order whose node
+/// is whatever `node` writes — the header and framing of a real payload
+/// around a crafted body.
+fn crafted(node: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(b"XFDD");
+    w.u16(2);
+    w.u8(1);
+    w.u32(0); // no state variables
+    w.u32(Pool::new(VarOrder::empty()).len() as u32); // base: a fresh pool
+    w.u32(1); // one node
+    node(&mut w);
+    w.u32(0); // root
+    w.into_bytes()
+}
+
+/// A branch node up to the name its test starts with (`test_tag` 0: a field
+/// test's field, 2: a state test's variable).
+fn branch(w: &mut Writer, test_tag: u8, name: &str) {
+    w.u8(1);
+    w.u8(test_tag);
+    w.str(name);
+}
+
+/// `levels` one-element tuples (values: tag 6, expressions: tag 2).
+fn nest(w: &mut Writer, tag: u8, levels: usize) {
+    for _ in 0..levels {
+        w.u8(tag);
+        w.u32(1);
+    }
+}
+
+// Crafted nesting and lengths fail before they cost stack or memory. A
+// megabyte of nesting is far inside the 64 MiB frame cap; a decoder that
+// recurses once per level dies of stack overflow on it — an abort, not a
+// panic, so nothing upstream could catch it. And a length is believed only
+// as far as the bytes behind it go: nothing is allocated, looped over or
+// sliced for a count the input cannot hold.
+#[test]
+fn hostile_nesting_and_lengths_fail_and_do_not_abort() {
+    const LEVELS: usize = 200_000;
+    let int = Value::Int(0);
+    let cases = [
+        // 200 000 levels in a value ...
+        (
+            CodecError::TooDeep,
+            crafted(|w| {
+                branch(w, 0, "srcport");
+                nest(w, 6, LEVELS);
+                w.value(&int);
+            }),
+        ),
+        // ... in an index expression ...
+        (
+            CodecError::TooDeep,
+            crafted(|w| {
+                branch(w, 2, "s");
+                w.u32(1);
+                nest(w, 2, LEVELS);
+                w.u8(0);
+                w.value(&int);
+            }),
+        ),
+        // ... and in a state test's value, tuple expressions around tuple
+        // values: one cap covers both together.
+        (
+            CodecError::TooDeep,
+            crafted(|w| {
+                branch(w, 2, "s");
+                w.u32(0);
+                nest(w, 2, LEVELS / 2);
+                w.u8(0);
+                nest(w, 6, LEVELS / 2);
+                w.value(&int);
+            }),
+        ),
+        // A node count, a string length and a tuple length past the input.
+        (CodecError::BadLength, {
+            let mut bytes = crafted(|_| {});
+            let count = bytes.len() - 8;
+            bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            bytes
+        }),
+        (
+            CodecError::BadLength,
+            crafted(|w| {
+                w.u8(1);
+                w.u8(0);
+                w.u32(u32::MAX);
+                w.raw(b"srcport");
+            }),
+        ),
+        (
+            CodecError::BadLength,
+            crafted(|w| {
+                branch(w, 0, "srcport");
+                w.u8(6);
+                w.u32(u32::MAX);
+                w.value(&int);
+            }),
+        ),
+    ];
+    // Every way a program payload reaches a pool, each on a receiver in the
+    // state the payload was cut for.
+    let fresh = Pool::new(VarOrder::empty());
+    let empty = encode_delta(&fresh, fresh.len(), fresh.drop());
+    let (mut mirror, _) = Mirror::decode_fresh(&empty).unwrap();
+    for (i, (want, bytes)) in cases.iter().enumerate() {
+        let results = [
+            apply_delta(bytes, &mut fresh.clone()),
+            decode_delta_fresh(bytes).map(|(_, root)| root),
+            mirror.apply_delta(bytes),
+            Mirror::decode_fresh(bytes).map(|(_, root)| root),
+        ];
+        for (entry, result) in results.into_iter().enumerate() {
+            assert_eq!(
+                result,
+                Err(want.clone().into()),
+                "payload {i}, entry {entry}"
+            );
         }
     }
 }

@@ -361,10 +361,9 @@ mod tests {
         assert_eq!(err, InjectError::Sim(SimError::HopBudgetExceeded));
 
         // The default budget routes the same packet fine.
-        let mut fleet = Fleet::campus(&policy, "D4");
+        let fleet = Fleet::campus(&policy, "D4");
         assert_eq!(fleet.network.hop_budget(), DEFAULT_HOP_BUDGET);
-        let plane = Arc::get_mut(&mut fleet.network).expect("not shared yet");
-        plane.set_hop_budget(64);
+        let fleet = fleet.with_plane(|n| n.with_hop_budget(64));
         assert_eq!(fleet.network.hop_budget(), 64);
         assert_eq!(inject(&fleet, 1, &pkt).unwrap().len(), 1);
     }

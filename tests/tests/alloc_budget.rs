@@ -251,7 +251,7 @@ fn pipeline(threshold: i64, ports: usize) -> Policy {
 }
 
 /// Blocks requested by each of a run of novel single-threshold edits —
-/// `compile_shared` + `take_update`, the controller's half of an update —
+/// `compile` + `take_update`, the controller's half of an update —
 /// on a session warmed over the five-app pipeline.
 fn novel_edit_blocks() -> Vec<u64> {
     let topology = igen_topology(SWITCHES, 7);
@@ -261,14 +261,14 @@ fn novel_edit_blocks() -> Vec<u64> {
     // Warm: the working set a benchmark fleet starts from, shipped.
     for threshold in 0..6 {
         session
-            .compile_shared(&pipeline(1_000_000 + threshold, ports))
+            .compile(&pipeline(1_000_000 + threshold, ports))
             .expect("the pipeline compiles");
         session.take_update().expect("a compile yields an update");
     }
     let edit = |threshold: i64| {
         let policy = pipeline(2_000_000 + threshold, ports);
         let (update, blocks) = blocks_requested(|| {
-            session.compile_shared(&policy).expect("the edit compiles");
+            session.compile(&policy).expect("the edit compiles");
             session.take_update().expect("a compile yields an update")
         });
         assert!(update.changes.program_changed && !update.changes.placement_changed);

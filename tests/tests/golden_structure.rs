@@ -18,7 +18,7 @@ use snap_lang::builder::*;
 use snap_lang::{Field, Policy};
 use snap_topology::generators::{self, presets};
 use snap_topology::{Topology, TrafficMatrix};
-use snap_xfdd::{encode_delta, encode_diagram, Pool};
+use snap_xfdd::{encode_delta, Pool};
 
 /// The benchmark's scenario constants (`benchmark/src/scenario.rs`).
 const SCENARIO_SEED: u64 = 7;
@@ -94,8 +94,6 @@ struct Structure {
     pool_len: usize,
     /// `encode_delta` from a fresh pool: the full-table resync payload.
     full_table_bytes: usize,
-    /// `encode_diagram`: the reachable-only payload.
-    diagram_bytes: usize,
     /// `var@switch` for every placed variable, in variable order.
     placement: String,
     num_paths: usize,
@@ -125,7 +123,6 @@ fn structure(compiled: &Compiled) -> Structure {
         xfdd_size: compiled.xfdd.size(),
         pool_len: pool.len(),
         full_table_bytes: encode_delta(pool, fresh_len, compiled.xfdd.root()).len(),
-        diagram_bytes: encode_diagram(pool, compiled.xfdd.root()).len(),
         placement: compiled
             .placement
             .placement
@@ -147,7 +144,6 @@ fn recorded(
     xfdd_size: usize,
     pool_len: usize,
     full_table_bytes: usize,
-    diagram_bytes: usize,
     placement: &str,
     num_paths: usize,
     paths_hash: u64,
@@ -158,7 +154,6 @@ fn recorded(
         xfdd_size,
         pool_len,
         full_table_bytes,
-        diagram_bytes,
         placement: placement.to_string(),
         num_paths,
         paths_hash,
@@ -172,28 +167,28 @@ fn recorded(
 #[rustfmt::skip]
 fn golden() -> Vec<(&'static str, Structure)> {
     vec![
-        recorded("stanford-like", 763, 4863, 137772, 22696,
+        recorded("stanford-like", 763, 4863, 137772,
             "blacklist@15 orphan@15 susp-client@15",
             306, 6757319948120645210, 4629112505265746333, 4607226969432483168),
-        recorded("berkeley-like", 763, 4863, 137772, 22696,
+        recorded("berkeley-like", 763, 4863, 137772,
             "blacklist@5 orphan@5 susp-client@5",
             306, 6576892437614514593, 4628515476080359480, 4606142819010179170),
-        recorded("purdue-like", 9943, 55506, 1528134, 275605,
+        recorded("purdue-like", 9943, 55506, 1528134,
             "blacklist@35 orphan@35 susp-client@35",
             4692, 1540707858397664635, 4633127038822951943, 4607493969575461906),
-        recorded("AS1755-like", 7815, 43950, 1211826, 217357,
+        recorded("AS1755-like", 7815, 43950, 1211826,
             "blacklist@39 orphan@39 susp-client@39",
             3660, 17564414940345727498, 4630582367691417512, 4600767440349143576),
-        recorded("AS1221-like", 11103, 61788, 1699992, 307321,
+        recorded("AS1221-like", 11103, 61788, 1699992,
             "blacklist@5 orphan@5 susp-client@5",
             5256, 2259536772791123838, 4631746041442639870, 4606774062237358336),
-        recorded("AS6461-like", 19407, 106536, 2922996, 533905,
+        recorded("AS6461-like", 19407, 106536, 2922996,
             "blacklist@86 orphan@86 susp-client@86",
             9312, 2134586477017535818, 4629823847277590125, 4595955746412510126),
-        recorded("AS3257-like", 26223, 143088, 3921052, 719521,
+        recorded("AS3257-like", 26223, 143088, 3921052,
             "blacklist@106 orphan@106 susp-client@106",
             12656, 13178482687581789531, 4630854922545851154, 4598510615018017386),
-        recorded("igen-50 x 20 apps", 222, 25673, 1381134, 17688,
+        recorded("igen-50 x 20 apps", 222, 25673, 1381134,
             "MTA-dir@31 active-session@1 benign-request@5 blacklist@1 count@15 dep-count@45 \
              domain-ip-pair@12 established@32 flow-size@4 flow-type@4 ftp-data-chan@37 \
              heavy-hitter@38 hh-counter@38 ip-domain-pair@18 kindle@19 large-sampler@4 \
@@ -202,7 +197,7 @@ fn golden() -> Vec<(&'static str, Structure)> {
              small-sampler@43 spreader@39 super-spreader@39 susp-client@25 syn-count@49 \
              syn-flooder@49 tcp-state@3 ttl-change@23 udp-counter@13 udp-flooder@13",
             1190, 7771265229571983993, 4630368980509601822, 4607524625327727578),
-        recorded("igen-50 x 5 apps", 791, 10154, 432127, 65440,
+        recorded("igen-50 x 5 apps", 791, 10154, 432127,
             "blacklist@31 count@1 established@1 heavy-hitter@1 hh-counter@1 orphan@1 susp-client@1",
             1190, 7840958144510730405, 4632044923838492837, 4614841816093317700),
     ]

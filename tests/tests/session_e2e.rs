@@ -9,7 +9,7 @@ use snap_lang::prelude::*;
 use snap_session::{CompilerSession, SessionOptions};
 use snap_topology::generators::campus;
 use snap_topology::{PortId, TrafficMatrix};
-use snap_xfdd::{decode_diagram, encode_diagram};
+use snap_xfdd::{decode_delta_fresh, encode_delta, Pool};
 use std::collections::BTreeSet;
 
 fn running_example(threshold: i64) -> Policy {
@@ -111,16 +111,19 @@ fn program_distribution_over_the_wire_preserves_semantics() {
     let mut session =
         CompilerSession::new(topo, tm).with_solver(snap_core::SolverChoice::Heuristic);
     let compiled = session.compile(&running_example(3)).unwrap();
-    let bytes = encode_diagram(compiled.xfdd.pool(), compiled.xfdd.root());
+    let frozen = compiled.xfdd.pool();
+    let fresh_len = Pool::new(frozen.order().clone()).len();
+    let bytes = encode_delta(frozen, fresh_len, compiled.xfdd.root());
 
     // Switch side: decode into a fresh arena and execute.
-    let (pool, root) = decode_diagram(&bytes).unwrap();
+    let (pool, root) = decode_delta_fresh(&bytes).unwrap();
     let store = Store::new();
     let pkt = dns_packet(&Value::ip(10, 0, 6, 9), Value::ip(1, 2, 3, 4));
     assert_eq!(
         pool.evaluate(root, &pkt, &store).unwrap(),
         compiled.xfdd.evaluate(&pkt, &store).unwrap()
     );
-    // The decoded arena is exactly the reachable part of the original.
+    // The decoded arena is the frozen one, node for node.
+    assert_eq!((pool.len(), root), (frozen.len(), compiled.xfdd.root()));
     assert_eq!(pool.size(root), compiled.xfdd.size());
 }
