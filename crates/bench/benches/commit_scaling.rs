@@ -22,10 +22,12 @@
 //! Next to the flip sweep runs a **novel edit** leg: the benchmark of
 //! record's `edit-churn` scenario (igen-50, the five-application pipeline,
 //! one detection-threshold edit per commit, zero RTT), printing the fleet's
-//! prepare/commit wall-clock and what one agent's prepare splits into —
-//! delta apply, flatten, table compile — replayed on a mirror of the same
-//! deltas, against what flattening cost when every prepare lowered the
-//! whole program again. Printed only; `BENCH_commit.json` is unchanged.
+//! prepare/commit wall-clock, what one agent's prepare splits into — delta
+//! apply with the lowering of its new nodes, slot binding, and the view —
+//! replayed on a mirror of the same deltas, against lowering the whole
+//! program in one go, and what a prepare costs a fleet of standalone agents
+//! driven one after another through `SwitchAgent::handle`. Printed only;
+//! `BENCH_commit.json` is unchanged.
 //!
 //! Set `SNAP_BENCH_SMOKE=1` (as CI does) for a reduced sweep (12/48
 //! agents) that keeps every path exercised.
@@ -34,14 +36,17 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snap_apps as apps;
 use snap_bench::{five_app_pipeline, scaled_igen};
 use snap_core::SolverChoice;
+use snap_dataplane::{bind_slots, StateShards, DEFAULT_STATE_SHARDS};
 use snap_distrib::{
     deploy_in_process_custom, deploy_tcp, DeployOptions, DistribOptions, InProcessDeployment,
+    PrepareMsg, SwitchAgent, SwitchMeta, ToAgent,
 };
-use snap_lang::Policy;
+use snap_lang::{Policy, StateVar};
 use snap_session::CompilerSession;
 use snap_topology::generators::igen_topology;
-use snap_topology::TrafficMatrix;
+use snap_topology::{NodeId as SwitchId, TrafficMatrix};
 use snap_xfdd::{encode_delta, FlatProgram, Mirror, Pool, TableProgram};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -171,14 +176,15 @@ fn measure_overlap(deployment: &mut InProcessDeployment, rounds: usize) -> u64 {
     overlap.as_micros() as u64
 }
 
-fn median_us(samples: &mut [Duration]) -> u128 {
+/// The median, in µs to a tenth.
+fn median_us(samples: &mut [Duration]) -> String {
     samples.sort_unstable();
-    samples[samples.len() / 2].as_micros()
+    format!("{:.1}", samples[samples.len() / 2].as_secs_f64() * 1e6)
 }
 
 /// The novel-edit leg (see the module docs): every commit ships a program
-/// no agent has seen, so every agent applies a delta, flattens and compiles
-/// tables — the work a flip answers from its flatten cache.
+/// no agent has seen, so every agent applies a delta and lowers its new
+/// nodes — the work a flip skips, its root being in every mirror already.
 fn novel_edit_summary() {
     let (switches, edits) = if smoke() { (12, 3) } else { (50, 24) };
     let (topo, tm) = scaled_igen(switches, 10_000.0, 7);
@@ -192,16 +198,42 @@ fn novel_edit_summary() {
         .unwrap();
 
     // One agent's prepare, replayed: the same compilations imported into a
-    // private distribution pool, its suffix deltas applied to one mirror.
+    // private distribution pool, its suffix deltas applied to one mirror,
+    // every variable bound as this switch's own.
     let first = deployment.controller.session().current_shared().unwrap();
+    let placement = first.placement.placement.clone();
+    let local_vars: BTreeSet<StateVar> = placement.keys().cloned().collect();
+    let store = StateShards::new(DEFAULT_STATE_SHARDS);
     let mut dist = Pool::new(first.xfdd.pool().order().clone());
     let fresh_len = dist.len();
     let root = dist.import(first.xfdd.pool(), first.xfdd.root());
-    let (mut mirror, _) = Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).unwrap();
+    let full = encode_delta(&dist, fresh_len, root);
+    let (mut mirror, _) = Mirror::decode_fresh(&full).unwrap();
+
+    // The fleet, standalone: agents handed the same messages in turn.
+    let agents: Vec<SwitchAgent> = (0..switches)
+        .map(|i| SwitchAgent::new(SwitchId(i), format!("s{i}"), [], 64))
+        .collect();
+    let message = |epoch: u64, resync: bool, delta: &[u8]| {
+        ToAgent::Prepare(Box::new(PrepareMsg {
+            epoch,
+            resync,
+            delta: delta.to_vec(),
+            meta: resync.then(|| SwitchMeta {
+                local_vars: local_vars.clone(),
+                ports: Default::default(),
+            }),
+            placement: resync.then(|| placement.clone()),
+        }))
+    };
+    for agent in &agents {
+        agent.handle(message(1, true, &full));
+        agent.handle(ToAgent::Commit { epoch: 1 });
+    }
 
     let (mut prepare, mut commit) = (Vec::new(), Vec::new());
-    let (mut apply, mut flatten, mut tables, mut relower) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut apply, mut bind, mut view, mut relower, mut fleet) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let (mut nodes, mut new_nodes, mut delta_bytes) = (0, 0, 0);
     for edit in 1..=edits {
         let policy = five_app_pipeline(ports, threshold(edit));
@@ -220,14 +252,29 @@ fn novel_edit_summary() {
         apply.push(t.elapsed());
         let t = Instant::now();
         let flat = mirror.flatten(applied);
-        flatten.push(t.elapsed());
-        let t = Instant::now();
         black_box(TableProgram::compile(&flat));
-        tables.push(t.elapsed());
+        view.push(t.elapsed());
+        let t = Instant::now();
+        black_box(bind_slots(&flat, &local_vars, &placement, &store));
+        bind.push(t.elapsed());
         let t = Instant::now();
         black_box(FlatProgram::from_pool(mirror.pool(), applied));
         relower.push(t.elapsed());
         nodes = flat.num_nodes();
+
+        let epoch = edit as u64 + 1;
+        let messages: Vec<ToAgent> = agents
+            .iter()
+            .map(|_| message(epoch, false, &delta))
+            .collect();
+        let t = Instant::now();
+        for (agent, message) in agents.iter().zip(messages) {
+            black_box(agent.handle(message));
+        }
+        fleet.push(t.elapsed() / switches as u32);
+        for agent in &agents {
+            agent.handle(ToAgent::Commit { epoch });
+        }
     }
     deployment.shutdown();
     println!(
@@ -239,12 +286,16 @@ fn novel_edit_summary() {
         median_us(&mut commit),
     );
     println!(
-        "    one agent's prepare: apply {} µs + flatten {} µs + table compile {} µs \
-         (flatten with every node lowered again: {} µs)",
+        "    one agent's prepare: apply + lower {} µs + bind {} µs + view {} µs \
+         (lowering the whole program in one go: {} µs)",
         median_us(&mut apply),
-        median_us(&mut flatten),
-        median_us(&mut tables),
+        median_us(&mut bind),
+        median_us(&mut view),
         median_us(&mut relower),
+    );
+    println!(
+        "    {switches} standalone agents prepared in turn through `handle`: {} µs per agent",
+        median_us(&mut fleet),
     );
 }
 

@@ -89,9 +89,10 @@ use snap_xfdd::{FlatId, FlatProgram, TableProgram};
 pub trait HopView {
     /// The flattened program this view executes.
     fn flat(&self) -> &FlatProgram;
-    /// The table compilation of [`HopView::flat`] (same program, dispatch
-    /// stages over the same flat ids). Rebuilt wherever the flat program
-    /// is — in each agent's *prepare* — never shipped on the wire.
+    /// The dispatch view of [`HopView::flat`] (same program, dispatch
+    /// stages over the same flat ids). Made wherever the flat program is —
+    /// in each agent's *prepare*, from its own lowered mirror — never
+    /// shipped on the wire.
     fn tables(&self) -> &TableProgram;
     /// Where each state variable of [`HopView::flat`] lives under this
     /// view, indexed by the program's variable slots

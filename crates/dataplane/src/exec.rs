@@ -2,7 +2,7 @@
 //! ([`crate::driver`]).
 //!
 //! Every switch executes packets the same way: resolve the stateless spans
-//! of the dense [`FlatProgram`] through its table compilation
+//! of the [`FlatProgram`] through its dispatch view
 //! ([`TableProgram`] — one field load and one indexed lookup per collapsed
 //! test run), pause at state the local switch does not own, fork at
 //! parallel leaves, and emit towards an egress port. The driver owns the
@@ -396,7 +396,7 @@ impl From<EvalError> for SimError {
 /// Processing status carried in the SNAP header of an in-flight packet.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Progress {
-    /// Still walking the diagram; the dense flat id of the next node to
+    /// Still walking the diagram; the flat id of the next node to
     /// process (the §4.5 packet tag).
     AtNode(FlatId),
     /// Executing a specific action sequence of a leaf, from an action offset.

@@ -30,9 +30,10 @@
 //!   here executes it: it reproduces the paper's Table 3 instruction counts
 //!   and is differentially tested against the xFDD it was lowered from.
 //!
-//! Programs are executed via their dense flat node ids, which double as the
-//! §4.5 packet-tag node identifiers; the flattening is pure index
-//! arithmetic at packet time.
+//! Programs are executed via their flat node ids — on an agent, its
+//! mirror's ids, the same on every switch — which double as the §4.5
+//! packet-tag node identifiers; dispatch is pure index arithmetic at
+//! packet time.
 
 #![warn(missing_docs)]
 

@@ -5,38 +5,37 @@
 //!
 //! * a **mirror** ([`snap_xfdd::Mirror`]) — a node-for-node copy of the
 //!   controller's append-only distribution pool, advanced by
-//!   `snap_xfdd::wire` suffix deltas, plus the lowered payload of every
-//!   node, made once when the node arrives. Every agent's mirror holds the
-//!   same node table, so the dense flat ids every agent derives from it
-//!   agree — which is what lets the §4.5 packet tag minted on one switch
-//!   resume on another. Payloads are valid for exactly one numbering, so
-//!   pool and payloads are one value: a resync replaces both, a failed delta
-//!   drops both, and the root-keyed flatten cache is cleared with them.
-//!   Nothing is shared *between* agents — each lowers its own mirror;
+//!   `snap_xfdd::wire` suffix deltas, plus the lowering of every node —
+//!   payload, successors, dispatch entry, state summary — made once when
+//!   the node arrives. Every agent's mirror holds the same node table, so
+//!   the flat ids every agent assigns agree — which is what lets the §4.5
+//!   packet tag minted on one switch resume on another. Lowered nodes are
+//!   valid for exactly one numbering, so pool and table are one value: a
+//!   resync replaces both, a failed delta drops both. Nothing is shared
+//!   *between* agents — each lowers its own mirror;
 //! * a small ring of **epoch views** — per-epoch immutable bundles of
-//!   flattened program, owned variables, external ports and global
-//!   placement, plus what *prepare* resolved from them for the packet path:
-//!   each variable slot of the program bound to this switch's table id or
-//!   to the owning switch (`snap_dataplane::bind_slots`), and the ports as a
-//!   sorted slice. Slots are this agent's mirror's numbering and table ids
-//!   this agent's store's — neither ever leaves the process; prepare and
-//!   commit messages, yields and installs speak names. The binding is part
-//!   of the immutable view, so a packet stamped with an older epoch meets
-//!   that epoch's binding at every hop, and it stays valid for as long as
-//!   the ring keeps the view (table ids are append-only; a yielded
-//!   variable's id is kept). The programs of all views and of the flatten
-//!   cache share
-//!   the mirror's payloads, so keeping one costs a few words per node and
-//!   staging one costs what its *new* nodes cost. Traffic is stamped with
-//!   its ingress epoch and every hop resolves the view for *that* epoch, so
-//!   a packet never mixes two configurations even while the distributed
-//!   commit is mid-flip;
+//!   program, owned variables, external ports and global placement, plus
+//!   what *prepare* resolved from them for the packet path: each variable
+//!   slot of the program bound to this switch's table id or to the owning
+//!   switch (`snap_dataplane::bind_slots`), and the ports as a sorted
+//!   slice. Slots are this agent's mirror's numbering and table ids this
+//!   agent's store's — neither ever leaves the process; prepare and commit
+//!   messages, yields and installs speak names. The binding is part of the
+//!   immutable view, so a packet stamped with an older epoch meets that
+//!   epoch's binding at every hop, and it stays valid for as long as the
+//!   ring keeps the view (table ids are append-only; a yielded variable's
+//!   id is kept). A view's program is a handle to the mirror's table as it
+//!   stood at prepare, plus a root: keeping one costs a few words, and
+//!   staging one costs what the delta's new nodes cost. Traffic is stamped
+//!   with its ingress epoch and every hop resolves the view for *that*
+//!   epoch, so a packet never mixes two configurations even while the
+//!   distributed commit is mid-flip;
 //! * its **sharded state plane** ([`snap_dataplane::StateShards`]) and
 //!   bounded per-port **egress queues** ([`snap_dataplane::EgressQueues`]).
 //!
 //! The two-phase protocol does all expensive work in *prepare* (delta
-//! decode, re-intern, lowering of the new nodes, flatten, table compile,
-//! slot binding — off the packet path's critical flip) and
+//! decode, re-intern, lowering of the new nodes, slot binding — off the
+//! packet path's critical flip) and
 //! makes *commit* a pointer swap plus the release of migrated tables. A
 //! packet can carry an epoch the local agent has prepared but not yet
 //! committed — that is exactly the commit wave passing through the network
@@ -50,8 +49,8 @@ use parking_lot::Mutex;
 use snap_dataplane::{bind_slots, EgressQueues, SlotBinding, StateShards, DEFAULT_STATE_SHARDS};
 use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
-use snap_xfdd::{FlatProgram, Mirror, NodeId as PoolNodeId, TableProgram};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use snap_xfdd::{FlatProgram, Mirror, TableProgram};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,44 +59,6 @@ use std::time::Duration;
 /// packets. Packets live for a handful of hops; anything older than this
 /// many commits is a stray.
 pub const EPOCH_HISTORY: usize = 8;
-
-/// How many flattened programs an agent caches by root (see
-/// [`SwitchAgent`]'s flatten cache). Rollbacks and A/B flips revisit recent
-/// roots; anything deeper is a cold program that costs one flatten.
-pub const FLAT_CACHE_CAP: usize = 16;
-
-/// A FIFO-bounded cache of flatten results, keyed by the program's root in
-/// the mirror pool. Sound because the mirror is append-only: under one
-/// numbering, a root id names exactly one program, so a rollback or an A/B
-/// flip back to a recent root can skip the whole flatten + table compile.
-/// Cleared whenever the numbering changes (resync, dropped mirror).
-#[derive(Default)]
-struct FlatCache {
-    entries: BTreeMap<PoolNodeId, (Arc<FlatProgram>, Arc<TableProgram>)>,
-    order: VecDeque<PoolNodeId>,
-}
-
-impl FlatCache {
-    fn get(&self, root: PoolNodeId) -> Option<(Arc<FlatProgram>, Arc<TableProgram>)> {
-        self.entries.get(&root).cloned()
-    }
-
-    fn insert(&mut self, root: PoolNodeId, flat: Arc<FlatProgram>, tables: Arc<TableProgram>) {
-        if self.entries.insert(root, (flat, tables)).is_none() {
-            self.order.push_back(root);
-            while self.order.len() > FLAT_CACHE_CAP {
-                if let Some(evict) = self.order.pop_front() {
-                    self.entries.remove(&evict);
-                }
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
-}
 
 /// One epoch's immutable configuration, as a switch executes it.
 ///
@@ -112,11 +73,11 @@ pub struct EpochView {
     /// The configuration epoch this view belongs to.
     pub epoch: u64,
     /// The program, flattened from the agent's mirror. Identical (same
-    /// dense ids) on every agent of the same epoch.
+    /// mirror ids) on every agent of the same epoch.
     pub flat: Arc<FlatProgram>,
-    /// The table compilation of `flat`. Never shipped: each agent rebuilds
-    /// it from its own flat program in prepare, and because the flat ids
-    /// agree across agents, so do the tables.
+    /// The dispatch view of `flat`. Never shipped: each agent lowers its
+    /// own mirror's dispatch entries, and because the flat ids agree across
+    /// agents, so do the tables.
     pub tables: Arc<TableProgram>,
     /// State variables this switch owns under this epoch.
     pub local_vars: BTreeSet<StateVar>,
@@ -169,24 +130,18 @@ pub struct AgentStats {
     pub nodes_appended: AtomicU64,
     /// Migrated tables adopted.
     pub tables_installed: AtomicU64,
-    /// Prepares that reused a cached flatten (rollback / A/B flip to a
-    /// recently staged root) instead of re-flattening the mirror.
-    pub flat_cache_hits: AtomicU64,
 }
 
 /// A per-switch update agent (see the module docs).
 pub struct SwitchAgent {
     switch: SwitchId,
     name: String,
-    /// The cached distribution pool and its lowered payloads; `None` before
+    /// The cached distribution pool and its lowered nodes; `None` before
     /// the first resync or after a failed delta left it untrusted. Separate
     /// from `core` so the expensive prepare work (delta decode, re-intern,
-    /// flatten) never blocks the packet path, which only locks `core` to
+    /// lowering) never blocks the packet path, which only locks `core` to
     /// resolve views.
     mirror: Mutex<Option<Mirror>>,
-    /// Flatten results by root, for revisited programs (locked after
-    /// `mirror` when both are held).
-    flat_cache: Mutex<FlatCache>,
     core: Mutex<AgentCore>,
     store: StateShards,
     egress: EgressQueues,
@@ -210,7 +165,6 @@ impl SwitchAgent {
             switch,
             name: name.into(),
             mirror: Mutex::new(None),
-            flat_cache: Mutex::new(FlatCache::default()),
             core: Mutex::new(AgentCore {
                 current: None,
                 views: BTreeMap::new(),
@@ -360,8 +314,8 @@ impl SwitchAgent {
         };
 
         // All the expensive staging work — delta decode, re-interning,
-        // flattening — happens under the *mirror* lock only; the packet
-        // path resolves views through `core` and is never blocked by it.
+        // lowering — happens under the *mirror* lock only; the packet path
+        // resolves views through `core` and is never blocked by it.
         let mut guard = self.mirror.lock();
         let before = if prep.resync {
             0
@@ -372,9 +326,6 @@ impl SwitchAgent {
             match Mirror::decode_fresh(&prep.delta) {
                 Ok((mirror, root)) => {
                     *guard = Some(mirror);
-                    // A resync renumbers the mirror: cached flatten results
-                    // keyed by old-numbering roots are meaningless now.
-                    self.flat_cache.lock().clear();
                     self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
                     root
                 }
@@ -391,7 +342,6 @@ impl SwitchAgent {
                     // behind; drop the mirror (pool and payloads together)
                     // so the controller resyncs.
                     *guard = None;
-                    self.flat_cache.lock().clear();
                     return fail(&self.stats, format!("delta rejected: {e}"));
                 }
             }
@@ -399,25 +349,11 @@ impl SwitchAgent {
         let mirror = guard.as_ref().expect("mirror just (re)built");
         let new_nodes = (mirror.len() - before) as u64;
 
-        // Flatten here, in prepare: commit must be a pointer flip. Revisited
-        // roots (rollbacks, A/B flips) come out of the flatten cache — the
-        // append-only mirror guarantees a root id still names the same
-        // program.
-        let (flat, tables) = {
-            let mut cache = self.flat_cache.lock();
-            match cache.get(root) {
-                Some(hit) => {
-                    self.stats.flat_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    hit
-                }
-                None => {
-                    let flat = Arc::new(mirror.flatten(root));
-                    let tables = Arc::new(TableProgram::compile(&flat));
-                    cache.insert(root, Arc::clone(&flat), Arc::clone(&tables));
-                    (flat, tables)
-                }
-            }
-        };
+        // The view, here in prepare: commit must be a pointer flip. The
+        // mirror lowered the delta's nodes as they arrived, so this is a
+        // handle to its table and the root.
+        let flat = Arc::new(mirror.flatten(root));
+        let tables = Arc::new(TableProgram::compile(&flat));
         drop(guard);
 
         let mut core = self.core.lock();

@@ -13,10 +13,15 @@
 //!   metadata entries that changed. Working-set edits ship a few nodes;
 //!   rollbacks ship zero.
 //! * [`SwitchAgent`] is the switch side: it mirrors the distribution pool
-//!   node-for-node (so dense flat ids — the §4.5 packet tags — agree across
-//!   all switches), stages updates on *prepare* and flips on *commit*,
-//!   keeping a short ring of epoch views for in-flight packets. State
-//!   tables move with their owner through yield/install messages.
+//!   node-for-node and lowers each node once, when it arrives, all the way
+//!   to its dispatch entry and state summary — so the mirror ids every
+//!   agent assigns (the §4.5 packet tags) agree across all switches, and a
+//!   program is a handle to the lowered table plus a root.
+//! * An agent stages an update on *prepare* — apply the delta (lowering
+//!   its new nodes), bind the program's variable slots, build the view:
+//!   work in the size of the delta, not of the program — and flips on
+//!   *commit*, keeping a short ring of epoch views for in-flight packets.
+//!   State tables move with their owner through yield/install messages.
 //! * The **two-phase epoch protocol** preserves the invariant that no
 //!   packet mixes two configurations: commit is only ordered after every
 //!   agent staged the epoch, and packets resolve their ingress-stamped
@@ -72,7 +77,7 @@ pub mod plane;
 pub mod tcp;
 pub mod transport;
 
-pub use agent::{AgentStats, EpochView, SwitchAgent, EPOCH_HISTORY, FLAT_CACHE_CAP};
+pub use agent::{AgentStats, EpochView, SwitchAgent, EPOCH_HISTORY};
 pub use controller::{CommitReport, Controller, DistribError, DistribOptions, MuxStats};
 pub use plane::{DistNetwork, InjectError, InjectOutcome};
 pub use tcp::{TcpAgentEndpoint, TcpControllerEndpoint, TcpTransportListener};

@@ -276,7 +276,6 @@ impl DistNetwork {
                     "agent.tables_installed",
                     stats.tables_installed.load(relaxed),
                 ),
-                ("agent.flat_cache_hits", stats.flat_cache_hits.load(relaxed)),
                 ("agent.mirror_nodes", agent.mirror_len() as u64),
             ] {
                 stat_families

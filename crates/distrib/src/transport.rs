@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! controller                                   agent
-//!     │  Prepare { epoch, delta, meta, … }  →    │  decode + re-intern + flatten
+//!     │  Prepare { epoch, delta, meta, … }  →    │  decode + re-intern + lower
 //!     │  ←  Prepared { epoch } / PrepareFailed   │  (current epoch untouched)
 //!     │  Commit { epoch }                   →    │  flip current view, yield
 //!     │  ←  Committed { epoch, yields }          │  released state tables
@@ -87,8 +87,8 @@ pub enum ToAgent {
 /// Agent → controller messages.
 #[derive(Clone, Debug)]
 pub enum FromAgent {
-    /// The update is staged: delta applied to the mirror, program flattened,
-    /// new view materialized. The current epoch is untouched.
+    /// The update is staged: delta applied to (and lowered into) the
+    /// mirror, new view materialized. The current epoch is untouched.
     Prepared {
         /// The replying switch.
         switch: SwitchId,

@@ -1,6 +1,6 @@
 //! Reply-mux and pipelining tests: stale acks from burned epochs, duplicate
 //! acks, prepare failures racing other agents' acks, commit-failure cascade
-//! aborts, measured pipeline overlap, the agent-side flatten cache, and the
+//! aborts, measured pipeline overlap, zero-node rollbacks, and the
 //! TCP transport end to end.
 
 use snap_core::SolverChoice;
@@ -317,10 +317,11 @@ fn pipelined_epoch_cascade_aborts_when_previous_commit_fails() {
     forwarder.join().unwrap();
 }
 
-/// Flipping back to a recently staged program skips the flatten: the
-/// agent's root-keyed cache serves it.
+/// Flipping back to a recently staged program lowers nothing: the root is
+/// already in every agent's append-only mirror, so its prepare appends no
+/// node and the view is a handle to the table as it stands.
 #[test]
-fn rollback_prepare_hits_the_flatten_cache() {
+fn rollback_prepare_lowers_no_nodes() {
     let mut deployment = deploy_in_process(campus_session(), 64);
     deployment
         .controller
@@ -330,20 +331,27 @@ fn rollback_prepare_hits_the_flatten_cache() {
         .controller
         .update_policy(&counting_policy(1))
         .unwrap();
+    let appended = |agent: &Arc<SwitchAgent>| {
+        let stats = agent.stats();
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        (
+            stats.prepares.load(relaxed),
+            stats.nodes_appended.load(relaxed),
+        )
+    };
+    let before: Vec<(u64, u64)> = deployment.network.agents().map(appended).collect();
     // Rollback: same program as epoch 1, hence the same root in the
-    // append-only mirror — every agent must hit its flatten cache.
-    deployment
+    // append-only mirror.
+    let rollback = deployment
         .controller
         .update_policy(&counting_policy(6))
         .unwrap();
-    for agent in deployment.network.agents() {
-        assert!(
-            agent
-                .stats()
-                .flat_cache_hits
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1,
-            "agent {} re-flattened a cached root",
+    assert_eq!(rollback.new_nodes, 0);
+    for (agent, (prepares, nodes)) in deployment.network.agents().zip(before) {
+        assert_eq!(
+            appended(agent),
+            (prepares + 1, nodes),
+            "agent {} lowered nodes for a root it holds",
             agent.name()
         );
     }

@@ -1,30 +1,33 @@
-//! Differential tests of the shared-payload mirror, old code as oracle.
+//! Differential tests of the lowered mirror, a one-off flatten as oracle.
 //!
-//! A switch agent flattens programs out of a [`Mirror`] whose payloads were
-//! lowered when their nodes arrived; the oracle is what an agent did before —
-//! [`FlatProgram::from_pool`] on a pool decoded from scratch, lowering every
-//! node anew. The two must agree on every `FlatId` (packet tags are flat
-//! ids), on every payload, on the state classification and on the table
-//! compilation, after any sequence of deltas an agent can see: novel
-//! suffixes, zero-node rollbacks, and a failed delta followed by a resync
-//! under a different numbering. The one thing they may disagree on is the
-//! variable *slot* numbering inside the payloads — a mirror numbers every
-//! variable it has ever lowered, a one-off flatten only its program's — so
-//! slots are compared through each program's own slot → name table.
+//! A switch agent's program is its [`Mirror`]'s node table — every node
+//! lowered once, when a delta delivered it, down to its dispatch entry and
+//! state summary — plus a root, numbered by *mirror ids*. The oracle is
+//! [`FlatProgram::from_pool`] on a pool decoded from scratch: the same
+//! program lowered in one go, densely numbered. The two number the program
+//! differently, so they are compared through the node bijection a walk
+//! from both roots defines: mapped nodes must carry the same test, mapped
+//! successors, the same leaf and written variables, and dispatch every
+//! sampled packet to mapped nodes, from *every* reachable node (a §4.5 tag
+//! may name any of them). The state classification must agree too, and
+//! has its own oracle: the two-pass by-name `classify_state` that the
+//! slot-indexed fold replaced, kept below as a test-only copy.
 //!
-//! The state classification has its own oracle: the two-pass by-name
-//! `classify_state` that the slot-indexed fold replaced, kept below as a
-//! test-only copy.
+//! Mirrors that hold the same numbering must agree on more: the same flat
+//! ids, the same variable slots and the same dispatch outcomes for the
+//! same root and entry node, whatever their history — fed by deltas only,
+//! resynced mid-sequence, or resynced after a compaction. That is what
+//! makes a tag minted on one switch resume on another.
 
 use proptest::prelude::*;
 use snap_apps as apps;
 use snap_lang::builder::*;
-use snap_lang::{Expr, Field, Policy, StateVar, Value};
+use snap_lang::{Expr, Field, Packet, Policy, StateVar, Value};
 use snap_xfdd::{
-    decode_delta_fresh, encode_delta, to_xfdd, Action, FlatNode, FlatProgram, Mirror, NodeId, Pool,
-    StateClass, StateDependencies, TableProgram, VarOrder,
+    decode_delta_fresh, encode_delta, to_xfdd, Action, FlatId, FlatNode, FlatProgram, Mirror,
+    NodeId, Pool, StateClass, StateDependencies, TableProgram, VarOrder,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The edit family: detection threshold and egress fan-out vary, the state
 /// variables (hence the composition order) stay fixed.
@@ -36,9 +39,63 @@ fn order() -> VarOrder {
     StateDependencies::analyze(&edited(1, 4)).var_order()
 }
 
-/// The mirror-built program must equal the program an agent used to build:
-/// a fresh full-table decode of the controller's pool, flattened from
-/// scratch.
+/// Packets over the fields the edit family tests: DNS responses and other
+/// traffic, towards every egress subnet, plus one missing most fields.
+fn sample_packets() -> Vec<Packet> {
+    let mut out: Vec<Packet> = (0..12u8)
+        .map(|i| {
+            Packet::new()
+                .with(Field::InPort, 1 + i64::from(i % 6))
+                .with(Field::SrcIp, Value::ip(10, 0, 1 + i % 6, 7))
+                .with(Field::DstIp, Value::ip(10, 0, 1 + (i * 5) % 7, 9))
+                .with(Field::SrcPort, if i % 2 == 0 { 53 } else { 80 })
+                .with(Field::DnsRdata, Value::ip(9, 9, 9, i % 3))
+        })
+        .collect();
+    out.push(Packet::new().with(Field::SrcPort, 53));
+    out
+}
+
+/// The nodes reachable from the program's root.
+fn reachable(flat: &FlatProgram) -> BTreeSet<FlatId> {
+    let mut seen = BTreeSet::new();
+    let mut work = vec![flat.root()];
+    while let Some(at) = work.pop() {
+        if seen.insert(at) {
+            if let FlatNode::Branch { tru, fls, .. } = flat.node(at) {
+                work.extend([tru, fls]);
+            }
+        }
+    }
+    seen
+}
+
+/// The node bijection between two numberings of one program, found by
+/// walking both from their roots in step. Panics if the walk pairs a node
+/// with two others or a branch with a leaf.
+fn bijection(a: &FlatProgram, b: &FlatProgram) -> BTreeMap<FlatId, FlatId> {
+    let (mut map, mut image) = (BTreeMap::new(), BTreeSet::new());
+    let mut work = vec![(a.root(), b.root())];
+    while let Some((x, y)) = work.pop() {
+        if let Some(seen) = map.insert(x, y) {
+            assert_eq!(seen, y, "{x:?} pairs with two nodes");
+            continue;
+        }
+        assert!(image.insert(y), "{y:?} pairs with two nodes");
+        match (a.node(x), b.node(y)) {
+            (FlatNode::Branch { tru, fls, .. }, FlatNode::Branch { tru: t, fls: f, .. }) => {
+                work.extend([(tru, t), (fls, f)])
+            }
+            (FlatNode::Leaf(_), FlatNode::Leaf(_)) => {}
+            _ => panic!("{x:?} and {y:?} are different kinds of node"),
+        }
+    }
+    map
+}
+
+/// The mirror-built program must be the program an agent would build from
+/// a fresh full-table decode of the controller's pool, lowered from
+/// scratch: node for node under the bijection, dispatch included.
 fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
     let fresh_len = Pool::new(dist.order().clone()).len();
     let (scratch, scratch_root) = decode_delta_fresh(&encode_delta(dist, fresh_len, root)).unwrap();
@@ -46,54 +103,127 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
     assert_eq!(mirror.len(), dist.len());
     let oracle = FlatProgram::from_pool(&scratch, root);
     let built = mirror.flatten(root);
+    let map = bijection(&built, &oracle);
+    assert_eq!(map.len(), oracle.num_nodes());
+    assert_eq!(built.num_nodes(), oracle.num_nodes());
 
-    assert_eq!(built.root(), oracle.root());
-    assert_eq!(built.num_branches(), oracle.num_branches());
-    assert_eq!(built.num_leaves(), oracle.num_leaves());
-    for i in 0..oracle.num_branches() {
-        let id = oracle.branch_id(i);
-        let (
-            FlatNode::Branch {
-                test,
-                slot,
-                tru,
-                fls,
-            },
-            FlatNode::Branch {
-                test: t,
-                slot: s,
-                tru: a,
-                fls: b,
-            },
-        ) = (built.node(id), oracle.node(id))
-        else {
-            panic!("branch ids resolve to branches");
-        };
-        assert_eq!((test, tru, fls), (t, a, b), "branch {id:?}");
-        // Each numbering resolves the test's slot to the variable it reads.
-        assert_eq!(slot.map(|s| built.var_name(s)), test.state_var());
-        assert_eq!(s.map(|s| oracle.var_name(s)), test.state_var());
-        assert_eq!(built.branch_var(id), oracle.branch_var(id));
-    }
-    for i in 0..oracle.num_leaves() {
-        let id = oracle.leaf_id(i);
-        let (leaf, expected) = (built.leaf(id), oracle.leaf(id));
-        assert_eq!(leaf.seqs, expected.seqs, "leaf {id:?}");
-        assert_eq!(leaf.writes_state(), expected.writes_state());
-        for (s, seq) in leaf.seqs.iter().enumerate() {
-            for (a, action) in seq.actions.iter().enumerate() {
-                let var = action.written_var();
-                assert_eq!(leaf.written_slot(s, a).map(|x| built.var_name(x)), var);
-                assert_eq!(expected.written_slot(s, a).map(|x| oracle.var_name(x)), var);
+    let (tables, oracle_tables) = (
+        TableProgram::compile(&built),
+        TableProgram::compile(&oracle),
+    );
+    let packets = sample_packets();
+    for (&id, &expected) in &map {
+        match (built.node(id), oracle.node(expected)) {
+            (
+                FlatNode::Branch {
+                    test,
+                    slot,
+                    tru,
+                    fls,
+                },
+                FlatNode::Branch {
+                    test: t,
+                    slot: s,
+                    tru: a,
+                    fls: b,
+                },
+            ) => {
+                assert_eq!(test, t, "branch {id:?}");
+                assert_eq!((map[&tru], map[&fls]), (a, b), "branch {id:?}");
+                // Each numbering resolves the test's slot to the variable
+                // it reads.
+                assert_eq!(slot.map(|s| built.var_name(s)), test.state_var());
+                assert_eq!(s.map(|s| oracle.var_name(s)), test.state_var());
+                assert_eq!(built.branch_var(id), oracle.branch_var(expected));
+                for pkt in &packets {
+                    assert_eq!(
+                        tables
+                            .step_stateless(&built, id, pkt)
+                            .map(|next| map[&next]),
+                        oracle_tables.step_stateless(&oracle, expected, pkt),
+                        "step from {id:?} on {pkt:?}"
+                    );
+                }
             }
+            (FlatNode::Leaf(leaf), FlatNode::Leaf(other)) => {
+                assert_eq!(leaf.seqs, other.seqs, "leaf {id:?}");
+                assert_eq!(leaf.writes_state(), other.writes_state());
+                for (s, seq) in leaf.seqs.iter().enumerate() {
+                    for (a, action) in seq.actions.iter().enumerate() {
+                        let var = action.written_var();
+                        assert_eq!(leaf.written_slot(s, a).map(|x| built.var_name(x)), var);
+                        assert_eq!(other.written_slot(s, a).map(|x| oracle.var_name(x)), var);
+                    }
+                }
+            }
+            _ => unreachable!("the bijection pairs kinds"),
+        }
+        for pkt in &packets {
+            assert_eq!(
+                map[&tables.advance_stateless(&built, id, pkt)],
+                oracle_tables.advance_stateless(&oracle, expected, pkt),
+                "advance from {id:?} on {pkt:?}"
+            );
         }
     }
     assert_eq!(built.state_classes(), oracle.state_classes());
     assert_eq!(built.state_classes(), two_pass_classify(&built));
-    assert_eq!(
-        TableProgram::compile(&built).stats(),
-        TableProgram::compile(&oracle).stats()
-    );
+}
+
+/// Two flat programs are the same program *in the same numbering*: the same
+/// root and reachable ids, tests, successors, leaves, variable slots and
+/// classes, and the same dispatch outcome from every reachable node.
+fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
+    assert_eq!(a.root(), b.root());
+    let ids = reachable(a);
+    assert_eq!(ids, reachable(b));
+    let (ta, tb) = (TableProgram::compile(a), TableProgram::compile(b));
+    let packets = sample_packets();
+    for &id in &ids {
+        match (a.node(id), b.node(id)) {
+            (
+                FlatNode::Branch {
+                    test,
+                    slot,
+                    tru,
+                    fls,
+                },
+                FlatNode::Branch {
+                    test: t,
+                    slot: s,
+                    tru: x,
+                    fls: y,
+                },
+            ) => {
+                assert_eq!((test, slot, tru, fls), (t, s, x, y), "branch {id:?}");
+                for pkt in &packets {
+                    assert_eq!(
+                        ta.step_stateless(a, id, pkt),
+                        tb.step_stateless(b, id, pkt),
+                        "step from {id:?} on {pkt:?}"
+                    );
+                }
+            }
+            (FlatNode::Leaf(leaf), FlatNode::Leaf(other)) => {
+                assert_eq!(leaf.seqs, other.seqs, "leaf {id:?}");
+                for (s, seq) in leaf.seqs.iter().enumerate() {
+                    for offset in 0..seq.actions.len() {
+                        assert_eq!(leaf.written_slot(s, offset), other.written_slot(s, offset));
+                    }
+                }
+            }
+            _ => panic!("{id:?} names different kinds of node"),
+        }
+        for pkt in &packets {
+            assert_eq!(
+                ta.advance_stateless(a, id, pkt),
+                tb.advance_stateless(b, id, pkt),
+                "advance from {id:?} on {pkt:?}"
+            );
+        }
+    }
+    assert_eq!(a.var_names(), b.var_names());
+    assert_eq!(a.state_classes(), b.state_classes());
 }
 
 /// One step an agent's mirror can go through.
@@ -176,17 +306,96 @@ proptest! {
             let root = *roots.last().unwrap();
             assert_same_program(&mirror, &dist, root);
             // Earlier programs of this numbering still flatten the same
-            // (an agent's flatten cache and epoch views rely on it).
+            // (an agent's epoch views rely on it).
             assert_same_program(&mirror, &dist, roots[0]);
         }
     }
 }
 
+/// The full table of `pool` as a resync ships it, decoded.
+fn resync(pool: &Pool, root: NodeId) -> Mirror {
+    let fresh_len = Pool::new(pool.order().clone()).len();
+    let (mirror, applied) = Mirror::decode_fresh(&encode_delta(pool, fresh_len, root)).unwrap();
+    assert_eq!(applied, root);
+    mirror
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Mirrors on one numbering, different histories: fed by deltas only,
+    // resynced mid-sequence, and — on the numbering a compaction starts —
+    // resynced then fed by deltas, against one decoded whole at the end.
+    // Their lowerings differ (a batch builds its own dispatch stages), yet
+    // they must assign the same flat ids and dispatch alike.
+    #[test]
+    fn mirrors_with_different_histories_agree_on_ids_and_outcomes(
+        edits in proptest::collection::vec((1i64..=9, 3usize..=6), 2..7),
+        resync_at in 0usize..8,
+        compact_at in 0usize..8,
+    ) {
+        let (resync_at, compact_at) = (resync_at % edits.len(), compact_at % edits.len());
+        let mut dist = Pool::new(order());
+        let first = to_xfdd(&edited(1, 4), &mut dist).unwrap();
+        let mut by_deltas = resync(&dist, first);
+        let mut resynced: Option<Mirror> = None;
+        let mut compacted: Option<(Pool, Mirror, Vec<NodeId>)> = None;
+        let mut roots = vec![first];
+        for (k, &(threshold, ports)) in edits.iter().enumerate() {
+            let policy = edited(threshold, ports);
+            let base = dist.len();
+            let root = to_xfdd(&policy, &mut dist).unwrap();
+            let delta = encode_delta(&dist, base, root);
+            prop_assert_eq!(by_deltas.apply_delta(&delta).unwrap(), root);
+            match &mut resynced {
+                Some(mirror) => prop_assert_eq!(mirror.apply_delta(&delta).unwrap(), root),
+                None if k == resync_at => resynced = Some(resync(&dist, root)),
+                None => {}
+            }
+            match &mut compacted {
+                Some((pool, mirror, roots)) => {
+                    let base = pool.len();
+                    let root = to_xfdd(&policy, pool).unwrap();
+                    let delta = encode_delta(pool, base, root);
+                    prop_assert_eq!(mirror.apply_delta(&delta).unwrap(), root);
+                    roots.push(root);
+                }
+                None if k == compact_at => {
+                    // What `Controller::compact_distribution` does: a fresh
+                    // pool holding only the live program, then a resync.
+                    let mut pool = Pool::new(order());
+                    let root = pool.import(&dist, root);
+                    let mirror = resync(&pool, root);
+                    compacted = Some((pool, mirror, vec![root]));
+                }
+                None => {}
+            }
+            roots.push(root);
+        }
+
+        let resynced = resynced.expect("resynced mid-sequence");
+        for &root in &roots {
+            assert_identical(&by_deltas.flatten(root), &resynced.flatten(root));
+        }
+        let (pool, by_deltas, roots) = compacted.expect("compacted mid-sequence");
+        let whole = resync(&pool, *roots.last().unwrap());
+        for &root in &roots {
+            assert_identical(&by_deltas.flatten(root), &whole.flatten(root));
+        }
+    }
+}
+
 /// `FlatProgram::classify_state` as it was before the write summaries: one
-/// pass over every action for the write kinds, a second for conflicting set
-/// literals, then the demotion of tested variables. Test oracle only.
+/// pass over every action of the reachable leaves for the write kinds, a
+/// second for conflicting set literals, then the demotion of tested
+/// variables. Test oracle only.
 fn two_pass_classify(flat: &FlatProgram) -> BTreeMap<StateVar, StateClass> {
-    let leaves = || (0..flat.num_leaves()).map(|i| flat.leaf(flat.leaf_id(i)));
+    let ids = reachable(flat);
+    let leaves = || {
+        ids.iter()
+            .filter(|id| id.is_leaf())
+            .map(|&id| flat.leaf(id))
+    };
     let actions = || leaves().flat_map(|l| l.seqs.iter().flat_map(|s| s.actions.iter()));
     let mut classes: BTreeMap<StateVar, StateClass> = BTreeMap::new();
     for action in actions() {
@@ -232,8 +441,8 @@ fn two_pass_classify(flat: &FlatProgram) -> BTreeMap<StateVar, StateClass> {
             }
         }
     }
-    for i in 0..flat.num_branches() {
-        if let Some(var) = flat.branch_var(flat.branch_id(i)) {
+    for &id in ids.iter().filter(|id| !id.is_leaf()) {
+        if let Some(var) = flat.branch_var(id) {
             classes.insert(var.clone(), StateClass::Exact);
         }
     }
@@ -407,50 +616,9 @@ fn classify_state_matches_the_two_pass_oracle_on_mixed_and_conflicting_writes() 
     assert_eq!(new[&StateVar::new("seen")], StateClass::Exact);
 }
 
-/// Two flat programs are the same program, slot numbering included: ids,
-/// tests, leaves, slots and classes.
-fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
-    assert_eq!(a.root(), b.root());
-    assert_eq!(a.num_branches(), b.num_branches());
-    assert_eq!(a.num_leaves(), b.num_leaves());
-    for i in 0..a.num_branches() {
-        let id = a.branch_id(i);
-        let (
-            FlatNode::Branch {
-                test,
-                slot,
-                tru,
-                fls,
-            },
-            FlatNode::Branch {
-                test: t,
-                slot: s,
-                tru: x,
-                fls: y,
-            },
-        ) = (a.node(id), b.node(id))
-        else {
-            panic!("branch ids resolve to branches");
-        };
-        assert_eq!((test, slot, tru, fls), (t, s, x, y), "branch {id:?}");
-    }
-    for i in 0..a.num_leaves() {
-        let id = a.leaf_id(i);
-        let (leaf, other) = (a.leaf(id), b.leaf(id));
-        assert_eq!(leaf.seqs, other.seqs, "leaf {id:?}");
-        for (s, seq) in leaf.seqs.iter().enumerate() {
-            for offset in 0..seq.actions.len() {
-                assert_eq!(leaf.written_slot(s, offset), other.written_slot(s, offset));
-            }
-        }
-    }
-    assert_eq!(a.var_names(), b.var_names());
-    assert_eq!(a.state_classes(), b.state_classes());
-}
-
 /// An agent's mirror is append-only between compactions, so the root of the
-/// running program sits ever deeper in it. Flattening must cost — and
-/// produce — the program, not the arena: the same flat program whether the
+/// running program sits ever deeper in it. Flattening must produce the
+/// program, not the arena: the same program, in the same ids, whether the
 /// root is the mirror's last node or has ten thousand unrelated nodes after
 /// it (`alloc_budget.rs` holds the same flatten to the same bytes).
 #[test]

@@ -25,15 +25,30 @@
 //! `|` and `&` demand predicate operands; using them on packet/state
 //! modifications is reported as a parse error, mirroring the typing of
 //! Figure 4. Line comments start with `//`.
+//!
+//! Nesting — parentheses, negations, `atomic` and `if` bodies, tuple
+//! expressions — is capped at [`MAX_PARSE_DEPTH`] levels, so a hostile
+//! source fails with a [`ParseError`] instead of recursing off the stack.
 
 use crate::ast::{Expr, Policy, Pred, StateVar};
 use crate::error::ParseError;
 use crate::value::{Field, Ipv4, Prefix, Value};
 
+/// How deeply a source may nest (see the module docs). A parenthesis costs
+/// about 14 KiB of stack in a debug build, so a parse at this cap fits a
+/// 2 MiB thread stack with half of it to spare; real policies — the paper's
+/// listings, the examples, pretty-printed random policies — nest fewer than
+/// twenty levels.
+pub const MAX_PARSE_DEPTH: u32 = 64;
+
 /// Parse a SNAP policy from surface syntax.
 pub fn parse_policy(input: &str) -> Result<Policy, ParseError> {
     let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let policy = parser.parse_policy()?;
     parser.expect_eof()?;
     Ok(policy)
@@ -297,6 +312,8 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels entered and not yet left.
+    depth: u32,
 }
 
 /// Convert a policy back to a predicate when it is purely a filter.
@@ -352,6 +369,21 @@ impl Parser {
         }
     }
 
+    /// Run `inner` one nesting level down; every recursion of the grammar
+    /// descends through here, so [`MAX_PARSE_DEPTH`] bounds all of it.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_PARSE_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_PARSE_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn parse_policy(&mut self) -> Result<Policy, ParseError> {
         let mut acc = self.parse_seq()?;
         while self.peek() == Some(&Tok::Plus) {
@@ -400,7 +432,14 @@ impl Parser {
         Ok(acc)
     }
 
+    /// A unary operand: one nesting level, whether a negation or an atom
+    /// (whose parentheses, `atomic` and `if` recurse back into the
+    /// grammar).
     fn parse_unary(&mut self) -> Result<Policy, ParseError> {
+        self.nested(Self::parse_unary_nested)
+    }
+
+    fn parse_unary_nested(&mut self) -> Result<Policy, ParseError> {
         if matches!(self.peek(), Some(Tok::Tilde) | Some(Tok::Not)) {
             self.pos += 1;
             let inner = self.parse_unary()?;
@@ -539,6 +578,10 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::parse_expr_nested)
+    }
+
+    fn parse_expr_nested(&mut self) -> Result<Expr, ParseError> {
         match self.peek().cloned() {
             Some(Tok::Ident(s)) if Field::is_known_name(&s) => {
                 self.pos += 1;
@@ -730,6 +773,41 @@ mod tests {
                 .unwrap_or_else(|e| panic!("failed to reparse `{printed}`: {e}"));
             assert_eq!(p, reparsed, "round-trip failed for `{src}`");
         }
+    }
+
+    /// `open` repeated `depth` times around `inner`, closed by `close`.
+    fn nest(open: &str, inner: &str, close: &str, depth: usize) -> String {
+        open.repeat(depth) + inner + &close.repeat(depth)
+    }
+
+    /// A source `depth` levels deep parses at the cap and fails, without
+    /// recursing off the stack, far beyond it.
+    fn assert_depth_capped(source: impl Fn(usize) -> String) {
+        let cap = MAX_PARSE_DEPTH as usize;
+        // The outermost policy level is one more than the source's nesting.
+        let err = parse_policy(&source(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        let err = parse_policy(&source(cap)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert!(parse_policy(&source(cap - 1)).is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_parentheses_are_a_parse_error() {
+        assert_depth_capped(|depth| nest("(", "id", ")", depth));
+        assert_depth_capped(|depth| nest("atomic(", "id", ")", depth));
+    }
+
+    #[test]
+    fn long_negation_chains_are_a_parse_error() {
+        assert_depth_capped(|depth| nest("!", "srcport = 53", "", depth));
+        assert_depth_capped(|depth| nest("not ", "srcport = 53", "", depth));
+    }
+
+    #[test]
+    fn deeply_nested_expressions_are_a_parse_error() {
+        // The state index is itself one level below the state reference.
+        assert_depth_capped(|depth| format!("s[{}]++", nest("(", "srcip", ")", depth - 1)));
     }
 
     #[test]

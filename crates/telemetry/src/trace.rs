@@ -26,7 +26,7 @@ pub struct HopRecord {
     pub switch_name: String,
     /// The configuration epoch the visit executed under.
     pub epoch: u64,
-    /// The dense flat-program node the packet resumed at — the §4.5 packet
+    /// The flat-program node the packet resumed at — the §4.5 packet
     /// tag, rendered (`b12` for a branch, `l3` for a leaf, `-` before the
     /// first program node).
     pub entry_node: String,

@@ -127,7 +127,7 @@ impl Xfdd {
         self.pool.paths(self.root)
     }
 
-    /// Compile the reachable subgraph into a dense struct-of-arrays
+    /// Lower the reachable subgraph into a dense, child-first
     /// [`FlatProgram`] — the representation the dataplane executes and
     /// NetASM lowering consumes (see [`crate::flat`]).
     pub fn flatten(&self) -> FlatProgram {

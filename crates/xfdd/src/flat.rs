@@ -1,50 +1,70 @@
-//! Flat struct-of-arrays lowering of an xFDD for wire-speed evaluation —
-//! the middle stage of the two-stage dataplane lowering (pool → flat →
-//! tables).
+//! The executable program: an xFDD lowered node by node into a table the
+//! packet plane indexes — the middle stage of the dataplane lowering (pool →
+//! flat → tables).
 //!
 //! The interned arena ([`crate::Pool`]) is the right representation for
 //! *building* diagrams — hash-consing, memo tables, GC — but per-packet
 //! evaluation through it chases `Vec<Node>` entries to payloads behind a
 //! further handle each, and a long-lived session arena interleaves the live
-//! diagram with garbage from superseded compilations, so the reachable
-//! subgraph is scattered across the allocation.
+//! diagram with garbage from superseded compilations.
 //!
-//! A [`FlatProgram`] is the dataplane's canonical view: the reachable
-//! subgraph of one root, renumbered densely child-first and split into
-//! parallel arrays — branch tests, branch edges, and leaf action tables
-//! each contiguous in memory. Per-packet evaluation is then index
-//! arithmetic over a few dense arrays: follow an edge, load a test by the
-//! same index, repeat. The dense [`FlatId`]s also replace the arena
-//! [`NodeId`]s as the §4.5 packet-tag node identifiers carried in the SNAP
-//! header, so a flattened program is all a switch needs to resume
-//! processing mid-diagram.
+//! A [`FlatProgram`] is the dataplane's canonical view: a table of lowered
+//! nodes, split by kind (branches, leaves) and addressed by [`FlatId`], plus
+//! the root. Lowering a node makes everything the packet path and a plane's
+//! slot binding will ever need of it, once:
 //!
-//! The arrays hold one *shared* payload per node — the lowered leaf (action
-//! table, the variable slot of each state action and a per-variable summary
-//! of its writes) or the branch's test (with the slot of the variable a
-//! state test reads) — rather than private copies, and a lowered leaf's
-//! action table shares each sequence's action storage with the pool's
-//! [`Leaf`]. A one-off flatten
-//! ([`FlatProgram::from_pool`], [`crate::Xfdd::flatten`]) lowers the nodes
-//! as it goes and nothing else ever holds its payloads. A switch agent's
-//! [`Mirror`] lowers each node once, when a delta delivers it, and every
-//! program flattened from that mirror — staged, cached by root, kept per
-//! epoch for in-flight packets — points at the same payloads: flattening is
-//! a reachability walk plus handle pushes, dropping a program is
-//! reference-count decrements, and an agent's memory is one lowering of its
-//! mirror plus a few words per node per kept program.
+//! * its **payload** — the branch's test (with the slot of the variable a
+//!   state test reads) or the leaf's action table (with the slot of every
+//!   state action), shared by handle;
+//! * its **successors**, as flat ids;
+//! * its **dispatch entry** ([`crate::tables`]): whether the branch is an
+//!   explicit field compare, a state test, or a member of a collapsed
+//!   same-field run, and then which run lookup and cursor. The cursor is
+//!   the member's position counted from the run's *bottom*, so a head
+//!   prepended by a later delta adds positions above the old ones and
+//!   invalidates none of them;
+//! * its **state summary**: how its whole subgraph uses each state variable
+//!   (the writes folded, and whether some branch tests it). The fold is
+//!   commutative, associative and idempotent, so a node's summary is a
+//!   function of its children's — and the root's summary is the program's
+//!   [`StateClass`]ification, with no pass over the program.
+//!
+//! Per-packet evaluation is then index arithmetic: follow an edge, load the
+//! node by the same index, repeat. The flat ids are the §4.5 packet-tag node
+//! identifiers carried in the SNAP header.
+//!
+//! ## Numbering
+//!
+//! Flat ids count branches and leaves separately, in the order nodes were
+//! lowered, children before parents; the top bit marks a leaf.
+//!
+//! * A **one-off** program ([`FlatProgram::from_pool`],
+//!   [`crate::Xfdd::flatten`]) lowers the nodes reachable from one root, in
+//!   ascending arena order, into a fresh table: its ids are dense and
+//!   child-first, and its table holds exactly its program.
+//! * A switch agent's [`Mirror`] lowers every node of its copy of the
+//!   controller's distribution pool, in pool order, as deltas deliver them.
+//!   A program flattened from it is the mirror's table up to its current
+//!   length plus a root: its ids are *mirror ids*. Every agent's mirror
+//!   holds the same node table (a resync ships the whole table), so every
+//!   agent lowers the same nodes in the same order and assigns the same ids
+//!   — which is why a tag minted on one switch resumes on any other, by
+//!   construction. Flattening is O(1): the table is append-only, kept in
+//!   fixed-size chunks behind shared handles, so a program keeps reading its
+//!   prefix while later deltas append (each delta copies at most the one
+//!   partly filled chunk per kind and the chunk directory).
 //!
 //! ## The mirror invariant
 //!
-//! A [`Mirror`]'s payload `i` is the lowering of its pool's node `i`, for
-//! every node: payloads are valid for exactly one numbering. A resync (which
-//! installs the controller pool's numbering afresh) therefore replaces pool
-//! and payloads together — and with them the mirror's variable-slot
-//! numbering, which the payloads index — and a mirror whose delta failed to
-//! apply is discarded whole: they are one value so that no path can keep
-//! one without the others. Programs already flattened stay valid
-//! regardless: they own handles and their own copy of the slot → name
-//! table, not indices into the mirror.
+//! A [`Mirror`]'s table holds the lowering of its pool's node `i`, for
+//! every node: lowered nodes are valid for exactly one numbering. A resync
+//! (which installs the controller pool's numbering afresh) therefore
+//! replaces pool, table and the mirror's variable-slot numbering (which the
+//! payloads index) together, and a mirror whose delta failed to apply is
+//! discarded whole: they are one value so that no path can keep one without
+//! the others. Programs already flattened stay valid regardless: they hold
+//! handles to their own prefix of the table and their own copy of the slot
+//! → name table, not indices into the mirror.
 //!
 //! ## Variable slots
 //!
@@ -54,22 +74,21 @@
 //! the payload, stored *in* the payload. Whoever lowers assigns: a
 //! [`Mirror`] numbers the variables of every node it has ever lowered (in
 //! arrival order, append-only, so a payload lowered last week and one
-//! lowered now agree), the one-off [`FlatProgram::from_pool`] numbers the
-//! variables of the one program it lowers. A [`FlatProgram`] carries the
-//! slot → name table its payloads index ([`FlatProgram::var_names`]) and
-//! its [`StateClass`]es as an array over the same slots, so a plane
-//! resolves names exactly once per installed program — each slot to "this
-//! switch's table" or "owned by switch S" — and the per-packet path only
-//! indexes. Names come back out ([`FlatProgram::var_name`]) for error
-//! messages and sampled traces.
+//! lowered now agree), a one-off flatten numbers the variables of the one
+//! program it lowers. A [`FlatProgram`] carries the slot → name table its
+//! payloads index ([`FlatProgram::var_names`]), so a plane resolves names
+//! exactly once per installed program — each slot to "this switch's table"
+//! or "owned by switch S" — and the per-packet path only indexes. Names
+//! come back out ([`FlatProgram::var_name`]) for error messages and sampled
+//! traces.
 //!
-//! A slot means nothing outside the lowering that assigned it: two agents
-//! may number the same program differently (their mirrors saw different
-//! histories), and a resync renumbers. Slots therefore never appear in a
-//! packet tag, on the wire, or in anything one agent hands another — the
-//! shared vocabulary between parties stays the variable's name.
+//! A slot means nothing outside the lowering that assigned it: a one-off
+//! flatten and a mirror number the same program differently, and a resync
+//! renumbers. Slots therefore never appear in a packet tag, on the wire, or
+//! in anything one agent hands another — the shared vocabulary between
+//! parties stays the variable's name.
 //!
-//! ## The two-stage lowering, and which stage to use when
+//! ## The lowering stages, and which to use when
 //!
 //! 1. **Pool** ([`crate::Pool`]): building and composing diagrams —
 //!    hash-consing, memoized `⊕`/`⊖`/`⊙`, deltas, GC. Never the per-packet
@@ -78,28 +97,27 @@
 //!    packet-tag wire format, leaves carry the executable action tables,
 //!    and [`FlatProgram::walk`] is the reference per-packet semantics that
 //!    everything else (netasm lowering, table dispatch) is checked against.
-//! 3. **Tables** ([`crate::tables::TableProgram`]): a derived dispatch
-//!    structure *over* the flat arrays — runs of same-field tests collapsed
-//!    into per-field lookup tables, so the hot path resolves a whole chain
-//!    with one field load and one probe. Compiled locally from the flat
-//!    program wherever one is installed (never shipped: the wire format
-//!    and the tags stay flat). Use it for the per-packet hot path; use
+//! 3. **Tables** ([`crate::tables::TableProgram`]): the dispatch view over
+//!    the same lowered nodes — runs of same-field tests resolved with one
+//!    field load and one probe. Never shipped: each node's entry is made
+//!    where the node is lowered. Use it for the per-packet hot path; use
 //!    `walk` when you need the one-test-per-step reference, e.g. in
 //!    differential tests.
 
 use crate::action::{Action, ActionSeq, Leaf};
+use crate::fx::FxHashMap;
 use crate::pool::{eval_test, Node, NodeId, Pool};
+use crate::tables::{Entry, Stage, MAX_STAGE_DEPTH};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 /// Compile-time classification of a state variable's transitions, derived
-/// from the flattened diagram's read set (branch tests) and write set (leaf
-/// action sequences).
+/// from the program's read set (branch tests) and write set (leaf action
+/// sequences).
 ///
 /// The dataplane uses this to decide how a variable's table may be sharded
 /// across workers: a variable whose updates commute and which no branch ever
@@ -132,19 +150,15 @@ impl StateClass {
     }
 }
 
-/// Dense identifier of a node in a [`FlatProgram`]: the top bit distinguishes
-/// leaves from branches, the remainder indexes the respective array. Flat ids
-/// double as the packet-tag node identifiers of §4.5 — every switch holds the
-/// same flattened program, so an id minted on one switch resumes correctly on
-/// another.
+/// Identifier of a lowered node (see "Numbering" in the module docs): the
+/// top bit distinguishes leaves from branches, the remainder indexes the
+/// respective table. Flat ids double as the packet-tag node identifiers of
+/// §4.5 — every switch holds the same lowered table, so an id minted on one
+/// switch resumes correctly on another.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlatId(u32);
 
 const LEAF_BIT: u32 = 1 << 31;
-
-/// The mark of a node [`FlatProgram::assemble`] has not reached, in its
-/// arena-indexed scratch of flat ids.
-const UNSEEN: FlatId = FlatId(u32::MAX);
 
 impl FlatId {
     /// Is this the id of a leaf?
@@ -152,15 +166,15 @@ impl FlatId {
         self.0 & LEAF_BIT != 0
     }
 
-    /// Index into the branch arrays (tests/edges). Panics on leaf ids —
-    /// in every build: a leaf id used as a branch index would silently
-    /// read an unrelated branch in release mode otherwise.
+    /// Index into the branch table. Panics on leaf ids — in every build: a
+    /// leaf id used as a branch index would silently read an unrelated
+    /// branch in release mode otherwise.
     pub fn branch_index(self) -> usize {
         assert!(!self.is_leaf(), "branch_index called on leaf id {self:?}");
         self.0 as usize
     }
 
-    /// Index into the leaf array. Panics on branch ids — in every build,
+    /// Index into the leaf table. Panics on branch ids — in every build,
     /// for the same reason as [`FlatId::branch_index`].
     pub fn leaf_index(self) -> usize {
         assert!(self.is_leaf(), "leaf_index called on branch id {self:?}");
@@ -227,7 +241,7 @@ impl Slots {
     }
 }
 
-/// How a leaf — or, folded over its leaves, a whole program — writes one
+/// How a leaf — or, folded over its leaves, a whole subgraph — writes one
 /// state variable. Two writes commute exactly when they are the same kind
 /// (and, for sets, store the same literal), so folding is "equal or
 /// [`Write::Exact`]".
@@ -272,13 +286,136 @@ impl Write {
     }
 }
 
+/// How a subgraph uses one state variable: its writes folded, and whether
+/// some branch of it tests the variable.
+#[derive(Clone, Debug, PartialEq)]
+struct Use {
+    write: Option<Write>,
+    tested: bool,
+}
+
+impl Use {
+    fn merge(&mut self, other: &Use) {
+        match (&mut self.write, &other.write) {
+            (Some(seen), Some(write)) => seen.merge(write),
+            (unseen @ None, Some(write)) => *unseen = Some(write.clone()),
+            (_, None) => {}
+        }
+        self.tested |= other.tested;
+    }
+
+    /// Would merging `other` in leave this use as it is?
+    fn absorbs(&self, other: &Use) -> bool {
+        let write = match (&self.write, &other.write) {
+            (_, None) => true,
+            (Some(seen), Some(write)) => *seen == Write::Exact || seen == write,
+            (None, Some(_)) => false,
+        };
+        write && (self.tested || !other.tested)
+    }
+
+    /// Replication is only sound when the packet path never observes
+    /// intermediate values, and a state test is exactly such an
+    /// observation: a tested variable is [`StateClass::Exact`].
+    fn class(&self) -> StateClass {
+        match &self.write {
+            Some(write) if !self.tested => write.class(),
+            _ => StateClass::Exact,
+        }
+    }
+}
+
+/// The state summary of a lowered node (see the module docs): the [`Use`]
+/// of every variable its subgraph mentions, ascending by slot. Empty — no
+/// allocation — for the common stateless subgraph; a branch whose children
+/// fold to what one of them already says shares that child's handle.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Summary(Option<Arc<[(VarSlot, Use)]>>);
+
+impl Summary {
+    fn uses(&self) -> &[(VarSlot, Use)] {
+        self.0.as_deref().unwrap_or_default()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    fn of(uses: Vec<(VarSlot, Use)>) -> Summary {
+        Summary((!uses.is_empty()).then(|| uses.into()))
+    }
+
+    /// Would folding `other` in leave this summary as it is? Both lists
+    /// ascend by slot, so one merge-walk decides.
+    fn absorbs(&self, other: &Summary) -> bool {
+        if let (Some(a), Some(b)) = (&self.0, &other.0) {
+            if Arc::ptr_eq(a, b) {
+                return true;
+            }
+        }
+        let mut mine = self.uses().iter();
+        other.uses().iter().all(|(slot, theirs)| {
+            mine.by_ref()
+                .find(|(s, _)| s >= slot)
+                .is_some_and(|(s, u)| s == slot && u.absorbs(theirs))
+        })
+    }
+
+    /// The fold of two summaries, sharing an operand's handle when the
+    /// other adds nothing to it.
+    fn merge(a: &Summary, b: &Summary) -> Summary {
+        if a.absorbs(b) {
+            return a.clone();
+        }
+        if b.absorbs(a) {
+            return b.clone();
+        }
+        let (mut xs, mut ys) = (a.uses().iter().peekable(), b.uses().iter().peekable());
+        let mut out = Vec::with_capacity(a.uses().len().max(b.uses().len()));
+        loop {
+            let next = match (xs.peek(), ys.peek()) {
+                (Some(x), Some(y)) if x.0 == y.0 => {
+                    let mut both = xs.next().expect("peeked").clone();
+                    both.1.merge(&ys.next().expect("peeked").1);
+                    both
+                }
+                (Some(x), Some(y)) if x.0 < y.0 => xs.next().expect("peeked").clone(),
+                (Some(_), Some(_)) | (None, Some(_)) => ys.next().expect("peeked").clone(),
+                (Some(_), None) => xs.next().expect("peeked").clone(),
+                (None, None) => break,
+            };
+            out.push(next);
+        }
+        Summary::of(out)
+    }
+
+    /// This summary with `slot` marked as tested.
+    fn tested(self, slot: VarSlot) -> Summary {
+        let uses = self.uses();
+        if uses.iter().any(|(s, u)| *s == slot && u.tested) {
+            return self;
+        }
+        let test = Use {
+            write: None,
+            tested: true,
+        };
+        Summary::merge(&self, &Summary::of(vec![(slot, test)]))
+    }
+
+    fn class_of(&self, slot: VarSlot) -> Option<StateClass> {
+        let uses = self.uses();
+        uses.iter()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, u)| u.class())
+    }
+}
+
 /// A leaf of a flat program: the action sequences of the interned
 /// [`Leaf`], laid out in a dense `Vec` (in the leaf's canonical set order)
 /// so a resumed packet can index its sequence in O(1) instead of walking a
 /// `BTreeSet`, plus facts precomputed at lowering time that the per-packet
 /// path and the program's state classification would otherwise rediscover:
-/// the [`VarSlot`] of every state action and a per-variable summary of the
-/// leaf's writes.
+/// the [`VarSlot`] of every state action and the leaf's state summary.
 #[derive(Clone, Debug)]
 pub struct FlatLeaf {
     /// The parallel action sequences, in the canonical (set) order of the
@@ -291,19 +428,25 @@ pub struct FlatLeaf {
     /// Every state variable some sequence writes, with its writes folded.
     /// Empty for the (common) stateless leaf, which then skips per-sequence
     /// store cloning and the store merge entirely.
-    writes: Vec<(VarSlot, Write)>,
+    summary: Summary,
 }
 
 impl FlatLeaf {
     fn from_leaf(leaf: &Leaf, vars: &mut Slots) -> FlatLeaf {
         let seqs: Vec<ActionSeq> = leaf.0.iter().cloned().collect();
-        let mut writes: Vec<(VarSlot, Write)> = Vec::new();
+        let mut writes: Vec<(VarSlot, Use)> = Vec::new();
         let mut slot_of = |action: &Action| {
             let (var, write) = Write::of(action)?;
             let slot = vars.slot(var);
             match writes.iter_mut().find(|(s, _)| *s == slot) {
-                Some((_, seen)) => seen.merge(&write),
-                None => writes.push((slot, write)),
+                Some((_, seen)) => seen.write.as_mut().expect("a written slot").merge(&write),
+                None => writes.push((
+                    slot,
+                    Use {
+                        write: Some(write),
+                        tested: false,
+                    },
+                )),
             }
             Some(slot)
         };
@@ -314,10 +457,11 @@ impl FlatLeaf {
         } else {
             Vec::new()
         };
+        writes.sort_unstable_by_key(|(slot, _)| *slot);
         FlatLeaf {
             seqs,
             slots,
-            writes,
+            summary: Summary::of(writes),
         }
     }
 
@@ -336,7 +480,7 @@ impl FlatLeaf {
 
     /// Does any sequence of this leaf write a state variable?
     pub fn writes_state(&self) -> bool {
-        !self.writes.is_empty()
+        !self.summary.is_empty()
     }
 
     /// Apply the leaf with one-big-switch semantics: every sequence runs on
@@ -380,7 +524,7 @@ impl FlatLeaf {
     }
 }
 
-/// One flat node, borrowed from the program's arrays.
+/// One flat node, borrowed from the program's table.
 #[derive(Clone, Copy, Debug)]
 pub enum FlatNode<'a> {
     /// A branch: evaluate `test` and continue at `tru` or `fls`.
@@ -398,157 +542,390 @@ pub enum FlatNode<'a> {
     Leaf(&'a FlatLeaf),
 }
 
-/// A branch's payload: its test — inline, a copy made once at lowering, so
-/// the per-packet path reaches it through one handle, not two — and, for a
+/// A branch's payload: its test — a copy made once at lowering, so the
+/// per-packet path reaches it through one handle, not two — and, for a
 /// state test, the slot of the variable it reads.
 #[derive(Debug)]
-struct FlatTest {
-    test: Test,
+pub(crate) struct FlatTest {
+    pub(crate) test: Test,
     slot: Option<VarSlot>,
 }
 
-/// The lowered form of one pool node: the payload a [`FlatProgram`] holds
-/// for it, behind a shared handle so a program is assembled, cached and
-/// dropped by reference count, plus a branch's successors — everything
-/// flattening needs, so it never goes back to the pool's (much wider) node.
-#[derive(Clone)]
-enum Lowered {
-    Leaf(Arc<FlatLeaf>),
-    Branch(Arc<FlatTest>, [NodeId; 2]),
+/// A lowered branch: everything the packet path reads at a branch id.
+#[derive(Clone, Debug)]
+pub(crate) struct Branch {
+    pub(crate) test: Arc<FlatTest>,
+    /// `[tru, fls]`.
+    pub(crate) edges: [FlatId; 2],
+    /// How the branch dispatches ([`crate::tables`]).
+    pub(crate) entry: Entry,
+    summary: Summary,
 }
 
-impl Lowered {
-    /// Lower `node`, numbering the state variables it mentions in `vars`.
-    fn of(node: &Node, vars: &mut Slots) -> Lowered {
-        match node {
-            Node::Leaf(leaf) => Lowered::Leaf(Arc::new(FlatLeaf::from_leaf(leaf, vars))),
-            Node::Branch { test, tru, fls } => {
-                let payload = FlatTest {
-                    test: Test::clone(test),
-                    slot: test.state_var().map(|var| vars.slot(var)),
-                };
-                Lowered::Branch(Arc::new(payload), [*tru, *fls])
-            }
+impl Branch {
+    /// The length of the same-field run this branch heads (1 for a lone
+    /// field-value compare). Only meaningful for a `FieldValue` branch.
+    fn run(&self) -> u32 {
+        match self.entry {
+            Entry::Stage { cursor, .. } => cursor + 1,
+            _ => 1,
         }
     }
 }
 
-/// The reachable subgraph of one diagram root, compiled into dense parallel
-/// arrays for per-packet evaluation (see the module docs).
+/// Nodes per chunk of a [`Nodes`] table.
+const CHUNK: usize = 64;
+
+/// An immutable prefix of an append-only table: full chunks of [`CHUNK`]
+/// entries behind shared handles, the last one possibly partial. Extending
+/// it makes a new prefix that shares every full chunk; whoever holds the
+/// old one keeps reading it.
+#[derive(Debug)]
+pub(crate) struct Nodes<T> {
+    chunks: Arc<[Arc<[T]>]>,
+    len: usize,
+}
+
+impl<T> Clone for Nodes<T> {
+    fn clone(&self) -> Self {
+        Nodes {
+            chunks: Arc::clone(&self.chunks),
+            len: self.len,
+        }
+    }
+}
+
+impl<T> Default for Nodes<T> {
+    fn default() -> Self {
+        Nodes {
+            chunks: Arc::new([]),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Clone> Nodes<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    /// Append `new`, copying the partial last chunk and the directory.
+    fn extend(&mut self, new: Vec<T>) {
+        if new.is_empty() {
+            return;
+        }
+        let full = self.len / CHUNK;
+        let total = self.len + new.len();
+        let mut chunks: Vec<Arc<[T]>> = Vec::with_capacity(total.div_ceil(CHUNK));
+        chunks.extend(self.chunks[..full].iter().cloned());
+        let mut tail: Vec<T> = Vec::with_capacity(CHUNK);
+        tail.extend(
+            self.chunks
+                .get(full)
+                .into_iter()
+                .flat_map(|c| c.iter().cloned()),
+        );
+        for node in new {
+            tail.push(node);
+            if tail.len() == CHUNK {
+                chunks.push(Arc::from(std::mem::replace(
+                    &mut tail,
+                    Vec::with_capacity(CHUNK),
+                )));
+            }
+        }
+        if !tail.is_empty() {
+            chunks.push(Arc::from(tail));
+        }
+        *self = Nodes {
+            chunks: chunks.into(),
+            len: total,
+        };
+    }
+}
+
+/// Where a lowering records the flat id of each pool node it lowers, and
+/// looks up the ids of children lowered earlier.
+trait FlatIds {
+    fn flat_id(&self, id: NodeId) -> FlatId;
+    fn assign(&mut self, id: NodeId, flat: FlatId);
+}
+
+/// A mirror's: one entry per pool node, in pool order.
+impl FlatIds for Vec<FlatId> {
+    fn flat_id(&self, id: NodeId) -> FlatId {
+        self[id.index()]
+    }
+
+    fn assign(&mut self, id: NodeId, flat: FlatId) {
+        assert_eq!(id.index(), self.len(), "a mirror lowers its pool in order");
+        self.push(flat);
+    }
+}
+
+/// A one-off flatten's: the reachable nodes only.
+impl FlatIds for FxHashMap<NodeId, FlatId> {
+    fn flat_id(&self, id: NodeId) -> FlatId {
+        self[&id]
+    }
+
+    fn assign(&mut self, id: NodeId, flat: FlatId) {
+        self.insert(id, flat);
+    }
+}
+
+/// A lowered node table and the slot numbering its payloads index: what a
+/// [`Mirror`] grows as deltas arrive and a one-off flatten fills once.
+#[derive(Default)]
+struct Table {
+    branches: Nodes<Branch>,
+    leaves: Nodes<Arc<FlatLeaf>>,
+    vars: Slots,
+    /// `vars.names`, as every program flattened since the last new name
+    /// shares it (a lowering that brings a new variable re-shares: rare,
+    /// and O(variables)).
+    var_names: Arc<[StateVar]>,
+}
+
+impl Table {
+    /// Lower `batch` — pool nodes in ascending id order, every child lowered
+    /// earlier or earlier in the batch — and append it, recording each
+    /// node's flat id in `ids`.
+    ///
+    /// Dispatch entries need one look at the batch as a whole. A
+    /// `FieldValue` branch *extends* its `fls` child when the child tests
+    /// the same field on a greater key (in an ordered xFDD, every same-field
+    /// child does): its run is then itself plus the child's run, so runs
+    /// are a bottom-up count and their keys ascend strictly. A branch that
+    /// runs at least two tests deep and that no branch of the batch extends
+    /// is a *head*: its stage is built once, here, and every new member
+    /// below it shares that stage with the cursor of its own run's length.
+    /// Members lowered by an earlier batch keep the entry they were given
+    /// then, so a head prepended later builds a new stage and never
+    /// invalidates an old one — and that stage covers only the members
+    /// above the run's first staged one, layered over its stage
+    /// ([`Stage::over`]).
+    fn lower<'a>(
+        &mut self,
+        batch: impl IntoIterator<Item = (NodeId, &'a Node)>,
+        ids: &mut impl FlatIds,
+    ) {
+        let (old_branches, old_leaves) = (self.branches.len(), self.leaves.len());
+        let mut branches: Vec<Branch> = Vec::new();
+        let mut leaves: Vec<Arc<FlatLeaf>> = Vec::new();
+        // Per new branch: its run length, and whether a new branch extends it.
+        let mut runs: Vec<(u32, bool)> = Vec::new();
+        for (id, node) in batch {
+            let flat = match node {
+                Node::Leaf(leaf) => {
+                    leaves.push(Arc::new(FlatLeaf::from_leaf(leaf, &mut self.vars)));
+                    FlatId::leaf(old_leaves + leaves.len() - 1)
+                }
+                Node::Branch { test, tru, fls } => {
+                    let test: &Test = test;
+                    let edges = [ids.flat_id(*tru), ids.flat_id(*fls)];
+                    let summary_of = |at: FlatId| {
+                        if at.is_leaf() {
+                            let i = at.leaf_index();
+                            match i.checked_sub(old_leaves) {
+                                Some(new) => &leaves[new].summary,
+                                None => &self.leaves.get(i).summary,
+                            }
+                        } else {
+                            let i = at.branch_index();
+                            match i.checked_sub(old_branches) {
+                                Some(new) => &branches[new].summary,
+                                None => &self.branches.get(i).summary,
+                            }
+                        }
+                    };
+                    let merged = Summary::merge(summary_of(edges[0]), summary_of(edges[1]));
+                    let slot = test.state_var().map(|var| self.vars.slot(var));
+                    let summary = match slot {
+                        Some(slot) => merged.tested(slot),
+                        None => merged,
+                    };
+                    let (entry, run) = match test {
+                        Test::State { .. } => (Entry::StateBranch, 0),
+                        Test::FieldField(_, _) => (Entry::FieldBranch, 0),
+                        Test::FieldValue(field, key) => {
+                            let below = match edges[1] {
+                                at if at.is_leaf() => None,
+                                at => Some(at.branch_index()),
+                            };
+                            let extended = below.and_then(|i| {
+                                let (child, run) = match i.checked_sub(old_branches) {
+                                    Some(new) => (&branches[new], runs[new].0),
+                                    None => (self.branches.get(i), self.branches.get(i).run()),
+                                };
+                                match &child.test.test {
+                                    Test::FieldValue(f, k) if f == field && key < k => {
+                                        Some((i, run))
+                                    }
+                                    _ => None,
+                                }
+                            });
+                            let run = match extended {
+                                Some((i, run)) => {
+                                    if let Some(new) = i.checked_sub(old_branches) {
+                                        runs[new].1 = true;
+                                    }
+                                    run + 1
+                                }
+                                None => 1,
+                            };
+                            (Entry::FieldBranch, run)
+                        }
+                    };
+                    let payload = FlatTest {
+                        test: test.clone(),
+                        slot,
+                    };
+                    branches.push(Branch {
+                        test: Arc::new(payload),
+                        edges,
+                        entry,
+                        summary,
+                    });
+                    runs.push((run, false));
+                    FlatId::branch(old_branches + branches.len() - 1)
+                }
+            };
+            ids.assign(id, flat);
+        }
+
+        for head in 0..branches.len() {
+            let (run, extended) = runs[head];
+            if run < 2 || extended {
+                continue;
+            }
+            let get = |i: usize| match i.checked_sub(old_branches) {
+                Some(new) => &branches[new],
+                None => self.branches.get(i),
+            };
+            // Walk the run from the head down to the first member that
+            // already has a stage — lowered by an earlier batch, or given
+            // one by another head of this batch — and layer the members
+            // above it over that stage; past the depth cap, or with no such
+            // member, build over the whole run.
+            let mut chain = Vec::new();
+            let mut below = None;
+            let mut layer = true;
+            let mut at = FlatId::branch(old_branches + head);
+            for _ in 0..run {
+                let member = get(at.branch_index());
+                if let (true, Entry::Stage { stage, cursor }) = (layer, &member.entry) {
+                    if stage.depth() < MAX_STAGE_DEPTH {
+                        below = Some((Arc::clone(stage), *cursor));
+                        break;
+                    }
+                    layer = false;
+                }
+                let Test::FieldValue(_, key) = &member.test.test else {
+                    unreachable!("run members are field-value tests")
+                };
+                chain.push((key.clone(), member.edges[0]));
+                at = member.edges[1];
+            }
+            let Test::FieldValue(field, _) = &branches[head].test.test else {
+                unreachable!("run heads are field-value tests")
+            };
+            let stage = Arc::new(match below {
+                Some((stage, top)) => Stage::over(chain, stage, top),
+                None => Stage::new(field.clone(), chain, at),
+            });
+            // The new members, from the head down: the first one lowered
+            // earlier, or already given a stage by another head, ends the
+            // walk — everything below it has its entry too.
+            let mut at = old_branches + head;
+            while let Some(new) = at.checked_sub(old_branches) {
+                let member = &mut branches[new];
+                if matches!(member.entry, Entry::Stage { .. }) {
+                    break;
+                }
+                member.entry = Entry::Stage {
+                    stage: Arc::clone(&stage),
+                    cursor: runs[new].0 - 1,
+                };
+                if runs[new].0 == 1 {
+                    break;
+                }
+                at = member.edges[1].branch_index();
+            }
+        }
+
+        self.branches.extend(branches);
+        self.leaves.extend(leaves);
+        if self.var_names.len() != self.vars.names.len() {
+            self.var_names = self.vars.names.as_slice().into();
+        }
+    }
+
+    /// The program rooted at `root`: the table as it stands, shared.
+    fn program(&self, root: FlatId) -> FlatProgram {
+        let summary = if root.is_leaf() {
+            &self.leaves.get(root.leaf_index()).summary
+        } else {
+            &self.branches.get(root.branch_index()).summary
+        };
+        FlatProgram {
+            branches: self.branches.clone(),
+            leaves: self.leaves.clone(),
+            root,
+            summary: summary.clone(),
+            vars: Arc::clone(&self.var_names),
+        }
+    }
+}
+
+/// A lowered program: a node table and a root (see the module docs).
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
-    /// Branch tests, one per branch node.
-    tests: Vec<Arc<FlatTest>>,
-    /// Branch successors `[tru, fls]`, parallel to `tests`.
-    edges: Vec<[FlatId; 2]>,
-    /// Leaf action tables.
-    leaves: Vec<Arc<FlatLeaf>>,
+    branches: Nodes<Branch>,
+    leaves: Nodes<Arc<FlatLeaf>>,
     /// Entry node.
     root: FlatId,
+    /// The root's state summary: the program's classification.
+    summary: Summary,
     /// The slot → name table of the lowering the payloads came from. It may
     /// name variables this program never mentions (a mirror numbers every
     /// program it has seen); it names every variable the program does.
     vars: Arc<[StateVar]>,
-    /// Per-slot transition classification (see [`StateClass`]), computed
-    /// once at flatten time from the state tests and the leaves' write
-    /// summaries; `None` for a slot this program neither tests nor writes.
-    classes: Vec<Option<StateClass>>,
 }
 
 impl FlatProgram {
-    /// Flatten the subgraph reachable from `root`, lowering every node on
-    /// the way and numbering the program's own variables (a [`Mirror`]
-    /// flattens from payloads it lowered when the nodes arrived).
-    pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
-        let mut vars = Slots::default();
-        let lower = |id| Lowered::of(pool.node(id), &mut vars);
-        let arrays = FlatProgram::assemble(root, lower, &mut vec![UNSEEN; root.index() + 1]);
-        arrays.classified(vars.names.into())
-    }
-
-    /// The one flatten routine, over whatever supplies the lowered nodes;
-    /// [`FlatProgram::classified`] completes its result.
+    /// Lower the subgraph reachable from `root` into a fresh table, in
+    /// ascending arena order, numbering the program's own variables (a
+    /// [`Mirror`] flattens from nodes it lowered when they arrived).
     ///
-    /// A worklist from the root finds the reachable set, marking nodes in
-    /// `flat_of` — one entry per arena node up to the root at least, all
-    /// [`UNSEEN`] on entry and again on return — so the cost is the
-    /// program's, wherever in a long append-only arena its root sits. The
-    /// arena interns children before parents (ids strictly decrease from
-    /// parent to child), so numbering the set in ascending arena order
-    /// assigns dense, child-first flat ids with every child already numbered
-    /// when its parent is visited.
-    fn assemble(
-        root: NodeId,
-        mut lowered: impl FnMut(NodeId) -> Lowered,
-        flat_of: &mut [FlatId],
-    ) -> FlatProgram {
-        let mut nodes = Vec::new();
+    /// The arena interns children before parents (ids strictly decrease
+    /// from parent to child), so ascending order is child-first and the
+    /// ids come out dense.
+    pub fn from_pool(pool: &Pool, root: NodeId) -> FlatProgram {
+        let mut ids: FxHashMap<NodeId, FlatId> = FxHashMap::default();
+        let mut reached = Vec::new();
         let mut work = vec![root];
         while let Some(id) = work.pop() {
-            // Reached: any id will do until the numbering below overwrites it.
-            if std::mem::replace(&mut flat_of[id.index()], FlatId(0)) != UNSEEN {
+            if ids.insert(id, FlatId(0)).is_some() {
                 continue;
             }
-            let node = lowered(id);
-            if let Lowered::Branch(_, children) = &node {
-                for child in children {
-                    assert!(child < &id, "children are interned first");
+            if let Node::Branch { tru, fls, .. } = pool.node(id) {
+                for child in [tru, fls] {
+                    assert!(*child < id, "children are interned first");
                     work.push(*child);
                 }
             }
-            nodes.push((id, node));
+            reached.push(id);
         }
-        nodes.sort_unstable_by_key(|(id, _)| *id);
-        let ids: Vec<NodeId> = nodes.iter().map(|(id, _)| *id).collect();
-        let mut out = FlatProgram {
-            tests: Vec::new(),
-            edges: Vec::new(),
-            leaves: Vec::new(),
-            root: FlatId(0),
-            vars: Arc::default(),
-            classes: Vec::new(),
-        };
-        for (id, node) in nodes {
-            flat_of[id.index()] = match node {
-                Lowered::Leaf(leaf) => {
-                    out.leaves.push(leaf);
-                    FlatId::leaf(out.leaves.len() - 1)
-                }
-                Lowered::Branch(test, [tru, fls]) => {
-                    out.tests.push(test);
-                    out.edges.push([flat_of[tru.index()], flat_of[fls.index()]]);
-                    FlatId::branch(out.tests.len() - 1)
-                }
-            };
-        }
-        out.root = flat_of[root.index()];
-        ids.iter().for_each(|id| flat_of[id.index()] = UNSEEN);
-        out
-    }
-
-    /// Attach the slot → name table the payloads index and classify every
-    /// slot: fold the leaves' write summaries, then demote anything a branch
-    /// test reads to [`StateClass::Exact`] — replication is only sound when
-    /// the packet path never observes intermediate values, and a state test
-    /// is exactly such an observation.
-    fn classified(mut self, vars: Arc<[StateVar]>) -> FlatProgram {
-        let mut folded: Vec<Option<Write>> = vec![None; vars.len()];
-        for (slot, write) in self.leaves.iter().flat_map(|leaf| &leaf.writes) {
-            match &mut folded[slot.index()] {
-                Some(seen) => seen.merge(write),
-                unseen => *unseen = Some(write.clone()),
-            }
-        }
-        let mut classes: Vec<Option<StateClass>> = folded
-            .iter()
-            .map(|write| write.as_ref().map(Write::class))
-            .collect();
-        for slot in self.tests.iter().filter_map(|t| t.slot) {
-            classes[slot.index()] = Some(StateClass::Exact);
-        }
-        self.vars = vars;
-        self.classes = classes;
-        self
+        reached.sort_unstable();
+        let mut table = Table::default();
+        table.lower(reached.into_iter().map(|id| (id, pool.node(id))), &mut ids);
+        table.program(ids[&root])
     }
 
     /// The slot → name table: `var_names()[slot.index()]` is the variable
@@ -564,10 +941,11 @@ impl FlatProgram {
         &self.vars[slot.index()]
     }
 
-    /// The classification of a slot's transitions in this program.
+    /// The classification of a slot's transitions in this program
+    /// ([`StateClass::Exact`] for a slot it neither tests nor writes).
     #[inline]
     pub fn class_of(&self, slot: VarSlot) -> StateClass {
-        self.classes[slot.index()].unwrap_or(StateClass::Exact)
+        self.summary.class_of(slot).unwrap_or(StateClass::Exact)
     }
 
     /// The classification of `var`'s transitions in this program — the
@@ -576,15 +954,14 @@ impl FlatProgram {
     /// out-of-band (e.g. hand-seeded in tests).
     pub fn state_class(&self, var: &StateVar) -> StateClass {
         let slot = self.vars.iter().position(|name| name == var);
-        slot.and_then(|i| self.classes[i])
-            .unwrap_or(StateClass::Exact)
+        slot.map_or(StateClass::Exact, |i| self.class_of(VarSlot(i as u32)))
     }
 
-    /// All classified variables and their classes, by name.
+    /// All variables the program tests or writes, with their classes, by
+    /// name.
     pub fn state_classes(&self) -> BTreeMap<StateVar, StateClass> {
-        let classified = self.vars.iter().zip(&self.classes);
-        classified
-            .filter_map(|(var, class)| Some((var.clone(), (*class)?)))
+        let uses = self.summary.uses().iter();
+        uses.map(|(slot, u)| (self.var_name(*slot).clone(), u.class()))
             .collect()
     }
 
@@ -593,45 +970,79 @@ impl FlatProgram {
         self.root
     }
 
-    /// Number of branch nodes.
+    /// Number of branch ids in the program's table: `branch_id(i)` for `i`
+    /// below it is a valid entry point. A one-off program's table holds
+    /// exactly its own branches; a mirror program's holds every branch the
+    /// mirror had lowered when it was flattened.
     pub fn num_branches(&self) -> usize {
-        self.tests.len()
+        self.branches.len()
     }
 
-    /// Number of leaf nodes.
+    /// Number of leaf ids in the program's table (see
+    /// [`FlatProgram::num_branches`]).
     pub fn num_leaves(&self) -> usize {
         self.leaves.len()
     }
 
-    /// Total number of nodes (equals the arena size of the source diagram).
+    /// Number of nodes reachable from the root — the program's size, equal
+    /// to its source diagram's. A walk: for diagnostics and tests.
     pub fn num_nodes(&self) -> usize {
-        self.tests.len() + self.leaves.len()
+        let mut seen = [
+            vec![false; self.branches.len()],
+            vec![false; self.leaves.len()],
+        ];
+        let mut work = vec![self.root];
+        let mut count = 0;
+        while let Some(at) = work.pop() {
+            let (kind, i) = if at.is_leaf() {
+                (1, at.leaf_index())
+            } else {
+                (0, at.branch_index())
+            };
+            if std::mem::replace(&mut seen[kind][i], true) {
+                continue;
+            }
+            count += 1;
+            if !at.is_leaf() {
+                work.extend(self.branch(at).edges);
+            }
+        }
+        count
     }
 
-    /// The id of the `i`-th branch (for iterating the branch arrays).
+    /// The id of the `i`-th branch of the table (for iterating it).
     pub fn branch_id(&self, i: usize) -> FlatId {
-        assert!(i < self.tests.len());
+        assert!(i < self.branches.len());
         FlatId::branch(i)
     }
 
-    /// The id of the `i`-th leaf (for iterating the leaf array).
+    /// The id of the `i`-th leaf of the table (for iterating it).
     pub fn leaf_id(&self, i: usize) -> FlatId {
         assert!(i < self.leaves.len());
         FlatId::leaf(i)
+    }
+
+    /// The lowered branch behind a branch id.
+    #[inline]
+    pub(crate) fn branch(&self, id: FlatId) -> &Branch {
+        self.branches.get(id.branch_index())
+    }
+
+    pub(crate) fn branches(&self) -> &Nodes<Branch> {
+        &self.branches
     }
 
     /// Borrow a node by id.
     #[inline]
     pub fn node(&self, id: FlatId) -> FlatNode<'_> {
         if id.is_leaf() {
-            FlatNode::Leaf(&self.leaves[id.leaf_index()])
+            FlatNode::Leaf(self.leaf(id))
         } else {
-            let i = id.branch_index();
-            let [tru, fls] = self.edges[i];
-            let FlatTest { test, slot } = &*self.tests[i];
+            let branch = self.branch(id);
+            let [tru, fls] = branch.edges;
             FlatNode::Branch {
-                test,
-                slot: *slot,
+                test: &branch.test.test,
+                slot: branch.test.slot,
                 tru,
                 fls,
             }
@@ -641,25 +1052,25 @@ impl FlatProgram {
     /// The leaf behind a leaf id.
     #[inline]
     pub fn leaf(&self, id: FlatId) -> &FlatLeaf {
-        &self.leaves[id.leaf_index()]
+        self.leaves.get(id.leaf_index())
     }
 
     /// The state variable read by a branch's test, if any.
     #[inline]
     pub fn branch_var(&self, id: FlatId) -> Option<&StateVar> {
-        self.tests[id.branch_index()].test.state_var()
+        self.branch(id).test.test.state_var()
     }
 
     /// Walk tests from `from` to a leaf for one packet against a by-name
     /// [`Store`]: the one-test-per-step reference semantics. A test oracle
-    /// for the table compilation; no plane calls it.
+    /// for the table dispatch; no plane calls it.
     #[inline]
     pub fn walk(&self, from: FlatId, pkt: &Packet, store: &Store) -> Result<FlatId, EvalError> {
         let mut cur = from;
         while !cur.is_leaf() {
-            let i = cur.branch_index();
-            let [tru, fls] = self.edges[i];
-            cur = if eval_test(&self.tests[i].test, pkt, store)? {
+            let branch = self.branch(cur);
+            let [tru, fls] = branch.edges;
+            cur = if eval_test(&branch.test.test, pkt, store)? {
                 tru
             } else {
                 fls
@@ -678,47 +1089,36 @@ impl FlatProgram {
         store: &Store,
     ) -> Result<(BTreeSet<Packet>, Store), EvalError> {
         let leaf = self.walk(self.root, pkt, store)?;
-        self.leaves[leaf.leaf_index()].apply(pkt, store)
+        self.leaf(leaf).apply(pkt, store)
     }
 
     /// All state variables referenced anywhere in the program (tests and
     /// leaf actions).
     pub fn state_vars(&self) -> BTreeSet<StateVar> {
-        let tested = self.tests.iter().filter_map(|t| t.slot);
-        let written = self.leaves.iter().flat_map(|leaf| &leaf.writes);
-        tested
-            .chain(written.map(|(slot, _)| *slot))
-            .map(|slot| self.var_name(slot).clone())
-            .collect()
+        let slots = self.summary.uses().iter().map(|(slot, _)| *slot);
+        slots.map(|slot| self.var_name(slot).clone()).collect()
     }
 }
 
 /// A switch's copy of the controller's append-only distribution pool,
-/// together with the lowered payload of every node in it.
+/// together with the lowering of every node in it.
 ///
-/// **Invariant:** `lowered[i]` is the payload of `pool` node `i`, for every
-/// node — so the payloads are valid for exactly one numbering, the pool's —
-/// and every [`VarSlot`] in a payload indexes `vars` (and `var_names`). Pool, payloads and
-/// slot numbering are one value for that reason: a resync replaces all
-/// three, and a mirror whose delta failed is dropped whole, never patched
-/// up.
+/// **Invariant:** the table's node for flat id `ids[i]` is the lowering of
+/// `pool` node `i`, for every node — so the table is valid for exactly one
+/// numbering, the pool's — and every [`VarSlot`] in a payload indexes the
+/// mirror's slot numbering. Pool, ids, table and slot numbering are one
+/// value for that reason: a resync replaces all of them, and a mirror whose
+/// delta failed is dropped whole, never patched up.
 ///
-/// Nodes are lowered once, when a delta delivers them. Flattening a root is
-/// then a reachability walk that pushes shared handles, every program the
-/// switch keeps (staged, cached, per-epoch) shares one payload per node, and
-/// dropping a program is reference-count decrements.
+/// Nodes are lowered once, when a delta delivers them — payload,
+/// successors, dispatch entry and state summary — so flattening a root is a
+/// handle to the table plus the root, and every program the switch keeps
+/// (staged, per epoch) shares it.
 pub struct Mirror {
     pool: Pool,
-    lowered: Vec<Lowered>,
-    vars: Slots,
-    /// `vars.names`, as every program flattened since the last new name
-    /// shares it (a delta that brings a new variable re-shares: rare, and
-    /// O(variables)).
-    var_names: Arc<[StateVar]>,
-    /// Scratch of [`FlatProgram::assemble`], one entry per node, all
-    /// [`UNSEEN`] between flattens: it grows with the mirror, so a flatten
-    /// touches (and pays for) the program's entries only.
-    flat_of: RefCell<Vec<FlatId>>,
+    /// The flat id of every pool node.
+    ids: Vec<FlatId>,
+    table: Table,
 }
 
 impl Mirror {
@@ -728,10 +1128,8 @@ impl Mirror {
         let (pool, root) = decode_delta_fresh(bytes)?;
         let mut mirror = Mirror {
             pool,
-            lowered: Vec::new(),
-            vars: Slots::default(),
-            var_names: Arc::default(),
-            flat_of: RefCell::default(),
+            ids: Vec::new(),
+            table: Table::default(),
         };
         mirror.lower_suffix();
         Ok((mirror, root))
@@ -748,15 +1146,12 @@ impl Mirror {
     }
 
     fn lower_suffix(&mut self) {
-        for i in self.lowered.len()..self.pool.len() {
+        let pool = &self.pool;
+        let suffix = (self.ids.len()..pool.len()).map(|i| {
             let id = NodeId(u32::try_from(i).expect("pool ids fit u32"));
-            self.lowered
-                .push(Lowered::of(self.pool.node(id), &mut self.vars));
-        }
-        if self.var_names.len() != self.vars.names.len() {
-            self.var_names = self.vars.names.as_slice().into();
-        }
-        self.flat_of.get_mut().resize(self.lowered.len(), UNSEEN);
+            (id, pool.node(id))
+        });
+        self.table.lower(suffix, &mut self.ids);
     }
 
     /// The mirrored pool.
@@ -774,13 +1169,10 @@ impl Mirror {
         self.pool.is_empty()
     }
 
-    /// Flatten the program rooted at `root` — [`FlatProgram::from_pool`] on
-    /// the mirrored pool, with the payloads (and the mirror's slot
-    /// numbering) shared instead of lowered anew.
+    /// The program rooted at `root`: the mirror's table as it stands and
+    /// the root's flat id, in O(1) — no node is visited or copied.
     pub fn flatten(&self, root: NodeId) -> FlatProgram {
-        let lowered = |id: NodeId| self.lowered[id.index()].clone();
-        let arrays = FlatProgram::assemble(root, lowered, &mut self.flat_of.borrow_mut());
-        arrays.classified(Arc::clone(&self.var_names))
+        self.table.program(self.ids[root.index()])
     }
 }
 
@@ -788,6 +1180,7 @@ impl Mirror {
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::tables::TableProgram;
     use crate::test::VarOrder;
     use crate::translate::to_xfdd;
     use snap_lang::builder::*;
@@ -814,6 +1207,7 @@ mod tests {
         );
         let (pool, root, flat) = flatten(&policy);
         assert_eq!(flat.num_nodes(), pool.size(root));
+        assert_eq!(flat.num_nodes(), flat.num_branches() + flat.num_leaves());
         assert_eq!(flat.num_branches(), pool.num_tests(root));
         // Every branch's successors carry strictly smaller per-kind indices
         // or point at leaves that exist — i.e. ids are dense and resolvable.
@@ -974,5 +1368,91 @@ mod tests {
         assert!(flat.root().is_leaf());
         let (pkts, _) = flat.evaluate(&Packet::new(), &Store::new()).unwrap();
         assert_eq!(pkts.len(), 1);
+    }
+
+    #[test]
+    fn a_head_prepended_later_layers_over_the_old_stage_up_to_the_cap() {
+        let mut pool = Pool::new(VarOrder::empty());
+        let (mut table, mut ids) = (Table::default(), Vec::new());
+        let lower = |table: &mut Table, ids: &mut Vec<FlatId>, pool: &Pool| {
+            let suffix = (ids.len()..pool.len()).map(|i| {
+                let id = NodeId(i as u32);
+                (id, pool.node(id))
+            });
+            table.lower(suffix, ids);
+        };
+        let head = |pool: &mut Pool, key: i64, below: NodeId| {
+            let out = Leaf::single(Action::Modify(Field::OutPort, Value::Int(key)));
+            let out = pool.leaf(out);
+            pool.branch(
+                Test::FieldValue(Field::DstPort, Value::Int(key)),
+                out,
+                below,
+            )
+        };
+        let mut root = pool.drop();
+        for key in (100..108).rev() {
+            root = head(&mut pool, key, root);
+        }
+        lower(&mut table, &mut ids, &pool);
+
+        // Each later batch prepends one head to the previous run: layered
+        // until the cap, then built over the whole run again.
+        for (prepended, depth) in (1..=5).zip([1, 2, 3, 0, 1]) {
+            root = head(&mut pool, 100 - prepended, root);
+            lower(&mut table, &mut ids, &pool);
+            let program = table.program(ids[root.index()]);
+            let Entry::Stage { stage, cursor } = &program.branch(program.root()).entry else {
+                panic!("the head dispatches through a stage");
+            };
+            assert_eq!((stage.depth(), *cursor), (depth, 7 + prepended as u32));
+            let tables = TableProgram::compile(&program);
+            let mut packets: Vec<Packet> = (90..110)
+                .map(|port| Packet::new().with(Field::DstPort, port))
+                .collect();
+            packets.push(Packet::new());
+            for b in 0..program.num_branches() {
+                let from = program.branch_id(b);
+                for pkt in &packets {
+                    assert_eq!(
+                        tables.advance_stateless(&program, from, pkt),
+                        program.walk(from, pkt, &Store::new()).unwrap(),
+                        "from {from:?} on {pkt:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stateless_subgraph_has_no_summary_and_a_branch_shares_its_childs() {
+        let policy = ite(
+            test(Field::SrcPort, Value::Int(53)),
+            state_incr("dns", vec![field(Field::DstIp)]),
+            ite(
+                test(Field::DstPort, Value::Int(80)),
+                modify(Field::OutPort, Value::Int(1)),
+                drop(),
+            ),
+        );
+        let (_, _, flat) = flatten(&policy);
+        let FlatNode::Branch { tru, fls, .. } = flat.node(flat.root()) else {
+            panic!("the root tests srcport");
+        };
+        let summary_of = |at: FlatId| {
+            if at.is_leaf() {
+                flat.leaf(at).summary.clone()
+            } else {
+                flat.branch(at).summary.clone()
+            }
+        };
+        let (root, counted, stateless) =
+            (summary_of(flat.root()), summary_of(tru), summary_of(fls));
+        assert!(stateless.is_empty());
+        // The root adds nothing to its stateful child: one handle.
+        let (Some(a), Some(b)) = (&root.0, &counted.0) else {
+            panic!("the counter is summarised");
+        };
+        assert!(Arc::ptr_eq(a, b));
     }
 }

@@ -38,13 +38,14 @@
 //!   and the one wire payload for programs — a node-table suffix
 //!   ([`encode_delta`] / [`apply_delta`]), a full table being the delta from
 //!   a fresh pool,
-//! * a two-stage dataplane lowering: the flat struct-of-arrays program
-//!   ([`FlatProgram`] — the reachable subgraph renumbered densely
-//!   child-first, so per-packet evaluation is index arithmetic instead of
-//!   arena chasing) and, below it, the table-compiled program
-//!   ([`TableProgram`] — runs of same-field tests collapsed into per-field
-//!   dispatch tables, so a whole field-test chain resolves with one field
-//!   load and one indexed lookup).
+//! * one dataplane lowering, made once per node: the flat program
+//!   ([`FlatProgram`] — a table of lowered nodes plus a root, so per-packet
+//!   evaluation is index arithmetic instead of arena chasing; a one-off
+//!   flatten numbers the reachable subgraph densely child-first, a switch's
+//!   [`Mirror`] lowers each node as it arrives and numbers it by mirror
+//!   position) and its dispatch view ([`TableProgram`] — runs of same-field
+//!   tests collapsed into per-field dispatch stages, so a whole field-test
+//!   chain resolves with one field load and one indexed lookup).
 //!
 //! ## Example
 //!

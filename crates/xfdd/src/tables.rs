@@ -1,9 +1,9 @@
-//! Table-compiled programs: the second lowering stage below [`FlatProgram`],
-//! and **the runtime** — the executable form the packet plane dispatches
-//! through ([`TableProgram::step_stateless`] /
-//! [`TableProgram::advance_stateless`] for stateless spans, the flat
-//! program's tests and leaves for state). `snap_lang::eval` is the
-//! specification it is differentially tested against.
+//! Table dispatch: the third lowering stage below [`FlatProgram`], and **the
+//! runtime** — the executable form the packet plane dispatches through
+//! ([`TableProgram::step_stateless`] / [`TableProgram::advance_stateless`]
+//! for stateless spans, the flat program's tests and leaves for state).
+//! `snap_lang::eval` is the specification it is differentially tested
+//! against.
 //!
 //! A [`FlatProgram`] already turns per-packet evaluation into index
 //! arithmetic, but it still resolves one *test per step*: a policy that
@@ -12,10 +12,10 @@
 //! `Test::FieldValue` branches threaded along `fls` edges, and the packet
 //! pays a field lookup plus a compare-and-branch per chain node.
 //!
-//! A [`TableProgram`] collapses every maximal run of same-field
-//! `FieldValue` branches into one **dispatch stage**: a single field load
-//! followed by one indexed lookup picks the successor for the whole run.
-//! The lookup structure is chosen per run by key shape and density:
+//! Table dispatch collapses every same-field run of `FieldValue` branches
+//! into one **dispatch stage**: a single field load followed by one indexed
+//! lookup picks the successor for the whole run. The lookup structure is
+//! chosen per run by key shape and density:
 //!
 //! * [`Lookup::Dense`] — a jump table indexed by `value - base`, for integer
 //!   key sets dense enough that the table stays small (ports, opcodes);
@@ -33,42 +33,61 @@
 //! anyway (the switch may not own the variable, and the store lock is only
 //! taken past this point).
 //!
-//! The table program is a *view over* its flat program — successors are
-//! [`FlatId`]s into the same arrays, leaves are applied through the flat
-//! leaf tables, and the §4.5 packet tags stay flat ids, so the wire format
-//! and resume semantics are untouched. Any flat id minted mid-run (a packet
+//! Every branch carries its dispatch **entry**, made when the branch is
+//! lowered (see `Table::lower` in [`crate::flat`]): a stage is built once,
+//! for the head of a run, and every member below shares it through a
+//! **cursor counted from the run's bottom** — the bottom test is position
+//! 0, the head position `len - 1`, and a member honours only lookup matches
+//! at positions ≤ its cursor. A member's cursor is the length of its own
+//! run minus one, a fact about the member alone, so the suffix semantics
+//! are exact (every suffix of a run shares the run's final default) and a
+//! head prepended by a later lowering builds a new stage over the old
+//! members without touching theirs. Since the old positions stay valid,
+//! that new stage builds a lookup over its own new members only and hands
+//! a miss down to the old stage, at the position of the run's first old
+//! member; past `MAX_STAGE_DEPTH` such layers a stage is built over the
+//! whole run again. A head prepended to a long run therefore costs memory
+//! for what it adds. Any flat id minted mid-run — a packet
 //! paused at an interior chain node by an older snapshot, or resumed on
-//! another switch) stays a valid entry point: interior nodes map to their
-//! run's stage with a `min_pos` cursor, and lookups only honour matches at
-//! chain positions ≥ that cursor (all positions of a run share the run's
-//! final default, so the suffix semantics are exact).
+//! another switch — stays a valid entry point.
+//!
+//! A [`TableProgram`] is the view over those entries for one program: no
+//! stage is built when one is compiled, and the §4.5 packet tags stay flat
+//! ids, so the wire format and resume semantics are untouched.
 //!
 //! [`TableProgram::advance_stateless`] walks stages and stateless branches
 //! until a leaf or a state test **without ever touching a store** — it is
 //! infallible, which is what lets the batched driver run the stateless
 //! prefix of a whole wave before acquiring any store lease.
 
-use crate::flat::{FlatId, FlatNode, FlatProgram};
+use crate::flat::{Branch, FlatId, FlatProgram, Nodes};
 use crate::pool::eval_test;
 use crate::test::Test;
 use snap_lang::{EvalError, Field, Packet, Prefix, Store, Value};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// How a branch of the flat program executes under the table compilation.
-#[derive(Clone, Copy, Debug)]
-enum Entry {
+/// How a lowered branch executes under table dispatch.
+#[derive(Clone, Debug)]
+pub(crate) enum Entry {
     /// An explicit stateless branch step (`FieldField`, or a `FieldValue`
-    /// run of length one that a table would not improve).
+    /// test no same-field run goes through).
     FieldBranch,
     /// A state test: the stateless prefix stops here.
     StateBranch,
-    /// Member of a collapsed same-field run: dispatch through
-    /// `stages[stage]`, honouring matches at chain positions ≥ `min_pos`
-    /// only (this branch is the `min_pos`-th test of the run).
-    Stage { stage: u32, min_pos: u32 },
+    /// Member of a collapsed same-field run: dispatch through `stage`,
+    /// honouring matches at positions ≤ `cursor` only (positions count from
+    /// the run's bottom; this branch is the `cursor`-th from it).
+    Stage {
+        /// The run's lookup, built for the run's head.
+        stage: Arc<Stage>,
+        /// This branch's position in the run, from the bottom.
+        cursor: u32,
+    },
 }
 
-/// The per-run lookup structure, chosen by key shape and density.
+/// The per-run lookup structure, chosen by key shape and density. Chain
+/// positions count from the run's bottom (see the module docs).
 #[derive(Clone, Debug)]
 pub enum Lookup {
     /// Dense integer jump table: `slots[value - base]` holds the chain
@@ -87,108 +106,187 @@ pub enum Lookup {
     },
     /// Elementary interval decomposition of IP/prefix keys: segment `i`
     /// spans `[starts[i], starts[i+1])` (the last segment ends at the top
-    /// of the address space) and `covers[i]` lists the chain entries
-    /// containing it, in chain order (first match wins, so nested prefixes
-    /// resolve exactly like the original test chain).
+    /// of the address space) and `covers[ends[i-1]..ends[i]]` lists the
+    /// chain entries containing it, in chain order (first match wins, so
+    /// nested prefixes resolve exactly like the original test chain). The
+    /// covers of all segments share one array, so building the lookup costs
+    /// the same few allocations whatever the run's length.
     Intervals {
         /// Segment start addresses, ascending; addresses below `starts[0]`
         /// match nothing.
         starts: Vec<u32>,
-        /// Matching `(chain position, successor)` pairs per segment.
-        covers: Vec<Vec<(u32, FlatId)>>,
+        /// Per segment, the end of its covers in `covers`.
+        ends: Vec<u32>,
+        /// Matching `(chain position, successor)` pairs, segment by segment.
+        covers: Vec<(u32, FlatId)>,
     },
     /// First-match linear scan over the chain via [`Value::matches`] —
     /// the fallback for runs mixing key kinds.
     Scan,
 }
 
-/// One collapsed run of same-field `FieldValue` branches.
-#[derive(Clone, Debug)]
-struct Stage {
+/// How many stages deep one dispatch may delegate (see [`Stage::over`]):
+/// a packet at a layered head probes at most this many lookups plus one.
+pub(crate) const MAX_STAGE_DEPTH: u32 = 3;
+
+/// One collapsed run of same-field `FieldValue` branches — or the top of
+/// one, layered over the stage of the rest (see [`Stage::over`]).
+#[derive(Debug)]
+pub(crate) struct Stage {
     /// The field every test of the run reads.
     field: Field,
     /// Where the run falls through when no key matches (the `fls` successor
-    /// of the run's last test — shared by every suffix of the run).
+    /// of the run's bottom test — shared by every suffix of the run).
     default: FlatId,
-    /// `(key, successor)` in chain order; the ground truth the lookup
-    /// structures are compiled from, and the scan fallback.
+    /// `(key, successor)` of this stage's own members in chain order, head
+    /// first; the ground truth the lookup structures are compiled from, and
+    /// the scan fallback. Keys ascend strictly: that is what makes a run.
     chain: Vec<(Value, FlatId)>,
-    /// The compiled lookup.
+    /// The compiled lookup over `chain`, its positions counted from the
+    /// bottom of `chain`.
     lookup: Lookup,
+    /// The stage of the run below this one's own members, and the position
+    /// of that run's top member in it. Own positions start above it.
+    below: Option<(Arc<Stage>, u32)>,
 }
 
 impl Stage {
+    /// The stage of a whole run: `chain` head first, falling through to
+    /// `default`.
+    pub(crate) fn new(field: Field, chain: Vec<(Value, FlatId)>, default: FlatId) -> Stage {
+        let lookup = build_lookup(&chain);
+        Stage {
+            field,
+            default,
+            chain,
+            lookup,
+            below: None,
+        }
+    }
+
+    /// The stage of `chain` prepended to the run `stage` holds at and below
+    /// position `top`. Positions count from the run's bottom, so the
+    /// positions `stage` assigns stay valid: this stage builds a lookup for
+    /// its own members only and hands every miss down, and a head prepended
+    /// to a long run costs what it adds, not the run.
+    pub(crate) fn over(chain: Vec<(Value, FlatId)>, stage: Arc<Stage>, top: u32) -> Stage {
+        let lookup = build_lookup(&chain);
+        Stage {
+            field: stage.field.clone(),
+            default: stage.default,
+            chain,
+            lookup,
+            below: Some((stage, top)),
+        }
+    }
+
+    /// How many stages a miss here is handed down through.
+    pub(crate) fn depth(&self) -> u32 {
+        self.below
+            .as_ref()
+            .map_or(0, |(stage, _)| 1 + stage.depth())
+    }
+
+    /// The first position this stage's own members take.
+    fn base(&self) -> u32 {
+        self.below.as_ref().map_or(0, |(_, top)| top + 1)
+    }
+
+    /// The length of the run this stage's head heads.
+    fn len(&self) -> usize {
+        self.base() as usize + self.chain.len()
+    }
+
     /// Resolve one packet through this stage, honouring only chain
-    /// positions ≥ `min_pos` (resume mid-run keeps suffix semantics; every
+    /// positions ≤ `cursor` (resume mid-run keeps suffix semantics; every
     /// suffix shares the run's default).
     #[inline]
-    fn dispatch(&self, pkt: &Packet, min_pos: u32) -> FlatId {
-        let Some(actual) = pkt.get(&self.field) else {
+    fn dispatch(&self, pkt: &Packet, cursor: u32) -> FlatId {
+        match pkt.get(&self.field) {
+            Some(actual) => self.resolve(actual, cursor),
             // Missing field: every test of the run is false.
-            return self.default;
-        };
+            None => self.default,
+        }
+    }
+
+    /// The first match from the member at `cursor` down: this stage's own
+    /// members, then the run below them.
+    fn resolve(&self, actual: &Value, cursor: u32) -> FlatId {
+        if let Some(target) = self.find(actual, cursor - self.base()) {
+            return target;
+        }
+        match &self.below {
+            Some((stage, top)) => stage.resolve(actual, *top),
+            None => self.default,
+        }
+    }
+
+    /// The first own member at or below own position `cursor` whose key
+    /// matches.
+    #[inline]
+    fn find(&self, actual: &Value, cursor: u32) -> Option<FlatId> {
         match &self.lookup {
             Lookup::Dense { base, slots } => {
+                // Integer keys never match a non-integer value.
                 let Value::Int(i) = actual else {
-                    // Integer keys never match a non-integer value.
-                    return self.default;
+                    return None;
                 };
-                let Some(off) = i.checked_sub(*base) else {
-                    return self.default;
-                };
-                match slots.get(off as usize).copied().flatten() {
-                    Some((pos, target)) if pos >= min_pos => target,
-                    _ => self.default,
+                let off = usize::try_from(i.checked_sub(*base)?).ok()?;
+                match slots.get(off).copied().flatten() {
+                    Some((pos, target)) if pos <= cursor => Some(target),
+                    _ => None,
                 }
             }
             Lookup::Sorted { entries } => {
                 // Exact-equality key kinds: `Value::matches` degenerates to
                 // `==`, so Ord-based binary search is the whole test.
                 match entries.binary_search_by(|(k, _, _)| k.cmp(actual)) {
-                    Ok(i) if entries[i].1 >= min_pos => entries[i].2,
-                    _ => self.default,
+                    Ok(i) if entries[i].1 <= cursor => Some(entries[i].2),
+                    _ => None,
                 }
             }
-            Lookup::Intervals { starts, covers } => match actual {
+            Lookup::Intervals {
+                starts,
+                ends,
+                covers,
+            } => match actual {
                 Value::Ip(ip) => {
-                    let seg = starts.partition_point(|s| *s <= ip.0);
-                    if seg == 0 {
-                        return self.default;
-                    }
-                    covers[seg - 1]
+                    let seg = starts.partition_point(|s| *s <= ip.0).checked_sub(1)?;
+                    let from = seg.checked_sub(1).map_or(0, |before| ends[before]);
+                    covers[from as usize..ends[seg] as usize]
                         .iter()
-                        .find(|(pos, _)| *pos >= min_pos)
+                        .find(|(pos, _)| *pos <= cursor)
                         .map(|&(_, target)| target)
-                        .unwrap_or(self.default)
                 }
                 // A prefix-valued header compares by equality against
                 // prefix keys but by containment against IP keys
                 // (`Value::matches`); the scan keeps those semantics exact.
-                Value::Prefix(_) => self.scan(actual, min_pos),
+                Value::Prefix(_) => self.scan(actual, cursor),
                 // IP/prefix keys never match any other kind.
-                _ => self.default,
+                _ => None,
             },
-            Lookup::Scan => self.scan(actual, min_pos),
+            Lookup::Scan => self.scan(actual, cursor),
         }
     }
 
-    /// First-match linear scan from `min_pos` — the semantic reference the
-    /// compiled lookups must agree with.
-    fn scan(&self, actual: &Value, min_pos: u32) -> FlatId {
-        self.chain
+    /// First-match linear scan of the own members from own position
+    /// `cursor` down — the semantic reference the compiled lookups must
+    /// agree with.
+    fn scan(&self, actual: &Value, cursor: u32) -> Option<FlatId> {
+        let from = self.chain.len() - 1 - cursor as usize;
+        self.chain[from..]
             .iter()
-            .enumerate()
-            .skip(min_pos as usize)
-            .find(|(_, (key, _))| key.matches(actual))
-            .map(|(_, (_, target))| *target)
-            .unwrap_or(self.default)
+            .find(|(key, _)| key.matches(actual))
+            .map(|(_, target)| *target)
     }
 }
 
-/// Shape statistics of a compiled [`TableProgram`].
+/// Shape statistics of a [`TableProgram`], over the branches reachable
+/// from its root.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Number of dispatch stages (collapsed runs).
+    /// Number of dispatch stages (collapsed runs) the program's branches
+    /// dispatch through.
     pub stages: usize,
     /// Stages compiled to a dense jump table.
     pub dense: usize,
@@ -198,30 +296,28 @@ pub struct TableStats {
     pub intervals: usize,
     /// Stages left as linear scans (mixed key kinds).
     pub scans: usize,
-    /// Flat branches absorbed into stages (tests a packet no longer
+    /// Branches that dispatch through a stage (tests a packet no longer
     /// evaluates one by one).
     pub collapsed_tests: usize,
     /// Longest collapsed run, in tests.
     pub longest_chain: usize,
-    /// Flat branches kept as explicit stateless steps.
+    /// Branches kept as explicit stateless steps.
     pub field_branches: usize,
-    /// Flat branches that are state tests (stateless-prefix stops).
+    /// Branches that are state tests (stateless-prefix stops).
     pub state_branches: usize,
 }
 
-/// A table-compiled program: per-field dispatch stages over a
-/// [`FlatProgram`] (see the module docs).
+/// A program under table dispatch: the view over the dispatch entries its
+/// branches were lowered with (see the module docs).
 ///
-/// A `TableProgram` is only meaningful together with the exact
-/// `FlatProgram` it was compiled from — every evaluation entry point takes
-/// both, and pairing it with any other program is a logic error (checked
-/// only by the shared `FlatId` bounds).
+/// A `TableProgram` is only meaningful together with the [`FlatProgram`]
+/// it was compiled from — every evaluation entry point takes both, and
+/// pairing it with any other program is a logic error (checked only by the
+/// shared `FlatId` bounds).
 #[derive(Clone, Debug)]
 pub struct TableProgram {
-    /// How each flat branch executes, parallel to the flat branch arrays.
-    entries: Vec<Entry>,
-    /// The collapsed runs.
-    stages: Vec<Stage>,
+    branches: Nodes<Branch>,
+    root: FlatId,
 }
 
 /// Dense jump tables are capped at this many slots; sparser integer runs
@@ -229,79 +325,13 @@ pub struct TableProgram {
 const DENSE_SLOT_CAP: i128 = 1024;
 
 impl TableProgram {
-    /// Compile the dispatch tables for `flat`.
-    ///
-    /// Runs are discovered greedily from parents down (child-first
-    /// numbering means scanning branch indices in descending order visits a
-    /// run's head before its interior), following `fls` edges while the
-    /// successor is an unclaimed `FieldValue` branch on the same field.
-    /// Runs of length one stay explicit branches.
+    /// The dispatch view of `flat`: its branches already carry their
+    /// entries, so this shares the table and builds nothing.
     pub fn compile(flat: &FlatProgram) -> TableProgram {
-        let nb = flat.num_branches();
-        let mut entries = vec![Entry::FieldBranch; nb];
-        let mut claimed = vec![false; nb];
-        let mut stages: Vec<Stage> = Vec::new();
-        for b in (0..nb).rev() {
-            let head = flat.branch_id(b);
-            let FlatNode::Branch { test, .. } = flat.node(head) else {
-                unreachable!("branch ids resolve to branches")
-            };
-            let field = match test {
-                Test::State { .. } => {
-                    entries[b] = Entry::StateBranch;
-                    continue;
-                }
-                Test::FieldField(_, _) => continue, // stays FieldBranch
-                Test::FieldValue(field, _) if !claimed[b] => field.clone(),
-                Test::FieldValue(_, _) => continue, // interior of a prior run
-            };
-            // Trace the run: same-field FieldValue branches threaded along
-            // `fls`, stopping at leaves, other tests, already-claimed
-            // branches, or a repeated key (impossible in an ordered xFDD,
-            // where chain keys ascend strictly, but kept for generality).
-            let mut chain: Vec<(Value, FlatId)> = Vec::new();
-            let mut members: Vec<usize> = Vec::new();
-            let mut cur = head;
-            let default = loop {
-                if cur.is_leaf() {
-                    break cur;
-                }
-                let i = cur.branch_index();
-                if claimed[i] {
-                    break cur;
-                }
-                let FlatNode::Branch { test, tru, fls, .. } = flat.node(cur) else {
-                    unreachable!("branch ids resolve to branches")
-                };
-                match test {
-                    Test::FieldValue(f, v) if *f == field && !chain.iter().any(|(k, _)| k == v) => {
-                        members.push(i);
-                        chain.push((v.clone(), tru));
-                        cur = fls;
-                    }
-                    _ => break cur,
-                }
-            };
-            if chain.len() < 2 {
-                continue; // a table would not beat the single compare
-            }
-            let stage = u32::try_from(stages.len()).expect("stage count fits u32");
-            for (pos, &i) in members.iter().enumerate() {
-                claimed[i] = true;
-                entries[i] = Entry::Stage {
-                    stage,
-                    min_pos: pos as u32,
-                };
-            }
-            let lookup = build_lookup(&chain);
-            stages.push(Stage {
-                field,
-                default,
-                chain,
-                lookup,
-            });
+        TableProgram {
+            branches: flat.branches().clone(),
+            root: flat.root(),
         }
-        TableProgram { entries, stages }
     }
 
     /// One stateless dispatch step from branch `at`: the successor after
@@ -310,17 +340,18 @@ impl TableProgram {
     /// test and the stateless prefix ends here. Infallible: field tests
     /// cannot error and no store is touched.
     #[inline]
-    pub fn step_stateless(&self, flat: &FlatProgram, at: FlatId, pkt: &Packet) -> Option<FlatId> {
-        match self.entries[at.branch_index()] {
+    pub fn step_stateless(&self, _flat: &FlatProgram, at: FlatId, pkt: &Packet) -> Option<FlatId> {
+        let branch = self.branches.get(at.branch_index());
+        match &branch.entry {
             Entry::StateBranch => None,
-            Entry::Stage { stage, min_pos } => {
-                Some(self.stages[stage as usize].dispatch(pkt, min_pos))
-            }
+            Entry::Stage { stage, cursor } => Some(stage.dispatch(pkt, *cursor)),
             Entry::FieldBranch => {
-                let FlatNode::Branch { test, tru, fls, .. } = flat.node(at) else {
-                    unreachable!("branch ids resolve to branches")
-                };
-                Some(if eval_field_test(test, pkt) { tru } else { fls })
+                let [tru, fls] = branch.edges;
+                Some(if eval_field_test(&branch.test.test, pkt) {
+                    tru
+                } else {
+                    fls
+                })
             }
         }
     }
@@ -358,10 +389,9 @@ impl TableProgram {
             if cur.is_leaf() {
                 return Ok(cur);
             }
-            let FlatNode::Branch { test, tru, fls, .. } = flat.node(cur) else {
-                unreachable!("branch ids resolve to branches")
-            };
-            cur = if eval_test(test, pkt, store)? {
+            let branch = self.branches.get(cur.branch_index());
+            let [tru, fls] = branch.edges;
+            cur = if eval_test(&branch.test.test, pkt, store)? {
                 tru
             } else {
                 fls
@@ -378,47 +408,61 @@ impl TableProgram {
         pkt: &Packet,
         store: &Store,
     ) -> Result<(BTreeSet<Packet>, Store), EvalError> {
-        let leaf = self.walk(flat, flat.root(), pkt, store)?;
+        let leaf = self.walk(flat, self.root, pkt, store)?;
         flat.leaf(leaf).apply(pkt, store)
     }
 
-    /// Number of dispatch stages.
+    /// Number of dispatch stages (see [`TableProgram::stats`]).
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.stats().stages
     }
 
     /// Shape statistics (stage kinds, collapsed test counts) for benches
-    /// and perf tracking.
+    /// and perf tracking: a walk over the reachable branches.
     pub fn stats(&self) -> TableStats {
-        let mut s = TableStats {
-            stages: self.stages.len(),
-            ..TableStats::default()
-        };
-        for stage in &self.stages {
+        let mut s = TableStats::default();
+        let mut seen = vec![false; self.branches.len()];
+        let mut stages: Vec<*const Stage> = Vec::new();
+        let mut work = vec![self.root];
+        while let Some(at) = work.pop() {
+            if at.is_leaf() || std::mem::replace(&mut seen[at.branch_index()], true) {
+                continue;
+            }
+            let branch = self.branches.get(at.branch_index());
+            work.extend(branch.edges);
+            let stage = match &branch.entry {
+                Entry::FieldBranch => {
+                    s.field_branches += 1;
+                    continue;
+                }
+                Entry::StateBranch => {
+                    s.state_branches += 1;
+                    continue;
+                }
+                Entry::Stage { stage, .. } => stage,
+            };
+            s.collapsed_tests += 1;
+            if stages.contains(&Arc::as_ptr(stage)) {
+                continue;
+            }
+            stages.push(Arc::as_ptr(stage));
+            s.stages += 1;
             match stage.lookup {
                 Lookup::Dense { .. } => s.dense += 1,
                 Lookup::Sorted { .. } => s.sorted += 1,
                 Lookup::Intervals { .. } => s.intervals += 1,
                 Lookup::Scan => s.scans += 1,
             }
-            s.collapsed_tests += stage.chain.len();
-            s.longest_chain = s.longest_chain.max(stage.chain.len());
-        }
-        for e in &self.entries {
-            match e {
-                Entry::FieldBranch => s.field_branches += 1,
-                Entry::StateBranch => s.state_branches += 1,
-                Entry::Stage { .. } => {}
-            }
+            s.longest_chain = s.longest_chain.max(stage.len());
         }
         s
     }
 
-    /// The lookup structure compiled for the run containing branch `at`,
-    /// if `at` was collapsed into a stage (diagnostics and tests).
+    /// The lookup structure of the run branch `at` dispatches through, if
+    /// it is a member of one (diagnostics and tests).
     pub fn lookup_at(&self, at: FlatId) -> Option<&Lookup> {
-        match self.entries[at.branch_index()] {
-            Entry::Stage { stage, .. } => Some(&self.stages[stage as usize].lookup),
+        match &self.branches.get(at.branch_index()).entry {
+            Entry::Stage { stage, .. } => Some(&stage.lookup),
             _ => None,
         }
     }
@@ -439,29 +483,32 @@ fn eval_field_test(test: &Test, pkt: &Packet) -> bool {
     }
 }
 
-/// Choose and build the lookup structure for one run.
+/// Choose and build the lookup structure for one run, or a stage's own
+/// members of one (`chain` head first, keys strictly ascending). Entry `i`
+/// of the chain has position `chain.len() - 1 - i`.
 fn build_lookup(chain: &[(Value, FlatId)]) -> Lookup {
-    let all_int = chain.iter().all(|(k, _)| matches!(k, Value::Int(_)));
-    if all_int {
-        let ints: Vec<i64> = chain
-            .iter()
-            .map(|(k, _)| match k {
-                Value::Int(i) => *i,
-                _ => unreachable!("checked all-int"),
-            })
-            .collect();
-        let base = *ints.iter().min().expect("run has ≥ 2 keys");
-        let max = *ints.iter().max().expect("run has ≥ 2 keys");
+    let bottom = chain.len() - 1;
+    let positioned = || {
+        let chain = chain.iter().enumerate();
+        chain.map(|(i, (key, target))| (key, (bottom - i) as u32, *target))
+    };
+    let ints: Option<Vec<i64>> = chain
+        .iter()
+        .map(|(k, _)| match k {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        })
+        .collect();
+    if let Some(ints) = ints {
+        let base = *ints.iter().min().expect("a chain has a key");
+        let max = *ints.iter().max().expect("a chain has a key");
         let span = i128::from(max) - i128::from(base) + 1;
         // Dense only when the table stays small and at least a quarter
         // full — sparse ports would waste cache for no fewer probes.
         if span <= DENSE_SLOT_CAP && span <= 4 * chain.len() as i128 {
             let mut slots: Vec<Option<(u32, FlatId)>> = vec![None; span as usize];
-            for (pos, (&key, &(_, target))) in ints.iter().zip(chain.iter()).enumerate() {
-                let slot = &mut slots[(key - base) as usize];
-                if slot.is_none() {
-                    *slot = Some((pos as u32, target));
-                }
+            for (key, (_, pos, target)) in ints.iter().zip(positioned()) {
+                slots[(key - base) as usize] = Some((pos, target));
             }
             return Lookup::Dense { base, slots };
         }
@@ -471,15 +518,12 @@ fn build_lookup(chain: &[(Value, FlatId)]) -> Lookup {
         .any(|(k, _)| matches!(k, Value::Ip(_) | Value::Prefix(_)));
     if !any_addr {
         // Exact-equality key kinds: matching is Value equality, so a
-        // sorted table probed by Ord is exact for every actual value.
-        let mut entries: Vec<(Value, u32, FlatId)> = chain
-            .iter()
-            .enumerate()
-            .map(|(pos, (k, t))| (k.clone(), pos as u32, *t))
-            .collect();
-        entries.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        entries.dedup_by(|later, first| later.0 == first.0); // keep first pos
-        return Lookup::Sorted { entries };
+        // sorted table probed by Ord is exact for every actual value — and
+        // the chain's keys already ascend.
+        let entries = positioned().map(|(k, pos, t)| (k.clone(), pos, t));
+        return Lookup::Sorted {
+            entries: entries.collect(),
+        };
     }
     let all_addr = chain
         .iter()
@@ -491,41 +535,42 @@ fn build_lookup(chain: &[(Value, FlatId)]) -> Lookup {
     // is a contiguous `[lo, hi]` range (an IP is a point, a prefix a
     // block), and cutting the space at every range boundary yields
     // segments each key either fully covers or misses.
-    let ranges: Vec<(u32, u32, u32, FlatId)> = chain
-        .iter()
-        .enumerate()
-        .map(|(pos, (k, t))| {
+    let ranges: Vec<(u32, u32, u32, FlatId)> = positioned()
+        .map(|(k, pos, t)| {
             let (lo, hi) = match k {
                 Value::Ip(ip) => (ip.0, ip.0),
                 Value::Prefix(p) => (p.addr.0, p.addr.0 | prefix_host_mask(p)),
                 _ => unreachable!("checked all-addr"),
             };
-            (lo, hi, pos as u32, *t)
+            (lo, hi, pos, t)
         })
         .collect();
-    let mut points: BTreeSet<u32> = BTreeSet::new();
+    let mut starts: Vec<u32> = Vec::with_capacity(2 * ranges.len());
     for &(lo, hi, _, _) in &ranges {
-        points.insert(lo);
-        if let Some(above) = hi.checked_add(1) {
-            points.insert(above);
-        }
+        starts.push(lo);
+        starts.extend(hi.checked_add(1));
     }
-    let starts: Vec<u32> = points.into_iter().collect();
-    let covers: Vec<Vec<(u32, FlatId)>> = starts
-        .iter()
-        .map(|&seg_lo| {
-            // A segment never straddles a range boundary, so covering its
-            // first address is covering all of it.
-            let mut cover: Vec<(u32, FlatId)> = ranges
-                .iter()
-                .filter(|&&(lo, hi, _, _)| lo <= seg_lo && seg_lo <= hi)
-                .map(|&(_, _, pos, target)| (pos, target))
-                .collect();
-            cover.sort_by_key(|&(pos, _)| pos);
-            cover
-        })
-        .collect();
-    Lookup::Intervals { starts, covers }
+    starts.sort_unstable();
+    starts.dedup();
+    // A segment never straddles a range boundary, so covering its first
+    // address is covering all of it. `ranges` is in chain order, so each
+    // segment's covers are too.
+    let covering = |seg_lo: u32| {
+        let ranges = ranges.iter();
+        ranges.filter(move |&&(lo, hi, _, _)| lo <= seg_lo && seg_lo <= hi)
+    };
+    let total = starts.iter().map(|&seg_lo| covering(seg_lo).count()).sum();
+    let mut covers: Vec<(u32, FlatId)> = Vec::with_capacity(total);
+    let mut ends: Vec<u32> = Vec::with_capacity(starts.len());
+    for &seg_lo in &starts {
+        covers.extend(covering(seg_lo).map(|&(_, _, pos, target)| (pos, target)));
+        ends.push(u32::try_from(covers.len()).expect("covers fit u32"));
+    }
+    Lookup::Intervals {
+        starts,
+        ends,
+        covers,
+    }
 }
 
 /// The host-bits mask of a prefix (`!network_mask`): OR-ing it onto the

@@ -16,23 +16,30 @@
 //!
 //! The update path has a budget too: a novel single-threshold edit through
 //! a warm session requests a bounded number of blocks (a payload deep-copied
-//! at some pool boundary shows up here as thousands), and flattening a
-//! program out of an agent's mirror requests bytes for the program, not for
-//! the mirror.
+//! at some pool boundary shows up here as thousands); one agent's prepare of
+//! that edit requests blocks for the delta, not for the program; and
+//! flattening a program out of an agent's mirror requests the same bytes
+//! whatever the program's size or the mirror's.
 //!
 //! Counts are per thread, so the tests of this binary can run in parallel
 //! and the fleet's (idle) agent threads never show up.
 
 use snap_apps as apps;
 use snap_core::SolverChoice;
-use snap_distrib::{deploy_in_process, DistNetwork, InProcessDeployment};
+use snap_distrib::{
+    deploy_in_process, DistNetwork, FromAgent, InProcessDeployment, PrepareMsg, SwitchAgent,
+    SwitchMeta, ToAgent, EPOCH_HISTORY,
+};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_topology::generators::igen_topology;
-use snap_topology::{PortId, TrafficMatrix};
-use snap_xfdd::{encode_delta, to_xfdd, Mirror, Pool, StateDependencies, Test};
+use snap_topology::{NodeId as SwitchId, PortId, TrafficMatrix};
+use snap_xfdd::{
+    encode_delta, to_xfdd, FlatProgram, Mirror, NodeId, Pool, StateDependencies, Test,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 
 struct CountingAllocator;
 
@@ -299,35 +306,149 @@ fn a_novel_edit_requests_a_bounded_number_of_blocks() {
     assert_eq!(blocks, novel_edit_blocks());
 }
 
-#[test]
-fn flattening_a_root_costs_the_program_not_the_mirror() {
-    let policy = pipeline(10, 6);
-    let order = StateDependencies::analyze(&policy).var_order();
-    let fresh_len = Pool::new(order.clone()).len();
-    let mut dist = Pool::new(order);
-    let root = to_xfdd(&policy, &mut dist).expect("the pipeline translates");
-    let (mut mirror, _) =
-        Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).expect("a full table decodes");
-    let (program, before) = bytes_requested(|| mirror.flatten(root));
+/// The `ports`-port pipeline translated on its own and imported into the
+/// distribution pool `dist`, as a controller ships it: only the nodes the
+/// program reaches, and only those `dist` does not hold already.
+fn import_pipeline(dist: &mut Pool, threshold: i64, ports: usize) -> NodeId {
+    let mut scratch = Pool::new(dist.order().clone());
+    let root = to_xfdd(&pipeline(threshold, ports), &mut scratch).expect("the pipeline translates");
+    dist.import(&scratch, root)
+}
 
-    // Ten thousand nodes of other programs arrive after it.
-    let base = dist.len();
-    let (id, drop) = (dist.id(), dist.drop());
-    for port in 0..10_000 {
-        dist.branch(
-            Test::FieldValue(Field::SrcPort, Value::Int(100_000 + port)),
-            id,
-            drop,
-        );
-    }
-    mirror
-        .apply_delta(&encode_delta(&dist, base, root))
-        .expect("the suffix applies");
-    assert_eq!(mirror.len(), base + 10_000);
-    let (again, after) = bytes_requested(|| mirror.flatten(root));
-    assert_eq!(again.num_nodes(), program.num_nodes());
+/// A distribution pool holding the `ports`-port pipeline, and a mirror of
+/// it bootstrapped from a full table.
+fn mirrored_pipeline(threshold: i64, ports: usize) -> (Pool, NodeId, Mirror) {
+    let order = StateDependencies::analyze(&pipeline(threshold, ports)).var_order();
+    let mut dist = Pool::new(order);
+    let fresh_len = dist.len();
+    let root = import_pipeline(&mut dist, threshold, ports);
+    let (mirror, _) =
+        Mirror::decode_fresh(&encode_delta(&dist, fresh_len, root)).expect("a full table decodes");
+    (dist, root, mirror)
+}
+
+#[test]
+fn flattening_a_root_requests_the_same_bytes_whatever_the_program_or_mirror() {
+    let requested = |ports: usize| {
+        let (mut dist, root, mut mirror) = mirrored_pipeline(10, ports);
+        let (program, before) = bytes_requested(|| mirror.flatten(root));
+
+        // Ten thousand nodes of other programs arrive after it.
+        let base = dist.len();
+        let (id, drop) = (dist.id(), dist.drop());
+        for port in 0..10_000 {
+            dist.branch(
+                Test::FieldValue(Field::SrcPort, Value::Int(100_000 + port)),
+                id,
+                drop,
+            );
+        }
+        mirror
+            .apply_delta(&encode_delta(&dist, base, root))
+            .expect("the suffix applies");
+        assert_eq!(mirror.len(), base + 10_000);
+        let (again, after) = bytes_requested(|| mirror.flatten(root));
+        assert_eq!(again.num_nodes(), program.num_nodes());
+        (program.num_nodes(), [before, after])
+    };
+    let (small, small_bytes) = requested(6);
+    let (large, large_bytes) = requested(24);
+    assert!(large > small, "the 24-port program is the larger one");
     assert_eq!(
-        after, before,
-        "flatten requested bytes for the mirror's growth"
+        small_bytes, large_bytes,
+        "flatten requested bytes for the program or the mirror's growth"
     );
+    assert_eq!(small_bytes[0], small_bytes[1]);
+}
+
+/// Blocks one warmed agent requests in `handle(Prepare)` for each of a run
+/// of novel single-threshold edits of the `ports`-port pipeline: the delta
+/// applied and lowered, the slots bound, the view built.
+fn novel_prepare_blocks(ports: usize) -> Vec<u64> {
+    let (mut dist, root, _) = mirrored_pipeline(1_000_000, ports);
+    let fresh_len = Pool::new(dist.order().clone()).len();
+    let local_vars: BTreeSet<StateVar> = FlatProgram::from_pool(&dist, root).state_vars();
+    let placement: BTreeMap<StateVar, SwitchId> = local_vars
+        .iter()
+        .map(|var| (var.clone(), SwitchId(0)))
+        .collect();
+    let agent = SwitchAgent::new(SwitchId(0), "s0", [], 64);
+    let prepare = |epoch: u64, resync: bool, delta: Vec<u8>| {
+        ToAgent::Prepare(Box::new(PrepareMsg {
+            epoch,
+            resync,
+            delta,
+            meta: resync.then(|| SwitchMeta {
+                local_vars: local_vars.clone(),
+                ports: BTreeSet::new(),
+            }),
+            placement: resync.then(|| placement.clone()),
+        }))
+    };
+    let staged = |replies: Vec<FromAgent>| {
+        assert!(
+            matches!(replies.as_slice(), [FromAgent::Prepared { .. }]),
+            "the agent stages the edit: {replies:?}"
+        );
+    };
+    staged(agent.handle(prepare(1, true, encode_delta(&dist, fresh_len, root))));
+    agent.handle(ToAgent::Commit { epoch: 1 });
+
+    // Warm past the epoch ring, then count.
+    let mut blocks = Vec::new();
+    for edit in 0..(EPOCH_HISTORY + 12) as i64 {
+        let base = dist.len();
+        let root = import_pipeline(&mut dist, 2_000_000 + edit, ports);
+        assert_eq!(
+            dist.len() - base,
+            21,
+            "a threshold edit brings the same nodes"
+        );
+        let epoch = edit as u64 + 2;
+        let message = prepare(epoch, false, encode_delta(&dist, base, root));
+        let (replies, count) = blocks_requested(|| agent.handle(message));
+        staged(replies);
+        agent.handle(ToAgent::Commit { epoch });
+        if edit >= EPOCH_HISTORY as i64 {
+            blocks.push(count);
+        }
+    }
+    blocks
+}
+
+/// Budget of one agent's prepare of a novel edit, in blocks: the twelve
+/// counted prepares below request 108 to 111 each, for the 6-port and the
+/// 24-port pipeline alike, recorded with ~10 % slack. A prepare that
+/// re-lowered the program would request blocks in proportion to its size.
+const NOVEL_PREPARE_BLOCKS: u64 = 120;
+
+/// How far one prepare's count may sit above the run's least: a delta
+/// whose nodes fill a table chunk, or grow the mirror pool's intern table,
+/// requests a block or two more. Where that happens depends on the table's
+/// length, not on the program's size.
+const BOUNDARY_BLOCKS: u64 = 4;
+
+#[test]
+fn a_novel_prepare_requests_blocks_for_the_delta_not_the_program() {
+    let small = novel_prepare_blocks(6);
+    let large = novel_prepare_blocks(24);
+    for blocks in [&small, &large] {
+        let least = *blocks.iter().min().expect("prepares were counted");
+        for (edit, &count) in blocks.iter().enumerate() {
+            assert!(
+                count <= NOVEL_PREPARE_BLOCKS && count - least <= BOUNDARY_BLOCKS,
+                "edit {edit}: {count} blocks requested (budget {NOVEL_PREPARE_BLOCKS}): \
+                 {blocks:?}"
+            );
+        }
+    }
+    assert_eq!(
+        small.iter().min(),
+        large.iter().min(),
+        "a prepare's cost depends on the program: {small:?} vs {large:?}"
+    );
+    // Hash seeds, addresses and timing change between two runs, the blocks
+    // requested do not.
+    assert_eq!(small, novel_prepare_blocks(6));
+    assert_eq!(large, novel_prepare_blocks(24));
 }
