@@ -1,11 +1,11 @@
 //! Per-port ordered egress queues with bounded depth and backpressure
 //! accounting — the model of a real switch's output queues.
 //!
-//! The [`crate::TrafficEngine`] collects egress into flat per-worker `Vec`s,
-//! which is the right shape for measuring aggregate throughput but says
-//! nothing about *delivery*: real ports drain in FIFO order and push back
-//! when full. Distribution-driven traffic (the `snap-distrib` agents)
-//! delivers through an [`EgressQueues`] instead: one bounded FIFO per
+//! The traffic engine (`snap_distrib::TrafficEngine`) collects egress into
+//! flat per-worker `Vec`s, which is the right shape for measuring aggregate
+//! throughput but says nothing about *delivery*: real ports drain in FIFO
+//! order and push back when full. Every switch agent of `snap-distrib`
+//! delivers through an [`EgressQueues`] as well: one bounded FIFO per
 //! external port, a monotone per-port sequence number stamped under the
 //! queue lock (so FIFO order stays checkable across drains), and a dropped
 //! counter per port that stands in for backpressure — when a queue is full

@@ -1,21 +1,21 @@
 //! The per-switch execution core under the packet driver
-//! ([`crate::driver`]).
+//! (`snap_distrib::driver`).
 //!
 //! Every switch executes packets the same way: resolve the stateless spans
-//! of the [`FlatProgram`] through its dispatch view
-//! ([`TableProgram`] — one field load and one indexed lookup per collapsed
-//! test run), pause at state the local switch does not own, fork at
-//! parallel leaves, and emit towards an egress port. The driver owns the
-//! dispatch loop; this module holds the machinery underneath it: the
-//! in-flight packet representation ([`InFlight`], [`Progress`]), the
-//! single-switch step ([`process_at_switch`], [`StepOutcome`]), the
-//! lazily-locking per-group lease over the switch's key-range state shards
-//! ([`StoreLease`] — commuting writes buffer lock-free replica deltas,
-//! exact accesses lock only the key's shard, at most one shard guard is
-//! held at a time so leases cannot deadlock, and lock contention is
-//! counted on the [`StateShards`] themselves), the precomputed
-//! shortest-path next-hop table ([`NextHops`]) and the small packet-header
-//! helpers.
+//! of the [`FlatProgram`] through its branches' dispatch entries
+//! ([`FlatProgram::advance_stateless`] — one field load and one indexed
+//! lookup per collapsed test run), pause at state the local switch does not
+//! own, fork at parallel leaves, and emit towards an egress port. The
+//! driver owns the dispatch loop; this module holds the machinery
+//! underneath it: the in-flight packet representation ([`InFlight`],
+//! [`Progress`]), the single-switch step ([`process_at_switch`],
+//! [`StepOutcome`]), the lazily-locking per-group lease over the switch's
+//! key-range state shards ([`StoreLease`] — commuting writes buffer
+//! lock-free replica deltas, exact accesses lock only the key's shard, at
+//! most one shard guard is held at a time so leases cannot deadlock, and
+//! lock contention is counted on the [`StateShards`] themselves), the
+//! precomputed shortest-path hop distances ([`NextHops`]) and the small
+//! packet-header helpers.
 //!
 //! ## State by slot
 //!
@@ -40,7 +40,7 @@ use parking_lot::MutexGuard;
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Value};
 use snap_telemetry::HopRecord;
 use snap_topology::{HopMatrix, NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, TableProgram, Test, VarSlot};
+use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, Test, VarSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a view resolved one variable slot of its program to.
@@ -465,10 +465,10 @@ pub enum StepOutcome {
 /// Passing the same lease for every packet of a batch visiting this switch
 /// amortizes the shard lock to one acquisition per group.
 ///
-/// `tables` must be the table compilation of `flat`: stateless spans are
-/// resolved through the dispatch stages (one field load + one lookup per
+/// Stateless spans are resolved through the program's dispatch stages
+/// ([`FlatProgram::advance_stateless`]: one field load + one lookup per
 /// collapsed run) instead of branch by branch; only state tests evaluate
-/// against the store, branch by branch, as before.
+/// against the store, branch by branch.
 ///
 /// `trace` is the hop record of a sampled packet, if this flight is being
 /// traced: the state variables tested and written at this switch are
@@ -477,7 +477,6 @@ pub enum StepOutcome {
 pub fn process_at_switch<'p>(
     bindings: &[SlotBinding],
     flat: &'p FlatProgram,
-    tables: &TableProgram,
     store: &mut StoreLease<'_, 'p>,
     flight: &mut InFlight,
     mut trace: Option<&mut HopRecord>,
@@ -493,7 +492,7 @@ pub fn process_at_switch<'p>(
             Progress::AtNode(idx) => {
                 // Table-dispatch the whole stateless span, then handle
                 // whatever stopped it: a state test or a leaf.
-                let reached = tables.advance_stateless(flat, idx, &flight.pkt);
+                let reached = flat.advance_stateless(idx, &flight.pkt);
                 if !reached.is_leaf() {
                     let FlatNode::Branch {
                         test,
@@ -587,48 +586,21 @@ pub fn process_at_switch<'p>(
     }
 }
 
-/// The first hop of a shortest path for every switch pair, precomputed once
-/// so per-packet forwarding is two array loads instead of a BFS per hop.
+/// Shortest-path hop distances between every switch pair, precomputed once
+/// so that the driver can fast-forward a packet whose remaining journey is
+/// pure forwarding in one jump ([`NextHops::jump_towards`]) instead of one
+/// wave per hop.
 #[derive(Clone, Debug)]
 pub struct NextHops {
-    /// `table[from][to]`: the first hop of a shortest path.
-    table: Vec<Vec<Option<SwitchId>>>,
-    /// Hop distance along that path. Lets the driver fast-forward a packet
-    /// whose remaining journey is pure forwarding in one jump instead of one
-    /// wave per hop.
     dist: HopMatrix,
 }
 
 impl NextHops {
-    /// Precompute the table for a topology.
+    /// Precompute the distances for a topology.
     pub fn compute(topology: &Topology) -> NextHops {
-        let dist = HopMatrix::new(topology);
-        let table = topology
-            .nodes()
-            .map(|u| {
-                topology
-                    .nodes()
-                    .map(|t| {
-                        let d = dist.distance(u, t).filter(|&d| d > 0)?;
-                        // First neighbor strictly closer to t: deterministic
-                        // and on a shortest path, so hop counts match a
-                        // per-hop BFS.
-                        topology
-                            .neighbors(u)
-                            .iter()
-                            .map(|&(v, _)| v)
-                            .find(|&v| dist.distance(v, t) == Some(d - 1))
-                    })
-                    .collect()
-            })
-            .collect();
-        NextHops { table, dist }
-    }
-
-    /// The first hop from `from` towards `to`, if `to` is reachable.
-    #[inline]
-    pub fn hop(&self, from: SwitchId, to: SwitchId) -> Option<SwitchId> {
-        self.table[from.0][to.0]
+        NextHops {
+            dist: HopMatrix::new(topology),
+        }
     }
 
     /// Hop distance of the shortest path, if `to` is reachable from `from`.
@@ -637,29 +609,17 @@ impl NextHops {
         self.dist.distance(from, to)
     }
 
-    /// Advance an in-flight packet one hop towards a target switch.
-    /// Reaching the target (or already being there) is not a hop.
-    pub fn forward_towards(&self, flight: &mut InFlight, target: SwitchId) -> Result<(), SimError> {
-        if flight.at == target {
-            return Ok(());
-        }
-        let hop = self
-            .hop(flight.at, target)
-            .ok_or(SimError::HopBudgetExceeded)?;
-        flight.at = hop;
-        flight.hops += 1;
-        Ok(())
-    }
-
     /// Fast-forward an in-flight packet all the way to a target switch,
-    /// charging the full shortest-path hop count in one step.
+    /// charging the full shortest-path hop count in one step. Already being
+    /// there is not a hop.
     ///
-    /// Behaviorally identical to calling [`NextHops::forward_towards`] once
-    /// per wave until arrival — intermediate switches could only have
-    /// forwarded the packet again (its progress is parked at a state test
-    /// another switch owns, or it is done and travelling to egress), and the
-    /// hop-budget check is monotone in the hop count, so charging the hops
-    /// up front trips the budget exactly when per-hop stepping would have.
+    /// Behaviorally identical to forwarding the packet one hop per wave
+    /// along a shortest path until arrival — intermediate switches could
+    /// only have forwarded the packet again (its progress is parked at a
+    /// state test another switch owns, or it is done and travelling to
+    /// egress), and the hop-budget check is monotone in the hop count, so
+    /// charging the hops up front trips the budget exactly when per-hop
+    /// stepping would have.
     pub fn jump_towards(&self, flight: &mut InFlight, target: SwitchId) -> Result<(), SimError> {
         if flight.at == target {
             return Ok(());

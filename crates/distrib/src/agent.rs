@@ -49,7 +49,7 @@ use parking_lot::Mutex;
 use snap_dataplane::{bind_slots, EgressQueues, SlotBinding, StateShards, DEFAULT_STATE_SHARDS};
 use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
-use snap_xfdd::{FlatProgram, Mirror, TableProgram};
+use snap_xfdd::{FlatProgram, Mirror};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,13 +72,13 @@ pub const EPOCH_HISTORY: usize = 8;
 pub struct EpochView {
     /// The configuration epoch this view belongs to.
     pub epoch: u64,
-    /// The program, flattened from the agent's mirror. Identical (same
-    /// mirror ids) on every agent of the same epoch.
+    /// The program, flattened from the agent's mirror: the one program
+    /// handle the packet path executes, dispatch included
+    /// ([`FlatProgram::advance_stateless`]). Identical (same mirror ids) on
+    /// every agent of the same epoch; its dispatch entries are never
+    /// shipped — each agent lowers its own mirror's — and agree across
+    /// agents because the flat ids do.
     pub flat: Arc<FlatProgram>,
-    /// The dispatch view of `flat`. Never shipped: each agent lowers its
-    /// own mirror's dispatch entries, and because the flat ids agree across
-    /// agents, so do the tables.
-    pub tables: Arc<TableProgram>,
     /// State variables this switch owns under this epoch.
     pub local_vars: BTreeSet<StateVar>,
     /// External ports attached to this switch, ascending — the packet path
@@ -90,6 +90,15 @@ pub struct EpochView {
     /// switch's table for the variables in `local_vars`, else the owner
     /// under `placement`.
     pub bindings: Box<[SlotBinding]>,
+}
+
+impl EpochView {
+    /// Does this switch serve `port` as a local external port under this
+    /// view?
+    #[inline]
+    pub(crate) fn serves_port(&self, port: PortId) -> bool {
+        self.ports.binary_search(&port).is_ok()
+    }
 }
 
 /// A staged (prepared, uncommitted) update.
@@ -353,7 +362,6 @@ impl SwitchAgent {
         // mirror lowered the delta's nodes as they arrived, so this is a
         // handle to its table and the root.
         let flat = Arc::new(mirror.flatten(root));
-        let tables = Arc::new(TableProgram::compile(&flat));
         drop(guard);
 
         let mut core = self.core.lock();
@@ -367,7 +375,6 @@ impl SwitchAgent {
             bindings: bind_slots(&flat, &meta.local_vars, &placement, &self.store),
             ports: meta.ports.into_iter().collect(),
             flat,
-            tables,
             local_vars: meta.local_vars,
             placement,
         });

@@ -3,20 +3,26 @@
 //! SNAP's premise is a single program abstraction executed uniformly across
 //! the network. The Emit/Dropped/NeedState/Fork dispatch, both
 //! spin-in-place guards, the hop budget and the forwarding logic live here
-//! and nowhere else. Where configuration comes from and where packets leave
-//! is the crate boundary to the plane that owns the switches (`snap-distrib`'s
-//! agent fleet), expressed through two small traits:
+//! and nowhere else: [`DistNetwork::inject_batch`] walks the agent fleet
+//! directly.
 //!
-//! * [`ViewResolver`] — how a hop resolves its executable view: the plane
-//!   answers from each switch agent's epoch-history ring, serving staged
-//!   views mid-commit. The resolver also hands out the per-switch store
-//!   shards — state is epoch-independent. A view ([`HopView`]) arrives with
-//!   its names already resolved — every variable slot of its program bound
-//!   to a local table or an owning switch, its ports in a sorted slice — so
-//!   the loop below indexes and never looks a variable up by name.
-//! * [`EgressSink`] — where a delivered packet lands: the owning switch's
-//!   bounded per-port FIFO queues with backpressure accounting
-//!   ([`crate::EgressQueues`]).
+//! * A hop executes one agent's [`EpochView`]. The ingress agent's current
+//!   view ([`current_view`](crate::SwitchAgent::current_view)) stamps the
+//!   packet's epoch, and every later hop resolves *that* epoch's view
+//!   ([`view_for`](crate::SwitchAgent::view_for)): a committed one from the
+//!   agent's history ring, or the staged one mid-commit. A view arrives
+//!   with its names already resolved — every variable slot of its program
+//!   bound to a local table or an owning switch, its ports in a sorted
+//!   slice — so the loop below indexes and never looks a variable up by
+//!   name.
+//! * State is leased from the agent's key-range shards
+//!   ([`store`](crate::SwitchAgent::store)). It is epoch-independent —
+//!   state survives reconfiguration — which is what lets one lease cover a
+//!   (switch, batch-group).
+//! * A delivered packet lands in the owning agent's bounded per-port FIFO
+//!   queues ([`egress`](crate::SwitchAgent::egress)); a full queue
+//!   tail-drops it and the drop is counted on the packet's
+//!   [`InjectOutcome`].
 //!
 //! On top of the unified loop the driver executes **batched**: in-flight
 //! packets are grouped by their current switch and each group is drained
@@ -26,34 +32,34 @@
 //! stages of OPP and the state-access bottleneck observed by State-Compute
 //! Replication. Per-packet injection is simply a batch of one.
 //!
-//! Views are **pinned per batch**: the resolver is consulted at most once
-//! per (switch, epoch) for the whole batch — the ingress stamp of a switch
+//! Views are **pinned per batch**: an agent is asked at most once per
+//! (switch, epoch) for the whole batch — the ingress stamp of a switch
 //! and every view a hop or a delivery needs are remembered in a table
 //! indexed densely by switch (thread-local, reset by touched entries only,
 //! so a batch of one pays for one switch, not for the network) and served
 //! from there for the rest of the batch: one agent lock per switch per
 //! batch instead of two per packet. Pinning cannot mix epochs: a pinned
-//! view is the immutable view the resolver would return again, merely kept
+//! view is the immutable view the agent would return again, merely kept
 //! alive until the batch ends.
 //!
 //! Each group additionally runs in two phases. A lock-free **wave-prefix**
 //! phase first advances the *stateless prefix* of every flight through the
-//! view's table program ([`snap_xfdd::TableProgram`]): flights parked at
-//! the same node step through the same per-field dispatch stage together,
-//! one field column at a time, and park at their first state test or leaf.
-//! Only the survivors that actually reach state then enter the **locked**
-//! phase under the group's store lease — stateless drops and stateless
-//! emits never contend for the lock at all (counted per instance by the
-//! `driver.wave_prefix.*` counters of [`crate::PlaneTelemetry`]).
+//! view's program ([`snap_xfdd::FlatProgram::step_stateless`]): flights
+//! parked at the same node step through the same per-field dispatch stage
+//! together, one field column at a time, and park at their first state test
+//! or leaf. Only the survivors that actually reach state then enter the
+//! **locked** phase under the group's store lease — stateless drops and
+//! stateless emits never contend for the lock at all (counted per instance
+//! by the `driver.wave_prefix.*` counters of [`PlaneTelemetry`]).
 //!
-//! The driver is also the telemetry plane's observation point: when a
-//! plane attaches its [`crate::PlaneTelemetry`] bundle
-//! ([`Driver::with_metrics`]), the loop counts ingress admissions, hop
-//! visits, state writes, deliveries and drops per instance (store-lock
-//! contention is counted on each switch's [`StateShards`] directly),
-//! and carries the [`snap_telemetry::PacketTrace`] of a
-//! 1-in-N sampled packet across its hops. Without a bundle all of it
-//! compiles down to a handful of `None` checks.
+//! The driver is also the telemetry plane's observation point: while the
+//! network carries its [`PlaneTelemetry`] bundle
+//! ([`DistNetwork::with_telemetry`]), the loop counts ingress admissions,
+//! hop visits, state writes, deliveries and drops per instance (store-lock
+//! contention is counted on each switch's shards directly), and carries
+//! the [`snap_telemetry::PacketTrace`] of a 1-in-N sampled packet across
+//! its hops. Without a bundle ([`DistNetwork::without_telemetry`]) all of
+//! it compiles down to a handful of `None` checks.
 //!
 //! Consistency note: within a batch, packets interleave at switch
 //! granularity, so the *relative order* of state writes from different
@@ -61,103 +67,23 @@
 //! worker threads); each packet still executes exactly one configuration
 //! end to end, and per-packet semantics are unchanged.
 
-use crate::exec::{
-    misplaced_state_error, missing_placement_error, process_at_switch, strip_snap_header, InFlight,
-    NextHops, Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
-};
-use crate::metrics::PlaneTelemetry;
+use crate::agent::EpochView;
 use crate::pins::PinArena;
-use crate::shards::StateShards;
+use crate::plane::{DistNetwork, InjectError, InjectOutcome};
+use snap_dataplane::exec::{
+    misplaced_state_error, missing_placement_error, process_at_switch, strip_snap_header, InFlight,
+    Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
+};
+use snap_dataplane::PlaneTelemetry;
 use snap_lang::{Packet, Value};
 use snap_telemetry::{HopRecord, LocalHistogram, PacketTrace};
-use snap_topology::{NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{FlatId, FlatProgram, TableProgram};
+use snap_topology::{NodeId as SwitchId, PortId};
+use snap_xfdd::FlatId;
+use std::sync::Arc;
 
-/// One switch's executable view under one epoch, as the driver consumes it:
-/// the program to walk, where each of the program's state variables lives
-/// (here, under which table — or on which other switch) and the external
-/// ports the switch serves.
-///
-/// A view is **resolved once, then only indexed**: whoever builds it (an
-/// agent's *prepare*) looks every name up there — each variable slot of the
-/// program against the switch's owned variables, its table registry and the
-/// placement ([`crate::exec::bind_slots`]), the switch's port set into a
-/// sorted slice — so that a hop costs array loads, never a `BTreeMap`/`BTreeSet` walk or
-/// a string compare. The resolution is part of the immutable view and
-/// travels with it: a packet stamped with an older epoch meets that epoch's
-/// binding at every hop, whatever has been prepared since.
-pub trait HopView {
-    /// The flattened program this view executes.
-    fn flat(&self) -> &FlatProgram;
-    /// The dispatch view of [`HopView::flat`] (same program, dispatch
-    /// stages over the same flat ids). Made wherever the flat program is —
-    /// in each agent's *prepare*, from its own lowered mirror — never
-    /// shipped on the wire.
-    fn tables(&self) -> &TableProgram;
-    /// Where each state variable of [`HopView::flat`] lives under this
-    /// view, indexed by the program's variable slots
-    /// (`bindings()[slot.index()]`; one entry per
-    /// [`FlatProgram::var_names`] entry).
-    fn bindings(&self) -> &[SlotBinding];
-    /// Does this view serve `port` as a local external port?
-    fn serves_port(&self, port: PortId) -> bool;
-}
-
-/// How a plane resolves executable views: the seam between the driver and
-/// a configuration source. Every switch a packet can reach either has a
-/// view for the packet's epoch or the packet fails with the plane's error —
-/// there is no "unconfigured, forward anyway" case.
-///
-/// Implemented by the agent fleet of `snap-distrib` (each hop resolves the
-/// packet's stamped epoch from its agent's epoch-history ring).
-pub trait ViewResolver {
-    /// The view a hop executes, borrowed from the resolver.
-    type View<'v>: HopView
-    where
-        Self: 'v;
-    /// The plane's error type; every shared [`SimError`] must embed into it.
-    type Error: From<SimError>;
-
-    /// Stamp packets entering at `switch` — see [`Ingress`]. The driver asks
-    /// once per (switch, batch) and stamps every packet of the batch
-    /// entering there alike.
-    fn ingress(&self, switch: SwitchId) -> Result<Ingress<Self::View<'_>>, Self::Error>;
-
-    /// Resolve the view of `switch` for a stamped `epoch`. The driver asks
-    /// at most once per (switch, epoch, batch) and pins the answer.
-    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<Self::View<'_>, Self::Error>;
-
-    /// The switch's key-range state shards. Epoch-independent — state
-    /// survives reconfiguration — which is what lets the driver lease them
-    /// once per (switch, batch-group).
-    fn store(&self, switch: SwitchId) -> Option<&StateShards>;
-}
-
-/// An ingress stamp: the epoch a packet will execute under at every hop, the
-/// program root it starts from, and the ingress switch's own view under
-/// that epoch — handed over with the stamp so the first hop costs no second
-/// resolution.
-pub struct Ingress<V> {
-    /// The epoch stamped on the packet.
-    pub epoch: u64,
-    /// The root of the program the epoch executes.
-    pub root: FlatId,
-    /// What [`ViewResolver::resolve`] would answer for this switch and epoch.
-    pub view: V,
-}
-
-/// Where delivered packets land. `origin` is the index of the packet within
-/// the driven batch, so sinks can keep per-packet results.
-pub trait EgressSink {
-    /// Deliver a cleaned packet leaving the network at `port` (served by
-    /// switch `at`) under `epoch`.
-    fn deliver(&mut self, origin: usize, at: SwitchId, port: PortId, pkt: Packet, epoch: u64);
-}
-
-/// Per-packet driver results for one batch: the epoch each packet executed
-/// under, or the packet's error. Egress is delivered through the
-/// [`EgressSink`], keyed by the same index.
-pub type BatchResults<E> = Vec<Result<u64, E>>;
+/// Per-packet results of one batch, in batch order: what each packet did,
+/// or its error.
+type Outcomes = Vec<Result<InjectOutcome, InjectError>>;
 
 /// Default hop budget: the maximum number of hops a packet may take before
 /// the driver reports [`SimError::HopBudgetExceeded`] instead of spinning on
@@ -342,43 +268,54 @@ impl SwitchTable {
 /// The views one batch has pinned: the switch table says which (switch,
 /// epoch) pairs are pinned and where, the arena holds the views themselves
 /// and lends them for the rest of the batch (`'b`).
-struct Pins<'s, 'b, 'r, R: ViewResolver> {
-    resolver: &'r R,
+struct Pins<'s, 'b> {
+    network: &'b DistNetwork,
     table: &'s mut SwitchTable,
-    arena: &'b PinArena<R::View<'r>>,
+    arena: &'b PinArena<Arc<EpochView>>,
 }
 
-impl<'b, 'r, R: ViewResolver> Pins<'_, 'b, 'r, R> {
-    /// The stamp for packets entering at `switch`, taken from the resolver
-    /// on the batch's first packet there (together with the switch's own
-    /// view under that epoch) and repeated for the rest.
-    fn ingress(&mut self, switch: SwitchId) -> Result<(u64, FlatId), R::Error> {
+impl<'b> Pins<'_, 'b> {
+    /// The stamp for packets entering at `switch`, taken from the agent's
+    /// current view on the batch's first packet there (the view is pinned
+    /// with it) and repeated for the rest.
+    fn ingress(&mut self, switch: SwitchId) -> Result<(u64, FlatId), InjectError> {
         if let Some(stamp) = self.table.slot(switch).stamp {
             return Ok(stamp);
         }
-        let ingress = self.resolver.ingress(switch)?;
-        let stamp = (ingress.epoch, ingress.root);
-        let at = self.arena.push(ingress.view);
+        let view = self
+            .network
+            .agent(switch)
+            .ok_or(InjectError::NoAgent(switch))?
+            .current_view()
+            .ok_or(InjectError::NotConfigured(switch))?;
+        let stamp = (view.epoch, view.flat.root());
+        let at = self.arena.push(view);
         let slot = self.table.slot(switch);
         slot.stamp = Some(stamp);
-        slot.views.push((ingress.epoch, at));
+        slot.views.push((stamp.0, at));
         Ok(stamp)
     }
 
     /// The arena slot of `switch`'s view under `epoch`, resolved on first
     /// use. A failed resolution is not pinned: the next asker tries again.
-    fn pin(&mut self, switch: SwitchId, epoch: u64) -> Result<usize, R::Error> {
+    fn pin(&mut self, switch: SwitchId, epoch: u64) -> Result<usize, InjectError> {
         let slot = self.table.slot(switch);
         if let Some(&(_, at)) = slot.views.iter().find(|(e, _)| *e == epoch) {
             return Ok(at);
         }
-        let at = self.arena.push(self.resolver.resolve(switch, epoch)?);
+        let view = self
+            .network
+            .agent(switch)
+            .ok_or(InjectError::NoAgent(switch))?
+            .view_for(epoch)
+            .ok_or(InjectError::EpochUnavailable { switch, epoch })?;
+        let at = self.arena.push(view);
         self.table.slot(switch).views.push((epoch, at));
         Ok(at)
     }
 
     /// The pinned view in `slot`.
-    fn view(&self, slot: usize) -> &'b R::View<'r> {
+    fn view(&self, slot: usize) -> &'b EpochView {
         self.arena.get(slot)
     }
 }
@@ -388,76 +325,52 @@ thread_local! {
         std::cell::RefCell::new(WaveScratch::default());
 }
 
-/// The generic packet driver: topology, precomputed next hops and the hop
-/// budget — everything the dispatch loop needs that is not view resolution
-/// or egress delivery. A plane builds one per injection call; it borrows
-/// and costs nothing to construct.
-pub struct Driver<'a> {
-    topology: &'a Topology,
-    next_hops: &'a NextHops,
-    hop_budget: usize,
-    metrics: Option<&'a PlaneTelemetry>,
-}
-
-impl<'a> Driver<'a> {
-    /// A driver over a topology with a precomputed next-hop table and a hop
-    /// budget.
-    pub fn new(topology: &'a Topology, next_hops: &'a NextHops, hop_budget: usize) -> Driver<'a> {
-        Driver {
-            topology,
-            next_hops,
-            hop_budget,
-            metrics: None,
-        }
-    }
-
-    /// Attach the plane's telemetry bundle: the loop records per-instance
-    /// counters and carries sampled packet traces. `None` (the default)
-    /// reduces telemetry to a branch per recording site.
-    pub fn with_metrics(mut self, metrics: Option<&'a PlaneTelemetry>) -> Driver<'a> {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Drive a batch of packets to completion — the single dispatch loop of
-    /// the workspace.
+impl DistNetwork {
+    /// Inject a batch of packets and drive it to completion — the single
+    /// dispatch loop of the workspace. Results come back in batch order.
     ///
+    /// Each packet is stamped at its own ingress agent — asked once per
+    /// batch, so packets entering at one switch share an epoch, while
+    /// epochs may differ between ingress switches as a commit wave passes.
     /// Execution is grouped by switch: all in-flight packets currently at
     /// the same switch are drained together under one [`StoreLease`] (one
     /// store-lock acquisition per group), against views pinned for the
-    /// whole batch — the resolver is asked at most once per (switch, epoch).
-    /// A packet that fails loses its remaining in-flight copies, and never
-    /// affects the rest of the batch; state side effects that already
-    /// happened stay. The sink may already have seen some of a failed
-    /// packet's deliveries, and a queue-delivering sink cannot retract what
-    /// was already enqueued — an egress queue is a wire, not a buffer the
+    /// whole batch — an agent's `core` lock is taken once per (switch,
+    /// epoch, batch), not per packet. A packet that fails loses its
+    /// remaining in-flight copies, and never affects the rest of the
+    /// batch; state side effects that already happened stay. Some of a
+    /// failed packet's deliveries may already sit in egress queues, and
+    /// nothing retracts them — an egress queue is a wire, not a buffer the
     /// driver owns.
+    ///
+    /// Batching widens the window between a packet's epoch stamp and the
+    /// first lookup of that epoch's view at a later hop: a packet whose
+    /// batch drains across more than [`crate::agent::EPOCH_HISTORY`] commits
+    /// can find its epoch pruned from the ring and fail with
+    /// [`InjectError::EpochUnavailable`], where a solo injection
+    /// (stamp-to-resolve window of one flight) would have completed. Batch
+    /// size therefore trades throughput against commit-rate tolerance;
+    /// callers racing a fast controller should use smaller batches or retry
+    /// pruned packets (re-injection re-stamps against the fresh epoch).
     ///
     /// Batch entries may be owned packets or references — a batch of one
     /// borrowed packet clones it exactly once, into its in-flight copy.
-    pub fn run_batch<R, S, P>(
+    pub fn inject_batch<P: std::borrow::Borrow<Packet>>(
         &self,
-        resolver: &R,
-        sink: &mut S,
         batch: &[(PortId, P)],
-    ) -> BatchResults<R::Error>
-    where
-        R: ViewResolver,
-        S: EgressSink,
-        P: std::borrow::Borrow<Packet>,
-    {
-        let start = self.metrics.map(|_| std::time::Instant::now());
+    ) -> Vec<Result<InjectOutcome, InjectError>> {
+        let start = self.metrics().map(|_| std::time::Instant::now());
         let mut tally = BatchTally::default();
         // One countdown reservation covers the whole batch: `samples` holds
         // the (ascending) admitted-packet offsets to trace, almost always
         // none. Offsets index *admitted* packets, so a rejected port never
         // shifts which packet a trace follows mid-batch.
-        let samples = match self.metrics {
+        let samples = match self.metrics() {
             Some(m) => m.telemetry().tracer().sample_offsets(batch.len() as u64),
             None => Vec::new(),
         };
         let mut next_sample = samples.iter().copied().peekable();
-        let mut results: BatchResults<R::Error> = Vec::with_capacity(batch.len());
+        let mut results: Outcomes = Vec::with_capacity(batch.len());
         // Pinned views live here, for this batch only; the table that
         // indexes them is recycled through the scratch below.
         let arena = PinArena::new();
@@ -488,7 +401,7 @@ impl<'a> Driver<'a> {
             }
             table.reset(switches);
             let mut pins = Pins {
-                resolver,
+                network: self,
                 table,
                 arena: &arena,
             };
@@ -505,8 +418,12 @@ impl<'a> Driver<'a> {
                         continue;
                     }
                 };
-                results.push(Ok(epoch));
-                let trace = match self.metrics {
+                results.push(Ok(InjectOutcome {
+                    epoch,
+                    delivered: Vec::new(),
+                    backpressure_drops: 0,
+                }));
+                let trace = match self.metrics() {
                     Some(m) => {
                         let admitted = tally.packets;
                         tally.packets += 1;
@@ -537,7 +454,6 @@ impl<'a> Driver<'a> {
                     let mut group = std::mem::take(bucket);
                     self.run_group(
                         &mut pins,
-                        sink,
                         SwitchId(switch),
                         &mut group,
                         next,
@@ -551,11 +467,11 @@ impl<'a> Driver<'a> {
                 std::mem::swap(pending, next);
             }
             *lease_keys = replica.into_keys();
-            if let Some(m) = self.metrics {
+            if let Some(m) = self.metrics() {
                 pins.table.flush_tally(m);
             }
         });
-        if let (Some(m), Some(t0)) = (self.metrics, start) {
+        if let (Some(m), Some(t0)) = (self.metrics(), start) {
             m.batch_ns.record(t0.elapsed().as_nanos() as u64);
             tally.flush(m);
             let errors = results.iter().filter(|r| r.is_err()).count();
@@ -571,21 +487,20 @@ impl<'a> Driver<'a> {
     /// [`StoreLease`] against the batch's pinned views. Forwarded flights
     /// land in `next` (the following wave); failures land in `results`.
     #[allow(clippy::too_many_arguments)]
-    fn run_group<'b, 'r, R: ViewResolver, S: EgressSink>(
+    fn run_group<'b>(
         &self,
-        pins: &mut Pins<'_, 'b, 'r, R>,
-        sink: &mut S,
+        pins: &mut Pins<'_, 'b>,
         switch: SwitchId,
         group: &mut Vec<Tagged>,
         next: &mut Vec<Tagged>,
-        results: &mut BatchResults<R::Error>,
+        results: &mut Outcomes,
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
         replica: &mut ReplicaBuffer<'b>,
     ) {
-        let mut lease = StoreLease::new(pins.resolver.store(switch), replica);
+        let mut lease = StoreLease::new(self.agent(switch).map(|a| a.store()), replica);
         // Phase one, lock-free: advance every flight's stateless prefix
-        // through the table program, a dispatch stage at a time across the
+        // through the view's program, a dispatch stage at a time across the
         // whole group. Only survivors still need the store below.
         self.wave_prefix(pins, switch, group, results, scratch, tally);
         // Phase two, locked: drain the group in place under one store lease.
@@ -623,9 +538,8 @@ impl<'a> Driver<'a> {
                 ));
             }
             let step = match process_at_switch(
-                view.bindings(),
-                view.flat(),
-                view.tables(),
+                &view.bindings,
+                &view.flat,
                 &mut lease,
                 &mut tagged.flight,
                 tagged.trace.as_deref_mut().and_then(|t| t.hops.last_mut()),
@@ -640,26 +554,25 @@ impl<'a> Driver<'a> {
             match step {
                 StepOutcome::Emit(outport) => {
                     note_outcome(&mut tagged, || format!("emit:port{}", outport.0));
-                    if view.serves_port(outport) {
-                        // The flight ends here: take its packet instead of
-                        // cloning it for delivery.
-                        let mut clean = std::mem::take(&mut tagged.flight.pkt);
-                        strip_snap_header(&mut clean);
-                        sink.deliver(tagged.origin, switch, outport, clean, tagged.epoch);
-                        self.record_delivery(&mut tagged, switch, outport, tally);
+                    let at = if view.serves_port(outport) {
+                        Ok(switch)
                     } else {
                         // Pure forwarding from here to the delivery switch:
                         // resolve the delivery in place instead of paying
                         // another wave for a hop that can only emit.
-                        if let Err(e) = self.deliver_remote(pins, sink, &mut tagged, outport, tally)
-                        {
-                            results[tagged.origin] = Err(e);
+                        self.forward_to_egress(pins, &mut tagged, outport)
+                    };
+                    match at {
+                        Ok(at) => {
+                            let result = &mut results[tagged.origin];
+                            self.deliver(result, &mut tagged, at, outport, tally);
                         }
+                        Err(e) => results[tagged.origin] = Err(e),
                     }
                 }
                 StepOutcome::Dropped => {
                     note_outcome(&mut tagged, || "drop".to_string());
-                    if let Some(m) = self.metrics {
+                    if let Some(m) = self.metrics() {
                         tally.policy_drops += 1;
                         if let Some(mut trace) = tagged.trace.take() {
                             trace.dropped = true;
@@ -670,9 +583,9 @@ impl<'a> Driver<'a> {
                 StepOutcome::NeedState(slot) => {
                     // Off the fast path from here: the variable is named
                     // for a sampled trace and for errors only.
-                    let var = view.flat().var_name(slot);
+                    let var = view.flat.var_name(slot);
                     note_outcome(&mut tagged, || format!("need-state:{var}"));
-                    let owner = match view.bindings()[slot.index()] {
+                    let owner = match view.bindings[slot.index()] {
                         SlotBinding::Remote(owner) if owner != switch => owner,
                         // The view's placement names this switch while its
                         // ownership does not; forwarding "towards" the owner
@@ -714,23 +627,38 @@ impl<'a> Driver<'a> {
         // before the lease drops — unconditionally, not only when metrics
         // are attached: the flush is what makes the writes visible.
         lease.flush();
-        if self.metrics.is_some() {
+        if self.metrics().is_some() {
             let slot = pins.table.slot(switch);
             slot.hops += visits;
             slot.state_writes += lease.state_writes();
         }
     }
 
-    /// Account a completed delivery: the batch tally, and — for a sampled
-    /// packet — the finished trace.
-    fn record_delivery(
+    /// Deliver a finished flight at `port` of switch `at`, cleaned of SNAP
+    /// header fields: into the owning agent's egress queue — a full queue
+    /// tail-drops it, counted on the packet's outcome — and onto that
+    /// outcome. Then account the delivery: the batch tally, and — for a
+    /// sampled packet — the finished trace. The flight ends here, so its
+    /// packet is taken, not cloned.
+    fn deliver(
         &self,
+        result: &mut Result<InjectOutcome, InjectError>,
         tagged: &mut Tagged,
         at: SwitchId,
         port: PortId,
         tally: &mut BatchTally,
     ) {
-        let Some(m) = self.metrics else {
+        let mut clean = std::mem::take(&mut tagged.flight.pkt);
+        strip_snap_header(&mut clean);
+        if let Ok(outcome) = result {
+            if let Some(agent) = self.agent(at) {
+                if !agent.egress().push(port, clean.clone(), tagged.epoch) {
+                    outcome.backpressure_drops += 1;
+                }
+            }
+            outcome.delivered.push((port, clean));
+        }
+        let Some(m) = self.metrics() else {
             return;
         };
         tally.deliveries += 1;
@@ -742,7 +670,7 @@ impl<'a> Driver<'a> {
     }
 
     /// The wave-prefix pass of one group: before any store access, advance
-    /// the *stateless prefix* of every resumable flight through the table
+    /// the *stateless prefix* of every resumable flight through the view's
     /// program, and park each flight at its first state test or at a leaf.
     ///
     /// Flights parked at the same node under the same view form a cohort,
@@ -759,12 +687,12 @@ impl<'a> Driver<'a> {
     /// prefix ends in a drop or a stateless emit never contend for the
     /// lock at all. Survivor counts land on this instance's
     /// `driver.wave_prefix.*` counters ([`PlaneTelemetry`]).
-    fn wave_prefix<R: ViewResolver>(
+    fn wave_prefix(
         &self,
-        pins: &mut Pins<'_, '_, '_, R>,
+        pins: &mut Pins<'_, '_>,
         switch: SwitchId,
         group: &mut [Tagged],
-        results: &mut BatchResults<R::Error>,
+        results: &mut Outcomes,
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
     ) {
@@ -807,12 +735,10 @@ impl<'a> Driver<'a> {
         }
         let mut survivors = 0u64;
         while let Some((view_idx, node, mut members)) = cohorts.pop() {
-            let view = pins.view(view_idx);
-            let flat = view.flat();
-            let tables = view.tables();
+            let flat = &pins.view(view_idx).flat;
             for gi in members.drain(..) {
                 let flight = &mut group[gi].flight;
-                match tables.step_stateless(flat, node, &flight.pkt) {
+                match flat.step_stateless(node, &flight.pkt) {
                     None => {
                         // A state test: the stateless prefix ends here and
                         // the flight pays the locked phase.
@@ -843,26 +769,24 @@ impl<'a> Driver<'a> {
             }
             scratch.spare.push(members);
         }
-        if packets > 0 && self.metrics.is_some() {
+        if packets > 0 && self.metrics().is_some() {
             tally.wave_prefix_packets += packets;
             tally.wave_prefix_survivors += survivors;
         }
     }
 
-    /// Finish an emitted flight whose egress port lives on another switch:
-    /// jump the pure-forwarding remainder of its path in one step, then
-    /// deliver against the target switch's view — the same checks the
+    /// Carry an emitted flight whose egress port lives on another switch to
+    /// that switch: jump the pure-forwarding remainder of its path in one
+    /// step and return the switch to deliver at, after the same checks the
     /// packet would have met had it re-entered the wave loop there (hop
-    /// budget after the jump, a view that actually serves the port),
+    /// budget after the jump, a view that actually serves the port) —
     /// collapsed into its emitting wave.
-    fn deliver_remote<R: ViewResolver, S: EgressSink>(
+    fn forward_to_egress(
         &self,
-        pins: &mut Pins<'_, '_, '_, R>,
-        sink: &mut S,
+        pins: &mut Pins<'_, '_>,
         tagged: &mut Tagged,
         port: PortId,
-        tally: &mut BatchTally,
-    ) -> Result<(), R::Error> {
+    ) -> Result<SwitchId, InjectError> {
         let bad_port = || SimError::BadOutPort(Value::Int(port.0 as i64));
         let target = self.topology.port_switch(port).ok_or_else(bad_port)?;
         if target == tagged.flight.at {
@@ -879,10 +803,12 @@ impl<'a> Driver<'a> {
         if !pins.view(slot).serves_port(port) {
             return Err(bad_port().into());
         }
-        let mut clean = std::mem::take(&mut tagged.flight.pkt);
-        strip_snap_header(&mut clean);
-        sink.deliver(tagged.origin, target, port, clean, tagged.epoch);
-        self.record_delivery(tagged, target, port, tally);
-        Ok(())
+        Ok(target)
+    }
+
+    /// This network's telemetry bundle, if it records.
+    #[inline]
+    fn metrics(&self) -> Option<&PlaneTelemetry> {
+        self.telemetry.as_deref()
     }
 }

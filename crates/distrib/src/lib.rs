@@ -26,13 +26,12 @@
 //!   packet mixes two configurations: commit is only ordered after every
 //!   agent staged the epoch, and packets resolve their ingress-stamped
 //!   epoch at every hop (see `controller` module docs for the argument).
-//! * [`DistNetwork`] drives traffic through the agents via the batched
-//!   packet driver of the execution core ([`snap_dataplane::driver`]): this
-//!   crate supplies its view resolver (per-agent epoch-history lookup) and
-//!   its egress sink (per-port bounded FIFO queues with backpressure
-//!   counters, [`snap_dataplane::EgressQueues`]). It also implements
-//!   [`snap_dataplane::TrafficTarget`], so the multi-worker
-//!   `TrafficEngine` drives it.
+//! * [`DistNetwork`] drives traffic through the agents with the one batched
+//!   packet driver ([`driver`]): each hop executes an agent's epoch view,
+//!   leases the agent's state shards and delivers into its per-port bounded
+//!   FIFO queues ([`snap_dataplane::EgressQueues`]) — the per-switch
+//!   machinery underneath is `snap-dataplane`'s. The multi-worker
+//!   [`TrafficEngine`] pumps workloads through it.
 //! * The transport is a trait seam ([`transport::ControllerEndpoint`] /
 //!   [`transport::AgentEndpoint`]) with every agent reply converging on the
 //!   controller's shared **reply mux**. Two backends ship: in-process mpsc
@@ -72,15 +71,20 @@
 
 pub mod agent;
 pub mod controller;
+pub mod driver;
 pub mod frame;
+mod pins;
 pub mod plane;
 pub mod tcp;
+pub mod traffic;
 pub mod transport;
 
 pub use agent::{AgentStats, EpochView, SwitchAgent, EPOCH_HISTORY};
 pub use controller::{CommitReport, Controller, DistribError, DistribOptions, MuxStats};
+pub use driver::DEFAULT_HOP_BUDGET;
 pub use plane::{DistNetwork, InjectError, InjectOutcome};
 pub use tcp::{TcpAgentEndpoint, TcpControllerEndpoint, TcpTransportListener};
+pub use traffic::{TrafficEngine, TrafficReport};
 pub use transport::{
     channel_link, reply_channel, AgentEndpoint, ControllerEndpoint, FromAgent, PrepareMsg, ReplyRx,
     ReplyTx, SwitchMeta, ToAgent, TransportError,

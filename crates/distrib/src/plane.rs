@@ -8,27 +8,21 @@
 //! for *that* epoch, so the packet executes exactly one configuration end
 //! to end no matter how the commit wave interleaves with its flight.
 //!
-//! Execution goes through the packet driver of the execution core
-//! ([`snap_dataplane::driver`]): this module provides its [`ViewResolver`]
-//! (per-agent epoch-history lookup) and its [`EgressSink`] (per-agent
-//! bounded per-port FIFO queues, [`snap_dataplane::EgressQueues`]) — the
-//! dispatch loop, the hop budget and the batched per-switch store-lock
-//! amortization live there. The plane also implements
-//! [`snap_dataplane::TrafficTarget`], so the multi-worker
-//! [`snap_dataplane::TrafficEngine`] drives it.
+//! This module holds the plane's state and its public surface; the batch
+//! loop behind [`DistNetwork::inject_batch`] — dispatch, hop budget,
+//! per-batch view pins, per-(switch, batch-group) store leases, delivery
+//! into the agents' bounded per-port FIFO queues
+//! ([`snap_dataplane::EgressQueues`]) — is [`crate::driver`], and the
+//! multi-worker [`crate::TrafficEngine`] pumps workloads through it.
 
-use crate::agent::{EpochView, SwitchAgent};
-use snap_dataplane::driver::{
-    Driver, EgressSink, HopView, Ingress, ViewResolver, DEFAULT_HOP_BUDGET,
-};
+use crate::agent::SwitchAgent;
+use crate::driver::DEFAULT_HOP_BUDGET;
 use snap_dataplane::egress::EgressEvent;
 use snap_dataplane::exec::{NextHops, SimError};
 use snap_dataplane::metrics::{export_egress, export_shards, PlaneTelemetry};
-use snap_dataplane::{SlotBinding, StateShards, TargetBatch, TrafficTarget};
 use snap_lang::{Packet, Store};
 use snap_telemetry::{MetricsSnapshot, Telemetry};
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{FlatProgram, TableProgram};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -89,106 +83,19 @@ pub struct InjectOutcome {
     pub backpressure_drops: usize,
 }
 
-/// A distributed network: topology, next-hop table, one agent per switch.
+/// A distributed network: topology, hop distances, one agent per switch.
 pub struct DistNetwork {
-    topology: Topology,
-    next_hops: NextHops,
+    pub(crate) topology: Topology,
+    pub(crate) next_hops: NextHops,
     /// Indexed densely by switch (`None`: the switch has no agent), so the
     /// packet path reaches an agent, its store and its egress queues with
     /// one array load per hop and per delivery.
     agents: Vec<Option<Arc<SwitchAgent>>>,
-    hop_budget: usize,
+    pub(crate) hop_budget: usize,
     /// This plane's telemetry handles; shared with the controller by
     /// [`crate::deploy_in_process`] so one snapshot covers packet counters
     /// *and* commit events. `None` disables recording.
-    telemetry: Option<Arc<PlaneTelemetry>>,
-}
-
-/// [`ViewResolver`] over the per-switch agents: ingress stamps the current
-/// epoch of the ingress agent, and every hop resolves its agent's view for
-/// the *stamped* epoch — a committed one from the history ring, or the
-/// staged one mid-commit (sound because the controller only orders commits
-/// after every agent prepared; see the `agent` module docs).
-struct AgentResolver<'a> {
-    agents: &'a [Option<Arc<SwitchAgent>>],
-}
-
-/// The agent of `switch` in a dense per-switch table.
-fn agent_of(agents: &[Option<Arc<SwitchAgent>>], switch: SwitchId) -> Option<&Arc<SwitchAgent>> {
-    agents.get(switch.0)?.as_ref()
-}
-
-/// One agent's epoch view, as the driver consumes it.
-struct AgentView {
-    view: Arc<EpochView>,
-}
-
-impl HopView for AgentView {
-    fn flat(&self) -> &FlatProgram {
-        &self.view.flat
-    }
-
-    fn tables(&self) -> &TableProgram {
-        &self.view.tables
-    }
-
-    fn bindings(&self) -> &[SlotBinding] {
-        &self.view.bindings
-    }
-
-    fn serves_port(&self, port: PortId) -> bool {
-        self.view.ports.binary_search(&port).is_ok()
-    }
-}
-
-impl ViewResolver for AgentResolver<'_> {
-    type View<'v>
-        = AgentView
-    where
-        Self: 'v;
-    type Error = InjectError;
-
-    fn ingress(&self, switch: SwitchId) -> Result<Ingress<AgentView>, InjectError> {
-        let view = agent_of(self.agents, switch)
-            .ok_or(InjectError::NoAgent(switch))?
-            .current_view()
-            .ok_or(InjectError::NotConfigured(switch))?;
-        Ok(Ingress {
-            epoch: view.epoch,
-            root: view.flat.root(),
-            view: AgentView { view },
-        })
-    }
-
-    fn resolve(&self, switch: SwitchId, epoch: u64) -> Result<AgentView, InjectError> {
-        let view = agent_of(self.agents, switch)
-            .ok_or(InjectError::NoAgent(switch))?
-            .view_for(epoch)
-            .ok_or(InjectError::EpochUnavailable { switch, epoch })?;
-        Ok(AgentView { view })
-    }
-
-    fn store(&self, switch: SwitchId) -> Option<&StateShards> {
-        agent_of(self.agents, switch).map(|a| a.store())
-    }
-}
-
-/// [`EgressSink`] that delivers into the owning agent's bounded per-port
-/// FIFO queues, counting backpressure tail-drops per packet.
-struct AgentQueueSink<'a> {
-    agents: &'a [Option<Arc<SwitchAgent>>],
-    outcomes: Vec<InjectOutcome>,
-}
-
-impl EgressSink for AgentQueueSink<'_> {
-    fn deliver(&mut self, origin: usize, at: SwitchId, port: PortId, pkt: Packet, epoch: u64) {
-        if let Some(agent) = agent_of(self.agents, at) {
-            if !agent.egress().push(port, pkt.clone(), epoch) {
-                self.outcomes[origin].backpressure_drops += 1;
-            }
-        }
-        self.outcomes[origin].delivered.push((port, pkt));
-    }
+    pub(crate) telemetry: Option<Arc<PlaneTelemetry>>,
 }
 
 impl DistNetwork {
@@ -309,8 +216,9 @@ impl DistNetwork {
     }
 
     /// The agent for a switch.
+    #[inline]
     pub fn agent(&self, switch: SwitchId) -> Option<&Arc<SwitchAgent>> {
-        agent_of(&self.agents, switch)
+        self.agents.get(switch.0)?.as_ref()
     }
 
     /// All agents, in switch order.
@@ -320,61 +228,13 @@ impl DistNetwork {
 
     /// Inject a packet at an OBS external port: stamp it with the ingress
     /// agent's current epoch, run it hop by hop against that epoch's views,
-    /// and deliver egress into the owning agents' port queues.
+    /// and deliver egress into the owning agents' port queues — a batch of
+    /// one through [`DistNetwork::inject_batch`].
     pub fn inject(&self, port: PortId, packet: &Packet) -> Result<InjectOutcome, InjectError> {
         let batch = [(port, packet)];
         self.inject_batch(&batch)
             .pop()
             .expect("one outcome per injected packet")
-    }
-
-    /// Inject a batch of packets through the batched driver: each
-    /// packet is stamped at its own ingress agent — asked once per batch, so
-    /// packets entering at one switch share an epoch, while epochs may
-    /// differ between ingress switches as a commit wave passes — in-flight
-    /// packets are grouped per switch and drained under one store-lock
-    /// acquisition per group, and results come back in batch order. Every
-    /// view the batch resolves is pinned until it ends: an agent's `core`
-    /// lock is taken once per (switch, epoch, batch), not per packet.
-    ///
-    /// Batching widens the window between a packet's epoch stamp and the
-    /// first lookup of that epoch's view at a later hop: a packet whose
-    /// batch drains across more than [`crate::agent::EPOCH_HISTORY`] commits
-    /// can find its epoch pruned from the ring and fail with
-    /// [`InjectError::EpochUnavailable`], where a solo injection
-    /// (stamp-to-resolve window of one flight) would have completed. Batch
-    /// size therefore trades throughput against commit-rate tolerance;
-    /// callers racing a fast controller should use smaller batches or retry
-    /// pruned packets (re-injection re-stamps against the fresh epoch).
-    pub fn inject_batch<P: std::borrow::Borrow<Packet>>(
-        &self,
-        batch: &[(PortId, P)],
-    ) -> Vec<Result<InjectOutcome, InjectError>> {
-        let resolver = AgentResolver {
-            agents: &self.agents,
-        };
-        let mut sink = AgentQueueSink {
-            agents: &self.agents,
-            outcomes: batch
-                .iter()
-                .map(|_| InjectOutcome {
-                    epoch: 0,
-                    delivered: Vec::new(),
-                    backpressure_drops: 0,
-                })
-                .collect(),
-        };
-        let driver = Driver::new(&self.topology, &self.next_hops, self.hop_budget)
-            .with_metrics(self.telemetry.as_deref());
-        let results = driver.run_batch(&resolver, &mut sink, batch);
-        results
-            .into_iter()
-            .zip(sink.outcomes)
-            .map(|(result, mut outcome)| {
-                outcome.epoch = result?;
-                Ok(outcome)
-            })
-            .collect()
     }
 
     /// Drain the egress queue of a port (wherever its agent is), in FIFO
@@ -417,17 +277,6 @@ impl DistNetwork {
     pub fn current_epochs(&self) -> std::collections::BTreeSet<u64> {
         self.agents()
             .filter_map(|a| a.current_view().map(|v| v.epoch))
-            .collect()
-    }
-}
-
-impl TrafficTarget for DistNetwork {
-    type Error = InjectError;
-
-    fn drive_batch(&self, batch: &[(PortId, Packet)]) -> TargetBatch<InjectError> {
-        self.inject_batch(batch)
-            .into_iter()
-            .map(|result| result.map(|outcome| (outcome.epoch, outcome.delivered)))
             .collect()
     }
 }

@@ -25,7 +25,7 @@ use snap_lang::builder::*;
 use snap_lang::{Expr, Field, Packet, Policy, StateVar, Value};
 use snap_xfdd::{
     decode_delta_fresh, encode_delta, to_xfdd, Action, FlatId, FlatNode, FlatProgram, Mirror,
-    NodeId, Pool, StateClass, StateDependencies, TableProgram, VarOrder,
+    NodeId, Pool, StateClass, StateDependencies, VarOrder,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,10 +107,6 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
     assert_eq!(map.len(), oracle.num_nodes());
     assert_eq!(built.num_nodes(), oracle.num_nodes());
 
-    let (tables, oracle_tables) = (
-        TableProgram::compile(&built),
-        TableProgram::compile(&oracle),
-    );
     let packets = sample_packets();
     for (&id, &expected) in &map {
         match (built.node(id), oracle.node(expected)) {
@@ -137,10 +133,8 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
                 assert_eq!(built.branch_var(id), oracle.branch_var(expected));
                 for pkt in &packets {
                     assert_eq!(
-                        tables
-                            .step_stateless(&built, id, pkt)
-                            .map(|next| map[&next]),
-                        oracle_tables.step_stateless(&oracle, expected, pkt),
+                        built.step_stateless(id, pkt).map(|next| map[&next]),
+                        oracle.step_stateless(expected, pkt),
                         "step from {id:?} on {pkt:?}"
                     );
                 }
@@ -160,8 +154,8 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
         }
         for pkt in &packets {
             assert_eq!(
-                map[&tables.advance_stateless(&built, id, pkt)],
-                oracle_tables.advance_stateless(&oracle, expected, pkt),
+                map[&built.advance_stateless(id, pkt)],
+                oracle.advance_stateless(expected, pkt),
                 "advance from {id:?} on {pkt:?}"
             );
         }
@@ -177,7 +171,6 @@ fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
     assert_eq!(a.root(), b.root());
     let ids = reachable(a);
     assert_eq!(ids, reachable(b));
-    let (ta, tb) = (TableProgram::compile(a), TableProgram::compile(b));
     let packets = sample_packets();
     for &id in &ids {
         match (a.node(id), b.node(id)) {
@@ -198,8 +191,8 @@ fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
                 assert_eq!((test, slot, tru, fls), (t, s, x, y), "branch {id:?}");
                 for pkt in &packets {
                     assert_eq!(
-                        ta.step_stateless(a, id, pkt),
-                        tb.step_stateless(b, id, pkt),
+                        a.step_stateless(id, pkt),
+                        b.step_stateless(id, pkt),
                         "step from {id:?} on {pkt:?}"
                     );
                 }
@@ -216,8 +209,8 @@ fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
         }
         for pkt in &packets {
             assert_eq!(
-                ta.advance_stateless(a, id, pkt),
-                tb.advance_stateless(b, id, pkt),
+                a.advance_stateless(id, pkt),
+                b.advance_stateless(id, pkt),
                 "advance from {id:?} on {pkt:?}"
             );
         }

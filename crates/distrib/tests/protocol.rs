@@ -677,7 +677,7 @@ fn distributed_hop_budget_is_configurable_and_enforced() {
     // multi-hop itinerary fits in it.
     assert_eq!(
         deployment.network.hop_budget(),
-        snap_dataplane::driver::DEFAULT_HOP_BUDGET
+        snap_distrib::DEFAULT_HOP_BUDGET
     );
     let out = deployment.network.inject(PortId(1), &pkt).unwrap();
     assert_eq!(out.delivered.len(), 1);

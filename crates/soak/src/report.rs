@@ -6,7 +6,8 @@
 //! time-series, min/median/max rate summaries, percentile histograms
 //! from the final (quiesced, hence exact) snapshot, the violation list
 //! and a pass/fail verdict. JSON is hand-rolled like the telemetry
-//! crate's exporter: the workspace has no serde_json.
+//! crate's exporter (the workspace has no serde_json), with its string
+//! escaper ([`snap_telemetry::write_str`]).
 
 use crate::monitor::{IntervalStats, Violation};
 use crate::SoakConfig;
@@ -224,11 +225,11 @@ impl SoakOutcome {
             }
             let _ = write!(
                 out,
-                "\n    {{\"interval\": {}, \"monitor\": \"{}\", \"detail\": \"{}\"}}",
-                v.interval,
-                v.monitor,
-                escape(&v.detail)
+                "\n    {{\"interval\": {}, \"monitor\": \"{}\", \"detail\": ",
+                v.interval, v.monitor
             );
+            snap_telemetry::write_str(&mut out, &v.detail);
+            out.push('}');
         }
         let _ = write!(
             out,
@@ -268,23 +269,4 @@ impl SoakOutcome {
             self.total_violations,
         )
     }
-}
-
-/// Minimal JSON string escaping (the telemetry crate's helper is private).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }

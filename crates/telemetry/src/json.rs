@@ -8,8 +8,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Append `s` as a JSON string literal (quotes included) to `out`.
-pub(crate) fn write_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (quotes included) to `out`: the
+/// workspace's one JSON string escaper.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

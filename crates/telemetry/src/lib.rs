@@ -55,6 +55,7 @@ mod trace;
 
 pub use delta::SnapshotDelta;
 pub use events::{AgentTimings, CommitEvent, EventLog, EventRecord, DEFAULT_EVENT_CAPACITY};
+pub use json::write_str;
 pub use registry::{
     Counter, CounterFamily, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsSnapshot,
     Registry, HISTOGRAM_BUCKETS,

@@ -1,6 +1,5 @@
 //! The executable program: an xFDD lowered node by node into a table the
-//! packet plane indexes — the middle stage of the dataplane lowering (pool →
-//! flat → tables).
+//! packet plane indexes — the dataplane lowering of the pool.
 //!
 //! The interned arena ([`crate::Pool`]) is the right representation for
 //! *building* diagrams — hash-consing, memo tables, GC — but per-packet
@@ -93,21 +92,23 @@
 //! 1. **Pool** ([`crate::Pool`]): building and composing diagrams —
 //!    hash-consing, memoized `⊕`/`⊖`/`⊙`, deltas, GC. Never the per-packet
 //!    path.
-//! 2. **Flat** (this module): the portable program. Flat ids are the
-//!    packet-tag wire format, leaves carry the executable action tables,
-//!    and [`FlatProgram::walk`] is the reference per-packet semantics that
-//!    everything else (netasm lowering, table dispatch) is checked against.
-//! 3. **Tables** ([`crate::tables::TableProgram`]): the dispatch view over
-//!    the same lowered nodes — runs of same-field tests resolved with one
-//!    field load and one probe. Never shipped: each node's entry is made
-//!    where the node is lowered. Use it for the per-packet hot path; use
-//!    `walk` when you need the one-test-per-step reference, e.g. in
-//!    differential tests.
+//! 2. **Flat** (this module): the program a switch executes. Flat ids are
+//!    the packet-tag wire format, leaves carry the executable action
+//!    tables, and every branch carries its dispatch entry, made where the
+//!    node is lowered and never shipped. The per-packet hot path is
+//!    [`FlatProgram::advance_stateless`] / [`FlatProgram::step_stateless`]:
+//!    a run of same-field tests resolves with one field load and one probe
+//!    ([`crate::tables`]). [`FlatProgram::walk`] is the one-test-per-step
+//!    reference semantics that everything else (netasm lowering, table
+//!    dispatch) is checked against.
+//! 3. **Tables** ([`crate::tables::TableProgram`]): the same dispatch
+//!    entries behind an evaluator over a by-name [`Store`] — a test oracle
+//!    and a benchmark probe that no plane holds.
 
 use crate::action::{Action, ActionSeq, Leaf};
 use crate::fx::FxHashMap;
 use crate::pool::{eval_test, Node, NodeId, Pool};
-use crate::tables::{Entry, Stage, MAX_STAGE_DEPTH};
+use crate::tables::{eval_field_test, Entry, Stage, MAX_STAGE_DEPTH};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
@@ -1061,6 +1062,43 @@ impl FlatProgram {
         self.branch(id).test.test.state_var()
     }
 
+    /// One stateless dispatch step from branch `at`: the successor after
+    /// resolving the branch's test — or its whole run, when `at` belongs to
+    /// a collapsed stage ([`crate::tables`]) — against the packet. `None`
+    /// means `at` is a state test and the stateless prefix ends here.
+    /// Infallible: field tests cannot error and no store is touched.
+    #[inline]
+    pub fn step_stateless(&self, at: FlatId, pkt: &Packet) -> Option<FlatId> {
+        let branch = self.branch(at);
+        match &branch.entry {
+            Entry::StateBranch => None,
+            Entry::Stage { stage, cursor } => Some(stage.dispatch(pkt, *cursor)),
+            Entry::FieldBranch => {
+                let [tru, fls] = branch.edges;
+                Some(if eval_field_test(&branch.test.test, pkt) {
+                    tru
+                } else {
+                    fls
+                })
+            }
+        }
+    }
+
+    /// Advance from `from` through dispatch stages and stateless branches
+    /// until a leaf or a state test, without touching any store. Returns
+    /// the leaf id, or the id of the first state branch reached.
+    #[inline]
+    pub fn advance_stateless(&self, from: FlatId, pkt: &Packet) -> FlatId {
+        let mut cur = from;
+        while !cur.is_leaf() {
+            match self.step_stateless(cur, pkt) {
+                Some(next) => cur = next,
+                None => return cur,
+            }
+        }
+        cur
+    }
+
     /// Walk tests from `from` to a leaf for one packet against a by-name
     /// [`Store`]: the one-test-per-step reference semantics. A test oracle
     /// for the table dispatch; no plane calls it.
@@ -1180,7 +1218,6 @@ impl Mirror {
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::tables::TableProgram;
     use crate::test::VarOrder;
     use crate::translate::to_xfdd;
     use snap_lang::builder::*;
@@ -1406,7 +1443,6 @@ mod tests {
                 panic!("the head dispatches through a stage");
             };
             assert_eq!((stage.depth(), *cursor), (depth, 7 + prepended as u32));
-            let tables = TableProgram::compile(&program);
             let mut packets: Vec<Packet> = (90..110)
                 .map(|port| Packet::new().with(Field::DstPort, port))
                 .collect();
@@ -1415,7 +1451,7 @@ mod tests {
                 let from = program.branch_id(b);
                 for pkt in &packets {
                     assert_eq!(
-                        tables.advance_stateless(&program, from, pkt),
+                        program.advance_stateless(from, pkt),
                         program.walk(from, pkt, &Store::new()).unwrap(),
                         "from {from:?} on {pkt:?}"
                     );

@@ -43,9 +43,11 @@
 //!   evaluation is index arithmetic instead of arena chasing; a one-off
 //!   flatten numbers the reachable subgraph densely child-first, a switch's
 //!   [`Mirror`] lowers each node as it arrives and numbers it by mirror
-//!   position) and its dispatch view ([`TableProgram`] — runs of same-field
-//!   tests collapsed into per-field dispatch stages, so a whole field-test
-//!   chain resolves with one field load and one indexed lookup).
+//!   position), whose branches carry their dispatch entries — runs of
+//!   same-field tests collapsed into per-field dispatch stages, so a whole
+//!   field-test chain resolves with one field load and one indexed lookup
+//!   ([`FlatProgram::advance_stateless`]); [`TableProgram`] evaluates the
+//!   same entries against a by-name store, as a test oracle.
 //!
 //! ## Example
 //!

@@ -1,9 +1,9 @@
-//! Table dispatch: the third lowering stage below [`FlatProgram`], and **the
-//! runtime** — the executable form the packet plane dispatches through
-//! ([`TableProgram::step_stateless`] / [`TableProgram::advance_stateless`]
-//! for stateless spans, the flat program's tests and leaves for state).
-//! `snap_lang::eval` is the specification it is differentially tested
-//! against.
+//! Table dispatch: the entry every lowered branch of a [`FlatProgram`]
+//! carries for its stateless spans, which the packet plane executes through
+//! [`FlatProgram::step_stateless`] / [`FlatProgram::advance_stateless`] —
+//! and [`TableProgram`], an evaluator over the same entries against a
+//! by-name [`Store`] that no plane holds. `snap_lang::eval` is the
+//! specification both are differentially tested against.
 //!
 //! A [`FlatProgram`] already turns per-packet evaluation into index
 //! arithmetic, but it still resolves one *test per step*: a policy that
@@ -51,14 +51,20 @@
 //! paused at an interior chain node by an older snapshot, or resumed on
 //! another switch — stays a valid entry point.
 //!
-//! A [`TableProgram`] is the view over those entries for one program: no
-//! stage is built when one is compiled, and the §4.5 packet tags stay flat
-//! ids, so the wire format and resume semantics are untouched.
+//! No stage is built per program, and the §4.5 packet tags stay flat ids, so
+//! the wire format and resume semantics are untouched.
 //!
-//! [`TableProgram::advance_stateless`] walks stages and stateless branches
+//! [`FlatProgram::advance_stateless`] walks stages and stateless branches
 //! until a leaf or a state test **without ever touching a store** — it is
 //! infallible, which is what lets the batched driver run the stateless
 //! prefix of a whole wave before acquiring any store lease.
+//!
+//! A [`TableProgram`] is one program's branch table and root, evaluated
+//! against a by-name [`Store`]: the table-dispatch counterpart of
+//! [`FlatProgram::walk`] / [`FlatProgram::evaluate`] that the equivalence
+//! suites check and the benchmark's per-layer row times. A switch executes
+//! the same entries through its [`FlatProgram`] and reaches state by slot,
+//! so no plane holds one.
 
 use crate::flat::{Branch, FlatId, FlatProgram, Nodes};
 use crate::pool::eval_test;
@@ -201,7 +207,7 @@ impl Stage {
     /// positions ≤ `cursor` (resume mid-run keeps suffix semantics; every
     /// suffix shares the run's default).
     #[inline]
-    fn dispatch(&self, pkt: &Packet, cursor: u32) -> FlatId {
+    pub(crate) fn dispatch(&self, pkt: &Packet, cursor: u32) -> FlatId {
         match pkt.get(&self.field) {
             Some(actual) => self.resolve(actual, cursor),
             // Missing field: every test of the run is false.
@@ -307,8 +313,10 @@ pub struct TableStats {
     pub state_branches: usize,
 }
 
-/// A program under table dispatch: the view over the dispatch entries its
-/// branches were lowered with (see the module docs).
+/// A program under table dispatch, evaluated against a by-name [`Store`]
+/// (see the module docs): the branch table and root of the [`FlatProgram`]
+/// it was compiled from. No plane holds one — a switch runs the same
+/// entries through its flat program.
 ///
 /// A `TableProgram` is only meaningful together with the [`FlatProgram`]
 /// it was compiled from — every evaluation entry point takes both, and
@@ -325,8 +333,8 @@ pub struct TableProgram {
 const DENSE_SLOT_CAP: i128 = 1024;
 
 impl TableProgram {
-    /// The dispatch view of `flat`: its branches already carry their
-    /// entries, so this shares the table and builds nothing.
+    /// The table view of `flat`: its branches already carry their entries,
+    /// so this shares the table and builds nothing.
     pub fn compile(flat: &FlatProgram) -> TableProgram {
         TableProgram {
             branches: flat.branches().clone(),
@@ -334,41 +342,10 @@ impl TableProgram {
         }
     }
 
-    /// One stateless dispatch step from branch `at`: the successor after
-    /// resolving the branch's test — or its whole run, when `at` belongs to
-    /// a collapsed stage — against the packet. `None` means `at` is a state
-    /// test and the stateless prefix ends here. Infallible: field tests
-    /// cannot error and no store is touched.
-    #[inline]
-    pub fn step_stateless(&self, _flat: &FlatProgram, at: FlatId, pkt: &Packet) -> Option<FlatId> {
-        let branch = self.branches.get(at.branch_index());
-        match &branch.entry {
-            Entry::StateBranch => None,
-            Entry::Stage { stage, cursor } => Some(stage.dispatch(pkt, *cursor)),
-            Entry::FieldBranch => {
-                let [tru, fls] = branch.edges;
-                Some(if eval_field_test(&branch.test.test, pkt) {
-                    tru
-                } else {
-                    fls
-                })
-            }
-        }
-    }
-
-    /// Advance from `from` through dispatch stages and stateless branches
-    /// until a leaf or a state test, without touching any store. Returns
-    /// the leaf id, or the id of the first state branch reached.
-    #[inline]
+    /// [`FlatProgram::advance_stateless`] of the program this was compiled
+    /// from: the stateless prefix from `from`, to a leaf or a state test.
     pub fn advance_stateless(&self, flat: &FlatProgram, from: FlatId, pkt: &Packet) -> FlatId {
-        let mut cur = from;
-        while !cur.is_leaf() {
-            match self.step_stateless(flat, cur, pkt) {
-                Some(next) => cur = next,
-                None => return cur,
-            }
-        }
-        cur
+        flat.advance_stateless(from, pkt)
     }
 
     /// Walk from `from` to a leaf, dispatching stateless spans through the
@@ -385,7 +362,7 @@ impl TableProgram {
     ) -> Result<FlatId, EvalError> {
         let mut cur = from;
         loop {
-            cur = self.advance_stateless(flat, cur, pkt);
+            cur = flat.advance_stateless(cur, pkt);
             if cur.is_leaf() {
                 return Ok(cur);
             }
@@ -472,7 +449,7 @@ impl TableProgram {
 /// here: the entry classification routes them to the caller before any
 /// evaluation.
 #[inline]
-fn eval_field_test(test: &Test, pkt: &Packet) -> bool {
+pub(crate) fn eval_field_test(test: &Test, pkt: &Packet) -> bool {
     match test {
         Test::FieldValue(f, v) => pkt.get(f).is_some_and(|actual| v.matches(actual)),
         Test::FieldField(f, g) => match (pkt.get(f), pkt.get(g)) {

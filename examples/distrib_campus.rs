@@ -21,10 +21,9 @@
 
 use snap_apps as apps;
 use snap_core::SolverChoice;
-use snap_dataplane::TrafficEngine;
 use snap_distrib::{
     deploy_in_process, deploy_tcp, Controller, DeployOptions, SwitchAgent, TcpAgentEndpoint,
-    TcpTransportListener,
+    TcpTransportListener, TrafficEngine,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -225,9 +224,9 @@ fn main() {
         );
     }
 
-    // The plane is a `TrafficTarget`: the multi-worker `TrafficEngine` pumps
-    // batched traffic through the agents via the packet driver (in-flight
-    // packets grouped per switch, one store-lock acquisition per group).
+    // The multi-worker `TrafficEngine` pumps batched traffic through the
+    // agents via the packet driver (in-flight packets grouped per switch,
+    // one store-lock acquisition per group).
     let load: Vec<(PortId, Packet)> = (0..240)
         .map(|i| {
             (

@@ -10,8 +10,7 @@
 
 use snap_apps as apps;
 use snap_core::SolverChoice;
-use snap_dataplane::TrafficEngine;
-use snap_distrib::deploy_in_process;
+use snap_distrib::{deploy_in_process, TrafficEngine};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_topology::generators::campus;

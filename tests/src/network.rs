@@ -197,9 +197,9 @@ impl Pace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_dataplane::driver::DEFAULT_HOP_BUDGET;
     use snap_dataplane::SimError;
     use snap_distrib::InjectError;
+    use snap_distrib::DEFAULT_HOP_BUDGET;
     use snap_lang::builder::*;
     use snap_lang::{Field, Packet, Store, Value};
     use snap_topology::PortId;

@@ -42,8 +42,48 @@ pub fn workload(n: usize) -> Vec<(PortId, Packet)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_dataplane::{SimError, TrafficEngine};
-    use snap_distrib::InjectError;
+    use snap_dataplane::SimError;
+    use snap_distrib::{InjectError, TrafficEngine, TrafficReport};
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn multi_worker_run_matches_single_worker() {
+        let load = workload(120);
+
+        let single = TrafficEngine::new(1).run(&counting_fleet(4096).network, &load);
+        assert!(single.is_clean());
+        assert_eq!(single.processed, load.len());
+
+        let multi = TrafficEngine::new(4)
+            .with_batch_size(8)
+            .run(&counting_fleet(4096).network, &load);
+        assert!(multi.is_clean());
+        assert_eq!(multi.processed, load.len());
+        assert_eq!(multi.epochs, BTreeSet::from([1]));
+        assert!(multi
+            .worker_epochs
+            .iter()
+            .all(|trace| trace.iter().all(|&e| e == 1)));
+
+        // Same egress multiset regardless of worker count.
+        let collect = |r: &TrafficReport| {
+            let mut all: Vec<(PortId, Packet)> =
+                r.egress.iter().flat_map(|v| v.iter().cloned()).collect();
+            all.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            all
+        };
+        assert_eq!(collect(&single), collect(&multi));
+        assert_eq!(single.total_egress(), multi.total_egress());
+    }
+
+    #[test]
+    fn worker_and_batch_floors() {
+        let engine = TrafficEngine::new(0).with_batch_size(0);
+        assert_eq!(engine.workers(), 1);
+        let report = engine.run(&counting_fleet(4096).network, &workload(3));
+        assert!(report.is_clean());
+        assert_eq!(report.processed, 3);
+    }
 
     #[test]
     fn state_totals_are_exact_across_workers() {
@@ -82,33 +122,5 @@ mod tests {
         let count = |p| store.get(&"count".into(), &[Value::Int(p)]);
         let total: i64 = (0..17).map(|p| count(p).as_int().unwrap()).sum();
         assert_eq!(total, 37);
-    }
-
-    #[test]
-    fn queued_network_delivers_through_port_queues() {
-        // Egress lands in the owning switch's bounded per-port FIFO queues.
-        let fleet = counting_fleet(4096);
-        let load = workload(80);
-        let engine = TrafficEngine::new(2).with_batch_size(16);
-        let report = engine.run(&fleet.network, &load);
-        assert!(report.is_clean());
-        assert_eq!(report.processed, 80);
-        assert_eq!(report.total_egress(), 80);
-        // Every delivery was enqueued (capacity is ample), stamped with the
-        // running epoch, and drains in FIFO order.
-        let queues = || fleet.agents.iter().map(|a| a.egress());
-        assert_eq!(queues().map(|q| q.total_enqueued()).sum::<u64>(), 80);
-        assert_eq!(fleet.network.total_backpressure(), 0);
-        let mut drained = 0;
-        for (_, events) in queues().flat_map(|q| q.drain_all()) {
-            let mut last = None;
-            for e in &events {
-                assert_eq!(e.epoch, 1);
-                assert!(last.is_none_or(|s| e.seq > s), "per-port FIFO violated");
-                last = Some(e.seq);
-            }
-            drained += events.len();
-        }
-        assert_eq!(drained, 80);
     }
 }

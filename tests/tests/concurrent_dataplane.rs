@@ -6,8 +6,7 @@
 //! two configurations).
 
 use snap_core::SolverChoice;
-use snap_dataplane::TrafficEngine;
-use snap_distrib::{deploy_in_process, InProcessDeployment, EPOCH_HISTORY};
+use snap_distrib::{deploy_in_process, InProcessDeployment, TrafficEngine, EPOCH_HISTORY};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_tests::network::{Fleet, Pace};

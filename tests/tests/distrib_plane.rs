@@ -318,11 +318,10 @@ fn working_set_edit_delta_is_under_a_quarter_of_the_full_payload() {
 
 #[test]
 fn shared_traffic_engine_drives_distributed_traffic() {
-    use snap_dataplane::TrafficEngine;
+    use snap_distrib::TrafficEngine;
 
-    // `DistNetwork` implements `TrafficTarget`, so the N-worker engine
-    // pumps batched injections through the packet driver while the
-    // controller ships delta commits underneath.
+    // The N-worker engine pumps batched injections through the fleet's
+    // packet driver while the controller ships delta commits underneath.
     const WORKERS: usize = 4;
     const PACKETS_PER_WORKER: usize = 100;
     // 1 + COMMITS epochs total stays within the agents' EPOCH_HISTORY ring,

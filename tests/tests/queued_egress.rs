@@ -5,7 +5,8 @@
 //! including under a multi-worker `TrafficEngine`.
 
 use proptest::prelude::*;
-use snap_dataplane::{EgressQueues, TrafficEngine};
+use snap_dataplane::EgressQueues;
+use snap_distrib::TrafficEngine;
 use snap_lang::{Field, Packet, Value};
 use snap_tests::network::Fleet;
 use snap_tests::traffic::counting_fleet;
@@ -133,7 +134,7 @@ proptest! {
     fn multi_worker_engine_through_queues_conserves_and_orders(
         workers in 2usize..5,
         batch in 1usize..24,
-        capacity in 4usize..64,
+        capacity in 4usize..160,
     ) {
         let fleet = counting_fleet(capacity);
         let load = workload(96);
@@ -143,22 +144,28 @@ proptest! {
         prop_assert!(report.is_clean());
         prop_assert_eq!(report.processed, load.len());
         // Conservation across concurrent workers: every egress event the
-        // report saw was either enqueued or tail-dropped, exactly once.
+        // report saw was either enqueued or tail-dropped, exactly once —
+        // and a queue that can hold the whole load drops nothing.
         let queues = || fleet.agents.iter().map(|a| a.egress());
         let enqueued: u64 = queues().map(|q| q.total_enqueued()).sum();
         prop_assert_eq!(
             enqueued + fleet.network.total_backpressure(),
             report.total_egress() as u64
         );
+        if capacity >= load.len() {
+            prop_assert_eq!(fleet.network.total_backpressure(), 0);
+        }
         for q in queues() {
             for port in q.ports().collect::<Vec<_>>() {
                 prop_assert!(q.depth(port) <= capacity);
             }
         }
-        // Per-port FIFO still holds under concurrency.
+        // Per-port FIFO still holds under concurrency, and every delivery
+        // is stamped with the running epoch.
         for events in drain_all(&fleet) {
             let mut last_seq = None;
             for e in &events {
+                prop_assert_eq!(e.epoch, 1);
                 prop_assert!(last_seq.is_none_or(|s| e.seq > s));
                 last_seq = Some(e.seq);
             }

@@ -417,14 +417,7 @@ fn an_older_epochs_view_still_resolves_its_slots() {
     let mut flight = InFlight::ingress(pkt, port, agent.switch(), old.flat.root());
     let mut buffer = ReplicaBuffer::with_keys(Vec::new());
     let mut lease = StoreLease::new(Some(store), &mut buffer);
-    let step = process_at_switch(
-        &old.bindings,
-        &old.flat,
-        &old.tables,
-        &mut lease,
-        &mut flight,
-        None,
-    );
+    let step = process_at_switch(&old.bindings, &old.flat, &mut lease, &mut flight, None);
     assert!(step.is_ok());
     lease.flush();
     assert_eq!(store.get(&hits, &[Value::Int(1)]), Value::Int(1));

@@ -8,7 +8,7 @@
 //! shard telemetry accounts for the traffic. CI runs this against the
 //! release build (`--release`) so it stresses the optimized hot path.
 
-use snap_dataplane::TrafficEngine;
+use snap_distrib::TrafficEngine;
 use snap_lang::prelude::*;
 use snap_tests::network::Fleet;
 use snap_topology::PortId;

@@ -17,7 +17,8 @@
 //! update that migrates a replicated variable.
 
 use snap_core::SolverChoice;
-use snap_dataplane::{PlaneTelemetry, TrafficEngine};
+use snap_dataplane::PlaneTelemetry;
+use snap_distrib::TrafficEngine;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_telemetry::MetricsSnapshot;

@@ -6,7 +6,7 @@
 //! epoch.
 
 use snap_core::SolverChoice;
-use snap_dataplane::TrafficEngine;
+use snap_distrib::TrafficEngine;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_telemetry::CommitEvent;
