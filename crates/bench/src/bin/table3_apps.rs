@@ -6,8 +6,8 @@
 
 use snap_apps as apps;
 use snap_bench::secs;
+use snap_bench::NetAsmProgram;
 use snap_core::{Compiler, SolverChoice};
-use snap_dataplane::NetAsmProgram;
 use snap_topology::{generators, TrafficMatrix};
 use std::time::Instant;
 
@@ -26,7 +26,7 @@ fn main() {
         match compiler.compile(&program) {
             Ok(compiled) => {
                 let elapsed = start.elapsed();
-                let program = NetAsmProgram::lower_flat(&compiled.xfdd.flatten());
+                let program = NetAsmProgram::lower(&compiled.xfdd.flatten());
                 println!(
                     "{:<30} {:>10} {:>12} {:>12} {:>12}",
                     name,

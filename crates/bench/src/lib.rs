@@ -14,13 +14,19 @@
 //! | Figure 10 (scaling with topology size) | `fig10_topology_scaling` |
 //! | Figure 11 (scaling with number of policies) | `fig11_policy_scaling` |
 //!
-//! Criterion micro-benchmarks for the xFDD algebra, the MILP solver and the
-//! compiler phases live under `benches/`.
+//! Table 3's instruction counts come from [`NetAsmProgram`] ([`netasm`]), a
+//! NetASM-like listing lowered from the flat program, with an interpreter
+//! that tests it against the xFDD. It lives here, with the reproduction, and
+//! not in the runtime: no switch executes it.
 //!
 //! The original evaluation used Gurobi on the full Table 5 demand matrices;
 //! without a commercial solver the harness defaults to one OBS port per edge
 //! switch (aggregated demands) and the heuristic placement engine, which
 //! preserves the qualitative shape of the results (see `EXPERIMENTS.md`).
+
+pub mod netasm;
+
+pub use netasm::NetAsmProgram;
 
 use snap_apps as apps;
 use snap_core::{Compiled, Compiler, SolverChoice};

@@ -8,21 +8,23 @@
 //! module provides an equivalent instruction set, a lowering from hash-consed
 //! xFDDs, and an interpreter with the same observable behaviour.
 //!
-//! Lowering consumes the dense [`FlatProgram`] representation (the same one
-//! the network simulator executes): every *distinct* node emits exactly one
-//! block, so subdiagrams shared in the arena are shared in the instruction
-//! stream too (branches jump to the single copy), and the flat branch index
-//! maps directly onto the instruction offset.
+//! It is reproduction code: nothing executes the listing but the Table 3
+//! binary's counts and the tests below, whose interpreter checks that the
+//! lowering is faithful to the xFDD it came from.
+//!
+//! Lowering consumes the dense [`FlatProgram`] representation (the program
+//! a switch executes): every *distinct* node emits exactly one block, so
+//! subdiagrams shared in the arena are shared in the instruction stream too
+//! (branches jump to the single copy), and the flat branch index maps
+//! directly onto the instruction offset.
 
-use serde::{Deserialize, Serialize};
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
-use snap_xfdd::{eval_test, ActionSeq, FlatId, FlatNode, FlatProgram, Test, Xfdd};
+use snap_xfdd::{eval_test, ActionSeq, FlatId, FlatNode, FlatProgram, Test};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One instruction of the data-plane program. Jump targets are instruction
 /// indices within the same program.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Instruction {
     /// Branch on a header/state test: continue at `on_true` or `on_false`.
     Branch {
@@ -67,22 +69,12 @@ pub enum Instruction {
 }
 
 /// A data-plane program: straight-line instructions with branches.
-///
-/// The instruction stream is shared between clones: rule generation hands
-/// the same lowered program to every switch, and a compiler session caches
-/// whole compiled versions, so cloning a program is an `Arc` bump rather
-/// than a copy of the instruction vector.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetAsmProgram {
-    instructions: Arc<Vec<Instruction>>,
+    instructions: Vec<Instruction>,
 }
 
 impl NetAsmProgram {
-    /// The instructions.
-    pub fn instructions(&self) -> &[Instruction] {
-        &self.instructions
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.instructions.len()
@@ -120,12 +112,6 @@ impl NetAsmProgram {
             .count()
     }
 
-    /// Lower an xFDD to instructions by flattening it first (see
-    /// [`Self::lower_flat`]).
-    pub fn lower(program: &Xfdd) -> NetAsmProgram {
-        Self::lower_flat(&program.flatten())
-    }
-
     /// Lower a flat program to instructions.
     ///
     /// Every flat branch node becomes exactly one [`Instruction::Branch`];
@@ -137,7 +123,7 @@ impl NetAsmProgram {
     /// branch index *is* the offset minus one), and leaf blocks follow. The
     /// whole program executes atomically per packet, mirroring NetASM's
     /// atomic table updates.
-    pub fn lower_flat(flat: &FlatProgram) -> NetAsmProgram {
+    pub fn lower(flat: &FlatProgram) -> NetAsmProgram {
         let branches = flat.num_branches();
         // Leaf block offsets: computed by scanning leaf sizes once.
         let mut leaf_offsets = Vec::with_capacity(flat.num_leaves());
@@ -192,9 +178,7 @@ impl NetAsmProgram {
             }
             out.push(Instruction::Halt);
         }
-        NetAsmProgram {
-            instructions: Arc::new(out),
-        }
+        NetAsmProgram { instructions: out }
     }
 
     /// Execute the program on one packet against a store, returning the set
@@ -310,12 +294,14 @@ fn lower_seq(seq: &ActionSeq, out: &mut Vec<Instruction>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_apps as apps;
     use snap_lang::builder::*;
     use snap_lang::Policy;
+    use snap_xfdd::Xfdd;
 
     fn compile(p: &Policy) -> (Xfdd, NetAsmProgram) {
         let xfdd = snap_xfdd::compile(p).unwrap();
-        let asm = NetAsmProgram::lower(&xfdd);
+        let asm = NetAsmProgram::lower(&xfdd.flatten());
         (xfdd, asm)
     }
 
@@ -413,5 +399,52 @@ mod tests {
         assert!((xfdd.size() as u64) < xfdd.tree_size());
         // Each distinct branch node lowers to exactly one Branch instruction.
         assert_eq!(asm.num_branches(), xfdd.num_tests());
+    }
+
+    #[test]
+    fn netasm_lowering_matches_xfdd_for_several_applications() {
+        let sample_packets = vec![
+            Packet::new()
+                .with(Field::SrcIp, Value::ip(10, 0, 6, 1))
+                .with(Field::DstIp, Value::ip(10, 0, 2, 2))
+                .with(Field::SrcPort, 53)
+                .with(Field::DstPort, 9000)
+                .with(Field::Proto, 17)
+                .with(Field::InPort, 6)
+                .with(Field::TcpFlags, Value::sym("SYN"))
+                .with(Field::DnsRdata, Value::ip(9, 9, 9, 9))
+                .with(Field::DnsQname, Value::str("example.com"))
+                .with(Field::DnsTtl, 300),
+            Packet::new()
+                .with(Field::SrcIp, Value::ip(10, 0, 1, 7))
+                .with(Field::DstIp, Value::ip(10, 0, 6, 3))
+                .with(Field::SrcPort, 5000)
+                .with(Field::DstPort, 53)
+                .with(Field::Proto, 6)
+                .with(Field::InPort, 1)
+                .with(Field::TcpFlags, Value::sym("ACK"))
+                .with(Field::DnsRdata, Value::ip(8, 8, 8, 8))
+                .with(Field::DnsQname, Value::str("tunnel.evil"))
+                .with(Field::DnsTtl, 60),
+        ];
+        for (name, policy) in apps::catalogue().into_iter().take(8) {
+            let (xfdd, asm) = compile(&policy);
+            let mut store_a = Store::new();
+            let mut store_b = Store::new();
+            for pkt in &sample_packets {
+                let a = xfdd.evaluate(pkt, &store_a);
+                let b = asm.execute(pkt, &store_b);
+                match (a, b) {
+                    (Ok((pa, sa)), Ok((pb, sb))) => {
+                        assert_eq!(pa, pb, "{name}: packets differ");
+                        assert_eq!(sa, sb, "{name}: stores differ");
+                        store_a = sa;
+                        store_b = sb;
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!("{name}: one representation failed: {a:?} vs {b:?}"),
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,6 @@
 //! exists only in this module's tests, as the output of the path-enumeration
 //! oracle the views are checked against.
 
-use serde::{Deserialize, Serialize};
 use snap_lang::{Field, StateVar, Value};
 use snap_topology::PortId;
 use snap_xfdd::{Action, ActionSeq, Leaf, Node, NodeId, Pool, Test, Xfdd};
@@ -37,7 +36,7 @@ use std::sync::Arc;
 
 /// The packet-state mapping: state variables needed per (ingress, egress)
 /// OBS port pair.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PacketStateMap {
     /// The diagram's state variables, ascending: bit `i` of a cell stands
     /// for `vars[i]`.

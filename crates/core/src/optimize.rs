@@ -19,7 +19,6 @@
 //! link-utilization statistics.
 
 use crate::mapping::{PacketStateMap, VarSet};
-use serde::{Deserialize, Serialize};
 use snap_lang::StateVar;
 use snap_milp::{solve_lp, solve_milp, LinExpr, Model, Sense, SolveResult, VarId};
 use snap_topology::{HopMatrix, NodeId, PortId, Topology, TrafficMatrix};
@@ -27,7 +26,7 @@ use snap_xfdd::{StateDependencies, VarOrder};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which engine to use for placement and routing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverChoice {
     /// Always build and solve the exact MILP.
     Exact,
@@ -50,7 +49,7 @@ pub struct OptimizeInput<'a> {
 }
 
 /// The result of placement and routing.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlacementResult {
     /// The switch chosen for each state variable.
     pub placement: BTreeMap<StateVar, NodeId>,
@@ -87,7 +86,7 @@ impl PlacementResult {
 
 /// Wall-clock timings of the optimization phase, split the way Table 4/6 of
 /// the paper report them: model (MILP) creation versus solving.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OptimizeTimings {
     /// Time spent building the MILP/LP model (the paper's P4). Zero when the
     /// heuristic engine is used.

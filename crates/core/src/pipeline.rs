@@ -7,7 +7,6 @@ use crate::optimize::{
     place_and_route_timed, reroute_timed, OptimizeInput, PlacementResult, SolverChoice,
 };
 use crate::rulegen::{generate_rules, RuleGenOutput};
-use serde::{Deserialize, Serialize};
 use snap_lang::Policy;
 use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{to_xfdd, CompileError, Pool, StateDependencies, Xfdd};
@@ -15,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options controlling compilation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Which placement/routing engine to use.
     pub solver: SolverChoice,
@@ -30,7 +29,7 @@ impl Default for CompileOptions {
 }
 
 /// Wall-clock time spent in each compiler phase (the paper's P1–P6).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
     /// P1 — state dependency analysis.
     pub dependency_analysis: Duration,

@@ -13,7 +13,6 @@
 //! reads the shared [`PlacementResult`]).
 
 use crate::optimize::PlacementResult;
-use serde::{Deserialize, Serialize};
 use snap_lang::StateVar;
 use snap_topology::{NodeId, PortId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,7 +20,7 @@ use std::sync::Arc;
 
 /// The per-switch metadata that travels alongside the (shared) program:
 /// what the switch owns and which external ports it hosts.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwitchMeta {
     /// State variables placed on this switch.
     pub local_vars: BTreeSet<StateVar>,
@@ -30,7 +29,7 @@ pub struct SwitchMeta {
 }
 
 /// The output of rule generation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RuleGenOutput {
     /// Every switch of the topology with its metadata.
     pub switches: BTreeMap<NodeId, SwitchMeta>,

@@ -18,11 +18,7 @@
 //! * [`PlaneTelemetry`] — the pre-registered `snap-telemetry` handle
 //!   bundle the driver records through: per-instance packet / hop /
 //!   state-write counters, wave-prefix survivor ratios, latency
-//!   histograms and 1-in-N sampled packet traces, aggregated only on read;
-//! * [`NetAsmProgram`] — a NetASM-like instruction listing lowered from
-//!   the dense [`snap_xfdd::FlatProgram`] plus an interpreter (§5). Nothing
-//!   here executes it: it reproduces the paper's Table 3 instruction counts
-//!   and is differentially tested against the xFDD it was lowered from.
+//!   histograms and 1-in-N sampled packet traces, aggregated only on read.
 //!
 //! Programs are executed via their flat node ids — on an agent, its
 //! mirror's ids, the same on every switch — which double as the §4.5
@@ -34,7 +30,6 @@
 pub mod egress;
 pub mod exec;
 pub mod metrics;
-pub mod netasm;
 pub mod shards;
 
 pub use egress::{EgressEvent, EgressQueues, DEFAULT_QUEUE_CAPACITY};
@@ -43,5 +38,4 @@ pub use exec::{
     StoreLease,
 };
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
-pub use netasm::{Instruction, NetAsmProgram};
 pub use shards::{Shard, StateShards, TableId, DEFAULT_STATE_SHARDS};

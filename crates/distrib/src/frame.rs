@@ -4,8 +4,8 @@
 //! by that many payload bytes, capped at [`MAX_FRAME_BYTES`]. The payload is
 //! a hand-rolled tag-prefixed encoding of [`ToAgent`] / [`FromAgent`],
 //! written and read through the same codec as `snap_xfdd::wire`'s program
-//! payloads ([`snap_lang::codec`]; the workspace's serde is an offline shim,
-//! so nothing here derives its serialization): fixed-width little-endian
+//! payloads ([`snap_lang::codec`]; nothing in the workspace derives its
+//! serialization): fixed-width little-endian
 //! integers, length-prefixed strings and sequences, one tag byte per enum
 //! variant.
 //!

@@ -93,6 +93,7 @@ pub use transport::{
 use snap_session::CompilerSession;
 use snap_topology::{NodeId as SwitchId, PortId};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -144,6 +145,66 @@ pub fn deploy_in_process_custom(
     queue_capacity: usize,
     deploy: DeployOptions,
 ) -> InProcessDeployment {
+    let Ok(deployment) = deploy_with(
+        session,
+        queue_capacity,
+        deploy,
+        |controller, switch, agent| {
+            let (controller_end, agent_end) = channel_link(controller.reply_sender());
+            let handle = std::thread::spawn(move || agent.run(agent_end));
+            controller.attach(switch, Box::new(controller_end));
+            Ok::<_, Infallible>(handle)
+        },
+    );
+    deployment
+}
+
+/// Deploy like [`deploy_in_process_custom`], but carry every
+/// controller↔agent link over a framed TCP connection on loopback: the
+/// controller binds one listener, each agent thread connects and
+/// introduces itself, and a per-connection reader thread feeds the
+/// controller's reply mux. Same processes, real sockets — the protocol
+/// exercised end to end is exactly what two separate processes speak (see
+/// `examples/distrib_campus.rs --transport tcp-proc` for the
+/// multi-process form).
+pub fn deploy_tcp(
+    session: CompilerSession,
+    queue_capacity: usize,
+    deploy: DeployOptions,
+) -> io::Result<InProcessDeployment> {
+    let listener = TcpTransportListener::bind(("127.0.0.1", 0))?;
+    let addr = listener.local_addr()?;
+    deploy_with(
+        session,
+        queue_capacity,
+        deploy,
+        |controller, switch, agent| {
+            // Connect-then-accept per agent keeps the accept association
+            // deterministic and never outruns the listener backlog, even at a
+            // thousand agents.
+            let handle = std::thread::spawn(move || {
+                let Ok(endpoint) = TcpAgentEndpoint::connect(addr, switch) else {
+                    return;
+                };
+                agent.run(endpoint);
+            });
+            let (claimed, endpoint) = listener.accept_agent(controller.reply_sender())?;
+            debug_assert_eq!(claimed, switch, "hello names the connecting switch");
+            controller.attach(claimed, Box::new(endpoint));
+            Ok(handle)
+        },
+    )
+}
+
+/// The deployment both transports share: one [`SwitchAgent`] per switch of
+/// the session's topology, each started on its own thread and attached to
+/// the controller by `link`, which returns the agent's thread.
+fn deploy_with<E>(
+    session: CompilerSession,
+    queue_capacity: usize,
+    deploy: DeployOptions,
+    mut link: impl FnMut(&mut Controller, SwitchId, Arc<SwitchAgent>) -> Result<JoinHandle<()>, E>,
+) -> Result<InProcessDeployment, E> {
     let topology = session.topology().clone();
     let mut ports_per_switch: BTreeMap<SwitchId, Vec<PortId>> = BTreeMap::new();
     for (port, node) in topology.external_ports() {
@@ -170,70 +231,7 @@ pub fn deploy_in_process_custom(
             agent = agent.with_ack_delay(delay);
         }
         let agent = Arc::new(agent);
-        let (controller_end, agent_end) = channel_link(controller.reply_sender());
-        let runner = Arc::clone(&agent);
-        handles.push(std::thread::spawn(move || runner.run(agent_end)));
-        controller.attach(switch, Box::new(controller_end));
-        agents.insert(switch, agent);
-    }
-    let network = Arc::new(DistNetwork::new(topology, agents).with_telemetry(telemetry));
-    InProcessDeployment {
-        controller,
-        network,
-        handles,
-    }
-}
-
-/// Deploy like [`deploy_in_process_custom`], but carry every
-/// controller↔agent link over a framed TCP connection on loopback: the
-/// controller binds one listener, each agent thread connects and
-/// introduces itself, and a per-connection reader thread feeds the
-/// controller's reply mux. Same processes, real sockets — the protocol
-/// exercised end to end is exactly what two separate processes speak (see
-/// `examples/distrib_campus.rs --transport tcp-proc` for the
-/// multi-process form).
-pub fn deploy_tcp(
-    session: CompilerSession,
-    queue_capacity: usize,
-    deploy: DeployOptions,
-) -> io::Result<InProcessDeployment> {
-    let topology = session.topology().clone();
-    let mut ports_per_switch: BTreeMap<SwitchId, Vec<PortId>> = BTreeMap::new();
-    for (port, node) in topology.external_ports() {
-        ports_per_switch.entry(node).or_default().push(port);
-    }
-    let telemetry = snap_telemetry::Telemetry::new();
-    let mut controller = Controller::new(session)
-        .with_options(deploy.distrib)
-        .with_telemetry(telemetry.clone());
-    let listener = TcpTransportListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let mut agents: BTreeMap<SwitchId, Arc<SwitchAgent>> = BTreeMap::new();
-    let mut handles = Vec::new();
-    for switch in topology.nodes() {
-        let mut agent = SwitchAgent::new(
-            switch,
-            topology.node_name(switch),
-            ports_per_switch.remove(&switch).unwrap_or_default(),
-            queue_capacity,
-        );
-        if let Some(delay) = deploy.ack_delay {
-            agent = agent.with_ack_delay(delay);
-        }
-        let agent = Arc::new(agent);
-        // Connect-then-accept per agent keeps the accept association
-        // deterministic and never outruns the listener backlog, even at a
-        // thousand agents.
-        let runner = Arc::clone(&agent);
-        handles.push(std::thread::spawn(move || {
-            let Ok(endpoint) = TcpAgentEndpoint::connect(addr, switch) else {
-                return;
-            };
-            runner.run(endpoint);
-        }));
-        let (claimed, endpoint) = listener.accept_agent(controller.reply_sender())?;
-        debug_assert_eq!(claimed, switch, "hello names the connecting switch");
-        controller.attach(claimed, Box::new(endpoint));
+        handles.push(link(&mut controller, switch, Arc::clone(&agent))?);
         agents.insert(switch, agent);
     }
     let network = Arc::new(DistNetwork::new(topology, agents).with_telemetry(telemetry));

@@ -5,7 +5,6 @@
 //! state, and compose in parallel or sequence).
 
 use crate::value::{Field, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// copied into every test, action, placement and per-switch variable set
 /// that mentions it, and each of those copies is a reference-count bump.
 /// Ordering, equality, hashing and display are those of the name.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateVar(pub Arc<str>);
 
 impl StateVar {
@@ -51,7 +50,7 @@ impl From<&str> for StateVar {
 
 /// An expression: a value, a packet field, or a vector of expressions
 /// (the paper's `e ::= v | f | ⇀e`).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Expr {
     /// A literal value.
     Value(Value),
@@ -130,7 +129,7 @@ impl From<bool> for Expr {
 /// A predicate (paper Figure 4, `x, y ∈ Pred`). Predicates never modify the
 /// packet or the state; they pass or drop the input packet, possibly reading
 /// state along the way.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Pred {
     /// `id` — pass every packet.
     Id,
@@ -222,7 +221,7 @@ impl Pred {
 }
 
 /// A policy (paper Figure 4, `p, q ∈ Pol`).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Policy {
     /// A predicate used as a filter.
     Filter(Pred),

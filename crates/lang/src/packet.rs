@@ -6,7 +6,6 @@
 //! bytes are represented by the `content` field when a policy needs them.
 
 use crate::value::{Field, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A packet: an ordered map from fields to values.
@@ -25,7 +24,7 @@ use std::fmt;
 /// reaches the allocator. The
 /// derived `Ord`/`Eq`/`Hash` over the sorted pairs coincide with the old
 /// `BTreeMap`'s (both compare the same key-sorted sequence).
-#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Packet {
     fields: Vec<(Field, Value)>,
 }

@@ -5,7 +5,6 @@
 
 use crate::ast::StateVar;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 /// Indices are vectors of values because SNAP arrays may be indexed by
 /// several fields at once (e.g. `orphan[dstip][dns.rdata]`). Entries that were
 /// never written read back as the variable's default value.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StateTable {
     entries: BTreeMap<Vec<Value>, Value>,
     default: Value,
@@ -120,7 +119,7 @@ impl fmt::Debug for StateTable {
 ///
 /// Unknown variables behave as empty tables with default `0`, matching the
 /// paper's treatment of state as total mappings.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Store {
     tables: BTreeMap<StateVar, StateTable>,
 }

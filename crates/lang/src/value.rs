@@ -6,12 +6,11 @@
 //! such as `dstip = 10.0.6.0/24`) and symbolic constants (used by policies
 //! such as the TCP state machine, e.g. `ESTABLISHED`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A 32-bit IPv4 address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -58,7 +57,7 @@ impl fmt::Display for Ipv4 {
 }
 
 /// An IPv4 prefix, e.g. `10.0.6.0/24`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     /// Network address (host bits are ignored for matching but preserved for display).
     pub addr: Ipv4,
@@ -129,7 +128,7 @@ impl fmt::Display for Prefix {
 /// cloning or dropping a value — and hence a packet — never reaches the
 /// allocator: a clone is a reference-count bump. Ordering, equality, hashing
 /// and display compare the text itself, exactly as an owned string would.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A signed integer (counters, ports, thresholds, TTLs, ...).
     Int(i64),
@@ -268,7 +267,7 @@ impl From<&str> for Value {
 /// (§2.1 footnote 1); programmable parsers such as P4's make the exact set
 /// configurable, so `Field::Custom` keeps the set open-ended while the common
 /// fields get dedicated variants.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the variant names are the documentation (header field names)
 pub enum Field {
     SrcIp,

@@ -5,16 +5,15 @@
 //! MILP is immature, so the solver itself (simplex + branch and bound) is
 //! implemented from scratch in this crate.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A variable handle.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub usize);
 
 /// The kind of a variable.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum VarKind {
     /// A continuous variable in `[lb, ub]` (`ub` may be `f64::INFINITY`).
     Continuous {
@@ -28,7 +27,7 @@ pub enum VarKind {
 }
 
 /// The sense of a constraint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sense {
     /// `expr ≤ rhs`
     Le,
@@ -39,7 +38,7 @@ pub enum Sense {
 }
 
 /// A sparse linear expression: a map from variables to coefficients.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinExpr {
     terms: BTreeMap<VarId, f64>,
 }
@@ -96,7 +95,7 @@ impl LinExpr {
 }
 
 /// A linear constraint.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Constraint {
     /// Optional name, for debugging.
     pub name: String,
@@ -109,7 +108,7 @@ pub struct Constraint {
 }
 
 /// A linear / mixed-integer linear program (minimization).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Model {
     vars: Vec<VarKind>,
     var_names: Vec<String>,
@@ -235,7 +234,7 @@ impl Model {
 }
 
 /// A solution to a model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Solution {
     /// The value of each variable, indexed by `VarId`.
     pub values: Vec<f64>,
@@ -256,7 +255,7 @@ impl Solution {
 }
 
 /// Solver outcome.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SolveResult {
     /// An optimal solution was found.
     Optimal(Solution),

@@ -603,7 +603,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Serialize the snapshot as a self-contained JSON document (the
+    /// Write the snapshot as a self-contained JSON document (the
     /// machine-readable `BENCH_*`-style telemetry file).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);

@@ -1,21 +1,20 @@
 //! The physical network topology: switches, directed capacitated links and
 //! the external (OBS) ports where traffic enters and leaves the network.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// A physical switch in the topology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
 /// An external port of the one-big-switch (where hosts / neighbor networks
 /// attach). The paper numbers these 1..6 in the running example.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortId(pub usize);
 
 /// A directed link between two switches.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Link {
     /// Source switch.
     pub from: NodeId,
@@ -26,7 +25,7 @@ pub struct Link {
 }
 
 /// A physical topology.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// Human-readable name (e.g. "stanford-like").
     pub name: String,

@@ -8,12 +8,11 @@
 use crate::graph::{PortId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A traffic matrix: expected demand between every ordered pair of distinct
 /// external ports.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficMatrix {
     demands: BTreeMap<(PortId, PortId), f64>,
 }

@@ -7,7 +7,6 @@
 //! end of a sequence. The identity is the empty, non-dropping sequence; a
 //! leaf whose set is empty drops every packet with no side effects.
 
-use serde::{Deserialize, Serialize};
 use snap_lang::eval::{eval_expr, eval_index};
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
 use std::collections::BTreeSet;
@@ -16,7 +15,7 @@ use std::sync::Arc;
 
 /// A single action (Figure 6's `a`, minus `id`/`drop` which are encoded by
 /// the sequence / leaf structure).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Action {
     /// `f ← v`
     Modify(Field, Value),
@@ -94,7 +93,7 @@ impl fmt::Debug for Action {
 /// The actions are immutable shared storage: a sequence is copied into
 /// every leaf it is composed into and into the flat lowering of each, and
 /// every copy is a reference-count bump.
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActionSeq {
     /// The actions, in execution order.
     pub actions: Arc<[Action]>,
@@ -229,7 +228,7 @@ impl fmt::Debug for ActionSeq {
 ///
 /// Pure-drop sequences (no actions, `drops` set) are normalized away on
 /// insertion because they contribute neither packets nor state changes.
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Leaf(pub BTreeSet<ActionSeq>);
 
 impl Leaf {

@@ -15,12 +15,11 @@
 //!   consumed by the placement/routing MILP.
 
 use crate::test::VarOrder;
-use serde::{Deserialize, Serialize};
 use snap_lang::{Policy, Pred, StateVar};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The result of state dependency analysis for one policy.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateDependencies {
     /// All state variables mentioned by the policy.
     pub variables: BTreeSet<StateVar>,

@@ -92,23 +92,26 @@
 //! 1. **Pool** ([`crate::Pool`]): building and composing diagrams —
 //!    hash-consing, memoized `⊕`/`⊖`/`⊙`, deltas, GC. Never the per-packet
 //!    path.
-//! 2. **Flat** (this module): the program a switch executes. Flat ids are
-//!    the packet-tag wire format, leaves carry the executable action
-//!    tables, and every branch carries its dispatch entry, made where the
-//!    node is lowered and never shipped. The per-packet hot path is
-//!    [`FlatProgram::advance_stateless`] / [`FlatProgram::step_stateless`]:
-//!    a run of same-field tests resolves with one field load and one probe
-//!    ([`crate::tables`]). [`FlatProgram::walk`] is the one-test-per-step
-//!    reference semantics that everything else (netasm lowering, table
-//!    dispatch) is checked against.
-//! 3. **Tables** ([`crate::tables::TableProgram`]): the same dispatch
-//!    entries behind an evaluator over a by-name [`Store`] — a test oracle
-//!    and a benchmark probe that no plane holds.
+//! 2. **Flat** (this module): the one executable form. Flat ids are the
+//!    packet-tag wire format, leaves carry the executable action tables,
+//!    and every branch carries its dispatch entry, made where the node is
+//!    lowered and never shipped. Execution is dispatch: a run of same-field
+//!    tests resolves with one field load and one probe ([`crate::tables`]).
+//!    A switch runs it through [`FlatProgram::advance_stateless`] /
+//!    [`FlatProgram::step_stateless`] and reaches state by slot;
+//!    [`FlatProgram::evaluate`] runs the same dispatch against a by-name
+//!    [`Store`].
+//!
+//! Two evaluators are test oracles that no plane runs:
+//! [`FlatProgram::walk`], the one-test-per-step semantics dispatch is
+//! checked against, and [`Pool::evaluate`], the diagram semantics
+//! [`FlatProgram::evaluate`] is checked against (and that is itself checked
+//! against `snap_lang::eval`).
 
 use crate::action::{Action, ActionSeq, Leaf};
 use crate::fx::FxHashMap;
 use crate::pool::{eval_test, Node, NodeId, Pool};
-use crate::tables::{eval_field_test, Entry, Stage, MAX_STAGE_DEPTH};
+use crate::tables::{eval_field_test, Entry, Lookup, Stage, MAX_STAGE_DEPTH};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
@@ -547,19 +550,19 @@ pub enum FlatNode<'a> {
 /// per-packet path reaches it through one handle, not two — and, for a
 /// state test, the slot of the variable it reads.
 #[derive(Debug)]
-pub(crate) struct FlatTest {
-    pub(crate) test: Test,
+struct FlatTest {
+    test: Test,
     slot: Option<VarSlot>,
 }
 
 /// A lowered branch: everything the packet path reads at a branch id.
 #[derive(Clone, Debug)]
-pub(crate) struct Branch {
-    pub(crate) test: Arc<FlatTest>,
+struct Branch {
+    test: Arc<FlatTest>,
     /// `[tru, fls]`.
-    pub(crate) edges: [FlatId; 2],
+    edges: [FlatId; 2],
     /// How the branch dispatches ([`crate::tables`]).
-    pub(crate) entry: Entry,
+    entry: Entry,
     summary: Summary,
 }
 
@@ -582,7 +585,7 @@ const CHUNK: usize = 64;
 /// it makes a new prefix that shares every full chunk; whoever holds the
 /// old one keeps reading it.
 #[derive(Debug)]
-pub(crate) struct Nodes<T> {
+struct Nodes<T> {
     chunks: Arc<[Arc<[T]>]>,
     len: usize,
 }
@@ -606,12 +609,12 @@ impl<T> Default for Nodes<T> {
 }
 
 impl<T: Clone> Nodes<T> {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> &T {
+    fn get(&self, i: usize) -> &T {
         &self.chunks[i / CHUNK][i % CHUNK]
     }
 
@@ -1025,12 +1028,8 @@ impl FlatProgram {
 
     /// The lowered branch behind a branch id.
     #[inline]
-    pub(crate) fn branch(&self, id: FlatId) -> &Branch {
+    fn branch(&self, id: FlatId) -> &Branch {
         self.branches.get(id.branch_index())
-    }
-
-    pub(crate) fn branches(&self) -> &Nodes<Branch> {
-        &self.branches
     }
 
     /// Borrow a node by id.
@@ -1100,8 +1099,8 @@ impl FlatProgram {
     }
 
     /// Walk tests from `from` to a leaf for one packet against a by-name
-    /// [`Store`]: the one-test-per-step reference semantics. A test oracle
-    /// for the table dispatch; no plane calls it.
+    /// [`Store`]: the one-test-per-step reference semantics, ignoring the
+    /// dispatch entries. The test oracle that dispatch is checked against.
     #[inline]
     pub fn walk(&self, from: FlatId, pkt: &Packet, store: &Store) -> Result<FlatId, EvalError> {
         let mut cur = from;
@@ -1118,16 +1117,39 @@ impl FlatProgram {
     }
 
     /// Run the program on a packet and store with one-big-switch semantics:
-    /// walk tests to a leaf, then apply the leaf's action sequences.
-    /// Semantically identical to [`Pool::evaluate`] on the source diagram.
-    /// A test oracle over a by-name [`Store`]; no plane calls it.
+    /// dispatch each stateless span ([`FlatProgram::advance_stateless`]),
+    /// evaluate the state test it stops at against `store`, and apply the
+    /// leaf reached. Semantically identical to [`Pool::evaluate`] on the
+    /// source diagram, the oracle it is tested against. A switch runs the
+    /// same dispatch but reaches state by slot, through its shards.
     pub fn evaluate(
         &self,
         pkt: &Packet,
         store: &Store,
     ) -> Result<(BTreeSet<Packet>, Store), EvalError> {
-        let leaf = self.walk(self.root, pkt, store)?;
-        self.leaf(leaf).apply(pkt, store)
+        let mut cur = self.root;
+        loop {
+            cur = self.advance_stateless(cur, pkt);
+            if cur.is_leaf() {
+                return self.leaf(cur).apply(pkt, store);
+            }
+            let branch = self.branch(cur);
+            let [tru, fls] = branch.edges;
+            cur = if eval_test(&branch.test.test, pkt, store)? {
+                tru
+            } else {
+                fls
+            };
+        }
+    }
+
+    /// The lookup structure of the run branch `at` dispatches through, if
+    /// it is a member of one (diagnostics and tests).
+    pub fn lookup_at(&self, at: FlatId) -> Option<&Lookup> {
+        match &self.branch(at).entry {
+            Entry::Stage { stage, .. } => Some(&stage.lookup),
+            _ => None,
+        }
     }
 
     /// All state variables referenced anywhere in the program (tests and

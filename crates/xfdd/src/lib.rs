@@ -38,7 +38,7 @@
 //!   and the one wire payload for programs — a node-table suffix
 //!   ([`encode_delta`] / [`apply_delta`]), a full table being the delta from
 //!   a fresh pool,
-//! * one dataplane lowering, made once per node: the flat program
+//! * one executable form, made once per node: the flat program
 //!   ([`FlatProgram`] — a table of lowered nodes plus a root, so per-packet
 //!   evaluation is index arithmetic instead of arena chasing; a one-off
 //!   flatten numbers the reachable subgraph densely child-first, a switch's
@@ -46,8 +46,7 @@
 //!   position), whose branches carry their dispatch entries — runs of
 //!   same-field tests collapsed into per-field dispatch stages, so a whole
 //!   field-test chain resolves with one field load and one indexed lookup
-//!   ([`FlatProgram::advance_stateless`]); [`TableProgram`] evaluates the
-//!   same entries against a by-name store, as a test oracle.
+//!   ([`FlatProgram::advance_stateless`], [`FlatProgram::evaluate`]).
 //!
 //! ## Example
 //!
@@ -97,7 +96,7 @@ pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, StateClass, VarS
 pub use fx::FxHasher;
 pub use pool::{CtxId, Node, NodeId, Pool};
 pub use shared::{Hashed, Shared};
-pub use tables::{Lookup, TableProgram, TableStats};
+pub use tables::{Lookup, TableProgram};
 pub use test::{Test, VarOrder};
 pub use translate::{compile, to_xfdd, translate_with, SubtreeMemo};
 pub use wire::{apply_delta, decode_delta_fresh, encode_delta, WireError};

@@ -1,16 +1,14 @@
 //! Table dispatch: the entry every lowered branch of a [`FlatProgram`]
 //! carries for its stateless spans, which the packet plane executes through
-//! [`FlatProgram::step_stateless`] / [`FlatProgram::advance_stateless`] —
-//! and [`TableProgram`], an evaluator over the same entries against a
-//! by-name [`Store`] that no plane holds. `snap_lang::eval` is the
-//! specification both are differentially tested against.
+//! [`FlatProgram::step_stateless`] / [`FlatProgram::advance_stateless`] and
+//! [`FlatProgram::evaluate`] runs against a by-name [`Store`].
 //!
-//! A [`FlatProgram`] already turns per-packet evaluation into index
-//! arithmetic, but it still resolves one *test per step*: a policy that
-//! discriminates one field over many values (an egress map over dstip
-//! prefixes, a port whitelist, a DNS/port classifier) becomes a chain of
-//! `Test::FieldValue` branches threaded along `fls` edges, and the packet
-//! pays a field lookup plus a compare-and-branch per chain node.
+//! Index arithmetic alone still resolves one *test per step* (that is
+//! [`FlatProgram::walk`], the oracle): a policy that discriminates one field
+//! over many values (an egress map over dstip prefixes, a port whitelist, a
+//! DNS/port classifier) becomes a chain of `Test::FieldValue` branches
+//! threaded along `fls` edges, and the packet would pay a field lookup plus
+//! a compare-and-branch per chain node.
 //!
 //! Table dispatch collapses every same-field run of `FieldValue` branches
 //! into one **dispatch stage**: a single field load followed by one indexed
@@ -28,7 +26,7 @@
 //!   the fallback for mixed-kind runs.
 //!
 //! `Test::FieldField` and `Test::State` branches remain explicit branch
-//! steps between stages, exactly as in the flat program: field-field tests
+//! steps between stages, one test each: field-field tests
 //! are rare, and state tests are where distributed execution must stop
 //! anyway (the switch may not own the variable, and the store lock is only
 //! taken past this point).
@@ -59,15 +57,12 @@
 //! infallible, which is what lets the batched driver run the stateless
 //! prefix of a whole wave before acquiring any store lease.
 //!
-//! A [`TableProgram`] is one program's branch table and root, evaluated
-//! against a by-name [`Store`]: the table-dispatch counterpart of
-//! [`FlatProgram::walk`] / [`FlatProgram::evaluate`] that the equivalence
-//! suites check and the benchmark's per-layer row times. A switch executes
-//! the same entries through its [`FlatProgram`] and reaches state by slot,
-//! so no plane holds one.
+//! [`TableProgram`] is a shim kept only because the benchmark's per-layer
+//! probe builds against its `compile` and `evaluate`: it holds nothing and
+//! delegates to [`FlatProgram::evaluate`]. It goes when ROADMAP item 5
+//! touches the benchmark.
 
-use crate::flat::{Branch, FlatId, FlatProgram, Nodes};
-use crate::pool::eval_test;
+use crate::flat::{FlatId, FlatProgram};
 use crate::test::Test;
 use snap_lang::{EvalError, Field, Packet, Prefix, Store, Value};
 use std::collections::BTreeSet;
@@ -150,7 +145,7 @@ pub(crate) struct Stage {
     chain: Vec<(Value, FlatId)>,
     /// The compiled lookup over `chain`, its positions counted from the
     /// bottom of `chain`.
-    lookup: Lookup,
+    pub(crate) lookup: Lookup,
     /// The stage of the run below this one's own members, and the position
     /// of that run's top member in it. Own positions start above it.
     below: Option<(Arc<Stage>, u32)>,
@@ -196,11 +191,6 @@ impl Stage {
     /// The first position this stage's own members take.
     fn base(&self) -> u32 {
         self.below.as_ref().map_or(0, |(_, top)| top + 1)
-    }
-
-    /// The length of the run this stage's head heads.
-    fn len(&self) -> usize {
-        self.base() as usize + self.chain.len()
     }
 
     /// Resolve one packet through this stage, honouring only chain
@@ -287,161 +277,31 @@ impl Stage {
     }
 }
 
-/// Shape statistics of a [`TableProgram`], over the branches reachable
-/// from its root.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Number of dispatch stages (collapsed runs) the program's branches
-    /// dispatch through.
-    pub stages: usize,
-    /// Stages compiled to a dense jump table.
-    pub dense: usize,
-    /// Stages compiled to a sorted exact-match table.
-    pub sorted: usize,
-    /// Stages compiled to an interval table.
-    pub intervals: usize,
-    /// Stages left as linear scans (mixed key kinds).
-    pub scans: usize,
-    /// Branches that dispatch through a stage (tests a packet no longer
-    /// evaluates one by one).
-    pub collapsed_tests: usize,
-    /// Longest collapsed run, in tests.
-    pub longest_chain: usize,
-    /// Branches kept as explicit stateless steps.
-    pub field_branches: usize,
-    /// Branches that are state tests (stateless-prefix stops).
-    pub state_branches: usize,
-}
-
-/// A program under table dispatch, evaluated against a by-name [`Store`]
-/// (see the module docs): the branch table and root of the [`FlatProgram`]
-/// it was compiled from. No plane holds one — a switch runs the same
-/// entries through its flat program.
-///
-/// A `TableProgram` is only meaningful together with the [`FlatProgram`]
-/// it was compiled from — every evaluation entry point takes both, and
-/// pairing it with any other program is a logic error (checked only by the
-/// shared `FlatId` bounds).
-#[derive(Clone, Debug)]
-pub struct TableProgram {
-    branches: Nodes<Branch>,
-    root: FlatId,
-}
+/// The shim the benchmark's per-layer probe builds against (see the module
+/// docs): it holds nothing, and evaluating it is [`FlatProgram::evaluate`].
+#[derive(Clone, Copy, Debug)]
+pub struct TableProgram;
 
 /// Dense jump tables are capped at this many slots; sparser integer runs
 /// fall back to binary search.
 const DENSE_SLOT_CAP: i128 = 1024;
 
 impl TableProgram {
-    /// The table view of `flat`: its branches already carry their entries,
-    /// so this shares the table and builds nothing.
-    pub fn compile(flat: &FlatProgram) -> TableProgram {
-        TableProgram {
-            branches: flat.branches().clone(),
-            root: flat.root(),
-        }
+    /// Builds nothing: every branch of `flat` already carries its entry.
+    #[inline]
+    pub fn compile(_flat: &FlatProgram) -> TableProgram {
+        TableProgram
     }
 
-    /// [`FlatProgram::advance_stateless`] of the program this was compiled
-    /// from: the stateless prefix from `from`, to a leaf or a state test.
-    pub fn advance_stateless(&self, flat: &FlatProgram, from: FlatId, pkt: &Packet) -> FlatId {
-        flat.advance_stateless(from, pkt)
-    }
-
-    /// Walk from `from` to a leaf, dispatching stateless spans through the
-    /// tables and evaluating state tests against `store` — the table
-    /// counterpart of [`FlatProgram::walk`], with identical results. A
-    /// test oracle over a by-name [`Store`]: no plane calls it (the packet
-    /// path reaches state by slot, through a switch's shards).
-    pub fn walk(
-        &self,
-        flat: &FlatProgram,
-        from: FlatId,
-        pkt: &Packet,
-        store: &Store,
-    ) -> Result<FlatId, EvalError> {
-        let mut cur = from;
-        loop {
-            cur = flat.advance_stateless(cur, pkt);
-            if cur.is_leaf() {
-                return Ok(cur);
-            }
-            let branch = self.branches.get(cur.branch_index());
-            let [tru, fls] = branch.edges;
-            cur = if eval_test(&branch.test.test, pkt, store)? {
-                tru
-            } else {
-                fls
-            };
-        }
-    }
-
-    /// Run the program on a packet and store with one-big-switch semantics
-    /// — the table counterpart of [`FlatProgram::evaluate`], with identical
-    /// results. A test oracle over a by-name [`Store`]: no plane calls it.
+    /// [`FlatProgram::evaluate`] of `flat`.
+    #[inline]
     pub fn evaluate(
         &self,
         flat: &FlatProgram,
         pkt: &Packet,
         store: &Store,
     ) -> Result<(BTreeSet<Packet>, Store), EvalError> {
-        let leaf = self.walk(flat, self.root, pkt, store)?;
-        flat.leaf(leaf).apply(pkt, store)
-    }
-
-    /// Number of dispatch stages (see [`TableProgram::stats`]).
-    pub fn num_stages(&self) -> usize {
-        self.stats().stages
-    }
-
-    /// Shape statistics (stage kinds, collapsed test counts) for benches
-    /// and perf tracking: a walk over the reachable branches.
-    pub fn stats(&self) -> TableStats {
-        let mut s = TableStats::default();
-        let mut seen = vec![false; self.branches.len()];
-        let mut stages: Vec<*const Stage> = Vec::new();
-        let mut work = vec![self.root];
-        while let Some(at) = work.pop() {
-            if at.is_leaf() || std::mem::replace(&mut seen[at.branch_index()], true) {
-                continue;
-            }
-            let branch = self.branches.get(at.branch_index());
-            work.extend(branch.edges);
-            let stage = match &branch.entry {
-                Entry::FieldBranch => {
-                    s.field_branches += 1;
-                    continue;
-                }
-                Entry::StateBranch => {
-                    s.state_branches += 1;
-                    continue;
-                }
-                Entry::Stage { stage, .. } => stage,
-            };
-            s.collapsed_tests += 1;
-            if stages.contains(&Arc::as_ptr(stage)) {
-                continue;
-            }
-            stages.push(Arc::as_ptr(stage));
-            s.stages += 1;
-            match stage.lookup {
-                Lookup::Dense { .. } => s.dense += 1,
-                Lookup::Sorted { .. } => s.sorted += 1,
-                Lookup::Intervals { .. } => s.intervals += 1,
-                Lookup::Scan => s.scans += 1,
-            }
-            s.longest_chain = s.longest_chain.max(stage.len());
-        }
-        s
-    }
-
-    /// The lookup structure of the run branch `at` dispatches through, if
-    /// it is a member of one (diagnostics and tests).
-    pub fn lookup_at(&self, at: FlatId) -> Option<&Lookup> {
-        match &self.branches.get(at.branch_index()).entry {
-            Entry::Stage { stage, .. } => Some(&stage.lookup),
-            _ => None,
-        }
+        flat.evaluate(pkt, store)
     }
 }
 
@@ -568,13 +428,29 @@ mod tests {
     use snap_lang::builder::*;
     use snap_lang::{Field, Policy, Value};
 
-    fn compile_both(policy: &Policy) -> (Pool, NodeId, FlatProgram, TableProgram) {
+    fn compile(policy: &Policy) -> (Pool, NodeId, FlatProgram) {
         let deps = crate::deps::StateDependencies::analyze(policy);
         let mut pool = Pool::new(deps.var_order());
         let root = to_xfdd(policy, &mut pool).unwrap();
         let flat = FlatProgram::from_pool(&pool, root);
-        let tables = TableProgram::compile(&flat);
-        (pool, root, flat, tables)
+        (pool, root, flat)
+    }
+
+    /// The lookup of every stage a one-off program's branches dispatch
+    /// through (its table holds exactly its own branches), and how many
+    /// branches dispatch through one.
+    fn stages(flat: &FlatProgram) -> (Vec<&Lookup>, usize) {
+        let mut stages: Vec<&Lookup> = Vec::new();
+        let mut collapsed = 0;
+        for b in 0..flat.num_branches() {
+            if let Some(lookup) = flat.lookup_at(flat.branch_id(b)) {
+                collapsed += 1;
+                if !stages.iter().any(|seen| std::ptr::eq(*seen, lookup)) {
+                    stages.push(lookup);
+                }
+            }
+        }
+        (stages, collapsed)
     }
 
     /// Chain of ite's over one field — the table-collapse showcase.
@@ -590,25 +466,16 @@ mod tests {
         p
     }
 
+    /// Dispatch evaluation agrees with the source diagram's, packets, stores
+    /// and errors, with the store threaded through the packets.
     fn assert_equiv(policy: &Policy, packets: &[Packet]) {
-        let (pool, root, flat, tables) = compile_both(policy);
-        let mut store_flat = Store::new();
-        let mut store_tab = Store::new();
+        let (pool, root, flat) = compile(policy);
+        let mut store = Store::new();
         for pkt in packets {
-            let a = flat.evaluate(pkt, &store_flat);
-            let b = tables.evaluate(&flat, pkt, &store_tab);
-            match (a, b) {
-                (Ok((pa, sa)), Ok((pb, sb))) => {
-                    // The source diagram agrees too (sanity anchor).
-                    let (pp, _) = pool.evaluate(root, pkt, &store_flat).unwrap();
-                    assert_eq!(pa, pp, "flat diverged from pool on {pkt:?}");
-                    assert_eq!(pa, pb, "packets diverged on {pkt:?}");
-                    assert_eq!(sa, sb, "stores diverged on {pkt:?}");
-                    store_flat = sa;
-                    store_tab = sb;
-                }
-                (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                (a, b) => panic!("result kinds diverged: {a:?} vs {b:?}"),
+            let via_flat = flat.evaluate(pkt, &store);
+            assert_eq!(via_flat, pool.evaluate(root, pkt, &store), "on {pkt:?}");
+            if let Ok((_, next)) = via_flat {
+                store = next;
             }
         }
     }
@@ -617,13 +484,12 @@ mod tests {
     fn dense_table_for_dense_int_run() {
         let keys: Vec<Value> = (50i64..58).map(Value::Int).collect();
         let policy = chain_over(Field::SrcPort, &keys);
-        let (_, _, flat, tables) = compile_both(&policy);
-        let stats = tables.stats();
-        assert_eq!(stats.stages, 1);
-        assert_eq!(stats.dense, 1);
-        assert_eq!(stats.collapsed_tests, 8);
+        let (_, _, flat) = compile(&policy);
+        let (stages, collapsed) = stages(&flat);
+        assert!(matches!(stages[..], [Lookup::Dense { .. }]));
+        assert_eq!(collapsed, 8);
         assert!(matches!(
-            tables.lookup_at(flat.root()),
+            flat.lookup_at(flat.root()),
             Some(Lookup::Dense { .. })
         ));
         let pkts: Vec<Packet> = (45i64..62)
@@ -637,10 +503,10 @@ mod tests {
     fn sorted_table_for_sparse_int_run() {
         let keys: Vec<Value> = [22i64, 53, 80, 443, 8080, 123456].map(Value::Int).to_vec();
         let policy = chain_over(Field::DstPort, &keys);
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert_eq!(tables.stats().sorted, 1);
+        let (_, _, flat) = compile(&policy);
+        assert!(matches!(stages(&flat).0[..], [Lookup::Sorted { .. }]));
         assert!(matches!(
-            tables.lookup_at(flat.root()),
+            flat.lookup_at(flat.root()),
             Some(Lookup::Sorted { .. })
         ));
         let pkts: Vec<Packet> = [21i64, 22, 53, 80, 443, 8080, 123456, 9]
@@ -658,10 +524,10 @@ mod tests {
             Value::ip(192, 168, 1, 1),
         ];
         let policy = chain_over(Field::DstIp, &keys);
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert_eq!(tables.stats().intervals, 1);
+        let (_, _, flat) = compile(&policy);
+        assert!(matches!(stages(&flat).0[..], [Lookup::Intervals { .. }]));
         assert!(matches!(
-            tables.lookup_at(flat.root()),
+            flat.lookup_at(flat.root()),
             Some(Lookup::Intervals { .. })
         ));
         let pkts: Vec<Packet> = [
@@ -700,10 +566,10 @@ mod tests {
         // covers the mixed-kind run.
         let keys = vec![Value::Int(53), Value::str("evil.test"), Value::sym("SYN")];
         let policy = chain_over(Field::Custom("meta".into()), &keys);
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert_eq!(tables.stats().sorted, 1);
+        let (_, _, flat) = compile(&policy);
+        assert!(matches!(stages(&flat).0[..], [Lookup::Sorted { .. }]));
         assert!(matches!(
-            tables.lookup_at(flat.root()),
+            flat.lookup_at(flat.root()),
             Some(Lookup::Sorted { .. })
         ));
         let pkts: Vec<Packet> = [
@@ -728,9 +594,9 @@ mod tests {
             Value::str("evil.test"),
         ];
         let policy = chain_over(Field::Custom("meta".into()), &keys);
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert_eq!(tables.stats().scans, 1);
-        assert!(matches!(tables.lookup_at(flat.root()), Some(Lookup::Scan)));
+        let (_, _, flat) = compile(&policy);
+        assert!(matches!(stages(&flat).0[..], [Lookup::Scan]));
+        assert!(matches!(flat.lookup_at(flat.root()), Some(Lookup::Scan)));
         let pkts: Vec<Packet> = [
             Value::Int(53),
             Value::ip(10, 3, 2, 1),
@@ -755,19 +621,20 @@ mod tests {
                 modify(Field::OutPort, Value::Int(1)),
             ),
         );
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert!(tables.stats().state_branches > 0);
+        let (_, _, flat) = compile(&policy);
+        let tests_state = |b| flat.branch_var(flat.branch_id(b)).is_some();
+        assert!((0..flat.num_branches()).any(tests_state));
         let pkt = Packet::new()
             .with(Field::SrcPort, 80)
             .with(Field::SrcIp, Value::ip(10, 0, 0, 1));
         // The stateless prefix must stop *at* the state branch, not pass it.
-        let stop = tables.advance_stateless(&flat, flat.root(), &pkt);
+        let stop = flat.advance_stateless(flat.root(), &pkt);
         assert!(!stop.is_leaf());
         assert!(flat.branch_var(stop).is_some());
-        // Full walk with a store agrees with the flat walk.
+        // Walking on from the stop reaches the leaf a walk from the root does.
         let store = Store::new();
         assert_eq!(
-            tables.walk(&flat, flat.root(), &pkt, &store).unwrap(),
+            flat.walk(stop, &pkt, &store).unwrap(),
             flat.walk(flat.root(), &pkt, &store).unwrap()
         );
         assert_equiv(
@@ -784,8 +651,8 @@ mod tests {
 
     #[test]
     fn every_branch_id_is_a_valid_entry_point() {
-        // Packets can resume mid-run on another switch: walking from *any*
-        // interior branch id must match the flat walk from the same id.
+        // Packets can resume mid-run on another switch: dispatching from
+        // *any* interior branch id must match the walk from the same id.
         let policy = chain_over(
             Field::DstIp,
             &[
@@ -799,7 +666,7 @@ mod tests {
             Field::SrcPort,
             &(1i64..9).map(Value::Int).collect::<Vec<_>>(),
         ));
-        let (_, _, flat, tables) = compile_both(&policy);
+        let (_, _, flat) = compile(&policy);
         let store = Store::new();
         let pkts: Vec<Packet> = (0i64..16)
             .map(|i| {
@@ -812,9 +679,9 @@ mod tests {
             let from = flat.branch_id(b);
             for pkt in &pkts {
                 assert_eq!(
-                    tables.walk(&flat, from, pkt, &store).unwrap(),
+                    flat.advance_stateless(from, pkt),
                     flat.walk(from, pkt, &store).unwrap(),
-                    "walks diverged from {from:?} on {pkt:?}"
+                    "dispatch diverged from {from:?} on {pkt:?}"
                 );
             }
         }
@@ -831,9 +698,10 @@ mod tests {
         let to2 = pool.leaf(Leaf::single(Action::Modify(Field::OutPort, Value::Int(2))));
         let root = pool.branch(Test::FieldField(Field::SrcIp, Field::DstIp), to1, to2);
         let flat = FlatProgram::from_pool(&pool, root);
-        let tables = TableProgram::compile(&flat);
-        assert_eq!(tables.num_stages(), 0);
-        assert_eq!(tables.stats().field_branches, flat.num_branches());
+        for b in 0..flat.num_branches() {
+            let at = flat.branch_id(b);
+            assert!(flat.lookup_at(at).is_none() && flat.branch_var(at).is_none());
+        }
         let same = Packet::new()
             .with(Field::SrcIp, Value::ip(1, 2, 3, 4))
             .with(Field::DstIp, Value::ip(1, 2, 3, 4));
@@ -843,8 +711,8 @@ mod tests {
         let store = Store::new();
         for pkt in [&same, &diff, &Packet::new()] {
             assert_eq!(
-                tables.evaluate(&flat, pkt, &store).unwrap(),
-                flat.evaluate(pkt, &store).unwrap()
+                flat.evaluate(pkt, &store).unwrap(),
+                pool.evaluate(root, pkt, &store).unwrap()
             );
         }
     }
@@ -852,13 +720,10 @@ mod tests {
     #[test]
     fn single_leaf_program_compiles_to_empty_tables() {
         let policy = modify(Field::OutPort, Value::Int(3));
-        let (_, _, flat, tables) = compile_both(&policy);
-        assert_eq!(tables.num_stages(), 0);
+        let (_, _, flat) = compile(&policy);
+        assert!(stages(&flat).0.is_empty());
         let pkt = Packet::new();
-        assert_eq!(
-            tables.advance_stateless(&flat, flat.root(), &pkt),
-            flat.root()
-        );
+        assert_eq!(flat.advance_stateless(flat.root(), &pkt), flat.root());
         assert_equiv(&policy, &[pkt]);
     }
 

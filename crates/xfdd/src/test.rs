@@ -8,14 +8,13 @@
 //! precede all state tests*; state tests are ordered by the state-variable
 //! order derived from the dependency graph.
 
-use serde::{Deserialize, Serialize};
 use snap_lang::{Expr, Field, StateVar, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A test at an xFDD branch node.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Test {
     /// `f = v`
     FieldValue(Field, Value),
@@ -103,7 +102,7 @@ impl fmt::Debug for Test {
 /// [`crate::deps`]); variables not in the order are ranked after all ordered
 /// ones and tie-broken by name, so an order built from an incomplete variable
 /// list still yields a total order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarOrder {
     ranks: BTreeMap<StateVar, usize>,
 }

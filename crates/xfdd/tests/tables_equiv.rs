@@ -1,17 +1,21 @@
-//! Property-based equivalence of the table-compiled program with the flat
-//! program it was lowered from: for random policies, packets and stores,
-//! [`TableProgram`] evaluation agrees with [`FlatProgram::walk`] /
-//! [`FlatProgram::evaluate`] — including state tests, drop leaves and, most
-//! importantly, walks that *start mid-run*: a §4.5 packet tag can name any
-//! branch of a collapsed field-test chain, and the table's `min_pos` resume
-//! must behave exactly like stepping the original branches one by one.
+//! Property-based equivalence of table dispatch with its two oracles: for
+//! random policies, packets and stores, [`FlatProgram::evaluate`] agrees with
+//! the source diagram's [`Pool`] evaluation, and dispatch from any branch
+//! agrees with [`FlatProgram::walk`] — including state tests, drop leaves
+//! and, most importantly, dispatch that *starts mid-run*: a §4.5 packet tag
+//! can name any branch of a collapsed field-test chain, and its cursor must
+//! behave exactly like stepping the original branches one by one.
+//!
+//! [`FlatProgram::evaluate`]: snap_xfdd::FlatProgram::evaluate
+//! [`FlatProgram::walk`]: snap_xfdd::FlatProgram::walk
+//! [`Pool`]: snap_xfdd::Pool
 //!
 //! The CI bench/equivalence gate greps for `tables_equiv` in the test list;
 //! renaming this file requires updating `.github/workflows/ci.yml`.
 
 use proptest::prelude::*;
 use snap_lang::{Expr, Field, Packet, Policy, Pred, StateVar, Store, Value};
-use snap_xfdd::{FlatNode, TableProgram};
+use snap_xfdd::FlatNode;
 
 const FIELDS: [Field; 5] = [
     Field::SrcIp,
@@ -74,6 +78,14 @@ fn arb_pred() -> impl Strategy<Value = Pred> {
         (arb_field(), arb_value()).prop_map(|(f, v)| Pred::Test(f, v)),
         (arb_state_var(), arb_index(), arb_expr())
             .prop_map(|(var, index, value)| Pred::StateTest { var, index, value }),
+        // A disjunction over one field: the same-field runs dispatch
+        // collapses, which independently drawn tests rarely line up.
+        (arb_field(), proptest::collection::vec(arb_value(), 2..=5)).prop_map(|(f, keys)| {
+            let tests = keys.into_iter().map(|k| Pred::Test(f.clone(), k));
+            tests
+                .reduce(|a, b| Pred::Or(Box::new(a), Box::new(b)))
+                .expect("two keys or more")
+        }),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
@@ -131,8 +143,8 @@ fn arb_store() -> impl Strategy<Value = Store> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    // Full evaluation (walk to a leaf + leaf application) agrees between
-    // the table program and the flat program it compiled from, errors
+    // Full evaluation (dispatch to a leaf + leaf application) agrees with
+    // the one-test-per-step walk's and with the source diagram's, errors
     // included.
     #[test]
     fn table_evaluation_matches_flat_evaluation(
@@ -145,15 +157,20 @@ proptest! {
             Err(_) => return Ok(()), // rejected programs have nothing to compare
         };
         let flat = diagram.flatten();
-        let tables = TableProgram::compile(&flat);
-        let via_flat = flat.evaluate(&packet, &store);
-        let via_tables = tables.evaluate(&flat, &packet, &store);
-        prop_assert_eq!(via_flat, via_tables, "evaluation diverged for {:?}", policy);
+        let dispatched = flat.evaluate(&packet, &store);
+        let walked = flat
+            .walk(flat.root(), &packet, &store)
+            .and_then(|leaf| flat.leaf(leaf).apply(&packet, &store));
+        prop_assert_eq!(&dispatched, &walked, "walk diverged for {:?}", policy);
+        let via_pool = diagram.evaluate(&packet, &store);
+        prop_assert_eq!(&dispatched, &via_pool, "pool diverged for {:?}", policy);
     }
 
-    // The walk agrees from *every* branch node, not just the root: packet
-    // tags resume mid-program, and a tag may land in the middle of a
-    // collapsed same-field run (the `min_pos` machinery).
+    // Dispatch agrees with the walk from *every* branch node, not just the
+    // root: packet tags resume mid-program, and a tag may land in the
+    // middle of a collapsed same-field run (the cursor machinery). By
+    // induction over the state tests between stateless spans, so does the
+    // whole dispatch loop from any entry point.
     #[test]
     fn table_walk_matches_flat_walk_from_every_branch(
         policy in arb_policy(),
@@ -165,21 +182,21 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let flat = diagram.flatten();
-        let tables = TableProgram::compile(&flat);
         for i in 0..flat.num_branches() {
             let from = flat.branch_id(i);
-            let via_flat = flat.walk(from, &packet, &store);
-            let via_tables = tables.walk(&flat, from, &packet, &store);
+            let dispatched = flat.walk(flat.advance_stateless(from, &packet), &packet, &store);
+            let walked = flat.walk(from, &packet, &store);
             prop_assert_eq!(
-                &via_flat, &via_tables,
-                "walk from branch {} diverged for {:?}", i, policy
+                &dispatched, &walked,
+                "dispatch from branch {} diverged for {:?}", i, policy
             );
         }
     }
 
-    // The lock-free prefix step is sound: `advance_stateless` never moves
-    // past a state test, and finishing the walk statefully from wherever
-    // it stopped reaches the same leaf as a plain stateful walk.
+    // The lock-free prefix step is sound: `advance_stateless` stops only
+    // at a leaf or at a state test, and alternating it with the state test
+    // it stopped at — the loop `FlatProgram::evaluate` runs from the root —
+    // reaches the walk's leaf from any entry point.
     #[test]
     fn stateless_prefix_then_stateful_suffix_reaches_the_same_leaf(
         policy in arb_policy(),
@@ -191,20 +208,24 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let flat = diagram.flatten();
-        let tables = TableProgram::compile(&flat);
         for i in 0..flat.num_branches() {
             let from = flat.branch_id(i);
-            let stop = tables.advance_stateless(&flat, from, &packet);
-            if let FlatNode::Branch { test, .. } = flat.node(stop) {
+            let mut at = flat.advance_stateless(from, &packet);
+            let dispatched = loop {
+                let FlatNode::Branch { test, tru, fls, .. } = flat.node(at) else {
+                    break Ok(at);
+                };
                 prop_assert!(
                     matches!(test, snap_xfdd::Test::State { .. }),
                     "stateless advance stopped at a stateless test for {:?}", policy
                 );
-            }
-            let resumed = flat.walk(stop, &packet, &store);
-            let direct = flat.walk(from, &packet, &store);
+                match snap_xfdd::eval_test(test, &packet, &store) {
+                    Ok(pass) => at = flat.advance_stateless(if pass { tru } else { fls }, &packet),
+                    Err(e) => break Err(e),
+                }
+            };
             prop_assert_eq!(
-                &resumed, &direct,
+                &dispatched, &flat.walk(from, &packet, &store),
                 "prefix+suffix from branch {} diverged for {:?}", i, policy
             );
         }

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run -p snap-examples --bin quickstart`
 
+use snap_bench::NetAsmProgram;
 use snap_core::{Compiler, SolverChoice};
-use snap_dataplane::NetAsmProgram;
 use snap_lang::prelude::*;
 use snap_topology::{generators, TrafficMatrix};
 
@@ -41,7 +41,7 @@ fn main() {
     for (var, node) in &compiled.placement.placement {
         println!("state `{var}` placed on switch {}", topo.node_name(*node));
     }
-    let program = NetAsmProgram::lower_flat(&compiled.xfdd.flatten());
+    let program = NetAsmProgram::lower(&compiled.xfdd.flatten());
     println!(
         "xFDD: {} nodes, {} data-plane instructions, compile time {:?}",
         compiled.xfdd.size(),

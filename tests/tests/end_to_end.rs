@@ -5,7 +5,6 @@
 
 use snap_apps as apps;
 use snap_core::{Compiler, SolverChoice};
-use snap_dataplane::NetAsmProgram;
 use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -132,54 +131,6 @@ fn distributed_execution_equals_obs_for_the_stateful_firewall() {
     }
     assert_eq!(network.aggregate_store(), store);
     deployment.shutdown();
-}
-
-#[test]
-fn netasm_lowering_matches_xfdd_for_several_applications() {
-    let sample_packets = vec![
-        Packet::new()
-            .with(Field::SrcIp, Value::ip(10, 0, 6, 1))
-            .with(Field::DstIp, Value::ip(10, 0, 2, 2))
-            .with(Field::SrcPort, 53)
-            .with(Field::DstPort, 9000)
-            .with(Field::Proto, 17)
-            .with(Field::InPort, 6)
-            .with(Field::TcpFlags, Value::sym("SYN"))
-            .with(Field::DnsRdata, Value::ip(9, 9, 9, 9))
-            .with(Field::DnsQname, Value::str("example.com"))
-            .with(Field::DnsTtl, 300),
-        Packet::new()
-            .with(Field::SrcIp, Value::ip(10, 0, 1, 7))
-            .with(Field::DstIp, Value::ip(10, 0, 6, 3))
-            .with(Field::SrcPort, 5000)
-            .with(Field::DstPort, 53)
-            .with(Field::Proto, 6)
-            .with(Field::InPort, 1)
-            .with(Field::TcpFlags, Value::sym("ACK"))
-            .with(Field::DnsRdata, Value::ip(8, 8, 8, 8))
-            .with(Field::DnsQname, Value::str("tunnel.evil"))
-            .with(Field::DnsTtl, 60),
-    ];
-    for (name, policy) in apps::catalogue().into_iter().take(8) {
-        let xfdd = snap_xfdd::compile(&policy).unwrap();
-        let asm = NetAsmProgram::lower(&xfdd);
-        let mut store_a = Store::new();
-        let mut store_b = Store::new();
-        for pkt in &sample_packets {
-            let a = xfdd.evaluate(pkt, &store_a);
-            let b = asm.execute(pkt, &store_b);
-            match (a, b) {
-                (Ok((pa, sa)), Ok((pb, sb))) => {
-                    assert_eq!(pa, pb, "{name}: packets differ");
-                    assert_eq!(sa, sb, "{name}: stores differ");
-                    store_a = sa;
-                    store_b = sb;
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("{name}: one representation failed: {a:?} vs {b:?}"),
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! Regression corpus for the table-compiled evaluator: every application in
-//! the snap-apps catalogue, compiled to an xFDD, flattened and then
-//! table-compiled, must evaluate exactly like the flat program it was
-//! lowered from — on realistic packets, with state evolving across packets
-//! so the stateful suffixes are actually exercised, and from every possible
+//! Regression corpus for table dispatch: every application in the snap-apps
+//! catalogue, compiled to an xFDD and flattened, must evaluate exactly like
+//! the diagram it was lowered from — on realistic packets, with state
+//! evolving across packets so the stateful suffixes are actually exercised —
+//! and dispatch exactly like the one-test-per-step walk from every possible
 //! packet-tag entry point (mid-chain resumes included).
 
 use snap_apps as apps;
 use snap_lang::prelude::*;
-use snap_xfdd::TableProgram;
+use snap_xfdd::Lookup;
+use std::collections::BTreeSet;
 
 /// Deterministic mini-generator for sample packets exercising the catalogue
 /// policies (header fields the Table 3 applications actually test).
@@ -45,7 +46,6 @@ fn table_programs_match_flat_programs_across_the_catalogue() {
         let xfdd = snap_xfdd::compile(&program)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         let flat = xfdd.flatten();
-        let tables = TableProgram::compile(&flat);
 
         // State threads through the packet sequence: the store produced by
         // packet i is the input store for packet i+1, so firewall-style
@@ -53,12 +53,12 @@ fn table_programs_match_flat_programs_across_the_catalogue() {
         let mut store = Store::new();
         for (i, pkt) in packets.iter().enumerate() {
             let via_flat = flat.evaluate(pkt, &store);
-            let via_tables = tables.evaluate(&flat, pkt, &store);
             assert_eq!(
-                via_flat, via_tables,
+                via_flat,
+                xfdd.evaluate(pkt, &store),
                 "{name}: evaluation diverged on packet {i}"
             );
-            if let Ok((_, next)) = via_tables {
+            if let Ok((_, next)) = via_flat {
                 store = next;
             }
         }
@@ -75,15 +75,14 @@ fn table_walks_match_flat_walks_from_every_entry_point() {
         let xfdd = snap_xfdd::compile(&program)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         let flat = xfdd.flatten();
-        let tables = TableProgram::compile(&flat);
         let store = Store::new();
         for pkt in packets.iter().take(3) {
             for i in 0..flat.num_branches() {
                 let from = flat.branch_id(i);
                 assert_eq!(
                     flat.walk(from, pkt, &store),
-                    tables.walk(&flat, from, pkt, &store),
-                    "{name}: walk from branch {i} diverged"
+                    flat.walk(flat.advance_stateless(from, pkt), pkt, &store),
+                    "{name}: dispatch from branch {i} diverged"
                 );
             }
         }
@@ -92,9 +91,10 @@ fn table_walks_match_flat_walks_from_every_entry_point() {
 
 #[test]
 fn the_catalogue_actually_produces_dispatch_tables() {
-    // Sanity that the corpus exercises the tentpole: across the catalogue,
-    // table compilation must find same-field runs to collapse — otherwise
-    // these regressions test nothing.
+    // Sanity that the corpus exercises table dispatch: across the
+    // catalogue, lowering must find same-field runs to collapse — otherwise
+    // these regressions test nothing. A stage is one lookup, shared by
+    // every member of its run.
     let mut total_stages = 0usize;
     let mut total_collapsed = 0usize;
     for (name, policy) in apps::catalogue() {
@@ -102,16 +102,18 @@ fn the_catalogue_actually_produces_dispatch_tables() {
         let xfdd = snap_xfdd::compile(&program)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         let flat = xfdd.flatten();
-        let tables = TableProgram::compile(&flat);
-        let stats = tables.stats();
-        total_stages += stats.stages;
-        total_collapsed += stats.collapsed_tests;
+        let lookups: Vec<*const Lookup> = (0..flat.num_branches())
+            .filter_map(|i| flat.lookup_at(flat.branch_id(i)))
+            .map(std::ptr::from_ref)
+            .collect();
+        let stages: BTreeSet<*const Lookup> = lookups.iter().copied().collect();
+        total_stages += stages.len();
+        total_collapsed += lookups.len();
         println!(
-            "{name}: {} branches -> {} stages ({} tests collapsed, longest chain {})",
+            "{name}: {} branches -> {} stages ({} tests collapsed)",
             flat.num_branches(),
-            stats.stages,
-            stats.collapsed_tests,
-            stats.longest_chain
+            stages.len(),
+            lookups.len(),
         );
     }
     assert!(
