@@ -35,7 +35,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snap_apps as apps;
 use snap_bench::{five_app_pipeline, scaled_igen};
-use snap_core::SolverChoice;
 use snap_dataplane::{bind_slots, StateShards, DEFAULT_STATE_SHARDS};
 use snap_distrib::{
     deploy_in_process_custom, deploy_tcp, DeployOptions, DistribOptions, InProcessDeployment,
@@ -83,7 +82,7 @@ fn variant(threshold: i64) -> Policy {
 fn session_for(switches: usize) -> CompilerSession {
     let topo = igen_topology(switches, 42);
     let tm = TrafficMatrix::gravity(&topo, 1_000.0, 42);
-    CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    CompilerSession::new(topo, tm)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -189,7 +188,7 @@ fn novel_edit_summary() {
     let (switches, edits) = if smoke() { (12, 3) } else { (50, 24) };
     let (topo, tm) = scaled_igen(switches, 10_000.0, 7);
     let ports = topo.num_external_ports();
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = deploy_in_process_custom(session, 64, DeployOptions::default());
     let threshold = |edit: usize| 1_000_000 + edit as i64;
     deployment

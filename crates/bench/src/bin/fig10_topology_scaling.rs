@@ -2,7 +2,6 @@
 //! topologies of 10-180 switches, per scenario.
 
 use snap_bench::{dns_tunnel_with_routing, run_scenarios, scaled_igen, secs};
-use snap_core::SolverChoice;
 
 fn main() {
     println!("Figure 10: compilation time vs. topology size (seconds)");
@@ -13,7 +12,7 @@ fn main() {
     for switches in (10..=180).step_by(34) {
         let (topo, tm) = scaled_igen(switches, 1_000.0, 5);
         let policy = dns_tunnel_with_routing(topo.num_external_ports());
-        let (_, times) = run_scenarios(&topo, &tm, &policy, SolverChoice::Heuristic);
+        let (_, times) = run_scenarios(&topo, &tm, &policy);
         println!(
             "{:>8} {:>12} {:>16} {:>16} {:>12}",
             switches,

@@ -2,7 +2,6 @@
 //! (in parallel) on a 50-switch network.
 
 use snap_bench::{composed_policies, run_scenarios, scaled_igen, secs};
-use snap_core::SolverChoice;
 
 fn main() {
     println!("Figure 11: compilation time vs. number of composed policies (seconds)");
@@ -14,7 +13,7 @@ fn main() {
     let ports = topo.num_external_ports();
     for n in (4..=20).step_by(2) {
         let policy = composed_policies(n, ports);
-        let (compiled, times) = run_scenarios(&topo, &tm, &policy, SolverChoice::Heuristic);
+        let (compiled, times) = run_scenarios(&topo, &tm, &policy);
         println!(
             "{:>10} {:>12} {:>16} {:>16} {:>12}",
             n,

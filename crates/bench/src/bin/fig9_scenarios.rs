@@ -3,7 +3,6 @@
 //! (topology/TM change, policy change, cold start).
 
 use snap_bench::{dns_tunnel_with_routing, run_scenarios, scaled_preset, secs};
-use snap_core::SolverChoice;
 use snap_topology::generators::presets;
 
 fn main() {
@@ -15,7 +14,7 @@ fn main() {
     for spec in presets::table5() {
         let (topo, tm) = scaled_preset(&spec, 1_000.0);
         let policy = dns_tunnel_with_routing(topo.num_external_ports());
-        let (_, times) = run_scenarios(&topo, &tm, &policy, SolverChoice::Heuristic);
+        let (_, times) = run_scenarios(&topo, &tm, &policy);
         println!(
             "{:<16} {:>16} {:>16} {:>12}",
             topo.name,

@@ -7,14 +7,14 @@
 use snap_apps as apps;
 use snap_bench::secs;
 use snap_bench::NetAsmProgram;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::Compiler;
 use snap_topology::{generators, TrafficMatrix};
 use std::time::Instant;
 
 fn main() {
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 3);
-    let compiler = Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let compiler = Compiler::new(topo, tm);
     println!("Table 3: applications written in SNAP (compiled on the campus topology)");
     println!(
         "{:<30} {:>10} {:>12} {:>12} {:>12}",

@@ -6,7 +6,6 @@
 //! creation (P4; zero when the heuristic engine is in use).
 
 use snap_bench::{dns_tunnel_with_routing, run_scenarios, scaled_preset, secs};
-use snap_core::SolverChoice;
 use snap_topology::generators::presets;
 
 fn main() {
@@ -18,8 +17,7 @@ fn main() {
     for spec in presets::table5() {
         let (topo, tm) = scaled_preset(&spec, 1_000.0);
         let policy = dns_tunnel_with_routing(topo.num_external_ports());
-        let compiler =
-            snap_core::Compiler::new(topo.clone(), tm.clone()).with_solver(SolverChoice::Heuristic);
+        let compiler = snap_core::Compiler::new(topo.clone(), tm.clone());
         let compiled = compiler.compile(&policy).expect("compiles");
         let te_tm = snap_topology::TrafficMatrix::gravity(&topo, 1_200.0, 99);
         let (_, te) = compiler.reroute(&compiled, &te_tm);

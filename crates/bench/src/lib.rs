@@ -29,7 +29,7 @@ pub mod netasm;
 pub use netasm::NetAsmProgram;
 
 use snap_apps as apps;
-use snap_core::{Compiled, Compiler, SolverChoice};
+use snap_core::{Compiled, Compiler};
 use snap_lang::Policy;
 use snap_topology::{generators, RandomTopologySpec, Topology, TrafficMatrix};
 use std::time::Duration;
@@ -89,9 +89,8 @@ pub fn run_scenarios(
     topology: &Topology,
     traffic: &TrafficMatrix,
     policy: &Policy,
-    solver: SolverChoice,
 ) -> (Compiled, ScenarioTimes) {
-    let compiler = Compiler::new(topology.clone(), traffic.clone()).with_solver(solver);
+    let compiler = Compiler::new(topology.clone(), traffic.clone());
     let compiled = compiler
         .compile(policy)
         .expect("benchmark policies must compile");
@@ -157,7 +156,7 @@ mod tests {
         let topo = generators::campus();
         let tm = TrafficMatrix::gravity(&topo, 100.0, 1);
         let policy = dns_tunnel_with_routing(6);
-        let (compiled, times) = run_scenarios(&topo, &tm, &policy, SolverChoice::Heuristic);
+        let (compiled, times) = run_scenarios(&topo, &tm, &policy);
         assert!(times.cold_start >= times.policy_change);
         assert!(compiled.xfdd.size() > 1);
         assert!(times.topology_change > Duration::ZERO);

@@ -7,9 +7,8 @@
 //! 1. state dependency analysis (re-exported from `snap-xfdd`),
 //! 2. translation to xFDDs (re-exported from `snap-xfdd`),
 //! 3. packet-state mapping ([`PacketStateMap`]),
-//! 4. joint state placement and routing ([`optimize`]) — the Table 2 MILP
-//!    solved with the built-in simplex/branch-and-bound, or a heuristic
-//!    placer for large instances,
+//! 4. joint state placement and routing ([`optimize`]) — a heuristic placer,
+//!    with the Table 2 MILP (solved by `snap-milp`) as its test oracle,
 //! 5. rule generation ([`rulegen`]) producing the per-switch metadata
 //!    ([`SwitchMeta`]) a distribution plane ships alongside the program.
 //!
@@ -18,7 +17,7 @@
 //! regenerate Table 6 and Figures 9–11.
 //!
 //! ```
-//! use snap_core::{Compiler, SolverChoice};
+//! use snap_core::Compiler;
 //! use snap_lang::prelude::*;
 //! use snap_topology::{generators, TrafficMatrix};
 //!
@@ -27,7 +26,7 @@
 //!     .seq(modify(Field::OutPort, Value::Int(6)));
 //! let topo = generators::campus();
 //! let tm = TrafficMatrix::uniform(&topo, 10.0);
-//! let compiler = Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic);
+//! let compiler = Compiler::new(topo, tm);
 //! let compiled = compiler.compile(&policy).unwrap();
 //! assert_eq!(compiled.placement.placement.len(), 1);
 //! ```
@@ -41,10 +40,9 @@ pub mod rulegen;
 
 pub use mapping::{PacketStateMap, VarSet};
 pub use optimize::{
-    place_and_route, place_and_route_timed, reroute, reroute_timed, OptimizeInput, OptimizeTimings,
-    PlacementResult, SolverChoice,
+    place_and_route, reroute, OptimizeInput, OptimizeTimings, PlacementResult, SolverChoice,
 };
-pub use pipeline::{CompileOptions, Compiled, Compiler, PhaseTimings};
+pub use pipeline::{Compiled, Compiler, PhaseTimings};
 pub use rulegen::{generate_rules, RuleGenOutput, SwitchMeta};
 
 // Re-export the analysis passes that live with the xFDD crate so that users

@@ -3,30 +3,13 @@
 //! generation — with per-phase timings matching Table 4 of the paper.
 
 use crate::mapping::PacketStateMap;
-use crate::optimize::{
-    place_and_route_timed, reroute_timed, OptimizeInput, PlacementResult, SolverChoice,
-};
+use crate::optimize::{place_and_route, reroute, OptimizeInput, PlacementResult, SolverChoice};
 use crate::rulegen::{generate_rules, RuleGenOutput};
 use snap_lang::Policy;
 use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{to_xfdd, CompileError, Pool, StateDependencies, Xfdd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Options controlling compilation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Which placement/routing engine to use.
-    pub solver: SolverChoice,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            solver: SolverChoice::Auto,
-        }
-    }
-}
 
 /// Wall-clock time spent in each compiler phase (the paper's P1–P6).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -90,23 +73,24 @@ pub struct Compiler {
     pub topology: Topology,
     /// The expected traffic matrix.
     pub traffic: TrafficMatrix,
-    /// Compilation options.
-    pub options: CompileOptions,
+    /// The placement engine: the heuristic unless set otherwise.
+    pub solver: SolverChoice,
 }
 
 impl Compiler {
-    /// A compiler with default options.
+    /// A compiler that places with the heuristic.
     pub fn new(topology: Topology, traffic: TrafficMatrix) -> Self {
         Compiler {
             topology,
             traffic,
-            options: CompileOptions::default(),
+            solver: SolverChoice::default(),
         }
     }
 
-    /// Use a specific placement/routing engine.
+    /// Place with a specific engine. Only the benchmark's `milp.exact.ms`
+    /// leg asks for [`SolverChoice::Exact`]; this stays for it.
     pub fn with_solver(mut self, solver: SolverChoice) -> Self {
-        self.options.solver = solver;
+        self.solver = solver;
         self
     }
 
@@ -143,7 +127,7 @@ impl Compiler {
             mapping: &mapping,
             deps: &deps,
         };
-        let (placement, opt_timings) = place_and_route_timed(&input, self.options.solver);
+        let (placement, opt_timings) = place_and_route(&input, self.solver);
         let placement = Arc::new(placement);
 
         // P6 — rule generation.
@@ -170,8 +154,9 @@ impl Compiler {
     }
 
     /// React to a topology/traffic-matrix change: keep the program and the
-    /// placement, re-optimize routing only and regenerate rules (the paper's
-    /// "TE" scenario). Returns the updated compilation artifacts.
+    /// placement, re-route with the heuristic's waypoint router whatever the
+    /// engine, and regenerate rules (the paper's "TE" scenario). Returns the
+    /// updated compilation artifacts.
     pub fn reroute(
         &self,
         compiled: &Compiled,
@@ -183,8 +168,7 @@ impl Compiler {
             mapping: &compiled.mapping,
             deps: &compiled.deps,
         };
-        let (placement, opt_timings) =
-            reroute_timed(&input, &compiled.placement.placement, self.options.solver);
+        let (placement, opt_timings) = reroute(&input, &compiled.placement.placement);
         let placement = Arc::new(placement);
         let t = Instant::now();
         let rules = generate_rules(&self.topology, &placement);
@@ -272,7 +256,7 @@ mod tests {
     fn campus_compiler() -> Compiler {
         let topo = campus();
         let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-        Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic)
+        Compiler::new(topo, tm)
     }
 
     #[test]

@@ -100,7 +100,7 @@ mod tests {
             mapping: &psm,
             deps: &deps,
         };
-        let placement = Arc::new(place_and_route(&input, SolverChoice::Heuristic));
+        let placement = Arc::new(place_and_route(&input, SolverChoice::default()).0);
         (topo, placement)
     }
 

@@ -42,7 +42,6 @@
 //! ## Quick start
 //!
 //! ```
-//! use snap_core::SolverChoice;
 //! use snap_distrib::deploy_in_process;
 //! use snap_lang::prelude::*;
 //! use snap_session::CompilerSession;
@@ -50,7 +49,7 @@
 //!
 //! let topo = generators::campus();
 //! let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-//! let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+//! let session = CompilerSession::new(topo, tm);
 //! let mut deployment = deploy_in_process(session, 1024);
 //!
 //! // Compile + two-phase delta commit to every agent.

@@ -3,7 +3,6 @@
 //! aborts, measured pipeline overlap, zero-node rollbacks, and the
 //! TCP transport end to end.
 
-use snap_core::SolverChoice;
 use snap_distrib::{
     channel_link, deploy_in_process, deploy_in_process_custom, deploy_tcp, Controller,
     DeployOptions, DistribError, DistribOptions, FromAgent, ReplyTx, SwitchAgent,
@@ -17,7 +16,7 @@ use std::time::Duration;
 fn campus_session() -> CompilerSession {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    CompilerSession::new(topo, tm)
 }
 
 fn counting_policy(egress: i64) -> Policy {

@@ -2,7 +2,6 @@
 //! atomicity, abort-and-resync recovery, late-joining agents, order resets
 //! and state-table migration between agents.
 
-use snap_core::SolverChoice;
 use snap_distrib::{
     channel_link, deploy_in_process, deploy_in_process_custom, frame, Controller, DeployOptions,
     DistribError, DistribOptions, FromAgent, PrepareMsg, ReplyTx, SwitchAgent, SwitchMeta, ToAgent,
@@ -19,7 +18,7 @@ use std::time::Duration;
 fn campus_session() -> CompilerSession {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    CompilerSession::new(topo, tm)
 }
 
 fn counting_policy(egress: i64) -> Policy {

@@ -1,91 +1,58 @@
 //! Branch and bound over the LP relaxation, for models with binary variables.
 //!
-//! The SNAP placement/routing problem has binary placement variables `P_{s,n}`
-//! and continuous routing variables; branch and bound on the placement
-//! variables with the simplex LP relaxation as the bounding procedure solves
-//! it exactly on small and medium instances.
+//! The Table 2 oracle has binary placement variables `P_{s,n}` and
+//! continuous routing variables; depth-first branch and bound on the
+//! placement variables, bounded by the simplex LP relaxation, solves it
+//! exactly on small instances.
 
 use crate::model::{Model, Solution, SolveResult, VarId};
 use crate::simplex::{default_bounds, solve_lp_with_bounds};
 
-/// Options controlling the branch-and-bound search.
-#[derive(Clone, Debug)]
-pub struct BranchBoundOptions {
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Maximum number of explored nodes before giving up and returning the
-    /// best incumbent (or `Infeasible` if none was found).
-    pub max_nodes: usize,
-}
+/// Integrality tolerance.
+const INT_TOL: f64 = 1e-6;
 
-impl Default for BranchBoundOptions {
-    fn default() -> Self {
-        BranchBoundOptions {
-            int_tol: 1e-6,
-            max_nodes: 100_000,
-        }
-    }
-}
+/// Explored nodes after which the search stops and returns the best
+/// incumbent (or `Infeasible` if none was found).
+const MAX_NODES: usize = 100_000;
 
-/// Statistics about a branch-and-bound run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BranchBoundStats {
-    /// LP relaxations solved.
-    pub nodes_explored: usize,
-    /// Nodes pruned by bound.
-    pub nodes_pruned: usize,
-}
-
-/// Solve a mixed-integer program with default options.
+/// Solve a mixed-integer program.
 pub fn solve_milp(model: &Model) -> SolveResult {
-    solve_milp_with(model, &BranchBoundOptions::default()).0
-}
-
-/// Solve a mixed-integer program, returning search statistics as well.
-pub fn solve_milp_with(
-    model: &Model,
-    options: &BranchBoundOptions,
-) -> (SolveResult, BranchBoundStats) {
+    let root_bounds = default_bounds(model);
     let binaries = model.binary_vars();
-    let mut stats = BranchBoundStats::default();
 
     // No integer variables: plain LP.
     if binaries.is_empty() {
-        stats.nodes_explored = 1;
-        return (solve_lp_with_bounds(model, &default_bounds(model)), stats);
+        return solve_lp_with_bounds(model, &root_bounds);
     }
 
-    let root_bounds = default_bounds(model);
     let mut best: Option<Solution> = None;
     // Depth-first stack of nodes, each node being a bounds vector.
     let mut stack = vec![root_bounds];
-    let mut saw_feasible_relaxation = false;
+    let mut explored = 0usize;
 
     while let Some(bounds) = stack.pop() {
-        if stats.nodes_explored >= options.max_nodes {
+        if explored >= MAX_NODES {
             break;
         }
-        stats.nodes_explored += 1;
+        explored += 1;
         let relaxed = match solve_lp_with_bounds(model, &bounds) {
             SolveResult::Optimal(s) => s,
             SolveResult::Infeasible => continue,
             // An unbounded relaxation of a node with all binaries still free
             // means the MILP itself is unbounded in its continuous part.
-            SolveResult::Unbounded => return (SolveResult::Unbounded, stats),
+            SolveResult::Unbounded => return SolveResult::Unbounded,
         };
-        saw_feasible_relaxation = true;
 
         // Bound: prune nodes that cannot beat the incumbent.
         if let Some(ref incumbent) = best {
             if relaxed.objective >= incumbent.objective - 1e-9 {
-                stats.nodes_pruned += 1;
                 continue;
             }
         }
 
         // Find the most fractional binary variable.
         let mut branch_var: Option<VarId> = None;
-        let mut most_fractional = options.int_tol;
+        let mut most_fractional = INT_TOL;
         for &v in &binaries {
             let x = relaxed.value(v);
             let frac = (x - x.round()).abs();
@@ -123,18 +90,7 @@ pub fn solve_milp_with(
         }
     }
 
-    match best {
-        Some(s) => (SolveResult::Optimal(s), stats),
-        None => {
-            if saw_feasible_relaxation {
-                // Relaxations were feasible but no integral solution was found
-                // within the node budget.
-                (SolveResult::Infeasible, stats)
-            } else {
-                (SolveResult::Infeasible, stats)
-            }
-        }
-    }
+    best.map_or(SolveResult::Infeasible, SolveResult::Optimal)
 }
 
 fn round_binaries(mut s: Solution, binaries: &[VarId]) -> Solution {
@@ -156,25 +112,22 @@ mod tests {
     #[test]
     fn pure_lp_passes_through() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 3.0);
+        let x = m.add_var(0.0, 3.0);
         m.set_objective(x, -1.0);
-        let (r, stats) = solve_milp_with(&m, &BranchBoundOptions::default());
-        assert_close(r.expect_optimal("lp").value(x), 3.0);
-        assert_eq!(stats.nodes_explored, 1);
+        assert_close(solve_milp(&m).expect_optimal("lp").value(x), 3.0);
     }
 
     #[test]
     fn knapsack_small() {
         // max 10a + 6b + 4c  s.t. a + b + c <= 2 (binaries) -> a, b chosen.
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
         m.set_objective(a, -10.0);
         m.set_objective(b, -6.0);
         m.set_objective(c, -4.0);
         m.add_constraint(
-            "cap",
             LinExpr::new().with(a, 1.0).with(b, 1.0).with(c, 1.0),
             Sense::Le,
             2.0,
@@ -188,21 +141,18 @@ mod tests {
 
     #[test]
     fn knapsack_with_weights_needs_branching() {
-        // max 8x1 + 11x2 + 6x3 + 4x4 s.t. 5x1 + 7x2 + 4x3 + 3x4 <= 14.
-        // Optimal integer solution: x1, x2 (and x4 does not fit with x3): value 8+11+4=23? Check:
-        // capacities: x1+x2 = 12 -> room 2, x4 needs 3, x3 needs 4 -> total 19.
-        // x1,x3,x4: 5+4+3=12 <=14, value 8+6+4=18. x2,x3,x4: 7+4+3=14, value 21.
-        // x1,x2: 19? no: 12 <= 14, value 19. Best is x2,x3,x4 = 21? vs x1,x2=19 -> 21.
+        // max 8x1 + 11x2 + 6x3 + 4x4 s.t. 5x1 + 7x2 + 4x3 + 3x4 <= 14. The
+        // relaxation takes x1, x2 and half of x3 (value 22), so the search
+        // must branch; the integral optimum is x2, x3, x4 (weight 14, value 21).
         let mut m = Model::new();
-        let x1 = m.add_binary("x1");
-        let x2 = m.add_binary("x2");
-        let x3 = m.add_binary("x3");
-        let x4 = m.add_binary("x4");
+        let x1 = m.add_binary();
+        let x2 = m.add_binary();
+        let x3 = m.add_binary();
+        let x4 = m.add_binary();
         for (v, p) in [(x1, 8.0), (x2, 11.0), (x3, 6.0), (x4, 4.0)] {
             m.set_objective(v, -p);
         }
         m.add_constraint(
-            "cap",
             LinExpr::from_terms([(x1, 5.0), (x2, 7.0), (x3, 4.0), (x4, 3.0)]),
             Sense::Le,
             14.0,
@@ -221,31 +171,24 @@ mod tests {
         // must be served by an open facility; facility opening costs dominate
         // so exactly one facility opens and serves everyone.
         let mut m = Model::new();
-        let open_a = m.add_binary("open_a");
-        let open_b = m.add_binary("open_b");
+        let open_a = m.add_binary();
+        let open_b = m.add_binary();
         m.set_objective(open_a, 10.0);
         m.set_objective(open_b, 12.0);
         let mut serve = Vec::new();
-        for client in 0..3 {
-            let sa = m.add_var(format!("serve_a_{client}"), 0.0, 1.0);
-            let sb = m.add_var(format!("serve_b_{client}"), 0.0, 1.0);
+        for _ in 0..3 {
+            let sa = m.add_var(0.0, 1.0);
+            let sb = m.add_var(0.0, 1.0);
             // Serving costs differ slightly.
             m.set_objective(sa, 1.0);
             m.set_objective(sb, 0.5);
+            m.add_constraint(LinExpr::new().with(sa, 1.0).with(sb, 1.0), Sense::Eq, 1.0);
             m.add_constraint(
-                format!("demand_{client}"),
-                LinExpr::new().with(sa, 1.0).with(sb, 1.0),
-                Sense::Eq,
-                1.0,
-            );
-            m.add_constraint(
-                format!("open_a_{client}"),
                 LinExpr::new().with(sa, 1.0).with(open_a, -1.0),
                 Sense::Le,
                 0.0,
             );
             m.add_constraint(
-                format!("open_b_{client}"),
                 LinExpr::new().with(sb, 1.0).with(open_b, -1.0),
                 Sense::Le,
                 0.0,
@@ -266,35 +209,28 @@ mod tests {
 
     #[test]
     fn infeasible_integer_program() {
-        // x + y = 1.5 with x, y binary has a feasible relaxation but no
-        // integral solution... actually x=1,y=0.5 is fractional; x=1,y=1 sums
-        // to 2; so it is integrally infeasible.
+        // x + y = 1.5 has the fractional relaxation x = 1, y = 0.5 but no
+        // binary solution: integral sums are 0, 1 or 2.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         m.set_objective(x, 1.0);
         m.set_objective(y, 1.0);
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Eq,
-            1.5,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Eq, 1.5);
         assert_eq!(solve_milp(&m), SolveResult::Infeasible);
     }
 
     #[test]
     fn integral_solution_is_feasible_for_the_model() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_var("z", 0.0, 10.0);
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_var(0.0, 10.0);
         m.set_objective(z, 1.0);
         m.set_objective(x, 2.0);
         m.set_objective(y, 3.0);
         // z >= 4 - 3x - 3y : need at least some capacity open.
         m.add_constraint(
-            "cover",
             LinExpr::from_terms([(z, 1.0), (x, 3.0), (y, 3.0)]),
             Sense::Ge,
             4.0,
@@ -304,23 +240,5 @@ mod tests {
         // Best: open x (cost 2) and cover remaining 1 with z -> 3.0 total.
         assert_close(s.objective, 3.0);
         let _ = y;
-    }
-
-    #[test]
-    fn stats_report_explored_nodes() {
-        let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.set_objective(x, -1.0);
-        m.set_objective(y, -1.0);
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Le,
-            1.0,
-        );
-        let (r, stats) = solve_milp_with(&m, &BranchBoundOptions::default());
-        assert!(r.solution().is_some());
-        assert!(stats.nodes_explored >= 1);
     }
 }

@@ -1,12 +1,7 @@
-//! Model-building API for linear and mixed-integer linear programs.
-//!
-//! The SNAP compiler builds its joint placement/routing optimization (§4.4,
-//! Tables 1–2) through this interface; the solver crates-io ecosystem for
-//! MILP is immature, so the solver itself (simplex + branch and bound) is
-//! implemented from scratch in this crate.
+//! Model-building API for linear and mixed-integer linear programs: the
+//! interface `snap-core` builds the Table 2 oracle through.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A variable handle.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -75,11 +70,6 @@ impl LinExpr {
         self.terms.iter().map(|(&v, &c)| (v, c))
     }
 
-    /// Number of nonzero terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Is the expression empty?
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
@@ -96,9 +86,7 @@ impl LinExpr {
 
 /// A linear constraint.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Constraint {
-    /// Optional name, for debugging.
-    pub name: String,
+pub(crate) struct Constraint {
     /// The left-hand side.
     pub expr: LinExpr,
     /// The sense.
@@ -111,7 +99,6 @@ pub struct Constraint {
 #[derive(Clone, Debug, Default)]
 pub struct Model {
     vars: Vec<VarKind>,
-    var_names: Vec<String>,
     objective: LinExpr,
     constraints: Vec<Constraint>,
 }
@@ -123,7 +110,7 @@ impl Model {
     }
 
     /// Add a continuous variable in `[lb, ub]`.
-    pub fn add_var(&mut self, name: impl Into<String>, lb: f64, ub: f64) -> VarId {
+    pub fn add_var(&mut self, lb: f64, ub: f64) -> VarId {
         assert!(
             lb >= 0.0,
             "the solver works in standard form: lb must be ≥ 0"
@@ -131,15 +118,13 @@ impl Model {
         assert!(ub >= lb, "upper bound must be at least the lower bound");
         let id = VarId(self.vars.len());
         self.vars.push(VarKind::Continuous { lb, ub });
-        self.var_names.push(name.into());
         id
     }
 
     /// Add a binary variable.
-    pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
+    pub fn add_binary(&mut self) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(VarKind::Binary);
-        self.var_names.push(name.into());
         id
     }
 
@@ -149,19 +134,8 @@ impl Model {
     }
 
     /// Add a constraint.
-    pub fn add_constraint(
-        &mut self,
-        name: impl Into<String>,
-        expr: LinExpr,
-        sense: Sense,
-        rhs: f64,
-    ) {
-        self.constraints.push(Constraint {
-            name: name.into(),
-            expr,
-            sense,
-            rhs,
-        });
+    pub fn add_constraint(&mut self, expr: LinExpr, sense: Sense, rhs: f64) {
+        self.constraints.push(Constraint { expr, sense, rhs });
     }
 
     /// Number of variables.
@@ -169,19 +143,9 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// The kind of a variable.
     pub fn var_kind(&self, var: VarId) -> VarKind {
         self.vars[var.0]
-    }
-
-    /// The name of a variable.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.var_names[var.0]
     }
 
     /// The objective expression.
@@ -190,7 +154,7 @@ impl Model {
     }
 
     /// The constraints.
-    pub fn constraints(&self) -> &[Constraint] {
+    pub(crate) fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 
@@ -266,31 +230,12 @@ pub enum SolveResult {
 }
 
 impl SolveResult {
-    /// The solution, if optimal.
-    pub fn solution(&self) -> Option<&Solution> {
-        match self {
-            SolveResult::Optimal(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Unwrap the optimal solution (panics otherwise).
     pub fn expect_optimal(self, msg: &str) -> Solution {
         match self {
             SolveResult::Optimal(s) => s,
             other => panic!("{msg}: {other:?}"),
         }
-    }
-}
-
-impl fmt::Display for Model {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "model with {} vars, {} constraints",
-            self.num_vars(),
-            self.num_constraints()
-        )
     }
 }
 
@@ -301,20 +246,14 @@ mod tests {
     #[test]
     fn build_a_small_model() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 10.0);
-        let y = m.add_binary("y");
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_binary();
         m.set_objective(x, 1.0);
         m.set_objective(y, -2.0);
-        m.add_constraint(
-            "c1",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Le,
-            5.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Le, 5.0);
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_constraints(), 1);
+        assert_eq!(m.constraints().len(), 1);
         assert_eq!(m.binary_vars(), vec![y]);
-        assert_eq!(m.var_name(x), "x");
         assert!(matches!(m.var_kind(x), VarKind::Continuous { .. }));
     }
 
@@ -326,7 +265,6 @@ mod tests {
         e.add(x, 1.0);
         e.add(x, 2.0);
         e.add(y, -1.0);
-        assert_eq!(e.len(), 2);
         assert_eq!(e.eval(&[2.0, 3.0]), 3.0 * 2.0 - 3.0);
         let e2 = LinExpr::from_terms([(x, 3.0), (y, -1.0)]);
         assert_eq!(e, e2);
@@ -337,14 +275,9 @@ mod tests {
     #[test]
     fn feasibility_checks_bounds_and_constraints() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 4.0);
-        let y = m.add_binary("y");
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, 2.0),
-            Sense::Ge,
-            3.0,
-        );
+        let x = m.add_var(0.0, 4.0);
+        let y = m.add_binary();
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 2.0), Sense::Ge, 3.0);
         assert!(m.is_feasible(&[3.0, 0.0], 1e-9));
         assert!(m.is_feasible(&[1.0, 1.0], 1e-9));
         assert!(!m.is_feasible(&[1.0, 0.0], 1e-9)); // constraint violated
@@ -358,7 +291,7 @@ mod tests {
     #[should_panic(expected = "standard form")]
     fn negative_lower_bound_is_rejected() {
         let mut m = Model::new();
-        m.add_var("x", -1.0, 1.0);
+        m.add_var(-1.0, 1.0);
     }
 
     #[test]
@@ -371,8 +304,6 @@ mod tests {
         assert!(s.is_set(VarId(1)));
         assert!(!s.is_set(VarId(2)));
         assert_eq!(s.value(VarId(2)), 0.3);
-        let r = SolveResult::Optimal(s.clone());
-        assert_eq!(r.solution(), Some(&s));
-        assert_eq!(SolveResult::Infeasible.solution(), None);
+        assert_eq!(SolveResult::Optimal(s.clone()).expect_optimal("optimal"), s);
     }
 }

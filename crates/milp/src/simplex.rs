@@ -3,9 +3,9 @@
 //! The implementation favours robustness over raw speed: it keeps a dense
 //! tableau, recomputes reduced costs every iteration, uses Dantzig's rule
 //! while progress is easy and falls back to Bland's rule (which guarantees
-//! termination) after a fixed number of iterations. The SNAP optimization
-//! problems solved exactly are small (tens of switches, aggregated demands);
-//! larger instances go through the heuristic placer in `snap-core`.
+//! termination) after a fixed number of iterations. The dense tableau limits
+//! it to small programs: the Table 2 oracle on a handful of switches and
+//! demands, never a production placement.
 
 use crate::model::{Model, Sense, Solution, SolveResult, VarKind};
 
@@ -19,7 +19,7 @@ pub fn solve_lp(model: &Model) -> SolveResult {
 }
 
 /// The `[lb, ub]` box for each variable of a model (binaries become `[0,1]`).
-pub fn default_bounds(model: &Model) -> Vec<(f64, f64)> {
+pub(crate) fn default_bounds(model: &Model) -> Vec<(f64, f64)> {
     (0..model.num_vars())
         .map(|i| match model.var_kind(crate::model::VarId(i)) {
             VarKind::Continuous { lb, ub } => (lb, ub),
@@ -30,7 +30,7 @@ pub fn default_bounds(model: &Model) -> Vec<(f64, f64)> {
 
 /// Solve the LP relaxation with explicit variable bounds (used by branch and
 /// bound to fix or restrict binaries without rebuilding the model).
-pub fn solve_lp_with_bounds(model: &Model, bounds: &[(f64, f64)]) -> SolveResult {
+pub(crate) fn solve_lp_with_bounds(model: &Model, bounds: &[(f64, f64)]) -> SolveResult {
     assert_eq!(bounds.len(), model.num_vars());
     let n = model.num_vars();
 
@@ -315,18 +315,13 @@ mod tests {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (min form: -3x -5y)
         // Optimum at x=2, y=6, objective -36.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, f64::INFINITY);
-        let y = m.add_var("y", 0.0, f64::INFINITY);
+        let x = m.add_var(0.0, f64::INFINITY);
+        let y = m.add_var(0.0, f64::INFINITY);
         m.set_objective(x, -3.0);
         m.set_objective(y, -5.0);
-        m.add_constraint("c1", LinExpr::new().with(x, 1.0), Sense::Le, 4.0);
-        m.add_constraint("c2", LinExpr::new().with(y, 2.0), Sense::Le, 12.0);
-        m.add_constraint(
-            "c3",
-            LinExpr::new().with(x, 3.0).with(y, 2.0),
-            Sense::Le,
-            18.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0), Sense::Le, 4.0);
+        m.add_constraint(LinExpr::new().with(y, 2.0), Sense::Le, 12.0);
+        m.add_constraint(LinExpr::new().with(x, 3.0).with(y, 2.0), Sense::Le, 18.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.value(x), 2.0);
         assert_close(s.value(y), 6.0);
@@ -337,16 +332,11 @@ mod tests {
     fn equality_and_ge_constraints() {
         // min x + 2y s.t. x + y = 10, x >= 3, y >= 2 -> x=8, y=2, obj=12.
         let mut m = Model::new();
-        let x = m.add_var("x", 3.0, f64::INFINITY);
-        let y = m.add_var("y", 2.0, f64::INFINITY);
+        let x = m.add_var(3.0, f64::INFINITY);
+        let y = m.add_var(2.0, f64::INFINITY);
         m.set_objective(x, 1.0);
         m.set_objective(y, 2.0);
-        m.add_constraint(
-            "sum",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Eq,
-            10.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Eq, 10.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.value(x), 8.0);
         assert_close(s.value(y), 2.0);
@@ -356,16 +346,16 @@ mod tests {
     #[test]
     fn infeasible_program_detected() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 1.0);
+        let x = m.add_var(0.0, 1.0);
         m.set_objective(x, 1.0);
-        m.add_constraint("ge", LinExpr::new().with(x, 1.0), Sense::Ge, 2.0);
+        m.add_constraint(LinExpr::new().with(x, 1.0), Sense::Ge, 2.0);
         assert_eq!(solve_lp(&m), SolveResult::Infeasible);
     }
 
     #[test]
     fn unbounded_program_detected() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, f64::INFINITY);
+        let x = m.add_var(0.0, f64::INFINITY);
         m.set_objective(x, -1.0);
         assert_eq!(solve_lp(&m), SolveResult::Unbounded);
     }
@@ -374,16 +364,11 @@ mod tests {
     fn negative_rhs_is_normalized() {
         // x - y <= -2 with x,y in [0,10], minimize x + y -> x=0, y=2.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 10.0);
-        let y = m.add_var("y", 0.0, 10.0);
+        let x = m.add_var(0.0, 10.0);
+        let y = m.add_var(0.0, 10.0);
         m.set_objective(x, 1.0);
         m.set_objective(y, 1.0);
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, -1.0),
-            Sense::Le,
-            -2.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, -1.0), Sense::Le, -2.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.value(x), 0.0);
         assert_close(s.value(y), 2.0);
@@ -393,16 +378,11 @@ mod tests {
     fn binary_vars_relax_to_unit_interval() {
         // min -(x + y) with x binary, x + 2y <= 2 -> LP relaxation x=1, y=0.5.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         m.set_objective(x, -1.0);
         m.set_objective(y, -1.0);
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, 2.0),
-            Sense::Le,
-            2.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 2.0), Sense::Le, 2.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.value(x), 1.0);
         assert_close(s.value(y), 0.5);
@@ -412,28 +392,13 @@ mod tests {
     fn degenerate_problem_terminates() {
         // A classic degenerate LP; just check it terminates at the optimum.
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, f64::INFINITY);
-        let y = m.add_var("y", 0.0, f64::INFINITY);
+        let x = m.add_var(0.0, f64::INFINITY);
+        let y = m.add_var(0.0, f64::INFINITY);
         m.set_objective(x, -1.0);
         m.set_objective(y, -1.0);
-        m.add_constraint(
-            "c1",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Le,
-            1.0,
-        );
-        m.add_constraint(
-            "c2",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Le,
-            1.0,
-        );
-        m.add_constraint(
-            "c3",
-            LinExpr::new().with(x, 2.0).with(y, 1.0),
-            Sense::Le,
-            2.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Le, 1.0);
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Le, 1.0);
+        m.add_constraint(LinExpr::new().with(x, 2.0).with(y, 1.0), Sense::Le, 2.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.objective, -1.0);
     }
@@ -441,16 +406,11 @@ mod tests {
     #[test]
     fn solution_is_feasible_for_the_model() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 5.0);
-        let y = m.add_var("y", 1.0, 5.0);
+        let x = m.add_var(0.0, 5.0);
+        let y = m.add_var(1.0, 5.0);
         m.set_objective(x, 2.0);
         m.set_objective(y, 1.0);
-        m.add_constraint(
-            "c",
-            LinExpr::new().with(x, 1.0).with(y, 1.0),
-            Sense::Ge,
-            4.0,
-        );
+        m.add_constraint(LinExpr::new().with(x, 1.0).with(y, 1.0), Sense::Ge, 4.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert!(m.is_feasible(&s.values, 1e-6));
         assert_close(s.objective, 4.0); // x=0, y=4
@@ -460,7 +420,7 @@ mod tests {
     #[test]
     fn bounds_overrides_are_respected() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.set_objective(x, -1.0);
         let s = solve_lp_with_bounds(&m, &[(0.0, 0.0)]).expect_optimal("should solve");
         assert_close(s.value(x), 0.0);
@@ -474,18 +434,13 @@ mod tests {
         // a-b-c and a-d-c; minimize total link usage -> both paths used.
         // Variables: f1 (via b), f2 (via d).
         let mut m = Model::new();
-        let f1 = m.add_var("f1", 0.0, f64::INFINITY);
-        let f2 = m.add_var("f2", 0.0, f64::INFINITY);
+        let f1 = m.add_var(0.0, f64::INFINITY);
+        let f2 = m.add_var(0.0, f64::INFINITY);
         m.set_objective(f1, 2.0); // 2 links each
         m.set_objective(f2, 2.0);
-        m.add_constraint(
-            "demand",
-            LinExpr::new().with(f1, 1.0).with(f2, 1.0),
-            Sense::Eq,
-            2.0,
-        );
-        m.add_constraint("cap1", LinExpr::new().with(f1, 1.0), Sense::Le, 1.0);
-        m.add_constraint("cap2", LinExpr::new().with(f2, 1.0), Sense::Le, 1.0);
+        m.add_constraint(LinExpr::new().with(f1, 1.0).with(f2, 1.0), Sense::Eq, 2.0);
+        m.add_constraint(LinExpr::new().with(f1, 1.0), Sense::Le, 1.0);
+        m.add_constraint(LinExpr::new().with(f2, 1.0), Sense::Le, 1.0);
         let s = solve_lp(&m).expect_optimal("should solve");
         assert_close(s.value(f1), 1.0);
         assert_close(s.value(f2), 1.0);
@@ -495,8 +450,8 @@ mod tests {
     #[test]
     fn default_bounds_reflect_kinds() {
         let mut m = Model::new();
-        let _x = m.add_var("x", 0.5, 2.0);
-        let _y = m.add_binary("y");
+        let _x = m.add_var(0.5, 2.0);
+        let _y = m.add_binary();
         let b = default_bounds(&m);
         assert_eq!(b, vec![(0.5, 2.0), (0.0, 1.0)]);
         let _ = VarId(0);

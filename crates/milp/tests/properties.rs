@@ -13,16 +13,16 @@ fn random_lp(seed: u64, nvars: usize, ncons: usize, binaries: bool) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = Model::new();
     let mut vars = Vec::new();
-    for i in 0..nvars {
+    for _ in 0..nvars {
         let v = if binaries && rng.gen_bool(0.5) {
-            m.add_binary(format!("b{i}"))
+            m.add_binary()
         } else {
-            m.add_var(format!("x{i}"), 0.0, rng.gen_range(1.0..5.0))
+            m.add_var(0.0, rng.gen_range(1.0..5.0))
         };
         m.set_objective(v, rng.gen_range(-3.0..3.0));
         vars.push(v);
     }
-    for c in 0..ncons {
+    for _ in 0..ncons {
         let mut e = LinExpr::new();
         for &v in &vars {
             if rng.gen_bool(0.6) {
@@ -30,7 +30,7 @@ fn random_lp(seed: u64, nvars: usize, ncons: usize, binaries: bool) -> Model {
             }
         }
         if !e.is_empty() {
-            m.add_constraint(format!("c{c}"), e, Sense::Le, rng.gen_range(1.0..6.0));
+            m.add_constraint(e, Sense::Le, rng.gen_range(1.0..6.0));
         }
     }
     m

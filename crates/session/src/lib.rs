@@ -35,13 +35,12 @@
 //!
 //! ```
 //! use snap_session::CompilerSession;
-//! use snap_core::SolverChoice;
 //! use snap_lang::prelude::*;
 //! use snap_topology::{generators, TrafficMatrix};
 //!
 //! let topo = generators::campus();
 //! let tm = TrafficMatrix::uniform(&topo, 10.0);
-//! let mut session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+//! let mut session = CompilerSession::new(topo, tm);
 //!
 //! let count = |limit: i64| {
 //!     ite(

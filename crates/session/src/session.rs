@@ -2,7 +2,7 @@
 
 use crate::cache::TranslationCache;
 use snap_core::{
-    generate_rules, place_and_route_timed, reroute_timed, Compiled, OptimizeInput, OptimizeTimings,
+    generate_rules, place_and_route, reroute, Compiled, OptimizeInput, OptimizeTimings,
     PacketStateMap, PhaseTimings, PlacementResult, SolverChoice, SwitchMeta,
 };
 use snap_lang::{Policy, StateVar};
@@ -19,7 +19,7 @@ use std::time::Instant;
 /// Options controlling a [`CompilerSession`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionOptions {
-    /// Which placement/routing engine to use.
+    /// The placement engine: the heuristic unless set otherwise.
     pub solver: SolverChoice,
     /// Pool size (in nodes) above which a compilation triggers an automatic
     /// [`CompilerSession::compact_now`]. Composition interns intermediates
@@ -41,7 +41,7 @@ pub struct SessionOptions {
 impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
-            solver: SolverChoice::Auto,
+            solver: SolverChoice::default(),
             gc_threshold: 500_000,
             cache_generations: 2,
             version_cache: 8,
@@ -317,7 +317,8 @@ impl CompilerSession {
         self
     }
 
-    /// Use a specific placement/routing engine.
+    /// Place with a specific engine. Only the benchmark asks for anything
+    /// but the default heuristic; this stays for it.
     pub fn with_solver(mut self, solver: SolverChoice) -> Self {
         self.options.solver = solver;
         self
@@ -456,7 +457,7 @@ impl CompilerSession {
                     mapping: &mapping,
                     deps: &deps,
                 };
-                let (placement, timings) = place_and_route_timed(&input, self.options.solver);
+                let (placement, timings) = place_and_route(&input, self.options.solver);
                 (Arc::new(placement), timings)
             }
         };
@@ -564,8 +565,7 @@ impl CompilerSession {
                 mapping: &prev.mapping,
                 deps: &prev.deps,
             };
-            let fixed = &prev.placement.placement;
-            let (placement, optimize) = reroute_timed(&input, fixed, self.options.solver);
+            let (placement, optimize) = reroute(&input, &prev.placement.placement);
             timings.optimization = optimize.solving;
             Arc::new(placement)
         });
@@ -766,13 +766,13 @@ mod tests {
     fn campus_session() -> CompilerSession {
         let topo = campus();
         let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-        CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+        CompilerSession::new(topo, tm)
     }
 
     fn campus_compiler() -> Compiler {
         let topo = campus();
         let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-        Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic)
+        Compiler::new(topo, tm)
     }
 
     /// The running example with a tweakable threshold — a "single-subtree
@@ -912,7 +912,6 @@ mod tests {
     #[test]
     fn auto_gc_triggers_above_the_threshold() {
         let mut session = campus_session().with_options(SessionOptions {
-            solver: SolverChoice::Heuristic,
             gc_threshold: 200,
             cache_generations: 1,
             ..SessionOptions::default()
@@ -985,7 +984,7 @@ mod tests {
         // Same mapping as the running program: its placement, shared.
         assert!(Arc::ptr_eq(&flip.placement, &rerouted.placement));
 
-        let mut fresh = CompilerSession::new(topo, shifted).with_solver(SolverChoice::Heuristic);
+        let mut fresh = CompilerSession::new(topo, shifted);
         let scratch = fresh.compile(&running_example(3)).unwrap();
         assert_eq!(flip.xfdd.root(), scratch.xfdd.root());
         assert_eq!(flip.xfdd.pool().len(), scratch.xfdd.pool().len());
@@ -1020,8 +1019,7 @@ mod tests {
         let compiler = Compiler::new(
             session.topology().clone(),
             TrafficMatrix::gravity(session.topology(), 900.0, 7),
-        )
-        .with_solver(SolverChoice::Heuristic);
+        );
         let (rerouted, _) = compiler.reroute(&first, &compiler.traffic);
         assert_eq!(flip.placement, rerouted.placement);
     }
@@ -1029,7 +1027,6 @@ mod tests {
     #[test]
     fn version_cache_is_bounded_and_can_be_disabled() {
         let mut session = campus_session().with_options(SessionOptions {
-            solver: SolverChoice::Heuristic,
             version_cache: 2,
             ..SessionOptions::default()
         });
@@ -1043,7 +1040,6 @@ mod tests {
         assert_eq!(session.stats().version_hits, 1);
 
         let mut off = campus_session().with_options(SessionOptions {
-            solver: SolverChoice::Heuristic,
             version_cache: 0,
             ..SessionOptions::default()
         });

@@ -59,7 +59,6 @@ pub use report::{RateSummary, SoakOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::{
     deploy_in_process_custom, deploy_tcp, DeployOptions, DistNetwork, DistribOptions,
 };
@@ -534,8 +533,7 @@ pub fn run(mut config: SoakConfig) -> SoakOutcome {
     };
     config.egress_ports = cap;
     let matrix = TrafficMatrix::gravity(&topology, config.traffic_volume, config.seed);
-    let session =
-        CompilerSession::new(topology.clone(), matrix.clone()).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topology.clone(), matrix.clone());
     let deploy_options = DeployOptions {
         distrib: DistribOptions {
             // Keep the append-only distribution pool bounded across

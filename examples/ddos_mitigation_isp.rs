@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release -p snap-examples --bin ddos_mitigation_isp`
 
 use snap_apps as apps;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::Compiler;
 use snap_lang::Policy;
 use snap_topology::{generators, TrafficMatrix};
 
@@ -27,7 +27,7 @@ fn main() {
     };
     let topo = generators::random_topology(&spec);
     let tm = TrafficMatrix::gravity(&topo, 5_000.0, 21);
-    let compiler = Compiler::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
+    let compiler = Compiler::new(topo.clone(), tm);
     match compiler.compile(&policy) {
         Ok(compiled) => {
             println!("compiled DDoS bundle for {}", topo);

@@ -20,7 +20,6 @@
 //!   process boundaries.
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::{
     deploy_in_process, deploy_tcp, Controller, DeployOptions, SwitchAgent, TcpAgentEndpoint,
     TcpTransportListener, TrafficEngine,
@@ -35,7 +34,7 @@ use std::process::{Child, Command};
 fn campus_session() -> (Topology, CompilerSession) {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo.clone(), tm);
     (topo, session)
 }
 

@@ -6,7 +6,6 @@
 //! Run with: `cargo run -p snap-examples --bin monitoring_transactions`
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -20,7 +19,7 @@ fn main() {
 
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 5);
-    let session = CompilerSession::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo.clone(), tm);
     let mut deployment = deploy_in_process(session, 1024);
     let controller = &mut deployment.controller;
     controller

@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p snap-examples --bin quickstart`
 
 use snap_bench::NetAsmProgram;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::Compiler;
 use snap_lang::prelude::*;
 use snap_topology::{generators, TrafficMatrix};
 
@@ -36,7 +36,7 @@ fn main() {
     //    `count` array lives and how traffic is routed through it.
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 7);
-    let compiler = Compiler::new(topo.clone(), tm).with_solver(SolverChoice::Heuristic);
+    let compiler = Compiler::new(topo.clone(), tm);
     let compiled = compiler.compile(&policy).expect("compiles");
     for (var, node) in &compiled.placement.placement {
         println!("state `{var}` placed on switch {}", topo.node_name(*node));

@@ -9,7 +9,6 @@
 //! ```
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::{deploy_in_process, TrafficEngine};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -22,7 +21,7 @@ fn main() {
     // one registry, so a single snapshot covers all of them.
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = deploy_in_process(session, 1024);
 
     // Sample 1-in-10 packets into the trace ring so a short run is

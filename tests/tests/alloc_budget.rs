@@ -25,7 +25,6 @@
 //! and the fleet's (idle) agent threads never show up.
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::{
     deploy_in_process, DistNetwork, FromAgent, InProcessDeployment, PrepareMsg, SwitchAgent,
     SwitchMeta, ToAgent, EPOCH_HISTORY,
@@ -119,7 +118,7 @@ fn fleet(policy: impl Fn(usize) -> Policy) -> (InProcessDeployment, Vec<(PortId,
     let ports: Vec<PortId> = topology.external_ports().map(|(port, _)| port).collect();
     assert!(ports.len() > 8);
     let traffic = TrafficMatrix::gravity(&topology, 1_000.0, 7);
-    let session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topology, traffic);
     let mut deployment = deploy_in_process(session, 4096);
     deployment
         .controller
@@ -264,7 +263,7 @@ fn novel_edit_blocks() -> Vec<u64> {
     let topology = igen_topology(SWITCHES, 7);
     let ports = topology.num_external_ports();
     let traffic = TrafficMatrix::gravity(&topology, 1_000.0, 7);
-    let mut session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    let mut session = CompilerSession::new(topology, traffic);
     // Warm: the working set a benchmark fleet starts from, shipped.
     for threshold in 0..6 {
         session

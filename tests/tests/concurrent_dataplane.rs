@@ -5,7 +5,6 @@
 //! across updates, and the per-packet epoch guarantee (a packet never mixes
 //! two configurations).
 
-use snap_core::SolverChoice;
 use snap_distrib::{deploy_in_process, InProcessDeployment, TrafficEngine, EPOCH_HISTORY};
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -39,7 +38,7 @@ fn guarded_counting_policy(threshold: i64) -> Policy {
 fn deploy(policy: &Policy) -> InProcessDeployment {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = deploy_in_process(session, 4096);
     deployment.controller.update_policy(policy).unwrap();
     deployment

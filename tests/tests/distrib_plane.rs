@@ -9,7 +9,6 @@
 //! full-config payload on the campus topology.
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -21,7 +20,7 @@ use std::sync::Arc;
 fn campus_session() -> CompilerSession {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    CompilerSession::new(topo, tm)
 }
 
 /// Version `v` of the running program: marks each (srcport, dstport) flow

@@ -4,7 +4,7 @@
 //! topology.
 
 use snap_apps as apps;
-use snap_core::{Compiler, SolverChoice};
+use snap_core::Compiler;
 use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 fn campus_compiler() -> Compiler {
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 11);
-    Compiler::new(topo, tm).with_solver(SolverChoice::Heuristic)
+    Compiler::new(topo, tm)
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn distributed_execution_equals_obs_for_the_stateful_firewall() {
     let Compiler {
         topology, traffic, ..
     } = campus_compiler();
-    let session = CompilerSession::new(topology, traffic).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topology, traffic);
     let mut deployment = deploy_in_process(session, 1024);
     let program = apps::stateful_firewall().seq(apps::assign_egress(6));
     deployment.controller.update_policy(&program).unwrap();

@@ -13,7 +13,7 @@
 //! `Structure` to record.
 
 use snap_apps as apps;
-use snap_core::{Compiled, Compiler, SolverChoice};
+use snap_core::{Compiled, Compiler};
 use snap_lang::builder::*;
 use snap_lang::{Field, Policy};
 use snap_topology::generators::{self, presets};
@@ -211,7 +211,6 @@ fn cold_compile_rows_keep_their_recorded_structure() {
     for (row, (name, want)) in rows.iter().zip(&golden) {
         assert_eq!(row.name, *name);
         let compiled = Compiler::new(row.topology.clone(), row.traffic.clone())
-            .with_solver(SolverChoice::Heuristic)
             .compile(&row.policy)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         assert_eq!(

@@ -5,7 +5,6 @@
 //! the same numbering.
 
 use snap_apps as apps;
-use snap_core::SolverChoice;
 use snap_distrib::deploy_in_process;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -107,7 +106,7 @@ fn every_switch_shares_one_interned_pool() {
     // same mirror length, same flattened program, on every agent.
     let topo = generators::campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 3);
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = deploy_in_process(session, 64);
     let program = apps::dns_tunnel_detect(5).seq(apps::assign_egress(6));
     deployment.controller.update_policy(&program).unwrap();

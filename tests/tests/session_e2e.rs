@@ -28,15 +28,12 @@ fn dns_packet(client: &Value, rdata: Value) -> Packet {
 fn controller_loop_with_policy_edits_traffic_changes_and_gc() {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo, tm)
-        .with_solver(snap_core::SolverChoice::Heuristic)
-        .with_options(SessionOptions {
-            solver: snap_core::SolverChoice::Heuristic,
-            // Low enough that the session compacts its pool mid-loop.
-            gc_threshold: 200,
-            cache_generations: 1,
-            ..SessionOptions::default()
-        });
+    let session = CompilerSession::new(topo, tm).with_options(SessionOptions {
+        // Low enough that the session compacts its pool mid-loop.
+        gc_threshold: 200,
+        cache_generations: 1,
+        ..SessionOptions::default()
+    });
 
     // Boot: cold compile, bring the fleet up.
     let mut deployment = deploy_in_process(session, 1024);
@@ -108,8 +105,7 @@ fn program_distribution_over_the_wire_preserves_semantics() {
     // Controller side: compile in a session, freeze, encode.
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let mut session =
-        CompilerSession::new(topo, tm).with_solver(snap_core::SolverChoice::Heuristic);
+    let mut session = CompilerSession::new(topo, tm);
     let compiled = session.compile(&running_example(3)).unwrap();
     let frozen = compiled.xfdd.pool();
     let fresh_len = Pool::new(frozen.order().clone()).len();

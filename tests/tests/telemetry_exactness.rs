@@ -16,7 +16,6 @@
 //! the placement pinned by hand and chosen by the compiler, and across an
 //! update that migrates a replicated variable.
 
-use snap_core::SolverChoice;
 use snap_dataplane::PlaneTelemetry;
 use snap_distrib::TrafficEngine;
 use snap_lang::prelude::*;
@@ -176,7 +175,7 @@ fn two_instances_never_contaminate_each_other() {
 fn dist_plane_counters_are_exact_across_workers() {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = snap_distrib::deploy_in_process(session, 4096);
     deployment
         .controller
@@ -326,7 +325,7 @@ fn dist_plane_replicated_totals_match_reference_across_workers() {
     for workers in [1usize, 2, 4, 8] {
         let topo = campus();
         let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-        let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+        let session = CompilerSession::new(topo, tm);
         let mut deployment = snap_distrib::deploy_in_process(session, 4096);
         deployment
             .controller

@@ -5,7 +5,6 @@
 //! one sampled end-to-end packet trace, and the commit event log for every
 //! epoch.
 
-use snap_core::SolverChoice;
 use snap_distrib::TrafficEngine;
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
@@ -26,7 +25,7 @@ fn counting_policy(threshold: i64) -> Policy {
 fn campus_distributed_snapshot_is_complete() {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
-    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let session = CompilerSession::new(topo, tm);
     let mut deployment = snap_distrib::deploy_in_process(session, 4096);
 
     // Sample aggressively so a short run is guaranteed a full trace.
