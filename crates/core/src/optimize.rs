@@ -638,6 +638,8 @@ fn finish_exact(
 mod tests {
     use super::*;
     use crate::mapping::PacketStateMap;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use snap_lang::builder::*;
     use snap_lang::{Field, Policy, Value};
     use snap_topology::generators::campus;
@@ -852,55 +854,34 @@ mod tests {
         assert!(result.path_respects_order(PortId(5), PortId(6), &[]));
     }
 
-    /// SplitMix64: enough randomness for the sweep without a dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn between(&mut self, lo: f64, hi: f64) -> f64 {
-            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
     /// A random small instance: 3–5 switches on a ring with an optional
     /// chord and unequal link capacities, 2–3 ports, 2–3 demands, and one of
     /// three policy shapes (one counter; a `dep` pair `first` → `second`; two
     /// counters split by `InPort`), all routing on the destination /24.
     fn random_instance(seed: u64) -> (Topology, TrafficMatrix, Policy) {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut topo = Topology::new("ring");
-        let switches = 3 + rng.below(3);
+        let switches = rng.gen_range(3..6);
         let nodes: Vec<NodeId> = (0..switches)
             .map(|i| topo.add_node(format!("s{i}")))
             .collect();
         for i in 0..switches {
-            let capacity = rng.between(5.0, 40.0);
+            let capacity = rng.gen_range(5.0..40.0);
             topo.add_bidi_link(nodes[i], nodes[(i + 1) % switches], capacity);
         }
-        if switches > 3 && rng.below(2) == 0 {
-            let capacity = rng.between(5.0, 40.0);
+        if switches > 3 && rng.gen_bool(0.5) {
+            let capacity = rng.gen_range(5.0..40.0);
             topo.add_bidi_link(nodes[0], nodes[2], capacity);
         }
-        let ports = 2 + rng.below(2);
+        let ports = rng.gen_range(2..4);
         for p in 1..=ports {
-            topo.add_external_port(PortId(p), nodes[rng.below(switches)]);
+            topo.add_external_port(PortId(p), nodes[rng.gen_range(0..switches)]);
         }
         let mut tm = TrafficMatrix::new();
-        for _ in 0..2 + rng.below(2) {
-            let u = 1 + rng.below(ports);
-            let v = 1 + (u + rng.below(ports - 1)) % ports;
-            tm.set(PortId(u), PortId(v), rng.between(1.0, 5.0));
+        for _ in 0..rng.gen_range(2..4) {
+            let u = rng.gen_range(1..=ports);
+            let v = 1 + (u + rng.gen_range(0..ports - 1)) % ports;
+            tm.set(PortId(u), PortId(v), rng.gen_range(1.0..5.0));
         }
         let src = || vec![field(Field::SrcIp)];
         let state = match seed % 3 {
@@ -928,18 +909,20 @@ mod tests {
     }
 
     /// The worst `heuristic total_utilization / MILP optimum` the sweep
-    /// measures, 2.70, plus 0.05 headroom. The heuristic routes by hop
-    /// count, blind to capacity: where a thin direct link sits beside two
-    /// fat ones, the optimum takes the detour and the heuristic does not.
+    /// measures over feasible heuristic answers, 2.70, plus 0.05 headroom.
+    /// The heuristic routes by hop count, blind to capacity: where a thin
+    /// direct link sits beside two fat ones, the optimum takes the detour and
+    /// the heuristic does not.
     const WORST_GAP: f64 = 2.75;
 
     /// The oracle: on random small instances the MILP is solved to
-    /// optimality, both engines' paths honour the dependency order, a
-    /// feasible heuristic answer never beats the optimum, and the heuristic
-    /// stays within the measured gap of it.
+    /// optimality, both engines' paths honour the dependency order, and
+    /// wherever the heuristic's answer is feasible (simple paths within
+    /// capacity) it never beats the optimum and stays within the measured
+    /// gap of it. Infeasible heuristic answers are counted, not ranked.
     #[test]
     fn heuristic_stays_within_the_measured_gap_of_the_milp_optimum() {
-        let mut gaps = Vec::new();
+        let (mut gaps, mut infeasible) = (Vec::new(), 0);
         for seed in 0..48 {
             let (topo, tm, policy) = random_instance(seed);
             let (psm, deps) = analyze(&policy, &topo);
@@ -973,22 +956,26 @@ mod tests {
                 .paths
                 .values()
                 .all(|p| p.iter().collect::<BTreeSet<_>>().len() == p.len());
-            if simple && heuristic.max_utilization <= 1.0 + 1e-9 {
-                assert!(
-                    solution.objective <= heuristic.total_utilization + 1e-6,
-                    "seed {seed}: MILP optimum {} above the feasible heuristic's {}",
-                    solution.objective,
-                    heuristic.total_utilization
-                );
+            if solution.objective <= 1e-9 {
+                continue;
             }
-            if solution.objective > 1e-9 {
-                gaps.push(heuristic.total_utilization / solution.objective);
+            if !simple || heuristic.max_utilization > 1.0 + 1e-9 {
+                infeasible += 1;
+                continue;
             }
+            assert!(
+                solution.objective <= heuristic.total_utilization + 1e-6,
+                "seed {seed}: MILP optimum {} above the feasible heuristic's {}",
+                solution.objective,
+                heuristic.total_utilization
+            );
+            gaps.push(heuristic.total_utilization / solution.objective);
         }
         gaps.sort_by(f64::total_cmp);
-        let matched = gaps.iter().filter(|&&g| g <= 1.0 + 1e-9).count();
+        let matched = gaps.iter().filter(|&&g| (g - 1.0).abs() <= 1e-6).count();
         let summary = format!(
-            "{} instances with traffic, {matched} at the optimum, median gap {:.3}, worst {:.3}",
+            "{} feasible instances with traffic ({infeasible} infeasible heuristic answers \
+             left out), {matched} at the optimum, median gap {:.3}, worst {:.3}",
             gaps.len(),
             gaps[gaps.len() / 2],
             gaps[gaps.len() - 1]

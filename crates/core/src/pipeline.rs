@@ -73,8 +73,9 @@ pub struct Compiler {
     pub topology: Topology,
     /// The expected traffic matrix.
     pub traffic: TrafficMatrix,
-    /// The placement engine: the heuristic unless set otherwise.
-    pub solver: SolverChoice,
+    /// The placement engine: the heuristic unless [`Self::with_solver`] says
+    /// otherwise.
+    solver: SolverChoice,
 }
 
 impl Compiler {

@@ -19,8 +19,6 @@ use std::time::Instant;
 /// Options controlling a [`CompilerSession`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionOptions {
-    /// The placement engine: the heuristic unless set otherwise.
-    pub solver: SolverChoice,
     /// Pool size (in nodes) above which a compilation triggers an automatic
     /// [`CompilerSession::compact_now`]. Composition interns intermediates
     /// well beyond the final diagram size, so this should sit comfortably
@@ -41,7 +39,6 @@ pub struct SessionOptions {
 impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
-            solver: SolverChoice::default(),
             gc_threshold: 500_000,
             cache_generations: 2,
             version_cache: 8,
@@ -317,10 +314,16 @@ impl CompilerSession {
         self
     }
 
-    /// Place with a specific engine. Only the benchmark asks for anything
-    /// but the default heuristic; this stays for it.
-    pub fn with_solver(mut self, solver: SolverChoice) -> Self {
-        self.options.solver = solver;
+    /// A shim kept only because the benchmark's fleet leg builds against it:
+    /// a session always places with the heuristic, so the one choice it
+    /// accepts is the default. It goes when ROADMAP item 5 touches the
+    /// benchmark.
+    pub fn with_solver(self, solver: SolverChoice) -> Self {
+        assert_eq!(
+            solver,
+            SolverChoice::default(),
+            "a session places with the heuristic only"
+        );
         self
     }
 
@@ -457,7 +460,7 @@ impl CompilerSession {
                     mapping: &mapping,
                     deps: &deps,
                 };
-                let (placement, timings) = place_and_route(&input, self.options.solver);
+                let (placement, timings) = place_and_route(&input, SolverChoice::default());
                 (Arc::new(placement), timings)
             }
         };
