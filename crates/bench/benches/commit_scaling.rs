@@ -16,8 +16,7 @@
 //!
 //! Writes the machine-readable `BENCH_commit.json` at the repo root:
 //! per-fleet-size prepare/commit latency for the in-process and TCP
-//! backends, the large-vs-small fleet ratio (the ≤ 5× acceptance bar),
-//! and the measured prepare(N+1)/commit(N) pipeline overlap.
+//! backends and the large-vs-small fleet ratio (the ≤ 5× acceptance bar).
 //!
 //! Next to the flip sweep runs a **novel edit** leg: the benchmark of
 //! record's `edit-churn` scenario (igen-50, the five-application pipeline,
@@ -30,7 +29,8 @@
 //! `BENCH_commit.json` is unchanged.
 //!
 //! Set `SNAP_BENCH_SMOKE=1` (as CI does) for a reduced sweep (12/48
-//! agents) that keeps every path exercised.
+//! agents) that keeps every path exercised; it writes its record to
+//! `target/BENCH_commit_smoke.json` and leaves the committed one alone.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snap_apps as apps;
@@ -147,32 +147,6 @@ fn measure_flips(deployment: &mut InProcessDeployment, rounds: usize) -> FlipSta
         prepare_best_us: prepare_best,
         commit_best_us: commit_best,
     }
-}
-
-/// Largest pipeline overlap observed over `rounds` back-to-back
-/// `update_policy_async` flips — the wall-clock during which epoch N+1's
-/// prepare ran while epoch N's commit acks were still draining.
-fn measure_overlap(deployment: &mut InProcessDeployment, rounds: usize) -> u64 {
-    deployment.controller.update_policy(&variant(3)).unwrap();
-    deployment.controller.update_policy(&variant(8)).unwrap();
-    let mut overlap = Duration::ZERO;
-    let mut calm = true;
-    let mut completed = Vec::new();
-    for _ in 0..rounds {
-        let t = if calm { 3 } else { 8 };
-        calm = !calm;
-        completed.extend(
-            deployment
-                .controller
-                .update_policy_async(&variant(t))
-                .unwrap(),
-        );
-    }
-    completed.extend(deployment.controller.flush().unwrap());
-    for r in &completed {
-        overlap = overlap.max(r.pipeline_overlap);
-    }
-    overlap.as_micros() as u64
 }
 
 /// The median, in µs to a tenth.
@@ -356,15 +330,6 @@ fn commit_scaling_summary(_c: &mut Criterion) {
 
     novel_edit_summary();
 
-    // Pipeline overlap at the mid fleet size.
-    let overlap_fleet = sizes[sizes.len() / 2];
-    let mut deployment = deploy(overlap_fleet, Backend::InProcess, Some(rtt));
-    let overlap_us = measure_overlap(&mut deployment, rounds.max(4));
-    deployment.shutdown();
-    println!(
-        "  pipeline overlap at {overlap_fleet} agents: {overlap_us} µs of prepare(N+1) ran inside commit(N)"
-    );
-
     // The acceptance ratio: largest fleet vs smallest, in-process, best-of.
     let ratio_of = |rows: &[SweepRow], backend: &str| -> f64 {
         let small = rows
@@ -429,14 +394,14 @@ fn commit_scaling_summary(_c: &mut Criterion) {
         "    \"pass\": {}",
         in_process_ratio.is_finite() && in_process_ratio <= 5.0
     );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"pipeline\": {{");
-    let _ = writeln!(json, "    \"agents\": {overlap_fleet},");
-    let _ = writeln!(json, "    \"overlap_best_us\": {overlap_us},");
-    let _ = writeln!(json, "    \"overlap_positive\": {}", overlap_us > 0);
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_commit.json");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = if smoke() {
+        root.join("target/BENCH_commit_smoke.json")
+    } else {
+        root.join("BENCH_commit.json")
+    };
     match std::fs::write(&path, &json) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => eprintln!("  could not write {}: {e}", path.display()),

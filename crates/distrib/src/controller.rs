@@ -39,25 +39,17 @@
 //! need exactly-once state transfer under live traffic keep placement
 //! stable or quiesce injection around an owner move.
 //!
-//! **Concurrent fan-out.** Sends go out per-link, but every agent reply
-//! arrives on one shared channel (the reply mux, [`ReplyTx`]) and is
-//! consumed in *arrival order*, routed by `(switch, epoch)`: a straggler at
-//! the front of the agent map no longer blocks reading everyone else's
+//! **Concurrent fan-out.** One update is in flight at a time, in three
+//! steps: prepare, commit, then the table installs that relay yielded
+//! state. Each step sends to every agent first; every agent reply arrives
+//! on one shared channel (the reply mux, [`ReplyTx`]) and is consumed in
+//! *arrival order* by one collector, routed by `(step, epoch, key)` — the
+//! key being the switch, plus the variable for an install. A straggler at
+//! the front of the agent map does not block reading everyone else's
 //! already-queued acks, per-agent timings are stamped at reply arrival, one
-//! deadline covers the whole phase instead of compounding per agent, and
-//! stale or duplicate acks from burned epochs are discarded by key (counted
-//! in [`MuxStats`]). `InstallTable` migrations for independent variables fan
-//! out the same way.
-//!
-//! **Pipelined epochs.** [`Controller::distribute_async`] stages epoch N+1
-//! on every agent while epoch N's commit acks are still draining, and
-//! [`Controller::flush`] completes whatever is in flight. The 2PC invariant
-//! is untouched because per-link FIFO order already guarantees each agent
-//! sees `Commit{N}` before `Prepare{N+1}`, agents hold an `EPOCH_HISTORY`
-//! ring of views, and the controller never orders `Commit{N+1}` until epoch
-//! N has fully finished (commit acks *and* table installs). A prepare
-//! failure for N+1 aborts only N+1; an N-commit failure cascade-aborts the
-//! staged N+1 — both numbers are burned.
+//! deadline covers the whole step instead of compounding per agent, and a
+//! repeated ack, a straggler from an earlier step or an ack of a burned
+//! epoch is discarded by key (counted in [`MuxStats`]).
 
 use crate::transport::{
     reply_channel, ControllerEndpoint, FromAgent, PrepareMsg, ReplyRx, ReplyTx, SwitchMeta,
@@ -191,10 +183,6 @@ pub struct CommitReport {
     /// Wall-clock spent in the commit phase (all agents flipped, tables
     /// migrated).
     pub commit_time: Duration,
-    /// How long this epoch's prepare fan-out overlapped the previous
-    /// epoch's commit-ack drain — nonzero only on pipelined distributes
-    /// ([`Controller::distribute_async`] back to back).
-    pub pipeline_overlap: Duration,
 }
 
 impl CommitReport {
@@ -220,49 +208,55 @@ struct AgentLink {
 /// matched no outstanding expectation and were discarded by key.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MuxStats {
-    /// Replies carrying an epoch older than every active one — acks of a
-    /// burned epoch that arrived after the abort, or after their phase's
-    /// deadline already passed.
+    /// Replies carrying an epoch older than the one being distributed —
+    /// acks of a burned epoch that arrived after its abort or deadline, or
+    /// repeats of an already-committed epoch's acks.
     pub stale: u64,
-    /// Replies from a switch whose ack for that phase was already consumed.
+    /// Replies of the epoch being distributed that were already consumed:
+    /// a repeated ack, or a straggler from an earlier step.
     pub duplicates: u64,
 }
 
-/// The prepare phase of one epoch, collected in ack-arrival order.
-struct PrepCollect {
+/// The steps of one epoch's distribution, in protocol order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    Prepare,
+    Commit,
+    Install,
+}
+
+/// What one reply is an ack for: its switch, plus the variable for an
+/// install.
+type AckKey = (SwitchId, Option<StateVar>);
+
+/// One step of one epoch, collected in ack-arrival order by
+/// [`Controller::collect`].
+struct Phase {
+    step: Step,
     epoch: u64,
-    expect: BTreeSet<SwitchId>,
-    consumed: BTreeSet<SwitchId>,
+    expect: BTreeSet<AckKey>,
+    consumed: BTreeSet<AckKey>,
     /// (agent, micros from fan-out start to ack arrival), arrival order.
     acks: Vec<(SwitchId, u64)>,
+    /// Tables released by committing agents, for the install step.
+    yields: Vec<(StateVar, StateTable)>,
     started: Instant,
-    /// When the last prepare ack arrived (phase end, excluding any
-    /// concurrent commit-ack drain time).
-    finished: Instant,
     failure: Option<DistribError>,
 }
 
-/// A commit-ordered epoch whose acks may still be draining: everything
-/// needed to finish it (collect `Committed`s, fan out table installs,
-/// record events, finalize the report) after an arbitrary delay.
-struct InFlight {
-    epoch: u64,
-    /// The epoch's root in the distribution pool (compaction liveness).
-    root: NodeId,
-    expect: BTreeSet<SwitchId>,
-    consumed: BTreeSet<SwitchId>,
-    /// (agent, micros from commit fan-out to ack arrival), arrival order.
-    acks: Vec<(SwitchId, u64)>,
-    yields: Vec<(StateVar, StateTable)>,
-    placement: BTreeMap<StateVar, SwitchId>,
-    meta_by_switch: BTreeMap<SwitchId, SwitchMeta>,
-    started: Instant,
-    /// When the most recent commit ack arrived (overlap measurement).
-    last_ack: Instant,
-    failure: Option<DistribError>,
-    /// The report under construction; commit-phase fields are filled at
-    /// completion.
-    report: CommitReport,
+impl Phase {
+    fn new(step: Step, epoch: u64, expect: BTreeSet<AckKey>) -> Phase {
+        Phase {
+            step,
+            epoch,
+            expect,
+            consumed: BTreeSet::new(),
+            acks: Vec::new(),
+            yields: Vec::new(),
+            started: Instant::now(),
+            failure: None,
+        }
+    }
 }
 
 /// What the controller remembers about a compilation it has imported into
@@ -314,8 +308,6 @@ pub struct Controller {
     /// The shared reply channel every agent link funnels into.
     reply_tx: ReplyTx,
     reply_rx: ReplyRx,
-    /// The commit-ordered epoch whose acks are still draining, if any.
-    in_flight: Option<InFlight>,
     mux: MuxStats,
 }
 
@@ -338,7 +330,6 @@ impl Controller {
             telemetry: None,
             reply_tx,
             reply_rx,
-            in_flight: None,
             mux: MuxStats::default(),
         }
     }
@@ -353,12 +344,6 @@ impl Controller {
     /// Reply-mux discard counters (stale / duplicate acks).
     pub fn mux_stats(&self) -> MuxStats {
         self.mux
-    }
-
-    /// The epoch whose commit acks are still draining, if a pipelined
-    /// distribute is in flight.
-    pub fn in_flight_epoch(&self) -> Option<u64> {
-        self.in_flight.as_ref().map(|f| f.epoch)
     }
 
     /// Log commit events (and the session's compile counters) into
@@ -459,22 +444,6 @@ impl Controller {
         self.distribute(update)
     }
 
-    /// Pipelined variant of [`Self::update_policy`]: stage and
-    /// commit-order this update without waiting for its commit acks (see
-    /// [`Self::distribute_async`]). Returns the reports of any *previous*
-    /// epochs completed during the call.
-    pub fn update_policy_async(
-        &mut self,
-        policy: &Policy,
-    ) -> Result<Vec<CommitReport>, DistribError> {
-        self.session.compile(policy)?;
-        let update = self
-            .session
-            .take_update()
-            .expect("successful compile yields an update");
-        self.distribute_async(update)
-    }
-
     /// React to a traffic-matrix change and distribute the re-routed
     /// result. `Ok(None)` when nothing has been compiled yet.
     pub fn update_traffic(
@@ -491,50 +460,24 @@ impl Controller {
         self.distribute(update).map(Some)
     }
 
-    /// Tell every agent to stop its message loop (completing any in-flight
-    /// pipelined commit first).
+    /// Tell every agent to stop its message loop.
     pub fn shutdown(&mut self) {
-        let _ = self.flush();
         for link in self.agents.values() {
             let _ = link.endpoint.send(ToAgent::Shutdown);
         }
     }
 
-    /// Distribute one session update and wait for it to commit everywhere
-    /// (see [`Self::update_policy`]): [`Self::distribute_async`] followed by
-    /// [`Self::flush`].
-    pub fn distribute(&mut self, update: SessionUpdate) -> Result<CommitReport, DistribError> {
-        self.distribute_async(update)?;
-        let mut reports = self.flush()?;
-        Ok(reports.pop().expect("flush completes the staged epoch"))
-    }
-
-    /// Stage this update on every agent, wait for the prepare acks, and
-    /// *order* the commit — without waiting for the commit acks. Back-to-back
-    /// calls pipeline: while this epoch's prepare fan-out runs, the previous
-    /// epoch's commit acks drain off the same reply mux, and the previous
-    /// epoch is fully finished (acks, table installs, report) before this
-    /// one's commit is ordered. Returns the reports of epochs *completed*
-    /// during the call (at most one); [`Self::flush`] completes the epoch
-    /// this call leaves in flight.
-    ///
-    /// Failure semantics preserve the 2PC invariant: a prepare failure for
-    /// this epoch aborts only this epoch (the previous one still completes
-    /// into [`Self::history`]); a commit failure of the *previous* epoch
-    /// cascade-aborts this staged epoch, since its base configuration is now
-    /// unknown — both numbers are burned and every mirror resyncs.
-    pub fn distribute_async(
-        &mut self,
-        update: SessionUpdate,
-    ) -> Result<Vec<CommitReport>, DistribError> {
+    /// Distribute one session update as a two-phase commit and wait for it
+    /// to finish everywhere: prepare on every agent, commit on every agent,
+    /// relay the tables the commit yielded to their new owners, and return
+    /// the report (see [`Self::update_policy`]).
+    fn distribute(&mut self, update: SessionUpdate) -> Result<CommitReport, DistribError> {
         let xfdd = &update.compiled.xfdd;
 
         // A changed state-variable order invalidates every mirror: the
-        // interned diagrams were composed under the old test order. Finish
-        // anything in flight, then reset the distribution pool and resync
-        // everyone.
+        // interned diagrams were composed under the old test order. Reset
+        // the distribution pool and resync everyone.
         if xfdd.pool().order() != self.dist.order() {
-            self.flush()?;
             self.dist = Pool::new(xfdd.pool().order().clone());
             self.fresh_len = self.dist.len();
             self.shipped.clear();
@@ -578,7 +521,7 @@ impl Controller {
         // for a fresh one (or, after a partial commit, break the
         // one-epoch-per-packet invariant outright). Stale replies from a
         // failed update always carry a smaller epoch than any later one and
-        // are discarded by `recv_reply`.
+        // are discarded by `collect`.
         let epoch = self.epoch + 1;
         self.epoch = epoch;
 
@@ -598,7 +541,7 @@ impl Controller {
         let placement_changed = ship_all || update.changes.placement_changed;
 
         // -- Phase one: prepare everywhere. --------------------------------
-        let t_prepare = Instant::now();
+        let mut prep = Phase::new(Step::Prepare, epoch, self.all_agents());
         let mut resyncs = 0usize;
         let mut meta_shipped = 0usize;
         let empty_meta = SwitchMeta::default();
@@ -646,89 +589,16 @@ impl Controller {
             // Abort the (burned) epoch everywhere and bail without
             // collecting replies — any already-queued Prepared acks carry
             // this epoch and will be discarded by the reply mux as stale.
-            // The previous epoch is still finished as best we can (its own
-            // failure would have set `dirty` too).
-            for link in self.agents.values() {
-                let _ = link.endpoint.send(ToAgent::Abort { epoch });
-            }
-            self.dirty = true;
-            self.record_event(CommitEvent::Abort {
-                epoch,
-                reason: err.to_string(),
-            });
-            let _ = self.flush();
-            return Err(err);
+            return Err(self.abort(epoch, err));
         }
 
-        // -- Joint drain off the reply mux: this epoch's prepare acks and
-        // the previous epoch's commit acks, in arrival order. -------------
-        let mut prep = PrepCollect {
-            epoch,
-            expect: self.agents.keys().copied().collect(),
-            consumed: BTreeSet::new(),
-            acks: Vec::new(),
-            started: t_prepare,
-            finished: t_prepare,
-            failure: None,
-        };
-        let mut prev = self.in_flight.take();
-        self.drain_replies(Some(&mut prep), prev.as_mut());
-
-        let mut completed = Vec::new();
-        if let Some(prev) = prev {
-            // The overlap this pipelining bought: how long after this
-            // epoch's fan-out began the previous commit was still draining.
-            let overlap = prev.last_ack.saturating_duration_since(t_prepare);
-            let prev_epoch = prev.epoch;
-            match self.finish_commit(prev) {
-                Ok(mut report) => {
-                    report.pipeline_overlap = overlap;
-                    if let Some(last) = self.history.last_mut() {
-                        last.pipeline_overlap = overlap;
-                    }
-                    completed.push(report);
-                }
-                Err(err) => {
-                    // Cascade-abort the staged epoch: its base configuration
-                    // diverged, so committing on top of it is unsound. Both
-                    // epoch numbers are burned; `finish_commit` already
-                    // marked every mirror for resync.
-                    for link in self.agents.values() {
-                        let _ = link.endpoint.send(ToAgent::Abort { epoch });
-                    }
-                    self.record_event(CommitEvent::Abort {
-                        epoch,
-                        reason: format!("cascade: epoch {prev_epoch} commit failed: {err}"),
-                    });
-                    return Err(err);
-                }
-            }
+        self.collect(&mut prep);
+        if let Some(err) = prep.failure {
+            // Nobody flips: the previous epoch keeps running on every switch
+            // (the burned epoch number is simply skipped).
+            return Err(self.abort(epoch, err));
         }
-
-        // This epoch's prepare outcome.
-        if prep.failure.is_none() && !prep.expect.is_empty() {
-            let missing = first_missing(&self.agents, &prep.expect);
-            prep.failure = Some(DistribError::Transport {
-                switch: missing,
-                error: TransportError::Timeout,
-            });
-        }
-        if let Some(err) = prep.failure.take() {
-            // Abort everywhere: nobody flips, the previous epoch keeps
-            // running on every switch (the burned epoch number is simply
-            // skipped), and the session's change baseline now includes an
-            // update that never shipped — hence `dirty`.
-            for link in self.agents.values() {
-                let _ = link.endpoint.send(ToAgent::Abort { epoch });
-            }
-            self.dirty = true;
-            self.record_event(CommitEvent::Abort {
-                epoch,
-                reason: err.to_string(),
-            });
-            return Err(err);
-        }
-        let prepare_time = prep.finished.saturating_duration_since(t_prepare);
+        let prepare_time = prep.started.elapsed();
         self.record_event(CommitEvent::Prepare {
             epoch,
             agents: self.agents.len(),
@@ -744,266 +614,65 @@ impl Controller {
                 .record(prepare_time.as_micros() as u64);
         }
 
-        // -- Phase two: order the flip everywhere; acks drain later (next
-        // distribute_async call, or flush). If the commit fails partway,
-        // some agent already holds a committed view for `epoch` (which is
-        // why the number was burned up front); recovery is conservative:
-        // resync everyone and re-ship all metadata on the next update.
-        let t_commit = Instant::now();
-        let mut inflight = InFlight {
-            epoch,
-            root,
-            expect: self.agents.keys().copied().collect(),
-            consumed: BTreeSet::new(),
-            acks: Vec::new(),
-            yields: Vec::new(),
-            placement,
-            meta_by_switch,
-            started: t_commit,
-            last_ack: t_commit,
-            failure: None,
-            report: CommitReport {
-                epoch,
-                session_epoch: update.session_epoch,
-                new_nodes,
-                delta_bytes: delta.len(),
-                full_bytes,
-                resyncs,
-                resync_bytes: resync_payload.as_ref().map_or(0, Vec::len),
-                meta_shipped,
-                migrated_tables: 0,
-                compacted_nodes: 0,
-                prepare_time,
-                commit_time: Duration::ZERO,
-                pipeline_overlap: Duration::ZERO,
-            },
-        };
+        // -- Phase two: flip everywhere. If the commit fails partway, some
+        // agent already holds a committed view for `epoch` (which is why the
+        // number was burned up front); recovery is conservative: resync
+        // everyone and re-ship all metadata on the next update.
+        let mut commit = Phase::new(Step::Commit, epoch, self.all_agents());
         for link in self.agents.values_mut() {
             if let Err(error) = link.endpoint.send(ToAgent::Commit { epoch }) {
                 // This agent never got the flip order: its config is now
-                // behind. It will not ack; fail the epoch at completion.
-                inflight.expect.remove(&link.switch);
+                // behind, and it will not ack.
+                commit.expect.remove(&(link.switch, None));
                 link.needs_resync = true;
-                inflight.failure.get_or_insert(DistribError::Transport {
+                commit.failure.get_or_insert(DistribError::Transport {
                     switch: link.name.clone(),
                     error,
                 });
             }
         }
-        self.in_flight = Some(inflight);
-        Ok(completed)
-    }
+        self.collect(&mut commit);
 
-    /// Complete the in-flight epoch, if any: drain its remaining commit
-    /// acks, fan out the yielded-table installs, record events and return
-    /// its report. `Ok(vec![])` when nothing is in flight.
-    pub fn flush(&mut self) -> Result<Vec<CommitReport>, DistribError> {
-        let Some(mut inflight) = self.in_flight.take() else {
-            return Ok(Vec::new());
-        };
-        self.drain_replies(None, Some(&mut inflight));
-        self.finish_commit(inflight).map(|r| vec![r])
-    }
-
-    /// Consume replies off the shared mux in arrival order, routing each to
-    /// the prepare collector or the in-flight commit by `(switch, epoch)`.
-    /// One deadline covers the whole drain; timeouts are attributed to the
-    /// first still-missing agent of each phase. Stale and duplicate replies
-    /// are discarded and counted.
-    fn drain_replies(
-        &mut self,
-        mut prep: Option<&mut PrepCollect>,
-        mut commit: Option<&mut InFlight>,
-    ) {
-        let deadline = Instant::now() + self.options.timeout;
-        loop {
-            let prep_open = prep.as_ref().is_some_and(|p| !p.expect.is_empty());
-            let commit_open = commit.as_ref().is_some_and(|c| !c.expect.is_empty());
-            if !prep_open && !commit_open {
-                return;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let msg = match self.reply_rx.recv_timeout(remaining) {
-                Ok(msg) => msg,
-                Err(error) => {
-                    // Deadline (or the reply channel itself died): mark the
-                    // missing mirrors unknown and attribute the failure.
-                    if let Some(p) = prep.as_deref_mut() {
-                        if !p.expect.is_empty() {
-                            for switch in &p.expect {
-                                if let Some(link) = self.agents.get_mut(switch) {
-                                    link.needs_resync = true;
-                                }
-                            }
-                            p.failure.get_or_insert(DistribError::Transport {
-                                switch: first_missing(&self.agents, &p.expect),
-                                error: error.clone(),
-                            });
-                        }
-                    }
-                    if let Some(c) = commit.as_deref_mut() {
-                        if !c.expect.is_empty() {
-                            c.failure.get_or_insert(DistribError::Transport {
-                                switch: first_missing(&self.agents, &c.expect),
-                                error,
-                            });
-                        }
-                    }
-                    return;
-                }
-            };
-            self.route_reply(msg, prep.as_deref_mut(), commit.as_deref_mut());
-        }
-    }
-
-    /// Route one mux message. Consumes it into the matching collector, or
-    /// discards it as stale/duplicate, or records a protocol failure.
-    fn route_reply(
-        &mut self,
-        msg: FromAgent,
-        prep: Option<&mut PrepCollect>,
-        commit: Option<&mut InFlight>,
-    ) {
-        let switch = msg.switch();
-        let msg_epoch = msg.epoch();
-        if let Some(p) = prep {
-            if msg_epoch == p.epoch {
-                match msg {
-                    FromAgent::Prepared { .. } if p.expect.remove(&switch) => {
-                        p.consumed.insert(switch);
-                        p.finished = Instant::now();
-                        let us = p.started.elapsed().as_micros() as u64;
-                        if let Some(link) = self.agents.get_mut(&switch) {
-                            link.synced_len = self.dist.len();
-                            link.needs_resync = false;
-                            p.acks.push((switch, us));
-                        }
-                        if let Some(t) = &self.telemetry {
-                            t.registry().histogram("commit.prepare_ack_us").record(us);
-                        }
-                    }
-                    FromAgent::PrepareFailed { reason, .. } if p.expect.remove(&switch) => {
-                        p.consumed.insert(switch);
-                        p.finished = Instant::now();
-                        if let Some(link) = self.agents.get_mut(&switch) {
-                            link.needs_resync = true;
-                        }
-                        p.failure.get_or_insert(DistribError::PrepareRejected {
-                            switch: self.agent_name(switch),
-                            reason,
-                        });
-                    }
-                    _ if p.consumed.contains(&switch) => self.mux.duplicates += 1,
-                    other => {
-                        if let Some(link) = self.agents.get_mut(&switch) {
-                            link.needs_resync = true;
-                        }
-                        p.failure.get_or_insert(DistribError::Protocol {
-                            switch: self.agent_name(switch),
-                            unexpected: format!("{other:?}"),
-                        });
-                    }
-                }
-                return;
-            }
-        }
-        if let Some(c) = commit {
-            if msg_epoch == c.epoch {
-                match msg {
-                    FromAgent::Committed { yields, .. } if c.expect.remove(&switch) => {
-                        c.consumed.insert(switch);
-                        c.last_ack = Instant::now();
-                        let us = c.started.elapsed().as_micros() as u64;
-                        c.acks.push((switch, us));
-                        c.yields.extend(yields);
-                        if let Some(t) = &self.telemetry {
-                            t.registry().histogram("commit.commit_ack_us").record(us);
-                        }
-                    }
-                    FromAgent::Committed { .. } if !c.consumed.contains(&switch) => {
-                        // A Committed from a switch this commit never
-                        // expected an ack from (e.g. its Commit send
-                        // failed): genuinely out of protocol.
-                        c.failure.get_or_insert(DistribError::Protocol {
-                            switch: self.agent_name(switch),
-                            unexpected: "Committed from unexpected switch".to_string(),
-                        });
-                    }
-                    // Anything else carrying this epoch is a straggler from
-                    // an already-closed phase (a duplicate Committed, or a
-                    // late prepare-phase reply): discard by key.
-                    _ => self.mux.duplicates += 1,
-                }
-                return;
-            }
-        }
-        if msg_epoch < self.epoch {
-            // An ack of a burned or already-completed epoch: harmless.
-            self.mux.stale += 1;
-        } else {
-            // A reply for the current-or-future epoch that matches no
-            // outstanding expectation — count it rather than failing a
-            // phase it does not belong to.
-            self.mux.duplicates += 1;
-        }
-    }
-
-    /// Finish a commit-ordered epoch whose acks have been drained: fan out
-    /// the yielded-table installs, record events and bookkeeping, run the
-    /// auto-compaction check, and finalize the report.
-    fn finish_commit(&mut self, mut inflight: InFlight) -> Result<CommitReport, DistribError> {
-        let epoch = inflight.epoch;
-        if inflight.failure.is_none() && !inflight.expect.is_empty() {
-            inflight.failure = Some(DistribError::Transport {
-                switch: first_missing(&self.agents, &inflight.expect),
-                error: TransportError::Timeout,
-            });
-        }
-        if inflight.failure.is_none() {
-            // Relay yielded tables to their new owners, fanned out like any
-            // other phase: all sends first, then the acks in arrival order.
-            // A variable the new program no longer places is dropped
-            // (deterministic fresh start on re-placement).
-            let yields = std::mem::take(&mut inflight.yields);
-            inflight.report.migrated_tables = yields.len();
-            let mut expect: BTreeSet<(SwitchId, StateVar)> = BTreeSet::new();
-            for (var, table) in yields {
-                let Some(&owner) = inflight.placement.get(&var) else {
+        // Relay yielded tables to their new owners, fanned out like any
+        // other step. A variable the new program no longer places is dropped
+        // (deterministic fresh start on re-placement).
+        let migrated_tables = commit.yields.len();
+        if commit.failure.is_none() {
+            let mut install = Phase::new(Step::Install, epoch, BTreeSet::new());
+            for (var, table) in std::mem::take(&mut commit.yields) {
+                let Some(link) = placement.get(&var).and_then(|o| self.agents.get(o)) else {
                     continue;
                 };
-                let Some(link) = self.agents.get(&owner) else {
-                    continue;
-                };
-                if let Err(error) = link.endpoint.send(ToAgent::InstallTable {
-                    epoch,
-                    var: var.clone(),
-                    table,
-                }) {
-                    inflight.failure.get_or_insert(DistribError::Transport {
-                        switch: link.name.clone(),
-                        error,
-                    });
-                } else {
-                    expect.insert((owner, var));
+                let key = (link.switch, Some(var.clone()));
+                match link
+                    .endpoint
+                    .send(ToAgent::InstallTable { epoch, var, table })
+                {
+                    Ok(()) => {
+                        install.expect.insert(key);
+                    }
+                    Err(error) => {
+                        install.failure.get_or_insert(DistribError::Transport {
+                            switch: link.name.clone(),
+                            error,
+                        });
+                    }
                 }
             }
-            if !expect.is_empty() {
-                if let Some(err) = self.collect_installs(epoch, expect) {
-                    inflight.failure.get_or_insert(err);
-                }
-            }
+            self.collect(&mut install);
+            commit.failure = install.failure;
         }
-        if let Some(err) = inflight.failure {
+        if let Some(err) = commit.failure {
             // Some agents may have flipped, others not — the running fleet
             // is only trusted again after a full resync. Yields inside a
             // reply that never arrived are unrecoverable here; the agents'
             // store-authoritative yield on the next commit re-homes anything
             // stranded on a switch.
-            self.dirty = true;
             for link in self.agents.values_mut() {
                 link.needs_resync = true;
                 link.meta = None;
             }
+            self.dirty = true;
             self.record_event(CommitEvent::Abort {
                 epoch,
                 reason: err.to_string(),
@@ -1011,13 +680,12 @@ impl Controller {
             return Err(err);
         }
 
-        let commit_time = inflight.started.elapsed();
-        inflight.report.commit_time = commit_time;
+        let commit_time = commit.started.elapsed();
         self.record_event(CommitEvent::Commit {
             epoch,
-            migrated_tables: inflight.report.migrated_tables,
+            migrated_tables,
             micros: commit_time.as_micros() as u64,
-            per_agent: AgentTimings::from_acks(self.named(inflight.acks)),
+            per_agent: AgentTimings::from_acks(self.named(commit.acks)),
         });
         if let Some(t) = &self.telemetry {
             t.registry()
@@ -1027,14 +695,9 @@ impl Controller {
 
         // Bookkeeping: the epoch is committed everywhere.
         self.dirty = false;
-        let empty_meta = SwitchMeta::default();
         for link in self.agents.values_mut() {
-            let meta = inflight
-                .meta_by_switch
-                .get(&link.switch)
-                .cloned()
-                .unwrap_or_else(|| empty_meta.clone());
-            link.meta = Some(meta);
+            let meta = meta_by_switch.get(&link.switch).unwrap_or(&empty_meta);
+            link.meta = Some(meta.clone());
         }
         // Auto-compaction policy: the distribution pool is append-only, so
         // a long-lived controller accumulates every superseded generation.
@@ -1042,79 +705,153 @@ impl Controller {
         // program's size, compact it down to the live program now — the
         // agents keep serving their existing views (packet tags stay valid;
         // views are immutable bundles over the old numbering) and the next
-        // update resyncs every mirror against the renumbered pool. (With a
-        // successor epoch already staged, "live" is measured from this
-        // epoch's root; the compacted pool holds the session's latest
-        // program either way, and the forced resync squares everyone up.)
+        // update resyncs every mirror against the renumbered pool.
+        let mut compacted_nodes = 0;
         if let Some(factor) = self.options.compact_threshold {
             let mut live = 0usize;
-            self.dist.visit_reachable([inflight.root], |_, _| {
+            self.dist.visit_reachable([root], |_, _| {
                 live += 1;
                 true
             });
             if self.dist.len() > factor.max(1) * live.max(1) {
-                let compacted = self.compact_distribution();
-                inflight.report.compacted_nodes = compacted;
+                compacted_nodes = self.compact_distribution();
                 self.record_event(CommitEvent::Compaction {
                     epoch,
-                    reclaimed: compacted,
+                    reclaimed: compacted_nodes,
                 });
             }
         }
 
-        self.history.push(inflight.report.clone());
-        Ok(inflight.report)
+        let report = CommitReport {
+            epoch,
+            session_epoch: update.session_epoch,
+            new_nodes,
+            delta_bytes: delta.len(),
+            full_bytes,
+            resyncs,
+            resync_bytes: resync_payload.as_ref().map_or(0, Vec::len),
+            meta_shipped,
+            migrated_tables,
+            compacted_nodes,
+            prepare_time,
+            commit_time,
+        };
+        self.history.push(report.clone());
+        Ok(report)
     }
 
-    /// Collect `Installed` acks for a fanned-out set of table installs.
-    /// Returns the first failure, after draining as much as possible —
-    /// losing one ack must not also lose the other installs.
-    fn collect_installs(
-        &mut self,
-        epoch: u64,
-        mut expect: BTreeSet<(SwitchId, StateVar)>,
-    ) -> Option<DistribError> {
+    /// Abort a burned epoch before any agent committed it: every agent
+    /// drops what it staged and keeps running the previous epoch, and the
+    /// session's change baseline now includes an update that never shipped
+    /// — hence `dirty`. Returns `err` for the caller to surface.
+    fn abort(&mut self, epoch: u64, err: DistribError) -> DistribError {
+        for link in self.agents.values() {
+            let _ = link.endpoint.send(ToAgent::Abort { epoch });
+        }
+        self.dirty = true;
+        self.record_event(CommitEvent::Abort {
+            epoch,
+            reason: err.to_string(),
+        });
+        err
+    }
+
+    /// One expected ack per attached agent (prepare and commit steps).
+    fn all_agents(&self) -> BTreeSet<AckKey> {
+        self.agents.keys().map(|&switch| (switch, None)).collect()
+    }
+
+    /// Consume replies off the shared mux in arrival order until `phase`
+    /// has every ack it expects, or its one deadline passes. This is the
+    /// only place the controller waits for an agent. Each reply is
+    /// consumed (an expected ack of this step), discarded and counted (a
+    /// repeat of a consumed key or an earlier step's straggler of this
+    /// epoch as a duplicate, any older epoch as stale), or recorded as a
+    /// protocol failure. On timeout every still-missing mirror is marked
+    /// for resync and the failure names the first missing agent.
+    fn collect(&mut self, phase: &mut Phase) {
         let deadline = Instant::now() + self.options.timeout;
-        let mut consumed: BTreeSet<(SwitchId, StateVar)> = BTreeSet::new();
-        let mut failure: Option<DistribError> = None;
-        while !expect.is_empty() {
+        while let Some(&(switch, _)) = phase.expect.first() {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let msg = match self.reply_rx.recv_timeout(remaining) {
                 Ok(msg) => msg,
                 Err(error) => {
-                    let (switch, _) = expect.first().expect("non-empty");
-                    failure.get_or_insert(DistribError::Transport {
-                        switch: self.agent_name(*switch),
+                    // Deadline (or the reply channel itself died).
+                    phase.failure.get_or_insert(DistribError::Transport {
+                        switch: self.agent_name(switch),
                         error,
                     });
-                    break;
+                    for (switch, _) in &phase.expect {
+                        if let Some(link) = self.agents.get_mut(switch) {
+                            link.needs_resync = true;
+                        }
+                    }
+                    return;
                 }
             };
-            match msg {
-                FromAgent::Installed {
-                    switch,
-                    epoch: e,
-                    ref var,
-                } if e == epoch && expect.remove(&(switch, var.clone())) => {
-                    consumed.insert((switch, var.clone()));
+            let (step, var) = match &msg {
+                FromAgent::Prepared { .. } | FromAgent::PrepareFailed { .. } => {
+                    (Step::Prepare, None)
                 }
-                other => {
-                    if other.epoch() < self.epoch {
-                        self.mux.stale += 1;
-                    } else if matches!(&other, FromAgent::Installed { switch, epoch: e, var }
-                        if *e == epoch && consumed.contains(&(*switch, var.clone())))
-                    {
-                        self.mux.duplicates += 1;
-                    } else {
-                        failure.get_or_insert(DistribError::Protocol {
-                            switch: self.agent_name(other.switch()),
-                            unexpected: format!("{other:?}"),
-                        });
-                    }
+                FromAgent::Committed { .. } => (Step::Commit, None),
+                FromAgent::Installed { var, .. } => (Step::Install, Some(var.clone())),
+            };
+            let key = (msg.switch(), var);
+            if msg.epoch() < phase.epoch {
+                self.mux.stale += 1;
+            } else if msg.epoch() == phase.epoch && step == phase.step && phase.expect.remove(&key)
+            {
+                phase.consumed.insert(key);
+                self.consume(phase, msg);
+            } else if msg.epoch() == phase.epoch
+                && (step < phase.step || phase.consumed.contains(&key))
+            {
+                self.mux.duplicates += 1;
+            } else {
+                let switch = msg.switch();
+                if let Some(link) = self.agents.get_mut(&switch) {
+                    link.needs_resync = true;
                 }
+                phase.failure.get_or_insert(DistribError::Protocol {
+                    switch: self.agent_name(switch),
+                    unexpected: format!("{msg:?}"),
+                });
             }
         }
-        failure
+    }
+
+    /// Take in one expected ack of `phase`'s step.
+    fn consume(&mut self, phase: &mut Phase, msg: FromAgent) {
+        let us = phase.started.elapsed().as_micros() as u64;
+        match msg {
+            FromAgent::Prepared { switch, .. } => {
+                if let Some(link) = self.agents.get_mut(&switch) {
+                    link.synced_len = self.dist.len();
+                    link.needs_resync = false;
+                }
+                phase.acks.push((switch, us));
+                if let Some(t) = &self.telemetry {
+                    t.registry().histogram("commit.prepare_ack_us").record(us);
+                }
+            }
+            FromAgent::PrepareFailed { switch, reason, .. } => {
+                if let Some(link) = self.agents.get_mut(&switch) {
+                    link.needs_resync = true;
+                }
+                phase.failure.get_or_insert(DistribError::PrepareRejected {
+                    switch: self.agent_name(switch),
+                    reason,
+                });
+            }
+            FromAgent::Committed { switch, yields, .. } => {
+                phase.acks.push((switch, us));
+                phase.yields.extend(yields);
+                if let Some(t) = &self.telemetry {
+                    t.registry().histogram("commit.commit_ack_us").record(us);
+                }
+            }
+            FromAgent::Installed { .. } => {}
+        }
     }
 
     /// Arrival-order acks with the agents' display names, for a commit
@@ -1152,18 +889,4 @@ impl Controller {
         self.update_pool_gauge();
         before.saturating_sub(self.dist.len())
     }
-}
-
-/// The display name of the first switch still missing from `expect` —
-/// timeout attribution for a phase that did not fully drain.
-fn first_missing(agents: &BTreeMap<SwitchId, AgentLink>, expect: &BTreeSet<SwitchId>) -> String {
-    expect
-        .first()
-        .map(|switch| {
-            agents
-                .get(switch)
-                .map(|l| l.name.clone())
-                .unwrap_or_else(|| format!("switch-{}", switch.0))
-        })
-        .unwrap_or_else(|| "<none>".to_string())
 }

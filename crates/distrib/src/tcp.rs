@@ -13,8 +13,8 @@
 //!
 //! Nothing here is async: one blocked reader thread per agent costs a stack,
 //! and a thousand of them is well within what the soak rig's host handles —
-//! the scalability this PR buys is in *phase structure* (concurrent fan-out,
-//! pipelined epochs), not in the socket layer's thread count.
+//! the scalability lies in *phase structure* (concurrent fan-out into one
+//! reply mux), not in the socket layer's thread count.
 
 use crate::frame::{
     decode_from_agent, decode_hello, decode_to_agent, encode_from_agent, encode_hello,

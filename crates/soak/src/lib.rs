@@ -472,12 +472,8 @@ fn churn_loop(
         std::thread::sleep(slice);
         gate.checkpoint();
         if since.elapsed() >= period {
-            // Pipelined: stage epoch N+1 while N's commit acks drain. A
-            // successful call may therefore complete zero epochs (the
-            // first of the run) or one; the final `flush` below drains
-            // whatever is still in flight when the run ends.
-            match controller.update_policy_async(&variants[next % variants.len()]) {
-                Ok(reports) => totals.commits += reports.len() as u64,
+            match controller.update_policy(&variants[next % variants.len()]) {
+                Ok(_) => totals.commits += 1,
                 Err(e) => {
                     totals.aborts += 1;
                     if totals.samples.len() < 4 {
@@ -487,15 +483,6 @@ fn churn_loop(
             }
             next += 1;
             since = Instant::now();
-        }
-    }
-    match controller.flush() {
-        Ok(reports) => totals.commits += reports.len() as u64,
-        Err(e) => {
-            totals.aborts += 1;
-            if totals.samples.len() < 4 {
-                totals.samples.push(format!("churn flush: {e}"));
-            }
         }
     }
     gate.leave();
