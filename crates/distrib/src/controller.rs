@@ -7,10 +7,12 @@
 //! against everything ever shipped, so the pool grows by exactly the
 //! *structurally new* nodes of the update — and ships each agent the
 //! node-table suffix past what that agent already mirrors
-//! ([`snap_xfdd::encode_delta`]), plus only the per-switch metadata entries
-//! that changed ([`snap_session::SwitchChanges`]). A working-set edit
-//! therefore costs a few nodes on the wire; a rollback costs a zero-node
-//! delta carrying just the old root.
+//! ([`snap_xfdd::encode_delta`]). Each agent's link is the one record of
+//! what that agent runs: the compilation it last committed. Metadata (owned
+//! variables, ports) and the placement go to an agent only where they
+//! differ from that commit; the agent carries everything else forward. A
+//! working-set edit therefore costs a few nodes on the wire; a rollback
+//! costs a zero-node delta carrying just the old root.
 //!
 //! **Commit invariant.** An update is distributed in two phases: `Prepare`
 //! to every agent (stage mirror + flattened view; running config untouched),
@@ -52,12 +54,12 @@
 //! epoch is discarded by key (counted in [`MuxStats`]).
 
 use crate::transport::{
-    reply_channel, ControllerEndpoint, FromAgent, PrepareMsg, ReplyRx, ReplyTx, SwitchMeta,
-    ToAgent, TransportError,
+    reply_channel, ControllerEndpoint, FromAgent, PrepareMsg, ReplyRx, ReplyTx, ToAgent,
+    TransportError,
 };
 use snap_core::Compiled;
 use snap_lang::{Policy, StateTable, StateVar};
-use snap_session::{CompilerSession, SessionUpdate};
+use snap_session::CompilerSession;
 use snap_telemetry::{AgentTimings, CommitEvent, Telemetry};
 use snap_topology::{NodeId as SwitchId, TrafficMatrix};
 use snap_xfdd::{encode_delta, CompileError, NodeId, Pool};
@@ -154,8 +156,6 @@ impl Default for DistribOptions {
 pub struct CommitReport {
     /// The committed distribution epoch.
     pub epoch: u64,
-    /// The session epoch the update came from.
-    pub session_epoch: u64,
     /// Structurally new nodes this update added to the distribution pool.
     pub new_nodes: usize,
     /// Bytes of the suffix delta shipped to each in-sync agent. When
@@ -192,16 +192,20 @@ impl CommitReport {
     }
 }
 
+/// One attached agent, and the controller's only record of what it runs.
 struct AgentLink {
     switch: SwitchId,
     name: String,
     endpoint: Box<dyn ControllerEndpoint>,
-    /// Mirror length after the agent's last successful prepare; valid only
-    /// when `needs_resync` is false.
-    synced_len: usize,
-    needs_resync: bool,
-    /// Metadata last committed to this agent.
-    meta: Option<SwitchMeta>,
+    /// Mirror length after the agent's last successful prepare; `None` when
+    /// the mirror is unknown (never synced, or diverged) and the next update
+    /// must resync it.
+    mirrored: Option<usize>,
+    /// The compilation this agent last committed: the baseline its metadata
+    /// and placement are compared against. `None` before its first commit
+    /// and after a failed commit step. A prepare abort leaves it as is —
+    /// agents keep running what they committed.
+    committed: Option<Arc<Compiled>>,
 }
 
 /// Reply-mux bookkeeping: messages that arrived on the shared channel but
@@ -289,18 +293,12 @@ pub struct Controller {
     fresh_len: usize,
     epoch: u64,
     agents: BTreeMap<SwitchId, AgentLink>,
-    /// Set when a distribute failed: the session's change tracking can no
-    /// longer be trusted as a baseline (it records every *taken* update,
-    /// shipped or not), so the next update re-ships metadata and placement
-    /// to everyone.
-    dirty: bool,
     /// Recently shipped compilations, oldest first (bounded by
     /// [`SHIPPED_MEMO_CAP`]). Roots are only meaningful in the current
     /// distribution pool, so the memo is cleared whenever that pool is
     /// replaced (variable-order reset, compaction).
     shipped: Vec<Shipped>,
     options: DistribOptions,
-    history: Vec<CommitReport>,
     /// Where commit events (prepare/commit/abort/compaction, with payload
     /// sizes and per-agent ack timings) are logged; shared with the data
     /// plane by the deployment helpers so one snapshot covers both.
@@ -323,10 +321,8 @@ impl Controller {
             fresh_len,
             epoch: 0,
             agents: BTreeMap::new(),
-            dirty: false,
             shipped: Vec::new(),
             options: DistribOptions::default(),
-            history: Vec::new(),
             telemetry: None,
             reply_tx,
             reply_rx,
@@ -383,26 +379,37 @@ impl Controller {
         self
     }
 
-    /// The controller's tunables.
-    pub fn options(&self) -> &DistribOptions {
-        &self.options
-    }
-
     /// Attach an agent for a switch. The first update it receives is a full
-    /// resync.
-    pub fn attach(&mut self, switch: SwitchId, endpoint: Box<dyn ControllerEndpoint>) {
-        let name = self.session.topology().node_name(switch).to_string();
+    /// resync. A switch outside the session's topology — say, the claim of
+    /// a peer's hello frame — is refused with [`DistribError::Protocol`] and
+    /// its endpoint dropped.
+    pub fn attach(
+        &mut self,
+        switch: SwitchId,
+        endpoint: Box<dyn ControllerEndpoint>,
+    ) -> Result<(), DistribError> {
+        let topology = self.session.topology();
+        if switch.0 >= topology.num_nodes() {
+            return Err(DistribError::Protocol {
+                switch: format!("switch-{}", switch.0),
+                unexpected: format!(
+                    "a hello for a switch outside the {}-switch topology",
+                    topology.num_nodes()
+                ),
+            });
+        }
+        let name = topology.node_name(switch).to_string();
         self.agents.insert(
             switch,
             AgentLink {
                 switch,
                 name,
                 endpoint,
-                synced_len: 0,
-                needs_resync: true,
-                meta: None,
+                mirrored: None,
+                committed: None,
             },
         );
+        Ok(())
     }
 
     /// The wrapped compiler session.
@@ -425,23 +432,14 @@ impl Controller {
         self.dist.len()
     }
 
-    /// Reports of every committed update, oldest first.
-    pub fn history(&self) -> &[CommitReport] {
-        &self.history
-    }
-
     /// Compile a policy update and distribute it to every agent as a
     /// two-phase delta commit. Returns the commit report, or an error if
     /// compilation, staging or transport failed (on staging failure the
     /// epoch was aborted everywhere and the previous configuration keeps
     /// running).
     pub fn update_policy(&mut self, policy: &Policy) -> Result<CommitReport, DistribError> {
-        self.session.compile(policy)?;
-        let update = self
-            .session
-            .take_update()
-            .expect("successful compile yields an update");
-        self.distribute(update)
+        let compiled = self.session.compile(policy)?;
+        self.distribute(compiled)
     }
 
     /// React to a traffic-matrix change and distribute the re-routed
@@ -450,14 +448,10 @@ impl Controller {
         &mut self,
         traffic: TrafficMatrix,
     ) -> Result<Option<CommitReport>, DistribError> {
-        if self.session.update_traffic(traffic).is_none() {
-            return Ok(None);
+        match self.session.update_traffic(traffic) {
+            Some(compiled) => self.distribute(compiled).map(Some),
+            None => Ok(None),
         }
-        let update = self
-            .session
-            .take_update()
-            .expect("reroute yields an update");
-        self.distribute(update).map(Some)
     }
 
     /// Tell every agent to stop its message loop.
@@ -467,12 +461,12 @@ impl Controller {
         }
     }
 
-    /// Distribute one session update as a two-phase commit and wait for it
-    /// to finish everywhere: prepare on every agent, commit on every agent,
+    /// Distribute one compilation as a two-phase commit and wait for it to
+    /// finish everywhere: prepare on every agent, commit on every agent,
     /// relay the tables the commit yielded to their new owners, and return
     /// the report (see [`Self::update_policy`]).
-    fn distribute(&mut self, update: SessionUpdate) -> Result<CommitReport, DistribError> {
-        let xfdd = &update.compiled.xfdd;
+    fn distribute(&mut self, compiled: Arc<Compiled>) -> Result<CommitReport, DistribError> {
+        let xfdd = &compiled.xfdd;
 
         // A changed state-variable order invalidates every mirror: the
         // interned diagrams were composed under the old test order. Reset
@@ -482,7 +476,7 @@ impl Controller {
             self.fresh_len = self.dist.len();
             self.shipped.clear();
             for link in self.agents.values_mut() {
-                link.needs_resync = true;
+                link.mirrored = None;
             }
         }
 
@@ -493,7 +487,7 @@ impl Controller {
         let remembered = self
             .shipped
             .iter()
-            .find(|s| std::ptr::eq(s.compiled.as_ptr(), Arc::as_ptr(&update.compiled)))
+            .find(|s| std::ptr::eq(s.compiled.as_ptr(), Arc::as_ptr(&compiled)))
             .map(|s| (s.root, s.full_bytes));
         let (root, full_bytes) = match remembered {
             Some(hit) => hit,
@@ -506,7 +500,7 @@ impl Controller {
                     self.shipped.remove(0);
                 }
                 self.shipped.push(Shipped {
-                    compiled: Arc::downgrade(&update.compiled),
+                    compiled: Arc::downgrade(&compiled),
                     root,
                     full_bytes,
                 });
@@ -530,24 +524,18 @@ impl Controller {
         let delta = encode_delta(&self.dist, base, root);
         let mut resync_payload: Option<Vec<u8>> = None;
 
-        // One source of truth for per-switch metadata: the map the session
-        // compared for its change tracking.
-        let meta_by_switch = update.switch_meta;
-        let placement: BTreeMap<StateVar, SwitchId> = update.compiled.placement.placement.clone();
-        // The session's per-switch change tracking decides what to re-ship
-        // in steady state; after any failed distribute its baseline is off
-        // by the unshipped update, so everything goes out again once.
-        let ship_all = self.dirty || update.changes.first;
-        let placement_changed = ship_all || update.changes.placement_changed;
-
         // -- Phase one: prepare everywhere. --------------------------------
+        // Metadata and placement go to an agent only where they differ from
+        // what that agent last committed (everything, to a resyncing one);
+        // it carries the rest forward from its running view.
+        let switches = &compiled.rules.switches;
+        let placement = &compiled.placement.placement;
         let mut prep = Phase::new(Step::Prepare, epoch, self.all_agents());
         let mut resyncs = 0usize;
         let mut meta_shipped = 0usize;
-        let empty_meta = SwitchMeta::default();
         let mut send_failure: Option<DistribError> = None;
         for link in self.agents.values_mut() {
-            let resync = link.needs_resync || link.synced_len != base;
+            let resync = link.mirrored != Some(base);
             let payload = if resync {
                 resyncs += 1;
                 resync_payload
@@ -556,28 +544,24 @@ impl Controller {
             } else {
                 delta.clone()
             };
-            let new_meta = meta_by_switch.get(&link.switch).unwrap_or(&empty_meta);
-            let meta = if resync
-                || ship_all
-                || link.meta.is_none()
-                || update.changes.meta_changed.contains(&link.switch)
-            {
+            let running = link.committed.as_ref().filter(|_| !resync);
+            let meta = switches.get(&link.switch);
+            let ship_meta = running.is_none_or(|c| c.rules.switches.get(&link.switch) != meta);
+            if ship_meta {
                 meta_shipped += 1;
-                Some(new_meta.clone())
-            } else {
-                None
-            };
+            }
+            let ship_placement = running.is_none_or(|c| c.placement.placement != *placement);
             let msg = PrepareMsg {
                 epoch,
                 resync,
                 delta: payload,
-                meta,
-                placement: (resync || placement_changed).then(|| placement.clone()),
+                meta: ship_meta.then(|| meta.cloned().unwrap_or_default()),
+                placement: ship_placement.then(|| placement.clone()),
             };
             if let Err(error) = link.endpoint.send(ToAgent::Prepare(Box::new(msg))) {
                 // The agent's state is unknown (its transport just died
                 // mid-protocol): mark it for resync and fail the update.
-                link.needs_resync = true;
+                link.mirrored = None;
                 send_failure = Some(DistribError::Transport {
                     switch: link.name.clone(),
                     error,
@@ -624,7 +608,7 @@ impl Controller {
                 // This agent never got the flip order: its config is now
                 // behind, and it will not ack.
                 commit.expect.remove(&(link.switch, None));
-                link.needs_resync = true;
+                link.mirrored = None;
                 commit.failure.get_or_insert(DistribError::Transport {
                     switch: link.name.clone(),
                     error,
@@ -664,15 +648,15 @@ impl Controller {
         }
         if let Some(err) = commit.failure {
             // Some agents may have flipped, others not — the running fleet
-            // is only trusted again after a full resync. Yields inside a
-            // reply that never arrived are unrecoverable here; the agents'
+            // is only trusted again after a full resync, and no link knows
+            // what its agent runs until then. Yields inside a reply that
+            // never arrived are unrecoverable here; the agents'
             // store-authoritative yield on the next commit re-homes anything
             // stranded on a switch.
             for link in self.agents.values_mut() {
-                link.needs_resync = true;
-                link.meta = None;
+                link.mirrored = None;
+                link.committed = None;
             }
-            self.dirty = true;
             self.record_event(CommitEvent::Abort {
                 epoch,
                 reason: err.to_string(),
@@ -694,10 +678,8 @@ impl Controller {
         }
 
         // Bookkeeping: the epoch is committed everywhere.
-        self.dirty = false;
         for link in self.agents.values_mut() {
-            let meta = meta_by_switch.get(&link.switch).unwrap_or(&empty_meta);
-            link.meta = Some(meta.clone());
+            link.committed = Some(Arc::clone(&compiled));
         }
         // Auto-compaction policy: the distribution pool is append-only, so
         // a long-lived controller accumulates every superseded generation.
@@ -722,9 +704,8 @@ impl Controller {
             }
         }
 
-        let report = CommitReport {
+        Ok(CommitReport {
             epoch,
-            session_epoch: update.session_epoch,
             new_nodes,
             delta_bytes: delta.len(),
             full_bytes,
@@ -735,20 +716,17 @@ impl Controller {
             compacted_nodes,
             prepare_time,
             commit_time,
-        };
-        self.history.push(report.clone());
-        Ok(report)
+        })
     }
 
     /// Abort a burned epoch before any agent committed it: every agent
-    /// drops what it staged and keeps running the previous epoch, and the
-    /// session's change baseline now includes an update that never shipped
-    /// — hence `dirty`. Returns `err` for the caller to surface.
-    fn abort(&mut self, epoch: u64, err: DistribError) -> DistribError {
+    /// drops what it staged and keeps running the previous epoch, so every
+    /// link's `committed` stays what it was. Returns `err` for the caller
+    /// to surface.
+    fn abort(&self, epoch: u64, err: DistribError) -> DistribError {
         for link in self.agents.values() {
             let _ = link.endpoint.send(ToAgent::Abort { epoch });
         }
-        self.dirty = true;
         self.record_event(CommitEvent::Abort {
             epoch,
             reason: err.to_string(),
@@ -783,7 +761,7 @@ impl Controller {
                     });
                     for (switch, _) in &phase.expect {
                         if let Some(link) = self.agents.get_mut(switch) {
-                            link.needs_resync = true;
+                            link.mirrored = None;
                         }
                     }
                     return;
@@ -810,7 +788,7 @@ impl Controller {
             } else {
                 let switch = msg.switch();
                 if let Some(link) = self.agents.get_mut(&switch) {
-                    link.needs_resync = true;
+                    link.mirrored = None;
                 }
                 phase.failure.get_or_insert(DistribError::Protocol {
                     switch: self.agent_name(switch),
@@ -826,8 +804,7 @@ impl Controller {
         match msg {
             FromAgent::Prepared { switch, .. } => {
                 if let Some(link) = self.agents.get_mut(&switch) {
-                    link.synced_len = self.dist.len();
-                    link.needs_resync = false;
+                    link.mirrored = Some(self.dist.len());
                 }
                 phase.acks.push((switch, us));
                 if let Some(t) = &self.telemetry {
@@ -836,7 +813,7 @@ impl Controller {
             }
             FromAgent::PrepareFailed { switch, reason, .. } => {
                 if let Some(link) = self.agents.get_mut(&switch) {
-                    link.needs_resync = true;
+                    link.mirrored = None;
                 }
                 phase.failure.get_or_insert(DistribError::PrepareRejected {
                     switch: self.agent_name(switch),
@@ -884,7 +861,7 @@ impl Controller {
         self.fresh_len = Pool::new(self.dist.order().clone()).len();
         self.shipped.clear();
         for link in self.agents.values_mut() {
-            link.needs_resync = true;
+            link.mirrored = None;
         }
         self.update_pool_gauge();
         before.saturating_sub(self.dist.len())

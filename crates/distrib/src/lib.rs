@@ -10,7 +10,7 @@
 //!   pool (hash-consing dedupes against everything ever shipped) and
 //!   distributed as a **wire-format delta**: the node-table suffix the
 //!   agents don't have yet, plus the new root and only the per-switch
-//!   metadata entries that changed. Working-set edits ship a few nodes;
+//!   metadata each agent lacks. Working-set edits ship a few nodes;
 //!   rollbacks ship zero.
 //! * [`SwitchAgent`] is the switch side: it mirrors the distribution pool
 //!   node-for-node and lowers each node once, when it arrives, all the way
@@ -150,8 +150,10 @@ pub fn deploy_in_process_custom(
         deploy,
         |controller, switch, agent| {
             let (controller_end, agent_end) = channel_link(controller.reply_sender());
+            controller
+                .attach(switch, Box::new(controller_end))
+                .expect("every switch of the topology attaches");
             let handle = std::thread::spawn(move || agent.run(agent_end));
-            controller.attach(switch, Box::new(controller_end));
             Ok::<_, Infallible>(handle)
         },
     );
@@ -189,7 +191,9 @@ pub fn deploy_tcp(
             });
             let (claimed, endpoint) = listener.accept_agent(controller.reply_sender())?;
             debug_assert_eq!(claimed, switch, "hello names the connecting switch");
-            controller.attach(claimed, Box::new(endpoint));
+            controller
+                .attach(claimed, Box::new(endpoint))
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             Ok(handle)
         },
     )

@@ -79,7 +79,7 @@ fn build_with_interposer(
         let (ctrl_end, agent_end) = channel_link(reply);
         let runner = Arc::clone(&agent);
         handles.push(std::thread::spawn(move || runner.run(agent_end)));
-        controller.attach(switch, Box::new(ctrl_end));
+        controller.attach(switch, Box::new(ctrl_end)).unwrap();
         agents.push(agent);
     }
     (controller, agents, handles, forwarder)

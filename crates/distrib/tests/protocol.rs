@@ -1,14 +1,17 @@
 //! Protocol-level tests of the distribution plane: two-phase commit
-//! atomicity, abort-and-resync recovery, late-joining agents, order resets
-//! and state-table migration between agents.
+//! atomicity, abort-and-resync recovery, what each update ships to whom,
+//! refused hellos, late-joining agents, order resets and state-table
+//! migration between agents.
 
+use snap_core::Compiled;
 use snap_distrib::{
     channel_link, deploy_in_process, deploy_in_process_custom, frame, Controller, DeployOptions,
-    DistribError, DistribOptions, FromAgent, PrepareMsg, ReplyTx, SwitchAgent, SwitchMeta, ToAgent,
+    DistribError, DistribOptions, FromAgent, PrepareMsg, ReplyTx, SwitchAgent, SwitchMeta,
+    TcpAgentEndpoint, TcpTransportListener, ToAgent,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
-use snap_topology::{generators::campus, PortId, TrafficMatrix};
+use snap_topology::{generators::campus, NodeId, PortId, TrafficMatrix};
 use snap_xfdd::{encode_delta, Pool, VarOrder};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -81,7 +84,7 @@ fn failed_prepare_aborts_everywhere_and_recovers_by_resync() {
         let (ctrl_end, agent_end) = channel_link(reply);
         let runner = Arc::clone(&agent);
         handles.push(std::thread::spawn(move || runner.run(agent_end)));
-        controller.attach(switch, Box::new(ctrl_end));
+        controller.attach(switch, Box::new(ctrl_end)).unwrap();
         agents.push(agent);
     }
 
@@ -117,6 +120,160 @@ fn failed_prepare_aborts_everywhere_and_recovers_by_resync() {
         h.join().unwrap();
     }
     forwarder.join().unwrap();
+}
+
+#[test]
+fn each_update_ships_only_what_each_agent_lacks() {
+    let session = campus_session();
+    let topo = session.topology().clone();
+    let mut controller = Controller::new(session);
+    // The last agent's prepare of epoch 4 "fails" (its mirror really
+    // advanced), so epoch 4 aborts everywhere and that agent resyncs. It
+    // owns `count` under none of the policies below, so its resync is told
+    // apart from the owner moves.
+    let (sabotage_tx, forwarder) = interpose(&controller, |msg| match msg {
+        FromAgent::Prepared {
+            switch, epoch: 4, ..
+        } => Some(FromAgent::PrepareFailed {
+            switch,
+            epoch: 4,
+            reason: "sabotaged by test".into(),
+        }),
+        other => Some(other),
+    });
+    let mut sabotage_tx = Some(sabotage_tx);
+    let mut agents = Vec::new();
+    let mut handles = Vec::new();
+    for (i, switch) in topo.nodes().enumerate() {
+        let agent = Arc::new(SwitchAgent::new(switch, topo.node_name(switch), [], 64));
+        let reply = if i + 1 == topo.num_nodes() {
+            sabotage_tx.take().expect("one sabotaged link")
+        } else {
+            controller.reply_sender()
+        };
+        let (ctrl_end, agent_end) = channel_link(reply);
+        let runner = Arc::clone(&agent);
+        handles.push(std::thread::spawn(move || runner.run(agent_end)));
+        controller.attach(switch, Box::new(ctrl_end)).unwrap();
+        agents.push(agent);
+    }
+    // Every agent runs exactly its slice of `compiled`: owned variables,
+    // ports and the global placement.
+    let running = |compiled: &Compiled| {
+        for agent in &agents {
+            let view = agent.current_view().unwrap();
+            let meta = compiled
+                .rules
+                .switches
+                .get(&agent.switch())
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(view.local_vars, meta.local_vars, "{}", agent.name());
+            assert_eq!(
+                view.ports.iter().copied().collect::<BTreeSet<_>>(),
+                meta.ports
+            );
+            assert_eq!(*view.placement, compiled.placement.placement);
+        }
+    };
+    let placements = || -> Vec<_> {
+        agents
+            .iter()
+            .map(|a| Arc::clone(&a.current_view().unwrap().placement))
+            .collect()
+    };
+    let n = agents.len();
+    let mut update = |policy: &Policy| {
+        let report = controller.update_policy(policy);
+        (report, controller.session().current_shared().unwrap())
+    };
+
+    // The first commit ships every agent its metadata.
+    let (first, compiled) = update(&counting_policy(6));
+    assert_eq!(first.unwrap().meta_shipped, n);
+    running(&compiled);
+
+    // Moving the owner: metadata to the old and the new owner only, the new
+    // placement to everyone.
+    let before = placements();
+    let (moved, compiled) = update(&counting_policy(1));
+    assert_eq!(moved.unwrap().meta_shipped, 2);
+    running(&compiled);
+    for (old, new) in before.iter().zip(placements()) {
+        assert!(!Arc::ptr_eq(old, &new), "placement not re-shipped");
+    }
+
+    // A placement-stable edit ships no metadata and no placement: every
+    // agent carries its own forward.
+    let before = placements();
+    let (stable, compiled) = update(&counting_policy(1).seq(id()));
+    assert_eq!(stable.unwrap().meta_shipped, 0);
+    running(&compiled);
+    for (old, new) in before.iter().zip(placements()) {
+        assert!(Arc::ptr_eq(old, &new), "placement re-shipped");
+    }
+
+    // An aborted prepare changes no agent's running configuration, so the
+    // next update ships metadata to the resynced agent and to the two
+    // switches whose ownership moved since the last commit (the running
+    // owner and the new one, not the aborted epoch's) — not to everyone.
+    let (aborted, _) = update(&counting_policy(4));
+    assert!(matches!(aborted, Err(DistribError::PrepareRejected { .. })));
+    running(&compiled);
+    let (after, compiled) = update(&counting_policy(5));
+    let after = after.unwrap();
+    assert_eq!(after.resyncs, 1);
+    assert_eq!(after.meta_shipped, 3);
+    running(&compiled);
+
+    controller.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+    forwarder.join().unwrap();
+}
+
+#[test]
+fn a_hello_for_an_unknown_switch_is_refused() {
+    let session = campus_session();
+    let topo = session.topology().clone();
+    let mut controller = Controller::new(session);
+    let listener = TcpTransportListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    // A peer claiming a switch the topology does not have is refused, not
+    // indexed: the controller keeps running without it.
+    let bogus = TcpAgentEndpoint::connect(addr, NodeId(999)).unwrap();
+    let (claimed, endpoint) = listener.accept_agent(controller.reply_sender()).unwrap();
+    assert_eq!(claimed, NodeId(999));
+    let err = controller.attach(claimed, Box::new(endpoint)).unwrap_err();
+    assert!(matches!(err, DistribError::Protocol { .. }), "{err}");
+    assert_eq!(controller.agent_count(), 0);
+    std::mem::drop(bogus);
+
+    // The real agents attach over the same listener and commit.
+    let mut agents = Vec::new();
+    let mut handles = Vec::new();
+    for switch in topo.nodes() {
+        let agent = Arc::new(SwitchAgent::new(switch, topo.node_name(switch), [], 64));
+        let runner = Arc::clone(&agent);
+        handles.push(std::thread::spawn(move || {
+            runner.run(TcpAgentEndpoint::connect(addr, switch).unwrap())
+        }));
+        let (claimed, endpoint) = listener.accept_agent(controller.reply_sender()).unwrap();
+        controller.attach(claimed, Box::new(endpoint)).unwrap();
+        agents.push(agent);
+    }
+    let report = controller.update_policy(&counting_policy(6)).unwrap();
+    assert_eq!(report.resyncs, agents.len());
+    for agent in &agents {
+        assert_eq!(agent.current_view().unwrap().epoch, report.epoch);
+    }
+
+    controller.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
 }
 
 #[test]
@@ -211,7 +368,7 @@ fn commit_phase_failure_burns_the_epoch_and_resyncs() {
         let (ctrl_end, agent_end) = channel_link(reply);
         let runner = Arc::clone(&agent);
         handles.push(std::thread::spawn(move || runner.run(agent_end)));
-        controller.attach(switch, Box::new(ctrl_end));
+        controller.attach(switch, Box::new(ctrl_end)).unwrap();
         agents.push(agent);
     }
 
@@ -305,7 +462,10 @@ fn late_joining_agent_is_bootstrapped_by_full_resync() {
     let (ctrl_end, agent_end) = channel_link(deployment.controller.reply_sender());
     let runner = Arc::clone(&late);
     let handle = std::thread::spawn(move || runner.run(agent_end));
-    deployment.controller.attach(switch, Box::new(ctrl_end));
+    deployment
+        .controller
+        .attach(switch, Box::new(ctrl_end))
+        .unwrap();
 
     let report = deployment
         .controller

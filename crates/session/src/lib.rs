@@ -28,10 +28,11 @@
 //!   [`SessionOptions::gc_threshold`]) that keeps recently used cached
 //!   subtrees alive and rewrites their ids through the remap table.
 //!
-//! A session compiles; it does not run packets. Results leave through
-//! [`CompilerSession::take_update`] — the compilation plus what changed per
-//! switch since the previous one — which `snap-distrib`'s controller turns
-//! into a wire delta and a two-phase epoch commit across the switch agents.
+//! A session compiles, and nothing else: it neither runs packets nor tracks
+//! what was shipped. The controller ships what `compile` returns —
+//! `snap-distrib` turns each [`Compiled`](snap_core::Compiled) into a wire
+//! delta and a two-phase epoch commit across the switch agents, and its
+//! per-agent links are the one record of what each switch runs.
 //!
 //! ```
 //! use snap_session::CompilerSession;
@@ -58,14 +59,8 @@
 //! assert!(session.stats().subtree_hits > 0);
 //! assert_eq!(session.stats().placement_reuses, 1);
 //! assert!(session.pool_len() >= cold_pool);
-//! assert_eq!(session.epoch(), 2);
-//!
-//! // What a distribution plane ships: everything the first time, then only
-//! // the switches whose metadata moved.
-//! let update = session.take_update().unwrap();
-//! assert!(update.changes.first);
-//! assert_eq!(update.session_epoch, 2);
-//! # let _ = updated;
+//! // What a controller ships is the handle the session keeps.
+//! assert!(std::sync::Arc::ptr_eq(&updated, &session.current_shared().unwrap()));
 //! ```
 
 #![warn(missing_docs)]
@@ -74,6 +69,4 @@ pub mod cache;
 pub mod session;
 
 pub use cache::{fingerprint, TranslationCache};
-pub use session::{
-    CompilerSession, GcReport, SessionOptions, SessionStats, SessionUpdate, SwitchChanges,
-};
+pub use session::{CompilerSession, GcReport, SessionOptions, SessionStats};

@@ -3,16 +3,16 @@
 use crate::cache::TranslationCache;
 use snap_core::{
     generate_rules, place_and_route, reroute, Compiled, OptimizeInput, OptimizeTimings,
-    PacketStateMap, PhaseTimings, PlacementResult, SolverChoice, SwitchMeta,
+    PacketStateMap, PhaseTimings, PlacementResult, SolverChoice,
 };
 use snap_lang::{Policy, StateVar};
 use snap_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use snap_topology::{NodeId as SwitchId, PortId, Topology, TrafficMatrix};
+use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{
     translate_with, CompileError, NodeId, Pool, StateClass, StateDependencies, SubtreeMemo,
     VarOrder, Xfdd,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,8 +73,6 @@ pub struct SessionStats {
     pub nodes_reclaimed: u64,
     /// Pool rebuilds forced by a changed state-variable order.
     pub order_resets: u64,
-    /// Distribution updates handed out by [`CompilerSession::take_update`].
-    pub updates_taken: u64,
 }
 
 /// The registry-backed counters behind [`SessionStats`], pre-registered as
@@ -92,7 +90,6 @@ struct SessionCounters {
     gc_runs: Counter,
     nodes_reclaimed: Counter,
     order_resets: Counter,
-    updates_taken: Counter,
     /// `pool.live_nodes` — nodes interned in the session pool, set after
     /// every compile and compaction so bounded-memory monitors read a live
     /// number instead of re-deriving it.
@@ -132,7 +129,6 @@ impl SessionCounters {
             gc_runs: r.counter("session.gc_runs"),
             nodes_reclaimed: r.counter("session.nodes_reclaimed"),
             order_resets: r.counter("session.order_resets"),
-            updates_taken: r.counter("session.updates_taken"),
             pool_nodes: r.gauge("pool.live_nodes"),
             phase_us: PHASES.map(|phase| r.histogram(&format!("session.phase_us{{{phase}}}"))),
             telemetry,
@@ -150,7 +146,6 @@ impl SessionCounters {
             gc_runs: self.gc_runs.get(),
             nodes_reclaimed: self.nodes_reclaimed.get(),
             order_resets: self.order_resets.get(),
-            updates_taken: self.updates_taken.get(),
         }
     }
 }
@@ -182,8 +177,6 @@ impl GcReport {
 /// (fingerprint cache), re-derives every untouched composition from the memo
 /// tables, and — when the packet-state mapping and state dependencies are
 /// unchanged — reuses the previous placement instead of re-optimizing.
-/// Results are handed to a distribution plane through
-/// [`CompilerSession::take_update`].
 pub struct CompilerSession {
     topology: Topology,
     traffic: TrafficMatrix,
@@ -200,9 +193,6 @@ pub struct CompilerSession {
     /// Bumped by every traffic-matrix update.
     traffic_generation: u64,
     current: Option<Arc<Compiled>>,
-    /// What the last [`Self::take_update`] shipped, for change tracking.
-    shipped: Option<ShippedState>,
-    epoch: u64,
     stats: SessionCounters,
 }
 
@@ -211,58 +201,6 @@ struct VersionEntry {
     compiled: Arc<Compiled>,
     /// The session's traffic generation when `compiled` was placed.
     traffic_generation: u64,
-}
-
-/// What the session last handed to a distribution consumer via
-/// [`CompilerSession::take_update`]: the compilation carries the per-switch
-/// metadata and the placement the next update is compared against.
-struct ShippedState {
-    session_epoch: u64,
-    compiled: Arc<Compiled>,
-}
-
-/// What changed since the previous [`CompilerSession::take_update`] — the
-/// per-switch change tracking a distribution plane uses to ship only the
-/// entries that moved instead of every switch's full configuration.
-#[derive(Clone, Debug)]
-pub struct SwitchChanges {
-    /// No previous update was taken: everything must be shipped.
-    pub first: bool,
-    /// The compiled program object changed (a version-cache hit that
-    /// returns the previously shipped compilation reports `false`).
-    pub program_changed: bool,
-    /// Switches whose local variables or external ports changed.
-    pub meta_changed: BTreeSet<SwitchId>,
-    /// The global state-variable placement changed (some variable's owner
-    /// moved, appeared or disappeared).
-    pub placement_changed: bool,
-}
-
-impl SwitchChanges {
-    /// Is there anything to distribute at all?
-    pub fn is_empty(&self) -> bool {
-        !self.first
-            && !self.program_changed
-            && !self.placement_changed
-            && self.meta_changed.is_empty()
-    }
-}
-
-/// One distributable compilation result, as consumed by a controller's
-/// distribution plane: the compiled program plus what changed since the
-/// update before it.
-#[derive(Clone)]
-pub struct SessionUpdate {
-    /// The session epoch this update corresponds to.
-    pub session_epoch: u64,
-    /// The full compilation result (program, placement, per-switch metadata).
-    pub compiled: Arc<Compiled>,
-    /// Change tracking relative to the previously taken update.
-    pub changes: SwitchChanges,
-    /// Per-switch distribution metadata (owned variables, external ports)
-    /// — the exact map [`SwitchChanges::meta_changed`] was computed from,
-    /// so consumers ship the same data the change tracking compared.
-    pub switch_meta: BTreeMap<SwitchId, SwitchMeta>,
 }
 
 impl CompilerSession {
@@ -277,8 +215,6 @@ impl CompilerSession {
             versions: Vec::new(),
             traffic_generation: 0,
             current: None,
-            shipped: None,
-            epoch: 0,
             stats: SessionCounters::new(Telemetry::new()),
         }
     }
@@ -298,7 +234,6 @@ impl CompilerSession {
         fresh.gc_runs.add(old.gc_runs);
         fresh.nodes_reclaimed.add(old.nodes_reclaimed);
         fresh.order_resets.add(old.order_resets);
-        fresh.updates_taken.add(old.updates_taken);
         fresh.pool_nodes.set(self.pool.len() as i64);
         self.stats = fresh;
     }
@@ -332,20 +267,9 @@ impl CompilerSession {
         self.current.as_deref()
     }
 
-    /// The session epoch: bumped by every successful compile, policy update
-    /// and traffic update.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of nodes currently interned in the session pool.
     pub fn pool_len(&self) -> usize {
         self.pool.len()
-    }
-
-    /// Number of policy subtrees in the fingerprint cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// A point-in-time reading of the session counters.
@@ -368,8 +292,8 @@ impl CompilerSession {
     /// incremental.
     ///
     /// Returns the handle the session itself keeps (as
-    /// [`Self::current_shared`] and in its version cache), which is what
-    /// [`Self::take_update`] ships. A version-cache hit returns the cached
+    /// [`Self::current_shared`] and in its version cache), which is what a
+    /// controller ships. A version-cache hit returns the cached
     /// compilation as it is, timings of the compile (or, after a traffic
     /// update, the re-placement) that produced it included; where *this*
     /// compile spent its time is the `session.phase_us{..}` histograms.
@@ -382,7 +306,6 @@ impl CompilerSession {
         // to run at all.
         if let Some(cached) = self.version_lookup(policy) {
             self.stats.version_hits.inc();
-            self.epoch += 1;
             self.current = Some(Arc::clone(&cached));
             return Ok(cached);
         }
@@ -486,7 +409,6 @@ impl CompilerSession {
                 rule_generation,
             },
         });
-        self.epoch += 1;
         self.current = Some(Arc::clone(&compiled));
         lap();
         self.version_insert(Arc::clone(&compiled));
@@ -618,7 +540,6 @@ impl CompilerSession {
         let prev = Arc::clone(self.current.as_ref()?);
         self.stats.reroutes.inc();
         let updated = self.retargeted(&prev, None);
-        self.epoch += 1;
         self.current = Some(Arc::clone(&updated));
         self.version_insert(Arc::clone(&updated));
         Some(updated)
@@ -632,60 +553,6 @@ impl CompilerSession {
     /// clone) — what a distribution plane holds on to.
     pub fn current_shared(&self) -> Option<Arc<Compiled>> {
         self.current.clone()
-    }
-
-    /// Take the current compilation as a distributable update, with change
-    /// tracking relative to the previous `take_update`: which switches'
-    /// metadata (owned variables, external ports) changed, whether the
-    /// program object changed, and whether the global placement moved.
-    ///
-    /// Returns `None` when nothing has been compiled yet or when the session
-    /// epoch has not advanced since the last taken update — the
-    /// publish-as-delta path a controller polls after each
-    /// [`Self::compile`] / [`Self::update_traffic`].
-    pub fn take_update(&mut self) -> Option<SessionUpdate> {
-        let compiled = self.current.clone()?;
-        if let Some(shipped) = &self.shipped {
-            if shipped.session_epoch == self.epoch {
-                return None;
-            }
-        }
-        let meta = &compiled.rules.switches;
-        let changes = match &self.shipped {
-            None => SwitchChanges {
-                first: true,
-                program_changed: true,
-                meta_changed: meta.keys().copied().collect(),
-                placement_changed: true,
-            },
-            Some(shipped) => {
-                let prev = &shipped.compiled;
-                let prev_meta = &prev.rules.switches;
-                SwitchChanges {
-                    first: false,
-                    program_changed: !Arc::ptr_eq(prev, &compiled),
-                    meta_changed: meta
-                        .iter()
-                        .filter(|(n, m)| prev_meta.get(n) != Some(m))
-                        .map(|(n, _)| *n)
-                        .chain(prev_meta.keys().filter(|n| !meta.contains_key(n)).copied())
-                        .collect(),
-                    placement_changed: prev.placement.placement != compiled.placement.placement,
-                }
-            }
-        };
-        let switch_meta = meta.clone();
-        self.shipped = Some(ShippedState {
-            session_epoch: self.epoch,
-            compiled: Arc::clone(&compiled),
-        });
-        self.stats.updates_taken.inc();
-        Some(SessionUpdate {
-            session_epoch: self.epoch,
-            compiled,
-            changes,
-            switch_meta,
-        })
     }
 
     /// Classify every state variable of the current compilation by its
@@ -875,7 +742,7 @@ mod tests {
         let len = session.pool_len();
         session.compile(&running_example(3)).unwrap();
         assert_eq!(session.pool_len(), len, "identical recompile grew the pool");
-        assert_eq!(session.epoch(), 2);
+        assert_eq!(session.stats().compiles, 2);
     }
 
     #[test]
@@ -927,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn update_traffic_keeps_placement_and_bumps_epoch() {
+    fn update_traffic_keeps_placement_and_becomes_current() {
         let mut session = campus_session();
         let first = session.compile(&running_example(3)).unwrap();
         let topo = session.topology().clone();
@@ -935,7 +802,7 @@ mod tests {
             .update_traffic(TrafficMatrix::gravity(&topo, 900.0, 7))
             .unwrap();
         assert_eq!(rerouted.placement.placement, first.placement.placement);
-        assert_eq!(session.epoch(), 2);
+        assert!(Arc::ptr_eq(&session.current_shared().unwrap(), &rerouted));
         assert_eq!(session.stats().reroutes, 1);
         assert!(!rerouted.placement.paths.is_empty());
     }
@@ -961,7 +828,7 @@ mod tests {
         session.compile(&running_example(8)).unwrap(); // attack
         let flip = session.compile(&running_example(3)).unwrap(); // calm again
         assert_eq!(session.stats().version_hits, 1);
-        assert_eq!(session.epoch(), 3);
+        assert!(Arc::ptr_eq(&session.current_shared().unwrap(), &flip));
         let cold = campus_compiler().compile(&running_example(3)).unwrap();
         assert_equivalent(&flip, &cold);
     }
@@ -1049,55 +916,6 @@ mod tests {
         off.compile(&running_example(1)).unwrap();
         off.compile(&running_example(1)).unwrap();
         assert_eq!(off.stats().version_hits, 0);
-    }
-
-    #[test]
-    fn take_update_tracks_per_switch_changes() {
-        let mut session = campus_session();
-        assert!(session.take_update().is_none(), "nothing compiled yet");
-
-        session.compile(&running_example(3)).unwrap();
-        let first = session.take_update().unwrap();
-        assert!(first.changes.first);
-        assert!(first.changes.program_changed);
-        assert!(first.changes.placement_changed);
-        assert_eq!(
-            first.changes.meta_changed.len(),
-            session.topology().num_nodes(),
-            "first update ships every switch"
-        );
-        assert_eq!(first.session_epoch, 1);
-
-        // Nothing recompiled since: no update to take.
-        assert!(session.take_update().is_none());
-
-        // A working-set edit keeps mapping and placement: the program
-        // changes, no switch's metadata does.
-        session.compile(&running_example(5)).unwrap();
-        let edit = session.take_update().unwrap();
-        assert!(!edit.changes.first);
-        assert!(edit.changes.program_changed);
-        assert!(!edit.changes.placement_changed);
-        assert!(edit.changes.meta_changed.is_empty());
-        assert!(!edit.changes.is_empty());
-
-        // A version-cache flip back to the first compilation returns the
-        // same compiled object, and it still counts as a program change —
-        // the *running* program is the edit, not the rollback target.
-        session.compile(&running_example(3)).unwrap();
-        let flip = session.take_update().unwrap();
-        assert!(Arc::ptr_eq(&flip.compiled, &first.compiled));
-        assert!(flip.changes.program_changed);
-        assert!(flip.changes.meta_changed.is_empty());
-
-        // Recompiling the same policy again (same object re-shipped) is the
-        // case where nothing at all changed.
-        session.compile(&running_example(3)).unwrap();
-        let same = session.take_update().unwrap();
-        assert!(Arc::ptr_eq(&same.compiled, &flip.compiled));
-        assert!(!same.changes.program_changed);
-        assert!(same.changes.is_empty());
-        assert_eq!(session.stats().updates_taken, 4);
     }
 
     #[test]

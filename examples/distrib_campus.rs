@@ -91,15 +91,16 @@ fn run_tcp_proc() {
 
     // Children connect in whatever order the OS schedules them; the hello
     // frame names each connection's switch, so accept-then-attach by the
-    // claimed id.
+    // claimed id. A hello naming no switch of the topology is refused and
+    // its connection dropped.
     let mut controller = Controller::new(session);
-    let mut attached = 0usize;
-    while attached < children.len() {
+    while controller.agent_count() < children.len() {
         let (claimed, endpoint) = listener
             .accept_agent(controller.reply_sender())
             .expect("accept agent connection");
-        controller.attach(claimed, Box::new(endpoint));
-        attached += 1;
+        if let Err(e) = controller.attach(claimed, Box::new(endpoint)) {
+            eprintln!("dropped a connection: {e}");
+        }
     }
     println!(
         "controller on {addr}: {} agent processes attached",
