@@ -155,9 +155,7 @@ pub struct SwitchAgent {
     store: StateShards,
     egress: EgressQueues,
     stats: AgentStats,
-    /// Artificial delay before each reply send — emulates the control
-    /// network's RTT in benchmarks and soak runs so fan-out scaling is
-    /// measured against realistic per-agent latency, not loopback time.
+    /// Emulated control-network RTT (see [`SwitchAgent::with_ack_delay`]).
     ack_delay: Option<Duration>,
 }
 
@@ -188,11 +186,20 @@ impl SwitchAgent {
         }
     }
 
-    /// Delay every reply by `delay` — an emulated control-network RTT for
-    /// benchmarks and soak runs (see the `ack_delay` field docs).
+    /// Hold every reply until `delay` after the agent handled its message —
+    /// an emulated control-network RTT, so that benchmarks and soak runs
+    /// measure fan-out against realistic per-agent latency, not loopback
+    /// time. [`SwitchAgent::run`] sleeps before it replies; an in-process
+    /// host defers the reply and goes on handling its other agents'
+    /// messages, so every agent's delay elapses at once.
     pub fn with_ack_delay(mut self, delay: Duration) -> SwitchAgent {
         self.ack_delay = Some(delay);
         self
+    }
+
+    /// The emulated RTT this agent's replies wait for, if any.
+    pub(crate) fn ack_delay(&self) -> Option<Duration> {
+        self.ack_delay
     }
 
     /// The switch this agent manages.
@@ -244,9 +251,11 @@ impl SwitchAgent {
             .map(|p| Arc::clone(&p.view))
     }
 
-    /// Handle one controller message, producing any replies. Exposed so
-    /// tests can drive an agent synchronously; [`SwitchAgent::run`] is the
-    /// threaded loop around it.
+    /// Handle one controller message, producing any replies: the agent's one
+    /// message handler. [`SwitchAgent::run`] loops around it for an agent
+    /// with an endpoint of its own, the in-process hosts call it for each
+    /// agent they hold ([`crate::deploy_in_process`]), and tests drive an
+    /// agent with it synchronously.
     pub fn handle(&self, msg: ToAgent) -> Vec<FromAgent> {
         match msg {
             ToAgent::Prepare(prep) => vec![self.prepare(*prep)],
@@ -288,8 +297,10 @@ impl SwitchAgent {
         }
     }
 
-    /// The agent's message loop: receive, handle, reply, until `Shutdown`
-    /// or a dead transport.
+    /// The message loop of an agent with an endpoint of its own — a TCP
+    /// connection, as one agent process holds ([`crate::deploy_tcp`]), or a
+    /// hand-built [`crate::channel_link`]: receive, handle, reply, until
+    /// `Shutdown` or a dead transport.
     pub fn run(self: Arc<Self>, endpoint: impl AgentEndpoint) {
         loop {
             let msg = match endpoint.recv() {

@@ -485,6 +485,63 @@ fn late_joining_agent_is_bootstrapped_by_full_resync() {
 }
 
 #[test]
+fn a_replaced_link_stops_its_hosted_agent() {
+    let session = campus_session();
+    let topo = session.topology().clone();
+    let mut deployment = deploy_in_process(session, 64);
+    deployment
+        .controller
+        .update_policy(&counting_policy(6))
+        .unwrap();
+
+    // Re-attach C1 to an agent of its own: the controller drops its link
+    // to the hosted C1, and with it that agent.
+    let switch = topo.node_by_name("C1").unwrap();
+    let replaced = Arc::clone(deployment.network.agent(switch).unwrap());
+    let heard = |agent: &SwitchAgent| {
+        let stats = agent.stats();
+        [
+            &stats.prepares,
+            &stats.prepare_failures,
+            &stats.commits,
+            &stats.aborts,
+            &stats.tables_installed,
+        ]
+        .map(|counter| counter.load(Ordering::Relaxed))
+    };
+    let before = heard(&replaced);
+    let late = Arc::new(SwitchAgent::new(switch, "late-C1", [], 64));
+    let (ctrl_end, agent_end) = channel_link(deployment.controller.reply_sender());
+    let runner = Arc::clone(&late);
+    let handle = std::thread::spawn(move || runner.run(agent_end));
+    deployment
+        .controller
+        .attach(switch, Box::new(ctrl_end))
+        .unwrap();
+    let report = deployment
+        .controller
+        .update_policy(&counting_policy(1))
+        .unwrap();
+    assert_eq!(report.resyncs, 1);
+    assert_eq!(late.current_view().unwrap().epoch, 2);
+    assert_eq!(heard(&replaced), before, "the replaced agent hears no more");
+
+    // Shutdown joins every host, the replaced agent's included: a host
+    // that waited for a `Shutdown` only its old link could send would
+    // never return.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopping = std::thread::spawn(move || {
+        deployment.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns");
+    stopping.join().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn changed_variable_order_resets_the_distribution_pool() {
     let session = campus_session();
     let mut deployment = deploy_in_process(session, 64);

@@ -503,8 +503,9 @@ fn sleep_until(until: Instant, gate: &Gate) {
 
 /// Execute one soak run (see the crate docs for the architecture).
 ///
-/// Builds the igen topology and its gravity matrix, deploys one agent
-/// thread per switch behind a [`Controller`](snap_distrib::Controller),
+/// Builds the igen topology and its gravity matrix, deploys one agent per
+/// switch behind a [`Controller`](snap_distrib::Controller) (on the
+/// in-process hosts, or one thread per TCP connection),
 /// commits the first policy variant, then runs traffic workers + policy
 /// churn + the interval monitor concurrently for
 /// [`SoakConfig::duration`]. Returns the full [`SoakOutcome`]; nothing in

@@ -111,11 +111,12 @@
 use crate::action::{Action, ActionSeq, Leaf};
 use crate::fx::FxHashMap;
 use crate::pool::{eval_test, Node, NodeId, Pool};
+use crate::shared::Shared;
 use crate::tables::{eval_field_test, Entry, Lookup, Stage, MAX_STAGE_DEPTH};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
 use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -249,7 +250,7 @@ impl Slots {
 /// state variable. Two writes commute exactly when they are the same kind
 /// (and, for sets, store the same literal), so folding is "equal or
 /// [`Write::Exact`]".
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Write {
     /// `StateIncr` / `StateDecr`.
     Counter,
@@ -292,7 +293,7 @@ impl Write {
 
 /// How a subgraph uses one state variable: its writes folded, and whether
 /// some branch of it tests the variable.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Use {
     write: Option<Write>,
     tested: bool,
@@ -332,7 +333,9 @@ impl Use {
 /// The state summary of a lowered node (see the module docs): the [`Use`]
 /// of every variable its subgraph mentions, ascending by slot. Empty — no
 /// allocation — for the common stateless subgraph; a branch whose children
-/// fold to what one of them already says shares that child's handle.
+/// fold to what one of them already says shares that child's handle, and
+/// any other summary equal to one its table holds shares that one
+/// ([`Summary::interned`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Summary(Option<Arc<[(VarSlot, Use)]>>);
 
@@ -391,6 +394,25 @@ impl Summary {
             out.push(next);
         }
         Summary::of(out)
+    }
+
+    /// This summary as a handle `seen` holds: the first summary of its
+    /// content is kept there, and every later equal one shares it. Every
+    /// summary a table holds went through here, so a handle someone else
+    /// also holds — a child's, shared by [`Summary::merge`] — is already
+    /// `seen`'s, and only a fresh allocation is hashed.
+    fn interned(self, seen: &mut HashSet<Arc<[(VarSlot, Use)]>>) -> Summary {
+        let Some(uses) = self.0 else {
+            return self;
+        };
+        if Arc::strong_count(&uses) > 1 {
+            return Summary(Some(uses));
+        }
+        if let Some(shared) = seen.get(&uses) {
+            return Summary(Some(Arc::clone(shared)));
+        }
+        seen.insert(Arc::clone(&uses));
+        Summary(Some(uses))
     }
 
     /// This summary with `slot` marked as tested.
@@ -546,19 +568,15 @@ pub enum FlatNode<'a> {
     Leaf(&'a FlatLeaf),
 }
 
-/// A branch's payload: its test — a copy made once at lowering, so the
-/// per-packet path reaches it through one handle, not two — and, for a
-/// state test, the slot of the variable it reads.
-#[derive(Debug)]
-struct FlatTest {
-    test: Test,
-    slot: Option<VarSlot>,
-}
-
 /// A lowered branch: everything the packet path reads at a branch id.
 #[derive(Clone, Debug)]
 struct Branch {
-    test: Arc<FlatTest>,
+    /// The pool node's own test handle: the packet path reaches the test
+    /// through this one handle, and lowering a branch allocates nothing for
+    /// it — every branch of the same test shares the interned payload.
+    test: Shared<Test>,
+    /// For a state test, the slot of the variable it reads.
+    slot: Option<VarSlot>,
     /// `[tru, fls]`.
     edges: [FlatId; 2],
     /// How the branch dispatches ([`crate::tables`]).
@@ -690,6 +708,10 @@ struct Table {
     branches: Nodes<Branch>,
     leaves: Nodes<Arc<FlatLeaf>>,
     vars: Slots,
+    /// Every distinct summary this table's nodes carry: nodes whose
+    /// subgraphs use state alike share one handle, so a lowered node costs
+    /// a summary allocation only when its use of state is new.
+    summaries: HashSet<Arc<[(VarSlot, Use)]>>,
     /// `vars.names`, as every program flattened since the last new name
     /// shares it (a lowering that brings a new variable re-shares: rare,
     /// and O(variables)).
@@ -727,11 +749,17 @@ impl Table {
         for (id, node) in batch {
             let flat = match node {
                 Node::Leaf(leaf) => {
-                    leaves.push(Arc::new(FlatLeaf::from_leaf(leaf, &mut self.vars)));
+                    let mut flat = FlatLeaf::from_leaf(leaf, &mut self.vars);
+                    flat.summary = flat.summary.interned(&mut self.summaries);
+                    leaves.push(Arc::new(flat));
                     FlatId::leaf(old_leaves + leaves.len() - 1)
                 }
-                Node::Branch { test, tru, fls } => {
-                    let test: &Test = test;
+                Node::Branch {
+                    test: shared,
+                    tru,
+                    fls,
+                } => {
+                    let test: &Test = shared;
                     let edges = [ids.flat_id(*tru), ids.flat_id(*fls)];
                     let summary_of = |at: FlatId| {
                         if at.is_leaf() {
@@ -753,7 +781,8 @@ impl Table {
                     let summary = match slot {
                         Some(slot) => merged.tested(slot),
                         None => merged,
-                    };
+                    }
+                    .interned(&mut self.summaries);
                     let (entry, run) = match test {
                         Test::State { .. } => (Entry::StateBranch, 0),
                         Test::FieldField(_, _) => (Entry::FieldBranch, 0),
@@ -767,7 +796,7 @@ impl Table {
                                     Some(new) => (&branches[new], runs[new].0),
                                     None => (self.branches.get(i), self.branches.get(i).run()),
                                 };
-                                match &child.test.test {
+                                match &**child.test {
                                     Test::FieldValue(f, k) if f == field && key < k => {
                                         Some((i, run))
                                     }
@@ -786,12 +815,9 @@ impl Table {
                             (Entry::FieldBranch, run)
                         }
                     };
-                    let payload = FlatTest {
-                        test: test.clone(),
-                        slot,
-                    };
                     branches.push(Branch {
-                        test: Arc::new(payload),
+                        test: Arc::clone(shared),
+                        slot,
                         edges,
                         entry,
                         summary,
@@ -830,13 +856,13 @@ impl Table {
                     }
                     layer = false;
                 }
-                let Test::FieldValue(_, key) = &member.test.test else {
+                let Test::FieldValue(_, key) = &**member.test else {
                     unreachable!("run members are field-value tests")
                 };
                 chain.push((key.clone(), member.edges[0]));
                 at = member.edges[1];
             }
-            let Test::FieldValue(field, _) = &branches[head].test.test else {
+            let Test::FieldValue(field, _) = &**branches[head].test else {
                 unreachable!("run heads are field-value tests")
             };
             let stage = Arc::new(match below {
@@ -1041,8 +1067,8 @@ impl FlatProgram {
             let branch = self.branch(id);
             let [tru, fls] = branch.edges;
             FlatNode::Branch {
-                test: &branch.test.test,
-                slot: branch.test.slot,
+                test: &branch.test,
+                slot: branch.slot,
                 tru,
                 fls,
             }
@@ -1058,7 +1084,7 @@ impl FlatProgram {
     /// The state variable read by a branch's test, if any.
     #[inline]
     pub fn branch_var(&self, id: FlatId) -> Option<&StateVar> {
-        self.branch(id).test.test.state_var()
+        self.branch(id).test.state_var()
     }
 
     /// One stateless dispatch step from branch `at`: the successor after
@@ -1074,7 +1100,7 @@ impl FlatProgram {
             Entry::Stage { stage, cursor } => Some(stage.dispatch(pkt, *cursor)),
             Entry::FieldBranch => {
                 let [tru, fls] = branch.edges;
-                Some(if eval_field_test(&branch.test.test, pkt) {
+                Some(if eval_field_test(&branch.test, pkt) {
                     tru
                 } else {
                     fls
@@ -1107,7 +1133,7 @@ impl FlatProgram {
         while !cur.is_leaf() {
             let branch = self.branch(cur);
             let [tru, fls] = branch.edges;
-            cur = if eval_test(&branch.test.test, pkt, store)? {
+            cur = if eval_test(&branch.test, pkt, store)? {
                 tru
             } else {
                 fls
@@ -1135,7 +1161,7 @@ impl FlatProgram {
             }
             let branch = self.branch(cur);
             let [tru, fls] = branch.edges;
-            cur = if eval_test(&branch.test.test, pkt, store)? {
+            cur = if eval_test(&branch.test, pkt, store)? {
                 tru
             } else {
                 fls
@@ -1510,6 +1536,26 @@ mod tests {
         // The root adds nothing to its stateful child: one handle.
         let (Some(a), Some(b)) = (&root.0, &counted.0) else {
             panic!("the counter is summarised");
+        };
+        assert!(Arc::ptr_eq(a, b));
+    }
+
+    #[test]
+    fn equal_summaries_of_unrelated_nodes_share_one_handle() {
+        // Two different leaves that count `dns` alike: neither is the
+        // other's child, so only the table's interning can share them.
+        let count = || state_incr("dns", vec![field(Field::DstIp)]);
+        let policy = ite(
+            test(Field::SrcPort, Value::Int(53)),
+            count().seq(modify(Field::OutPort, Value::Int(1))),
+            count().seq(modify(Field::OutPort, Value::Int(2))),
+        );
+        let (_, _, flat) = flatten(&policy);
+        let FlatNode::Branch { tru, fls, .. } = flat.node(flat.root()) else {
+            panic!("the root tests srcport");
+        };
+        let (Some(a), Some(b)) = (&flat.leaf(tru).summary.0, &flat.leaf(fls).summary.0) else {
+            panic!("both leaves count");
         };
         assert!(Arc::ptr_eq(a, b));
     }

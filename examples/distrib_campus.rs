@@ -9,9 +9,10 @@
 //!
 //! Three transports:
 //!
-//! * `channel` (default) — in-process mpsc links, agents on threads.
-//! * `tcp` — the same agent threads, but every controller↔agent link is a
-//!   framed TCP connection over loopback.
+//! * `channel` (default) — in-process mpsc links, agents on one host
+//!   thread per core.
+//! * `tcp` — every controller↔agent link is a framed TCP connection over
+//!   loopback, each agent on a thread of its own.
 //! * `tcp-proc` — each agent is a **separate OS process** (this binary
 //!   re-executed with the internal `--agent` flag) speaking the framed
 //!   protocol to the controller's listener. The data plane lives with the

@@ -34,7 +34,8 @@ fn guarded_counting_policy(threshold: i64) -> Policy {
     .seq(modify(Field::OutPort, Value::Int(6)))
 }
 
-/// A campus fleet, one agent thread per switch, running `policy`.
+/// A campus fleet, one agent per switch on the in-process hosts, running
+/// `policy`.
 fn deploy(policy: &Policy) -> InProcessDeployment {
     let topo = campus();
     let tm = TrafficMatrix::gravity(&topo, 600.0, 42);
