@@ -682,13 +682,3 @@ fn apply_exact(
         Ok(Value::Int(n + sign))
     })
 }
-
-/// Remove simulator-internal `snap.*` header fields before a packet leaves
-/// the network.
-pub fn strip_snap_header(pkt: &mut Packet) {
-    // The simulator keeps its bookkeeping outside the packet, so the only
-    // header field added by the pipeline itself is the OBS outport; keep it,
-    // since the OBS program set it explicitly. Custom `snap.*` fields, if a
-    // rule generator added any, are removed here.
-    pkt.retain(|f, _| !matches!(f, Field::Custom(name) if name.starts_with("snap.")));
-}

@@ -71,8 +71,8 @@ use crate::agent::EpochView;
 use crate::pins::PinArena;
 use crate::plane::{DistNetwork, InjectError, InjectOutcome};
 use snap_dataplane::exec::{
-    misplaced_state_error, missing_placement_error, process_at_switch, strip_snap_header, InFlight,
-    Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
+    misplaced_state_error, missing_placement_error, process_at_switch, InFlight, Progress,
+    ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
 };
 use snap_dataplane::PlaneTelemetry;
 use snap_lang::{Packet, Value};
@@ -634,12 +634,12 @@ impl DistNetwork {
         }
     }
 
-    /// Deliver a finished flight at `port` of switch `at`, cleaned of SNAP
-    /// header fields: into the owning agent's egress queue — a full queue
-    /// tail-drops it, counted on the packet's outcome — and onto that
-    /// outcome. Then account the delivery: the batch tally, and — for a
-    /// sampled packet — the finished trace. The flight ends here, so its
-    /// packet is taken, not cloned.
+    /// Deliver a finished flight at `port` of switch `at`, with every field
+    /// the policy left on it (as `snap_lang::eval` does): into the owning
+    /// agent's egress queue — a full queue tail-drops it, counted on the
+    /// packet's outcome — and onto that outcome. Then account the delivery:
+    /// the batch tally, and — for a sampled packet — the finished trace. The
+    /// flight ends here, so its packet is taken, not cloned.
     fn deliver(
         &self,
         result: &mut Result<InjectOutcome, InjectError>,
@@ -648,15 +648,14 @@ impl DistNetwork {
         port: PortId,
         tally: &mut BatchTally,
     ) {
-        let mut clean = std::mem::take(&mut tagged.flight.pkt);
-        strip_snap_header(&mut clean);
+        let pkt = std::mem::take(&mut tagged.flight.pkt);
         if let Ok(outcome) = result {
             if let Some(agent) = self.agent(at) {
-                if !agent.egress().push(port, clean.clone(), tagged.epoch) {
+                if !agent.egress().push(port, pkt.clone(), tagged.epoch) {
                     outcome.backpressure_drops += 1;
                 }
             }
-            outcome.delivered.push((port, clean));
+            outcome.delivered.push((port, pkt));
         }
         let Some(m) = self.metrics() else {
             return;

@@ -310,7 +310,7 @@ mod tests {
             Value::Int(7),
         );
         t.set(
-            vec![Value::Tuple(vec![Value::Bool(true), Value::sym("SYN")])],
+            vec![Value::tuple(vec![Value::Bool(true), Value::sym("SYN")])],
             Value::Prefix(Prefix::new(Ipv4::new(10, 0, 6, 0), 24)),
         );
         t

@@ -19,7 +19,7 @@ fn rich_table() -> StateTable {
         Value::Prefix(Prefix::new(Ipv4::new(10, 0, 6, 0), 24)),
     );
     t.set(
-        vec![Value::Tuple(vec![Value::Int(-3), Value::sym("SYN")])],
+        vec![Value::tuple(vec![Value::Int(-3), Value::sym("SYN")])],
         Value::Int(i64::MIN),
     );
     t

@@ -61,6 +61,9 @@ impl std::error::Error for CodecError {}
 #[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// Every length written, OR-ed together: past `u32::MAX` exactly when
+    /// some length was, which [`Self::into_bytes`] refuses to hand out.
+    lengths: usize,
 }
 
 impl Writer {
@@ -70,7 +73,15 @@ impl Writer {
     }
 
     /// The bytes written.
+    ///
+    /// # Panics
+    ///
+    /// If a length written does not fit its `u32` prefix.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert!(
+            u32::try_from(self.lengths).is_ok(),
+            "a sequence length does not fit the u32 prefix"
+        );
         self.buf
     }
 
@@ -116,10 +127,13 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// A sequence length.
+    /// A sequence length. One that does not fit the `u32` prefix is
+    /// caught by [`Self::into_bytes`], not here, where a branch per length
+    /// slows the program encoder measurably (EXPERIMENTS.md "Wire encoder").
     #[inline]
     pub fn seq_len(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("sequence length fits the u32 prefix"));
+        self.lengths |= n;
+        self.u32(n as u32);
     }
 
     /// Length-prefixed bytes.
@@ -167,7 +181,7 @@ impl Writer {
             Value::Tuple(vs) => {
                 self.u8(6);
                 self.seq_len(vs.len());
-                for v in vs {
+                for v in vs.iter() {
                     self.value(v);
                 }
             }
@@ -329,7 +343,7 @@ impl<'a> Reader<'a> {
             }
             4 => Ok(Value::Str(self.str()?.into())),
             5 => Ok(Value::Symbol(self.str()?.into())),
-            6 => self.nested(|r| r.seq(1, Self::value)).map(Value::Tuple),
+            6 => self.nested(|r| r.seq(1, Self::value)).map(Value::tuple),
             t => Err(CodecError::BadTag("value", t)),
         }
     }
@@ -341,5 +355,19 @@ impl<'a> Reader<'a> {
             0 => Ok(()),
             n => Err(CodecError::TrailingBytes(n)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "does not fit the u32 prefix")]
+    fn a_length_past_the_u32_prefix_is_never_handed_out() {
+        let mut w = Writer::new();
+        w.seq_len(u32::MAX as usize);
+        w.seq_len(u32::MAX as usize + 1);
+        w.into_bytes();
     }
 }

@@ -114,7 +114,7 @@ pub fn eval_expr(expr: &Expr, pkt: &Packet) -> Result<Value, EvalError> {
             for e in es {
                 vs.push(eval_expr(e, pkt)?);
             }
-            Ok(Value::Tuple(vs))
+            Ok(Value::tuple(vs))
         }
     }
 }

@@ -63,7 +63,7 @@ pub use eval::{
 pub use packet::Packet;
 pub use parser::{parse_policy, parse_pred};
 pub use state::{StateTable, Store};
-pub use value::{Field, Ipv4, Prefix, Value};
+pub use value::{Field, Ipv4, Prefix, Text, Value};
 
 /// A convenient glob-import for users of the language API.
 pub mod prelude {

@@ -14,16 +14,16 @@ use std::fmt;
 /// sets (the output of `eval` is a set of packets) and compared structurally.
 ///
 /// Internally the map is a vector of `(field, value)` pairs kept sorted by
-/// field: packets carry a dozen headers at most, and at that size a sorted
-/// vector beats a node-based tree on every data-plane hot operation —
-/// lookups are a binary search over contiguous memory, and
+/// field, 32 bytes a pair: packets carry a dozen headers at most, and at
+/// that size a sorted vector beats a node-based tree on every data-plane hot
+/// operation — lookups are a binary search over contiguous memory, and
 /// ordering/equality are element-wise scans. A clone copies the pairs into
 /// a buffer recycled from an earlier drop and *shares* any text they hold
 /// ([`Value::Str`], [`Value::Symbol`], [`Field::Custom`] are reference
 /// counted), so on a warmed-up thread neither cloning nor dropping a packet
-/// reaches the allocator. The
-/// derived `Ord`/`Eq`/`Hash` over the sorted pairs coincide with the old
-/// `BTreeMap`'s (both compare the same key-sorted sequence).
+/// reaches the allocator. The derived `Ord`/`Eq`/`Hash` over the sorted
+/// pairs coincide with the old `BTreeMap`'s (both compare the same
+/// key-sorted sequence).
 #[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Packet {
     fields: Vec<(Field, Value)>,
@@ -38,8 +38,8 @@ pub struct Packet {
 /// so small live blocks keep the holes apart — and then serves, oldest
 /// first and cache-cold, to every later request of that size (measured: a
 /// 0.8 ms compile next to 28 000 such holes ran 15–25 % slower). The cap
-/// only bounds memory afterwards (32 MB per thread at the standard buffer
-/// size).
+/// only bounds memory afterwards (about 20 MB per thread at the standard
+/// 320-byte buffer).
 const BUF_POOL_CAP: usize = 64 * 1024;
 
 thread_local! {
@@ -56,7 +56,8 @@ thread_local! {
 /// pool without ever being regrown — a recycled buffer always fits the next
 /// packet — and a packet built field by field does not shed a trail of
 /// outgrown buffers (the same unmergeable holes as above). Eight headers
-/// plus the slack `clone` leaves covers the data plane's packets.
+/// plus the slack `clone` leaves covers the data plane's packets; the
+/// standard buffer is 10 pairs, 320 bytes.
 const MIN_BUF_PAIRS: usize = 10;
 
 /// An empty field buffer from the thread's recycle pool (or freshly
@@ -141,7 +142,7 @@ impl Packet {
         }
     }
 
-    /// Remove a field (used by the data plane when stripping the SNAP header).
+    /// Remove a field.
     pub fn remove(&mut self, field: &Field) -> Option<Value> {
         match self.find(field) {
             Ok(i) => Some(self.fields.remove(i).1),
@@ -167,11 +168,6 @@ impl Packet {
     /// Is the packet empty (no fields)?
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
-    }
-
-    /// Keep only the fields for which `keep` returns true.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Field, &Value) -> bool) {
-        self.fields.retain(|(f, v)| keep(f, v));
     }
 
     /// Functional update: a copy of the packet with `field` set to `value`

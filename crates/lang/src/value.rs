@@ -7,6 +7,7 @@
 //! such as the TCP state machine, e.g. `ESTABLISHED`).
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A 32-bit IPv4 address.
@@ -122,12 +123,66 @@ impl fmt::Display for Prefix {
     }
 }
 
+/// Immutable shared text: the string behind [`Value::Str`],
+/// [`Value::Symbol`] and [`Field::Custom`].
+///
+/// One word wide (a thin `Arc` of an owned `String`), so that every variant
+/// of [`Value`] and [`Field`] fits one word plus a tag. A clone is a
+/// reference-count bump and never reaches the allocator; building a new
+/// text costs two heap blocks (the count and the bytes). Equality,
+/// ordering, hashing and both `Display` and `Debug` are those of `str`, so
+/// no caller can tell it from an owned string: the derives go through
+/// `Arc` and `String` to `str`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Text(Arc<String>);
+
+impl Text {
+    /// Do `a` and `b` share one allocation (is one a clone of the other)?
+    pub fn ptr_eq(a: &Text, b: &Text) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(Arc::new(s.to_owned()))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text(Arc::new(s))
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
+}
+
 /// A SNAP value.
 ///
-/// The text-carrying variants hold immutable shared text (`Arc<str>`), so
-/// cloning or dropping a value — and hence a packet — never reaches the
-/// allocator: a clone is a reference-count bump. Ordering, equality, hashing
-/// and display compare the text itself, exactly as an owned string would.
+/// One word plus a tag (16 bytes): the text-carrying variants hold a
+/// [`Text`] and a tuple holds its elements behind one box. Cloning or
+/// dropping a scalar or text value — and hence a packet of them — never
+/// reaches the allocator. Ordering, equality, hashing and display are
+/// exactly those the variants had over owned `String`s and an inline `Vec`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A signed integer (counters, ports, thresholds, TTLs, ...).
@@ -139,12 +194,18 @@ pub enum Value {
     /// An IPv4 prefix; only meaningful inside tests such as `dstip = 10.0.6.0/24`.
     Prefix(Prefix),
     /// A string (DNS names, HTTP user agents, payload content, ...).
-    Str(Arc<str>),
+    Str(Text),
     /// A symbolic constant such as `ESTABLISHED`, `SYN` or `threshold`.
-    Symbol(Arc<str>),
-    /// A vector of values (the paper's `⇀v`).
-    Tuple(Vec<Value>),
+    Symbol(Text),
+    /// A vector of values (the paper's `⇀v`), boxed to keep `Value` narrow;
+    /// build one with [`Value::tuple`].
+    #[allow(clippy::box_collection)] // a thin box: `Box<[Value]>` is two words
+    Tuple(Box<Vec<Value>>),
 }
+
+// Both halves of a packet's `(Field, Value)` pair are one word plus a tag.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::size_of::<Field>() == 16);
 
 impl Value {
     /// Convenience constructor for string values.
@@ -155,6 +216,11 @@ impl Value {
     /// Convenience constructor for symbolic constants.
     pub fn sym(s: impl Into<String>) -> Self {
         Value::Symbol(s.into().into())
+    }
+
+    /// A tuple of `vs`.
+    pub fn tuple(vs: Vec<Value>) -> Self {
+        Value::Tuple(Box::new(vs))
     }
 
     /// Convenience constructor for IP addresses from octets.
@@ -266,7 +332,7 @@ impl From<&str> for Value {
 /// The paper assumes "a rich set of fields, e.g. DNS response data"
 /// (§2.1 footnote 1); programmable parsers such as P4's make the exact set
 /// configurable, so `Field::Custom` keeps the set open-ended while the common
-/// fields get dedicated variants.
+/// fields get dedicated variants. Like [`Value`], one word plus a tag.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the variant names are the documentation (header field names)
 pub enum Field {
@@ -289,8 +355,8 @@ pub enum Field {
     SessionId,
     MpegFrameType,
     Content,
-    /// Any other field, by name (shared text, like [`Value::Str`]).
-    Custom(Arc<str>),
+    /// Any other field, by name (shared [`Text`], like [`Value::Str`]).
+    Custom(Text),
 }
 
 impl Field {
@@ -473,7 +539,7 @@ mod tests {
             Value::ip(1, 2, 3, 4),
             Value::str("a"),
             Value::sym("Z"),
-            Value::Tuple(vec![Value::Int(1)]),
+            Value::tuple(vec![Value::Int(1)]),
         ];
         vs.sort();
         vs.dedup();

@@ -1,15 +1,16 @@
-//! `Value::Str`, `Value::Symbol`, `Field::Custom` and `StateVar` hold shared
-//! text (`Arc<str>`) so that copying a packet, a test, an action or a
-//! placement never copies a string. Nothing a caller can observe may depend
-//! on that: ordering, equality, hashing and
-//! display must be those of the owned `String`s the variants used to hold.
-//! The reference here is a mirror enum over `String` — same variants, same
-//! order, same derives — checked against `Value` on generated values whose
-//! texts are short enough to collide often.
+//! `Value::Str`, `Value::Symbol` and `Field::Custom` hold shared text
+//! ([`Text`], one word: a thin `Arc` of a `String`) and `StateVar` holds an
+//! `Arc<str>`, so that copying a packet, a test, an action or a placement
+//! never copies a string. Nothing a caller can observe may depend on that:
+//! ordering, equality, hashing and display must be those of the owned
+//! `String`s the variants used to hold. The reference here is a mirror enum
+//! over `String` — same variants, same order, same derives — checked against
+//! `Value` on generated values whose texts are short enough to collide
+//! often.
 
 use proptest::prelude::*;
 use snap_lang::codec::{Reader, Writer};
-use snap_lang::{Field, Ipv4, Prefix, StateVar, Value};
+use snap_lang::{Field, Ipv4, Prefix, StateVar, Text, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -33,7 +34,7 @@ impl Model {
             Model::Prefix(p) => Value::Prefix(*p),
             Model::Str(s) => Value::str(s.as_str()),
             Model::Symbol(s) => Value::sym(s.as_str()),
-            Model::Tuple(vs) => Value::Tuple(vs.iter().map(Model::value).collect()),
+            Model::Tuple(vs) => Value::tuple(vs.iter().map(Model::value).collect()),
         }
     }
 }
@@ -134,6 +135,23 @@ proptest! {
         prop_assert_eq!(r.value(), Ok(value));
         prop_assert_eq!(r.finish(), Ok(()));
         prop_assert!(Reader::new(&bytes[..cut % bytes.len()]).value().is_err());
+    }
+
+    #[test]
+    fn texts_compare_hash_and_print_like_owned_strings(a in arb_text(), b in arb_text()) {
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+        prop_assert_eq!(&*ta, a.as_str());
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b));
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(tape(&ta), tape(&a), "hash stream of {}", a);
+        prop_assert_eq!(ta.to_string(), a.clone());
+        prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        // A clone shares the allocation; an equal text built anew does not.
+        let copy = ta.clone();
+        prop_assert!(Text::ptr_eq(&copy, &ta));
+        prop_assert!(!Text::ptr_eq(&Text::from(a.as_str()), &ta));
+        prop_assert_eq!(&copy, &ta);
+        prop_assert_eq!(tape(&copy), tape(&ta));
     }
 
     #[test]

@@ -150,3 +150,26 @@ fn te_reroute_after_traffic_shift_preserves_state_traversal() {
         assert!(updated.placement.path_respects_order(u, v, &sorted));
     }
 }
+
+#[test]
+fn delivery_keeps_the_snap_fields_a_policy_writes_as_eval_does() {
+    let Compiler {
+        topology, traffic, ..
+    } = campus_compiler();
+    let session = CompilerSession::new(topology, traffic);
+    let mut deployment = deploy_in_process(session, 1024);
+    let tag = Field::from_name("snap.tag");
+    let program = modify(tag.clone(), 7).seq(apps::assign_egress(6));
+    deployment.controller.update_policy(&program).unwrap();
+
+    let pkt = Packet::new()
+        .with(Field::SrcIp, Value::ip(10, 0, 2, 20))
+        .with(Field::DstIp, Value::ip(10, 0, 6, 10));
+    let obs = snap_lang::eval(&program, &Store::new(), &pkt).unwrap();
+    let expected = pkt.clone().with(Field::OutPort, 6).with(tag, 7);
+    assert_eq!(obs.packets, BTreeSet::from([expected.clone()]));
+    let dist = deployment.network.inject(PortId(2), &pkt).unwrap();
+    let delivered: Vec<_> = dist.delivered.into_iter().collect();
+    assert_eq!(delivered, vec![(PortId(6), expected)]);
+    deployment.shutdown();
+}
