@@ -11,8 +11,8 @@ fn main() {
     );
     for switches in (10..=180).step_by(34) {
         let (topo, tm) = scaled_igen(switches, 1_000.0, 5);
-        let policy = dns_tunnel_with_routing(topo.num_external_ports());
-        let (_, times) = run_scenarios(&topo, &tm, &policy);
+        let ports = topo.num_external_ports();
+        let (_, times) = run_scenarios(&topo, &tm, |t| dns_tunnel_with_routing(ports, t));
         println!(
             "{:>8} {:>12} {:>16} {:>16} {:>12}",
             switches,

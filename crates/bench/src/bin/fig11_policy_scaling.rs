@@ -12,8 +12,7 @@ fn main() {
     let (topo, tm) = scaled_igen(50, 1_000.0, 8);
     let ports = topo.num_external_ports();
     for n in (4..=20).step_by(2) {
-        let policy = composed_policies(n, ports);
-        let (compiled, times) = run_scenarios(&topo, &tm, &policy);
+        let (compiled, times) = run_scenarios(&topo, &tm, |t| composed_policies(n, ports, t));
         println!(
             "{:>10} {:>12} {:>16} {:>16} {:>12}",
             n,

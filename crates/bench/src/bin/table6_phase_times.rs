@@ -5,7 +5,7 @@
 //! (P5 ST), routing-only (P5 TE), rule generation (P6) and MILP model
 //! creation (P4; zero when the heuristic engine is in use).
 
-use snap_bench::{dns_tunnel_with_routing, run_scenarios, scaled_preset, secs};
+use snap_bench::{dns_tunnel_with_routing, scaled_preset, secs, DNS_THRESHOLD};
 use snap_topology::generators::presets;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     );
     for spec in presets::table5() {
         let (topo, tm) = scaled_preset(&spec, 1_000.0);
-        let policy = dns_tunnel_with_routing(topo.num_external_ports());
+        let policy = dns_tunnel_with_routing(topo.num_external_ports(), DNS_THRESHOLD);
         let compiler = snap_core::Compiler::new(topo.clone(), tm.clone());
         let compiled = compiler.compile(&policy).expect("compiles");
         let te_tm = snap_topology::TrafficMatrix::gravity(&topo, 1_200.0, 99);
@@ -30,6 +30,5 @@ fn main() {
             secs(compiled.timings.rule_generation),
             secs(compiled.timings.milp_creation),
         );
-        let _ = run_scenarios; // (scenario totals are reported by fig9_scenarios)
     }
 }

@@ -17,7 +17,9 @@
 //!    memo entry references it, and then so are its ancestors), then the
 //!    interned tests (live when a surviving node, context or restriction
 //!    memo entry holds them), and the leaf/branch interners are
-//!    reconstructed from the new arena.
+//!    reconstructed from the new arena. The contexts' kept answers
+//!    (`Pool::ctx_implies`) are remapped to the new context and test ids,
+//!    and dropped where either died.
 //!
 //! The returned [`RemapTable`] translates old ids to new ones so callers (a
 //! compiler session's fingerprint cache, for example) can rewrite the ids
@@ -188,6 +190,7 @@ impl Pool {
         }
         let mut test_map: Vec<Option<TestId>> = vec![None; self.tests.len()];
         let old_tests = std::mem::take(&mut self.tests);
+        let old_mirrors = std::mem::take(&mut self.test_mirrors);
         self.test_intern.clear();
         for (i, test) in old_tests.into_iter().enumerate() {
             if test_live[i] {
@@ -195,7 +198,11 @@ impl Pool {
                 test_map[i] = Some(id);
                 self.test_intern.insert(test.clone(), id);
                 self.tests.push(test);
+                self.test_mirrors.push(old_mirrors[i]);
             }
+        }
+        for mirror in &mut self.test_mirrors {
+            *mirror = mirror.and_then(|m| test_map[m.index()]);
         }
         let tmap = |id: TestId| test_map[id.index()].expect("live test");
         for (node, test) in self.nodes.iter().zip(&mut self.node_tests) {
@@ -210,6 +217,14 @@ impl Pool {
         for ((a, test, positive), r) in old_restrict {
             if let Some((a, r)) = restrict_survives(a, r) {
                 self.restrict_memo.insert((a, tmap(test), positive), r);
+            }
+        }
+        // A kept answer still holds under the new numbering: its context
+        // keeps every fact, and a mirror that died is named by no fact.
+        let old_answers = std::mem::take(&mut self.ctx_answers);
+        for ((ctx, test), answer) in old_answers {
+            if let (Some(ctx), Some(test)) = (cmap(ctx), test_map[test.index()]) {
+                self.ctx_answers.insert((ctx, test), answer);
             }
         }
 
@@ -320,6 +335,49 @@ mod tests {
         // The union is a memo hit after compaction: same result, no growth.
         assert_eq!(p.union(a2, b2), remap.node(u).unwrap());
         assert_eq!(p.len(), len);
+    }
+
+    #[test]
+    fn kept_context_answers_follow_the_renumbering() {
+        // Unions of `f = v ? {outport ← v} : {id}` ask their contexts about
+        // the tests below them. The dead diagram is composed first, so its
+        // contexts and tests hold the low ids and the survivors are renumbered.
+        let mut p = pool();
+        let union_of = |p: &mut Pool, tests: &[(Field, i64)]| {
+            let mut acc = p.drop();
+            for (f, v) in tests {
+                let out = p.leaf(Leaf::single(Action::Modify(Field::OutPort, Value::Int(*v))));
+                let id = p.id();
+                let b = p.branch(Test::FieldValue(f.clone(), Value::Int(*v)), out, id);
+                acc = p.union(acc, b);
+            }
+            acc
+        };
+        let _dead = union_of(
+            &mut p,
+            &[
+                (Field::SrcPort, 1),
+                (Field::DstPort, 2),
+                (Field::SrcPort, 3),
+            ],
+        );
+        let keep = union_of(
+            &mut p,
+            &[
+                (Field::SrcPort, 53),
+                (Field::DstPort, 80),
+                (Field::SrcPort, 80),
+            ],
+        );
+        let asked = p.ctx_answers.len();
+        p.compact(&[keep]);
+        // Every kept answer names a context and a test that exist under the
+        // new numbering, and is what walking that context says.
+        for (&(ctx, test), &answer) in &p.ctx_answers {
+            assert!(ctx.index() <= p.ctxs.len() && test.index() < p.tests.len());
+            assert_eq!(p.implies_by_walk(ctx, test), answer);
+        }
+        assert!(!p.ctx_answers.is_empty() && p.ctx_answers.len() < asked);
     }
 
     #[test]

@@ -134,18 +134,16 @@ impl Pool {
 
     /// The paper's `refine`: strip redundant or contradicting tests from the
     /// top of a diagram given what the context already implies.
-    fn refine(&self, d: NodeId, ctx: CtxId) -> NodeId {
+    fn refine(&mut self, d: NodeId, ctx: CtxId) -> NodeId {
         let mut cur = d;
-        loop {
-            match self.node(cur) {
-                Node::Branch { tru, fls, .. } => match self.ctx_implies(ctx, self.node_test(cur)) {
-                    Some(true) => cur = *tru,
-                    Some(false) => cur = *fls,
-                    None => return cur,
-                },
-                Node::Leaf(_) => return cur,
+        while let Shape::Branch(test, tru, fls) = self.shape(cur) {
+            match self.ctx_implies(ctx, test) {
+                Some(true) => cur = tru,
+                Some(false) => cur = fls,
+                None => break,
             }
         }
+        cur
     }
 
     /// `⊖d` — negation. Only meaningful for predicate diagrams (leaves `{id}`
@@ -261,7 +259,7 @@ impl Pool {
                 let seqs: Vec<ActionSeq> = self.leaf_of(d1).0.iter().cloned().collect();
                 let mut acc = self.drop();
                 for a in &seqs {
-                    let part = self.seq_action(a, d2, CtxId::EMPTY)?;
+                    let part = self.seq_action(&Actions::new(a), d2, CtxId::EMPTY)?;
                     acc = self.union(acc, part);
                 }
                 Ok(acc)
@@ -278,32 +276,32 @@ impl Pool {
     /// a context of decided tests — Appendix E's `seq(a, d, T)`.
     fn seq_action(
         &mut self,
-        actions: &ActionSeq,
+        actions: &Actions,
         d: NodeId,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
         // A sequence that already dropped the packet never reaches the rest
         // of the program, but its state updates still take effect.
-        if actions.drops {
-            return Ok(self.leaf(Leaf::from_seq(actions.clone())));
+        if actions.seq.drops {
+            return Ok(self.leaf(Leaf::from_seq(actions.seq.clone())));
         }
         let (test, tru, fls) = match self.shape(d) {
             Shape::Leaf => {
                 if self.is_drop_leaf(d) {
                     // `as ⊙ {drop}`: the actions run, then the packet drops.
-                    return Ok(self.leaf(Leaf::from_seq(actions.clone().with_drop())));
+                    return Ok(self.leaf(Leaf::from_seq(actions.seq.clone().with_drop())));
                 }
                 let suffixes: Vec<ActionSeq> = self.leaf_of(d).0.iter().cloned().collect();
                 let mut out = Leaf::drop();
                 for suffix in &suffixes {
-                    out.insert(actions.concat(suffix));
+                    out.insert(actions.seq.concat(suffix));
                 }
                 return Ok(self.leaf(out));
             }
             Shape::Branch(test, tru, fls) => (test, tru, fls),
         };
 
-        let fmap = field_map(actions);
+        let fmap = &actions.fields;
         // A handle of the test's payload, so its parts can be borrowed while
         // the pool is composed into.
         let payload = self.tests[test.index()].clone();
@@ -320,8 +318,8 @@ impl Pool {
                 self.decide_or_branch(test, actions, tru, fls, ctx)
             }
             Test::FieldField(f, g) => {
-                let rf = resolve_field(f, &fmap, self, ctx);
-                let rg = resolve_field(g, &fmap, self, ctx);
+                let rf = resolve_field(f, fmap, self, ctx);
+                let rg = resolve_field(g, fmap, self, ctx);
                 let resolved = match (rf, rg) {
                     (Resolved::Val(a), Resolved::Val(b)) => {
                         return if a == b {
@@ -343,7 +341,7 @@ impl Pool {
                 self.decide_or_branch(resolved, actions, tru, fls, ctx)
             }
             Test::State { var, index, value } => {
-                self.seq_action_state(actions, d, tru, fls, var, index, value, &fmap, ctx)
+                self.seq_action_state(actions, d, tru, fls, var, index, value, ctx)
             }
         }
     }
@@ -353,7 +351,7 @@ impl Pool {
     fn decide_or_branch(
         &mut self,
         test: TestId,
-        actions: &ActionSeq,
+        actions: &Actions,
         tru: NodeId,
         fls: NodeId,
         ctx: CtxId,
@@ -384,16 +382,16 @@ impl Pool {
     #[allow(clippy::too_many_arguments)]
     fn seq_action_state(
         &mut self,
-        actions: &ActionSeq,
+        actions: &Actions,
         whole: NodeId,
         tru: NodeId,
         fls: NodeId,
         var: &StateVar,
         index: &[Expr],
         value: &Expr,
-        fmap: &BTreeMap<Field, Value>,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
+        let fmap = &actions.fields;
         // Test expressions re-expressed over the original header: fields that
         // the sequence modified become the constants it assigned.
         let t_idx: Vec<Expr> = index
@@ -405,7 +403,7 @@ impl Pool {
         // Writes to `var` inside the sequence, each re-expressed over the
         // original header using only the field modifications that *precede*
         // it.
-        let writes = collect_writes(actions, var, self, ctx);
+        let writes = collect_writes(actions.seq, var, self, ctx);
 
         let mut offset: i64 = 0;
         for w in writes.iter().rev() {
@@ -480,12 +478,11 @@ impl Pool {
     /// the new test as a post-action test).
     fn disambiguate(
         &mut self,
-        test: Test,
-        actions: &ActionSeq,
+        test: TestId,
+        actions: &Actions,
         whole: NodeId,
         ctx: CtxId,
     ) -> Result<NodeId, CompileError> {
-        let test = self.intern_test(test);
         let ct = self.ctx_with(ctx, test, true);
         let cf = self.ctx_with(ctx, test, false);
         let dt = self.seq_action(actions, whole, ct)?;
@@ -498,7 +495,7 @@ impl Pool {
 enum EqResult {
     Eq,
     Neq,
-    Unknown(Test),
+    Unknown(TestId),
 }
 
 // ---------------------------------------------------------------------------
@@ -537,15 +534,24 @@ fn resolve_expr(e: &Expr, fmap: &BTreeMap<Field, Value>, pool: &Pool, ctx: CtxId
     }
 }
 
-/// The net field assignments performed by a sequence (last write wins).
-fn field_map(actions: &ActionSeq) -> BTreeMap<Field, Value> {
-    let mut fmap = BTreeMap::new();
-    for a in actions.actions.iter() {
-        if let Action::Modify(f, v) = a {
-            fmap.insert(f.clone(), v.clone());
+/// An action sequence on its way through `seq_action`'s recursion, with
+/// the net field assignments it performs (last write wins), which every step
+/// consults: worked out once per sequence, not once per node.
+struct Actions<'a> {
+    seq: &'a ActionSeq,
+    fields: BTreeMap<Field, Value>,
+}
+
+impl<'a> Actions<'a> {
+    fn new(seq: &'a ActionSeq) -> Actions<'a> {
+        let mut fields = BTreeMap::new();
+        for a in seq.actions.iter() {
+            if let Action::Modify(f, v) = a {
+                fields.insert(f.clone(), v.clone());
+            }
         }
+        Actions { seq, fields }
     }
-    fmap
 }
 
 enum WriteKind {
@@ -620,7 +626,7 @@ fn flatten_exprs(es: &[Expr], out: &mut Vec<Expr>) {
 
 /// Are two (re-expressed) expression vectors equal for every packet, unequal
 /// for every packet, or dependent on a header test we can emit?
-fn exprs_equal(a: &[Expr], b: &[Expr], pool: &Pool, ctx: CtxId) -> EqResult {
+fn exprs_equal(a: &[Expr], b: &[Expr], pool: &mut Pool, ctx: CtxId) -> EqResult {
     let mut fa = Vec::new();
     let mut fb = Vec::new();
     flatten_exprs(a, &mut fa);
@@ -639,16 +645,16 @@ fn exprs_equal(a: &[Expr], b: &[Expr], pool: &Pool, ctx: CtxId) -> EqResult {
                 if f == g {
                     continue;
                 }
-                let t = Test::FieldField(f.clone(), g.clone());
-                match pool.ctx_implies_test(ctx, &t) {
+                let t = pool.intern_test(Test::FieldField(f.clone(), g.clone()));
+                match pool.ctx_implies(ctx, t) {
                     Some(true) => continue,
                     Some(false) => return EqResult::Neq,
                     None => return EqResult::Unknown(t),
                 }
             }
             (Expr::Field(f), Expr::Value(v)) | (Expr::Value(v), Expr::Field(f)) => {
-                let t = Test::FieldValue(f.clone(), v.clone());
-                match pool.ctx_implies_test(ctx, &t) {
+                let t = pool.intern_test(Test::FieldValue(f.clone(), v.clone()));
+                match pool.ctx_implies(ctx, t) {
                     Some(true) => continue,
                     Some(false) => return EqResult::Neq,
                     None => return EqResult::Unknown(t),
@@ -1088,13 +1094,13 @@ mod tests {
 
     #[test]
     fn exprs_equal_basics() {
-        let p = pool();
+        let mut p = pool();
         let ctx = CtxId::EMPTY;
         assert!(matches!(
             exprs_equal(
                 &[Expr::Value(Value::Int(1))],
                 &[Expr::Value(Value::Int(1))],
-                &p,
+                &mut p,
                 ctx
             ),
             EqResult::Eq
@@ -1103,22 +1109,24 @@ mod tests {
             exprs_equal(
                 &[Expr::Value(Value::Int(1))],
                 &[Expr::Value(Value::Int(2))],
-                &p,
+                &mut p,
                 ctx
             ),
             EqResult::Neq
         ));
         assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[field(Field::SrcIp)], &p, ctx),
+            exprs_equal(&[field(Field::SrcIp)], &[field(Field::SrcIp)], &mut p, ctx),
             EqResult::Eq
         ));
-        assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[field(Field::DstIp)], &p, ctx),
-            EqResult::Unknown(Test::FieldField(_, _))
-        ));
+        let EqResult::Unknown(t) =
+            exprs_equal(&[field(Field::SrcIp)], &[field(Field::DstIp)], &mut p, ctx)
+        else {
+            panic!("two distinct fields are not statically equal or unequal");
+        };
+        assert!(matches!(p.test(t), Test::FieldField(_, _)));
         // Different lengths can never be equal.
         assert!(matches!(
-            exprs_equal(&[field(Field::SrcIp)], &[], &p, ctx),
+            exprs_equal(&[field(Field::SrcIp)], &[], &mut p, ctx),
             EqResult::Neq
         ));
         // Tuples are flattened before comparison.
@@ -1129,7 +1137,7 @@ mod tests {
                     Expr::Value(Value::Int(1))
                 ])],
                 &[field(Field::SrcIp), Expr::Value(Value::Int(1))],
-                &p,
+                &mut p,
                 ctx
             ),
             EqResult::Eq

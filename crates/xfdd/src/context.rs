@@ -15,6 +15,14 @@
 //! decides — so diagrams come out node for node as they did when a context
 //! was a cloned fact vector. That vector form survives under `#[cfg(test)]`
 //! as the oracle the tests below compare against.
+//!
+//! A context is immutable, so what it implies about a test is a function of
+//! the two ids. Composition asks the same pairs again and again (once per
+//! `refine` of each operand), so the pool keeps every answer; a pair asked
+//! for the first time is mostly answered from its parent context's kept
+//! answer and the one newest fact, and walks the chain only when those two
+//! do not settle it. Compaction renumbers both ids and remaps the kept
+//! answers with them.
 
 use crate::pool::{CtxId, Pool, TestId};
 use crate::test::Test;
@@ -75,31 +83,68 @@ impl Pool {
     /// Does the context determine the outcome of an interned test?
     ///
     /// Returns `Some(true)` / `Some(false)` when the recorded facts imply the
-    /// test must pass / fail, and `None` when it cannot be decided.
-    pub(crate) fn ctx_implies(&self, ctx: CtxId, test: TestId) -> Option<bool> {
-        self.implies(ctx, self.test(test), Some(test))
+    /// test must pass / fail, and `None` when it cannot be decided. A context
+    /// never changes, so each (context, test) pair is answered once and the
+    /// answer kept; every later ask is one probe. A first ask is mostly told
+    /// from the parent's kept answer and the one newest fact, and walks the
+    /// context only when those two do not settle it.
+    pub(crate) fn ctx_implies(&mut self, ctx: CtxId, test: TestId) -> Option<bool> {
+        // The empty context has no facts to walk.
+        if ctx == CtxId::EMPTY {
+            return self.implies_by_walk(ctx, test);
+        }
+        if let Some(&answer) = self.ctx_answers.get(&(ctx, test)) {
+            return answer;
+        }
+        let answer = self
+            .implies_from_parent(ctx, test)
+            .unwrap_or_else(|| self.implies_by_walk(ctx, test));
+        self.ctx_answers.insert((ctx, test), answer);
+        answer
     }
 
-    /// [`Pool::ctx_implies`] for a test that need not be interned.
-    pub(crate) fn ctx_implies_test(&self, ctx: CtxId, test: &Test) -> Option<bool> {
-        self.implies(ctx, test, self.test_id(test.clone()))
-    }
-
-    /// `id` is `test`'s id if it is interned; every fact's test is, so a
-    /// test that is not cannot equal one.
-    fn implies(&self, ctx: CtxId, test: &Test, id: Option<TestId>) -> Option<bool> {
-        // A field-field fact also decides its mirror image.
-        let mirror = match test {
-            Test::FieldField(f, g) => self.test_id(Test::FieldField(g.clone(), f.clone())),
-            _ => None,
+    /// [`Pool::ctx_implies`]'s answer for a non-empty context, told from the
+    /// parent's answer (when kept) and the newest fact; `None` when those
+    /// two do not settle it.
+    fn implies_from_parent(&self, ctx: CtxId, id: TestId) -> Option<Option<bool>> {
+        let fact = self.ctxs[ctx.index() - 1];
+        let before = match fact.parent {
+            CtxId::EMPTY => self.implies_by_walk(CtxId::EMPTY, id),
+            parent => *self.ctx_answers.get(&(parent, id))?,
         };
+        let same_test = fact.test == id || Some(fact.test) == self.test_mirrors[id.index()];
+        match before {
+            // Older facts decide — except that a fact on the test itself
+            // outranks value facts of any age, so a newest one that says
+            // otherwise leaves it open which of the two the parent used.
+            Some(decided) => (!same_test || fact.outcome == decided).then_some(Some(decided)),
+            None if same_test => Some(Some(fact.outcome)),
+            None => match self.test(id) {
+                Test::FieldValue(f, v) => Some(match self.test(fact.test) {
+                    Test::FieldValue(tf, tv) if tf == f => fact_decides(tv, fact.outcome, v),
+                    _ => None,
+                }),
+                // The parent may know one side's value without the other;
+                // its answer does not say.
+                Test::FieldField(..) => None,
+                Test::State { .. } => Some(None),
+            },
+        }
+    }
+
+    /// [`Pool::ctx_implies`]'s answer, found by walking the context (and the
+    /// oracle its kept answers are tested against).
+    pub(crate) fn implies_by_walk(&self, ctx: CtxId, id: TestId) -> Option<bool> {
+        let test = self.test(id);
+        // A field-field fact also decides its mirror image.
+        let mirror = self.test_mirrors[id.index()];
         // One walk, newest fact first; each `Option` is overwritten as older
         // facts are met, so it ends up holding what the oldest one says.
         let mut same_test = None;
         let mut by_value = None;
         let (mut value_f, mut value_g) = (None, None);
         for (t, outcome) in self.ctx_facts(ctx) {
-            if Some(t) == id || Some(t) == mirror {
+            if t == id || Some(t) == mirror {
                 same_test = Some(outcome);
             }
             let Test::FieldValue(tf, tv) = self.test(t) else {
@@ -336,14 +381,16 @@ mod tests {
             self
         }
 
-        fn implies(&self, test: &Test) -> Option<bool> {
+        fn implies(&mut self, test: &Test) -> Option<bool> {
             let expected = self.oracle.implies(test);
-            assert_eq!(self.pool.ctx_implies_test(self.ctx, test), expected);
-            // Asked by id, the answer is the same (interning the query adds
-            // no fact).
-            let mut pool = self.pool.clone();
-            let id = pool.intern_test(test.clone());
-            assert_eq!(pool.ctx_implies(self.ctx, id), expected);
+            // Asked by id (interning the query adds no fact), the walk
+            // answers as the fact vector does...
+            let id = self.pool.intern_test(test.clone());
+            assert_eq!(self.pool.implies_by_walk(self.ctx, id), expected);
+            // ...and so does the path `refine` takes, twice: the second
+            // answer is the one the pool kept from the first.
+            assert_eq!(self.pool.ctx_implies(self.ctx, id), expected);
+            assert_eq!(self.pool.ctx_implies(self.ctx, id), expected);
             expected
         }
 
@@ -357,16 +404,16 @@ mod tests {
     #[test]
     fn exact_fact_is_implied() {
         let t = fv(Field::SrcPort, Value::Int(53));
-        let ctx = Both::new().with(t.clone(), true);
+        let mut ctx = Both::new().with(t.clone(), true);
         assert_eq!(ctx.implies(&t), Some(true));
-        let ctx = Both::new().with(t.clone(), false);
+        let mut ctx = Both::new().with(t.clone(), false);
         assert_eq!(ctx.implies(&t), Some(false));
         assert!(Both::new().implies(&t).is_none());
     }
 
     #[test]
     fn distinct_constants_exclude_each_other() {
-        let ctx = Both::new().with(fv(Field::SrcPort, Value::Int(53)), true);
+        let mut ctx = Both::new().with(fv(Field::SrcPort, Value::Int(53)), true);
         assert_eq!(
             ctx.implies(&fv(Field::SrcPort, Value::Int(80))),
             Some(false)
@@ -376,7 +423,7 @@ mod tests {
 
     #[test]
     fn ip_inside_prefix_is_implied() {
-        let ctx = Both::new().with(fv(Field::DstIp, Value::ip(10, 0, 6, 9)), true);
+        let mut ctx = Both::new().with(fv(Field::DstIp, Value::ip(10, 0, 6, 9)), true);
         assert_eq!(
             ctx.implies(&fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 24))),
             Some(true)
@@ -389,7 +436,7 @@ mod tests {
 
     #[test]
     fn prefix_knowledge_decides_sub_and_disjoint_prefixes() {
-        let ctx = Both::new().with(fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 25)), true);
+        let mut ctx = Both::new().with(fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 25)), true);
         // 10.0.6.0/25 is inside 10.0.6.0/24.
         assert_eq!(
             ctx.implies(&fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 24))),
@@ -411,7 +458,7 @@ mod tests {
 
     #[test]
     fn negative_prefix_fact_excludes_contained_addresses() {
-        let ctx = Both::new().with(fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 24)), false);
+        let mut ctx = Both::new().with(fv(Field::DstIp, Value::prefix(10, 0, 6, 0, 24)), false);
         assert_eq!(
             ctx.implies(&fv(Field::DstIp, Value::ip(10, 0, 6, 3))),
             Some(false)
@@ -430,17 +477,35 @@ mod tests {
         assert_eq!(Both::new().implies(&same), Some(true));
         let ff = Test::FieldField(Field::SrcIp, Field::DstIp);
         let sym = Test::FieldField(Field::DstIp, Field::SrcIp);
-        let ctx = Both::new().with(ff.clone(), true);
+        let mut ctx = Both::new().with(ff.clone(), true);
         assert_eq!(ctx.implies(&sym), Some(true));
         // Known constant values decide field-field tests.
-        let ctx = Both::new()
+        let mut ctx = Both::new()
             .with(fv(Field::SrcIp, Value::ip(1, 1, 1, 1)), true)
             .with(fv(Field::DstIp, Value::ip(1, 1, 1, 1)), true);
         assert_eq!(ctx.implies(&ff), Some(true));
-        let ctx = Both::new()
+        let mut ctx = Both::new()
             .with(fv(Field::SrcIp, Value::ip(1, 1, 1, 1)), true)
             .with(fv(Field::DstIp, Value::ip(2, 2, 2, 2)), true);
         assert_eq!(ctx.implies(&ff), Some(false));
+    }
+
+    #[test]
+    fn kept_answers_belong_to_their_context() {
+        // Each query is first asked where it is open, then again after a
+        // newer fact settles it: an answer kept for the parent must not
+        // stand for the child.
+        let t = fv(Field::SrcPort, Value::Int(53));
+        let mut ctx = Both::new().with(fv(Field::DstPort, Value::Int(80)), true);
+        assert_eq!(ctx.implies(&t), None);
+        let mut ctx = ctx.with(fv(Field::SrcPort, Value::Int(80)), true);
+        assert_eq!(ctx.implies(&t), Some(false));
+        // A field-field test interned before its mirror image is decided
+        // by a later fact on the mirror.
+        let ff = Test::FieldField(Field::SrcIp, Field::DstIp);
+        assert_eq!(ctx.implies(&ff), None);
+        let mut ctx = ctx.with(Test::FieldField(Field::DstIp, Field::SrcIp), true);
+        assert_eq!(ctx.implies(&ff), Some(true));
     }
 
     #[test]
@@ -511,7 +576,7 @@ mod tests {
         // one settles it — and a third, contradicting fact is too new to
         // matter.
         let query = fv(Field::DstIp, Value::prefix(10, 0, 0, 0, 25));
-        let ctx = Both::new()
+        let mut ctx = Both::new()
             .with(fv(Field::DstIp, Value::prefix(10, 0, 0, 0, 24)), true)
             .with(fv(Field::DstIp, Value::ip(10, 0, 0, 200)), true)
             .with(fv(Field::DstIp, Value::ip(10, 0, 0, 3)), true);

@@ -139,6 +139,9 @@ pub struct Pool {
     // Per node, the id of its test (`TestId::LEAF` for leaves).
     pub(crate) node_tests: Vec<TestId>,
     pub(crate) tests: Vec<Shared<Test>>,
+    // Per test, the id of its field-field mirror image (`g = f` for
+    // `f = g`), once both are interned.
+    pub(crate) test_mirrors: Vec<Option<TestId>>,
     // The content interners, keyed on the hash the payload carries.
     pub(crate) test_intern: FxHashMap<Shared<Test>, TestId>,
     pub(crate) leaf_intern: FxHashMap<Shared<Leaf>, NodeId>,
@@ -147,6 +150,9 @@ pub struct Pool {
     // context plus one fact (the empty context has no entry).
     pub(crate) ctxs: Vec<CtxFact>,
     pub(crate) ctx_intern: FxHashMap<(CtxId, TestId, bool), CtxId>,
+    // What a (non-empty) context implies about a test, per pair asked:
+    // contexts are immutable, so an answer never goes stale.
+    pub(crate) ctx_answers: FxHashMap<(CtxId, TestId), Option<bool>>,
     // Memo tables for the composition operators.
     pub(crate) union_memo: FxHashMap<(NodeId, NodeId, CtxId), NodeId>,
     pub(crate) seq_memo: FxHashMap<(NodeId, NodeId), Result<NodeId, crate::CompileError>>,
@@ -286,6 +292,16 @@ impl Pool {
 
     fn push_test(&mut self, test: Shared<Test>) -> TestId {
         let id = TestId::new(self.tests.len());
+        let mirror = match &**test {
+            Test::FieldField(f, g) if f != g => {
+                self.test_id(Test::FieldField(g.clone(), f.clone()))
+            }
+            _ => None,
+        };
+        if let Some(m) = mirror {
+            self.test_mirrors[m.index()] = Some(id);
+        }
+        self.test_mirrors.push(mirror);
         self.tests.push(test.clone());
         self.test_intern.insert(test, id);
         id
