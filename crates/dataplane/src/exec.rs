@@ -10,12 +10,11 @@
 //! underneath it: the in-flight packet representation ([`InFlight`],
 //! [`Progress`]), the single-switch step ([`process_at_switch`],
 //! [`StepOutcome`]), the lazily-locking per-group lease over the switch's
-//! key-range state shards ([`StoreLease`] — commuting writes buffer
-//! lock-free replica deltas, exact accesses lock only the key's shard, at
-//! most one shard guard is held at a time so leases cannot deadlock, and
-//! lock contention is counted on the [`StateShards`] themselves), the
-//! precomputed shortest-path hop distances ([`NextHops`]) and the small
-//! packet-header helpers.
+//! key-range state shards ([`StoreLease`] — every state test and write
+//! locks only its key's shard, at most one shard guard is held at a time so
+//! leases cannot deadlock, and lock contention is counted on the
+//! [`StateShards`] themselves), the precomputed shortest-path hop distances
+//! ([`NextHops`]) and the small packet-header helpers.
 //!
 //! ## State by slot
 //!
@@ -35,12 +34,12 @@
 //! survivors per instance on [`crate::PlaneTelemetry`], so two planes in
 //! one process never read each other's numbers.
 
-use crate::shards::{key_hash, Shard, StateShards, TableId};
+use crate::shards::{Shard, StateShards, TableId};
 use parking_lot::MutexGuard;
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Value};
 use snap_telemetry::HopRecord;
 use snap_topology::{HopMatrix, NodeId as SwitchId, PortId, Topology};
-use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, Test, VarSlot};
+use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, Test, VarSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a view resolved one variable slot of its program to.
@@ -85,113 +84,71 @@ pub fn bind_slots(
 thread_local! {
     static INDEX_SCRATCH: std::cell::RefCell<Vec<Value>> =
         const { std::cell::RefCell::new(Vec::new()) };
+    /// The writes of the running leaf sequence that wait for its end (see
+    /// [`StoreLease`]), and the arena their keys live in: per thread, so
+    /// deferring a write allocates nothing once the buffers are warm.
+    static DEFERRED: std::cell::RefCell<(Vec<Deferred>, Vec<Value>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// What a buffered commuting update does to its key.
-enum ReplicaOp<'p> {
-    /// Net increment of a [`StateClass::Counter`] key.
-    Add(i64),
-    /// Idempotent literal set of a [`StateClass::IdempotentSet`] key — the
-    /// literal is borrowed from the program.
-    Set(&'p Value),
-}
-
-/// One buffered commuting update, awaiting the merge flush. The key is a
-/// range of the buffer's key arena, so buffering one allocates nothing.
-struct Delta<'p> {
+/// A leaf's write to a shard other than the held one, evaluated where its
+/// sequence reached it and applied when the sequence's run at this switch
+/// ends ([`StoreLease::finish_leaf`]).
+struct Deferred {
+    /// The action's offset in its sequence.
+    at: usize,
     table: TableId,
+    shard: usize,
+    /// The evaluated key, a range of the thread's key arena.
     key: std::ops::Range<usize>,
-    /// [`key_hash`] of `(table, key)`: picks the shard at flush time, and
-    /// lets coalescing reject every other buffered key with one integer
-    /// compare.
-    hash: u64,
-    op: ReplicaOp<'p>,
-}
-
-/// The storage behind a [`StoreLease`]'s buffered commuting updates, owned
-/// by whoever drives the leases (one per batch in the driver) so that
-/// consecutive leases reuse it: the delta list keeps its capacity from group
-/// to group, and the key arena — plain values, no borrows — can be carried
-/// from batch to batch ([`ReplicaBuffer::with_keys`] /
-/// [`ReplicaBuffer::into_keys`]). Always empty between two leases: a lease
-/// drains it in [`StoreLease::flush`].
-pub struct ReplicaBuffer<'p> {
-    deltas: Vec<Delta<'p>>,
-    keys: Vec<Value>,
-}
-
-impl<'p> ReplicaBuffer<'p> {
-    /// A buffer over a recycled (empty) key arena.
-    pub fn with_keys(keys: Vec<Value>) -> ReplicaBuffer<'p> {
-        debug_assert!(keys.is_empty());
-        ReplicaBuffer {
-            deltas: Vec::new(),
-            keys,
-        }
-    }
-
-    /// Hand the (empty) key arena back for the next buffer to reuse.
-    pub fn into_keys(self) -> Vec<Value> {
-        self.keys
-    }
+    /// A set's evaluated value; `None` for an increment or decrement.
+    value: Option<Value>,
 }
 
 /// A lazily locking lease on one switch's [`StateShards`].
 ///
-/// The driver creates one lease per (switch, batch-group). Accesses route
-/// to the key's shard and lock it on first touch (counted into the shard's
-/// contention stats), and the lease keeps the guard across consecutive
-/// accesses to the same shard — so a run of packets hitting the same key
-/// range pays one lock acquisition instead of one per access, and packets
-/// on *different* key ranges (or different workers' groups) don't
-/// serialize at all.
+/// The driver creates one lease per (switch, batch-group). Every state
+/// access — test or write — routes to its key's shard and locks it on first
+/// touch (counted into the shard's contention stats), and the lease keeps
+/// the guard across consecutive accesses to the same shard — so a run of
+/// packets hitting the same key range pays one lock acquisition instead of
+/// one per access, and packets on *different* key ranges (or different
+/// workers' groups) don't serialize at all.
 ///
 /// **A lease holds at most one shard guard at any moment.** Touching a
 /// different shard drops the held guard before acquiring the new one, so
 /// no lease can hold-and-wait and two workers' leases can never deadlock,
-/// whatever order their packets visit the key ranges in. The invariant
-/// still guarantees what the exactness tests rely on: a state test and
-/// the leaf action it guards address the same variable and key — on this
-/// switch, the same [`TableId`] and key, which [`key_hash`] routes to the
-/// same shard — hence one uninterrupted guard hold: test-then-act on a key
-/// is atomic. Only accesses to *different* keys interleave across workers
-/// at op granularity, which is within the plane's existing cross-worker
-/// ordering contract.
-///
-/// Writes to variables the program classified as commuting
-/// ([`StateClass::is_replicable`]) never lock and never allocate: they
-/// accumulate in the lent [`ReplicaBuffer`] — a set's literal stays borrowed
-/// from the program (`'p`), the evaluated key is appended to the buffer's
-/// arena, updates to one `(table, key)` coalesce — and are merged into the
-/// authoritative shards by [`StoreLease::flush`] under one short lock per
-/// touched shard: exact, because classification guarantees nothing on the
-/// packet path observes the intermediate values and the buffered updates
-/// are order-independent.
-pub struct StoreLease<'a, 'p> {
+/// whatever order their packets visit the key ranges in. Every
+/// read-modify-write runs under one guard hold. So does test-then-act on a
+/// key: a state test and the leaf action it guards address the same
+/// variable and key — on this switch, the same [`TableId`] and key, which
+/// routes to the same shard — and a leaf applies its writes to the held
+/// shard first. Its writes to other shards are evaluated where the sequence
+/// reaches them and applied, in sequence order, when the sequence's run at
+/// this switch ends ([`StoreLease::finish_leaf`]), so a counter keyed
+/// elsewhere cannot take the guard away between a flag's test and its set.
+/// Writes to distinct keys commute, and a packet reads no state after its
+/// leaf, so the reordering is invisible to the packet; only accesses to
+/// *different* keys interleave across workers at op granularity, which is
+/// within the plane's existing cross-worker ordering contract. (A second
+/// state test on another shard between a test and its action does move the
+/// guard.)
+pub struct StoreLease<'a> {
     shards: Option<&'a StateShards>,
     /// The single currently held shard guard, if any: `(shard index,
     /// guard)`. Never more than one — see the no-hold-and-wait invariant
     /// above.
     guard: Option<(usize, MutexGuard<'a, Shard>)>,
-    /// Buffered commuting updates. Linear-scan coalesced — batch groups are
-    /// small (≤ the driver's group size), so a scan beats a hash map here.
-    buffer: &'a mut ReplicaBuffer<'p>,
     writes: u64,
 }
 
-impl<'a, 'p> StoreLease<'a, 'p> {
+impl<'a> StoreLease<'a> {
     /// A lease over a switch's shards (`None` for a switch with no state —
-    /// every state access will then report the missing store), buffering
-    /// commuting updates in `buffer`.
-    pub fn new(
-        shards: Option<&'a StateShards>,
-        buffer: &'a mut ReplicaBuffer<'p>,
-    ) -> StoreLease<'a, 'p> {
-        debug_assert!(buffer.deltas.is_empty() && buffer.keys.is_empty());
+    /// every state access will then report the missing store).
+    pub fn new(shards: Option<&'a StateShards>) -> StoreLease<'a> {
         StoreLease {
             shards,
             guard: None,
-            buffer,
             writes: 0,
         }
     }
@@ -227,131 +184,129 @@ impl<'a, 'p> StoreLease<'a, 'p> {
         }))
     }
 
-    /// Apply a state action to `table` (the switch's table for the action's
-    /// variable) under the variable's compile-time classification:
-    /// commuting writes buffer a delta without locking, exact writes lock
-    /// the key's shard. `None` when the switch has no shards.
+    /// Apply a state action — action `at` of a leaf sequence: a set, or an
+    /// increment or decrement by one — to `table` (the switch's table for
+    /// the action's variable) on the authoritative shard of its key: now if
+    /// that shard is held or nothing is, else when the sequence's run ends
+    /// (see the type docs). An increment of a value that is not an integer
+    /// fails as [`snap_lang::eval`] does and leaves the entry untouched; a
+    /// failed action drops the writes its sequence deferred. `None` when
+    /// the switch has no shards.
     pub fn apply_action(
         &mut self,
-        class: StateClass,
         table: TableId,
-        action: &'p Action,
+        at: usize,
+        action: &Action,
         pkt: &Packet,
     ) -> Option<Result<(), EvalError>> {
         let shards = self.shards?;
         let result = INDEX_SCRATCH.with(|cell| {
             let idx = &mut *cell.borrow_mut();
-            let (index, sign) = match action {
-                Action::StateSet { index, .. } => (index, 0),
-                Action::StateIncr { index, .. } => (index, 1),
-                Action::StateDecr { index, .. } => (index, -1),
+            let (index, value) = match action {
+                Action::StateSet { index, value, .. } => (index, Some(value)),
+                Action::StateIncr { index, .. } | Action::StateDecr { index, .. } => (index, None),
                 Action::Modify(_, _) => unreachable!("not a state action"),
             };
             snap_lang::eval_index_into(index, pkt, idx)?;
-            let hash = key_hash(table, idx);
-            match (class, action) {
-                (StateClass::Counter, Action::StateIncr { .. } | Action::StateDecr { .. }) => {
-                    self.buffer(table, idx, hash, ReplicaOp::Add(sign));
-                    Ok(())
-                }
-                (
-                    StateClass::IdempotentSet,
-                    Action::StateSet {
-                        value: Expr::Value(literal),
-                        ..
-                    },
-                ) => {
-                    self.buffer(table, idx, hash, ReplicaOp::Set(literal));
-                    Ok(())
-                }
-                _ => {
-                    // Exact read-modify-write on the authoritative shard.
-                    let shard = locked_shard(shards, &mut self.guard, shards.shard_of_hash(hash));
-                    apply_exact(action, sign, pkt, table, idx, shard)
-                }
+            let value = value.map(|v| snap_lang::eval_expr(v, pkt)).transpose()?;
+            let shard = shards.shard_of(table, idx);
+            if matches!(self.guard, Some((held, _)) if held != shard) {
+                DEFERRED.with(|cell| {
+                    let (deferred, keys) = &mut *cell.borrow_mut();
+                    let start = keys.len();
+                    keys.extend_from_slice(idx);
+                    deferred.push(Deferred {
+                        at,
+                        table,
+                        shard,
+                        key: start..keys.len(),
+                        value,
+                    });
+                });
+                return Ok(false);
             }
+            write(
+                locked_shard(shards, &mut self.guard, shard),
+                table,
+                idx,
+                action,
+                value,
+            )?;
+            Ok(true)
         });
-        if result.is_ok() {
-            self.writes += 1;
+        match result {
+            Ok(applied) => self.writes += u64::from(applied),
+            Err(_) => DEFERRED.with(|cell| {
+                let (deferred, keys) = &mut *cell.borrow_mut();
+                deferred.clear();
+                keys.clear();
+            }),
         }
-        Some(result)
+        Some(result.map(|_| ()))
     }
 
-    /// Coalesce a commuting update into the delta buffer.
-    fn buffer(&mut self, table: TableId, idx: &[Value], hash: u64, op: ReplicaOp<'p>) {
-        let ReplicaBuffer { deltas, keys } = &mut *self.buffer;
-        for delta in deltas.iter_mut() {
-            if delta.hash == hash && delta.table == table && keys[delta.key.clone()] == *idx {
-                match (&mut delta.op, op) {
-                    (ReplicaOp::Add(n), ReplicaOp::Add(d)) => *n += d,
-                    (slot @ ReplicaOp::Set(_), set @ ReplicaOp::Set(_)) => *slot = set,
-                    // Classification never mixes kinds for one variable.
-                    _ => unreachable!("mixed replica ops for one variable"),
-                }
-                return;
-            }
-        }
-        let start = keys.len();
-        keys.extend_from_slice(idx);
-        deltas.push(Delta {
-            table,
-            key: start..keys.len(),
-            hash,
-            op,
-        });
-    }
-
-    /// Merge the buffered commuting updates into the authoritative shards
-    /// (one short counted lock per touched shard) and release every guard.
-    /// The driver calls this at the end of each batch-group, bounding how
-    /// stale a concurrent `aggregate_store` can observe replicated totals:
-    /// exact once the workers have joined. A group that buffered nothing
-    /// only releases its guard.
-    pub fn flush(&mut self) {
-        let ReplicaBuffer { deltas, keys } = &mut *self.buffer;
-        if let (Some(shards), false) = (self.shards, deltas.is_empty()) {
-            // Group by shard so the single held guard swaps once per touched
-            // shard; the ops commute, so reordering them is exact (and an
-            // unstable sort needs no scratch buffer).
-            deltas.sort_unstable_by_key(|delta| shards.shard_of_hash(delta.hash));
-            let mut flushing = None;
-            for delta in deltas.drain(..) {
-                let at = shards.shard_of_hash(delta.hash);
-                if flushing != Some(at) {
-                    flushing = Some(at);
-                    shards.note_flush(at);
-                }
-                let shard = locked_shard(shards, &mut self.guard, at);
-                let idx = &keys[delta.key];
-                match delta.op {
-                    ReplicaOp::Add(n) => {
-                        shard
-                            .update(delta.table, idx, |cur| {
-                                // Classification guarantees every program
-                                // write to this variable is an increment, so
-                                // non-int values can only come from
-                                // hand-installed tables; coerce them to 0
-                                // rather than fail a flush that can no
-                                // longer be attributed to a packet.
-                                Ok::<_, std::convert::Infallible>(Value::Int(
-                                    cur.as_int().unwrap_or(0) + n,
-                                ))
-                            })
-                            .unwrap();
+    /// Apply the writes the running leaf sequence (`actions`) deferred, in
+    /// sequence order, stopping at the first that fails. Call it wherever
+    /// the sequence's run at this switch ends.
+    pub fn finish_leaf(&mut self, actions: &[Action]) -> Result<(), EvalError> {
+        DEFERRED.with(|cell| {
+            let (deferred, keys) = &mut *cell.borrow_mut();
+            let mut result = Ok(());
+            if let Some(shards) = self.shards {
+                for d in deferred.iter_mut() {
+                    let shard = locked_shard(shards, &mut self.guard, d.shard);
+                    let (idx, value) = (&keys[d.key.clone()], d.value.take());
+                    result = write(shard, d.table, idx, &actions[d.at], value);
+                    if result.is_err() {
+                        break;
                     }
-                    ReplicaOp::Set(v) => shard.set_at(delta.table, idx, v.clone()),
+                    self.writes += 1;
                 }
             }
+            deferred.clear();
             keys.clear();
-        }
+            result
+        })
+    }
+
+    /// Release the held shard guard. The driver calls this at the end of
+    /// each batch-group.
+    pub fn flush(&mut self) {
         self.guard = None;
     }
 
-    /// State actions applied through this lease, buffered or exact (summed
-    /// into the per-switch `switch.state_writes` family at group end).
+    /// State actions applied through this lease (summed into the
+    /// per-switch `switch.state_writes` family at group end).
     pub fn state_writes(&self) -> u64 {
         self.writes
     }
+}
+
+/// Write `table[idx]` in its shard: store a set's evaluated `value`, or
+/// increment / decrement the stored integer (`value` is `None`).
+fn write(
+    shard: &mut Shard,
+    table: TableId,
+    idx: &[Value],
+    action: &Action,
+    value: Option<Value>,
+) -> Result<(), EvalError> {
+    if let Some(value) = value {
+        shard.set_at(table, idx, value);
+        return Ok(());
+    }
+    let step = if matches!(action, Action::StateDecr { .. }) {
+        -1
+    } else {
+        1
+    };
+    shard.update(table, idx, |cur| {
+        let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
+            var: action.written_var().expect("a state action").clone(),
+            value: cur.clone(),
+        })?;
+        Ok(Value::Int(n + step))
+    })
 }
 
 /// Shard `i` under a lease's single-guard rule: reuses the held guard when
@@ -474,10 +429,10 @@ pub enum StepOutcome {
 /// traced: the state variables tested and written at this switch are
 /// appended to it, by name. `None` (every unsampled packet) costs a branch
 /// per state access.
-pub fn process_at_switch<'p>(
+pub fn process_at_switch(
     bindings: &[SlotBinding],
-    flat: &'p FlatProgram,
-    store: &mut StoreLease<'_, 'p>,
+    flat: &FlatProgram,
+    store: &mut StoreLease<'_>,
     flight: &mut InFlight,
     mut trace: Option<&mut HopRecord>,
 ) -> Result<StepOutcome, SimError> {
@@ -560,6 +515,7 @@ pub fn process_at_switch<'p>(
                             .written_slot(seq, off)
                             .expect("a state action was lowered with its slot");
                         let SlotBinding::Local(table) = bindings[slot.index()] else {
+                            store.finish_leaf(&sequence.actions)?;
                             flight.progress = Progress::InLeaf {
                                 node,
                                 seq,
@@ -571,11 +527,12 @@ pub fn process_at_switch<'p>(
                             h.state_writes.push(flat.var_name(slot).to_string());
                         }
                         store
-                            .apply_action(flat.class_of(slot), table, action, &flight.pkt)
+                            .apply_action(table, off, action, &flight.pkt)
                             .expect("switch with state has a store")?;
                     }
                     off += 1;
                 }
+                store.finish_leaf(&sequence.actions)?;
                 if sequence.drops {
                     return Ok(StepOutcome::Dropped);
                 }
@@ -657,28 +614,4 @@ pub fn read_outport(pkt: &Packet) -> Result<PortId, SimError> {
         Some(other) => Err(SimError::BadOutPort(other.clone())),
         None => Err(SimError::BadOutPort(Value::Int(-1))),
     }
-}
-
-/// Apply one state action exactly — a set, or an increment by `sign` — to
-/// its variable's `table` in the shard `idx` (the action's evaluated index
-/// vector) routes to.
-fn apply_exact(
-    action: &Action,
-    sign: i64,
-    pkt: &Packet,
-    table: TableId,
-    idx: &[Value],
-    shard: &mut Shard,
-) -> Result<(), EvalError> {
-    if let Action::StateSet { value, .. } = action {
-        shard.set_at(table, idx, snap_lang::eval_expr(value, pkt)?);
-        return Ok(());
-    }
-    shard.update(table, idx, |cur| {
-        let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
-            var: action.written_var().expect("a state action").clone(),
-            value: cur.clone(),
-        })?;
-        Ok(Value::Int(n + sign))
-    })
 }

@@ -10,9 +10,9 @@
 //! * [`exec`] — the single-switch step, the in-flight packet and its §4.5
 //!   tag, slot bindings, the store lease and the hop distances the driver
 //!   forwards by ([`NextHops`]);
-//! * [`shards`] — per-switch state: commuting updates buffer lock-free in
-//!   per-worker replicas and merge into the [`StateShards`] at group end,
-//!   exact variables take one key-range shard lock;
+//! * [`shards`] — per-switch state: every variable's table split by key
+//!   range across the [`StateShards`], and every state test and write
+//!   applied under its key's shard lock;
 //! * [`egress`] — bounded per-port FIFO queues with backpressure counters
 //!   ([`EgressQueues`]);
 //! * [`PlaneTelemetry`] — the pre-registered `snap-telemetry` handle
@@ -34,8 +34,7 @@ pub mod shards;
 
 pub use egress::{EgressEvent, EgressQueues, DEFAULT_QUEUE_CAPACITY};
 pub use exec::{
-    bind_slots, InFlight, NextHops, Progress, ReplicaBuffer, SimError, SlotBinding, StepOutcome,
-    StoreLease,
+    bind_slots, InFlight, NextHops, Progress, SimError, SlotBinding, StepOutcome, StoreLease,
 };
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
 pub use shards::{Shard, StateShards, TableId, DEFAULT_STATE_SHARDS};

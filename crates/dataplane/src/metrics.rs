@@ -118,13 +118,12 @@ pub fn export_egress(snap: &mut MetricsSnapshot, prefix: &str, queues: &EgressQu
 }
 
 /// Append one switch's [`StateShards`](crate::StateShards) contention
-/// stats to a snapshot as
-/// three per-shard families — `store.shard.acquisitions` /
-/// `.contended` / `.merge_flushes`, row label `<owner>/s<i>` — appending
-/// to rows already exported for other switches. This replaces the old
-/// process-wide `driver.store_lock_acquisitions` counter: the readings are
-/// taken off the shards at snapshot time, so the packet path pays one
-/// relaxed add per counted lock and nothing per snapshot-less run.
+/// stats to a snapshot as two per-shard families —
+/// `store.shard.acquisitions` / `.contended`, row label `<owner>/s<i>` —
+/// appending to rows already exported for other switches. This replaces
+/// the old process-wide `driver.store_lock_acquisitions` counter: the
+/// readings are taken off the shards at snapshot time, so the packet path
+/// pays one relaxed add per counted lock and nothing per snapshot-less run.
 ///
 /// Alongside them goes `store.table.entries`, row label `<owner>/<var>`:
 /// the written entries of every table the switch holds, summed over its
@@ -132,20 +131,17 @@ pub fn export_egress(snap: &mut MetricsSnapshot, prefix: &str, queues: &EgressQu
 pub fn export_shards(snap: &mut MetricsSnapshot, owner: &str, shards: &crate::StateShards) {
     let mut acquisitions = Vec::new();
     let mut contended = Vec::new();
-    let mut flushes = Vec::new();
     for i in 0..shards.num_shards() {
-        let (a, c, f) = shards.shard_stats(i);
+        let (a, c) = shards.shard_stats(i);
         let label = format!("{owner}/s{i}");
         acquisitions.push((label.clone(), a));
-        contended.push((label.clone(), c));
-        flushes.push((label, f));
+        contended.push((label, c));
     }
     let entries = shards.table_entries().into_iter();
     let entries = entries.map(|(var, n)| (format!("{owner}/{var}"), n));
     for (name, rows) in [
         ("store.shard.acquisitions", acquisitions),
         ("store.shard.contended", contended),
-        ("store.shard.merge_flushes", flushes),
         ("store.table.entries", entries.collect()),
     ] {
         snap.families

@@ -6,9 +6,8 @@
 //! lands on one switch, so adding workers *loses* throughput. A
 //! [`StateShards`] splits that switch's tables by index hash across `K`
 //! shards: workers contend only when they hit the same key range, and the
-//! per-shard counters (acquisitions / contended acquisitions / merge
-//! flushes) make the remaining contention observable independent of the
-//! host's core count.
+//! per-shard counters (acquisitions / contended acquisitions) make the
+//! remaining contention observable independent of the host's core count.
 //!
 //! ## Tables by id
 //!
@@ -18,16 +17,16 @@
 //! when it binds the program's variable slots (`snap_xfdd::VarSlot`) to this
 //! switch, and from then on a state access is `(table id, key)`: one
 //! deterministic word-at-a-time hash of the key picks the shard
-//! ([`key_hash`] — the name is not hashed again), the shard holds its tables
-//! in a `Vec` indexed by table id, and each table is a hash table keyed by
-//! the evaluated index — one seeded hash, no tree walk, no string compare.
-//! Keys are packet-derived, so the tables keep std's randomly seeded hasher;
-//! only shard *routing* is a fixed function, because every worker (and every
-//! run: the contention counters must repeat) has to route a key alike, and
-//! it only ever chooses among `K` locks. An id is never reused or retired:
-//! yielding a variable empties its tables and keeps the id, so a view of an
-//! older epoch that still binds it stays meaningful, and a later re-install
-//! lands under the same id.
+//! ([`StateShards::shard_of`] — the name is not hashed again), the shard
+//! holds its tables in a `Vec` indexed by table id, and each table is a hash
+//! table keyed by the evaluated index — one seeded hash, no tree walk, no
+//! string compare. Keys are packet-derived, so the tables keep std's
+//! randomly seeded hasher; only shard *routing* is a fixed function, because
+//! every worker (and every run: the contention counters must repeat) has to
+//! route a key alike, and it only ever chooses among `K` locks. An id is
+//! never reused or retired: yielding a variable empties its tables and keeps
+//! the id, so a view of an older epoch that still binds it stays meaningful,
+//! and a later re-install lands under the same id.
 //!
 //! Ids are private to one switch's `StateShards` — two switches number the
 //! same variable differently. [`snap_lang::Store`] / [`StateTable`] remain
@@ -84,9 +83,8 @@ impl TableId {
 }
 
 /// The routing hash of `table[index]`: deterministic across workers, runs
-/// and processes, a word per step. [`StateShards::shard_of_hash`] turns it
-/// into a shard; the replica buffer reuses it to tell keys apart cheaply.
-pub fn key_hash(table: TableId, index: &[Value]) -> u64 {
+/// and processes, a word per step.
+fn key_hash(table: TableId, index: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(table.0);
     index.hash(&mut h);
@@ -209,8 +207,6 @@ pub struct StateShards {
     acquisitions: Vec<AtomicU64>,
     /// The subset of acquisitions that found the shard already locked.
     contended: Vec<AtomicU64>,
-    /// Replica-delta merge flushes applied to each shard.
-    merge_flushes: Vec<AtomicU64>,
 }
 
 impl StateShards {
@@ -223,7 +219,6 @@ impl StateShards {
             shards: (0..k).map(|_| Mutex::new(Shard::default())).collect(),
             acquisitions: (0..k).map(|_| AtomicU64::new(0)).collect(),
             contended: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            merge_flushes: (0..k).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -252,16 +247,11 @@ impl StateShards {
         self.registry.lock().ids.get(var).copied()
     }
 
-    /// The shard a routing hash ([`key_hash`]) selects.
-    #[inline]
-    pub fn shard_of_hash(&self, hash: u64) -> usize {
-        (hash % self.shards.len() as u64) as usize
-    }
-
     /// The shard holding `table[index]`: a deterministic hash of the table
     /// id and the index values, so every worker routes a key identically.
+    #[inline]
     pub fn shard_of(&self, table: TableId, index: &[Value]) -> usize {
-        self.shard_of_hash(key_hash(table, index))
+        (key_hash(table, index) % self.shards.len() as u64) as usize
     }
 
     /// Packet-path lock: counts the acquisition, and whether it had to wait
@@ -283,17 +273,11 @@ impl StateShards {
         self.shards[i].lock()
     }
 
-    /// Record one replica-delta merge flush applied to shard `i`.
-    pub fn note_flush(&self, i: usize) {
-        self.merge_flushes[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-shard `(acquisitions, contended, merge_flushes)` readings.
-    pub fn shard_stats(&self, i: usize) -> (u64, u64, u64) {
+    /// Per-shard `(acquisitions, contended)` readings.
+    pub fn shard_stats(&self, i: usize) -> (u64, u64) {
         (
             self.acquisitions[i].load(Ordering::Relaxed),
             self.contended[i].load(Ordering::Relaxed),
-            self.merge_flushes[i].load(Ordering::Relaxed),
         )
     }
 
@@ -498,8 +482,6 @@ mod tests {
         assert_eq!(shards.shard_stats(1).0, 1);
         assert_eq!(shards.total_acquisitions(), 3);
         assert_eq!(shards.total_contended(), 0);
-        shards.note_flush(1);
-        assert_eq!(shards.shard_stats(1).2, 1);
         // Control-plane locks are uncounted.
         drop(shards.lock_shard(0));
         assert_eq!(shards.total_acquisitions(), 3);

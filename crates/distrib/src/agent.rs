@@ -6,7 +6,7 @@
 //! * a **mirror** ([`snap_xfdd::Mirror`]) — a node-for-node copy of the
 //!   controller's append-only distribution pool, advanced by
 //!   `snap_xfdd::wire` suffix deltas, plus the lowering of every node —
-//!   payload, successors, dispatch entry, state summary — made once when
+//!   payload, successors, dispatch entry — made once when
 //!   the node arrives. Every agent's mirror holds the same node table, so
 //!   the flat ids every agent assigns agree — which is what lets the §4.5
 //!   packet tag minted on one switch resume on another. Lowered nodes are

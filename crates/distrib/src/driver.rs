@@ -16,9 +16,11 @@
 //!   slice — so the loop below indexes and never looks a variable up by
 //!   name.
 //! * State is leased from the agent's key-range shards
-//!   ([`store`](crate::SwitchAgent::store)). It is epoch-independent —
-//!   state survives reconfiguration — which is what lets one lease cover a
-//!   (switch, batch-group).
+//!   ([`store`](crate::SwitchAgent::store)): every state test and write is
+//!   applied on its key's shard, under that shard's lock, the one place the
+//!   variable's value lives. State is epoch-independent — it survives
+//!   reconfiguration — which is what lets one lease cover a (switch,
+//!   batch-group).
 //! * A delivered packet lands in the owning agent's bounded per-port FIFO
 //!   queues ([`egress`](crate::SwitchAgent::egress)); a full queue
 //!   tail-drops it and the drop is counted on the packet's
@@ -26,8 +28,9 @@
 //!
 //! On top of the unified loop the driver executes **batched**: in-flight
 //! packets are grouped by their current switch and each group is drained
-//! under a single [`StoreLease`], so a store lock is taken once per
-//! (switch, batch-group) instead of once per packet visit — the cheapest
+//! under a single [`StoreLease`], which keeps a shard's guard across
+//! consecutive accesses to it, so a run of accesses to one key range takes
+//! its shard lock once instead of once per access — the cheapest
 //! remaining throughput lever, in the spirit of the wire-speed stateful
 //! stages of OPP and the state-access bottleneck observed by State-Compute
 //! Replication. Per-packet injection is simply a batch of one.
@@ -72,7 +75,7 @@ use crate::pins::PinArena;
 use crate::plane::{DistNetwork, InjectError, InjectOutcome};
 use snap_dataplane::exec::{
     misplaced_state_error, missing_placement_error, process_at_switch, InFlight, Progress,
-    ReplicaBuffer, SimError, SlotBinding, StepOutcome, StoreLease,
+    SimError, SlotBinding, StepOutcome, StoreLease,
 };
 use snap_dataplane::PlaneTelemetry;
 use snap_lang::{Packet, Value};
@@ -177,8 +180,7 @@ fn progress_tag(progress: &Progress) -> String {
 
 /// Recycled buffers for the wave loop: the in-flight and forwarded lists,
 /// the per-switch buckets, the wave-prefix cohort work-list, a pool of
-/// emptied member lists, the batch's dense switch table and the key arena
-/// of the store leases. Kept in a thread-local and shared by every batch a
+/// emptied member lists and the batch's dense switch table. Kept in a thread-local and shared by every batch a
 /// worker thread drives, so the wave machinery stops allocating once the
 /// buffers have warmed up — not once per batch.
 #[derive(Default)]
@@ -188,7 +190,6 @@ struct WaveScratch {
     next: Vec<Tagged>,
     cohort: CohortScratch,
     switches: SwitchTable,
-    lease_keys: Vec<Value>,
 }
 
 /// The wave-prefix pass's slice of [`WaveScratch`], split out so the batch
@@ -333,12 +334,12 @@ impl DistNetwork {
     /// batch, so packets entering at one switch share an epoch, while
     /// epochs may differ between ingress switches as a commit wave passes.
     /// Execution is grouped by switch: all in-flight packets currently at
-    /// the same switch are drained together under one [`StoreLease`] (one
-    /// store-lock acquisition per group), against views pinned for the
-    /// whole batch — an agent's `core` lock is taken once per (switch,
-    /// epoch, batch), not per packet. A packet that fails loses its
-    /// remaining in-flight copies, and never affects the rest of the
-    /// batch; state side effects that already happened stay. Some of a
+    /// the same switch are drained together under one [`StoreLease`] (a
+    /// shard lock per run of accesses to one key range), against views
+    /// pinned for the whole batch — an agent's `core` lock is taken once
+    /// per (switch, epoch, batch), not per packet. A packet that fails
+    /// loses its remaining in-flight copies, and never affects the rest of
+    /// the batch; state side effects that already happened stay. Some of a
     /// failed packet's deliveries may already sit in egress queues, and
     /// nothing retracts them — an egress queue is a wire, not a buffer the
     /// driver owns.
@@ -391,7 +392,6 @@ impl DistNetwork {
                 next,
                 cohort,
                 switches: table,
-                lease_keys,
             } = scratch;
             pending.clear();
             next.clear();
@@ -405,7 +405,6 @@ impl DistNetwork {
                 table,
                 arena: &arena,
             };
-            let mut replica = ReplicaBuffer::with_keys(std::mem::take(lease_keys));
             for (origin, (port, packet)) in batch.iter().enumerate() {
                 let Some(ingress) = self.topology.port_switch(*port) else {
                     results.push(Err(SimError::UnknownPort(*port).into()));
@@ -460,13 +459,11 @@ impl DistNetwork {
                         &mut results,
                         cohort,
                         &mut tally,
-                        &mut replica,
                     );
                     *bucket = group; // keep the bucket's capacity warm
                 }
                 std::mem::swap(pending, next);
             }
-            *lease_keys = replica.into_keys();
             if let Some(m) = self.metrics() {
                 pins.table.flush_tally(m);
             }
@@ -496,9 +493,8 @@ impl DistNetwork {
         results: &mut Outcomes,
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
-        replica: &mut ReplicaBuffer<'b>,
     ) {
-        let mut lease = StoreLease::new(self.agent(switch).map(|a| a.store()), replica);
+        let mut lease = StoreLease::new(self.agent(switch).map(|a| a.store()));
         // Phase one, lock-free: advance every flight's stateless prefix
         // through the view's program, a dispatch stage at a time across the
         // whole group. Only survivors still need the store below.
@@ -623,9 +619,6 @@ impl DistNetwork {
             }
         }
         group.clear();
-        // Merge buffered replica deltas into the authoritative shards
-        // before the lease drops — unconditionally, not only when metrics
-        // are attached: the flush is what makes the writes visible.
         lease.flush();
         if self.metrics().is_some() {
             let slot = pins.table.slot(switch);

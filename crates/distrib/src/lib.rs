@@ -14,7 +14,7 @@
 //!   rollbacks ship zero.
 //! * [`SwitchAgent`] is the switch side: it mirrors the distribution pool
 //!   node-for-node and lowers each node once, when it arrives, all the way
-//!   to its dispatch entry and state summary — so the mirror ids every
+//!   to its dispatch entry — so the mirror ids every
 //!   agent assigns (the §4.5 packet tags) agree across all switches, and a
 //!   program is a handle to the lowered table plus a root.
 //! * An agent stages an update on *prepare* — apply the delta (lowering

@@ -3,9 +3,10 @@
 //!
 //! Scaling traffic is embarrassingly parallel up to the per-switch store
 //! shards: the engine shards a workload across worker threads, each worker
-//! pumps its shard batch by batch (one configuration acquisition — and one
-//! store-lock acquisition per visited switch — per batch, thanks to the
-//! batched driver) and collects its egress locally; per-worker
+//! pumps its shard batch by batch (one configuration acquisition per
+//! visited switch per batch, and a state-shard lock per run of accesses to
+//! one key range, thanks to the batched driver) and collects its egress
+//! locally; per-worker
 //! results are only merged after the workers join — no shared output
 //! structure, no coordination on the hot path.
 //!

@@ -1,17 +1,15 @@
 //! Differential tests of the lowered mirror, a one-off flatten as oracle.
 //!
 //! A switch agent's program is its [`Mirror`]'s node table — every node
-//! lowered once, when a delta delivered it, down to its dispatch entry and
-//! state summary — plus a root, numbered by *mirror ids*. The oracle is
+//! lowered once, when a delta delivered it, down to its dispatch entry —
+//! plus a root, numbered by *mirror ids*. The oracle is
 //! [`FlatProgram::from_pool`] on a pool decoded from scratch: the same
 //! program lowered in one go, densely numbered. The two number the program
 //! differently, so they are compared through the node bijection a walk
 //! from both roots defines: mapped nodes must carry the same test, mapped
 //! successors, the same leaf and written variables, and dispatch every
 //! sampled packet to mapped nodes, from *every* reachable node (a §4.5 tag
-//! may name any of them). The state classification must agree too, and
-//! has its own oracle: the two-pass by-name `classify_state` that the
-//! slot-indexed fold replaced, kept below as a test-only copy.
+//! may name any of them).
 //!
 //! Mirrors that hold the same numbering must agree on more: the same flat
 //! ids, the same variable slots and the same dispatch outcomes for the
@@ -21,11 +19,10 @@
 
 use proptest::prelude::*;
 use snap_apps as apps;
-use snap_lang::builder::*;
-use snap_lang::{Expr, Field, Packet, Policy, StateVar, Value};
+use snap_lang::{Field, Packet, Policy, Value};
 use snap_xfdd::{
-    decode_delta_fresh, encode_delta, to_xfdd, Action, FlatId, FlatNode, FlatProgram, Mirror,
-    NodeId, Pool, StateClass, StateDependencies, VarOrder,
+    decode_delta_fresh, encode_delta, to_xfdd, FlatId, FlatNode, FlatProgram, Mirror, NodeId, Pool,
+    StateDependencies, VarOrder,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -160,13 +157,11 @@ fn assert_same_program(mirror: &Mirror, dist: &Pool, root: NodeId) {
             );
         }
     }
-    assert_eq!(built.state_classes(), oracle.state_classes());
-    assert_eq!(built.state_classes(), two_pass_classify(&built));
 }
 
 /// Two flat programs are the same program *in the same numbering*: the same
-/// root and reachable ids, tests, successors, leaves, variable slots and
-/// classes, and the same dispatch outcome from every reachable node.
+/// root and reachable ids, tests, successors, leaves and variable slots, and
+/// the same dispatch outcome from every reachable node.
 fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
     assert_eq!(a.root(), b.root());
     let ids = reachable(a);
@@ -216,7 +211,6 @@ fn assert_identical(a: &FlatProgram, b: &FlatProgram) {
         }
     }
     assert_eq!(a.var_names(), b.var_names());
-    assert_eq!(a.state_classes(), b.state_classes());
 }
 
 /// One step an agent's mirror can go through.
@@ -376,237 +370,6 @@ proptest! {
             assert_identical(&by_deltas.flatten(root), &whole.flatten(root));
         }
     }
-}
-
-/// `FlatProgram::classify_state` as it was before the write summaries: one
-/// pass over every action of the reachable leaves for the write kinds, a
-/// second for conflicting set literals, then the demotion of tested
-/// variables. Test oracle only.
-fn two_pass_classify(flat: &FlatProgram) -> BTreeMap<StateVar, StateClass> {
-    let ids = reachable(flat);
-    let leaves = || {
-        ids.iter()
-            .filter(|id| id.is_leaf())
-            .map(|&id| flat.leaf(id))
-    };
-    let actions = || leaves().flat_map(|l| l.seqs.iter().flat_map(|s| s.actions.iter()));
-    let mut classes: BTreeMap<StateVar, StateClass> = BTreeMap::new();
-    for action in actions() {
-        let (var, kind) = match action {
-            Action::Modify(_, _) => continue,
-            Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
-                (var, StateClass::Counter)
-            }
-            Action::StateSet {
-                var,
-                value: Expr::Value(_),
-                ..
-            } => (var, StateClass::IdempotentSet),
-            Action::StateSet { var, .. } => (var, StateClass::Exact),
-        };
-        classes
-            .entry(var.clone())
-            .and_modify(|c| {
-                if *c != kind {
-                    *c = StateClass::Exact;
-                }
-            })
-            .or_insert(kind);
-    }
-    let mut set_literal: BTreeMap<&StateVar, &Value> = BTreeMap::new();
-    for action in actions() {
-        if let Action::StateSet {
-            var,
-            value: Expr::Value(v),
-            ..
-        } = action
-        {
-            if classes.get(var) == Some(&StateClass::IdempotentSet) {
-                match set_literal.get(var) {
-                    None => {
-                        set_literal.insert(var, v);
-                    }
-                    Some(seen) if *seen != v => {
-                        classes.insert(var.clone(), StateClass::Exact);
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-    for &id in ids.iter().filter(|id| !id.is_leaf()) {
-        if let Some(var) = flat.branch_var(id) {
-            classes.insert(var.clone(), StateClass::Exact);
-        }
-    }
-    classes
-}
-
-fn classes_of(
-    policy: &Policy,
-) -> (
-    BTreeMap<StateVar, StateClass>,
-    BTreeMap<StateVar, StateClass>,
-) {
-    let flat = snap_xfdd::compile(policy)
-        .expect("the policy compiles")
-        .flatten();
-    (flat.state_classes(), two_pass_classify(&flat))
-}
-
-#[test]
-fn classify_state_matches_the_two_pass_oracle_on_the_catalogue() {
-    let catalogue = apps::catalogue();
-    assert!(catalogue.len() >= 20);
-    let mut seen = std::collections::BTreeSet::new();
-    for (name, policy) in &catalogue {
-        let (new, old) = classes_of(policy);
-        assert_eq!(new, old, "{name}");
-        seen.extend(new.into_values().map(|c| format!("{c:?}")));
-    }
-    // The benchmark's pipeline: several applications' variables in one
-    // program, counters next to tested flags.
-    let pipeline = apps::port_monitoring()
-        .seq(apps::dns_tunnel_detect(10))
-        .seq(apps::stateful_firewall())
-        .seq(apps::heavy_hitter_detection(10))
-        .seq(apps::assign_egress(6));
-    let (new, old) = classes_of(&pipeline);
-    assert_eq!(new, old);
-    assert!(new.len() >= 4);
-    // The catalogue exercises both the replicable and the exact outcome.
-    assert!(
-        seen.contains("Counter") && seen.contains("Exact"),
-        "{seen:?}"
-    );
-}
-
-/// One mirror, several programs: the mirror numbers the variables of all of
-/// them, so a program that mentions only some sees slots it neither tests
-/// nor writes. Its slot-indexed classification must skip those and agree
-/// with the by-name oracle (and with a one-off flatten) on the rest.
-#[test]
-fn classify_state_over_a_shared_numbering_matches_the_by_name_oracle() {
-    let egress = || apps::assign_egress(6);
-    let pipeline = apps::port_monitoring()
-        .seq(apps::dns_tunnel_detect(10))
-        .seq(apps::stateful_firewall())
-        .seq(apps::heavy_hitter_detection(10))
-        .seq(egress());
-    let order = StateDependencies::analyze(&pipeline).var_order();
-    let fresh_len = Pool::new(order.clone()).len();
-    let mut dist = Pool::new(order);
-    let roots: Vec<NodeId> = [
-        pipeline,
-        apps::port_monitoring().seq(egress()),
-        apps::stateful_firewall().seq(egress()),
-        apps::dns_tunnel_detect(10).seq(apps::heavy_hitter_detection(10)),
-        egress(),
-    ]
-    .iter()
-    .map(|policy| to_xfdd(policy, &mut dist).unwrap())
-    .collect();
-    let last = *roots.last().unwrap();
-    let (mirror, _) = Mirror::decode_fresh(&encode_delta(&dist, fresh_len, last)).unwrap();
-    let all_vars = mirror.flatten(roots[0]).var_names().len();
-    assert!(all_vars >= 4);
-    let mut partial = 0;
-    for &root in &roots {
-        let built = mirror.flatten(root);
-        // One numbering for every program of the mirror.
-        assert_eq!(built.var_names().len(), all_vars);
-        let classes = built.state_classes();
-        assert_eq!(classes, two_pass_classify(&built));
-        assert_eq!(classes, FlatProgram::from_pool(&dist, root).state_classes());
-        for (var, class) in &classes {
-            assert_eq!(built.state_class(var), *class);
-        }
-        partial += usize::from(classes.len() < all_vars);
-    }
-    assert!(partial >= 4, "the sub-programs leave slots unclassified");
-}
-
-#[test]
-fn classify_state_matches_the_two_pass_oracle_on_mixed_and_conflicting_writes() {
-    let port53 = || test(Field::SrcPort, Value::Int(53));
-    let idx = || vec![field(Field::InPort)];
-    let cases: Vec<(&str, Policy, StateClass)> = vec![
-        (
-            "incr and decr commute",
-            ite(port53(), state_incr("v", idx()), state_decr("v", idx())),
-            StateClass::Counter,
-        ),
-        (
-            "one literal everywhere",
-            ite(
-                port53(),
-                state_set("v", idx(), int(1)),
-                state_set("v", vec![field(Field::DstPort)], int(1)),
-            ),
-            StateClass::IdempotentSet,
-        ),
-        (
-            "conflicting literals",
-            ite(
-                port53(),
-                state_set("v", idx(), int(1)),
-                state_set("v", idx(), int(2)),
-            ),
-            StateClass::Exact,
-        ),
-        (
-            "conflicting literals inside one leaf's sequences",
-            state_set("v", idx(), int(1)).seq(state_set("v", idx(), int(2))),
-            StateClass::Exact,
-        ),
-        (
-            "mixed kinds",
-            ite(
-                port53(),
-                state_incr("v", idx()),
-                state_set("v", idx(), int(0)),
-            ),
-            StateClass::Exact,
-        ),
-        (
-            "computed value",
-            state_set("v", idx(), field(Field::SrcPort)),
-            StateClass::Exact,
-        ),
-        (
-            "literal and computed",
-            ite(
-                port53(),
-                state_set("v", idx(), int(1)),
-                state_set("v", idx(), field(Field::SrcPort)),
-            ),
-            StateClass::Exact,
-        ),
-        (
-            "a tested counter",
-            ite(
-                state_test("v", idx(), int(3)),
-                drop(),
-                state_incr("v", idx()),
-            ),
-            StateClass::Exact,
-        ),
-    ];
-    for (name, policy, expected) in cases {
-        let (new, old) = classes_of(&policy);
-        assert_eq!(new, old, "{name}");
-        assert_eq!(new.get(&StateVar::new("v")), Some(&expected), "{name}");
-    }
-    // Independent variables keep independent classes.
-    let both = state_incr("hits", idx()).seq(ite(
-        state_test("seen", idx(), int(1)),
-        id(),
-        state_set("seen", idx(), int(1)),
-    ));
-    let (new, old) = classes_of(&both);
-    assert_eq!(new, old);
-    assert_eq!(new[&StateVar::new("hits")], StateClass::Counter);
-    assert_eq!(new[&StateVar::new("seen")], StateClass::Exact);
 }
 
 /// An agent's mirror is append-only between compactions, so the root of the

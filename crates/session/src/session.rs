@@ -5,14 +5,12 @@ use snap_core::{
     generate_rules, place_and_route, reroute, Compiled, OptimizeInput, OptimizeTimings,
     PacketStateMap, PhaseTimings, PlacementResult, SolverChoice,
 };
-use snap_lang::{Policy, StateVar};
+use snap_lang::Policy;
 use snap_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use snap_topology::{PortId, Topology, TrafficMatrix};
 use snap_xfdd::{
-    translate_with, CompileError, NodeId, Pool, StateClass, StateDependencies, SubtreeMemo,
-    VarOrder, Xfdd,
+    translate_with, CompileError, NodeId, Pool, StateDependencies, SubtreeMemo, VarOrder, Xfdd,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -553,19 +551,6 @@ impl CompilerSession {
     /// clone) — what a distribution plane holds on to.
     pub fn current_shared(&self) -> Option<Arc<Compiled>> {
         self.current.clone()
-    }
-
-    /// Classify every state variable of the current compilation by its
-    /// update structure (see [`snap_xfdd::StateClass`]): `Counter` and
-    /// `IdempotentSet` variables take the data plane's lock-free replica
-    /// path; `Exact` variables pay a shard lock per access. Flattens the
-    /// current diagram on demand — a control-plane query, not something to
-    /// call per packet. Empty before the first compile.
-    pub fn state_classes(&self) -> BTreeMap<StateVar, StateClass> {
-        self.current
-            .as_ref()
-            .map(|c| c.xfdd.flatten().state_classes())
-            .unwrap_or_default()
     }
 
     // -----------------------------------------------------------------------

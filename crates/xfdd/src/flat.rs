@@ -21,12 +21,12 @@
 //!   same-field run, and then which run lookup and cursor. The cursor is
 //!   the member's position counted from the run's *bottom*, so a head
 //!   prepended by a later delta adds positions above the old ones and
-//!   invalidates none of them;
-//! * its **state summary**: how its whole subgraph uses each state variable
-//!   (the writes folded, and whether some branch tests it). The fold is
-//!   commutative, associative and idempotent, so a node's summary is a
-//!   function of its children's — and the root's summary is the program's
-//!   [`StateClass`]ification, with no pass over the program.
+//!   invalidates none of them.
+//!
+//! A node's lowering looks at its own payload and its children's ids and
+//! dispatch entries, never at what its subgraph does with state: a state
+//! access is applied on its key's shard wherever the program runs, so
+//! nothing about a variable needs deciding for the program as a whole.
 //!
 //! Per-packet evaluation is then index arithmetic: follow an edge, load the
 //! node by the same index, repeat. The flat ids are the §4.5 packet-tag node
@@ -108,52 +108,17 @@
 //! [`FlatProgram::evaluate`] is checked against (and that is itself checked
 //! against `snap_lang::eval`).
 
-use crate::action::{Action, ActionSeq, Leaf};
+use crate::action::{ActionSeq, Leaf};
 use crate::fx::FxHashMap;
 use crate::pool::{eval_test, Node, NodeId, Pool};
 use crate::shared::Shared;
 use crate::tables::{eval_field_test, Entry, Lookup, Stage, MAX_STAGE_DEPTH};
 use crate::test::Test;
 use crate::wire::{apply_delta, decode_delta_fresh, WireError};
-use snap_lang::{EvalError, Expr, Packet, StateVar, Store, Value};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use snap_lang::{EvalError, Packet, StateVar, Store};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// Compile-time classification of a state variable's transitions, derived
-/// from the program's read set (branch tests) and write set (leaf action
-/// sequences).
-///
-/// The dataplane uses this to decide how a variable's table may be sharded
-/// across workers: a variable whose updates commute and which no branch ever
-/// reads can be accumulated in per-worker replica buffers and merged on a
-/// bounded cadence — the merged totals are exact because the updates are
-/// order-independent and nothing on the packet path observes intermediate
-/// values. Everything else needs the authoritative table (key-range locked)
-/// on every access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StateClass {
-    /// Every write is a `StateIncr`/`StateDecr` and no branch test reads the
-    /// variable: increments commute, so per-worker deltas merged later give
-    /// the exact total.
-    Counter,
-    /// Every write is a `StateSet` storing the *same literal* value and no
-    /// branch test reads the variable: identical idempotent sets are
-    /// order-independent, so deferred replica application is exact.
-    IdempotentSet,
-    /// Anything else — read by some test, written with computed values, or
-    /// written with mixed/conflicting kinds. Needs exact read-modify-write
-    /// on the authoritative (key-range sharded) table.
-    Exact,
-}
-
-impl StateClass {
-    /// May this variable's writes be buffered in per-worker replicas and
-    /// merged later, instead of locking the authoritative table per write?
-    pub fn is_replicable(self) -> bool {
-        !matches!(self, StateClass::Exact)
-    }
-}
 
 /// Identifier of a lowered node (see "Numbering" in the module docs): the
 /// top bit distinguishes leaves from branches, the remainder indexes the
@@ -246,249 +211,36 @@ impl Slots {
     }
 }
 
-/// How a leaf — or, folded over its leaves, a whole subgraph — writes one
-/// state variable. Two writes commute exactly when they are the same kind
-/// (and, for sets, store the same literal), so folding is "equal or
-/// [`Write::Exact`]".
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum Write {
-    /// `StateIncr` / `StateDecr`.
-    Counter,
-    /// `StateSet` of this literal.
-    Set(Value),
-    /// A computed `StateSet`, or writes that do not commute with each other.
-    Exact,
-}
-
-impl Write {
-    fn of(action: &Action) -> Option<(&StateVar, Write)> {
-        match action {
-            Action::Modify(_, _) => None,
-            Action::StateIncr { var, .. } | Action::StateDecr { var, .. } => {
-                Some((var, Write::Counter))
-            }
-            Action::StateSet {
-                var,
-                value: Expr::Value(v),
-                ..
-            } => Some((var, Write::Set(v.clone()))),
-            Action::StateSet { var, .. } => Some((var, Write::Exact)),
-        }
-    }
-
-    fn merge(&mut self, other: &Write) {
-        if self != other {
-            *self = Write::Exact;
-        }
-    }
-
-    fn class(&self) -> StateClass {
-        match self {
-            Write::Counter => StateClass::Counter,
-            Write::Set(_) => StateClass::IdempotentSet,
-            Write::Exact => StateClass::Exact,
-        }
-    }
-}
-
-/// How a subgraph uses one state variable: its writes folded, and whether
-/// some branch of it tests the variable.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct Use {
-    write: Option<Write>,
-    tested: bool,
-}
-
-impl Use {
-    fn merge(&mut self, other: &Use) {
-        match (&mut self.write, &other.write) {
-            (Some(seen), Some(write)) => seen.merge(write),
-            (unseen @ None, Some(write)) => *unseen = Some(write.clone()),
-            (_, None) => {}
-        }
-        self.tested |= other.tested;
-    }
-
-    /// Would merging `other` in leave this use as it is?
-    fn absorbs(&self, other: &Use) -> bool {
-        let write = match (&self.write, &other.write) {
-            (_, None) => true,
-            (Some(seen), Some(write)) => *seen == Write::Exact || seen == write,
-            (None, Some(_)) => false,
-        };
-        write && (self.tested || !other.tested)
-    }
-
-    /// Replication is only sound when the packet path never observes
-    /// intermediate values, and a state test is exactly such an
-    /// observation: a tested variable is [`StateClass::Exact`].
-    fn class(&self) -> StateClass {
-        match &self.write {
-            Some(write) if !self.tested => write.class(),
-            _ => StateClass::Exact,
-        }
-    }
-}
-
-/// The state summary of a lowered node (see the module docs): the [`Use`]
-/// of every variable its subgraph mentions, ascending by slot. Empty — no
-/// allocation — for the common stateless subgraph; a branch whose children
-/// fold to what one of them already says shares that child's handle, and
-/// any other summary equal to one its table holds shares that one
-/// ([`Summary::interned`]).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Summary(Option<Arc<[(VarSlot, Use)]>>);
-
-impl Summary {
-    fn uses(&self) -> &[(VarSlot, Use)] {
-        self.0.as_deref().unwrap_or_default()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    fn of(uses: Vec<(VarSlot, Use)>) -> Summary {
-        Summary((!uses.is_empty()).then(|| uses.into()))
-    }
-
-    /// Would folding `other` in leave this summary as it is? Both lists
-    /// ascend by slot, so one merge-walk decides.
-    fn absorbs(&self, other: &Summary) -> bool {
-        if let (Some(a), Some(b)) = (&self.0, &other.0) {
-            if Arc::ptr_eq(a, b) {
-                return true;
-            }
-        }
-        let mut mine = self.uses().iter();
-        other.uses().iter().all(|(slot, theirs)| {
-            mine.by_ref()
-                .find(|(s, _)| s >= slot)
-                .is_some_and(|(s, u)| s == slot && u.absorbs(theirs))
-        })
-    }
-
-    /// The fold of two summaries, sharing an operand's handle when the
-    /// other adds nothing to it.
-    fn merge(a: &Summary, b: &Summary) -> Summary {
-        if a.absorbs(b) {
-            return a.clone();
-        }
-        if b.absorbs(a) {
-            return b.clone();
-        }
-        let (mut xs, mut ys) = (a.uses().iter().peekable(), b.uses().iter().peekable());
-        let mut out = Vec::with_capacity(a.uses().len().max(b.uses().len()));
-        loop {
-            let next = match (xs.peek(), ys.peek()) {
-                (Some(x), Some(y)) if x.0 == y.0 => {
-                    let mut both = xs.next().expect("peeked").clone();
-                    both.1.merge(&ys.next().expect("peeked").1);
-                    both
-                }
-                (Some(x), Some(y)) if x.0 < y.0 => xs.next().expect("peeked").clone(),
-                (Some(_), Some(_)) | (None, Some(_)) => ys.next().expect("peeked").clone(),
-                (Some(_), None) => xs.next().expect("peeked").clone(),
-                (None, None) => break,
-            };
-            out.push(next);
-        }
-        Summary::of(out)
-    }
-
-    /// This summary as a handle `seen` holds: the first summary of its
-    /// content is kept there, and every later equal one shares it. Every
-    /// summary a table holds went through here, so a handle someone else
-    /// also holds — a child's, shared by [`Summary::merge`] — is already
-    /// `seen`'s, and only a fresh allocation is hashed.
-    fn interned(self, seen: &mut HashSet<Arc<[(VarSlot, Use)]>>) -> Summary {
-        let Some(uses) = self.0 else {
-            return self;
-        };
-        if Arc::strong_count(&uses) > 1 {
-            return Summary(Some(uses));
-        }
-        if let Some(shared) = seen.get(&uses) {
-            return Summary(Some(Arc::clone(shared)));
-        }
-        seen.insert(Arc::clone(&uses));
-        Summary(Some(uses))
-    }
-
-    /// This summary with `slot` marked as tested.
-    fn tested(self, slot: VarSlot) -> Summary {
-        let uses = self.uses();
-        if uses.iter().any(|(s, u)| *s == slot && u.tested) {
-            return self;
-        }
-        let test = Use {
-            write: None,
-            tested: true,
-        };
-        Summary::merge(&self, &Summary::of(vec![(slot, test)]))
-    }
-
-    fn class_of(&self, slot: VarSlot) -> Option<StateClass> {
-        let uses = self.uses();
-        uses.iter()
-            .find(|(s, _)| *s == slot)
-            .map(|(_, u)| u.class())
-    }
-}
-
 /// A leaf of a flat program: the action sequences of the interned
 /// [`Leaf`], laid out in a dense `Vec` (in the leaf's canonical set order)
 /// so a resumed packet can index its sequence in O(1) instead of walking a
-/// `BTreeSet`, plus facts precomputed at lowering time that the per-packet
-/// path and the program's state classification would otherwise rediscover:
-/// the [`VarSlot`] of every state action and the leaf's state summary.
+/// `BTreeSet`, plus the [`VarSlot`] of every state action, resolved at
+/// lowering time so the per-packet path never looks a variable up.
 #[derive(Clone, Debug)]
 pub struct FlatLeaf {
     /// The parallel action sequences, in the canonical (set) order of the
     /// source leaf.
     pub seqs: Vec<ActionSeq>,
     /// The slot of the variable each action writes (`None` for a `Modify`),
-    /// the sequences' actions concatenated in order. Empty for a stateless
-    /// leaf.
+    /// the sequences' actions concatenated in order. Empty for the (common)
+    /// stateless leaf, which then skips per-sequence store cloning and the
+    /// store merge entirely.
     slots: Vec<Option<VarSlot>>,
-    /// Every state variable some sequence writes, with its writes folded.
-    /// Empty for the (common) stateless leaf, which then skips per-sequence
-    /// store cloning and the store merge entirely.
-    summary: Summary,
 }
 
 impl FlatLeaf {
     fn from_leaf(leaf: &Leaf, vars: &mut Slots) -> FlatLeaf {
         let seqs: Vec<ActionSeq> = leaf.0.iter().cloned().collect();
-        let mut writes: Vec<(VarSlot, Use)> = Vec::new();
-        let mut slot_of = |action: &Action| {
-            let (var, write) = Write::of(action)?;
-            let slot = vars.slot(var);
-            match writes.iter_mut().find(|(s, _)| *s == slot) {
-                Some((_, seen)) => seen.write.as_mut().expect("a written slot").merge(&write),
-                None => writes.push((
-                    slot,
-                    Use {
-                        write: Some(write),
-                        tested: false,
-                    },
-                )),
-            }
-            Some(slot)
-        };
         let stateful = |seq: &ActionSeq| seq.actions.iter().any(|a| a.written_var().is_some());
         let slots = if seqs.iter().any(stateful) {
             let actions = seqs.iter().flat_map(|seq| seq.actions.iter());
-            actions.map(&mut slot_of).collect()
+            actions
+                .map(|action| action.written_var().map(|var| vars.slot(var)))
+                .collect()
         } else {
             Vec::new()
         };
-        writes.sort_unstable_by_key(|(slot, _)| *slot);
-        FlatLeaf {
-            seqs,
-            slots,
-            summary: Summary::of(writes),
-        }
+        FlatLeaf { seqs, slots }
     }
 
     /// The slot of the variable written by action `offset` of sequence
@@ -506,7 +258,7 @@ impl FlatLeaf {
 
     /// Does any sequence of this leaf write a state variable?
     pub fn writes_state(&self) -> bool {
-        !self.summary.is_empty()
+        !self.slots.is_empty()
     }
 
     /// Apply the leaf with one-big-switch semantics: every sequence runs on
@@ -581,7 +333,6 @@ struct Branch {
     edges: [FlatId; 2],
     /// How the branch dispatches ([`crate::tables`]).
     entry: Entry,
-    summary: Summary,
 }
 
 impl Branch {
@@ -708,10 +459,6 @@ struct Table {
     branches: Nodes<Branch>,
     leaves: Nodes<Arc<FlatLeaf>>,
     vars: Slots,
-    /// Every distinct summary this table's nodes carry: nodes whose
-    /// subgraphs use state alike share one handle, so a lowered node costs
-    /// a summary allocation only when its use of state is new.
-    summaries: HashSet<Arc<[(VarSlot, Use)]>>,
     /// `vars.names`, as every program flattened since the last new name
     /// shares it (a lowering that brings a new variable re-shares: rare,
     /// and O(variables)).
@@ -749,9 +496,7 @@ impl Table {
         for (id, node) in batch {
             let flat = match node {
                 Node::Leaf(leaf) => {
-                    let mut flat = FlatLeaf::from_leaf(leaf, &mut self.vars);
-                    flat.summary = flat.summary.interned(&mut self.summaries);
-                    leaves.push(Arc::new(flat));
+                    leaves.push(Arc::new(FlatLeaf::from_leaf(leaf, &mut self.vars)));
                     FlatId::leaf(old_leaves + leaves.len() - 1)
                 }
                 Node::Branch {
@@ -761,28 +506,7 @@ impl Table {
                 } => {
                     let test: &Test = shared;
                     let edges = [ids.flat_id(*tru), ids.flat_id(*fls)];
-                    let summary_of = |at: FlatId| {
-                        if at.is_leaf() {
-                            let i = at.leaf_index();
-                            match i.checked_sub(old_leaves) {
-                                Some(new) => &leaves[new].summary,
-                                None => &self.leaves.get(i).summary,
-                            }
-                        } else {
-                            let i = at.branch_index();
-                            match i.checked_sub(old_branches) {
-                                Some(new) => &branches[new].summary,
-                                None => &self.branches.get(i).summary,
-                            }
-                        }
-                    };
-                    let merged = Summary::merge(summary_of(edges[0]), summary_of(edges[1]));
                     let slot = test.state_var().map(|var| self.vars.slot(var));
-                    let summary = match slot {
-                        Some(slot) => merged.tested(slot),
-                        None => merged,
-                    }
-                    .interned(&mut self.summaries);
                     let (entry, run) = match test {
                         Test::State { .. } => (Entry::StateBranch, 0),
                         Test::FieldField(_, _) => (Entry::FieldBranch, 0),
@@ -820,7 +544,6 @@ impl Table {
                         slot,
                         edges,
                         entry,
-                        summary,
                     });
                     runs.push((run, false));
                     FlatId::branch(old_branches + branches.len() - 1)
@@ -898,16 +621,10 @@ impl Table {
 
     /// The program rooted at `root`: the table as it stands, shared.
     fn program(&self, root: FlatId) -> FlatProgram {
-        let summary = if root.is_leaf() {
-            &self.leaves.get(root.leaf_index()).summary
-        } else {
-            &self.branches.get(root.branch_index()).summary
-        };
         FlatProgram {
             branches: self.branches.clone(),
             leaves: self.leaves.clone(),
             root,
-            summary: summary.clone(),
             vars: Arc::clone(&self.var_names),
         }
     }
@@ -920,8 +637,6 @@ pub struct FlatProgram {
     leaves: Nodes<Arc<FlatLeaf>>,
     /// Entry node.
     root: FlatId,
-    /// The root's state summary: the program's classification.
-    summary: Summary,
     /// The slot → name table of the lowering the payloads came from. It may
     /// name variables this program never mentions (a mirror numbers every
     /// program it has seen); it names every variable the program does.
@@ -969,30 +684,6 @@ impl FlatProgram {
     /// sampled traces — the packet path itself never needs it).
     pub fn var_name(&self, slot: VarSlot) -> &StateVar {
         &self.vars[slot.index()]
-    }
-
-    /// The classification of a slot's transitions in this program
-    /// ([`StateClass::Exact`] for a slot it neither tests nor writes).
-    #[inline]
-    pub fn class_of(&self, slot: VarSlot) -> StateClass {
-        self.summary.class_of(slot).unwrap_or(StateClass::Exact)
-    }
-
-    /// The classification of `var`'s transitions in this program — the
-    /// by-name view of [`FlatProgram::class_of`]. Unknown variables are
-    /// [`StateClass::Exact`], the conservative answer for tables installed
-    /// out-of-band (e.g. hand-seeded in tests).
-    pub fn state_class(&self, var: &StateVar) -> StateClass {
-        let slot = self.vars.iter().position(|name| name == var);
-        slot.map_or(StateClass::Exact, |i| self.class_of(VarSlot(i as u32)))
-    }
-
-    /// All variables the program tests or writes, with their classes, by
-    /// name.
-    pub fn state_classes(&self) -> BTreeMap<StateVar, StateClass> {
-        let uses = self.summary.uses().iter();
-        uses.map(|(slot, u)| (self.var_name(*slot).clone(), u.class()))
-            .collect()
     }
 
     /// The entry node.
@@ -1177,13 +868,6 @@ impl FlatProgram {
             _ => None,
         }
     }
-
-    /// All state variables referenced anywhere in the program (tests and
-    /// leaf actions).
-    pub fn state_vars(&self) -> BTreeSet<StateVar> {
-        let slots = self.summary.uses().iter().map(|(slot, _)| *slot);
-        slots.map(|slot| self.var_name(slot).clone()).collect()
-    }
 }
 
 /// A switch's copy of the controller's append-only distribution pool,
@@ -1197,7 +881,7 @@ impl FlatProgram {
 /// delta failed is dropped whole, never patched up.
 ///
 /// Nodes are lowered once, when a delta delivers them — payload,
-/// successors, dispatch entry and state summary — so flattening a root is a
+/// successors and dispatch entry — so flattening a root is a
 /// handle to the table plus the root, and every program the switch keeps
 /// (staged, per epoch) shares it.
 pub struct Mirror {
@@ -1360,8 +1044,8 @@ mod tests {
             state_incr("hits", vec![field(Field::SrcIp)]),
             drop(),
         );
-        let (_, _, flat) = flatten(&policy);
-        let vars = flat.state_vars();
+        let (pool, root, flat) = flatten(&policy);
+        let vars = pool.state_vars(root);
         assert!(vars.contains(&"seen".into()));
         assert!(vars.contains(&"hits".into()));
         // The root is the state test; its cached variable matches.
@@ -1381,67 +1065,6 @@ mod tests {
     #[should_panic(expected = "leaf_index called on branch id")]
     fn leaf_index_panics_on_branch_ids_in_release_too() {
         FlatId::branch(0).leaf_index();
-    }
-
-    #[test]
-    fn state_classes_counter_and_exact() {
-        // `dns` is only ever incremented and never tested: Counter.
-        // `seen` is tested: Exact, even though its only write is a set.
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            state_incr("dns", vec![field(Field::DstIp)]),
-            ite(
-                state_test("seen", vec![field(Field::SrcIp)], int(1)),
-                state_set("seen", vec![field(Field::SrcIp)], int(1)),
-                drop(),
-            ),
-        );
-        let (_, _, flat) = flatten(&policy);
-        assert_eq!(flat.state_class(&"dns".into()), StateClass::Counter);
-        assert!(flat.state_class(&"dns".into()).is_replicable());
-        assert_eq!(flat.state_class(&"seen".into()), StateClass::Exact);
-        // Unknown variables are conservatively Exact.
-        assert_eq!(flat.state_class(&"nope".into()), StateClass::Exact);
-        assert_eq!(flat.state_classes().len(), 2);
-    }
-
-    #[test]
-    fn state_classes_idempotent_set_requires_one_literal() {
-        // A flag set to the same literal everywhere and never tested is an
-        // idempotent set.
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            state_set("flag", vec![field(Field::InPort)], int(1)),
-            state_set("flag", vec![field(Field::DstPort)], int(1)),
-        );
-        let (_, _, flat) = flatten(&policy);
-        assert_eq!(flat.state_class(&"flag".into()), StateClass::IdempotentSet);
-
-        // Different literals on different branches: order-dependent, Exact.
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            state_set("flag", vec![field(Field::InPort)], int(1)),
-            state_set("flag", vec![field(Field::InPort)], int(2)),
-        );
-        let (_, _, flat) = flatten(&policy);
-        assert_eq!(flat.state_class(&"flag".into()), StateClass::Exact);
-
-        // A computed value is never idempotent.
-        let policy = state_set("flag", vec![field(Field::InPort)], field(Field::SrcPort));
-        let (_, _, flat) = flatten(&policy);
-        assert_eq!(flat.state_class(&"flag".into()), StateClass::Exact);
-    }
-
-    #[test]
-    fn state_classes_mixed_write_kinds_are_exact() {
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            state_incr("c", vec![field(Field::InPort)]),
-            state_set("c", vec![field(Field::InPort)], int(0)),
-        );
-        let (_, _, flat) = flatten(&policy);
-        assert_eq!(flat.state_class(&"c".into()), StateClass::Exact);
-        assert!(!flat.state_class(&"c".into()).is_replicable());
     }
 
     #[test]
@@ -1506,57 +1129,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_stateless_subgraph_has_no_summary_and_a_branch_shares_its_childs() {
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            state_incr("dns", vec![field(Field::DstIp)]),
-            ite(
-                test(Field::DstPort, Value::Int(80)),
-                modify(Field::OutPort, Value::Int(1)),
-                drop(),
-            ),
-        );
-        let (_, _, flat) = flatten(&policy);
-        let FlatNode::Branch { tru, fls, .. } = flat.node(flat.root()) else {
-            panic!("the root tests srcport");
-        };
-        let summary_of = |at: FlatId| {
-            if at.is_leaf() {
-                flat.leaf(at).summary.clone()
-            } else {
-                flat.branch(at).summary.clone()
-            }
-        };
-        let (root, counted, stateless) =
-            (summary_of(flat.root()), summary_of(tru), summary_of(fls));
-        assert!(stateless.is_empty());
-        // The root adds nothing to its stateful child: one handle.
-        let (Some(a), Some(b)) = (&root.0, &counted.0) else {
-            panic!("the counter is summarised");
-        };
-        assert!(Arc::ptr_eq(a, b));
-    }
-
-    #[test]
-    fn equal_summaries_of_unrelated_nodes_share_one_handle() {
-        // Two different leaves that count `dns` alike: neither is the
-        // other's child, so only the table's interning can share them.
-        let count = || state_incr("dns", vec![field(Field::DstIp)]);
-        let policy = ite(
-            test(Field::SrcPort, Value::Int(53)),
-            count().seq(modify(Field::OutPort, Value::Int(1))),
-            count().seq(modify(Field::OutPort, Value::Int(2))),
-        );
-        let (_, _, flat) = flatten(&policy);
-        let FlatNode::Branch { tru, fls, .. } = flat.node(flat.root()) else {
-            panic!("the root tests srcport");
-        };
-        let (Some(a), Some(b)) = (&flat.leaf(tru).summary.0, &flat.leaf(fls).summary.0) else {
-            panic!("both leaves count");
-        };
-        assert!(Arc::ptr_eq(a, b));
     }
 }

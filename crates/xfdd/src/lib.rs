@@ -92,7 +92,7 @@ pub use compact::RemapTable;
 pub use deps::StateDependencies;
 pub use diagram::{eval_test, Xfdd};
 pub use error::CompileError;
-pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, StateClass, VarSlot};
+pub use flat::{FlatId, FlatLeaf, FlatNode, FlatProgram, Mirror, VarSlot};
 pub use fx::FxHasher;
 pub use pool::{CtxId, Node, NodeId, Pool};
 pub use shared::{Hashed, Shared};

@@ -11,8 +11,8 @@
 //!   delivered packet (the `InjectOutcome::delivered` list the API hands
 //!   the caller) plus a constant per batch (the result lists; on a larger
 //!   network, also a block per 32 views the batch pins beyond the first);
-//! * under the five-app stateful pipeline, commuting and exact writes to
-//!   existing keys add nothing per packet — only the batch's delta list.
+//! * under the five-app stateful pipeline, writes to existing keys add
+//!   nothing per packet.
 //!
 //! The update path has a budget too: a novel single-threshold edit through
 //! a warm session requests a bounded number of blocks (a payload deep-copied
@@ -33,9 +33,7 @@ use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_topology::generators::igen_topology;
 use snap_topology::{NodeId as SwitchId, PortId, TrafficMatrix};
-use snap_xfdd::{
-    encode_delta, to_xfdd, FlatProgram, Mirror, NodeId, Pool, StateDependencies, Test,
-};
+use snap_xfdd::{encode_delta, to_xfdd, Mirror, NodeId, Pool, StateDependencies, Test};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,11 +102,11 @@ fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const SWITCHES: usize = 24;
 const BATCH: usize = 64;
 /// Blocks a batch may request beyond one per delivery. Measured: 1 under
-/// the stateless policy (the result list the driver returns), 5 under the
-/// stateful pipeline (four doublings of the batch's replica-delta list on
-/// top); the views a batch can pin on [`SWITCHES`] switches fit the pin
-/// arena's inline block.
-const PER_BATCH: u64 = 8;
+/// the stateless policy and under the stateful pipeline alike (the result
+/// list the driver returns), debug and release; the views a batch can pin
+/// on [`SWITCHES`] switches fit the pin arena's inline block, and a leaf's
+/// deferred writes reuse a per-thread buffer.
+const PER_BATCH: u64 = 2;
 
 /// A fleet of [`SWITCHES`] agents running `policy`, trace sampling off (a
 /// sampled packet records strings per hop by design), and a batch of
@@ -281,7 +279,7 @@ fn novel_edit_blocks() -> Vec<u64> {
 }
 
 /// Budget of one novel edit's `compile`, in blocks: the twelve edits of the
-/// run below request 1 183 to 1 192 each (the sequence repeats exactly,
+/// run below request 1 187 to 1 196 each (the sequence repeats exactly,
 /// debug and release alike), recorded with ~10 % slack. With payloads
 /// deep-copied into the frozen pool and hashed twice, the packet-state
 /// mapping a map of name sets, flatten + NetASM lowering on every compile,
@@ -365,7 +363,7 @@ fn flattening_a_root_requests_the_same_bytes_whatever_the_program_or_mirror() {
 fn novel_prepare_blocks(ports: usize) -> Vec<u64> {
     let (mut dist, root, _) = mirrored_pipeline(1_000_000, ports);
     let fresh_len = Pool::new(dist.order().clone()).len();
-    let local_vars: BTreeSet<StateVar> = FlatProgram::from_pool(&dist, root).state_vars();
+    let local_vars: BTreeSet<StateVar> = dist.state_vars(root);
     let placement: BTreeMap<StateVar, SwitchId> = local_vars
         .iter()
         .map(|var| (var.clone(), SwitchId(0)))
@@ -415,11 +413,11 @@ fn novel_prepare_blocks(ports: usize) -> Vec<u64> {
 }
 
 /// Budget of one agent's prepare of a novel edit, in blocks: the twelve
-/// counted prepares below request 84 to 87 each, for the 6-port and the
-/// 24-port pipeline alike; the budget keeps the ~10 % slack of an earlier
-/// reading, 108 to 111. A prepare that
-/// re-lowered the program would request blocks in proportion to its size.
-const NOVEL_PREPARE_BLOCKS: u64 = 120;
+/// counted prepares below request 64 to 67 each, for the 6-port and the
+/// 24-port pipeline alike, debug and release, recorded with ~10 % slack. A
+/// prepare that re-lowered the program would request blocks in proportion
+/// to its size.
+const NOVEL_PREPARE_BLOCKS: u64 = 74;
 
 /// How far one prepare's count may sit above the run's least: a delta
 /// whose nodes fill a table chunk, or grow the mirror pool's intern table,

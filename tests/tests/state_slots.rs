@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use snap_dataplane::exec::process_at_switch;
-use snap_dataplane::{InFlight, ReplicaBuffer, SimError, SlotBinding, StateShards, StoreLease};
+use snap_dataplane::{InFlight, SimError, SlotBinding, StateShards, StoreLease};
 use snap_distrib::{InjectError, PrepareMsg, ToAgent};
 use snap_lang::prelude::*;
 use snap_tests::network::Fleet;
@@ -415,8 +415,7 @@ fn an_older_epochs_view_still_resolves_its_slots() {
     // eager-migration caveat — but a resolved one).
     let (port, pkt) = packet((1, 0, 0));
     let mut flight = InFlight::ingress(pkt, port, agent.switch(), old.flat.root());
-    let mut buffer = ReplicaBuffer::with_keys(Vec::new());
-    let mut lease = StoreLease::new(Some(store), &mut buffer);
+    let mut lease = StoreLease::new(Some(store));
     let step = process_at_switch(&old.bindings, &old.flat, &mut lease, &mut flight, None);
     assert!(step.is_ok());
     lease.flush();
@@ -495,4 +494,35 @@ fn sampled_hop_records_name_the_variables() {
     assert_eq!(hop(0).state_tests, ["conn"]);
     assert_eq!(hop(0).outcome, "need-state:hits");
     assert_eq!(hop(6).state_writes, ["hits"]);
+}
+
+/// An increment of a key an earlier program set to a non-integer fails the
+/// packet with the error `snap_lang::eval` returns for the same two
+/// packets, and leaves the stored value as it was.
+#[test]
+fn a_counter_over_a_table_an_earlier_program_filled_fails_as_the_spec_does() {
+    let flag = state_set("seen", vec![field(Field::InPort)], val(true))
+        .seq(modify(Field::OutPort, Value::Int(6)));
+    let count =
+        state_incr("seen", vec![field(Field::InPort)]).seq(modify(Field::OutPort, Value::Int(6)));
+    let pkt = Packet::new().with(Field::InPort, 1);
+
+    let first = eval(&flag, &Store::new(), &pkt).unwrap();
+    let spec = eval(&count, &first.store, &pkt).unwrap_err();
+    let seen = StateVar::new("seen");
+    assert_eq!(
+        spec,
+        EvalError::NotAnInteger {
+            var: seen.clone(),
+            value: Value::Bool(true)
+        }
+    );
+
+    let mut fleet = Fleet::campus(&flag, "C6");
+    fleet.network.inject(PortId(1), &pkt).unwrap();
+    fleet.place(&count, "C6");
+    let err = fleet.network.inject(PortId(1), &pkt).unwrap_err();
+    assert_eq!(err, InjectError::Sim(SimError::Eval(spec)));
+    let store = fleet.network.aggregate_store();
+    assert_eq!(store.get(&seen, &[Value::Int(1)]), Value::Bool(true));
 }

@@ -9,12 +9,11 @@
 //! counter the existing invariant tests already prove exact via
 //! `aggregate_store`.
 //!
-//! The replicated-state suite at the bottom extends the same contract to
-//! the sharded state plane: per-worker replica buffers (commuting
-//! variables) and key-range shard locks (exact variables) must produce
-//! totals bit-identical to a single-threaded run, at 1/2/4/8 workers, with
-//! the placement pinned by hand and chosen by the compiler, and across an
-//! update that migrates a replicated variable.
+//! The keyed-state suite at the bottom extends the same contract to the
+//! sharded state plane: every state test and write runs under its key's
+//! shard lock, and the totals must be bit-identical to a single-threaded
+//! run, at 1/2/4/8 workers, with the placement pinned by hand and chosen by
+//! the compiler, and across an update that migrates a counter.
 
 use snap_dataplane::PlaneTelemetry;
 use snap_distrib::TrafficEngine;
@@ -43,7 +42,7 @@ fn workload() -> Vec<(PortId, Packet)> {
 }
 
 /// Like [`workload`], but spreading the state index across six inports so
-/// replica merges and key-range shard routing both see multiple keys.
+/// key-range shard routing sees multiple keys.
 fn keyed_workload() -> Vec<(PortId, Packet)> {
     (0..TOTAL)
         .map(|i| {
@@ -138,16 +137,15 @@ fn network_counters_are_exact_across_workers() {
     }
     // Store-lock accounting lives on the per-switch shard planes now (the
     // process-wide `driver.store_lock_acquisitions` counter is gone):
-    // per-shard families are read off the shards at snapshot time.
-    // Acquisitions are amortized per (switch, batch-group) and the counting
-    // variable is replicable, so the only locks are replica merge flushes —
-    // bounded by the packet count either way, and never zero with state
-    // traffic.
+    // per-shard families are read off the shards at snapshot time. Every
+    // packet increments the same key, and a lease keeps its shard's guard
+    // across consecutive accesses, so acquisitions are amortized per
+    // (switch, batch-group) — bounded by the packet count either way, and
+    // never zero with state traffic.
     for snap in [&single_snap, &multi_snap] {
         let locks = family_total(snap, "store.shard.acquisitions");
         assert!(locks > 0 && locks <= TOTAL as u64);
         assert!(family_total(snap, "store.shard.contended") <= locks);
-        assert!(family_total(snap, "store.shard.merge_flushes") > 0);
     }
 }
 
@@ -235,9 +233,9 @@ fn shared_telemetry_can_merge_two_planes() {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated-state exactness: the sharded state plane buffers commuting
-// updates in per-worker replicas and key-range-shards exact variables;
-// neither path may change any total a single-threaded run would produce.
+// Keyed-state exactness: every state access runs under its key's shard
+// lock, and no worker count may change any total a single-threaded run
+// would produce.
 // ---------------------------------------------------------------------------
 
 /// Per-inport counter totals after one run of `load` at `workers` workers.
@@ -254,17 +252,10 @@ fn run_and_collect(workers: usize, load: &[(PortId, Packet)]) -> Vec<(i64, Value
 }
 
 #[test]
-fn replicated_counter_is_exact_across_worker_counts() {
-    // The compiler proves "count" commuting (every write an increment,
-    // never tested), so the data plane takes the lock-free replica path —
-    // and the merged totals must still be bit-identical to the
-    // single-threaded reference at every worker count.
-    let flat = snap_xfdd::compile(&counting_policy()).unwrap().flatten();
-    assert_eq!(
-        flat.state_class(&"count".into()),
-        snap_xfdd::StateClass::Counter
-    );
-
+fn keyed_counter_is_exact_across_worker_counts() {
+    // Every increment is a read-modify-write under its key's shard lock;
+    // the totals must be bit-identical to the single-threaded reference at
+    // every worker count.
     let load = keyed_workload();
     let reference = run_and_collect(1, &load);
     for (p, total) in &reference {
@@ -281,22 +272,16 @@ fn replicated_counter_is_exact_across_worker_counts() {
 
 #[test]
 fn exact_keyed_flag_is_exact_across_worker_counts() {
-    // A *tested* variable is not replicable — it takes the key-range shard
-    // path, one short lock per access. The first packet per inport sets
-    // the flag, every later one reads it; the final table is
-    // order-independent, so any divergence is a locking bug, not
-    // scheduling noise.
+    // The test and the set of one key run under one hold of its shard's
+    // guard. The first packet per inport sets the flag, every later one
+    // reads it; the final table is order-independent, so any divergence is
+    // a locking bug, not scheduling noise.
     let policy = ite(
         state_test("seen", vec![field(Field::InPort)], int(1)),
         id(),
         state_set("seen", vec![field(Field::InPort)], int(1)),
     )
     .seq(modify(Field::OutPort, Value::Int(6)));
-    let flat = snap_xfdd::compile(&policy).unwrap().flatten();
-    assert_eq!(
-        flat.state_class(&"seen".into()),
-        snap_xfdd::StateClass::Exact
-    );
 
     let load = keyed_workload();
     for workers in [1usize, 2, 4, 8] {
@@ -317,8 +302,8 @@ fn exact_keyed_flag_is_exact_across_worker_counts() {
 }
 
 #[test]
-fn dist_plane_replicated_totals_match_reference_across_workers() {
-    // The same replica path with the compiler choosing the placement and
+fn dist_plane_counter_totals_match_reference_across_workers() {
+    // The same keyed counter with the compiler choosing the placement and
     // the controller committing it: one deployment per worker count, each
     // compared against the arithmetic reference.
     let load = keyed_workload();
@@ -348,10 +333,10 @@ fn dist_plane_replicated_totals_match_reference_across_workers() {
 }
 
 #[test]
-fn config_swap_migrates_replicated_variable_mid_run() {
+fn config_swap_migrates_counter_mid_run() {
     // Half the workload accrues on C6, the variable's owner moves to C1,
-    // the rest accrues there: the replica deltas flushed before the update
-    // must migrate with the table, exactly.
+    // the rest accrues there: every increment made before the update must
+    // migrate with the table, exactly.
     let mut fleet = campus_fleet();
     let load = keyed_workload();
     let engine = TrafficEngine::new(4).with_batch_size(16);
