@@ -35,7 +35,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snap_apps as apps;
 use snap_bench::{five_app_pipeline, scaled_igen};
-use snap_dataplane::{bind_slots, StateShards, DEFAULT_STATE_SHARDS};
+use snap_dataplane::{bind_slots, SwitchStore};
 use snap_distrib::{
     deploy_in_process_custom, deploy_tcp, DeployOptions, DistribOptions, InProcessDeployment,
     PrepareMsg, SwitchAgent, SwitchMeta, ToAgent,
@@ -176,7 +176,7 @@ fn novel_edit_summary() {
     let first = deployment.controller.session().current_shared().unwrap();
     let placement = first.placement.placement.clone();
     let local_vars: BTreeSet<StateVar> = placement.keys().cloned().collect();
-    let store = StateShards::new(DEFAULT_STATE_SHARDS);
+    let store = SwitchStore::new();
     let mut dist = Pool::new(first.xfdd.pool().order().clone());
     let fresh_len = dist.len();
     let root = dist.import(first.xfdd.pool(), first.xfdd.root());

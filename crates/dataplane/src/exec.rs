@@ -9,12 +9,16 @@
 //! driver owns the dispatch loop; this module holds the machinery
 //! underneath it: the in-flight packet representation ([`InFlight`],
 //! [`Progress`]), the single-switch step ([`process_at_switch`],
-//! [`StepOutcome`]), the lazily-locking per-group lease over the switch's
-//! key-range state shards ([`StoreLease`] — every state test and write
-//! locks only its key's shard, at most one shard guard is held at a time so
-//! leases cannot deadlock, and lock contention is counted on the
-//! [`StateShards`] themselves), the precomputed shortest-path hop distances
+//! [`StepOutcome`]), the precomputed shortest-path hop distances
 //! ([`NextHops`]) and the small packet-header helpers.
+//!
+//! A step holds the switch's [`SwitchStore`] lock from the flight's first
+//! state access until the step returns (`Visit`): a state test and the
+//! leaf action it guards, and every read-modify-write, are atomic by
+//! construction. Nothing else is locked while the store is, and the lock
+//! never outlives a step — a batch's next flight at the same switch takes
+//! it again, so a commit reading the store waits for one visit, not for a
+//! batch.
 //!
 //! ## State by slot
 //!
@@ -24,17 +28,16 @@
 //! every slot once, when it was prepared ([`bind_slots`]): to this switch's
 //! [`TableId`] if the switch owns the variable, else to the owning switch
 //! ([`SlotBinding`]). A state access is therefore an array index (slot →
-//! binding), the evaluation of the index expressions, one word-at-a-time
-//! routing hash of `(table id, key)` and one probe of that table in the
-//! key's shard. Names are read back from the program only to fill a sampled
+//! binding), the evaluation of the index expressions and one probe of the
+//! table. Names are read back from the program only to fill a sampled
 //! packet's hop record and to word an error.
 //!
-//! Nothing here is process-wide: lock contention is counted per shard on
-//! [`StateShards`] (exported as `store.shard.*` families) and wave-prefix
+//! Nothing here is process-wide: lock contention is counted on each
+//! [`SwitchStore`] (exported as `store.shard.*` families) and wave-prefix
 //! survivors per instance on [`crate::PlaneTelemetry`], so two planes in
 //! one process never read each other's numbers.
 
-use crate::shards::{Shard, StateShards, TableId};
+use crate::store::{SwitchStore, TableId, Tables};
 use parking_lot::MutexGuard;
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Value};
 use snap_telemetry::HopRecord;
@@ -46,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotBinding {
     /// The switch owns the variable: its table in the switch's
-    /// [`StateShards`].
+    /// [`SwitchStore`].
     Local(TableId),
     /// The view's placement puts the variable on this switch. (Naming the
     /// view's *own* switch here means placement and ownership disagree; the
@@ -65,7 +68,7 @@ pub fn bind_slots(
     flat: &FlatProgram,
     local_vars: &BTreeSet<StateVar>,
     placement: &BTreeMap<StateVar, SwitchId>,
-    store: &StateShards,
+    store: &SwitchStore,
 ) -> Box<[SlotBinding]> {
     let bind = |var: &StateVar| {
         if local_vars.contains(var) {
@@ -84,87 +87,42 @@ pub fn bind_slots(
 thread_local! {
     static INDEX_SCRATCH: std::cell::RefCell<Vec<Value>> =
         const { std::cell::RefCell::new(Vec::new()) };
-    /// The writes of the running leaf sequence that wait for its end (see
-    /// [`StoreLease`]), and the arena their keys live in: per thread, so
-    /// deferring a write allocates nothing once the buffers are warm.
-    static DEFERRED: std::cell::RefCell<(Vec<Deferred>, Vec<Value>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// A leaf's write to a shard other than the held one, evaluated where its
-/// sequence reached it and applied when the sequence's run at this switch
-/// ends ([`StoreLease::finish_leaf`]).
-struct Deferred {
-    /// The action's offset in its sequence.
-    at: usize,
-    table: TableId,
-    shard: usize,
-    /// The evaluated key, a range of the thread's key arena.
-    key: std::ops::Range<usize>,
-    /// A set's evaluated value; `None` for an increment or decrement.
-    value: Option<Value>,
-}
-
-/// A lazily locking lease on one switch's [`StateShards`].
-///
-/// The driver creates one lease per (switch, batch-group). Every state
-/// access — test or write — routes to its key's shard and locks it on first
-/// touch (counted into the shard's contention stats), and the lease keeps
-/// the guard across consecutive accesses to the same shard — so a run of
-/// packets hitting the same key range pays one lock acquisition instead of
-/// one per access, and packets on *different* key ranges (or different
-/// workers' groups) don't serialize at all.
-///
-/// **A lease holds at most one shard guard at any moment.** Touching a
-/// different shard drops the held guard before acquiring the new one, so
-/// no lease can hold-and-wait and two workers' leases can never deadlock,
-/// whatever order their packets visit the key ranges in. Every
-/// read-modify-write runs under one guard hold. So does test-then-act on a
-/// key: a state test and the leaf action it guards address the same
-/// variable and key — on this switch, the same [`TableId`] and key, which
-/// routes to the same shard — and a leaf applies its writes to the held
-/// shard first. Its writes to other shards are evaluated where the sequence
-/// reaches them and applied, in sequence order, when the sequence's run at
-/// this switch ends ([`StoreLease::finish_leaf`]), so a counter keyed
-/// elsewhere cannot take the guard away between a flag's test and its set.
-/// Writes to distinct keys commute, and a packet reads no state after its
-/// leaf, so the reordering is invisible to the packet; only accesses to
-/// *different* keys interleave across workers at op granularity, which is
-/// within the plane's existing cross-worker ordering contract. (A second
-/// state test on another shard between a test and its action does move the
-/// guard.)
-pub struct StoreLease<'a> {
-    shards: Option<&'a StateShards>,
-    /// The single currently held shard guard, if any: `(shard index,
-    /// guard)`. Never more than one — see the no-hold-and-wait invariant
-    /// above.
-    guard: Option<(usize, MutexGuard<'a, Shard>)>,
+/// One flight's visit to a switch: the store lock, taken (counted) at the
+/// visit's first state access and held until the visit ends — the guard
+/// drops with the visit when [`process_at_switch`] returns. Every state
+/// test and write of the visit therefore runs under one hold, so a test and
+/// the leaf action it guards, and every read-modify-write, are atomic.
+struct Visit<'a> {
+    /// `None` for a switch with no state: every state access then reports
+    /// the missing store.
+    store: Option<&'a SwitchStore>,
+    tables: Option<MutexGuard<'a, Tables>>,
+    /// State actions applied during the visit.
     writes: u64,
 }
 
-impl<'a> StoreLease<'a> {
-    /// A lease over a switch's shards (`None` for a switch with no state —
-    /// every state access will then report the missing store).
-    pub fn new(shards: Option<&'a StateShards>) -> StoreLease<'a> {
-        StoreLease {
-            shards,
-            guard: None,
+impl<'a> Visit<'a> {
+    fn new(store: Option<&'a SwitchStore>) -> Visit<'a> {
+        Visit {
+            store,
+            tables: None,
             writes: 0,
         }
     }
 
-    /// Evaluate a state test against the authoritative shard of the tested
-    /// key of `table` (the switch's table for the test's variable). The
-    /// stored value is compared by reference, against a literal borrowed
-    /// from the program when the expected value is one. `None` when the
-    /// switch has no shards.
-    pub fn state_test(
+    /// Evaluate a state test against `table` (the switch's table for the
+    /// test's variable). The stored value is compared by reference, against
+    /// a literal borrowed from the program when the expected value is one.
+    /// `None` when the switch has no store.
+    fn state_test(
         &mut self,
         table: TableId,
         test: &Test,
         pkt: &Packet,
     ) -> Option<Result<bool, EvalError>> {
-        let shards = self.shards?;
+        let store = self.store?;
         let Test::State { index, value, .. } = test else {
             unreachable!("state_test called on a field test")
         };
@@ -179,28 +137,24 @@ impl<'a> StoreLease<'a> {
                     &computed
                 }
             };
-            let shard = locked_shard(shards, &mut self.guard, shards.shard_of(table, idx));
-            Ok(shard.get(table, idx) == expected)
+            let tables = self.tables.get_or_insert_with(|| store.lock_counted());
+            Ok(tables.get(table, idx) == expected)
         }))
     }
 
-    /// Apply a state action — action `at` of a leaf sequence: a set, or an
-    /// increment or decrement by one — to `table` (the switch's table for
-    /// the action's variable) on the authoritative shard of its key: now if
-    /// that shard is held or nothing is, else when the sequence's run ends
-    /// (see the type docs). An increment of a value that is not an integer
-    /// fails as [`snap_lang::eval`] does and leaves the entry untouched; a
-    /// failed action drops the writes its sequence deferred. `None` when
-    /// the switch has no shards.
-    pub fn apply_action(
+    /// Apply a state action — a set, or an increment or decrement by one —
+    /// to `table` (the switch's table for the action's variable). An
+    /// increment of a value that is not an integer fails as
+    /// [`snap_lang::eval`] does and leaves the entry untouched. `None` when
+    /// the switch has no store.
+    fn apply_action(
         &mut self,
         table: TableId,
-        at: usize,
         action: &Action,
         pkt: &Packet,
     ) -> Option<Result<(), EvalError>> {
-        let shards = self.shards?;
-        let result = INDEX_SCRATCH.with(|cell| {
+        let store = self.store?;
+        Some(INDEX_SCRATCH.with(|cell| {
             let idx = &mut *cell.borrow_mut();
             let (index, value) = match action {
                 Action::StateSet { index, value, .. } => (index, Some(value)),
@@ -209,123 +163,28 @@ impl<'a> StoreLease<'a> {
             };
             snap_lang::eval_index_into(index, pkt, idx)?;
             let value = value.map(|v| snap_lang::eval_expr(v, pkt)).transpose()?;
-            let shard = shards.shard_of(table, idx);
-            if matches!(self.guard, Some((held, _)) if held != shard) {
-                DEFERRED.with(|cell| {
-                    let (deferred, keys) = &mut *cell.borrow_mut();
-                    let start = keys.len();
-                    keys.extend_from_slice(idx);
-                    deferred.push(Deferred {
-                        at,
-                        table,
-                        shard,
-                        key: start..keys.len(),
-                        value,
-                    });
-                });
-                return Ok(false);
-            }
-            write(
-                locked_shard(shards, &mut self.guard, shard),
-                table,
-                idx,
-                action,
-                value,
-            )?;
-            Ok(true)
-        });
-        match result {
-            Ok(applied) => self.writes += u64::from(applied),
-            Err(_) => DEFERRED.with(|cell| {
-                let (deferred, keys) = &mut *cell.borrow_mut();
-                deferred.clear();
-                keys.clear();
-            }),
-        }
-        Some(result.map(|_| ()))
-    }
-
-    /// Apply the writes the running leaf sequence (`actions`) deferred, in
-    /// sequence order, stopping at the first that fails. Call it wherever
-    /// the sequence's run at this switch ends.
-    pub fn finish_leaf(&mut self, actions: &[Action]) -> Result<(), EvalError> {
-        DEFERRED.with(|cell| {
-            let (deferred, keys) = &mut *cell.borrow_mut();
-            let mut result = Ok(());
-            if let Some(shards) = self.shards {
-                for d in deferred.iter_mut() {
-                    let shard = locked_shard(shards, &mut self.guard, d.shard);
-                    let (idx, value) = (&keys[d.key.clone()], d.value.take());
-                    result = write(shard, d.table, idx, &actions[d.at], value);
-                    if result.is_err() {
-                        break;
-                    }
-                    self.writes += 1;
+            let tables = self.tables.get_or_insert_with(|| store.lock_counted());
+            match value {
+                Some(value) => tables.set_at(table, idx, value),
+                None => {
+                    let step = if matches!(action, Action::StateDecr { .. }) {
+                        -1
+                    } else {
+                        1
+                    };
+                    tables.update(table, idx, |cur| {
+                        let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
+                            var: action.written_var().expect("a state action").clone(),
+                            value: cur.clone(),
+                        })?;
+                        Ok(Value::Int(n + step))
+                    })?;
                 }
             }
-            deferred.clear();
-            keys.clear();
-            result
-        })
+            self.writes += 1;
+            Ok(())
+        }))
     }
-
-    /// Release the held shard guard. The driver calls this at the end of
-    /// each batch-group.
-    pub fn flush(&mut self) {
-        self.guard = None;
-    }
-
-    /// State actions applied through this lease (summed into the
-    /// per-switch `switch.state_writes` family at group end).
-    pub fn state_writes(&self) -> u64 {
-        self.writes
-    }
-}
-
-/// Write `table[idx]` in its shard: store a set's evaluated `value`, or
-/// increment / decrement the stored integer (`value` is `None`).
-fn write(
-    shard: &mut Shard,
-    table: TableId,
-    idx: &[Value],
-    action: &Action,
-    value: Option<Value>,
-) -> Result<(), EvalError> {
-    if let Some(value) = value {
-        shard.set_at(table, idx, value);
-        return Ok(());
-    }
-    let step = if matches!(action, Action::StateDecr { .. }) {
-        -1
-    } else {
-        1
-    };
-    shard.update(table, idx, |cur| {
-        let n = cur.as_int().ok_or_else(|| EvalError::NotAnInteger {
-            var: action.written_var().expect("a state action").clone(),
-            value: cur.clone(),
-        })?;
-        Ok(Value::Int(n + step))
-    })
-}
-
-/// Shard `i` under a lease's single-guard rule: reuses the held guard when
-/// it is already `i`'s, otherwise drops it first and locks `i` (counted).
-/// Holding at most one guard at a time is what rules out cross-worker
-/// deadlock.
-fn locked_shard<'g, 'a>(
-    shards: &'a StateShards,
-    guard: &'g mut Option<(usize, MutexGuard<'a, Shard>)>,
-    i: usize,
-) -> &'g mut Shard {
-    match guard {
-        Some((held, _)) if *held == i => {}
-        _ => {
-            *guard = None;
-            *guard = Some((i, shards.lock_shard_counted(i)));
-        }
-    }
-    &mut guard.as_mut().expect("guard just ensured").1
 }
 
 /// Errors surfaced by packet execution.
@@ -415,10 +274,10 @@ pub enum StepOutcome {
 /// Run a packet at one switch until it emits, drops, forks, or needs state
 /// the switch does not own. `bindings` is the view's resolution of every
 /// variable slot of `flat` ([`bind_slots`] — it decides which state is
-/// local and under which table); `store` is a lease on the switch's state
-/// shards (which may wrap no shards only when nothing is bound local).
-/// Passing the same lease for every packet of a batch visiting this switch
-/// amortizes the shard lock to one acquisition per group.
+/// local and under which table); `store` is the switch's state (`None` only
+/// when nothing is bound local). The store is locked at the visit's first
+/// state access and released when this returns (see `Visit`); the state
+/// actions the visit applied are added to `writes`.
 ///
 /// Stateless spans are resolved through the program's dispatch stages
 /// ([`FlatProgram::advance_stateless`]: one field load + one lookup per
@@ -432,7 +291,22 @@ pub enum StepOutcome {
 pub fn process_at_switch(
     bindings: &[SlotBinding],
     flat: &FlatProgram,
-    store: &mut StoreLease<'_>,
+    store: Option<&SwitchStore>,
+    flight: &mut InFlight,
+    trace: Option<&mut HopRecord>,
+    writes: &mut u64,
+) -> Result<StepOutcome, SimError> {
+    let mut visit = Visit::new(store);
+    let step = visit_switch(bindings, flat, &mut visit, flight, trace);
+    *writes += visit.writes;
+    step
+}
+
+/// [`process_at_switch`] within one [`Visit`].
+fn visit_switch(
+    bindings: &[SlotBinding],
+    flat: &FlatProgram,
+    visit: &mut Visit<'_>,
     flight: &mut InFlight,
     mut trace: Option<&mut HopRecord>,
 ) -> Result<StepOutcome, SimError> {
@@ -468,9 +342,9 @@ pub fn process_at_switch(
                     if let Some(h) = trace.as_deref_mut() {
                         h.state_tests.push(flat.var_name(slot).to_string());
                     }
-                    let passed = store
+                    let passed = visit
                         .state_test(table, test, &flight.pkt)
-                        .expect("switch owning state has a store shard")?;
+                        .expect("switch owning state has a store")?;
                     flight.progress = Progress::AtNode(if passed { tru } else { fls });
                     continue;
                 }
@@ -515,7 +389,6 @@ pub fn process_at_switch(
                             .written_slot(seq, off)
                             .expect("a state action was lowered with its slot");
                         let SlotBinding::Local(table) = bindings[slot.index()] else {
-                            store.finish_leaf(&sequence.actions)?;
                             flight.progress = Progress::InLeaf {
                                 node,
                                 seq,
@@ -526,13 +399,12 @@ pub fn process_at_switch(
                         if let Some(h) = trace.as_deref_mut() {
                             h.state_writes.push(flat.var_name(slot).to_string());
                         }
-                        store
-                            .apply_action(table, off, action, &flight.pkt)
+                        visit
+                            .apply_action(table, action, &flight.pkt)
                             .expect("switch with state has a store")?;
                     }
                     off += 1;
                 }
-                store.finish_leaf(&sequence.actions)?;
                 if sequence.drops {
                     return Ok(StepOutcome::Dropped);
                 }
@@ -613,5 +485,84 @@ pub fn read_outport(pkt: &Packet) -> Result<PortId, SimError> {
         Some(Value::Int(p)) if *p >= 0 => Ok(PortId(*p as usize)),
         Some(other) => Err(SimError::BadOutPort(other.clone())),
         None => Err(SimError::BadOutPort(Value::Int(-1))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snap_lang::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Test-then-act is atomic across threads: a visit that has tested a
+    /// flag keeps the store until its step returns, so a second visit of the
+    /// same key waits for it and then sees the flag set.
+    #[test]
+    fn a_visit_holds_the_store_from_its_test_to_its_act() {
+        let policy = ite(
+            state_test("seen", vec![field(Field::SrcPort)], int(0)),
+            state_incr("count", vec![field(Field::DstPort)])
+                .seq(state_set("seen", vec![field(Field::SrcPort)], int(1)))
+                .seq(modify(Field::OutPort, Value::Int(1))),
+            modify(Field::OutPort, Value::Int(2)),
+        );
+        let flat = snap_xfdd::compile(&policy).unwrap().flatten();
+        let store = SwitchStore::new();
+        let local = flat.var_names().iter().cloned().collect();
+        let bindings = bind_slots(&flat, &local, &BTreeMap::new(), &store);
+        let pkt = Packet::new()
+            .with(Field::SrcPort, 7)
+            .with(Field::DstPort, 9);
+        let flight = || InFlight::ingress(pkt.clone(), PortId(1), SwitchId(0), flat.root());
+
+        // Visit A tests the flag and stops there, holding the store.
+        let mut a = flight();
+        let mut visit = Visit::new(Some(&store));
+        let FlatNode::Branch {
+            test,
+            slot: Some(slot),
+            tru,
+            ..
+        } = flat.node(flat.advance_stateless(flat.root(), &a.pkt))
+        else {
+            panic!("the policy starts with a state test")
+        };
+        let SlotBinding::Local(table) = bindings[slot.index()] else {
+            panic!("every variable is local")
+        };
+        assert_eq!(visit.state_test(table, test, &a.pkt), Some(Ok(true)));
+        a.progress = Progress::AtNode(tru);
+
+        let b_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Visit B runs the same policy on the same key, start to end.
+            let b = scope.spawn(|| {
+                let mut b = flight();
+                let mut writes = 0;
+                let step =
+                    process_at_switch(&bindings, &flat, Some(&store), &mut b, None, &mut writes);
+                b_done.store(true, Ordering::SeqCst);
+                let flag_set = matches!(step, Ok(StepOutcome::Emit(PortId(2))));
+                (flag_set, writes)
+            });
+            while store.contended() == 0 {
+                assert!(
+                    !b_done.load(Ordering::SeqCst),
+                    "visit B ran while visit A held the store"
+                );
+                std::thread::yield_now();
+            }
+            // B waits on the lock: A counts on another key, sets the flag
+            // and ends its visit.
+            let step = visit_switch(&bindings, &flat, &mut visit, &mut a, None);
+            assert!(matches!(step, Ok(StepOutcome::Emit(PortId(1)))));
+            assert_eq!(visit.writes, 2);
+            std::mem::drop(visit);
+            let (flag_set, writes) = b.join().unwrap();
+            assert!(flag_set, "visit B must see the flag visit A set");
+            assert_eq!(writes, 0);
+        });
+        let count = store.get(&"count".into(), &[Value::Int(9)]);
+        assert_eq!(count, Value::Int(1));
     }
 }

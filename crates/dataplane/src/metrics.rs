@@ -51,7 +51,7 @@ pub struct PlaneTelemetry {
     /// `switch.hops` — per-switch locked-phase flight visits.
     pub switch_hops: CounterFamily,
     /// `switch.state_writes` — per-switch state actions applied to the
-    /// switch's store shard.
+    /// switch's store.
     pub switch_state_writes: CounterFamily,
 }
 
@@ -117,31 +117,28 @@ pub fn export_egress(snap: &mut MetricsSnapshot, prefix: &str, queues: &EgressQu
     snap.families.insert(format!("{prefix}.depth"), depth);
 }
 
-/// Append one switch's [`StateShards`](crate::StateShards) contention
-/// stats to a snapshot as two per-shard families —
-/// `store.shard.acquisitions` / `.contended`, row label `<owner>/s<i>` —
-/// appending to rows already exported for other switches. This replaces
-/// the old process-wide `driver.store_lock_acquisitions` counter: the
-/// readings are taken off the shards at snapshot time, so the packet path
-/// pays one relaxed add per counted lock and nothing per snapshot-less run.
+/// Append one switch's [`SwitchStore`](crate::SwitchStore) lock
+/// contention to a snapshot as two families — `store.shard.acquisitions` /
+/// `.contended`, one row labelled `<owner>` — appending to rows already
+/// exported for other switches. The readings are taken off the store at
+/// snapshot time, so the packet path pays one relaxed add per counted lock
+/// and nothing per snapshot-less run.
 ///
 /// Alongside them goes `store.table.entries`, row label `<owner>/<var>`:
-/// the written entries of every table the switch holds, summed over its
-/// shards at snapshot time (the packet path keeps no size counter).
-pub fn export_shards(snap: &mut MetricsSnapshot, owner: &str, shards: &crate::StateShards) {
-    let mut acquisitions = Vec::new();
-    let mut contended = Vec::new();
-    for i in 0..shards.num_shards() {
-        let (a, c) = shards.shard_stats(i);
-        let label = format!("{owner}/s{i}");
-        acquisitions.push((label.clone(), a));
-        contended.push((label, c));
-    }
-    let entries = shards.table_entries().into_iter();
+/// the written entries of every table the switch holds, counted at
+/// snapshot time (the packet path keeps no size counter).
+pub fn export_shards(snap: &mut MetricsSnapshot, owner: &str, store: &crate::SwitchStore) {
+    let entries = store.table_entries().into_iter();
     let entries = entries.map(|(var, n)| (format!("{owner}/{var}"), n));
     for (name, rows) in [
-        ("store.shard.acquisitions", acquisitions),
-        ("store.shard.contended", contended),
+        (
+            "store.shard.acquisitions",
+            vec![(owner.to_string(), store.acquisitions())],
+        ),
+        (
+            "store.shard.contended",
+            vec![(owner.to_string(), store.contended())],
+        ),
         ("store.table.entries", entries.collect()),
     ] {
         snap.families

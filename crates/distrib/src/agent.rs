@@ -30,7 +30,7 @@
 //!   with its ingress epoch and every hop resolves the view for *that*
 //!   epoch, so a packet never mixes two configurations even while the
 //!   distributed commit is mid-flip;
-//! * its **sharded state plane** ([`snap_dataplane::StateShards`]) and
+//! * its **state store** ([`snap_dataplane::SwitchStore`]) and
 //!   bounded per-port **egress queues** ([`snap_dataplane::EgressQueues`]).
 //!
 //! The two-phase protocol does all expensive work in *prepare* (delta
@@ -46,7 +46,7 @@
 
 use crate::transport::{AgentEndpoint, FromAgent, PrepareMsg, SwitchMeta, ToAgent};
 use parking_lot::Mutex;
-use snap_dataplane::{bind_slots, EgressQueues, SlotBinding, StateShards, DEFAULT_STATE_SHARDS};
+use snap_dataplane::{bind_slots, EgressQueues, SlotBinding, SwitchStore};
 use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
 use snap_xfdd::{FlatProgram, Mirror};
@@ -152,7 +152,7 @@ pub struct SwitchAgent {
     /// resolve views.
     mirror: Mutex<Option<Mirror>>,
     core: Mutex<AgentCore>,
-    store: StateShards,
+    store: SwitchStore,
     egress: EgressQueues,
     stats: AgentStats,
     /// Emulated control-network RTT (see [`SwitchAgent::with_ack_delay`]).
@@ -179,7 +179,7 @@ impl SwitchAgent {
                 meta: SwitchMeta::default(),
                 placement: Arc::new(BTreeMap::new()),
             }),
-            store: StateShards::new(DEFAULT_STATE_SHARDS),
+            store: SwitchStore::new(),
             egress: EgressQueues::new(ports, queue_capacity),
             stats: AgentStats::default(),
             ack_delay: None,
@@ -212,8 +212,8 @@ impl SwitchAgent {
         &self.name
     }
 
-    /// The agent's sharded state plane.
-    pub fn store(&self) -> &StateShards {
+    /// The agent's state store.
+    pub fn store(&self) -> &SwitchStore {
         &self.store
     }
 
@@ -269,23 +269,14 @@ impl SwitchAgent {
                 Vec::new()
             }
             ToAgent::InstallTable { epoch, var, table } => {
-                match self.store.remove_var(&var) {
-                    None => self.store.insert_table(var.clone(), table),
-                    Some(fresh) => {
-                        // New-epoch packets may already have written
-                        // this variable here before the migrated table
-                        // arrived; those entries are newer and win,
-                        // the migrated history fills in the rest.
-                        // (Read-modify-write entries touched in the
-                        // window still lose the migrated base — see the
-                        // migration caveat in the controller docs.)
-                        let mut merged = table;
-                        for (index, value) in fresh.iter() {
-                            merged.set(index.clone(), value.clone());
-                        }
-                        self.store.insert_table(var.clone(), merged);
-                    }
-                }
+                // New-epoch packets may already have written this
+                // variable here before the migrated table arrived; those
+                // entries are newer and win, the migrated history fills in
+                // the rest — merged under one hold of the store lock, so a
+                // write landing mid-install is kept too. (Read-modify-write
+                // entries touched in the window still lose the migrated
+                // base — see the migration caveat in the controller docs.)
+                self.store.merge_table(var.clone(), table);
                 self.stats.tables_installed.fetch_add(1, Ordering::Relaxed);
                 vec![FromAgent::Installed {
                     switch: self.switch,

@@ -32,7 +32,8 @@
 //! after its table was yielded writes into a fresh table and is orphaned,
 //! and (b) a packet of the *new* epoch that reaches the new owner before
 //! its `InstallTable` arrives starts a fresh entry — the install merges
-//! around such entries (newer writes win) rather than replacing them, but a
+//! around such entries (newer writes win) under one hold of the store lock
+//! rather than replacing them, but a
 //! read-modify-write in that window still misses the migrated base value.
 //! A variable the new program no longer places has its yielded table
 //! dropped, so re-placing the name later deterministically starts fresh.

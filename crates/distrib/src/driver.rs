@@ -15,12 +15,13 @@
 //!   bound to a local table or an owning switch, its ports in a sorted
 //!   slice — so the loop below indexes and never looks a variable up by
 //!   name.
-//! * State is leased from the agent's key-range shards
-//!   ([`store`](crate::SwitchAgent::store)): every state test and write is
-//!   applied on its key's shard, under that shard's lock, the one place the
-//!   variable's value lives. State is epoch-independent — it survives
-//!   reconfiguration — which is what lets one lease cover a (switch,
-//!   batch-group).
+//! * State lives in the agent's store
+//!   ([`store`](crate::SwitchAgent::store)), the one place each variable's
+//!   value lives: a flight locks it at its first state access during a
+//!   visit and releases it when the visit's step returns, so every state
+//!   test and write of the visit runs under one hold. State is
+//!   epoch-independent — it survives reconfiguration — so flights of
+//!   different epochs share it.
 //! * A delivered packet lands in the owning agent's bounded per-port FIFO
 //!   queues ([`egress`](crate::SwitchAgent::egress)); a full queue
 //!   tail-drops it and the drop is counted on the packet's
@@ -28,12 +29,10 @@
 //!
 //! On top of the unified loop the driver executes **batched**: in-flight
 //! packets are grouped by their current switch and each group is drained
-//! under a single [`StoreLease`], which keeps a shard's guard across
-//! consecutive accesses to it, so a run of accesses to one key range takes
-//! its shard lock once instead of once per access — the cheapest
-//! remaining throughput lever, in the spirit of the wire-speed stateful
-//! stages of OPP and the state-access bottleneck observed by State-Compute
-//! Replication. Per-packet injection is simply a batch of one.
+//! together, against views pinned for the batch. The store lock is not held
+//! across a group: a commit reads the store under it, and holding it for a
+//! group made policy flips wait on traffic (EXPERIMENTS.md "One store
+//! lock"). Per-packet injection is simply a batch of one.
 //!
 //! Views are **pinned per batch**: an agent is asked at most once per
 //! (switch, epoch) for the whole batch — the ingress stamp of a switch
@@ -51,15 +50,15 @@
 //! parked at the same node step through the same per-field dispatch stage
 //! together, one field column at a time, and park at their first state test
 //! or leaf. Only the survivors that actually reach state then enter the
-//! **locked** phase under the group's store lease — stateless drops and
-//! stateless emits never contend for the lock at all (counted per instance
+//! **locked** phase, one visit at a time — stateless drops and stateless
+//! emits never contend for the store lock at all (counted per instance
 //! by the `driver.wave_prefix.*` counters of [`PlaneTelemetry`]).
 //!
 //! The driver is also the telemetry plane's observation point: while the
 //! network carries its [`PlaneTelemetry`] bundle
 //! ([`DistNetwork::with_telemetry`]), the loop counts ingress admissions,
 //! hop visits, state writes, deliveries and drops per instance (store-lock
-//! contention is counted on each switch's shards directly), and carries
+//! contention is counted on each switch's store directly), and carries
 //! the [`snap_telemetry::PacketTrace`] of a 1-in-N sampled packet across
 //! its hops. Without a bundle ([`DistNetwork::without_telemetry`]) all of
 //! it compiles down to a handful of `None` checks.
@@ -75,7 +74,7 @@ use crate::pins::PinArena;
 use crate::plane::{DistNetwork, InjectError, InjectOutcome};
 use snap_dataplane::exec::{
     misplaced_state_error, missing_placement_error, process_at_switch, InFlight, Progress,
-    SimError, SlotBinding, StepOutcome, StoreLease,
+    SimError, SlotBinding, StepOutcome,
 };
 use snap_dataplane::PlaneTelemetry;
 use snap_lang::{Packet, Value};
@@ -334,15 +333,15 @@ impl DistNetwork {
     /// batch, so packets entering at one switch share an epoch, while
     /// epochs may differ between ingress switches as a commit wave passes.
     /// Execution is grouped by switch: all in-flight packets currently at
-    /// the same switch are drained together under one [`StoreLease`] (a
-    /// shard lock per run of accesses to one key range), against views
-    /// pinned for the whole batch — an agent's `core` lock is taken once
-    /// per (switch, epoch, batch), not per packet. A packet that fails
-    /// loses its remaining in-flight copies, and never affects the rest of
-    /// the batch; state side effects that already happened stay. Some of a
-    /// failed packet's deliveries may already sit in egress queues, and
-    /// nothing retracts them — an egress queue is a wire, not a buffer the
-    /// driver owns.
+    /// the same switch are drained together (each visit holding the
+    /// switch's store lock from its first state access until its step
+    /// returns), against views pinned for the whole batch — an agent's
+    /// `core` lock is taken once per (switch, epoch, batch), not per
+    /// packet. A packet that fails loses its remaining in-flight copies,
+    /// and never affects the rest of the batch; state side effects that
+    /// already happened stay. Some of a failed packet's deliveries may
+    /// already sit in egress queues, and nothing retracts them — an egress
+    /// queue is a wire, not a buffer the driver owns.
     ///
     /// Batching widens the window between a packet's epoch stamp and the
     /// first lookup of that epoch's view at a later hop: a packet whose
@@ -379,11 +378,10 @@ impl DistNetwork {
         // per-switch buckets (a stable one-move-per-flight bucket sort —
         // arrival order within a switch is preserved, and nothing as large
         // as a `Tagged` is ever swapped around by a comparison sort) and
-        // processes each non-empty bucket as one group — one store lease
-        // per (switch, wave). Flights forwarded during a wave join the next
-        // one. All the flight buffers live in the thread-local scratch and
-        // persist across batches, so a warmed-up worker runs the whole wave
-        // loop without allocating.
+        // processes each non-empty bucket as one group. Flights forwarded
+        // during a wave join the next one. All the flight buffers live in
+        // the thread-local scratch and persist across batches, so a
+        // warmed-up worker runs the whole wave loop without allocating.
         WAVE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let WaveScratch {
@@ -480,9 +478,9 @@ impl DistNetwork {
     }
 
     /// Drain one switch's group: every flight currently at `switch`, plus
-    /// any copies forked while draining, executes under a single
-    /// [`StoreLease`] against the batch's pinned views. Forwarded flights
-    /// land in `next` (the following wave); failures land in `results`.
+    /// any copies forked while draining, executes one visit at a time
+    /// against the batch's pinned views. Forwarded flights land in `next`
+    /// (the following wave); failures land in `results`.
     #[allow(clippy::too_many_arguments)]
     fn run_group<'b>(
         &self,
@@ -494,15 +492,15 @@ impl DistNetwork {
         scratch: &mut CohortScratch,
         tally: &mut BatchTally,
     ) {
-        let mut lease = StoreLease::new(self.agent(switch).map(|a| a.store()));
+        let store = self.agent(switch).map(|a| a.store());
         // Phase one, lock-free: advance every flight's stateless prefix
         // through the view's program, a dispatch stage at a time across the
         // whole group. Only survivors still need the store below.
         self.wave_prefix(pins, switch, group, results, scratch, tally);
-        // Phase two, locked: drain the group in place under one store lease.
+        // Phase two, locked: drain the group in place, a visit at a time.
         // Flights are taken out of their slot (an inert placeholder stays
         // behind) so forked copies can be appended while the walk is live.
-        let mut visits = 0u64;
+        let (mut visits, mut writes) = (0u64, 0u64);
         let mut idx = 0;
         while idx < group.len() {
             let mut tagged = std::mem::take(&mut group[idx]);
@@ -536,9 +534,10 @@ impl DistNetwork {
             let step = match process_at_switch(
                 &view.bindings,
                 &view.flat,
-                &mut lease,
+                store,
                 &mut tagged.flight,
                 tagged.trace.as_deref_mut().and_then(|t| t.hops.last_mut()),
+                &mut writes,
             ) {
                 Ok(step) => step,
                 Err(e) => {
@@ -619,11 +618,10 @@ impl DistNetwork {
             }
         }
         group.clear();
-        lease.flush();
         if self.metrics().is_some() {
             let slot = pins.table.slot(switch);
             slot.hops += visits;
-            slot.state_writes += lease.state_writes();
+            slot.state_writes += writes;
         }
     }
 
@@ -675,9 +673,9 @@ impl DistNetwork {
     ///
     /// The pass is infallible per flight (field tests cannot error and no
     /// store is touched) and never passes a state test, so it is safe to
-    /// run before the [`StoreLease`] is acquired: packets whose stateless
-    /// prefix ends in a drop or a stateless emit never contend for the
-    /// lock at all. Survivor counts land on this instance's
+    /// run before any visit takes the store lock: packets whose stateless
+    /// prefix ends in a drop or a stateless emit never contend for it at
+    /// all. Survivor counts land on this instance's
     /// `driver.wave_prefix.*` counters ([`PlaneTelemetry`]).
     fn wave_prefix(
         &self,

@@ -28,10 +28,10 @@
 //!   epoch at every hop (see `controller` module docs for the argument).
 //! * [`DistNetwork`] drives traffic through the agents with the one batched
 //!   packet driver ([`driver`]): each hop executes an agent's epoch view,
-//!   leases the agent's state shards and delivers into its per-port bounded
-//!   FIFO queues ([`snap_dataplane::EgressQueues`]) — the per-switch
-//!   machinery underneath is `snap-dataplane`'s. The multi-worker
-//!   [`TrafficEngine`] pumps workloads through it.
+//!   locks the agent's state store for the visit and delivers into its
+//!   per-port bounded FIFO queues ([`snap_dataplane::EgressQueues`]) — the
+//!   per-switch machinery underneath is `snap-dataplane`'s. The
+//!   multi-worker [`TrafficEngine`] pumps workloads through it.
 //! * The transport is a trait seam ([`transport::ControllerEndpoint`] /
 //!   [`transport::AgentEndpoint`]) with every agent reply converging on the
 //!   controller's shared **reply mux**. Two backends ship: in-process mpsc

@@ -10,7 +10,7 @@
 //!
 //! This module holds the plane's state and its public surface; the batch
 //! loop behind [`DistNetwork::inject_batch`] — dispatch, hop budget,
-//! per-batch view pins, per-(switch, batch-group) store leases, delivery
+//! per-batch view pins, per-visit store locks, delivery
 //! into the agents' bounded per-port FIFO queues
 //! ([`snap_dataplane::EgressQueues`]) — is [`crate::driver`], and the
 //! multi-worker [`crate::TrafficEngine`] pumps workloads through it.
@@ -141,8 +141,8 @@ impl DistNetwork {
     /// Snapshot this instance's metrics, traces and commit events,
     /// enriched at read time with per-agent data the hot path never
     /// touches: each agent's egress queue stats (`egress.<switch>.*`),
-    /// its per-shard store contention stats (`store.shard.*`, rows
-    /// labeled `<switch>/s<i>`), its protocol counters (`agent.*`
+    /// its store lock contention stats (`store.shard.*`, rows labeled
+    /// `<switch>`), its protocol counters (`agent.*`
     /// families labeled by switch name) and the committed-epoch gauge
     /// `network.epoch` (the max across agents; `network.epoch_skew` is
     /// nonzero only mid-commit). Returns an empty snapshot when

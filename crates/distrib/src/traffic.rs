@@ -2,11 +2,10 @@
 //! agent fleet ([`DistNetwork`]) from N threads.
 //!
 //! Scaling traffic is embarrassingly parallel up to the per-switch store
-//! shards: the engine shards a workload across worker threads, each worker
+//! locks: the engine shards a workload across worker threads, each worker
 //! pumps its shard batch by batch (one configuration acquisition per
-//! visited switch per batch, and a state-shard lock per run of accesses to
-//! one key range, thanks to the batched driver) and collects its egress
-//! locally; per-worker
+//! visited switch per batch, thanks to the batched driver, and one store
+//! lock per stateful visit) and collects its egress locally; per-worker
 //! results are only merged after the workers join — no shared output
 //! structure, no coordination on the hot path.
 //!

@@ -89,18 +89,6 @@ impl StateTable {
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<Value>, &Value)> {
         self.entries.iter()
     }
-
-    /// Union `other`'s entries into this table (other's entries win on
-    /// shared keys). Used to reassemble a table from key-disjoint partials
-    /// held by independent state shards — with disjoint key sets the union
-    /// is exact regardless of order.
-    pub fn absorb(&mut self, other: StateTable) {
-        if self.entries.is_empty() {
-            self.entries = other.entries;
-        } else {
-            self.entries.extend(other.entries);
-        }
-    }
 }
 
 impl Default for StateTable {

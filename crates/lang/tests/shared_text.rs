@@ -65,7 +65,7 @@ impl fmt::Display for Model {
 }
 
 /// Records exactly what a `Hash` impl feeds its hasher, so two values hash
-/// alike under *every* hasher — the state shards route keys with their own.
+/// alike under *every* hasher, not just the one a test happens to use.
 #[derive(Default)]
 struct Tape(Vec<u8>);
 

@@ -63,8 +63,9 @@ pub struct IntervalStats {
     /// Slowest single agent ack across the interval's commit events (µs)
     /// — the straggler the fan-out waited on.
     pub slowest_ack_us: u64,
-    /// Shard contention ratio: contended / total shard-lock acquisitions
-    /// over the interval (0 when no locks were taken).
+    /// Store-lock contention ratio: contended / total store-lock
+    /// acquisitions on the packet path over the interval, summed over the
+    /// switches (0 when no locks were taken).
     pub contention: f64,
     /// High-water egress queue depth across all ports, as exported at
     /// snapshot time.

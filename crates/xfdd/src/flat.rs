@@ -25,7 +25,7 @@
 //!
 //! A node's lowering looks at its own payload and its children's ids and
 //! dispatch entries, never at what its subgraph does with state: a state
-//! access is applied on its key's shard wherever the program runs, so
+//! access is applied in its owner's store wherever the program runs, so
 //! nothing about a variable needs deciding for the program as a whole.
 //!
 //! Per-packet evaluation is then index arithmetic: follow an edge, load the
@@ -838,7 +838,7 @@ impl FlatProgram {
     /// evaluate the state test it stops at against `store`, and apply the
     /// leaf reached. Semantically identical to [`Pool::evaluate`] on the
     /// source diagram, the oracle it is tested against. A switch runs the
-    /// same dispatch but reaches state by slot, through its shards.
+    /// same dispatch but reaches state by slot, through its store.
     pub fn evaluate(
         &self,
         pkt: &Packet,

@@ -9,11 +9,8 @@
 //! hasher ([`crate::shared`]); the content interners are then keyed on that
 //! stored hash, which is again nothing an outside party chooses.
 //!
-//! The hasher itself is public for one more caller with the same profile:
-//! the dataplane routes a state key to one of a switch's few shards with
-//! it — a deterministic, unseeded function on purpose (every worker, every
-//! run must route a key alike), choosing a lock, never a bucket; the tables
-//! behind the locks are keyed by packet-derived values and stay seeded.
+//! The hasher is public because a public table type names it
+//! ([`crate::import::ImportMap`]).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -55,7 +55,7 @@
 //! [`FlatProgram::advance_stateless`] walks stages and stateless branches
 //! until a leaf or a state test **without ever touching a store** — it is
 //! infallible, which is what lets the batched driver run the stateless
-//! prefix of a whole wave before acquiring any store lease.
+//! prefix of a whole wave before any visit takes a store lock.
 //!
 //! [`TableProgram`] is a shim kept only because the benchmark's per-layer
 //! probe builds against its `compile` and `evaluate`: it holds nothing and

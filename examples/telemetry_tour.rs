@@ -45,7 +45,7 @@ fn main() {
     // Traffic arrives in waves; between waves the monitor pattern from
     // snap-soak applies: snapshot, diff against the previous snapshot
     // with `MetricsSnapshot::delta`, and render the interval as one line
-    // of derived rates (pkts/s, commits, shard contention, queue depth).
+    // of derived rates (pkts/s, commits, store-lock contention, queue depth).
     let start = std::time::Instant::now();
     let mut prev = deployment.network.metrics_snapshot();
     println!("interval deltas, one line per traffic wave:");

@@ -104,8 +104,8 @@ const BATCH: usize = 64;
 /// Blocks a batch may request beyond one per delivery. Measured: 1 under
 /// the stateless policy and under the stateful pipeline alike (the result
 /// list the driver returns), debug and release; the views a batch can pin
-/// on [`SWITCHES`] switches fit the pin arena's inline block, and a leaf's
-/// deferred writes reuse a per-thread buffer.
+/// on [`SWITCHES`] switches fit the pin arena's inline block, and a state
+/// access evaluates its key into a per-thread buffer.
 const PER_BATCH: u64 = 2;
 
 /// A fleet of [`SWITCHES`] agents running `policy`, trace sampling off (a

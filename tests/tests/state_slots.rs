@@ -1,11 +1,11 @@
 //! State by slot, checked against state by name.
 //!
 //! The packet path reaches state through three private numberings — a
-//! lowering's variable slots, a switch's table ids, a shard's hash tables —
+//! lowering's variable slots, a switch's table ids, a table's hash keys —
 //! and nothing outside a process may be able to tell: deliveries and the
 //! aggregate store must equal `snap_lang::eval` folded over the packet
 //! sequence, whatever the placement and across an update that re-places
-//! variables; the by-name operations on a switch's `StateShards` must answer
+//! variables; the by-name operations on a switch's `SwitchStore` must answer
 //! exactly like a by-name `Store`; errors and sampled hop records must still
 //! name the variable.
 //!
@@ -16,13 +16,14 @@
 
 use proptest::prelude::*;
 use snap_dataplane::exec::process_at_switch;
-use snap_dataplane::{InFlight, SimError, SlotBinding, StateShards, StoreLease};
+use snap_dataplane::{InFlight, SimError, SlotBinding, SwitchStore};
 use snap_distrib::{InjectError, PrepareMsg, ToAgent};
 use snap_lang::prelude::*;
 use snap_tests::network::Fleet;
 use snap_topology::{NodeId as SwitchId, PortId, Topology};
 use snap_xfdd::{encode_delta, to_xfdd};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SWITCHES: usize = 8;
@@ -212,8 +213,8 @@ fn run(
 }
 
 /// The seeded contents of the read-only variable: a non-zero default (so an
-/// absent key must find the skeleton, in whichever shard it routes to) and
-/// a few written entries.
+/// absent key must read the installed table's default) and a few written
+/// entries.
 fn listed_table() -> StateTable {
     let mut table = StateTable::with_default(Value::Int(3));
     for i in 0..3 {
@@ -266,8 +267,8 @@ proptest! {
     }
 }
 
-/// A by-name operation on a switch's state, applied to the sharded tables
-/// and to a plain `Store` side by side.
+/// A by-name operation on a switch's state, applied to its store and to a
+/// plain `Store` side by side.
 #[derive(Clone, Debug)]
 enum StoreOp {
     Set { v: usize, key: i64, value: i64 },
@@ -289,17 +290,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // (b) `variables` / `collect_table` / `remove_var` / `get` answer like
-    // the name-keyed store did — default skeletons and absent keys included.
+    // the name-keyed store did — installed defaults and absent keys included.
     #[test]
-    fn sharded_tables_answer_like_a_store_by_name(
+    fn a_switch_store_answers_like_a_store_by_name(
         ops in proptest::collection::vec(store_op(), 1..40),
     ) {
-        let shards = StateShards::new(8);
+        let store = SwitchStore::new();
         let mut model = Store::new();
         for op in ops {
             match op {
                 StoreOp::Set { v, key, value } => {
-                    shards.set(&var(v), vec![Value::Int(key)], Value::Int(value));
+                    store.set(&var(v), vec![Value::Int(key)], Value::Int(value));
                     model.set(&var(v), vec![Value::Int(key)], Value::Int(value));
                 }
                 StoreOp::Install { v, flagged } => {
@@ -307,24 +308,24 @@ proptest! {
                     for key in flagged {
                         table.set(vec![Value::Int(key)], Value::Bool(true));
                     }
-                    shards.insert_table(var(v), table.clone());
+                    store.insert_table(var(v), table.clone());
                     model.insert_table(var(v), table);
                 }
                 StoreOp::Remove { v } => {
-                    prop_assert_eq!(shards.remove_var(&var(v)), model.remove_table(&var(v)));
+                    prop_assert_eq!(store.remove_var(&var(v)), model.remove_table(&var(v)));
                 }
             }
             let held: BTreeSet<StateVar> = model.variables().cloned().collect();
-            prop_assert_eq!(shards.variables(), held);
+            prop_assert_eq!(store.variables(), held);
             for v in 0..3 {
-                prop_assert_eq!(shards.collect_table(&var(v)), model.table(&var(v)).cloned());
-                // Keys 40.. were never written: every shard must answer
-                // with the table's own default, or 0 without a table.
+                prop_assert_eq!(store.collect_table(&var(v)), model.table(&var(v)).cloned());
+                // Keys 40.. were never written: they must read the table's
+                // own default, or 0 without a table.
                 for key in (0..48).map(|k| [Value::Int(k)]) {
-                    prop_assert_eq!(shards.get(&var(v), &key), model.get(&var(v), &key));
+                    prop_assert_eq!(store.get(&var(v), &key), model.get(&var(v), &key));
                 }
             }
-            let sizes = shards.table_entries();
+            let sizes = store.table_entries();
             let expected = model.variables().map(|v| (v.clone(), model.table(v).unwrap().len() as u64));
             prop_assert_eq!(sizes.into_iter().collect::<BTreeMap<_, _>>(), expected.collect());
         }
@@ -415,12 +416,63 @@ fn an_older_epochs_view_still_resolves_its_slots() {
     // eager-migration caveat — but a resolved one).
     let (port, pkt) = packet((1, 0, 0));
     let mut flight = InFlight::ingress(pkt, port, agent.switch(), old.flat.root());
-    let mut lease = StoreLease::new(Some(store));
-    let step = process_at_switch(&old.bindings, &old.flat, &mut lease, &mut flight, None);
+    let mut writes = 0;
+    let step = process_at_switch(
+        &old.bindings,
+        &old.flat,
+        Some(store),
+        &mut flight,
+        None,
+        &mut writes,
+    );
     assert!(step.is_ok());
-    lease.flush();
+    assert_eq!(writes, 1);
     assert_eq!(store.get(&hits, &[Value::Int(1)]), Value::Int(1));
     assert_eq!(store.collect_table(&flag), None);
+}
+
+/// An `InstallTable` merges under one hold of the store lock: packet writes
+/// that land on the variable while its migrated table is being installed
+/// are kept. A race by nature — the writes and the installs interleave as
+/// they happen to — so a lost write shows only when one lands mid-install.
+#[test]
+fn an_install_keeps_the_writes_that_land_during_it() {
+    const KEYS: i64 = 4_000;
+    let flag = state_set(var(2), vec![field(Field::SrcPort)], int(1))
+        .seq(modify(Field::OutPort, Value::Int(1)));
+    let mut fleet = fleet(&flag);
+    fleet.update(&flag, &placement_of(&[0, 0, 0]), true);
+    let agent = Arc::clone(&fleet.agents[0]);
+    let mut migrated = StateTable::with_default(Value::Int(0));
+    for k in 1..=64 {
+        migrated.set(vec![Value::Int(-k)], Value::Int(2));
+    }
+    let written = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let keys: Vec<i64> = (0..KEYS).collect();
+            for keys in keys.chunks(16) {
+                let batch: Vec<_> = keys.iter().map(|&k| packet((1, k, 0))).collect();
+                for out in fleet.network.inject_batch(&batch) {
+                    out.expect("the packet executes");
+                }
+            }
+            written.store(true, Ordering::SeqCst);
+        });
+        while !written.load(Ordering::SeqCst) {
+            agent.handle(ToAgent::InstallTable {
+                epoch: fleet.epoch,
+                var: var(2),
+                table: migrated.clone(),
+            });
+        }
+    });
+    let store = agent.store();
+    for k in 0..KEYS {
+        let value = store.get(&var(2), &[Value::Int(k)]);
+        assert_eq!(value, Value::Int(1), "key {k} lost its write");
+    }
+    assert_eq!(store.get(&var(2), &[Value::Int(-1)]), Value::Int(2));
 }
 
 /// The reason an injection failed, if it was a missing-field evaluation

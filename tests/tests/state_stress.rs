@@ -3,9 +3,9 @@
 //!
 //! Every packet in this workload writes state — a hot per-source counter
 //! plus a tested first-seen flag — and four workers
-//! hammer one shared fleet. The suite asserts the sharded state plane
-//! keeps every total bit-exact under maximum write pressure, and that the
-//! shard telemetry accounts for the traffic. CI runs this against the
+//! hammer one shared fleet. The suite asserts the switch store keeps
+//! every total bit-exact under maximum write pressure, and that the
+//! store-lock telemetry accounts for the traffic. CI runs this against the
 //! release build (`--release`) so it stresses the optimized hot path.
 
 use snap_distrib::TrafficEngine;
@@ -18,7 +18,7 @@ const WORKERS: usize = 4;
 
 /// Every packet increments a hot counter keyed by source subnet AND
 /// passes through a tested first-seen flag — a read-modify-write and a
-/// test-then-set under stress at once, both under key-range shard locks.
+/// test-then-set under stress at once, both under the switch's store lock.
 fn stress_policy() -> Policy {
     state_incr("hits", vec![field(Field::InPort)])
         .seq(ite(
@@ -67,21 +67,21 @@ fn four_workers_state_heavy_totals_stay_exact() {
     }
 
     // The snapshot accounts for the pressure: every packet counted, every
-    // state write attributed, and the shard plane shows the locks taken.
+    // state write attributed, and the store shows the locks taken.
     let snap = net.metrics_snapshot();
     assert_eq!(snap.counters["driver.packets"], TOTAL as u64);
     assert_eq!(snap.counters["driver.deliveries"], TOTAL as u64);
     assert_eq!(snap.counters["driver.errors"], 0);
     let family_total = |name: &str| -> u64 { snap.families[name].iter().map(|(_, v)| v).sum() };
     // One counter increment per packet, plus exactly one flag set per
-    // inport — the flag's test and set address the same key, hence the same
-    // shard, and the lease holds that shard's guard across both, so the
-    // test-then-set is atomic and later packets only read.
+    // inport — the flag's test and set run in one visit, under one hold of
+    // the store lock, so the test-then-set is atomic and later packets only
+    // read.
     assert_eq!(family_total("switch.state_writes"), TOTAL as u64 + 6);
     let acquisitions = family_total("store.shard.acquisitions");
     assert!(
         acquisitions > 0,
-        "state-heavy traffic must take shard locks"
+        "state-heavy traffic must take the store lock"
     );
     assert!(family_total("store.shard.contended") <= acquisitions);
 }

@@ -10,10 +10,11 @@
 //! `aggregate_store`.
 //!
 //! The keyed-state suite at the bottom extends the same contract to the
-//! sharded state plane: every state test and write runs under its key's
-//! shard lock, and the totals must be bit-identical to a single-threaded
-//! run, at 1/2/4/8 workers, with the placement pinned by hand and chosen by
-//! the compiler, and across an update that migrates a counter.
+//! switch stores: every state test and write of a visit runs under one
+//! hold of its switch's store lock, and the totals must be bit-identical to
+//! a single-threaded run, at 1/2/4/8 workers, with the placement pinned by
+//! hand and chosen by the compiler, and across an update that migrates a
+//! counter.
 
 use snap_dataplane::PlaneTelemetry;
 use snap_distrib::TrafficEngine;
@@ -42,7 +43,7 @@ fn workload() -> Vec<(PortId, Packet)> {
 }
 
 /// Like [`workload`], but spreading the state index across six inports so
-/// key-range shard routing sees multiple keys.
+/// the store sees multiple keys.
 fn keyed_workload() -> Vec<(PortId, Packet)> {
     (0..TOTAL)
         .map(|i| {
@@ -117,7 +118,7 @@ fn network_counters_are_exact_across_workers() {
     );
 
     // Worker count must not change any aggregated reading: same workload,
-    // same per-switch attribution, sharded or not.
+    // same per-switch attribution.
     for family in ["switch.packets", "switch.hops", "switch.state_writes"] {
         assert_eq!(
             single_snap.families[family], multi_snap.families[family],
@@ -135,13 +136,11 @@ fn network_counters_are_exact_across_workers() {
             "{counter} diverged between 1 and 4 workers"
         );
     }
-    // Store-lock accounting lives on the per-switch shard planes now (the
-    // process-wide `driver.store_lock_acquisitions` counter is gone):
-    // per-shard families are read off the shards at snapshot time. Every
-    // packet increments the same key, and a lease keeps its shard's guard
-    // across consecutive accesses, so acquisitions are amortized per
-    // (switch, batch-group) — bounded by the packet count either way, and
-    // never zero with state traffic.
+    // Store-lock accounting lives on the per-switch stores (the
+    // process-wide `driver.store_lock_acquisitions` counter is gone): the
+    // families are read off the stores at snapshot time. A visit takes its
+    // switch's store lock at most once, so acquisitions are bounded by the
+    // packet count, and never zero with state traffic.
     for snap in [&single_snap, &multi_snap] {
         let locks = family_total(snap, "store.shard.acquisitions");
         assert!(locks > 0 && locks <= TOTAL as u64);
@@ -233,7 +232,7 @@ fn shared_telemetry_can_merge_two_planes() {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed-state exactness: every state access runs under its key's shard
+// Keyed-state exactness: every state access runs under its switch's store
 // lock, and no worker count may change any total a single-threaded run
 // would produce.
 // ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ fn run_and_collect(workers: usize, load: &[(PortId, Packet)]) -> Vec<(i64, Value
 
 #[test]
 fn keyed_counter_is_exact_across_worker_counts() {
-    // Every increment is a read-modify-write under its key's shard lock;
+    // Every increment is a read-modify-write under its switch's store lock;
     // the totals must be bit-identical to the single-threaded reference at
     // every worker count.
     let load = keyed_workload();
@@ -272,8 +271,8 @@ fn keyed_counter_is_exact_across_worker_counts() {
 
 #[test]
 fn exact_keyed_flag_is_exact_across_worker_counts() {
-    // The test and the set of one key run under one hold of its shard's
-    // guard. The first packet per inport sets the flag, every later one
+    // The test and the set of one key run under one hold of the store
+    // lock. The first packet per inport sets the flag, every later one
     // reads it; the final table is order-independent, so any divergence is
     // a locking bug, not scheduling noise.
     let policy = ite(

@@ -77,7 +77,7 @@ fn campus_distributed_snapshot_is_complete() {
         .map(|(_, v)| v)
         .sum();
     assert_eq!(depth, 300, "nothing drained: depth equals enqueued");
-    // Per-variable table sizes, read off the owner's shards: every packet
+    // Per-variable table sizes, read off the owner's store: every packet
     // counted under the one key `count[1]`, on exactly one switch.
     let tables = &snap.families["store.table.entries"];
     let counts: Vec<_> = tables
