@@ -908,6 +908,147 @@ mod tests {
         (topo, tm, state.seq(egress))
     }
 
+    /// Shapes the random sweep never draws: a switch hosting two OBS ports;
+    /// a port on a switch no other switch can reach (its flows' detours
+    /// count the unreachable distance, and nothing routes to it); and
+    /// variables no flow with demand needs (their groups go to the most
+    /// central switch), beside a zero demand.
+    fn edge_shapes() -> Vec<(Topology, TrafficMatrix, Policy)> {
+        let egress = |ports: u8| {
+            let mut egress = drop();
+            for p in (1..=ports).rev() {
+                egress = ite(
+                    test_prefix(Field::DstIp, 10, 0, p, 0, 24),
+                    modify(Field::OutPort, Value::Int(i64::from(p))),
+                    egress,
+                );
+            }
+            egress
+        };
+        let src = || vec![field(Field::SrcIp)];
+        let mut shapes = Vec::new();
+
+        // Two ports on `a` of the line a - b - c.
+        let mut topo = Topology::new("shared-switch");
+        let nodes: Vec<NodeId> = ["a", "b", "c"].map(|n| topo.add_node(n)).to_vec();
+        topo.add_bidi_link(nodes[0], nodes[1], 20.0);
+        topo.add_bidi_link(nodes[1], nodes[2], 10.0);
+        topo.add_external_port(PortId(1), nodes[0]);
+        topo.add_external_port(PortId(2), nodes[0]);
+        topo.add_external_port(PortId(3), nodes[2]);
+        let tm = TrafficMatrix::gravity(&topo, 12.0, 5);
+        let policy = ite(
+            state_truthy("first", src()),
+            state_set("second", src(), Value::Bool(true)),
+            state_incr("count", src()),
+        );
+        shapes.push((topo, tm, policy.seq(egress(3))));
+
+        // `d` reaches the ring a - b - c over a one-way link; nothing
+        // reaches `d`.
+        let mut topo = Topology::new("one-way-stub");
+        let nodes: Vec<NodeId> = ["a", "b", "c", "d"].map(|n| topo.add_node(n)).to_vec();
+        for i in 0..3 {
+            topo.add_bidi_link(nodes[i], nodes[(i + 1) % 3], 10.0 + i as f64);
+        }
+        topo.add_link(nodes[3], nodes[0], 8.0);
+        for (p, &node) in nodes.iter().enumerate() {
+            topo.add_external_port(PortId(p + 1), node);
+        }
+        let tm = TrafficMatrix::gravity(&topo, 20.0, 6);
+        let policy = state_incr("count", src()).seq(ite(
+            test(Field::InPort, Value::Int(4)),
+            state_incr("stub", src()),
+            id(),
+        ));
+        shapes.push((topo, tm, policy.seq(egress(4))));
+
+        // `idle` is needed only by flows from port 3, which sends nothing;
+        // `dropped` is written only on packets the program drops; the flow
+        // 1 -> 2 has a demand of zero.
+        let mut topo = Topology::new("idle-state");
+        let nodes: Vec<NodeId> = ["a", "b", "c", "d"].map(|n| topo.add_node(n)).to_vec();
+        for i in 0..4 {
+            topo.add_bidi_link(nodes[i], nodes[(i + 1) % 4], 10.0);
+        }
+        topo.add_bidi_link(nodes[1], nodes[3], 5.0);
+        for (p, &node) in nodes.iter().enumerate().skip(1) {
+            topo.add_external_port(PortId(p), node);
+        }
+        let mut tm = TrafficMatrix::new();
+        tm.set(PortId(1), PortId(2), 0.0);
+        tm.set(PortId(1), PortId(3), 4.0);
+        tm.set(PortId(2), PortId(1), 3.0);
+        let policy = ite(
+            test(Field::SrcPort, Value::Int(53)),
+            state_incr("dropped", src()).seq(drop()),
+            state_incr("count", src()),
+        )
+        .seq(ite(
+            test(Field::InPort, Value::Int(3)),
+            state_incr("idle", src()),
+            id(),
+        ));
+        shapes.push((topo, tm, policy.seq(egress(3))));
+        shapes
+    }
+
+    /// FNV-1a over everything a [`PlacementResult`] says.
+    fn mix_result(hash: &mut u64, result: &PlacementResult) {
+        let mut mix = |bytes: &[u8]| {
+            for &byte in bytes {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(result.method.as_bytes());
+        for (var, node) in &result.placement {
+            mix(var.name().as_bytes());
+            mix(&node.0.to_le_bytes());
+        }
+        for ((u, v), path) in &result.paths {
+            for word in [u.0, v.0, path.len()] {
+                mix(&word.to_le_bytes());
+            }
+            path.iter().for_each(|n| mix(&n.0.to_le_bytes()));
+        }
+        mix(&result.total_utilization.to_bits().to_le_bytes());
+        mix(&result.max_utilization.to_bits().to_le_bytes());
+    }
+
+    /// Every answer of the placer — a fresh placement, and a re-route of it
+    /// under a shifted gravity matrix — on the sweep's 48 instances and the
+    /// edge shapes, and the MILP oracle's answers on the 48 instances, pinned
+    /// bit for bit to the values recorded before the placer moved to index
+    /// space.
+    #[test]
+    fn placer_answers_are_pinned() {
+        let mut instances: Vec<_> = (0..48).map(random_instance).collect();
+        instances.extend(edge_shapes());
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for (i, (topo, tm, policy)) in instances.iter().enumerate() {
+            let (psm, deps) = analyze(policy, topo);
+            let input = OptimizeInput {
+                topology: topo,
+                traffic: tm,
+                mapping: &psm,
+                deps: &deps,
+            };
+            let (placed, _) = place_and_route(&input, SolverChoice::default());
+            mix_result(&mut hash, &placed);
+            if i < 48 {
+                mix_result(&mut hash, &place_and_route(&input, SolverChoice::Exact).0);
+            }
+            let shifted = TrafficMatrix::gravity(topo, 30.0, 100 + i as u64);
+            let input = OptimizeInput {
+                traffic: &shifted,
+                ..input
+            };
+            let (rerouted, _) = reroute(&input, &placed.placement);
+            mix_result(&mut hash, &rerouted);
+        }
+        assert_eq!(hash, 460_440_424_933_313_230, "placer answers moved");
+    }
+
     /// The worst `heuristic total_utilization / MILP optimum` the sweep
     /// measures over feasible heuristic answers, 2.70, plus 0.05 headroom.
     /// The heuristic routes by hop count, blind to capacity: where a thin

@@ -9,11 +9,14 @@
 //! this test pins the diagram size, the pool length, the wire sizes and the
 //! `PlacementResult` to the values recorded before the all-pairs routing
 //! oracle, the pruned packet-state walk and id-keyed composition went in.
-//! When a change moves them on purpose, the failing assertion prints the new
-//! `Structure` to record.
+//! Each row also has a TE leg: `Compiler::reroute` under a second gravity
+//! matrix, whose paths and utilization bits are pinned to the values
+//! recorded before the placer moved to index space. When a change moves them
+//! on purpose, the failing assertion prints the new `Structure` (or
+//! `Rerouted`) to record.
 
 use snap_apps as apps;
-use snap_core::{Compiled, Compiler};
+use snap_core::{Compiled, Compiler, PlacementResult};
 use snap_lang::builder::*;
 use snap_lang::{Field, Policy};
 use snap_topology::generators::{self, presets};
@@ -29,6 +32,8 @@ struct Row {
     name: String,
     topology: Topology,
     traffic: TrafficMatrix,
+    /// The seed of `traffic`; the TE leg re-routes under `seed + 1`.
+    seed: u64,
     policy: Policy,
 }
 
@@ -48,6 +53,7 @@ fn rows() -> Vec<Row> {
                     .seq(apps::assign_egress(ports)),
                 topology,
                 traffic,
+                seed: spec.seed,
             }
         })
         .collect();
@@ -73,6 +79,7 @@ fn rows() -> Vec<Row> {
         policy: Policy::par_all(components).seq(apps::assign_egress(ports)),
         topology: igen50.clone(),
         traffic: traffic.clone(),
+        seed: SCENARIO_SEED,
     });
     rows.push(Row {
         name: "igen-50 x 5 apps".to_string(),
@@ -83,6 +90,7 @@ fn rows() -> Vec<Row> {
             .seq(apps::assign_egress(ports)),
         topology: igen50,
         traffic,
+        seed: SCENARIO_SEED,
     });
     rows
 }
@@ -104,21 +112,26 @@ struct Structure {
     max_utilization_bits: u64,
 }
 
-fn structure(compiled: &Compiled) -> Structure {
-    let pool = compiled.xfdd.pool();
-    let fresh_len = Pool::new(pool.order().clone()).len();
+/// FNV-1a over every `(u, v, path)` of `placement`, in key order.
+fn paths_hash(placement: &PlacementResult) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |word: usize| {
         for byte in (word as u64).to_le_bytes() {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for ((u, v), path) in &compiled.placement.paths {
+    for ((u, v), path) in &placement.paths {
         mix(u.0);
         mix(v.0);
         mix(path.len());
         path.iter().for_each(|n| mix(n.0));
     }
+    hash
+}
+
+fn structure(compiled: &Compiled) -> Structure {
+    let pool = compiled.xfdd.pool();
+    let fresh_len = Pool::new(pool.order().clone()).len();
     Structure {
         xfdd_size: compiled.xfdd.size(),
         pool_len: pool.len(),
@@ -131,7 +144,7 @@ fn structure(compiled: &Compiled) -> Structure {
             .collect::<Vec<_>>()
             .join(" "),
         num_paths: compiled.placement.paths.len(),
-        paths_hash: hash,
+        paths_hash: paths_hash(&compiled.placement),
         total_utilization_bits: compiled.placement.total_utilization.to_bits(),
         max_utilization_bits: compiled.placement.max_utilization.to_bits(),
     }
@@ -203,20 +216,68 @@ fn golden() -> Vec<(&'static str, Structure)> {
     ]
 }
 
+/// What the TE leg must not move: the paths and both utilizations of
+/// `Compiler::reroute` under the row's gravity matrix for `seed + 1`.
+#[derive(Debug, PartialEq)]
+struct Rerouted {
+    paths_hash: u64,
+    total_utilization_bits: u64,
+    max_utilization_bits: u64,
+}
+
+fn rerouted(placement: &PlacementResult) -> Rerouted {
+    Rerouted {
+        paths_hash: paths_hash(placement),
+        total_utilization_bits: placement.total_utilization.to_bits(),
+        max_utilization_bits: placement.max_utilization.to_bits(),
+    }
+}
+
+/// The TE leg of each row of [`golden`], in the same order. Recorded before
+/// the placer moved to index space, release and debug builds agreeing.
+#[rustfmt::skip]
+fn golden_rerouted() -> Vec<Rerouted> {
+    let te = |paths_hash, total_utilization_bits, max_utilization_bits| Rerouted {
+        paths_hash,
+        total_utilization_bits,
+        max_utilization_bits,
+    };
+    vec![
+        te(6757319948120645210, 4629103167204741447, 4606376650845487658),
+        te(6576892437614514593, 4628443956591987076, 4606689915715819864),
+        te(1540707858397664635, 4633065283049323395, 4607026831011385640),
+        te(17564414940345727498, 4630664490888917961, 4600462615088367697),
+        te(2259536772791123838, 4631676519287861886, 4606057067300214213),
+        te(2134586477017535818, 4629839618158101618, 4597434976557337979),
+        te(13178482687581789531, 4630846075820866857, 4596677086553895497),
+        te(7771265229571983993, 4630398578874943356, 4607619541576692445),
+        te(7840958144510730405, 4632060601912608522, 4614539828633973723),
+    ]
+}
+
 #[test]
 fn cold_compile_rows_keep_their_recorded_structure() {
     let golden = golden();
+    let golden_rerouted = golden_rerouted();
     let rows = rows();
     assert_eq!(rows.len(), golden.len());
-    for (row, (name, want)) in rows.iter().zip(&golden) {
+    for (i, (row, (name, want))) in rows.iter().zip(&golden).enumerate() {
         assert_eq!(row.name, *name);
-        let compiled = Compiler::new(row.topology.clone(), row.traffic.clone())
+        let compiler = Compiler::new(row.topology.clone(), row.traffic.clone());
+        let compiled = compiler
             .compile(&row.policy)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         assert_eq!(
             structure(&compiled),
             *want,
             "{name}: compiled structure moved"
+        );
+        let shifted = TrafficMatrix::gravity(&row.topology, VOLUME, row.seed + 1);
+        let (updated, _) = compiler.reroute(&compiled, &shifted);
+        assert_eq!(
+            Some(&rerouted(&updated.placement)),
+            golden_rerouted.get(i),
+            "{name}: re-routed paths moved"
         );
     }
 }
