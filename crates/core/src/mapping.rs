@@ -88,33 +88,45 @@ impl PacketStateMap {
     /// Compute the mapping for a program xFDD over the given OBS ports.
     pub fn analyze(xfdd: &Xfdd, ports: &[PortId]) -> PacketStateMap {
         let pool = xfdd.pool();
-        let mut touches_state = vec![false; pool.len()];
-        pool.fold_reachable(xfdd.root(), |id, node, kids| {
-            let touches = match (node, kids) {
-                (Node::Leaf(leaf), _) => written_vars(leaf).next().is_some(),
-                (Node::Branch { test, .. }, Some((t, f))) => test.state_var().is_some() || *t || *f,
-                (Node::Branch { .. }, None) => unreachable!("fold passes a branch its children"),
-            };
-            touches_state[id.index()] = touches;
-            touches
-        });
-
-        // The diagram's variables, and the egress candidates: the OBS ports
-        // and any other port a leaf assigns (such a flow is recorded even
-        // though nothing can route it).
+        // One bottom-up pass over the reachable diagram: the "touches state"
+        // flag of every node, the diagram's variables, and the egress
+        // candidates — the OBS ports and any other port a leaf assigns (such
+        // a flow is recorded even though nothing can route it).
+        let mut touches_state = vec![Reach::Unseen; pool.len()];
         let mut vars: BTreeSet<&StateVar> = BTreeSet::new();
         let ingress: BTreeSet<PortId> = ports.iter().copied().collect();
         let mut egress = ingress.clone();
-        pool.visit_reachable([xfdd.root()], |id, _| {
-            match pool.node(id) {
-                Node::Leaf(leaf) => {
-                    vars.extend(written_vars(leaf));
-                    egress.extend(leaf.0.iter().filter_map(assigned_outport));
-                }
-                Node::Branch { test, .. } => vars.extend(test.state_var()),
+        let mut stack = vec![xfdd.root()];
+        while let Some(&id) = stack.last() {
+            if touches_state[id.index()] != Reach::Unseen {
+                stack.pop();
+                continue;
             }
-            true
-        });
+            let touches = match pool.node(id) {
+                Node::Leaf(leaf) => {
+                    let mut written = written_vars(leaf).peekable();
+                    let touches = written.peek().is_some();
+                    vars.extend(written);
+                    egress.extend(leaf.0.iter().filter_map(assigned_outport));
+                    touches
+                }
+                Node::Branch { test, tru, fls } => {
+                    let (t, f) = (touches_state[tru.index()], touches_state[fls.index()]);
+                    if t == Reach::Unseen || f == Reach::Unseen {
+                        stack.extend([*fls, *tru]);
+                        continue;
+                    }
+                    vars.extend(test.state_var());
+                    test.state_var().is_some() || t == Reach::Touches || f == Reach::Touches
+                }
+            };
+            touches_state[id.index()] = if touches {
+                Reach::Touches
+            } else {
+                Reach::Clean
+            };
+            stack.pop();
+        }
         let vars: Arc<[StateVar]> = vars.into_iter().cloned().collect();
         let ingress: Arc<[PortId]> = ingress.into_iter().collect();
         let egress: Arc<[PortId]> = egress.into_iter().collect();
@@ -145,22 +157,41 @@ impl PacketStateMap {
     }
 
     fn cell(&self, row: usize, column: usize) -> VarSet<'_> {
-        let words = words_for(self.vars.len());
-        let at = (row * self.egress.len() + column) * words;
         VarSet {
             vars: &self.vars,
-            bits: &self.cells[at..at + words],
+            bits: self.cell_bits(row * self.egress.len() + column),
         }
+    }
+
+    /// The variable table, ascending: bit `i` of a cell stands for
+    /// `var_table()[i]`. With [`PacketStateMap::cell_of`] and
+    /// [`PacketStateMap::cell_bits`], the placer's by-index view.
+    pub(crate) fn var_table(&self) -> &[StateVar] {
+        &self.vars
+    }
+
+    /// The index of the cell of the flow from `u` to `v`, if the map has a
+    /// row for `u` and a column for `v`.
+    pub(crate) fn cell_of(&self, u: PortId, v: PortId) -> Option<usize> {
+        let row = self.ingress.binary_search(&u).ok()?;
+        let column = self.egress.binary_search(&v).ok()?;
+        Some(row * self.egress.len() + column)
+    }
+
+    /// The variable bitset of cell `at`.
+    pub(crate) fn cell_bits(&self, at: usize) -> &[u64] {
+        let words = words_for(self.vars.len());
+        &self.cells[at * words..(at + 1) * words]
     }
 
     /// The state variables needed by the flow from `u` to `v`.
     pub fn vars_for(&self, u: PortId, v: PortId) -> VarSet<'_> {
-        match (
-            self.ingress.binary_search(&u),
-            self.egress.binary_search(&v),
-        ) {
-            (Ok(row), Ok(column)) => self.cell(row, column),
-            _ => VarSet {
+        match self.cell_of(u, v) {
+            Some(at) => VarSet {
+                vars: &self.vars,
+                bits: self.cell_bits(at),
+            },
+            None => VarSet {
                 vars: &[],
                 bits: &[],
             },
@@ -190,11 +221,18 @@ impl PacketStateMap {
 
     /// All state variables mentioned anywhere in the mapping.
     pub fn all_vars(&self) -> BTreeSet<StateVar> {
+        let any = self.any_cell_bits();
+        ones(&any).map(|i| self.vars[i].clone()).collect()
+    }
+
+    /// The union of every cell's bits: the table's variables some flow
+    /// needs.
+    pub(crate) fn any_cell_bits(&self) -> Vec<u64> {
         let mut any = vec![0u64; words_for(self.vars.len())];
         for cell in self.cells.chunks(any.len().max(1)) {
             any.iter_mut().zip(cell).for_each(|(a, &w)| *a |= w);
         }
-        ones(&any).map(|i| self.vars[i].clone()).collect()
+        any
     }
 
     /// The flows (port pairs) that need a given variable.
@@ -218,6 +256,15 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// What the pre-pass of [`PacketStateMap::analyze`] knows of a node: not
+/// reached yet, or whether any path from it tests or writes state.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    Unseen,
+    Clean,
+    Touches,
+}
+
 /// A port set on the walk's stack: `sets[at..at + len]`.
 #[derive(Clone, Copy)]
 struct SetRef {
@@ -235,7 +282,7 @@ struct Walk<'a> {
     /// The column (index into `egress`) of every OBS port, in row order.
     obs_columns: Vec<usize>,
     /// Per node: does any path from here test or write state?
-    touches_state: &'a [bool],
+    touches_state: &'a [Reach],
     /// The port sets of the path walked so far, as one stack of words: a
     /// set narrowed at a test is pushed for the sub-walk and popped after,
     /// so the walk allocates nothing per node.
@@ -286,7 +333,7 @@ impl Walk<'_> {
     /// positively for `tested_out` (as indices into `egress`).
     fn visit(&mut self, n: NodeId, inports: SetRef, tested_out: SetRef) {
         if self.set(inports).iter().all(|&w| w == 0)
-            || (self.tested_vars.is_empty() && !self.touches_state[n.index()])
+            || (self.tested_vars.is_empty() && self.touches_state[n.index()] != Reach::Touches)
         {
             return;
         }

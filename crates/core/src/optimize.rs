@@ -7,6 +7,27 @@
 //! paper's "TE" scenario) runs the same waypoint router with the placement
 //! fixed.
 //!
+//! It works on indices from start to finish: no variable name is compared
+//! and no map is looked up inside its loops. Each call builds its tables
+//! once:
+//!
+//! - the demands with volume, ascending in `(u, v)`, each with its endpoint
+//!   switches and its cell of the [`PacketStateMap`];
+//! - each co-location group as a bitmask over the map's variable table;
+//! - the table's placed variables in dependency order, each with its switch;
+//! - f64 hop-distance rows from and to every switch that hosts a port, an
+//!   unreachable pair counting `usize::MAX / 4`.
+//!
+//! A group's cost is then one pass over the demands, ANDing each cell with
+//! the group's mask and adding each needing flow's detour to every switch's
+//! cost; a flow's waypoints are its cell's bits walked in dependency order;
+//! link loads go into a dense `from × to` array. Every float is summed in a
+//! fixed order — per switch flow by flow in `(u, v)` order, per link route
+//! by route, over links in ascending `(from, to)` order — and placements,
+//! paths and utilization bits are pinned to the values recorded before the
+//! placer moved to index space (`placer_answers_are_pinned` in this module's
+//! tests, and the rows of `tests/tests/golden_structure.rs`).
+//!
 //! **The oracle** is the mixed-integer linear program of the paper's
 //! Table 2 — binary placement variables `P_{s,n}`, per-flow routing fractions
 //! `R_{uv,ij}` and "has passed s" flows `PS_{s,uv,ij}` — built with
@@ -15,17 +36,20 @@
 //! campus running example with two demands takes seconds), so it places
 //! nothing in production. [`SolverChoice::Exact`] runs it for the
 //! benchmark's `milp.exact.ms` leg, and a seeded sweep in this module's tests
-//! bounds the heuristic's total utilization against its optimum.
+//! bounds the heuristic's total utilization against its optimum. Where its
+//! solution decodes to no path, a flow takes the heuristic's waypoint route,
+//! and its utilization is summed by the same function.
 //!
 //! Both produce a [`PlacementResult`]: a switch per state variable, a path
 //! per OBS flow that visits the needed variables in dependency order, and
 //! link-utilization statistics.
 
-use crate::mapping::{PacketStateMap, VarSet};
+use crate::mapping::PacketStateMap;
 use snap_lang::StateVar;
 use snap_milp::{solve_milp, LinExpr, Model, Sense, Solution, SolveResult, VarId};
 use snap_topology::{HopMatrix, NodeId, PortId, Topology, TrafficMatrix};
 use snap_xfdd::{StateDependencies, VarOrder};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -129,7 +153,7 @@ pub fn reroute(
     placement: &BTreeMap<StateVar, NodeId>,
 ) -> (PlacementResult, OptimizeTimings) {
     timed(Duration::ZERO, || {
-        heuristic_place_and_route(input, Some(placement.clone()))
+        heuristic_place_and_route(input, Some(placement))
     })
 }
 
@@ -160,98 +184,257 @@ fn all_variables(input: &OptimizeInput<'_>) -> BTreeSet<StateVar> {
 // Heuristic engine
 // ---------------------------------------------------------------------------
 
-fn heuristic_place_and_route(
-    input: &OptimizeInput<'_>,
-    fixed: Option<BTreeMap<StateVar, NodeId>>,
-) -> PlacementResult {
+/// How far apart two switches count when neither reaches the other.
+const UNREACHABLE: usize = usize::MAX / 4;
+
+/// One demand with positive volume between two ports the topology attaches.
+struct Demand {
+    u: PortId,
+    v: PortId,
+    volume: f64,
+    src: NodeId,
+    dst: NodeId,
+    /// The flow's cell in the packet-state map, if the map has one.
+    cell: Option<usize>,
+}
+
+/// The traffic matrix's demands the placer and the router act on, ascending
+/// in `(u, v)`.
+fn demands(input: &OptimizeInput<'_>) -> Vec<Demand> {
     let topo = input.topology;
-    let hops = HopMatrix::new(topo);
-    let variables = all_variables(input);
-
-    let placement = match fixed {
-        Some(p) => p,
-        None => {
-            // Group variables that must be co-located.
-            let groups = colocation_groups(&variables, input.deps);
-            let mut placement = BTreeMap::new();
-            for group in groups {
-                let node = best_node_for_group(input, &hops, &group);
-                for var in group {
-                    placement.insert(var, node);
-                }
-            }
-            placement
-        }
-    };
-
-    // Route every demand through its needed variables in dependency order.
-    let order = input.deps.var_order();
-    let mut paths = BTreeMap::new();
-    for (u, v, demand) in input.traffic.iter() {
-        if demand <= 0.0 {
+    let mut demands = Vec::new();
+    for (u, v, volume) in input.traffic.iter() {
+        if volume <= 0.0 {
             continue;
         }
         let (Some(src), Some(dst)) = (topo.port_switch(u), topo.port_switch(v)) else {
             continue;
         };
-        let waypoints = waypoints_in_order(input.mapping.vars_for(u, v), &order, &placement);
-        if let Some(path) = hops.path_through(src, &waypoints, dst) {
-            paths.insert((u, v), path);
+        let cell = input.mapping.cell_of(u, v);
+        demands.push(Demand {
+            u,
+            v,
+            volume,
+            src,
+            dst,
+            cell,
+        });
+    }
+    demands
+}
+
+fn heuristic_place_and_route(
+    input: &OptimizeInput<'_>,
+    fixed: Option<&BTreeMap<StateVar, NodeId>>,
+) -> PlacementResult {
+    let topo = input.topology;
+    let hops = HopMatrix::new(topo);
+    let order = input.deps.var_order();
+    let demands = demands(input);
+    let map_vars = input.mapping.var_table();
+    let (placement, switches) = match fixed {
+        Some(placement) => {
+            let switches = map_vars.iter().map(|var| placement.get(var).copied());
+            (placement.clone(), switches.collect())
+        }
+        None => place(input, &order, &hops, &demands),
+    };
+    let stops = Stops::new(map_vars, &order, &switches);
+    let mut waypoints = Vec::new();
+    let mut routed = Vec::with_capacity(demands.len());
+    for demand in &demands {
+        stops.fill(input.mapping, demand.cell, &mut waypoints);
+        if let Some(path) = hops.path_through(demand.src, &waypoints, demand.dst) {
+            routed.push((demand, path));
         }
     }
-
-    let (total, max) = utilization(topo, input.traffic, &paths);
+    let loads = routed.iter().map(|(d, path)| (path.as_slice(), d.volume));
+    let (total, max) = utilization(topo, loads);
     PlacementResult {
         placement,
-        paths,
+        paths: routed
+            .into_iter()
+            .map(|(d, path)| ((d.u, d.v), path))
+            .collect(),
         total_utilization: total,
         max_utilization: max,
         method: "heuristic".to_string(),
     }
 }
 
-/// The switches holding a flow's variables, in the order the flow must visit
-/// them (the state-variable dependency order).
-fn waypoints_in_order(
-    needed: VarSet<'_>,
-    order: &VarOrder,
-    placement: &BTreeMap<StateVar, NodeId>,
-) -> Vec<NodeId> {
-    let mut needed: Vec<&StateVar> = needed.iter().collect();
-    needed.sort_by_key(|s| order.rank(s));
-    let mut waypoints: Vec<NodeId> = needed
-        .into_iter()
-        .filter_map(|s| placement.get(s).copied())
-        .collect();
-    waypoints.dedup();
-    waypoints
+/// The placed variables of the packet-state map in dependency order, each
+/// with its bit and its switch: a flow's waypoints are its cell's bits
+/// walked in this order.
+struct Stops(Vec<(usize, NodeId)>);
+
+impl Stops {
+    /// `switches[i]` holds `map_vars[i]`, if it is placed.
+    fn new(map_vars: &[StateVar], order: &VarOrder, switches: &[Option<NodeId>]) -> Stops {
+        let stops = by_rank(map_vars, order).into_iter();
+        Stops(stops.filter_map(|i| Some((i, switches[i]?))).collect())
+    }
+
+    /// The switches holding the variables of `cell`, in the order the flow
+    /// must visit them, consecutive repeats merged.
+    fn fill(&self, map: &PacketStateMap, cell: Option<usize>, waypoints: &mut Vec<NodeId>) {
+        waypoints.clear();
+        let Some(cell) = cell else {
+            return;
+        };
+        let bits = map.cell_bits(cell);
+        for &(bit, node) in &self.0 {
+            if has_bit(bits, bit) && waypoints.last() != Some(&node) {
+                waypoints.push(node);
+            }
+        }
+    }
 }
 
-/// Union-find-free co-location grouping: connected components of the `tied`
-/// relation, plus singletons for everything else, ordered by variable order.
+/// The indices of `vars` (ascending by name) in dependency order: the sort
+/// is stable, so ties break by name, as they do in the order.
+fn by_rank<V: Borrow<StateVar>>(vars: &[V], order: &VarOrder) -> Vec<usize> {
+    let mut by_rank: Vec<usize> = (0..vars.len()).collect();
+    by_rank.sort_by_key(|&i| order.rank(vars[i].borrow()));
+    by_rank
+}
+
+/// Is bit `i` of `bits` set?
+fn has_bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Place every variable: each co-location group goes to the switch
+/// minimizing the demand-weighted detour of the flows that need any of its
+/// variables. Returns the placement, and the switch of every variable of the
+/// packet-state map's table (`None` for one that is not placed).
+fn place(
+    input: &OptimizeInput<'_>,
+    order: &VarOrder,
+    hops: &HopMatrix,
+    demands: &[Demand],
+) -> (BTreeMap<StateVar, NodeId>, Vec<Option<NodeId>>) {
+    let (topo, map) = (input.topology, input.mapping);
+    let map_vars = map.var_table();
+
+    // The variables to place, ascending: the dependency analysis's and any
+    // some flow of the map needs. `bit[i]` is `vars[i]`'s bit in the map.
+    let used = map.any_cell_bits();
+    let map_used = (0..map_vars.len()).filter(|&i| has_bit(&used, i));
+    let mut vars: Vec<&StateVar> = input.deps.variables.iter().collect();
+    vars.extend(map_used.map(|i| &map_vars[i]));
+    vars.sort_unstable();
+    vars.dedup();
+    let bit: Vec<Option<usize>> = vars
+        .iter()
+        .map(|v| map_vars.binary_search(v).ok())
+        .collect();
+
+    let groups = colocation_groups(&vars, order, input.deps);
+
+    // The flows that need any state, each with the offset of its source's
+    // row in `from` (hop distances from the switch, as f64) and of its
+    // destination's row in `to` (hop distances to the switch). Rows exist
+    // for the switches that host a port only.
+    let nodes = topo.num_nodes();
+    let mut row_at = vec![None; nodes];
+    let (mut from, mut to) = (Vec::new(), Vec::new());
+    let mut row = |switch: NodeId| {
+        *row_at[switch.0].get_or_insert_with(|| {
+            let far = |d: Option<usize>| d.unwrap_or(UNREACHABLE) as f64;
+            from.extend(topo.nodes().map(|n| far(hops.distance(switch, n))));
+            to.extend(topo.nodes().map(|n| far(hops.distance(n, switch))));
+            from.len() - nodes
+        })
+    };
+    let flows: Vec<(&[u64], f64, usize, usize)> = demands
+        .iter()
+        .filter_map(|d| {
+            let bits = map.cell_bits(d.cell?);
+            let needs_state = bits.iter().any(|&w| w != 0);
+            needs_state.then(|| (bits, d.volume, row(d.src), row(d.dst)))
+        })
+        .collect();
+
+    let mut node_of = vec![NodeId(0); vars.len()];
+    let mut mask = vec![0u64; used.len()];
+    let mut cost = vec![0.0f64; nodes];
+    let mut central = None;
+    for group in groups {
+        mask.fill(0);
+        for b in group.iter().filter_map(|&i| bit[i]) {
+            mask[b / 64] |= 1 << (b % 64);
+        }
+        // Each switch's cost, summed flow by flow in `(u, v)` order.
+        cost.fill(0.0);
+        let mut needed = false;
+        for &(bits, volume, src, dst) in &flows {
+            if bits.iter().zip(&mask).all(|(&w, &m)| w & m == 0) {
+                continue;
+            }
+            needed = true;
+            let (from, to) = (&from[src..src + nodes], &to[dst..dst + nodes]);
+            for ((c, &d1), &d2) in cost.iter_mut().zip(from).zip(to) {
+                *c += volume * (d1 + d2);
+            }
+        }
+        let node = if needed {
+            let mut best = (NodeId(0), f64::INFINITY);
+            for (n, &c) in cost.iter().enumerate() {
+                if c < best.1 {
+                    best = (NodeId(n), c);
+                }
+            }
+            best.0
+        } else {
+            // Nothing constrains the group; put it on the most central
+            // switch.
+            *central.get_or_insert_with(|| most_central(topo, hops))
+        };
+        group.iter().for_each(|&i| node_of[i] = node);
+    }
+
+    let mut switches = vec![None; map_vars.len()];
+    for (i, &node) in node_of.iter().enumerate() {
+        if let Some(b) = bit[i] {
+            switches[b] = Some(node);
+        }
+    }
+    let placement = vars.into_iter().cloned().zip(node_of).collect();
+    (placement, switches)
+}
+
+/// Co-location groups, as indices into `vars` (ascending): connected
+/// components of the `tied` relation, plus singletons for everything else,
+/// ordered by variable order. A `tied` pair outside `vars` is ignored (the
+/// dependency analysis ties variables of one strongly connected component
+/// of its own `variables`).
 fn colocation_groups(
-    variables: &BTreeSet<StateVar>,
+    vars: &[&StateVar],
+    order: &VarOrder,
     deps: &StateDependencies,
-) -> Vec<Vec<StateVar>> {
-    let mut assigned: BTreeSet<StateVar> = BTreeSet::new();
+) -> Vec<Vec<usize>> {
+    let mut tied = vec![Vec::new(); vars.len()];
+    for (a, b) in &deps.tied {
+        if let (Ok(a), Ok(b)) = (vars.binary_search(&a), vars.binary_search(&b)) {
+            tied[a].push(b);
+        }
+    }
+    let mut assigned = vec![false; vars.len()];
     let mut groups = Vec::new();
-    let order = deps.var_order();
-    let mut sorted: Vec<StateVar> = variables.iter().cloned().collect();
-    sorted.sort_by_key(|v| order.rank(v));
-    for var in sorted {
-        if assigned.contains(&var) {
+    for var in by_rank(vars, order) {
+        if assigned[var] {
             continue;
         }
         // Grow the component of `var` under `tied`.
-        let mut group = vec![var.clone()];
-        assigned.insert(var.clone());
+        assigned[var] = true;
+        let mut group = vec![var];
         let mut frontier = vec![var];
         while let Some(cur) = frontier.pop() {
-            for (a, b) in &deps.tied {
-                if *a == cur && !assigned.contains(b) {
-                    assigned.insert(b.clone());
-                    group.push(b.clone());
-                    frontier.push(b.clone());
+            for &next in &tied[cur] {
+                if !assigned[next] {
+                    assigned[next] = true;
+                    group.push(next);
+                    frontier.push(next);
                 }
             }
         }
@@ -260,68 +443,39 @@ fn colocation_groups(
     groups
 }
 
-/// The switch minimizing the demand-weighted detour for all flows that need
-/// any variable of the group.
-fn best_node_for_group(input: &OptimizeInput<'_>, hops: &HopMatrix, group: &[StateVar]) -> NodeId {
-    let topo = input.topology;
-    // Flows needing the group, with their demand.
-    let mut flows: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for (u, v, vars) in input.mapping.iter() {
-        if group.iter().any(|g| vars.contains(g)) {
-            let demand = input.traffic.get(u, v);
-            if demand <= 0.0 {
-                continue;
-            }
-            if let (Some(src), Some(dst)) = (topo.port_switch(u), topo.port_switch(v)) {
-                flows.push((src, dst, demand));
-            }
-        }
-    }
-    if flows.is_empty() {
-        // Nothing constrains the group; put it on the most central switch.
-        return topo
-            .nodes()
-            .min_by_key(|&n| {
-                topo.nodes()
-                    .map(|m| hops.distance(n, m).unwrap_or(usize::MAX / 2))
-                    .sum::<usize>()
-            })
-            .unwrap_or(NodeId(0));
-    }
-    let mut best = NodeId(0);
-    let mut best_cost = f64::INFINITY;
-    for n in topo.nodes() {
-        let mut cost = 0.0;
-        for &(src, dst, demand) in &flows {
-            let d1 = hops.distance(src, n).unwrap_or(usize::MAX / 4) as f64;
-            let d2 = hops.distance(n, dst).unwrap_or(usize::MAX / 4) as f64;
-            cost += demand * (d1 + d2);
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best = n;
-        }
-    }
-    best
+/// The switch with the least summed hop distance to every switch (an
+/// unreachable one counting `usize::MAX / 2`).
+fn most_central(topo: &Topology, hops: &HopMatrix) -> NodeId {
+    topo.nodes()
+        .min_by_key(|&n| {
+            topo.nodes()
+                .map(|m| hops.distance(n, m).unwrap_or(usize::MAX / 2))
+                .sum::<usize>()
+        })
+        .unwrap_or(NodeId(0))
 }
 
-/// Link-utilization statistics for a set of single-path routes.
-fn utilization(
+/// Link-utilization statistics for single-path routes, each with its
+/// volume: the loads are summed per directed link in route order, and the
+/// links in ascending `(from, to)` order.
+fn utilization<'p>(
     topo: &Topology,
-    traffic: &TrafficMatrix,
-    paths: &BTreeMap<(PortId, PortId), Vec<NodeId>>,
+    routes: impl IntoIterator<Item = (&'p [NodeId], f64)>,
 ) -> (f64, f64) {
-    let mut load: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
-    for (&(u, v), path) in paths {
-        let demand = traffic.get(u, v);
+    let nodes = topo.num_nodes();
+    let mut load = vec![0.0f64; nodes * nodes];
+    for (path, volume) in routes {
         for hop in path.windows(2) {
-            *load.entry((hop[0], hop[1])).or_insert(0.0) += demand;
+            load[hop[0].0 * nodes + hop[1].0] += volume;
         }
     }
     let mut total = 0.0;
     let mut max = 0.0f64;
-    for (&(a, b), &l) in &load {
-        let cap = topo.link_capacity(a, b).unwrap_or(f64::INFINITY);
+    // A link no route crosses has no load, and would add nothing.
+    for (at, &l) in load.iter().enumerate().filter(|&(_, &l)| l != 0.0) {
+        let cap = topo
+            .link_capacity(NodeId(at / nodes), NodeId(at % nodes))
+            .unwrap_or(f64::INFINITY);
         let u = if cap.is_finite() && cap > 0.0 {
             l / cap
         } else {
@@ -578,9 +732,16 @@ fn finish_exact(
         .collect();
     let hops = HopMatrix::new(topo);
     let links: Vec<(NodeId, NodeId)> = topo.links().iter().map(|l| (l.from, l.to)).collect();
-    let order = input.deps.var_order();
-    let mut paths = BTreeMap::new();
-    for (di, &(u, v, _, src, dst)) in instance.demands.iter().enumerate() {
+    let map = input.mapping;
+    let switches: Vec<Option<NodeId>> = map
+        .var_table()
+        .iter()
+        .map(|var| placement.get(var).copied())
+        .collect();
+    let stops = Stops::new(map.var_table(), &input.deps.var_order(), &switches);
+    let mut waypoints = Vec::new();
+    let mut paths = Vec::with_capacity(instance.demands.len());
+    for (di, &(u, v, volume, src, dst)) in instance.demands.iter().enumerate() {
         let mut path = vec![src];
         let mut current = src;
         let mut visited = BTreeSet::from([src]);
@@ -616,18 +777,21 @@ fn finish_exact(
             }
         }
         if !ok {
-            // Fallback: deterministic waypoint path honouring the placement.
-            let waypoints = waypoints_in_order(input.mapping.vars_for(u, v), &order, &placement);
+            // Fallback: the heuristic's waypoint path honouring the placement.
+            stops.fill(map, map.cell_of(u, v), &mut waypoints);
             if let Some(p) = hops.path_through(src, &waypoints, dst) {
                 path = p;
             }
         }
-        paths.insert((u, v), path);
+        paths.push(((u, v), path, volume));
     }
-    let (total, max) = utilization(topo, input.traffic, &paths);
+    let loads = paths
+        .iter()
+        .map(|(_, path, volume)| (path.as_slice(), *volume));
+    let (total, max) = utilization(topo, loads);
     PlacementResult {
         placement,
-        paths,
+        paths: paths.into_iter().map(|(uv, path, _)| (uv, path)).collect(),
         total_utilization: total,
         max_utilization: max,
         method: "milp".to_string(),

@@ -85,12 +85,19 @@ impl HopMatrix {
         waypoints: &[NodeId],
         to: NodeId,
     ) -> Option<Vec<NodeId>> {
-        let mut path = vec![from];
+        // Size the path first, so it is allocated once.
+        let stops = || waypoints.iter().chain(std::iter::once(&to));
+        let mut len = 1;
         let mut at = from;
-        for &stop in waypoints.iter().chain(std::iter::once(&to)) {
-            if !self.append_leg(at, stop, &mut path) {
-                return None;
-            }
+        for &stop in stops() {
+            len += self.distance(at, stop)?;
+            at = stop;
+        }
+        let mut path = Vec::with_capacity(len);
+        path.push(from);
+        let mut at = from;
+        for &stop in stops() {
+            self.append_leg(at, stop, &mut path);
             at = stop;
         }
         Some(path)
